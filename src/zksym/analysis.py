@@ -161,17 +161,17 @@ def _make_solution(branch: str, s: float, vv: float, ww: float, u: float) -> Led
 def solve_ledger_u0(s: float) -> list[LedgerSolution]:
     """Solution families with u = 0 at a given S = V + W in (1, 9).
 
-    V and W are the two roots of X^2 - S X + P with P = (-S^2 + 10 S - 9)/8;
+    V and W are the two roots of X^2 - S X + P with P = (S - 1)(9 - S)/8;
     the two returned solutions realize both root orderings (v^2, w^2) =
-    (X1, X2) t^2 and (X2, X1) t^2.
+    (X1, X2) t^2 and (X2, X1) t^2.  The small root is taken as X1 = P/X2,
+    which keeps full precision where P -> 0 at either end of the interval.
     """
     lo, hi = S_INTERVAL_U0
     if not (lo < s < hi):
         raise InvalidParamsError(f"S must lie in the open interval ({lo:g}, {hi:g}), got {s:g}")
     disc = (3.0 * s * s - 10.0 * s + 9.0) / 2.0
-    root = math.sqrt(disc)
-    x1 = (s - root) / 2.0
-    x2 = (s + root) / 2.0
+    x2 = (s + math.sqrt(disc)) / 2.0
+    x1 = (s - 1.0) * (9.0 - s) / 8.0 / x2
     return [
         _make_solution("u-zero", s, x1, x2, 0.0),
         _make_solution("u-zero", s, x2, x1, 0.0),
@@ -181,19 +181,19 @@ def solve_ledger_u0(s: float) -> list[LedgerSolution]:
 def solve_ledger_unonzero(s: float) -> list[LedgerSolution]:
     """Solution families with u != 0 at a given S in (1/3, (7 - sqrt(17))/2).
 
-    P = -S(S-4)(3S-1) / (8(8-3S)) and the discriminant
+    P = S(4-S)(3S-1) / (8(8-3S)) and the discriminant
     Delta = S(-3S^2+3S+4) / (2(8-3S)) are positive on the interval, so
     V, W = (S +- sqrt(Delta))/2 are two positive roots, and
     u^2 = 4 (8 - 7S + S^2) / (8 - 3S) t^4 stays inside (0, 16) t^4.  Up to
     four solutions are returned: both root orderings times both signs of u.
+    The small root is taken as P/big, exact to rounding as S -> 1/3.
     """
     lo, hi = S_INTERVAL_UNONZERO
     if not (lo < s < hi):
         raise InvalidParamsError(f"S must lie in the open interval ({lo:g}, {hi:g}), got {s:g}")
     delta = s * (-3.0 * s * s + 3.0 * s + 4.0) / (2.0 * (8.0 - 3.0 * s))
-    root = math.sqrt(delta)
-    big = (s + root) / 2.0
-    small = (s - root) / 2.0
+    big = (s + math.sqrt(delta)) / 2.0
+    small = s * (4.0 - s) * (3.0 * s - 1.0) / (8.0 * (8.0 - 3.0 * s)) / big
     usq = 4.0 * (8.0 - 7.0 * s + s * s) / (8.0 - 3.0 * s)
     u = math.sqrt(usq)
     return [

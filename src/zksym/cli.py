@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -52,7 +53,16 @@ class _UsageError(Exception):
     pass
 
 
+# negative numbers, exponent notation included; argparse's own pattern
+# reads "-5.8e-05" as an option and refuses it as a value
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message):
         raise _UsageError(message)
 

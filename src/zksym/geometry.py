@@ -9,15 +9,17 @@ from the structure constants of so(5) and an adapted form B:
   R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_{[X,Y]_m} Z - [[X,Y]_h, Z],
   where nabla acts as the algebraic connection operator on m and the last
   term is the isotropy action of the h-part of [X,Y],
-* the Ricci form rho(X,Y) = trace of V -> R(V,X)Y over the orthonormal frame,
+* the Ricci form rho(X,Y) = trace of V -> R(V,X)Y, a basis-free trace
+  computed in the raw basis straight from the connection operators,
 * the first Ledger form
   L(X,Y,Z) = (nabla_X rho)(Y,Z) + (nabla_Y rho)(Z,X) + (nabla_Z rho)(X,Y),
   with (nabla_X rho)(Y,Z) = -rho(nabla_X Y, Z) - rho(Y, nabla_X Z) because
   rho is invariant, hence constant in the invariant frame.
 
 Vectors passed to the public functions are 8-dimensional raw m-coordinates
-(basis order A1..C2); tables are returned in the orthonormal frame, the
-only basis in which their coefficients have canonical closed forms.
+(basis order A1..C2).  The orthonormal frame is used only to present
+results: tables and the Ricci matrix are returned in it, the only basis in
+which their coefficients have canonical closed forms.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from __future__ import annotations
 from functools import lru_cache, cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .metric import AdaptedForm, DegenerateMetricError, MetricParams, build_form, orthonormal_frame
 from .so5 import H_INDICES, M_INDICES, build_so5
@@ -50,6 +51,11 @@ def _m_structure() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 _CM, _CH, _ADH = _m_structure()
+
+# Isotropy part of the Ricci trace, sum_l ([[e_l, e_i]_h, e_j])_l; it does
+# not depend on the metric.
+_RHO_H = np.einsum("lia,alj->ij", _CH, _ADH)
+_RHO_H.setflags(write=False)
 
 
 def m_bracket(x, y) -> np.ndarray:
@@ -78,9 +84,11 @@ class _Geometry:
         self.gram = form.gram
         self.params = form.params
         try:
-            self._cho = scipy.linalg.cho_factor(np.array(form.gram))
-        except scipy.linalg.LinAlgError as exc:
+            self._chol = np.linalg.cholesky(form.gram)
+        except np.linalg.LinAlgError as exc:
             raise DegenerateMetricError(f"Gram matrix is not positive-definite: {exc}") from exc
+        if not np.isfinite(self._chol).all():
+            raise DegenerateMetricError("Gram matrix is not finite")
 
     # ---- raw-basis tensors ------------------------------------------------
     @cached_property
@@ -88,7 +96,8 @@ class _Geometry:
         """U on basis pairs: u3[i, j, :] solves the defining linear system."""
         g = self.gram
         rhs = np.einsum("zjl,li->ijz", _CM, g) + np.einsum("zil,lj->ijz", _CM, g)
-        sol = scipy.linalg.cho_solve(self._cho, rhs.reshape(64, 8).T)
+        low = self._chol  # g = low @ low.T
+        sol = np.linalg.solve(low.T, np.linalg.solve(low, rhs.reshape(64, 8).T))
         u3 = 0.5 * sol.T.reshape(8, 8, 8)
         u3.setflags(write=False)
         return u3
@@ -107,7 +116,11 @@ class _Geometry:
 
     @cached_property
     def r4(self) -> np.ndarray:
-        """Curvature on basis triples: r4[i, j, :, k] = R(e_i, e_j) e_k."""
+        """Curvature on basis triples: r4[i, j, :, k] = R(e_i, e_j) e_k.
+
+        Only :func:`curvature` needs the full tensor; the Ricci trace is
+        taken without building it.
+        """
         nop = self._nop
         comp = np.einsum("ilm,jmk->ijlk", nop, nop)
         r4 = (
@@ -118,6 +131,24 @@ class _Geometry:
         )
         r4.setflags(write=False)
         return r4
+
+    @cached_property
+    def ricci_raw(self) -> np.ndarray:
+        """rho on basis pairs: rho[i, j] = sum_l (R(e_l, e_i) e_j)_l.
+
+        The trace of each term of R, contracted directly from the
+        connection operators.
+        """
+        nop = self._nop
+        rho = (
+            np.einsum("llm,imj->ij", nop, nop)
+            - nop.reshape(8, 64) @ nop.reshape(64, 8)
+            - np.einsum("lim,mlj->ij", _CM, nop)
+            - _RHO_H
+        )
+        rho = 0.5 * (rho + rho.T)  # symmetrize away roundoff
+        rho.setflags(write=False)
+        return rho
 
     # ---- frame tensors ----------------------------------------------------
     def _require_params(self) -> MetricParams:
@@ -138,8 +169,10 @@ class _Geometry:
         return self._frame_obj.inverse
 
     def _to_frame3(self, raw3: np.ndarray) -> np.ndarray:
+        # out[i, j, k] = f[a, i] f[b, j] raw3[a, b, l] finv[k, l], one index at a time
         f, finv = self.frame, self.frame_inv
-        out = np.einsum("ai,bj,abl,kl->ijk", f, f, raw3, finv)
+        out = np.tensordot(f, raw3 @ finv.T, axes=(0, 0))  # [i, b, k]
+        out = np.tensordot(f, out, axes=(0, 1)).transpose(1, 0, 2)
         out.setflags(write=False)
         return out
 
@@ -158,19 +191,10 @@ class _Geometry:
 
     @cached_property
     def ricci_frame(self) -> np.ndarray:
-        """rho in the orthonormal frame, traced over the frame itself."""
-        f, finv = self.frame, self.frame_inv
-        mixed = np.einsum("ai,bj,ablk->ijlk", f, f, self.r4)
-        r4f = np.einsum("pl,ijlk,kq->ijpq", finv, mixed, f)
-        rho = np.einsum("kikj->ij", r4f)
-        rho = 0.5 * (rho + rho.T)  # symmetrize away roundoff
-        rho.setflags(write=False)
-        return rho
-
-    @cached_property
-    def ricci_raw(self) -> np.ndarray:
-        finv = self.frame_inv
-        rho = finv.T @ self.ricci_frame @ finv
+        """rho in the orthonormal frame: the raw trace evaluated on frame pairs."""
+        f = self.frame
+        rho = f.T @ self.ricci_raw @ f
+        rho = 0.5 * (rho + rho.T)
         rho.setflags(write=False)
         return rho
 
@@ -232,7 +256,8 @@ def curvature(x, y, z, form: AdaptedForm) -> np.ndarray:
 def ricci(form: AdaptedForm) -> np.ndarray:
     """Ricci matrix in the orthonormal frame (8x8 symmetric).
 
-    Computed as the frame trace rho_ij = sum_k <R(E_k, E_i) E_j, E_k>.
+    rho_ij = rho(E_i, E_j), where rho(X, Y) is the trace of V -> R(V, X) Y;
+    the trace needs no frame, so it equals sum_k <R(E_k, E_i) E_j, E_k>.
     Requires ``form.params``.
     """
     return _geometry(form).ricci_frame
@@ -241,7 +266,7 @@ def ricci(form: AdaptedForm) -> np.ndarray:
 def ledger(x, y, z, form: AdaptedForm) -> float:
     """First Ledger form L(x, y, z); cyclic by construction, fully symmetric.
 
-    Inputs are raw m-coordinates; requires ``form.params``.
+    Inputs are raw m-coordinates; any positive-definite form will do.
     """
     geo = _geometry(form)
     rho = geo.ricci_raw

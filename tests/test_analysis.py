@@ -226,6 +226,33 @@ def test_unonzero_solutions_verify():
         assert not report.expected_naturally_reductive
 
 
+_S_LO_U1, _S_HI_U1 = S_INTERVAL_UNONZERO
+
+
+def _p_u0(s):
+    return (s - 1.0) * (9.0 - s) / 8.0
+
+
+def _p_u1(s):
+    return s * (4.0 - s) * (3.0 * s - 1.0) / (8.0 * (8.0 - 3.0 * s))
+
+
+@pytest.mark.parametrize(
+    "solver,s,product",
+    [
+        (solve_ledger_u0, 1.0 + 1e-10, _p_u0),
+        (solve_ledger_u0, 9.0 - 1e-10, _p_u0),
+        (solve_ledger_unonzero, _S_LO_U1 + 1e-10, _p_u1),
+        (solve_ledger_unonzero, _S_HI_U1 - 1e-10, _p_u1),
+    ],
+)
+def test_roots_exact_at_interval_ends(solver, s, product):
+    # the small root is P / big root, so V W = P and V + W = S to rounding
+    for sol in solver(s):
+        assert sol.V * sol.W == pytest.approx(product(s), rel=1e-14, abs=0)
+        assert sol.V + sol.W == pytest.approx(s, rel=1e-14, abs=0)
+
+
 # ----------------------------------------------------------------------
 # verification catches broken solutions
 # ----------------------------------------------------------------------

@@ -230,6 +230,27 @@ def test_k_guard_exits_2(capsys):
     assert "numerical failure" in err
 
 
+@pytest.mark.parametrize("u", ["-5.8e-05", "-1E-3"])
+def test_negative_exponent_values_parse(capsys, u):
+    code, out, _ = run_cli(capsys, "ricci", "--t", "1", "--u", u, "--v", "1", "--w", "1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["params"]["u"] == float(u)
+
+
+def test_negative_exponent_tolerance_reaches_validation(capsys):
+    code, _, err = run_cli(capsys, "check-nr", "--t", "1", "--u", "0", "--v", "1", "--w", "1", "--tol", "-1E-3")
+    assert code == 1
+    assert "tolerance must be positive" in err
+
+
+def test_overflowing_gram_exits_2(capsys):
+    # v^2 overflows to inf in the Gram matrix; no NaN may reach the output
+    code, out, err = run_cli(capsys, "ricci", "--t", "1", "--u", "0", "--v", "1e200", "--w", "1")
+    assert code == 2
+    assert out == ""
+    assert "numerical failure" in err
+
+
 def test_unknown_flag_exits_1(capsys):
     code, _, err = run_cli(capsys, "ricci", "--nope", "1")
     assert code == 1

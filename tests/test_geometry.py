@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import zksym
 from zksym import (
     AdaptedForm,
     DegenerateMetricError,
@@ -284,3 +290,92 @@ def test_ledger_function_agrees_with_table():
         assert ledger(f[:, i], f[:, j], f[:, k], form) == pytest.approx(
             table[i, j, k], rel=1e-12, abs=1e-12
         )
+
+
+def test_ledger_without_params_matches_table():
+    # rho and nabla are traced in the raw basis, so the raw form alone suffices
+    p = MetricParams(1.3, -0.7, 0.8, 1.6)
+    bare = AdaptedForm(gram=build_form(p).gram)
+    f = orthonormal_frame(p).matrix
+    table = ledger_table(p)
+    for i, j, k in [(0, 4, 6), (3, 5, 7), (2, 2, 4), (1, 6, 6)]:
+        assert ledger(f[:, i], f[:, j], f[:, k], bare) == pytest.approx(table[i, j, k], rel=1e-12, abs=1e-12)
+
+
+# ----------------------------------------------------------------------
+# exactness oracle: the direct formulas, evaluated through the raw API
+# ----------------------------------------------------------------------
+
+_BASIS = np.eye(8)
+
+
+def _raw3(op, *form):
+    return np.array([[op(_BASIS[i], _BASIS[j], *form) for j in range(8)] for i in range(8)])
+
+
+def _naive_frame3(raw3, frame):
+    return np.einsum("ai,bj,abl,kl->ijk", frame.matrix, frame.matrix, raw3, frame.inverse)
+
+
+def _naive_tables(p):
+    """Every table by the direct formulas: a one-step frame change and the
+    Ricci trace over the orthonormal frame of the full curvature."""
+    form = build_form(p)
+    frame = orthonormal_frame(p)
+    f, finv = frame.matrix, frame.inverse
+    rho = np.array(
+        [
+            [sum((finv @ curvature(f[:, k], f[:, i], f[:, j], form))[k] for k in range(8)) for j in range(8)]
+            for i in range(8)
+        ]
+    )
+    rho = 0.5 * (rho + rho.T)
+    n = _naive_frame3(_raw3(nabla, form), frame)
+    d = -np.einsum("ijl,lk->ijk", n, rho) - np.einsum("ikl,jl->ijk", n, rho)
+    return {
+        "bracket_table": _naive_frame3(_raw3(m_bracket), frame),
+        "u_table": _naive_frame3(_raw3(u_map, form), frame),
+        "nomizu_table": n,
+        "ricci": rho,
+        "ledger_table": d + d.transpose(1, 2, 0) + d.transpose(2, 0, 1),
+    }
+
+
+def _oracle_points():
+    rng = np.random.default_rng(35)
+    points = [sample_params(rng) for _ in range(34)]
+    # 16 points with K/|t| log-uniform in [1e-8, 1e-2], up to the K guard
+    for _ in range(16):
+        t, v, w = rng.uniform(0.5, 2.0, 3) * rng.choice([-1.0, 1.0], 3)
+        k_ratio = 10.0 ** rng.uniform(-7.9, -2.0)
+        u = 2.0 * t * t * np.sqrt(1.0 - k_ratio**2) * rng.choice([-1.0, 1.0])
+        points.append(MetricParams(t, u, v, w))
+    return points
+
+
+def test_tables_agree_with_direct_formulas():
+    for p in _oracle_points():
+        naive = _naive_tables(p)
+        got = {
+            "bracket_table": bracket_table(p),
+            "u_table": u_table(p),
+            "nomizu_table": nomizu_table(p),
+            "ricci": ricci(build_form(p)),
+            "ledger_table": ledger_table(p),
+        }
+        # Near the K guard the frame change of U and nabla cancels terms
+        # |t|/K times larger than the result, so two summation orders differ
+        # by about eps |t|/K relative; below K/|t| = 1e-3 their bound grows so.
+        scale = max(1.0, 1e-3 * abs(p.t) / p.K)
+        for name, ref in naive.items():
+            tol = 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+            if name in ("u_table", "nomizu_table"):
+                tol *= scale
+            assert np.max(np.abs(got[name] - ref)) <= tol, (name, p)
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(zksym.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, zksym; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
