@@ -198,6 +198,24 @@ class GradedLieAlgebra:
         e = self.identity_label
         return self.project(x, [lab for lab in self.labels if lab != e])
 
+    def m_structure(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Split the structure constants along h + m.
+
+        Returns read-only (CM, CH, ADH), indexed within m and h in algebra
+        order:
+          CM[i, j, k]  m-component k of [m_i, m_j],
+          CH[i, j, a]  h-component a of [m_i, m_j],
+          ADH[a, l, k] m-component l of [h_a, m_k].
+        """
+        c = self.structure
+        mi, hi = list(self.m_indices), list(self.h_indices)
+        cm = c[np.ix_(mi, mi, mi)]
+        ch = c[np.ix_(mi, mi, hi)]
+        adh = c[np.ix_(hi, mi, mi)].transpose(0, 2, 1).copy()
+        for arr in (cm, ch, adh):
+            arr.setflags(write=False)
+        return cm, ch, adh
+
     def validate(self, tol: float = 0.0) -> ValidationReport:
         """Check antisymmetry, the Jacobi identity and grading closure.
 
@@ -209,40 +227,34 @@ class GradedLieAlgebra:
             raise ValueError("tol must be nonnegative")
         c = self.structure
         n = self.dim
+        idx = np.arange(n)
 
         anti = c + c.transpose(1, 0, 2)
-        anti_bad = []
-        for i in range(n):
-            for j in range(i, n):
-                for k in range(n):
-                    if abs(anti[i, j, k]) > tol:
-                        anti_bad.append((i, j, k))
+        upper = (idx[:, None] <= idx[None, :])[:, :, None]
+        anti_bad = np.argwhere((np.abs(anti) > tol) & upper)
 
         # jac[i, j, l, :] = [[e_i,e_j],e_l] + [[e_j,e_l],e_i] + [[e_l,e_i],e_j]
         c2 = np.einsum("ijm,mlk->ijlk", c, c)
         jac = c2 + c2.transpose(1, 2, 0, 3) + c2.transpose(2, 0, 1, 3)
-        jac_bad = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                for l in range(j + 1, n):
-                    if np.max(np.abs(jac[i, j, l])) > tol:
-                        jac_bad.append((i, j, l))
+        increasing = (idx[:, None, None] < idx[None, :, None]) & (idx[None, :, None] < idx[None, None, :])
+        jac_bad = np.argwhere((np.max(np.abs(jac), axis=3) > tol) & increasing)
 
-        grading_bad = []
-        for i in range(n):
-            for j in range(n):
-                target = self.grading[i] * self.grading[j]
-                for k in range(n):
-                    if abs(c[i, j, k]) > tol and self.grading[k] != target:
-                        grading_bad.append((i, j, k))
+        # labels as integers, so the group law is XOR
+        code = np.array([sum(int(b) << pos for pos, b in enumerate(lab.bits)) for lab in self.grading])
+        off_target = (code[:, None] ^ code[None, :])[:, :, None] != code[None, None, :]
+        grading_bad = np.argwhere((np.abs(c) > tol) & off_target)
 
         return ValidationReport(
-            antisymmetry=tuple(anti_bad),
-            jacobi=tuple(jac_bad),
-            grading=tuple(grading_bad),
+            antisymmetry=_triples(anti_bad),
+            jacobi=_triples(jac_bad),
+            grading=_triples(grading_bad),
             max_antisymmetry_residual=float(np.max(np.abs(anti))),
             max_jacobi_residual=float(np.max(np.abs(jac))),
         )
+
+
+def _triples(rows: np.ndarray) -> tuple[tuple[int, int, int], ...]:
+    return tuple(tuple(r) for r in rows.tolist())
 
 
 # ----------------------------------------------------------------------

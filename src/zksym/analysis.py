@@ -83,21 +83,29 @@ def ledger_system_residuals(p: MetricParams) -> np.ndarray:
     L = 0 on the nontrivial frame triples.
     """
     rho = geometry.ricci(build_form(p))
+    return np.array([sum(c * rho[ij] for c, ij in eq) for eq in _ledger_system(p)])
+
+
+# frame indices of the Ricci entries r11, r33, r55, r77, r14
+_R11, _R33, _R55, _R77, _R14 = (0, 0), (2, 2), (4, 4), (6, 6), (0, 3)
+
+
+def _ledger_system(p: MetricParams) -> list[list[tuple[float, tuple[int, int]]]]:
+    """Each reduced equation as (coefficient, Ricci entry) pairs, summing their products."""
     t, u, v, w = p.t, p.u, p.v, p.w
     k = p.K
     t2, v2, w2, k2 = t * t, v * v, w * w, k * k
-    r11, r33, r55, r77 = rho[0, 0], rho[2, 2], rho[4, 4], rho[6, 6]
-    r14 = rho[0, 3]
-    eqs = [
-        (v2 - w2) * r11 + (w2 - t2) * r55 + (t2 - v2) * r77 + u * (w2 - v2) / (2 * t * k) * r14,
-        -u / (2 * t) * r55 + u / (2 * t) * r77 + (v2 - w2) / k * r14,
-        u * (v2 - w2) / (2 * t * v * w * k) * r33
-        + u * w / (2 * t * v * k) * r55
-        - (v2 - w2) / (v * w) * r14
-        - u * v / (2 * t * w * k) * r77,
-        (v2 - w2) * r33 + (w2 - k2) * r55 + (k2 - v2) * r77,
+    return [
+        [(v2 - w2, _R11), (w2 - t2, _R55), (t2 - v2, _R77), (u * (w2 - v2) / (2 * t * k), _R14)],
+        [(-u / (2 * t), _R55), (u / (2 * t), _R77), ((v2 - w2) / k, _R14)],
+        [
+            (u * (v2 - w2) / (2 * t * v * w * k), _R33),
+            (u * w / (2 * t * v * k), _R55),
+            (-(v2 - w2) / (v * w), _R14),
+            (-u * v / (2 * t * w * k), _R77),
+        ],
+        [(v2 - w2, _R33), (w2 - k2, _R55), (k2 - v2, _R77)],
     ]
-    return np.array(eqs)
 
 
 # ----------------------------------------------------------------------
@@ -136,12 +144,30 @@ class LedgerSolution:
         }
 
 
-def _solution_residuals(p: MetricParams) -> dict[str, float]:
+def _solution_residuals(p: MetricParams) -> tuple[dict[str, float], dict[str, float]]:
+    """Absolute residuals, and each over max(1, its scale).
+
+    A scale is the size the cancelling terms could have, since the Ricci
+    entries carry rounding relative to max|rho|: max|nabla table| * max|rho|
+    for the Ledger form, sum |coefficient| * max|rho| for each reduced
+    equation ("star"), and 1 for the frame-orthonormality defect.
+    """
+    rho = geometry.ricci(build_form(p))
+    rho_max = float(np.max(np.abs(rho)))
     lgr = float(np.max(np.abs(geometry.ledger_table(p))))
-    star = float(np.max(np.abs(ledger_system_residuals(p))))
+    eqs = [
+        (abs(sum(c * rho[ij] for c, ij in eq)), sum(abs(c) for c, _ in eq) * rho_max)
+        for eq in _ledger_system(p)
+    ]
     f = orthonormal_frame(p).matrix
     gram_defect = float(np.max(np.abs(f.T @ build_form(p).gram @ f - np.eye(8))))
-    return {"ledger": lgr, "star": star, "gram": gram_defect}
+    absolute = {"ledger": lgr, "star": float(max(r for r, _ in eqs)), "gram": gram_defect}
+    relative = {
+        "ledger": lgr / max(1.0, float(np.max(np.abs(geometry.nomizu_table(p)))) * rho_max),
+        "star": float(max(r / max(1.0, scale) for r, scale in eqs)),
+        "gram": gram_defect,
+    }
+    return absolute, relative
 
 
 def _make_solution(branch: str, s: float, vv: float, ww: float, u: float) -> LedgerSolution:
@@ -153,7 +179,7 @@ def _make_solution(branch: str, s: float, vv: float, ww: float, u: float) -> Led
         W=ww,
         Usq=u * u,
         params=params,
-        residuals=_solution_residuals(params),
+        residuals=_solution_residuals(params)[0],
         naturally_reductive=is_naturally_reductive(params).naturally_reductive,
     )
 
@@ -209,35 +235,42 @@ def solve_ledger_unonzero(s: float) -> list[LedgerSolution]:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Recomputed residual and reductivity status of a LedgerSolution."""
+    """Recomputed residuals and reductivity status of a LedgerSolution.
+
+    ``residuals`` are absolute, ``relative_residuals`` the same over
+    max(1, their scale); the verdict uses the relative ones.
+    """
 
     passed: bool
     residuals: Mapping[str, float]
     naturally_reductive: bool
     expected_naturally_reductive: bool
+    relative_residuals: Mapping[str, float]
 
     def summary(self) -> str:
-        worst = max(self.residuals.values())
+        worst = max(self.relative_residuals.values())
         status = "PASS" if self.passed else "FAIL"
-        return f"{status} (max residual {worst:.3g}, naturally reductive: {self.naturally_reductive})"
+        return f"{status} (max relative residual {worst:.3g}, naturally reductive: {self.naturally_reductive})"
 
 
 def verify_solution(sol: LedgerSolution, tol: float = 1e-8) -> VerificationReport:
     """Recompute Ricci, Ledger and reduced-system residuals for a solution.
 
-    Passes iff every residual is at most ``tol`` and the naturally-reductive
-    status matches the expectation for the branch: false unless u = 0 and
+    Passes iff every residual is at most ``tol * max(1, scale)``, with the
+    scales of the relative residuals, and the naturally-reductive status
+    matches the expectation for the branch: false unless u = 0 and
     V = W = 1.
     """
-    residuals = _solution_residuals(sol.params)
+    residuals, relative = _solution_residuals(sol.params)
     nr = is_naturally_reductive(sol.params).naturally_reductive
     expect_nr = (
         abs(sol.params.u) <= tol and abs(sol.V - 1.0) <= tol and abs(sol.W - 1.0) <= tol
     )
-    passed = max(residuals.values()) <= tol and nr == expect_nr
+    passed = max(relative.values()) <= tol and nr == expect_nr
     return VerificationReport(
         passed=passed,
         residuals=residuals,
         naturally_reductive=nr,
         expected_naturally_reductive=expect_nr,
+        relative_residuals=relative,
     )

@@ -29,6 +29,7 @@ so that tables computed in it carry definite signs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,6 +38,9 @@ import numpy as np
 from .algebra import DEFAULT_TOL, GradedLieAlgebra
 
 K_GUARD_EPS = 1e-8
+
+# t^2, v^2 and w^2 must be normal floats: finite and not rounded towards zero
+_SQUARE_RANGE = (sys.float_info.min, sys.float_info.max)
 
 FRAME_NAMES = ("A~1", "A~2", "A~3", "A~4", "B~1", "B~2", "C~1", "C~2")
 
@@ -80,10 +84,18 @@ class MetricParams:
 
     @property
     def K(self) -> float:
-        """The positive normalizing scalar; raises if the metric is nearly degenerate."""
+        """The positive normalizing scalar; raises if the metric is nearly degenerate.
+
+        Also refuses scales whose squares leave the range of normal floats.
+        """
+        lo, hi = _SQUARE_RANGE
+        squares = (self.t * self.t, self.v * self.v, self.w * self.w)
+        if not all(lo <= x <= hi for x in squares):
+            shown = ", ".join(f"{x:.3g}" for x in squares)
+            raise DegenerateMetricError(f"t^2, v^2, w^2 = {shown} leave the range of normal floats [{lo:.3g}, {hi:.3g}]")
         k2 = self.k_squared
         guard = (K_GUARD_EPS * self.t) ** 2
-        if k2 < guard:
+        if not (k2 >= guard and k2 > 0.0):  # NaN when u^2 and 4t^2 both overflow
             raise DegenerateMetricError(
                 f"K^2 = {k2:.3g} below guard {guard:.3g}: |u| too close to the degenerate boundary"
             )
@@ -149,8 +161,8 @@ def build_form(p: MetricParams) -> AdaptedForm:
         [0.0, -half_u, t2, 0.0],
         [half_u, 0.0, 0.0, t2],
     ]
-    g[4:6, 4:6] = p.v * p.v * np.eye(2)
-    g[6:8, 6:8] = p.w * p.w * np.eye(2)
+    g[4, 4] = g[5, 5] = p.v * p.v
+    g[6, 6] = g[7, 7] = p.w * p.w
     return AdaptedForm(gram=g, params=p)
 
 
@@ -158,7 +170,7 @@ def orthonormal_frame(p: MetricParams) -> OrthonormalFrame:
     """Frame dual to the adapted coframe; orthonormal for build_form(p)."""
     k = p.K
     t = p.t
-    mix = p.u / (2.0 * t * t * k)
+    mix = p.u / (2.0 * t * t) / k
     f = np.zeros((8, 8))
     f[0, 0] = 1.0 / t                 # A~1 = A1/t
     f[1, 1] = 1.0 / t                 # A~2 = A2/t
@@ -189,24 +201,19 @@ def check_adh_invariance(alg: GradedLieAlgebra, form: AdaptedForm, tol: float = 
     Returns the worst triple (Z, X, Y); the residual is zero for every
     output of :func:`build_form`.
     """
-    mi = list(alg.m_indices)
-    if form.gram.shape != (len(mi), len(mi)):
+    n = len(alg.m_indices)
+    if form.gram.shape != (n, n):
         raise ValueError("form dimension does not match the reductive complement")
     g = form.gram
-    worst = (0.0, ("", "", ""))
-    for z in alg.h_indices:
-        ez = np.zeros(alg.dim)
-        ez[z] = 1.0
-        ad = np.zeros((len(mi), len(mi)))
-        for col, a in enumerate(mi):
-            ea = np.zeros(alg.dim)
-            ea[a] = 1.0
-            ad[:, col] = alg.bracket(ez, ea)[mi]
-        res = ad.T @ g + g @ ad
-        idx = np.unravel_index(np.argmax(np.abs(res)), res.shape)
-        if abs(res[idx]) >= worst[0]:
-            worst = (
-                float(abs(res[idx])),
-                (alg.names[z], alg.names[mi[idx[0]]], alg.names[mi[idx[1]]]),
-            )
-    return InvarianceReport(max_residual=worst[0], worst=worst[1])
+    _, _, adh = alg.m_structure()
+    if not len(adh):
+        return InvarianceReport(max_residual=0.0, worst=("", "", ""))
+    res = np.abs(adh.transpose(0, 2, 1) @ g + g @ adh).reshape(len(adh), -1)
+    # the last h element among equal maxima, its first maximal (X, Y) pair
+    z = len(res) - 1 - int(np.argmax(res.max(axis=1)[::-1]))
+    x, y = divmod(int(np.argmax(res[z])), n)
+    m_names = [alg.names[i] for i in alg.m_indices]
+    return InvarianceReport(
+        max_residual=float(res[z].max()),
+        worst=(alg.names[alg.h_indices[z]], m_names[x], m_names[y]),
+    )

@@ -48,7 +48,6 @@ LABELS = {
 
 _GRADING = tuple(LABELS[s] for s in "eeaaaabbcc")
 
-H_INDICES = (0, 1)
 M_INDICES = (2, 3, 4, 5, 6, 7, 8, 9)
 M_NAMES = SO5_NAMES[2:]
 

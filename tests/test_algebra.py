@@ -134,6 +134,11 @@ def test_validate_reports_jacobi_violation():
     assert not report.ok
     assert report.jacobi
     assert not report.antisymmetry
+    assert report.jacobi == (
+        (0, 1, 2), (0, 1, 3), (0, 2, 3), (0, 2, 4), (0, 2, 7),
+        (0, 2, 9), (0, 6, 8), (2, 3, 5), (2, 6, 7),
+    )
+    assert report.grading == ()
 
 
 def test_validate_reports_antisymmetry_violation():
@@ -144,6 +149,9 @@ def test_validate_reports_antisymmetry_violation():
     assert report.antisymmetry
     assert report.max_antisymmetry_residual == pytest.approx(0.1)
     assert report.jacobi  # the lone perturbed constant breaks Jacobi as well
+    assert report.antisymmetry == ((0, 2, 5),)
+    assert report.jacobi == ((0, 2, 3), (0, 2, 4), (0, 2, 7), (0, 2, 9), (2, 3, 5), (2, 6, 7))
+    assert report.grading == ()
 
 
 def test_validate_reports_grading_violation():
@@ -155,6 +163,12 @@ def test_validate_reports_grading_violation():
     report = GradedLieAlgebra(alg.names, alg.structure, grading).validate(1e-12)
     assert not report.ok
     assert report.grading
+    assert report.grading == (
+        (0, 2, 4), (0, 4, 2), (1, 2, 3), (1, 3, 2), (2, 0, 4), (2, 1, 3),
+        (2, 3, 1), (2, 4, 0), (2, 6, 8), (2, 8, 6), (3, 1, 2), (3, 2, 1),
+        (4, 0, 2), (4, 2, 0), (6, 2, 8), (6, 8, 2), (8, 2, 6), (8, 6, 2),
+    )
+    assert report.antisymmetry == () and report.jacobi == ()
 
 
 # ----------------------------------------------------------------------

@@ -253,6 +253,26 @@ def test_roots_exact_at_interval_ends(solver, s, product):
         assert sol.V + sol.W == pytest.approx(s, rel=1e-14, abs=0)
 
 
+_NEAR_ENDS = [
+    (solve_ledger_u0, 1.0 + 1e-10),
+    (solve_ledger_u0, 9.0 - 1e-10),
+    (solve_ledger_unonzero, _S_LO_U1 + 1e-10),
+    (solve_ledger_unonzero, _S_HI_U1 - 1e-10),
+]
+
+
+@pytest.mark.parametrize("solver,s", _NEAR_ENDS)
+def test_solutions_verify_at_interval_ends(solver, s):
+    # The tables grow like 1/P near an end and the absolute residuals with
+    # them (|L| = 32 at S = 9 - 1e-10); relative to their scales they stay
+    # at rounding level, and that is what verification judges.
+    for sol in solver(s):
+        report = verify_solution(sol)
+        assert report.passed, report.relative_residuals
+        assert max(report.relative_residuals.values()) < 1e-13
+        assert report.residuals == sol.residuals
+
+
 # ----------------------------------------------------------------------
 # verification catches broken solutions
 # ----------------------------------------------------------------------

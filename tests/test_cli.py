@@ -206,6 +206,23 @@ def test_sweep_streams_deterministic_records(capsys):
     assert s_values == [2.0, 4.0, 6.0, 8.0]
 
 
+@pytest.mark.parametrize(
+    "branch,s",
+    [
+        ("u0", 1.0 + 1e-10),
+        ("u0", 9.0 - 1e-10),
+        ("u1", 1.0 / 3.0 + 1e-10),
+        ("u1", (7.0 - math.sqrt(17.0)) / 2.0 - 1e-10),
+    ],
+)
+def test_solve_exits_0_at_interval_ends(capsys, branch, s):
+    code, out, err = run_cli(capsys, "solve", "--branch", branch, "--S", repr(s), "--format", "json")
+    assert code == 0, err
+    assert err == ""
+    for line in out.splitlines():
+        assert set(json.loads(line)["residuals"]) == {"ledger", "star", "gram"}
+
+
 def test_sweep_range_validation(capsys):
     code, _, err = run_cli(capsys, "sweep", "--branch", "u1", "--S-min", "0.1", "--S-max", "1.0")
     assert code == 1
@@ -243,12 +260,16 @@ def test_negative_exponent_tolerance_reaches_validation(capsys):
     assert "tolerance must be positive" in err
 
 
+@pytest.mark.filterwarnings("error")
 def test_overflowing_gram_exits_2(capsys):
-    # v^2 overflows to inf in the Gram matrix; no NaN may reach the output
-    code, out, err = run_cli(capsys, "ricci", "--t", "1", "--u", "0", "--v", "1e200", "--w", "1")
-    assert code == 2
-    assert out == ""
-    assert "numerical failure" in err
+    # t^2 or v^2 overflows to inf, or t^2 falls below the normal floats;
+    # no warning, traceback or NaN may reach the output
+    for t, v in (("1", "1e200"), ("1e200", "1"), ("1e-160", "1")):
+        code, out, err = run_cli(capsys, "ricci", "--t", t, "--u", "0", "--v", v, "--w", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("numerical failure: ")
+        assert len(err.splitlines()) == 1 and err.count("numerical failure") == 1
 
 
 def test_unknown_flag_exits_1(capsys):

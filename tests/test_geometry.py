@@ -374,6 +374,29 @@ def test_tables_agree_with_direct_formulas():
             assert np.max(np.abs(got[name] - ref)) <= tol, (name, p)
 
 
+def test_tables_exact_near_the_k_guard():
+    # In the orthonormal frame U is a sum of two bracket coefficients, with
+    # no solve, so it keeps full precision up to the K guard.
+    for p in _oracle_points()[34:]:
+        assert p.K / abs(p.t) < 1e-2
+        for got, exp in ((u_table(p), expected_u_table(p)), (bracket_table(p), expected_bracket_table(p))):
+            assert np.max(np.abs(got - exp)) <= 1e-14 * max(1.0, float(np.max(np.abs(exp)))), p
+
+
+def test_bare_gram_matches_params_form():
+    # the Cholesky frame of a bare Gram matrix differs from the adapted frame
+    # by signs at negative t and v; the raw-vector results must not
+    p = MetricParams(-1.3, 0.9, -0.8, 1.6)
+    form = build_form(p)
+    bare = AdaptedForm(gram=form.gram)
+    rng = np.random.default_rng(36)
+    for _ in range(5):
+        x, y, z = (rng.standard_normal(8) for _ in range(3))
+        for op, args in ((u_map, (x, y)), (nabla, (x, y)), (curvature, (x, y, z)), (ledger, (x, y, z))):
+            ref = op(*args, form)
+            assert np.max(np.abs(op(*args, bare) - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref)))), op
+
+
 def test_import_does_not_load_scipy():
     src = str(Path(zksym.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -102,6 +102,8 @@ def test_adh_invariance_of_built_forms(params):
     report = check_adh_invariance(alg, build_form(MetricParams(*params)))
     assert report.max_residual <= 1e-12
     assert report.ok()
+    # all residuals tie at zero: the last h element wins, at its first m pair
+    assert report.worst == ("X2", "A1", "A1")
 
 
 def test_adh_invariance_detects_tampering():
@@ -111,6 +113,7 @@ def test_adh_invariance_detects_tampering():
     report = check_adh_invariance(alg, AdaptedForm(gram=g))
     assert report.max_residual > 0.1
     assert not report.ok()
+    assert report.worst == ("X2", "A1", "A3")
 
 
 def test_adh_invariance_rejects_wrong_shape():
