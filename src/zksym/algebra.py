@@ -116,6 +116,8 @@ class GradedLieAlgebra:
             raise ValueError("need exactly one grading label per basis element")
         if len({lab.k for lab in grading}) != 1:
             raise ValueError("grading labels must share the same group Z_2^k")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("structure constants must be finite")
         c.setflags(write=False)
         self.names = names
         self.structure = c
@@ -278,21 +280,28 @@ def algebra_to_dict(alg: GradedLieAlgebra) -> dict:
 
 
 def algebra_from_dict(data: dict) -> GradedLieAlgebra:
-    """Inverse of :func:`algebra_to_dict`."""
+    """Inverse of :func:`algebra_to_dict`; a malformed document raises ValueError."""
     try:
         n = int(data["dim"])
         names = list(data["names"])
-        grading = [GradingLabel(tuple(bits)) for bits in data["grading"]]
-        rows = data["structure"]
+        grading = [GradingLabel(_json_bits(bits)) for bits in data["grading"]]
+        if len(names) != n:
+            raise ValueError("names length disagrees with dim")
+        c = np.zeros((n, n, n))
+        for row in data["structure"]:
+            i, j, k, value = row
+            i, j, k = int(i), int(j), int(k)
+            if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
+                raise ValueError(f"structure index out of range: {(i, j, k)}")
+            c[i, j, k] = float(value)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed algebra document: {exc}") from exc
-    if len(names) != n:
-        raise ValueError("names length disagrees with dim")
-    c = np.zeros((n, n, n))
-    for row in rows:
-        i, j, k, value = row
-        i, j, k = int(i), int(j), int(k)
-        if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
-            raise ValueError(f"structure index out of range: {(i, j, k)}")
-        c[i, j, k] = float(value)
     return GradedLieAlgebra(names, c, grading)
+
+
+def _json_bits(bits) -> tuple[bool, ...]:
+    # GradingLabel reads any truthy value as a set bit, the string "0" included
+    bits = tuple(bits)
+    if not all(isinstance(b, bool) for b in bits):
+        raise ValueError(f"grading bits must be booleans, got {list(bits)!r}")
+    return bits

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import geometry
 from .algebra import DEFAULT_TOL
-from .metric import FRAME_NAMES, InvalidParamsError, MetricParams, build_form, orthonormal_frame
+from .metric import FRAME_NAMES, DegenerateMetricError, InvalidParamsError, MetricParams, build_form, orthonormal_frame
 
 S_INTERVAL_U0 = (1.0, 9.0)
 S_MAX_UNONZERO = (7.0 - math.sqrt(17.0)) / 2.0
@@ -80,10 +80,15 @@ def ledger_system_residuals(p: MetricParams) -> np.ndarray:
     """The four reduced scalar equations of the first Ledger condition.
 
     Evaluated with the trace-computed Ricci entries; all four vanish iff
-    L = 0 on the nontrivial frame triples.
+    L = 0 on the nontrivial frame triples.  Raises DegenerateMetricError
+    when a residual overflows.
     """
     rho = geometry.ricci(build_form(p))
-    return np.array([sum(c * rho[ij] for c, ij in eq) for eq in _ledger_system(p)])
+    with np.errstate(all="ignore"):  # overflow shows up as a non-finite residual below
+        star = np.array([sum(c * rho[ij] for c, ij in eq) for eq in _ledger_system(p)])
+    if not np.all(np.isfinite(star)):
+        raise DegenerateMetricError(f"reduced Ledger system residuals are not finite: {star.tolist()}")
+    return star
 
 
 # frame indices of the Ricci entries r11, r33, r55, r77, r14

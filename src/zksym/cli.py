@@ -6,7 +6,9 @@ JSON or TOML file via --params (flags override file values), and the
 default tolerance can be overridden by the ZKSYM_TOL environment variable.
 
 Exit codes: 0 success, 1 invalid input or parameters, 2 numerical or
-validation failure.
+validation failure.  A failure prints one line to stderr and no
+traceback; a malformed parameter or algebra file exits 1.  JSON output
+never carries NaN or Infinity: a result without a JSON form exits 2.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .algebra import DEFAULT_TOL, GradedLieAlgebra, algebra_from_dict, algebra_t
 from .analysis import (
     S_INTERVAL_U0,
     S_INTERVAL_UNONZERO,
+    VerificationReport,
     infinitesimal_isometries,
     is_naturally_reductive,
     ledger_system_residuals,
@@ -95,13 +98,17 @@ def _load_params_file(path: str) -> dict:
 
 def _resolve_params(args) -> MetricParams:
     values: dict[str, float] = {}
-    if getattr(args, "params", None):
+    if args.params:
         data = _load_params_file(args.params)
         for key in ("t", "u", "v", "w"):
             if key in data:
+                value = data[key]
                 try:
-                    values[key] = float(data[key])
-                except (TypeError, ValueError) as exc:
+                    # JSON and TOML numbers only; Python counts a bool as an int
+                    if isinstance(value, bool) or not isinstance(value, (int, float)):
+                        raise TypeError(type(value).__name__)
+                    values[key] = float(value)  # OverflowError for an int beyond the floats
+                except (TypeError, OverflowError) as exc:
                     raise InvalidParamsError(f"parameter {key} in file is not a real number") from exc
     for key in ("t", "u", "v", "w"):
         flag = getattr(args, key)
@@ -138,11 +145,11 @@ def _fmt(x: float) -> str:
 
 
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload))
-
-
-def _params_dict(p: MetricParams) -> dict:
-    return {"t": p.t, "u": p.u, "v": p.v, "w": p.w}
+    try:
+        text = json.dumps(payload, allow_nan=False)
+    except ValueError as exc:  # NaN and Infinity have no JSON form
+        raise DegenerateMetricError("a non-finite number has no JSON form") from exc
+    print(text)
 
 
 def _combo(vec, names, threshold: float) -> str:
@@ -181,7 +188,7 @@ def cmd_inspect(args) -> int:
             data = json.loads(Path(args.algebra).read_text())
         except OSError as exc:
             raise InvalidParamsError(f"cannot read algebra file: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not UTF-8
             raise InvalidParamsError(f"malformed algebra file: {exc}") from exc
         try:
             alg = algebra_from_dict(data)
@@ -193,7 +200,7 @@ def cmd_inspect(args) -> int:
         report = alg.validate(0.0)
     blocks = _block_summary(alg)
     if args.format == "json":
-        payload = {
+        _emit_json({
             "dim": alg.dim,
             "blocks": blocks,
             "valid": report.ok,
@@ -203,8 +210,7 @@ def cmd_inspect(args) -> int:
                 "grading": [list(t) for t in report.grading],
             },
             "algebra": algebra_to_dict(alg),
-        }
-        _emit_json(payload)
+        })
     else:
         print(f"dimension: {alg.dim}")
         print("grading blocks: " + " ".join(f"{k}={v}" for k, v in blocks.items()))
@@ -212,149 +218,112 @@ def cmd_inspect(args) -> int:
     return EXIT_OK if report.ok else EXIT_NUMERICAL
 
 
-def cmd_tables(args) -> int:
-    p = _resolve_params(args)
-    tol = _resolve_tol(args)
+# The point commands below take admissible parameters and the tolerance.
+# With as_json they return the JSON fields that follow the shared head
+# (see _point); otherwise they print their text.
+
+def cmd_tables(p: MetricParams, tol: float, as_json: bool) -> dict | None:
     bt = bracket_table(p)
     ut = u_table(p)
-    if args.format == "json":
-        _emit_json(
-            {
-                "frame": list(FRAME_NAMES),
-                "params": _params_dict(p),
-                "tol": tol,
-                "bracket": bt.tolist(),
-                "u": ut.tolist(),
-            }
-        )
-    else:
-        print("projected brackets [Ei, Ej]_m in the orthonormal frame:")
-        _print_grid(bt, FRAME_NAMES, tol)
-        print()
-        print("symmetric map U(Ei, Ej) in the orthonormal frame:")
-        _print_grid(ut, FRAME_NAMES, tol)
-    return EXIT_OK
+    if as_json:
+        return {"bracket": bt.tolist(), "u": ut.tolist()}
+    print("projected brackets [Ei, Ej]_m in the orthonormal frame:")
+    _print_grid(bt, FRAME_NAMES, tol)
+    print()
+    print("symmetric map U(Ei, Ej) in the orthonormal frame:")
+    _print_grid(ut, FRAME_NAMES, tol)
 
 
-def cmd_ricci(args) -> int:
-    p = _resolve_params(args)
-    tol = _resolve_tol(args)
+def cmd_ricci(p: MetricParams, tol: float, as_json: bool) -> dict | None:
     rho = ricci(build_form(p))
-    if args.format == "json":
-        _emit_json(
-            {
-                "frame": list(FRAME_NAMES),
-                "params": _params_dict(p),
-                "tol": tol,
-                "matrix": rho.tolist(),
-            }
-        )
-    else:
-        print("Ricci matrix in the orthonormal frame:")
-        width = max(len(_fmt(x)) for x in rho.ravel())
-        for i in range(8):
-            print("  ".join(_fmt(rho[i, j]).rjust(width) for j in range(8)))
-    return EXIT_OK
+    if as_json:
+        return {"matrix": rho.tolist()}
+    print("Ricci matrix in the orthonormal frame:")
+    width = max(len(_fmt(x)) for x in rho.ravel())
+    for i in range(8):
+        print("  ".join(_fmt(rho[i, j]).rjust(width) for j in range(8)))
 
 
-def cmd_isometries(args) -> int:
-    p = _resolve_params(args)
-    tol = _resolve_tol(args)
+def cmd_isometries(p: MetricParams, tol: float, as_json: bool) -> dict | None:
     basis = infinitesimal_isometries(p, tol)
-    if args.format == "json":
-        _emit_json(
-            {
-                "frame": list(FRAME_NAMES),
-                "params": _params_dict(p),
-                "tol": tol,
-                "dimension": basis.shape[1],
-                "basis": basis.T.tolist(),
-            }
-        )
-    else:
-        print(f"dimension: {basis.shape[1]}")
-        for col in range(basis.shape[1]):
-            print(f"  {_combo(basis[:, col], FRAME_NAMES, tol)}")
-    return EXIT_OK
+    if as_json:
+        return {"dimension": basis.shape[1], "basis": basis.T.tolist()}
+    print(f"dimension: {basis.shape[1]}")
+    for col in range(basis.shape[1]):
+        print(f"  {_combo(basis[:, col], FRAME_NAMES, tol)}")
 
 
-def cmd_check_nr(args) -> int:
-    p = _resolve_params(args)
-    tol = _resolve_tol(args)
+def cmd_check_nr(p: MetricParams, tol: float, as_json: bool) -> dict | None:
     report = is_naturally_reductive(p, tol)
-    if args.format == "json":
-        _emit_json(
-            {
-                "params": _params_dict(p),
-                "tol": tol,
-                "naturally_reductive": report.naturally_reductive,
-                "max_u_coefficient": report.max_coefficient,
-                "witness": list(report.witness) if report.witness else None,
-            }
-        )
-    else:
-        print("true" if report.naturally_reductive else "false")
-        if not report.naturally_reductive:
-            x, y, z = report.witness
-            print(f"witness: |<U({x}, {y}), {z}>| = {_fmt(report.max_coefficient)}")
-    return EXIT_OK
+    if as_json:
+        return {
+            "naturally_reductive": report.naturally_reductive,
+            "max_u_coefficient": report.max_coefficient,
+            "witness": list(report.witness) if report.witness else None,
+        }
+    print("true" if report.naturally_reductive else "false")
+    if not report.naturally_reductive:
+        x, y, z = report.witness
+        print(f"witness: |<U({x}, {y}), {z}>| = {_fmt(report.max_coefficient)}")
 
 
-def cmd_ledger(args) -> int:
-    p = _resolve_params(args)
-    tol = _resolve_tol(args)
+def cmd_ledger(p: MetricParams, tol: float, as_json: bool) -> dict | None:
     lgr = ledger_table(p)
     star = ledger_system_residuals(p)
     max_l = float(np.max(np.abs(lgr)))
-    if args.format == "json":
-        _emit_json(
-            {
-                "params": _params_dict(p),
-                "tol": tol,
-                "max_ledger_residual": max_l,
-                "star_residuals": star.tolist(),
-                "satisfied": bool(max_l <= tol),
-            }
-        )
-    else:
-        print(f"max |L| over frame triples: {_fmt(max_l)}")
-        print("reduced-system residuals: " + " ".join(_fmt(x) for x in star))
-        print("first Ledger condition satisfied" if max_l <= tol else "first Ledger condition violated")
-    return EXIT_OK
+    if as_json:
+        return {"max_ledger_residual": max_l, "star_residuals": star.tolist(), "satisfied": bool(max_l <= tol)}
+    print(f"max |L| over frame triples: {_fmt(max_l)}")
+    print("reduced-system residuals: " + " ".join(_fmt(x) for x in star))
+    print("first Ledger condition satisfied" if max_l <= tol else "first Ledger condition violated")
 
 
-def _solve_branch(branch: str, s: float):
-    if branch == "u0":
-        return solve_ledger_u0(s)
-    return solve_ledger_unonzero(s)
+def _point(command, frame: bool):
+    """Runner of a point command: parameters, then tolerance, then the command and the JSON head."""
+
+    def run(args) -> int:
+        p = _resolve_params(args)
+        tol = _resolve_tol(args)
+        body = command(p, tol, args.format == "json")
+        if body is not None:
+            head = {"frame": list(FRAME_NAMES)} if frame else {}
+            params = {"t": p.t, "u": p.u, "v": p.v, "w": p.w}
+            _emit_json({**head, "params": params, "tol": tol, **body})
+        return EXIT_OK
+
+    return run
 
 
-def _emit_solution(sol, args) -> None:
-    if args.format == "json":
-        _emit_json(sol.to_dict())
-    else:
-        r = sol.residuals
-        print(
-            f"branch={sol.branch} S={_fmt(sol.S)} V={_fmt(sol.V)} W={_fmt(sol.W)} "
-            f"u={_fmt(sol.params.u)} v={_fmt(sol.params.v)} w={_fmt(sol.params.w)} "
-            f"ledger={r['ledger']:.3g} star={r['star']:.3g} "
-            f"NR={'true' if sol.naturally_reductive else 'false'}"
-        )
+def _solutions(branch: str, grid, tol: float, as_json: bool) -> list[VerificationReport]:
+    """Print every solution of the branch at each S of the grid; return the failed verifications."""
+    solve = solve_ledger_u0 if branch == "u0" else solve_ledger_unonzero
+    failed = []
+    for s in grid:
+        for sol in solve(s):
+            if as_json:
+                _emit_json(sol.to_dict())
+            else:
+                r = sol.residuals
+                print(
+                    f"branch={sol.branch} S={_fmt(sol.S)} V={_fmt(sol.V)} W={_fmt(sol.W)} "
+                    f"u={_fmt(sol.params.u)} v={_fmt(sol.params.v)} w={_fmt(sol.params.w)} "
+                    f"ledger={r['ledger']:.3g} star={r['star']:.3g} "
+                    f"NR={'true' if sol.naturally_reductive else 'false'}"
+                )
+            report = verify_solution(sol, tol)
+            if not report.passed:
+                failed.append(report)
+    return failed
 
 
 def cmd_solve(args) -> int:
     tol = _resolve_tol(args)
     if args.S is None:
         raise InvalidParamsError("solve needs --S")
-    solutions = _solve_branch(args.branch, args.S)
-    failed = 0
-    for sol in solutions:
-        _emit_solution(sol, args)
-        report = verify_solution(sol, tol)
-        if not report.passed:
-            failed += 1
-            print(f"verification failed: {report.summary()}", file=sys.stderr)
-    return EXIT_OK if failed == 0 else EXIT_NUMERICAL
+    failed = _solutions(args.branch, [args.S], tol, args.format == "json")
+    for report in failed:
+        print(f"verification failed: {report.summary()}", file=sys.stderr)
+    return EXIT_NUMERICAL if failed else EXIT_OK
 
 
 def cmd_sweep(args) -> int:
@@ -366,74 +335,48 @@ def cmd_sweep(args) -> int:
         )
     if args.S_steps < 1:
         raise InvalidParamsError("S-steps must be at least 1")
-    grid = np.linspace(args.S_min, args.S_max, args.S_steps)
-    failed = 0
-    for s in grid:
-        for sol in _solve_branch(args.branch, float(s)):
-            _emit_json(sol.to_dict())
-            if not verify_solution(sol, tol).passed:
-                failed += 1
-    return EXIT_OK if failed == 0 else EXIT_NUMERICAL
+    grid = np.linspace(args.S_min, args.S_max, args.S_steps).tolist()
+    return EXIT_NUMERICAL if _solutions(args.branch, grid, tol, as_json=True) else EXIT_OK
 
 
 # ----------------------------------------------------------------------
 # parser
 # ----------------------------------------------------------------------
 
-def _add_common(sub, params: bool = True):
-    sub.add_argument("--tol", type=float, default=None, help="tolerance (default: ZKSYM_TOL or 1e-9)")
-    sub.add_argument("--format", choices=("text", "json"), default="text")
-    if params:
-        sub.add_argument("--t", type=float, default=None)
-        sub.add_argument("--u", type=float, default=None)
-        sub.add_argument("--v", type=float, default=None)
-        sub.add_argument("--w", type=float, default=None)
-        sub.add_argument("--params", default=None, help="JSON or TOML file with keys t, u, v, w")
+# name: (help, handler, takes --t/--u/--v/--w/--params), in the order of the help text
+_COMMANDS = {
+    "inspect": ("report the built-in graded so(5) or a serialized algebra", cmd_inspect, False),
+    "tables": ("bracket and U tables in the orthonormal frame", _point(cmd_tables, frame=True), True),
+    "ricci": ("Ricci matrix in the orthonormal frame", _point(cmd_ricci, frame=True), True),
+    "isometries": ("basis of infinitesimal isometries contained in m", _point(cmd_isometries, frame=True), True),
+    "check-nr": ("test natural reductivity", _point(cmd_check_nr, frame=False), True),
+    "ledger": ("residuals of the first Ledger condition", _point(cmd_ledger, frame=False), True),
+    "solve": ("solution families of the first Ledger condition at one S", cmd_solve, False),
+    "sweep": ("stream solution records over an S grid (one JSON per line)", cmd_sweep, False),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="zksym", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     subs = parser.add_subparsers(dest="command", required=True)
+    parsers = {}
+    for name, (help_text, handler, takes_params) in _COMMANDS.items():
+        sp = parsers[name] = subs.add_parser(name, help=help_text)
+        sp.add_argument("--tol", type=float, default=None, help="tolerance (default: ZKSYM_TOL or 1e-9)")
+        sp.add_argument("--format", choices=("text", "json"), default="text")
+        if takes_params:
+            for key in ("t", "u", "v", "w"):
+                sp.add_argument(f"--{key}", type=float, default=None)
+            sp.add_argument("--params", default=None, help="JSON or TOML file with keys t, u, v, w")
+        sp.set_defaults(func=handler)
 
-    sp = subs.add_parser("inspect", help="report the built-in graded so(5) or a serialized algebra")
-    _add_common(sp, params=False)
-    sp.add_argument("--algebra", default=None, help="JSON file holding a serialized algebra")
-    sp.set_defaults(func=cmd_inspect)
-
-    sp = subs.add_parser("tables", help="bracket and U tables in the orthonormal frame")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_tables)
-
-    sp = subs.add_parser("ricci", help="Ricci matrix in the orthonormal frame")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_ricci)
-
-    sp = subs.add_parser("isometries", help="basis of infinitesimal isometries contained in m")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_isometries)
-
-    sp = subs.add_parser("check-nr", help="test natural reductivity")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_check_nr)
-
-    sp = subs.add_parser("ledger", help="residuals of the first Ledger condition")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_ledger)
-
-    sp = subs.add_parser("solve", help="solution families of the first Ledger condition at one S")
-    _add_common(sp, params=False)
-    sp.add_argument("--branch", choices=("u0", "u1"), required=True)
-    sp.add_argument("--S", type=float, default=None)
-    sp.set_defaults(func=cmd_solve)
-
-    sp = subs.add_parser("sweep", help="stream solution records over an S grid (one JSON per line)")
-    _add_common(sp, params=False)
-    sp.add_argument("--branch", choices=("u0", "u1"), required=True)
-    sp.add_argument("--S-min", dest="S_min", type=float, required=True)
-    sp.add_argument("--S-max", dest="S_max", type=float, required=True)
-    sp.add_argument("--S-steps", dest="S_steps", type=int, default=50)
-    sp.set_defaults(func=cmd_sweep)
-
+    parsers["inspect"].add_argument("--algebra", default=None, help="JSON file holding a serialized algebra")
+    for name in ("solve", "sweep"):
+        parsers[name].add_argument("--branch", choices=("u0", "u1"), required=True)
+    parsers["solve"].add_argument("--S", type=float, default=None)
+    parsers["sweep"].add_argument("--S-min", dest="S_min", type=float, required=True)
+    parsers["sweep"].add_argument("--S-max", dest="S_max", type=float, required=True)
+    parsers["sweep"].add_argument("--S-steps", dest="S_steps", type=int, default=50)
     return parser
 
 
@@ -441,12 +384,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
         return args.func(args)
-    except InvalidParamsError as exc:
+    except (_UsageError, InvalidParamsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except DegenerateMetricError as exc:

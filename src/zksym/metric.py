@@ -80,7 +80,13 @@ class MetricParams:
     def k_squared(self) -> float:
         """t^2 - u^2/(4 t^2), without any guard."""
         t2 = self.t * self.t
-        return t2 - self.u * self.u / (4.0 * t2)
+        u2 = self.u * self.u
+        # u^2 may overflow where u^2/(4t^2) does not; (u/(2t))^2 everywhere
+        # would move K by an ulp, so it serves only there
+        if u2 == math.inf:
+            half = self.u / (2.0 * self.t)
+            return t2 - half * half
+        return t2 - u2 / (4.0 * t2)
 
     @property
     def K(self) -> float:
@@ -170,7 +176,8 @@ def orthonormal_frame(p: MetricParams) -> OrthonormalFrame:
     """Frame dual to the adapted coframe; orthonormal for build_form(p)."""
     k = p.K
     t = p.t
-    mix = p.u / (2.0 * t * t) / k
+    two_t2 = 2.0 * t * t
+    mix = (p.u / two_t2 if two_t2 < math.inf else p.u / (2.0 * t) / t) / k
     f = np.zeros((8, 8))
     f[0, 0] = 1.0 / t                 # A~1 = A1/t
     f[1, 1] = 1.0 / t                 # A~2 = A2/t

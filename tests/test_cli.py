@@ -56,6 +56,41 @@ def test_inspect_unparseable_algebra_exits_1(tmp_path, capsys):
     assert "error" in err
 
 
+def test_inspect_non_utf8_algebra_exits_1(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run_cli(capsys, "inspect", "--algebra", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: malformed algebra file") and len(err.splitlines()) == 1
+
+
+def _algebra_doc(case):
+    doc = algebra_to_dict(build_so5())
+    if case == "null value":
+        doc["structure"][0][3] = None
+    elif case == "null structure":
+        doc["structure"] = None
+    elif case == "bare number row":
+        doc["structure"][0] = 5
+    elif case == "NaN value":
+        doc["structure"].append([0, 1, 0, float("nan")])
+    elif case == "string bits":
+        doc["grading"] = [["1" if b else "0" for b in bits] for bits in doc["grading"]]
+    return doc
+
+
+@pytest.mark.parametrize("case", ["null value", "null structure", "bare number row", "NaN value", "string bits"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_inspect_malformed_algebra_exits_1(tmp_path, capsys, case, fmt):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_algebra_doc(case)))
+    code, out, err = run_cli(capsys, "inspect", "--algebra", str(path), "--format", fmt)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 # ----------------------------------------------------------------------
 # parameter handling
 # ----------------------------------------------------------------------
@@ -74,6 +109,27 @@ def test_params_from_toml_file_with_flag_override(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "check-nr", "--params", str(path), "--w", "2")
     assert code == 0
     assert out.splitlines()[0] == "false"
+
+
+@pytest.mark.parametrize(
+    "name,text,key",
+    [
+        ("p.json", json.dumps({"t": True, "u": 0, "v": 1, "w": 1}), "t"),
+        ("p.json", json.dumps({"t": 1, "u": 0, "v": False, "w": 1}), "v"),
+        ("p.json", json.dumps({"t": "1.0", "u": 0, "v": 1, "w": 1}), "t"),
+        ("p.toml", "t = true\nu = 0\nv = 1\nw = 1\n", "t"),
+        ("p.toml", 't = 1\nu = "0"\nv = 1\nw = 1\n', "u"),
+        ("p.json", '{"t": 1, "u": 0, "v": 1, "w": 1' + "0" * 400 + "}", "w"),
+    ],
+    ids=["json-true", "json-false", "json-string", "toml-true", "toml-string", "json-int-beyond-floats"],
+)
+def test_params_file_takes_only_numbers(tmp_path, capsys, name, text, key):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "check-nr", "--params", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: parameter {key} in file is not a real number\n"
 
 
 def test_missing_params_exit_1(capsys):
@@ -272,6 +328,106 @@ def test_overflowing_gram_exits_2(capsys):
         assert len(err.splitlines()) == 1 and err.count("numerical failure") == 1
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ledger", "--t", "1", "--u", "0", "--v", "1e100", "--w", "1", "--format", "json"),
+        ("ledger", "--t", "1", "--u", "0", "--v", "1e100", "--w", "1"),
+        ("check-nr", "--t", "1", "--u", "0", "--v", "1", "--w", "1", "--tol", "inf", "--format", "json"),
+    ],
+)
+def test_non_finite_results_exit_2(capsys, argv):
+    # the reduced Ledger system overflows to NaN, an infinite tolerance has no JSON form
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("numerical failure: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_k_squared_overflow_point_scales(capsys):
+    # (t, u, v, w) -> (lt, l^2 u, lv, lw) divides the frame Ricci matrix by l^2;
+    # here l = 1e154, so u^2 overflows although K^2 = 0.75e308 does not
+    code, out, err = run_cli(
+        capsys, "ricci", "--t", "1e154", "--u", "1e308", "--v", "1e154", "--w", "1e154", "--format", "json"
+    )
+    assert code == 0, err
+    big = np.array(json.loads(out)["matrix"]) * 1e308
+    code, out, _ = run_cli(capsys, "ricci", "--t", "1", "--u", "1", "--v", "1", "--w", "1", "--format", "json")
+    unit = np.array(json.loads(out)["matrix"])
+    assert np.max(np.abs(big - unit)) <= 1e-12 * np.max(np.abs(unit))
+
+
 def test_unknown_flag_exits_1(capsys):
     code, _, err = run_cli(capsys, "ricci", "--nope", "1")
     assert code == 1
+
+
+# ----------------------------------------------------------------------
+# output shape
+# ----------------------------------------------------------------------
+
+_POINT = ("--t", "1", "--u", "1", "--v", "1", "--w", "2")
+
+
+@pytest.mark.parametrize(
+    "argv,keys",
+    [
+        (("tables", *_POINT), ["frame", "params", "tol", "bracket", "u"]),
+        (("ricci", *_POINT), ["frame", "params", "tol", "matrix"]),
+        (("isometries", *_POINT), ["frame", "params", "tol", "dimension", "basis"]),
+        (("check-nr", *_POINT), ["params", "tol", "naturally_reductive", "max_u_coefficient", "witness"]),
+        (("ledger", *_POINT), ["params", "tol", "max_ledger_residual", "star_residuals", "satisfied"]),
+        (("inspect",), ["dim", "blocks", "valid", "violations", "algebra"]),
+        (
+            ("solve", "--branch", "u1", "--S", "1"),
+            ["branch", "S", "V", "W", "Usq", "params", "residuals", "naturally_reductive"],
+        ),
+        (
+            ("sweep", "--branch", "u0", "--S-min", "2", "--S-max", "8", "--S-steps", "2"),
+            ["branch", "S", "V", "W", "Usq", "params", "residuals", "naturally_reductive"],
+        ),
+    ],
+)
+def test_json_key_order(capsys, argv, keys):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert records
+    for rec in records:
+        assert list(rec) == keys
+
+
+@pytest.mark.parametrize("branch,s", [("u0", 5.0), ("u1", 1.0)])
+def test_solve_and_sweep_print_the_same_records(capsys, branch, s):
+    sweep = ("sweep", "--branch", branch, "--S-min", repr(s), "--S-max", repr(s), "--S-steps", "1")
+    code, swept, _ = run_cli(capsys, *sweep)
+    assert code == 0
+    code, solved, _ = run_cli(capsys, "solve", "--branch", branch, "--S", repr(s), "--format", "json")
+    assert code == 0
+    assert solved == swept
+    code, text, _ = run_cli(capsys, "solve", "--branch", branch, "--S", repr(s))
+    assert code == 0
+    lines = text.splitlines()
+    records = [json.loads(line) for line in swept.splitlines()]
+    assert len(lines) == len(records)
+    for line, rec in zip(lines, records):
+        fields = dict(item.split("=") for item in line.split())
+        assert fields["S"] == f"{rec['S']:.6g}"
+        assert fields["V"] == f"{rec['V']:.6g}" and fields["W"] == f"{rec['W']:.6g}"
+        assert fields["u"] == f"{rec['params']['u']:.6g}"
+        assert fields["NR"] == ("true" if rec["naturally_reductive"] else "false")
+
+
+def test_failed_verification_is_reported_by_solve_alone(capsys):
+    # an unreachable tolerance fails every record; solve names each on stderr, sweep only exits 2
+    code, out, err = run_cli(capsys, "solve", "--branch", "u0", "--S", "5", "--tol", "1e-300")
+    assert code == 2
+    assert len(out.splitlines()) == 2
+    assert [line.split(":")[0] for line in err.splitlines()] == ["verification failed"] * 2
+    sweep = ("sweep", "--branch", "u0", "--S-min", "5", "--S-max", "5", "--S-steps", "1", "--tol", "1e-300")
+    code, out, err = run_cli(capsys, *sweep)
+    assert code == 2
+    assert len(out.splitlines()) == 2
+    assert err == ""

@@ -49,6 +49,14 @@ def test_k_value():
     assert MetricParams(2, 0, 1, 1).K == 2.0
 
 
+def test_k_when_u_squared_overflows():
+    # u^2 = 1e616 overflows, K^2 = t^2 - u^2/(4t^2) = 0.75e308 does not
+    p = MetricParams(1e154, 1e308, 1e154, 1e154)
+    assert p.K == pytest.approx(math.sqrt(0.75) * 1e154, rel=1e-15)
+    f = orthonormal_frame(p).matrix
+    assert np.allclose(f.T @ build_form(p).gram @ f, np.eye(8), rtol=0, atol=1e-14)
+
+
 def test_k_guard_near_degenerate():
     # |u| within 1e-8 * 4t^2 of the boundary: K^2 < 0, the guard refuses
     with pytest.raises(DegenerateMetricError):
