@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -96,18 +97,25 @@ _R11, _R33, _R55, _R77, _R14 = (0, 0), (2, 2), (4, 4), (6, 6), (0, 3)
 
 
 def _ledger_system(p: MetricParams) -> list[list[tuple[float, tuple[int, int]]]]:
-    """Each reduced equation as (coefficient, Ricci entry) pairs, summing their products."""
+    """Each reduced equation as (coefficient, Ricci entry) pairs, summing their products.
+
+    The coefficients are formed from ratios of like scales (u/(2t) and K
+    scale as t, (v^2 - w^2)/(vw) and w/v are scale-free), so no
+    intermediate product overflows where the coefficients themselves do not.
+    """
     t, u, v, w = p.t, p.u, p.v, p.w
     k = p.K
     t2, v2, w2, k2 = t * t, v * v, w * w, k * k
+    half_u_t = u / (2 * t)
+    d_vw = (v2 - w2) / (v * w)
     return [
-        [(v2 - w2, _R11), (w2 - t2, _R55), (t2 - v2, _R77), (u * (w2 - v2) / (2 * t * k), _R14)],
-        [(-u / (2 * t), _R55), (u / (2 * t), _R77), ((v2 - w2) / k, _R14)],
+        [(v2 - w2, _R11), (w2 - t2, _R55), (t2 - v2, _R77), (half_u_t / k * (w2 - v2), _R14)],
+        [(-half_u_t, _R55), (half_u_t, _R77), ((v2 - w2) / k, _R14)],
         [
-            (u * (v2 - w2) / (2 * t * v * w * k), _R33),
-            (u * w / (2 * t * v * k), _R55),
-            (-(v2 - w2) / (v * w), _R14),
-            (-u * v / (2 * t * w * k), _R77),
+            (half_u_t * d_vw / k, _R33),
+            (half_u_t * (w / v) / k, _R55),
+            (-d_vw, _R14),
+            (-half_u_t * (v / w) / k, _R77),
         ],
         [(v2 - w2, _R33), (w2 - k2, _R55), (k2 - v2, _R77)],
     ]
@@ -149,13 +157,19 @@ class LedgerSolution:
         }
 
 
-def _solution_residuals(p: MetricParams) -> tuple[dict[str, float], dict[str, float]]:
-    """Absolute residuals, and each over max(1, its scale).
+_Residuals = tuple[tuple[str, float], ...]
+
+
+@lru_cache(maxsize=256)
+def _solution_residuals(p: MetricParams) -> tuple[_Residuals, _Residuals]:
+    """Absolute residuals, and each over max(1, its scale), as (name, value) pairs.
 
     A scale is the size the cancelling terms could have, since the Ricci
     entries carry rounding relative to max|rho|: max|nabla table| * max|rho|
     for the Ledger form, sum |coefficient| * max|rho| for each reduced
-    equation ("star"), and 1 for the frame-orthonormality defect.
+    equation ("star"), and 1 for the frame-orthonormality defect.  Cached
+    like the geometry, so a solution and its verification compute them
+    once; callers make their own dicts of the immutable pairs.
     """
     rho = geometry.ricci(build_form(p))
     rho_max = float(np.max(np.abs(rho)))
@@ -166,12 +180,12 @@ def _solution_residuals(p: MetricParams) -> tuple[dict[str, float], dict[str, fl
     ]
     f = orthonormal_frame(p).matrix
     gram_defect = float(np.max(np.abs(f.T @ build_form(p).gram @ f - np.eye(8))))
-    absolute = {"ledger": lgr, "star": float(max(r for r, _ in eqs)), "gram": gram_defect}
-    relative = {
-        "ledger": lgr / max(1.0, float(np.max(np.abs(geometry.nomizu_table(p)))) * rho_max),
-        "star": float(max(r / max(1.0, scale) for r, scale in eqs)),
-        "gram": gram_defect,
-    }
+    absolute = (("ledger", lgr), ("star", float(max(r for r, _ in eqs))), ("gram", gram_defect))
+    relative = (
+        ("ledger", lgr / max(1.0, float(np.max(np.abs(geometry.nomizu_table(p)))) * rho_max)),
+        ("star", float(max(r / max(1.0, scale) for r, scale in eqs))),
+        ("gram", gram_defect),
+    )
     return absolute, relative
 
 
@@ -184,7 +198,7 @@ def _make_solution(branch: str, s: float, vv: float, ww: float, u: float) -> Led
         W=ww,
         Usq=u * u,
         params=params,
-        residuals=_solution_residuals(params)[0],
+        residuals=dict(_solution_residuals(params)[0]),
         naturally_reductive=is_naturally_reductive(params).naturally_reductive,
     )
 
@@ -266,7 +280,7 @@ def verify_solution(sol: LedgerSolution, tol: float = 1e-8) -> VerificationRepor
     matches the expectation for the branch: false unless u = 0 and
     V = W = 1.
     """
-    residuals, relative = _solution_residuals(sol.params)
+    residuals, relative = map(dict, _solution_residuals(sol.params))
     nr = is_naturally_reductive(sol.params).naturally_reductive
     expect_nr = (
         abs(sol.params.u) <= tol and abs(sol.V - 1.0) <= tol and abs(sol.W - 1.0) <= tol

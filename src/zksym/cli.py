@@ -14,7 +14,9 @@ never carries NaN or Infinity: a result without a JSON form exits 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import re
 import sys
@@ -133,6 +135,8 @@ def _resolve_tol(args) -> float:
             tol = DEFAULT_TOL
     if not tol > 0:
         raise InvalidParamsError(f"tolerance must be positive, got {tol:g}")
+    if tol == math.inf:  # every check would pass
+        raise InvalidParamsError("tolerance must be finite, got inf")
     return tol
 
 
@@ -380,10 +384,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on the first call of main; parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (_UsageError, InvalidParamsError) as exc:
         print(f"error: {exc}", file=sys.stderr)

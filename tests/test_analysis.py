@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -294,6 +295,25 @@ def test_verify_rejects_perturbed_solution():
     assert not report.passed
     assert report.residuals["ledger"] > 1e-8
     assert "FAIL" in report.summary()
+
+
+def test_verify_judges_the_params_not_the_record():
+    # residuals are cached by params; neither the cache nor a record's own
+    # residuals may stand in for recomputing them from sol.params
+    sol = solve_ledger_unonzero(1.2)[0]
+    moved = dataclasses.replace(sol, params=dataclasses.replace(sol.params, v=sol.params.v * (1 + 1e-3)))
+    report = verify_solution(moved)
+    assert not report.passed
+    assert report.residuals["ledger"] > 1e-6
+    zeros = {"ledger": 0.0, "star": 0.0, "gram": 0.0}
+    forged = verify_solution(dataclasses.replace(moved, residuals=zeros))
+    assert not forged.passed
+    assert forged.residuals == report.residuals
+    assert verify_solution(dataclasses.replace(sol, residuals=zeros)).residuals == sol.residuals
+    # each report holds its own dicts
+    recomputed = dict(report.residuals)
+    report.residuals["ledger"] = 0.0
+    assert verify_solution(moved).residuals == recomputed
 
 
 def test_solution_record_schema():

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zksym import algebra_to_dict, build_so5
+import zksym
+from zksym import algebra_to_dict, analysis, build_so5, cli
 from zksym.cli import main
 
 
@@ -334,11 +339,10 @@ def test_overflowing_gram_exits_2(capsys):
     [
         ("ledger", "--t", "1", "--u", "0", "--v", "1e100", "--w", "1", "--format", "json"),
         ("ledger", "--t", "1", "--u", "0", "--v", "1e100", "--w", "1"),
-        ("check-nr", "--t", "1", "--u", "0", "--v", "1", "--w", "1", "--tol", "inf", "--format", "json"),
     ],
 )
 def test_non_finite_results_exit_2(capsys, argv):
-    # the reduced Ledger system overflows to NaN, an infinite tolerance has no JSON form
+    # rho ~ 1e200 times a coefficient ~ 1e200 overflows the reduced Ledger system to NaN
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -356,6 +360,42 @@ def test_k_squared_overflow_point_scales(capsys):
     big = np.array(json.loads(out)["matrix"]) * 1e308
     code, out, _ = run_cli(capsys, "ricci", "--t", "1", "--u", "1", "--v", "1", "--w", "1", "--format", "json")
     unit = np.array(json.loads(out)["matrix"])
+    assert np.max(np.abs(big - unit)) <= 1e-12 * np.max(np.abs(unit))
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_infinite_tolerance_exits_1(capsys, monkeypatch, fmt, source):
+    # under tol = inf every check passes: this metric, with u != 0, would test naturally reductive
+    argv = ["check-nr", "--t", "1", "--u", "0.1", "--v", "1", "--w", "1", "--format", fmt]
+    if source == "flag":
+        argv += ["--tol", "inf"]
+    else:
+        monkeypatch.setenv("ZKSYM_TOL", "inf")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == "error: tolerance must be finite, got inf\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_ledger_system_at_overflowing_scale(capsys):
+    # the reduced-system coefficients are ratios of like scales, so products such
+    # as u*w (1e462 here) are never formed; the four residuals stay finite
+    code, out, err = run_cli(
+        capsys, "ledger", "--t", "1e154", "--u", "1e308", "--v", "1e154", "--w", "1e154", "--format", "json"
+    )
+    assert code == 0, err
+    star = json.loads(out)["star_residuals"]
+    assert len(star) == 4 and all(math.isfinite(x) for x in star)
+    # off v = w the equations scale as l^0, l^-1, l^-2, l^0 under (lt, l^2 u, lv, lw)
+    code, out, err = run_cli(
+        capsys, "ledger", "--t", "1e154", "--u", "1e308", "--v", "1.2e154", "--w", "0.9e154", "--format", "json"
+    )
+    assert code == 0, err
+    big = np.array(json.loads(out)["star_residuals"]) * [1, 1e154, 1e308, 1]
+    code, out, _ = run_cli(capsys, "ledger", "--t", "1", "--u", "1", "--v", "1.2", "--w", "0.9", "--format", "json")
+    unit = np.array(json.loads(out)["star_residuals"])
     assert np.max(np.abs(big - unit)) <= 1e-12 * np.max(np.abs(unit))
 
 
@@ -431,3 +471,59 @@ def test_failed_verification_is_reported_by_solve_alone(capsys):
     assert code == 2
     assert len(out.splitlines()) == 2
     assert err == ""
+
+
+# ----------------------------------------------------------------------
+# one parser per process, one residual computation per solution
+# ----------------------------------------------------------------------
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    build, built = cli.build_parser, []
+
+    def counting_build_parser():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    for argv in (("inspect",), ("ricci", *_POINT), ("ricci", "--nope", "1"), ("solve", "--branch", "u0", "--S", "5")):
+        run_cli(capsys, *argv)
+    assert len(built) == 1
+
+
+def _fresh_process(argv, env):
+    proc = subprocess.run(
+        [sys.executable, "-c", "from zksym.cli import run; run()", *argv], env=env, capture_output=True, text=True
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_the_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("ZKSYM_TOL", raising=False)
+    params = tmp_path / "params.json"
+    params.write_text('{"t": 1, "u": 0.5, "v": 1.2, "w": 0.8}')
+    ledger = ("ledger", *_POINT, "--format", "json")
+    sequence = [
+        ("solve", "--S", "5"),  # usage error: --branch is required
+        ("ricci", "--nope", "1"),
+        ledger,
+        ("check-nr", "--params", str(params)),
+        ledger,
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(zksym.__file__).resolve().parents[1]))
+    for argv in sequence:
+        assert run_cli(capsys, *argv) == _fresh_process(argv, env), argv
+    # and importing the package builds no parser
+    probe = "import zksym.cli; print(zksym.cli._parser.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert proc.stdout == "0\n", proc.stderr
+
+
+def test_solve_computes_each_solution_residuals_once(capsys):
+    analysis._solution_residuals.cache_clear()
+    code, out, _ = run_cli(capsys, "solve", "--branch", "u1", "--S", "1.1")
+    assert code == 0
+    info = analysis._solution_residuals.cache_info()
+    # computed for each of the four records, looked up again by its verification
+    assert len(out.splitlines()) == 4
+    assert (info.misses, info.hits) == (4, 4)
