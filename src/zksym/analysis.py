@@ -66,11 +66,8 @@ def infinitesimal_isometries(p: MetricParams, tol: float = DEFAULT_TOL) -> np.nd
     are the basis vectors in frame coordinates.
     """
     cm = geometry.bracket_table(p)
-    rows = []
-    for i in range(8):
-        for j in range(i, 8):
-            rows.append(cm[:, i, j] + cm[:, j, i])
-    a = np.array(rows)
+    # one row per frame pair i <= j: row[x] = cm[x, i, j] + cm[x, j, i]
+    a = (cm + cm.transpose(0, 2, 1)).transpose(1, 2, 0)[np.triu_indices(8)]
     _, s, vh = np.linalg.svd(a)
     cutoff = tol * (s[0] if s.size and s[0] > 0 else 1.0)
     rank = int(np.sum(s > cutoff))
@@ -80,45 +77,44 @@ def infinitesimal_isometries(p: MetricParams, tol: float = DEFAULT_TOL) -> np.nd
 def ledger_system_residuals(p: MetricParams) -> np.ndarray:
     """The four reduced scalar equations of the first Ledger condition.
 
-    Evaluated with the trace-computed Ricci entries; all four vanish iff
-    L = 0 on the nontrivial frame triples.  Raises DegenerateMetricError
-    when a residual overflows.
+    ``_ledger_system(p)`` holds them as a (4, 5) coefficient matrix whose
+    columns act on the Ricci entries (r11, r33, r55, r77, r14) of the
+    orthonormal frame, so the residuals are its product with those five
+    trace-computed entries; all four vanish iff L = 0 on the nontrivial
+    frame triples.  Raises DegenerateMetricError when a residual overflows.
     """
     rho = geometry.ricci(build_form(p))
     with np.errstate(all="ignore"):  # overflow shows up as a non-finite residual below
-        star = np.array([sum(c * rho[ij] for c, ij in eq) for eq in _ledger_system(p)])
+        star = _ledger_system(p) @ rho[_RICCI_ENTRIES]
     if not np.all(np.isfinite(star)):
         raise DegenerateMetricError(f"reduced Ledger system residuals are not finite: {star.tolist()}")
     return star
 
 
-# frame indices of the Ricci entries r11, r33, r55, r77, r14
-_R11, _R33, _R55, _R77, _R14 = (0, 0), (2, 2), (4, 4), (6, 6), (0, 3)
+# frame index pairs of the Ricci entries r11, r33, r55, r77, r14
+_RICCI_ENTRIES = ([0, 2, 4, 6, 0], [0, 2, 4, 6, 3])
 
 
-def _ledger_system(p: MetricParams) -> list[list[tuple[float, tuple[int, int]]]]:
-    """Each reduced equation as (coefficient, Ricci entry) pairs, summing their products.
+def _ledger_system(p: MetricParams) -> np.ndarray:
+    """The reduced equations as a (4, 5) coefficient matrix over the Ricci entries.
 
-    The coefficients are formed from ratios of like scales (u/(2t) and K
-    scale as t, (v^2 - w^2)/(vw) and w/v are scale-free), so no
-    intermediate product overflows where the coefficients themselves do not.
+    Row i is equation i; column j multiplies entry j of (r11, r33, r55, r77,
+    r14), read from rho at ``_RICCI_ENTRIES``.  The coefficients are formed
+    from ratios of like scales (u/(2t) and K scale as t, (v^2 - w^2)/(vw)
+    and w/v are scale-free), so no intermediate product overflows where the
+    coefficients themselves do not.
     """
     t, u, v, w = p.t, p.u, p.v, p.w
     k = p.K
     t2, v2, w2, k2 = t * t, v * v, w * w, k * k
     half_u_t = u / (2 * t)
     d_vw = (v2 - w2) / (v * w)
-    return [
-        [(v2 - w2, _R11), (w2 - t2, _R55), (t2 - v2, _R77), (half_u_t / k * (w2 - v2), _R14)],
-        [(-half_u_t, _R55), (half_u_t, _R77), ((v2 - w2) / k, _R14)],
-        [
-            (half_u_t * d_vw / k, _R33),
-            (half_u_t * (w / v) / k, _R55),
-            (-d_vw, _R14),
-            (-half_u_t * (v / w) / k, _R77),
-        ],
-        [(v2 - w2, _R33), (w2 - k2, _R55), (k2 - v2, _R77)],
-    ]
+    return np.array([
+        [v2 - w2, 0.0, w2 - t2, t2 - v2, half_u_t / k * (w2 - v2)],
+        [0.0, 0.0, -half_u_t, half_u_t, (v2 - w2) / k],
+        [0.0, half_u_t * d_vw / k, half_u_t * (w / v) / k, -half_u_t * (v / w) / k, -d_vw],
+        [0.0, v2 - w2, w2 - k2, k2 - v2, 0.0],
+    ])
 
 
 # ----------------------------------------------------------------------
@@ -161,45 +157,40 @@ _Residuals = tuple[tuple[str, float], ...]
 
 
 @lru_cache(maxsize=256)
-def _solution_residuals(p: MetricParams) -> tuple[_Residuals, _Residuals]:
-    """Absolute residuals, and each over max(1, its scale), as (name, value) pairs.
+def _solution_residuals(p: MetricParams) -> tuple[_Residuals, _Residuals, bool]:
+    """Absolute residuals, the same over max(1, their scale), and the naturally-reductive status.
 
-    A scale is the size the cancelling terms could have, since the Ricci
-    entries carry rounding relative to max|rho|: max|nabla table| * max|rho|
-    for the Ledger form, sum |coefficient| * max|rho| for each reduced
-    equation ("star"), and 1 for the frame-orthonormality defect.  Cached
-    like the geometry, so a solution and its verification compute them
-    once; callers make their own dicts of the immutable pairs.
+    The residuals come as (name, value) pairs.  A scale is the size the
+    cancelling terms could have, since the Ricci entries carry rounding
+    relative to max|rho|: max|nabla table| * max|rho| for the Ledger form,
+    the row sum of |coefficient| times max|rho| for each reduced equation
+    ("star"), and 1 for the frame-orthonormality defect.  Cached like the
+    geometry, so a solution and its verification evaluate it once; callers
+    make their own dicts of the immutable pairs.
     """
-    rho = geometry.ricci(build_form(p))
+    form = build_form(p)
+    rho = geometry.ricci(form)
     rho_max = float(np.max(np.abs(rho)))
+    coef = _ledger_system(p)
+    star = np.abs(coef @ rho[_RICCI_ENTRIES])
+    star_scale = np.abs(coef).sum(axis=1) * rho_max
     lgr = float(np.max(np.abs(geometry.ledger_table(p))))
-    eqs = [
-        (abs(sum(c * rho[ij] for c, ij in eq)), sum(abs(c) for c, _ in eq) * rho_max)
-        for eq in _ledger_system(p)
-    ]
     f = orthonormal_frame(p).matrix
-    gram_defect = float(np.max(np.abs(f.T @ build_form(p).gram @ f - np.eye(8))))
-    absolute = (("ledger", lgr), ("star", float(max(r for r, _ in eqs))), ("gram", gram_defect))
+    gram_defect = float(np.max(np.abs(f.T @ form.gram @ f - np.eye(8))))
+    absolute = (("ledger", lgr), ("star", float(star.max())), ("gram", gram_defect))
     relative = (
         ("ledger", lgr / max(1.0, float(np.max(np.abs(geometry.nomizu_table(p)))) * rho_max)),
-        ("star", float(max(r / max(1.0, scale) for r, scale in eqs))),
+        ("star", float(np.max(star / np.maximum(1.0, star_scale)))),
         ("gram", gram_defect),
     )
-    return absolute, relative
+    return absolute, relative, is_naturally_reductive(p).naturally_reductive
 
 
 def _make_solution(branch: str, s: float, vv: float, ww: float, u: float) -> LedgerSolution:
     params = MetricParams(1.0, u, math.sqrt(vv), math.sqrt(ww))
+    residuals, _, nr = _solution_residuals(params)
     return LedgerSolution(
-        branch=branch,
-        S=s,
-        V=vv,
-        W=ww,
-        Usq=u * u,
-        params=params,
-        residuals=dict(_solution_residuals(params)[0]),
-        naturally_reductive=is_naturally_reductive(params).naturally_reductive,
+        branch=branch, S=s, V=vv, W=ww, Usq=u * u, params=params, residuals=dict(residuals), naturally_reductive=nr
     )
 
 
@@ -229,7 +220,8 @@ def solve_ledger_unonzero(s: float) -> list[LedgerSolution]:
     P = S(4-S)(3S-1) / (8(8-3S)) and the discriminant
     Delta = S(-3S^2+3S+4) / (2(8-3S)) are positive on the interval, so
     V, W = (S +- sqrt(Delta))/2 are two positive roots, and
-    u^2 = 4 (8 - 7S + S^2) / (8 - 3S) t^4 stays inside (0, 16) t^4.  Up to
+    u^2 = 4 (8 - 7S + S^2) / (8 - 3S) t^4 falls from 208/63 t^4 at S = 1/3
+    to 0 at the upper end, inside the positive-definite bound 4 t^4.  Up to
     four solutions are returned: both root orderings times both signs of u.
     The small root is taken as P/big, exact to rounding as S -> 1/3.
     """
@@ -280,16 +272,15 @@ def verify_solution(sol: LedgerSolution, tol: float = 1e-8) -> VerificationRepor
     matches the expectation for the branch: false unless u = 0 and
     V = W = 1.
     """
-    residuals, relative = map(dict, _solution_residuals(sol.params))
-    nr = is_naturally_reductive(sol.params).naturally_reductive
+    residuals, relative, nr = _solution_residuals(sol.params)
     expect_nr = (
         abs(sol.params.u) <= tol and abs(sol.V - 1.0) <= tol and abs(sol.W - 1.0) <= tol
     )
-    passed = max(relative.values()) <= tol and nr == expect_nr
+    passed = max(r for _, r in relative) <= tol and nr == expect_nr
     return VerificationReport(
         passed=passed,
-        residuals=residuals,
+        residuals=dict(residuals),
         naturally_reductive=nr,
         expected_naturally_reductive=expect_nr,
-        relative_residuals=relative,
+        relative_residuals=dict(relative),
     )

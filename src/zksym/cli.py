@@ -8,7 +8,9 @@ default tolerance can be overridden by the ZKSYM_TOL environment variable.
 Exit codes: 0 success, 1 invalid input or parameters, 2 numerical or
 validation failure.  A failure prints one line to stderr and no
 traceback; a malformed parameter or algebra file exits 1.  JSON output
-never carries NaN or Infinity: a result without a JSON form exits 2.
+never carries NaN or Infinity: a result without a JSON form exits 2.  When
+the reader of stdout closes it early (``zksym sweep ... | head -1``) the
+command stops quietly and exits 1.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .metric import (
     MetricParams,
     build_form,
 )
-from .so5 import build_so5
+from .so5 import build_so5, validate_so5
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -201,7 +203,7 @@ def cmd_inspect(args) -> int:
         report = alg.validate(tol)
     else:
         alg = build_so5()
-        report = alg.validate(0.0)
+        report = validate_so5()
     blocks = _block_summary(alg)
     if args.format == "json":
         _emit_json({
@@ -403,7 +405,15 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: send what is still buffered to devnull,
+        # so the flush at interpreter exit stays quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_INVALID
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -110,10 +110,14 @@ class MetricParams:
 
 @dataclass(frozen=True, eq=False)
 class AdaptedForm:
-    """Gram matrix of an adapted bilinear form on m, basis order A1..C2."""
+    """Gram matrix of an adapted bilinear form on m, basis order A1..C2.
+
+    ``params`` is set only by :func:`build_form`, so a form's parameters
+    always describe its Gram matrix; a form built from a bare matrix has none.
+    """
 
     gram: np.ndarray
-    params: MetricParams | None = None
+    params: MetricParams | None = field(default=None, init=False)
 
     def __post_init__(self):
         g = np.array(self.gram, dtype=float)
@@ -169,7 +173,9 @@ def build_form(p: MetricParams) -> AdaptedForm:
     ]
     g[4, 4] = g[5, 5] = p.v * p.v
     g[6, 6] = g[7, 7] = p.w * p.w
-    return AdaptedForm(gram=g, params=p)
+    form = AdaptedForm(gram=g)
+    object.__setattr__(form, "params", p)
+    return form
 
 
 def orthonormal_frame(p: MetricParams) -> OrthonormalFrame:

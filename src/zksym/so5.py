@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, GradedLieAlgebra, GradingLabel
+from .algebra import DEFAULT_TOL, GradedLieAlgebra, GradingLabel, ValidationReport
 
 SO5_NAMES = ("X1", "X2", "A1", "A2", "A3", "A4", "B1", "B2", "C1", "C2")
 
@@ -101,3 +101,9 @@ def build_so5() -> GradedLieAlgebra:
             comm = mats[i] @ mats[j] - mats[j] @ mats[i]
             c[i, j] = vector_of(comm, tol=0.0)
     return GradedLieAlgebra(SO5_NAMES, c, _GRADING)
+
+
+@lru_cache(maxsize=1)
+def validate_so5() -> ValidationReport:
+    """The exact (tolerance 0) validation report of build_so5(), computed once per process."""
+    return build_so5().validate(0.0)

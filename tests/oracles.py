@@ -2,8 +2,8 @@
 
 Everything here is computed from first principles, separately from the
 library code paths it checks: a literal 5x5 matrix model for brackets, the
-closed-form coefficient tables of the orthonormal frame, and the
-closed-form Ricci entries.
+closed-form coefficient tables of the orthonormal frame, the
+closed-form Ricci entries, and the reduced Ledger equations written out.
 """
 
 import math
@@ -168,6 +168,24 @@ def expected_ricci_matrix(p: MetricParams) -> np.ndarray:
     rho[0, 3] = rho[3, 0] = e["r14"]
     rho[1, 2] = rho[2, 1] = -e["r14"]
     return rho
+
+
+def expected_reduced_terms(p: MetricParams) -> list[list[tuple[float, float]]]:
+    """The four reduced Ledger equations written out term by term.
+
+    Each term is a (coefficient, closed-form Ricci entry) pair; an equation's
+    value is the sum of its products.
+    """
+    e = expected_ricci_entries(p)
+    t2, v2, w2, k2 = p.t * p.t, p.v * p.v, p.w * p.w, p.k_squared
+    k, vw, h = math.sqrt(k2), p.v * p.w, p.u / (2 * p.t)
+    return [
+        [(v2 - w2, e["r11"]), (w2 - t2, e["r55"]), (t2 - v2, e["r77"]), (h * (w2 - v2) / k, e["r14"])],
+        [(-h, e["r55"]), (h, e["r77"]), ((v2 - w2) / k, e["r14"])],
+        [(h * (v2 - w2) / (vw * k), e["r33"]), (h * p.w / (p.v * k), e["r55"]),
+         (-(v2 - w2) / vw, e["r14"]), (-h * p.v / (p.w * k), e["r77"])],
+        [(v2 - w2, e["r33"]), (w2 - k2, e["r55"]), (k2 - v2, e["r77"])],
+    ]
 
 
 def unonzero_closed_form_v2(s: float) -> float:

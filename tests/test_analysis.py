@@ -12,7 +12,10 @@ from zksym import (
     infinitesimal_isometries,
     is_naturally_reductive,
     ledger_system_residuals,
+    ledger_table,
+    nomizu_table,
     orthonormal_frame,
+    ricci,
     solve_ledger_u0,
     solve_ledger_unonzero,
     u_map,
@@ -20,7 +23,7 @@ from zksym import (
     verify_solution,
 )
 
-from oracles import sample_params, unonzero_closed_form_v2
+from oracles import expected_reduced_terms, sample_params, unonzero_closed_form_v2
 
 
 # ----------------------------------------------------------------------
@@ -127,6 +130,30 @@ def test_reduced_system_zero_whenever_v_equals_w():
         assert np.max(np.abs(ledger_system_residuals(p))) < 1e-10
 
 
+def test_reduced_system_matches_the_equations_written_out():
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        p = sample_params(rng)
+        got = ledger_system_residuals(p)
+        rho_max = np.max(np.abs(ricci(build_form(p))))
+        for value, terms in zip(got, expected_reduced_terms(p)):
+            scale = sum(abs(c) for c, _ in terms) * rho_max
+            assert abs(value - sum(c * r for c, r in terms)) <= 1e-13 * scale, p
+
+
+def test_v_equals_w_solves_the_first_ledger_condition_without_being_naturally_reductive():
+    # a family neither solver returns: L = 0 at every admissible (t, u) once
+    # v = w, yet U does not vanish there
+    rng = np.random.default_rng(2026)
+    for _ in range(300):
+        t, v = rng.uniform(0.2, 5.0), rng.uniform(0.1, 10.0)
+        p = MetricParams(t, rng.uniform(-1.99, 1.99) * t * t, v, v)
+        scale = max(1.0, float(np.max(np.abs(nomizu_table(p))) * np.max(np.abs(ricci(build_form(p))))))
+        assert np.max(np.abs(ledger_table(p))) <= 1e-13 * scale, p
+        assert np.max(np.abs(ledger_system_residuals(p))) <= 1e-13 * scale, p
+        assert p.u != 0 and not is_naturally_reductive(p), p
+
+
 def test_reduced_system_nonzero_off_solution():
     res = ledger_system_residuals(MetricParams(1, 0, 1, 2))
     assert np.max(np.abs(res)) > 0.01
@@ -213,7 +240,7 @@ def test_unonzero_equations_and_residuals():
             eq2 = 7 * sol.Usq - (28 - 16 * s_val + 4 * (s_val**2 - 8 * p_val))
             assert abs(eq1) < 1e-12
             assert abs(eq2) < 1e-12
-            assert 0 < sol.Usq < 16
+            assert 0 < sol.Usq < 208 / 63  # its value as S -> 1/3, below the bound 4 of K^2 > 0
             assert sol.V > 0 and sol.W > 0
             assert sol.residuals["ledger"] < 1e-8
             assert not sol.naturally_reductive

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import zksym
-from zksym import algebra_to_dict, analysis, build_so5, cli
+from zksym import GradedLieAlgebra, algebra_to_dict, analysis, build_so5, cli, geometry, metric, so5
 from zksym.cli import main
 
 
@@ -527,3 +527,76 @@ def test_solve_computes_each_solution_residuals_once(capsys):
     # computed for each of the four records, looked up again by its verification
     assert len(out.splitlines()) == 4
     assert (info.misses, info.hits) == (4, 4)
+
+
+def _counting(fn):
+    """A wrapper of fn that records each call, and the list it records them in."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    return counting, calls
+
+
+def _count_calls(monkeypatch, fn) -> list:
+    """Rebind fn in every zksym namespace to a wrapper that records each call."""
+    counting, calls = _counting(fn)
+    for name, module in list(sys.modules.items()):
+        if name == "zksym" or name.startswith("zksym."):
+            for attr, obj in list(vars(module).items()):
+                if obj is fn:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def test_solve_builds_each_form_twice_and_tests_reductivity_once(capsys, monkeypatch):
+    # one form for the residuals, one for the geometry cache; the reductivity
+    # status is part of the cached residuals that verification reads back
+    builds = _count_calls(monkeypatch, metric.build_form)
+    nr_tests = _count_calls(monkeypatch, analysis.is_naturally_reductive)
+    geometry._cached_geometry.cache_clear()
+    analysis._solution_residuals.cache_clear()
+    code, out, _ = run_cli(capsys, "solve", "--branch", "u1", "--S", "1.1")
+    assert code == 0
+    assert len(out.splitlines()) == 4
+    assert (len(builds), len(nr_tests)) == (8, 4)
+    info = analysis._solution_residuals.cache_info()
+    assert (info.misses, info.hits) == (4, 4)
+
+
+def test_inspect_validates_the_built_in_algebra_once_per_process(capsys, monkeypatch, tmp_path):
+    counting_validate, calls = _counting(GradedLieAlgebra.validate)
+    monkeypatch.setattr(GradedLieAlgebra, "validate", counting_validate)
+    so5.validate_so5.cache_clear()
+    first = run_cli(capsys, "inspect")
+    assert run_cli(capsys, "inspect") == first
+    assert len(calls) == 1
+    # a serialized algebra is validated on every call
+    path = tmp_path / "so5.json"
+    path.write_text(json.dumps(algebra_to_dict(build_so5())))
+    for _ in range(2):
+        assert run_cli(capsys, "inspect", "--algebra", str(path))[0] == 0
+    assert len(calls) == 3
+
+
+# ----------------------------------------------------------------------
+# a reader that closes the pipe early
+# ----------------------------------------------------------------------
+
+def test_a_closed_pipe_ends_the_command_quietly():
+    # 800 records, far more than a pipe holds, so the writer meets the closed end
+    argv = ["sweep", "--branch", "u1", "--S-min", "0.34", "--S-max", "1.43", "--S-steps", "200"]
+    env = dict(os.environ, PYTHONPATH=str(Path(zksym.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from zksym.cli import run; run()", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    first = json.loads(proc.stdout.readline())
+    proc.stdout.close()
+    code = proc.wait(timeout=60)  # a traceback is far smaller than the stderr pipe
+    with proc.stderr:
+        assert proc.stderr.read() == b""
+    assert code == cli.EXIT_INVALID
+    assert first["S"] == 0.34

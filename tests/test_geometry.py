@@ -397,6 +397,18 @@ def test_bare_gram_matches_params_form():
             assert np.max(np.abs(op(*args, bare) - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref)))), op
 
 
+def test_only_build_form_attaches_params():
+    # the geometry is cached by a form's params, so params that do not
+    # describe the Gram matrix would silently stand in for it
+    with pytest.raises(TypeError):
+        ricci(AdaptedForm(gram=np.eye(8), params=MetricParams(1, 0.5, 2, 3)))
+    bare = AdaptedForm(gram=np.eye(8))
+    assert bare.params is None
+    assert np.max(np.abs(ricci(bare) - ricci(build_form(MetricParams(1, 0, 1, 1))))) <= 1e-15
+    p = MetricParams(1, 0.5, 2, 3)
+    assert build_form(p).params == p
+
+
 def test_import_does_not_load_scipy():
     src = str(Path(zksym.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
