@@ -20,6 +20,7 @@ from .analysis import (
     S_INTERVAL_U0,
     S_INTERVAL_UNONZERO,
     VerificationReport,
+    first_ledger_verdict,
     infinitesimal_isometries,
     is_naturally_reductive,
     ledger_system_residuals,
@@ -82,6 +83,7 @@ __all__ = [
     "build_so5",
     "check_adh_invariance",
     "curvature",
+    "first_ledger_verdict",
     "infinitesimal_isometries",
     "is_naturally_reductive",
     "ledger",

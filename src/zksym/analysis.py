@@ -7,11 +7,17 @@ P = V W (and U = u/t^2 when u != 0) those admit closed-form solution
 families, one branch with u = 0 and one with u != 0.  The solvers below
 return the families normalized at t = 1 together with their numerically
 recomputed residuals; callers rescale t at will.
+
+The metrics with v = w form a third family that satisfies L = 0 and that
+no solver returns; of it only the round point u = 0, v^2 = w^2 = t^2 is
+naturally reductive.  Verdicts compare like scales, as set out in
+:mod:`zksym.geometry`.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
@@ -46,15 +52,40 @@ class ReductivityReport:
 def is_naturally_reductive(p: MetricParams, tol: float = DEFAULT_TOL) -> ReductivityReport:
     """Test whether the metric is naturally reductive (U vanishes on m).
 
-    The witness names a frame triple (X, Y, Z) maximizing |<U(X,Y),Z>|
-    when the test fails.
+    U counts as zero up to tol * max|bracket table|.  The witness names a
+    frame triple (X, Y, Z) maximizing |<U(X,Y),Z>| when the test fails.
     """
     ut = geometry.u_table(p)
+    # two bracket coefficients multiply to 1/t^2, so the scale is at least 1/|t|, a normal float
+    scale = float(np.max(np.abs(geometry.bracket_table(p))))
     max_abs = float(np.max(np.abs(ut)))
-    if max_abs <= tol:
+    if max_abs <= tol * scale:
         return ReductivityReport(True, max_abs, None)
     i, j, k = np.unravel_index(int(np.argmax(np.abs(ut))), ut.shape)
     return ReductivityReport(False, max_abs, (FRAME_NAMES[i], FRAME_NAMES[j], FRAME_NAMES[k]))
+
+
+def first_ledger_verdict(p: MetricParams, tol: float = DEFAULT_TOL) -> tuple[float, bool]:
+    """max|L| over frame triples, and whether it is at most tol * max|nabla table| * max|rho|.
+
+    Where that bound is no normal float, L may have underflowed (at |t| =
+    1e154 it is of order 1e-462), and the verdict is taken at the
+    homothetic metric with |t| = 1, where the ratio is the same.  Raises
+    DegenerateMetricError when the scale it judges by is no positive normal float.
+    """
+    max_l = lgr = float(np.max(np.abs(geometry.ledger_table(p))))
+    scale = _ledger_scale(p)
+    if not tol * scale >= sys.float_info.min:
+        a = abs(p.t)
+        q = MetricParams(p.t / a, p.u / a / a, p.v / a, p.w / a)
+        scale, lgr = _ledger_scale(q), float(np.max(np.abs(geometry.ledger_table(q))))
+    if not sys.float_info.min <= scale <= sys.float_info.max:
+        raise DegenerateMetricError(f"max|nabla table| * max|rho| = {scale:.3g} is no positive normal float")
+    return max_l, lgr <= tol * scale
+
+
+def _ledger_scale(p: MetricParams) -> float:
+    return float(np.max(np.abs(geometry.nomizu_table(p)))) * float(np.max(np.abs(geometry.ricci(build_form(p)))))
 
 
 def infinitesimal_isometries(p: MetricParams, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -77,44 +108,45 @@ def infinitesimal_isometries(p: MetricParams, tol: float = DEFAULT_TOL) -> np.nd
 def ledger_system_residuals(p: MetricParams) -> np.ndarray:
     """The four reduced scalar equations of the first Ledger condition.
 
-    ``_ledger_system(p)`` holds them as a (4, 5) coefficient matrix whose
+    ``_ledger_system`` holds them as a (4, 5) coefficient matrix whose
     columns act on the Ricci entries (r11, r33, r55, r77, r14) of the
     orthonormal frame, so the residuals are its product with those five
     trace-computed entries; all four vanish iff L = 0 on the nontrivial
     frame triples.  Raises DegenerateMetricError when a residual overflows.
     """
-    rho = geometry.ricci(build_form(p))
-    with np.errstate(all="ignore"):  # overflow shows up as a non-finite residual below
-        star = _ledger_system(p) @ rho[_RICCI_ENTRIES]
-    if not np.all(np.isfinite(star)):
-        raise DegenerateMetricError(f"reduced Ledger system residuals are not finite: {star.tolist()}")
-    return star
+    return _ledger_system(p, geometry.ricci(build_form(p)))[1]
 
 
 # frame index pairs of the Ricci entries r11, r33, r55, r77, r14
 _RICCI_ENTRIES = ([0, 2, 4, 6, 0], [0, 2, 4, 6, 3])
 
 
-def _ledger_system(p: MetricParams) -> np.ndarray:
-    """The reduced equations as a (4, 5) coefficient matrix over the Ricci entries.
+def _ledger_system(p: MetricParams, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The reduced equations as a (4, 5) coefficient matrix over the Ricci entries, and their values at rho.
 
     Row i is equation i; column j multiplies entry j of (r11, r33, r55, r77,
     r14), read from rho at ``_RICCI_ENTRIES``.  The coefficients are formed
     from ratios of like scales (u/(2t) and K scale as t, (v^2 - w^2)/(vw)
     and w/v are scale-free), so no intermediate product overflows where the
-    coefficients themselves do not.
+    coefficients themselves do not.  Raises DegenerateMetricError when a
+    residual overflows.
     """
     t, u, v, w = p.t, p.u, p.v, p.w
     k = p.K
     t2, v2, w2, k2 = t * t, v * v, w * w, k * k
     half_u_t = u / (2 * t)
     d_vw = (v2 - w2) / (v * w)
-    return np.array([
+    coef = np.array([
         [v2 - w2, 0.0, w2 - t2, t2 - v2, half_u_t / k * (w2 - v2)],
         [0.0, 0.0, -half_u_t, half_u_t, (v2 - w2) / k],
         [0.0, half_u_t * d_vw / k, half_u_t * (w / v) / k, -half_u_t * (v / w) / k, -d_vw],
         [0.0, v2 - w2, w2 - k2, k2 - v2, 0.0],
     ])
+    with np.errstate(all="ignore"):  # overflow shows up as a non-finite residual below
+        star = coef @ rho[_RICCI_ENTRIES]
+    if not np.all(np.isfinite(star)):
+        raise DegenerateMetricError(f"reduced Ledger system residuals are not finite: {star.tolist()}")
+    return coef, star
 
 
 # ----------------------------------------------------------------------
@@ -171,8 +203,8 @@ def _solution_residuals(p: MetricParams) -> tuple[_Residuals, _Residuals, bool]:
     form = build_form(p)
     rho = geometry.ricci(form)
     rho_max = float(np.max(np.abs(rho)))
-    coef = _ledger_system(p)
-    star = np.abs(coef @ rho[_RICCI_ENTRIES])
+    coef, signed = _ledger_system(p, rho)
+    star = np.abs(signed)
     star_scale = np.abs(coef).sum(axis=1) * rho_max
     lgr = float(np.max(np.abs(geometry.ledger_table(p))))
     f = orthonormal_frame(p).matrix
@@ -264,7 +296,7 @@ class VerificationReport:
         return f"{status} (max relative residual {worst:.3g}, naturally reductive: {self.naturally_reductive})"
 
 
-def verify_solution(sol: LedgerSolution, tol: float = 1e-8) -> VerificationReport:
+def verify_solution(sol: LedgerSolution, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Recompute Ricci, Ledger and reduced-system residuals for a solution.
 
     Passes iff every residual is at most ``tol * max(1, scale)``, with the

@@ -1,12 +1,14 @@
 """Riemannian package of the flag manifold at the origin.
 
 Everything is computed in one basis: an orthonormal frame E_1..E_8 of
-m = span{A1..A4, B1, B2, C1, C2} for the adapted form B.  That is the frame
-of :func:`orthonormal_frame` when the form carries its parameters, and the
-Cholesky frame of the Gram matrix otherwise.  In it B is the identity, so
-the metric enters only through the frame's structure constants
-C[i, j, :] = [E_i, E_j]_m, and every tensor is a contraction of C with no
-linear solve:
+m = span{A1..A4, B1, B2, C1, C2} for the adapted form B.  In it B is the
+identity, so the metric enters only through the frame's structure
+constants C[i, j, :] = [E_i, E_j]_m; every tensor is a contraction of C,
+a function of the frame and its inverse alone.  A form with parameters
+takes the cached :func:`orthonormal_frame`, guarded by the exact K test
+(the Gram's eigenvalues are t^2 +- |u|/2, v^2, w^2), with no Gram matrix
+and no factorization.  A bare Gram matrix takes its Cholesky frame; it
+must be positive-definite and, as the formulas assume, ad(h)-invariant.
 
 * the symmetric map U defined by 2B(U(X,Y),Z) = B(X,[Z,Y]_m) + B([Z,X]_m,Y),
   that is U[i, j, k] = (C[k, j, i] + C[k, i, j]) / 2,
@@ -22,6 +24,13 @@ linear solve:
   with (nabla_X rho)(Y,Z) = -rho(nabla_X Y, Z) - rho(Y, nabla_X Z) because
   rho is invariant, hence constant in the invariant frame.
 
+Under the homothety (t, u, v, w) -> (l t, l^2 u, l v, l w), C, U and nabla
+scale as 1/l, rho as 1/l^2 and L as 1/l^3.  So a verdict compares like
+scales, never a tensor with tol alone: max|U| <= tol * max|C| for natural
+reductivity, max|L| <= tol * max|nabla| * max|rho| for the first Ledger
+condition (judged at the homothetic metric with |t| = 1 where the bound
+underflows; an overflowing bound is an error).
+
 Vectors passed to the public functions are 8-dimensional raw m-coordinates
 (basis order A1..C2): an input x enters the frame as f^-1 x and a vector
 result y leaves it as f y.  Tables and the Ricci matrix are returned in
@@ -35,7 +44,15 @@ from functools import lru_cache, cached_property
 
 import numpy as np
 
-from .metric import AdaptedForm, DegenerateMetricError, MetricParams, build_form, orthonormal_frame
+from .algebra import DEFAULT_TOL
+from .metric import (
+    AdaptedForm,
+    DegenerateMetricError,
+    InvalidParamsError,
+    MetricParams,
+    check_adh_invariance,
+    orthonormal_frame,
+)
 from .so5 import build_so5
 
 # CM[i, j, k], CH[i, j, a], ADH[a, l, k]: see GradedLieAlgebra.m_structure
@@ -62,24 +79,13 @@ def _as_m_vector(x) -> np.ndarray:
 
 
 class _Geometry:
-    """The connection, Ricci and Ledger tensors of one form, in its orthonormal frame.
+    """The connection, Ricci and Ledger tensors of the form that frame f makes orthonormal, in f.
 
     ``frame`` holds the frame vectors as columns in raw m-coordinates.
     Instances are read-only after construction.
     """
 
-    def __init__(self, form: AdaptedForm):
-        try:
-            low = np.linalg.cholesky(form.gram)  # the positive-definite guard
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateMetricError(f"Gram matrix is not positive-definite: {exc}") from exc
-        if not np.isfinite(low).all():
-            raise DegenerateMetricError("Gram matrix is not finite")
-        if form.params is not None:
-            frame = orthonormal_frame(form.params)
-            f, finv = frame.matrix, frame.inverse
-        else:
-            f, finv = np.linalg.inv(low).T, low.T  # f^T g f = I
+    def __init__(self, f: np.ndarray, finv: np.ndarray):
         self.frame, self.frame_inv = f, finv
 
         with np.errstate(all="ignore"):  # overflow shows up as a non-finite tensor below
@@ -129,13 +135,27 @@ class _Geometry:
 
 @lru_cache(maxsize=256)
 def _cached_geometry(params: MetricParams) -> _Geometry:
-    return _Geometry(build_form(params))
+    frame = orthonormal_frame(params)  # guarded by params.K
+    return _Geometry(frame.matrix, frame.inverse)
 
 
 def _geometry(form: AdaptedForm) -> _Geometry:
     if form.params is not None:
         return _cached_geometry(form.params)
-    return _Geometry(form)
+    try:
+        low = np.linalg.cholesky(form.gram)  # the positive-definite guard of a bare Gram matrix
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateMetricError(f"Gram matrix is not positive-definite: {exc}") from exc
+    if not np.isfinite(low).all():
+        raise DegenerateMetricError("Gram matrix is not finite")
+    # the invariant-connection formulas hold only for ad(h)-invariant forms
+    report = check_adh_invariance(build_so5(), form)
+    if not report.ok(DEFAULT_TOL * float(np.max(np.abs(form.gram)))):
+        z, x, y = report.worst
+        raise InvalidParamsError(
+            f"Gram matrix is not ad(h)-invariant: B([{z},{x}],{y}) + B({x},[{z},{y}]) = {report.max_residual:.3g}"
+        )
+    return _Geometry(np.linalg.inv(low).T, low.T)  # f^T g f = I
 
 
 # ----------------------------------------------------------------------
@@ -162,7 +182,8 @@ def nabla(x, y, form: AdaptedForm) -> np.ndarray:
 def curvature(x, y, z, form: AdaptedForm) -> np.ndarray:
     """Curvature R(x, y) z at the origin (raw m-coordinates).
 
-    Antisymmetric in (x, y) and skew-adjoint with respect to the form.
+    Antisymmetric in (x, y) and skew-adjoint with respect to the form,
+    which must be positive-definite and ad(h)-invariant.
     """
     geo = _geometry(form)
     xf, yf, zf = geo.to_frame(x), geo.to_frame(y), geo.to_frame(z)
@@ -183,7 +204,8 @@ def ricci(form: AdaptedForm) -> np.ndarray:
 def ledger(x, y, z, form: AdaptedForm) -> float:
     """First Ledger form L(x, y, z); cyclic by construction, fully symmetric.
 
-    Inputs are raw m-coordinates; any positive-definite form will do.
+    Inputs are raw m-coordinates; the form may be any positive-definite,
+    ad(h)-invariant Gram matrix, with or without parameters.
     """
     geo = _geometry(form)
     return float(np.einsum("ijk,i,j,k->", geo.ledger, geo.to_frame(x), geo.to_frame(y), geo.to_frame(z)))

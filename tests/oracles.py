@@ -139,11 +139,16 @@ def expected_u_table(p: MetricParams) -> np.ndarray:
 # closed-form Ricci entries
 # ----------------------------------------------------------------------
 
-def expected_ricci_entries(p: MetricParams) -> dict[str, float]:
-    """The five entry families (r11=r22, r14=-r23, r33=r44, r55=r66, r77=r88)."""
+def expected_ricci_entries(p, sqrt=math.sqrt) -> dict:
+    """The five entry families (r11=r22, r14=-r23, r33=r44, r55=r66, r77=r88).
+
+    ``p`` is a MetricParams or anything with its attributes t, u, v, w and
+    k_squared, such as sympy expressions; ``sqrt`` takes K from k_squared
+    and must suit those values.
+    """
     t, u, v, w = p.t, p.u, p.v, p.w
     k2 = p.k_squared
-    k = math.sqrt(k2)
+    k = sqrt(k2)
     t2, v2, w2 = t * t, v * v, w * w
     t4, u2 = t2 * t2, u * u
     q = v2 * v2 - 6 * v2 * w2 + w2 * w2
@@ -170,15 +175,16 @@ def expected_ricci_matrix(p: MetricParams) -> np.ndarray:
     return rho
 
 
-def expected_reduced_terms(p: MetricParams) -> list[list[tuple[float, float]]]:
+def expected_reduced_terms(p, sqrt=math.sqrt) -> list[list[tuple]]:
     """The four reduced Ledger equations written out term by term.
 
     Each term is a (coefficient, closed-form Ricci entry) pair; an equation's
-    value is the sum of its products.
+    value is the sum of its products.  ``p`` and ``sqrt`` are as for
+    :func:`expected_ricci_entries`.
     """
-    e = expected_ricci_entries(p)
+    e = expected_ricci_entries(p, sqrt)
     t2, v2, w2, k2 = p.t * p.t, p.v * p.v, p.w * p.w, p.k_squared
-    k, vw, h = math.sqrt(k2), p.v * p.w, p.u / (2 * p.t)
+    k, vw, h = sqrt(k2), p.v * p.w, p.u / (2 * p.t)
     return [
         [(v2 - w2, e["r11"]), (w2 - t2, e["r55"]), (t2 - v2, e["r77"]), (h * (w2 - v2) / k, e["r14"])],
         [(-h, e["r55"]), (h, e["r77"]), ((v2 - w2) / k, e["r14"])],

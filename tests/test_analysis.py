@@ -1,10 +1,12 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 from zksym import (
+    DEFAULT_TOL,
     InvalidParamsError,
     LedgerSolution,
     MetricParams,
@@ -152,6 +154,13 @@ def test_v_equals_w_solves_the_first_ledger_condition_without_being_naturally_re
         assert np.max(np.abs(ledger_table(p))) <= 1e-13 * scale, p
         assert np.max(np.abs(ledger_system_residuals(p))) <= 1e-13 * scale, p
         assert p.u != 0 and not is_naturally_reductive(p), p
+
+
+def test_a_solution_reports_the_reduced_system_at_its_params():
+    # one guarded evaluation serves both, so the values agree to the bit
+    for sol in solve_ledger_u0(5.0) + solve_ledger_unonzero(1.0) + solve_ledger_u0(1.0 + 1e-10):
+        assert sol.residuals["star"] == float(np.max(np.abs(ledger_system_residuals(sol.params))))
+    assert inspect.signature(verify_solution).parameters["tol"].default == DEFAULT_TOL
 
 
 def test_reduced_system_nonzero_off_solution():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -11,6 +12,8 @@ import pytest
 import zksym
 from zksym import GradedLieAlgebra, algebra_to_dict, analysis, build_so5, cli, geometry, metric, so5
 from zksym.cli import main
+
+from oracles import sample_params
 
 
 def run_cli(capsys, *argv):
@@ -529,6 +532,45 @@ def test_solve_computes_each_solution_residuals_once(capsys):
     assert (info.misses, info.hits) == (4, 4)
 
 
+_SCALES = (1e-6, 1e-3, 1.0, 1e3, 1e6, 1e12)
+
+
+def _verdicts(capsys, t, u, v, w):
+    """check-nr and ledger verdicts, equal in text and JSON, and the nonzero cells of the tables grid."""
+    point = ("--t", repr(t), "--u", repr(u), "--v", repr(v), "--w", repr(w))
+    nr = json.loads(run_cli(capsys, "check-nr", *point, "--format", "json")[1])["naturally_reductive"]
+    satisfied = json.loads(run_cli(capsys, "ledger", *point, "--format", "json")[1])["satisfied"]
+    assert run_cli(capsys, "check-nr", *point)[1].splitlines()[0] == ("true" if nr else "false")
+    last = run_cli(capsys, "ledger", *point)[1].splitlines()[-1]
+    assert last == f"first Ledger condition {'satisfied' if satisfied else 'violated'}"
+    rows = [line.split("|") for line in run_cli(capsys, "tables", *point)[1].splitlines()]
+    cells = tuple(c.strip() != "0" for row in rows if row[0].strip() in metric.FRAME_NAMES for c in row[1:])
+    return nr, satisfied, cells
+
+
+def test_verdicts_do_not_depend_on_scale(capsys):
+    # the homothety (t, u, v, w) -> (l t, l^2 u, l v, l w) scales U and the
+    # brackets as 1/l and L as 1/l^3, and changes no verdict
+    rng = np.random.default_rng(41)
+    cases = [((1.0, 0.0, 1.0, 1.0), (True, True)), ((1.0, 0.0, 2.0, 1.0), (False, False))]
+    cases += [(dataclasses.astuple(sample_params(rng)), (False, False)) for _ in range(3)]
+    cases += [(dataclasses.astuple(sol.params), (False, True)) for sol in analysis.solve_ledger_u0(5.0)[:1]]
+    cases += [(dataclasses.astuple(sol.params), (False, True)) for sol in analysis.solve_ledger_unonzero(1.0)[:1]]
+    cases += [((1.0, 0.7, 1.3, 1.3), (False, True))]  # the v = w family
+    for (t, u, v, w), expected in cases:
+        verdicts = {lam: _verdicts(capsys, lam * t, lam * lam * u, lam * v, lam * w) for lam in _SCALES}
+        assert all(got == verdicts[1.0] for got in verdicts.values()), (t, u, v, w)
+        assert verdicts[1.0][:2] == expected, (t, u, v, w)
+        assert any(verdicts[1.0][2])
+
+
+def test_a_ledger_verdict_without_a_normal_scale_exits_2(capsys):
+    # every tensor is finite, but max|nabla| * max|rho| is about 1e120 * 1e240
+    code, out, err = run_cli(capsys, "ledger", "--t", "1", "--u", "0", "--v", "1e-120", "--w", "1")
+    assert (code, out) == (2, "")
+    assert err == "numerical failure: max|nabla table| * max|rho| = inf is no positive normal float\n"
+
+
 def _counting(fn):
     """A wrapper of fn that records each call, and the list it records them in."""
     calls = []
@@ -551,19 +593,24 @@ def _count_calls(monkeypatch, fn) -> list:
     return calls
 
 
-def test_solve_builds_each_form_twice_and_tests_reductivity_once(capsys, monkeypatch):
-    # one form for the residuals, one for the geometry cache; the reductivity
-    # status is part of the cached residuals that verification reads back
+def test_solve_builds_each_form_once_and_tests_reductivity_once(capsys, monkeypatch):
+    # one form for the residuals' Gram defect; the geometry cache builds its
+    # frame from the parameters alone, with no Gram matrix and no Cholesky.
+    # The reductivity status is part of the cached residuals that
+    # verification reads back.
     builds = _count_calls(monkeypatch, metric.build_form)
     nr_tests = _count_calls(monkeypatch, analysis.is_naturally_reductive)
+    cholesky, factorizations = _counting(np.linalg.cholesky)
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
     geometry._cached_geometry.cache_clear()
     analysis._solution_residuals.cache_clear()
     code, out, _ = run_cli(capsys, "solve", "--branch", "u1", "--S", "1.1")
     assert code == 0
     assert len(out.splitlines()) == 4
-    assert (len(builds), len(nr_tests)) == (8, 4)
+    assert (len(builds), len(nr_tests), len(factorizations)) == (4, 4, 0)
     info = analysis._solution_residuals.cache_info()
     assert (info.misses, info.hits) == (4, 4)
+    assert geometry._cached_geometry.cache_info().misses == 4
 
 
 def test_inspect_validates_the_built_in_algebra_once_per_process(capsys, monkeypatch, tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import zksym
 from zksym import (
     AdaptedForm,
     DegenerateMetricError,
+    InvalidParamsError,
     MetricParams,
     bracket_table,
     build_form,
@@ -397,6 +399,32 @@ def test_bare_gram_matches_params_form():
             assert np.max(np.abs(op(*args, bare) - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref)))), op
 
 
+def test_bare_gram_must_be_adh_invariant():
+    # positive-definite but not ad(h)-invariant: the invariant-connection
+    # formulas do not hold for it, so every operation refuses it
+    rng = np.random.default_rng(37)
+    a = rng.standard_normal((8, 8))
+    bad = AdaptedForm(gram=a @ a.T + 8 * np.eye(8))
+    x, y, z = np.eye(8)[:3]
+    calls = (
+        lambda: u_map(x, y, bad),
+        lambda: nabla(x, y, bad),
+        lambda: curvature(x, y, z, bad),
+        lambda: ricci(bad),
+        lambda: ledger(x, y, z, bad),
+    )
+    for call in calls:
+        with pytest.raises(InvalidParamsError, match=r"not ad\(h\)-invariant"):
+            call()
+    # the Gram matrices of build_form pass at every sign of t, v and w
+    for st, sv, sw in itertools.product((1.0, -1.0), repeat=3):
+        form = build_form(MetricParams(1.3 * st, 0.9, 0.8 * sv, 1.6 * sw))
+        bare = AdaptedForm(gram=form.gram)
+        for op, args in ((u_map, (x, y)), (curvature, (x, y, z))):
+            ref = op(*args, form)
+            assert np.max(np.abs(op(*args, bare) - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+
+
 def test_only_build_form_attaches_params():
     # the geometry is cached by a form's params, so params that do not
     # describe the Gram matrix would silently stand in for it
@@ -409,8 +437,8 @@ def test_only_build_form_attaches_params():
     assert build_form(p).params == p
 
 
-def test_import_does_not_load_scipy():
+def test_import_loads_neither_scipy_nor_sympy():
     src = str(Path(zksym.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, zksym; sys.exit('scipy' in sys.modules)"
+    code = "import sys, zksym; sys.exit('scipy' in sys.modules or 'sympy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
