@@ -108,11 +108,14 @@ def infinitesimal_isometries(p: MetricParams, tol: float = DEFAULT_TOL) -> np.nd
 def ledger_system_residuals(p: MetricParams) -> np.ndarray:
     """The four reduced scalar equations of the first Ledger condition.
 
-    ``_ledger_system`` holds them as a (4, 5) coefficient matrix whose
-    columns act on the Ricci entries (r11, r33, r55, r77, r14) of the
-    orthonormal frame, so the residuals are its product with those five
-    trace-computed entries; all four vanish iff L = 0 on the nontrivial
-    frame triples.  Raises DegenerateMetricError when a residual overflows.
+    ``_ledger_system`` holds them as a (4, 5) coefficient matrix over the
+    Ricci entries (r11, r33, r55, r77, r14) of the orthonormal frame.  The
+    eight frame triples where L = -2 sum_cyc rho(U(X,Y), Z) can be nonzero,
+    (A~i, B~j, C~k) with j = k for i = 1, 4 and j != k for i = 2, 3, each
+    carry one equation times +-1/t, +-1/(vw), -1/(tvw) or -1/(Kvw), so all
+    four vanish iff L = 0.  The rank is at most 3, as v w eq3 = u/(2tK) eq4
+    - K eq2, and 3 off u = 0 and v^2 = w^2 (``tests/test_symbolic.py``
+    proves all three).  Raises DegenerateMetricError when a residual overflows.
     """
     return _ledger_system(p, geometry.ricci(build_form(p)))[1]
 
@@ -301,13 +304,13 @@ def verify_solution(sol: LedgerSolution, tol: float = DEFAULT_TOL) -> Verificati
 
     Passes iff every residual is at most ``tol * max(1, scale)``, with the
     scales of the relative residuals, and the naturally-reductive status
-    matches the expectation for the branch: false unless u = 0 and
-    V = W = 1.
+    matches the expectation, which does not depend on tol: true only at
+    the round point u = 0, V = W = 1 of ``sol.params``, which neither
+    family contains.
     """
-    residuals, relative, nr = _solution_residuals(sol.params)
-    expect_nr = (
-        abs(sol.params.u) <= tol and abs(sol.V - 1.0) <= tol and abs(sol.W - 1.0) <= tol
-    )
+    p = sol.params
+    residuals, relative, nr = _solution_residuals(p)
+    expect_nr = p.u == 0.0 and abs(p.v) == abs(p.w) == abs(p.t)
     passed = max(r for _, r in relative) <= tol and nr == expect_nr
     return VerificationReport(
         passed=passed,

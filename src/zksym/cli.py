@@ -87,10 +87,7 @@ def _load_params_file(path: str) -> dict:
         raise InvalidParamsError(f"cannot read parameter file {path}: {exc}") from exc
     try:
         if p.suffix.lower() == ".toml":
-            try:
-                import tomllib
-            except ImportError:
-                import tomli as tomllib
+            import tomllib  # loaded only for TOML parameter files
             data = tomllib.loads(raw.decode("utf-8"))
         else:
             data = json.loads(raw.decode("utf-8"))

@@ -17,12 +17,15 @@ must be positive-definite and, as the formulas assume, ad(h)-invariant.
   R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_{[X,Y]_m} Z - [[X,Y]_h, Z],
   where nabla acts as the algebraic connection operator on m and the last
   term is the isotropy action of the h-part of [X,Y],
-* the Ricci form rho(X,Y) = trace of V -> R(V,X)Y, traced straight from
-  the connection operators without building R,
+* the Ricci form rho(X,Y) = trace of V -> R(V,X)Y, by Besse's formula
+  (Einstein Manifolds, 1987, Cor. 7.38) from C and the Killing form B alone:
+  rho_ab = 1/4 sum_ij C[i,j,a] C[i,j,b] - 1/2 sum_jk C[a,j,k] C[b,j,k] - 1/2 B(E_a, E_b),
+  whose term in sum_i U(E_i, E_i) vanishes as so(5) is unimodular,
 * the first Ledger form
-  L(X,Y,Z) = (nabla_X rho)(Y,Z) + (nabla_Y rho)(Z,X) + (nabla_Z rho)(X,Y),
-  with (nabla_X rho)(Y,Z) = -rho(nabla_X Y, Z) - rho(Y, nabla_X Z) because
-  rho is invariant, hence constant in the invariant frame.
+  L(X,Y,Z) = (nabla_X rho)(Y,Z) + (nabla_Y rho)(Z,X) + (nabla_Z rho)(X,Y)
+           = -2 [rho(U(X,Y),Z) + rho(U(Y,Z),X) + rho(U(Z,X),Y)],
+  as rho is constant in the invariant frame and the bracket halves of
+  nabla cancel in the cyclic sum; so U = 0 (naturally reductive) gives L = 0.
 
 Under the homothety (t, u, v, w) -> (l t, l^2 u, l v, l w), C, U and nabla
 scale as 1/l, rho as 1/l^2 and L as 1/l^3.  So a verdict compares like
@@ -58,10 +61,10 @@ from .so5 import build_so5
 # CM[i, j, k], CH[i, j, a], ADH[a, l, k]: see GradedLieAlgebra.m_structure
 _CM, _CH, _ADH = build_so5().m_structure()
 
-# Isotropy part of the Ricci trace, sum_l ([[e_l, e_i]_h, e_j])_l, in the
-# raw basis; it does not depend on the metric.
-_RHO_H = np.einsum("lia,alj->ij", _CH, _ADH)
-_RHO_H.setflags(write=False)
+# Killing form B(X, Y) = trace(ad X ad Y) of so(5) on m in the raw basis; metric-free (it is -6 I)
+_AD_M = build_so5().structure[list(build_so5().m_indices)]  # _AD_M[a, p, q]: component q of [m_a, e_p]
+_KILLING_M = np.einsum("apq,bqp->ab", _AD_M, _AD_M)
+_KILLING_M.setflags(write=False)
 
 
 def m_bracket(x, y) -> np.ndarray:
@@ -91,19 +94,17 @@ class _Geometry:
         with np.errstate(all="ignore"):  # overflow shows up as a non-finite tensor below
             # c[i, j, k] = f[a, i] f[b, j] _CM[a, b, l] finv[k, l], one index at a time
             c = np.tensordot(f, _CM @ finv.T, axes=(0, 0))
-            c = np.tensordot(f, c, axes=(0, 1)).transpose(1, 0, 2)
+            c = np.ascontiguousarray(np.tensordot(f, c, axes=(0, 1)).transpose(1, 0, 2))
             u = 0.5 * (c.transpose(2, 1, 0) + c.transpose(1, 2, 0))
             n = u + 0.5 * c
-            nop = n.transpose(0, 2, 1)  # nop[i][l, k]: matrix of nabla_{E_i}
-            rho = (
-                np.einsum("llm,imj->ij", nop, nop)
-                - nop.reshape(8, 64) @ nop.reshape(64, 8)
-                - np.einsum("lim,mlj->ij", c, nop)
-                - f.T @ _RHO_H @ f
+            rho = (  # Besse's formula, see the module docstring
+                0.25 * np.einsum("ija,ijb->ab", c, c)
+                - 0.5 * np.einsum("ajk,bjk->ab", c, c)
+                - 0.5 * (f.T @ _KILLING_M @ f)
             )
             rho = 0.5 * (rho + rho.T)  # symmetrize away roundoff
-            d = -np.einsum("ijl,lk->ijk", n, rho) - np.einsum("ikl,jl->ijk", n, rho)
-            lgr = d + d.transpose(1, 2, 0) + d.transpose(2, 0, 1)
+            e = (u.reshape(64, 8) @ rho).reshape(8, 8, 8)  # e[i, j, k] = rho(U(E_i, E_j), E_k)
+            lgr = -2.0 * (e + e.transpose(1, 2, 0) + e.transpose(2, 0, 1))
         for arr in (c, u, n, rho, lgr):
             if not np.isfinite(arr).all():
                 raise DegenerateMetricError("the curvature tensors overflow at this scale")

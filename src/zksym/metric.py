@@ -132,7 +132,6 @@ class OrthonormalFrame:
     """Orthonormal frame of m; column j of ``matrix`` is frame vector j in raw m-coordinates."""
 
     matrix: np.ndarray
-    params: MetricParams
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
@@ -144,10 +143,6 @@ class OrthonormalFrame:
         inv = np.linalg.inv(self.matrix)
         inv.setflags(write=False)
         return inv
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return FRAME_NAMES
 
     def vector(self, name: str) -> np.ndarray:
         """Frame vector by name, in raw m-coordinates."""
@@ -193,7 +188,7 @@ def orthonormal_frame(p: MetricParams) -> OrthonormalFrame:
     f[3, 3] = 1.0 / k
     f[4, 4] = f[5, 5] = 1.0 / p.v     # B~i = Bi/v
     f[6, 6] = f[7, 7] = 1.0 / p.w     # C~i = Ci/w
-    return OrthonormalFrame(matrix=f, params=p)
+    return OrthonormalFrame(matrix=f)
 
 
 @dataclass(frozen=True)
@@ -207,12 +202,12 @@ class InvarianceReport:
         return self.max_residual <= tol
 
 
-def check_adh_invariance(alg: GradedLieAlgebra, form: AdaptedForm, tol: float = DEFAULT_TOL) -> InvarianceReport:
+def check_adh_invariance(alg: GradedLieAlgebra, form: AdaptedForm) -> InvarianceReport:
     """Check invariance of a form on m under the isotropy subalgebra.
 
     ``form.gram`` must be indexed by ``alg.m_indices`` in algebra order.
     Returns the worst triple (Z, X, Y); the residual is zero for every
-    output of :func:`build_form`.
+    output of :func:`build_form`.  Judge it with :meth:`InvarianceReport.ok`.
     """
     n = len(alg.m_indices)
     if form.gram.shape != (n, n):

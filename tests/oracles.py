@@ -46,6 +46,13 @@ def coords_from_matrix(m: np.ndarray) -> np.ndarray:
     return np.array([m[SO5_LAYOUT[name]] for name in SO5_ORDER])
 
 
+def structure_constants() -> np.ndarray:
+    """c[i, j, k]: coordinate k of [e_i, e_j], from the matrix commutators, in basis order."""
+    mats = [skew_unit(name) for name in SO5_ORDER]
+    c = np.array([[coords_from_matrix(commutator(a, b)) for b in mats] for a in mats])
+    return c.astype(int)
+
+
 def sample_params(rng: np.random.Generator, k_min: float = 0.1) -> MetricParams:
     """Random admissible parameters with t, v, w in [0.5, 2] and K >= k_min."""
     while True:

@@ -352,6 +352,18 @@ def test_verify_judges_the_params_not_the_record():
     assert verify_solution(moved).residuals == recomputed
 
 
+def test_round_point_solution_verifies():
+    # two star rows vanish at the round point, so only the max(1, scale)
+    # guard keeps their relative residuals finite
+    p = MetricParams(1.0, 0.0, 1.0, 1.0)
+    zeros = {"ledger": 0.0, "star": 0.0, "gram": 0.0}
+    sol = LedgerSolution("u-zero", 2.0, 1.0, 1.0, 0.0, p, zeros, True)
+    for tol in (DEFAULT_TOL, 0.5):
+        report = verify_solution(sol, tol)
+        assert report.passed, report.relative_residuals
+        assert report.naturally_reductive and report.expected_naturally_reductive
+
+
 def test_solution_record_schema():
     sol = solve_ledger_unonzero(1.2)[0]
     doc = sol.to_dict()

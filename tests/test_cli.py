@@ -287,6 +287,15 @@ def test_solve_exits_0_at_interval_ends(capsys, branch, s):
         assert set(json.loads(line)["residuals"]) == {"ledger", "star", "gram"}
 
 
+def test_solve_verdict_does_not_apply_tol_to_the_round_point(capsys):
+    # only the exact round point u = 0, V = W = 1 is expected to be
+    # naturally reductive, however loose the tolerance
+    code, out, err = run_cli(capsys, "solve", "--branch", "u0", "--S", "2", "--tol", "0.5")
+    assert code == 0, err
+    assert err == ""
+    assert len(out.splitlines()) == 2
+
+
 def test_sweep_range_validation(capsys):
     code, _, err = run_cli(capsys, "sweep", "--branch", "u1", "--S-min", "0.1", "--S-max", "1.0")
     assert code == 1

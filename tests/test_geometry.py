@@ -16,6 +16,7 @@ from zksym import (
     bracket_table,
     build_form,
     curvature,
+    geometry,
     ledger,
     ledger_table,
     m_bracket,
@@ -33,6 +34,7 @@ from oracles import (
     expected_ricci_matrix,
     expected_u_table,
     sample_params,
+    structure_constants,
 )
 
 NR_PARAMS = MetricParams(1, 0, 1, 1)
@@ -231,6 +233,14 @@ def test_ricci_matches_closed_forms():
         assert rho[6, 6] == pytest.approx(exp["r77"], rel=1e-9)
         assert rho[0, 3] == pytest.approx(exp["r14"], rel=1e-9, abs=1e-13)
         assert np.max(np.abs(rho - expected_ricci_matrix(p))) < 1e-9
+
+
+def test_killing_form_on_m_is_minus_six():
+    # trace(ad X ad Y) = 3 trace(XY) on so(5), and trace(XX) = -2 for a basis matrix
+    c = structure_constants()
+    killing = np.einsum("apq,bqp->ab", c, c)
+    assert np.array_equal(killing, -6 * np.eye(10))
+    assert np.array_equal(geometry._KILLING_M, -6 * np.eye(8))
 
 
 def test_ricci_u_zero_degeneracies():

@@ -1,25 +1,44 @@
 """Symbolic proofs on the closed forms of the oracles.
 
-The four reduced Ledger equations of ``oracles.expected_reduced_terms`` are
-evaluated on sympy symbols, with K kept as a symbol k bound by
-4 t^2 k^2 = 4 t^4 - u^2.  Each equation becomes one fraction, and it
-vanishes on a solution family if its numerator lies in the family's ideal,
-saturated by t v w k (the auxiliary y with y t v w k = 1 removes the
-components where a denominator vanishes).  Membership is decided by
-reduction modulo a Groebner basis.
+Everything is a rational function of sympy symbols t, u, v, w and k, with
+K kept as the symbol k bound by 4 t^2 k^2 = 4 t^4 - u^2.
+
+* The Ricci closed forms of ``oracles.expected_ricci_entries`` follow from
+  the structure constants of the literal 5x5 model alone: Besse's formula
+  (Einstein Manifolds, Cor. 7.38) on the brackets C of the orthonormal
+  frame and the Killing form gives them, entry by entry, modulo the K
+  relation.  That is, a numerator is divisible by the relation as a
+  polynomial in k (zero pseudo-remainder); the leading coefficient 4 t^2
+  and the denominators, products of t, v, w and k, do not vanish on the
+  admissible set.
+* The first Ledger form L = -2 sum_cyc rho(U(X,Y), Z) is linear in the five
+  Ricci entries.  Its nonzero frame triples carry the four reduced
+  equations of ``oracles.expected_reduced_terms`` times factors built from
+  t, v, w and k, so L = 0 iff all four vanish, at every admissible point.
+  One equation is a combination of the other three.
+* On a solution family the four reduced equations vanish if each
+  numerator lies in the family's ideal, saturated by t v w k (the
+  auxiliary y with y t v w k = 1 removes the components where a
+  denominator vanishes).  Membership is decided by reduction modulo a
+  Groebner basis.
 """
 
 import functools
+import itertools
 import types
 
+import numpy as np
 import pytest
 import sympy as sp
 
-from oracles import expected_reduced_terms
+from oracles import expected_reduced_terms, expected_ricci_entries, structure_constants
 
 t, u, v, w, k, y = sp.symbols("t u v w k y")
 _K_DEFINITION = 4 * t**2 * k**2 - 4 * t**4 + u**2
 _S = v**2 + w**2  # S t^2
+_POINT = types.SimpleNamespace(t=t, u=u, v=v, w=w, k_squared=t**2 - u**2 / (4 * t**2))
+_ENTRIES = expected_ricci_entries(_POINT, sqrt=lambda _: k)
+_R = sp.symbols("r11 r33 r55 r77 r14")  # the columns of the reduced system
 
 # Each family in (t, u, v, w), with V = v^2/t^2, W = w^2/t^2 and S = V + W.
 FAMILIES = {
@@ -34,10 +53,126 @@ FAMILIES = {
 }
 
 
+def _vanishes(expr) -> bool:
+    """Whether a rational function is zero modulo the K relation."""
+    numer = sp.expand(sp.numer(sp.together(expr)))
+    return sp.prem(numer, _K_DEFINITION, k) == 0
+
+
+def _ricci_matrix(e) -> sp.Matrix:
+    """The 8x8 Ricci matrix of the frame from its five entries, in the layout of ``oracles``."""
+    rho = sp.diag(e[0], e[0], e[1], e[1], e[2], e[2], e[3], e[3])
+    rho[0, 3] = rho[3, 0] = e[4]
+    rho[1, 2] = rho[2, 1] = -e[4]
+    return rho
+
+
+@functools.cache
+def _frame() -> sp.Matrix:
+    """Orthonormal frame (A~1..C~2) as columns in raw m-coordinates, from the coframe of ``zksym.metric``."""
+    mix = u / (2 * t**2 * k)
+    f = sp.diag(1 / t, 1 / t, 1 / k, 1 / k, 1 / v, 1 / v, 1 / w, 1 / w)
+    f[1, 2], f[0, 3] = mix, -mix
+    return f
+
+
+@functools.cache
+def _brackets() -> list:
+    """C[i][j][k]: frame component k of [E_i, E_j]_m, from the literal model."""
+    cm = structure_constants()[2:, 2:, 2:]  # the m block A1..C2 follows X1, X2
+    f = _frame()
+    finv = f.inv()
+    raw = [f.T * sp.Matrix(cm[:, :, l]) * f for l in range(8)]  # raw[l][i, j]: raw component l
+    return [[[sp.cancel(sum(finv[c, l] * raw[l][i, j] for l in range(8))) for c in range(8)]
+             for j in range(8)] for i in range(8)]
+
+
+@functools.cache
+def _u_table() -> list:
+    """U[i][j][k] = (C[k][j][i] + C[k][i][j]) / 2, the solution of its defining equation in the frame."""
+    c = _brackets()
+    return [[[(c[m][j][i] + c[m][i][j]) / 2 for m in range(8)] for j in range(8)] for i in range(8)]
+
+
+def test_frame_is_orthonormal():
+    gram = sp.diag(t**2, t**2, t**2, t**2, v**2, v**2, w**2, w**2)
+    gram[0, 3] = gram[3, 0] = u / 2
+    gram[1, 2] = gram[2, 1] = -u / 2
+    defect = _frame().T * gram * _frame() - sp.eye(8)
+    assert all(_vanishes(x) for x in defect)
+
+
+def test_ricci_closed_forms_follow_from_the_brackets():
+    c = _brackets()
+    c2 = structure_constants()
+    killing = sp.Matrix(np.einsum("apq,bqp->ab", c2, c2)[2:, 2:])
+    b = _frame().T * killing * _frame()
+    expected = _ricci_matrix([_ENTRIES[name] for name in ("r11", "r33", "r55", "r77", "r14")])
+    for p, q in itertools.combinations_with_replacement(range(8), 2):
+        rho = (
+            sum(c[i][j][p] * c[i][j][q] for i in range(8) for j in range(8)) / 4
+            - sum(c[p][j][m] * c[q][j][m] for j in range(8) for m in range(8)) / 2
+            - b[p, q] / 2
+        )
+        assert _vanishes(rho - expected[p, q]), (p, q)
+
+
+def test_so5_is_unimodular_in_the_frame():
+    # sum_i U(E_i, E_i) = 0, the condition under which Besse's formula has no further term
+    ut = _u_table()
+    assert [sp.simplify(sum(ut[i][i][m] for i in range(8))) for m in range(8)] == [0] * 8
+
+
+def _reduced_system() -> sp.Matrix:
+    """The (4, 5) coefficients of the oracle's reduced equations over (r11, r33, r55, r77, r14)."""
+    column = {_ENTRIES[name]: j for j, name in enumerate(("r11", "r33", "r55", "r77", "r14"))}
+    coef = sp.zeros(4, 5)
+    for i, terms in enumerate(expected_reduced_terms(_POINT, sqrt=lambda _: k)):
+        for c, entry in terms:
+            coef[i, column[entry]] += c
+    return coef
+
+
+# nonzero frame triples of L: (reduced equation, factor); the factors do not vanish
+_LEDGER_ROWS = {
+    (0, 4, 6): (0, -1 / (t * v * w)),
+    (1, 4, 7): (0, -1 / (t * v * w)),
+    (0, 5, 7): (1, -1 / (v * w)),
+    (1, 5, 6): (1, 1 / (v * w)),
+    (2, 4, 7): (2, -1 / t),
+    (3, 4, 6): (2, 1 / t),
+    (2, 5, 6): (3, -1 / (k * v * w)),
+    (3, 5, 7): (3, -1 / (k * v * w)),
+}
+
+
+def test_first_ledger_form_is_the_reduced_system():
+    ut, rho = _u_table(), _ricci_matrix(_R)
+    system = _reduced_system()
+
+    def e(i, j, m):  # rho(U(E_i, E_j), E_m)
+        return sum(ut[i][j][l] * rho[l, m] for l in range(8))
+
+    for i, j, m in itertools.combinations_with_replacement(range(8), 3):
+        ledger = sp.expand(-2 * (e(i, j, m) + e(j, m, i) + e(m, i, j)))
+        row, factor = _LEDGER_ROWS.get((i, j, m), (0, 0))
+        for col, r in enumerate(_R):
+            assert _vanishes(ledger.coeff(r) - factor * system[row, col]), (i, j, m, r)
+
+
+def test_reduced_system_has_rank_three():
+    # v w eq3 = u/(2 t k) eq4 - k eq2 everywhere, and the minor below is
+    # nonzero off u = 0 and v^2 = w^2, so the rank is 3 there (at most 3 on them)
+    eq = _reduced_system()
+    combination = v * w * eq[2, :] - u / (2 * t * k) * eq[3, :] + k * eq[1, :]
+    assert all(_vanishes(x) for x in combination)
+    minor = eq.extract([0, 1, 2], [0, 1, 2]).det()
+    assert sp.simplify(minor - u**2 * (v**2 - w**2) ** 2 / (4 * k * t**2 * v * w)) == 0
+
+
 @functools.cache
 def _numerators() -> list:
-    point = types.SimpleNamespace(t=t, u=u, v=v, w=w, k_squared=t**2 - u**2 / (4 * t**2))
-    equations = [sum(c * r for c, r in eq) for eq in expected_reduced_terms(point, sqrt=lambda _: k)]
+    equations = [sum(c * r for c, r in eq) for eq in expected_reduced_terms(_POINT, sqrt=lambda _: k)]
     return [sp.expand(sp.numer(sp.together(e))) for e in equations]
 
 
