@@ -6,7 +6,8 @@ entries; after the substitution V = v^2/t^2, W = w^2/t^2, S = V + W,
 P = V W (and U = u/t^2 when u != 0) those admit closed-form solution
 families, one branch with u = 0 and one with u != 0.  The solvers below
 return the families normalized at t = 1 together with their numerically
-recomputed residuals; callers rescale t at will.
+recomputed residuals; callers rescale t at will.  All solutions of one
+call, at one S or many, are evaluated in one stacked pass.
 
 The metrics with v = w form a third family that satisfies L = 0 and that
 no solver returns; of it only the round point u = 0, v^2 = w^2 = t^2 is
@@ -19,14 +20,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
 
 from . import geometry
 from .algebra import DEFAULT_TOL
-from .metric import FRAME_NAMES, DegenerateMetricError, InvalidParamsError, MetricParams, build_form, orthonormal_frame
+from .metric import FRAME_NAMES, DegenerateMetricError, InvalidParamsError, MetricParams, build_form
 
 S_INTERVAL_U0 = (1.0, 9.0)
 S_MAX_UNONZERO = (7.0 - math.sqrt(17.0)) / 2.0
@@ -55,14 +55,17 @@ def is_naturally_reductive(p: MetricParams, tol: float = DEFAULT_TOL) -> Reducti
     U counts as zero up to tol * max|bracket table|.  The witness names a
     frame triple (X, Y, Z) maximizing |<U(X,Y),Z>| when the test fails.
     """
-    ut = geometry.u_table(p)
+    geo = geometry._cached_geometry(p)
+    if _reductive(geo, tol)[0]:
+        return ReductivityReport(True, float(geo.max_u[0]), None)
+    i, j, k = np.unravel_index(int(np.argmax(np.abs(geo.u[0]))), (8, 8, 8))
+    return ReductivityReport(False, float(geo.max_u[0]), (FRAME_NAMES[i], FRAME_NAMES[j], FRAME_NAMES[k]))
+
+
+def _reductive(geo, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """The naturally-reductive verdict at each point of a stacked geometry: max|U| <= tol * max|bracket table|."""
     # two bracket coefficients multiply to 1/t^2, so the scale is at least 1/|t|, a normal float
-    scale = float(np.max(np.abs(geometry.bracket_table(p))))
-    max_abs = float(np.max(np.abs(ut)))
-    if max_abs <= tol * scale:
-        return ReductivityReport(True, max_abs, None)
-    i, j, k = np.unravel_index(int(np.argmax(np.abs(ut))), ut.shape)
-    return ReductivityReport(False, max_abs, (FRAME_NAMES[i], FRAME_NAMES[j], FRAME_NAMES[k]))
+    return geo.max_u <= tol * geo.max_cm
 
 
 def first_ledger_verdict(p: MetricParams, tol: float = DEFAULT_TOL) -> tuple[float, bool]:
@@ -73,19 +76,16 @@ def first_ledger_verdict(p: MetricParams, tol: float = DEFAULT_TOL) -> tuple[flo
     homothetic metric with |t| = 1, where the ratio is the same.  Raises
     DegenerateMetricError when the scale it judges by is no positive normal float.
     """
-    max_l = lgr = float(np.max(np.abs(geometry.ledger_table(p))))
-    scale = _ledger_scale(p)
+    geo = geometry._cached_geometry(p)
+    max_l = lgr = float(geo.max_ledger[0])
+    scale = float(geo.max_n[0]) * float(geo.max_rho[0])
     if not tol * scale >= sys.float_info.min:
         a = abs(p.t)
-        q = MetricParams(p.t / a, p.u / a / a, p.v / a, p.w / a)
-        scale, lgr = _ledger_scale(q), float(np.max(np.abs(geometry.ledger_table(q))))
+        geo = geometry._cached_geometry(MetricParams(p.t / a, p.u / a / a, p.v / a, p.w / a))
+        scale, lgr = float(geo.max_n[0]) * float(geo.max_rho[0]), float(geo.max_ledger[0])
     if not sys.float_info.min <= scale <= sys.float_info.max:
         raise DegenerateMetricError(f"max|nabla table| * max|rho| = {scale:.3g} is no positive normal float")
     return max_l, lgr <= tol * scale
-
-
-def _ledger_scale(p: MetricParams) -> float:
-    return float(np.max(np.abs(geometry.nomizu_table(p)))) * float(np.max(np.abs(geometry.ricci(build_form(p)))))
 
 
 def infinitesimal_isometries(p: MetricParams, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -117,38 +117,42 @@ def ledger_system_residuals(p: MetricParams) -> np.ndarray:
     - K eq2, and 3 off u = 0 and v^2 = w^2 (``tests/test_symbolic.py``
     proves all three).  Raises DegenerateMetricError when a residual overflows.
     """
-    return _ledger_system(p, geometry.ricci(build_form(p)))[1]
+    return _ledger_system([p], geometry.ricci(build_form(p))[None])[1][0]
 
 
 # frame index pairs of the Ricci entries r11, r33, r55, r77, r14
 _RICCI_ENTRIES = ([0, 2, 4, 6, 0], [0, 2, 4, 6, 3])
 
 
-def _ledger_system(p: MetricParams, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The reduced equations as a (4, 5) coefficient matrix over the Ricci entries, and their values at rho.
+def _ledger_system(points, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The reduced equations of each point as an (N, 4, 5) coefficient array over the Ricci entries, and their values.
 
-    Row i is equation i; column j multiplies entry j of (r11, r33, r55, r77,
-    r14), read from rho at ``_RICCI_ENTRIES``.  The coefficients are formed
-    from ratios of like scales (u/(2t) and K scale as t, (v^2 - w^2)/(vw)
-    and w/v are scale-free), so no intermediate product overflows where the
+    Row i of point n is equation i; column j multiplies entry j of (r11,
+    r33, r55, r77, r14), read from rho[n] (a stack, (N, 8, 8)) at
+    ``_RICCI_ENTRIES``.  The coefficients are formed from ratios of like
+    scales (u/(2t) and K scale as t, (v^2 - w^2)/(vw) and w/v are
+    scale-free), so no intermediate product overflows where the
     coefficients themselves do not.  Raises DegenerateMetricError when a
     residual overflows.
     """
-    t, u, v, w = p.t, p.u, p.v, p.w
-    k = p.K
-    t2, v2, w2, k2 = t * t, v * v, w * w, k * k
-    half_u_t = u / (2 * t)
-    d_vw = (v2 - w2) / (v * w)
-    coef = np.array([
-        [v2 - w2, 0.0, w2 - t2, t2 - v2, half_u_t / k * (w2 - v2)],
-        [0.0, 0.0, -half_u_t, half_u_t, (v2 - w2) / k],
-        [0.0, half_u_t * d_vw / k, half_u_t * (w / v) / k, -half_u_t * (v / w) / k, -d_vw],
-        [0.0, v2 - w2, w2 - k2, k2 - v2, 0.0],
-    ])
+    coef = []
+    for p in points:  # in Python floats, several times faster than numpy for the few points of a solve
+        t, u, v, w, k = p.t, p.u, p.v, p.w, p.K
+        t2, v2, w2, k2 = t * t, v * v, w * w, k * k
+        half_u_t = u / (2 * t)
+        d_vw = (v2 - w2) / (v * w)
+        coef.append([
+            [v2 - w2, 0.0, w2 - t2, t2 - v2, half_u_t / k * (w2 - v2)],
+            [0.0, 0.0, -half_u_t, half_u_t, (v2 - w2) / k],
+            [0.0, half_u_t * d_vw / k, half_u_t * (w / v) / k, -half_u_t * (v / w) / k, -d_vw],
+            [0.0, v2 - w2, w2 - k2, k2 - v2, 0.0],
+        ])
+    coef = np.array(coef)
     with np.errstate(all="ignore"):  # overflow shows up as a non-finite residual below
-        star = coef @ rho[_RICCI_ENTRIES]
-    if not np.all(np.isfinite(star)):
-        raise DegenerateMetricError(f"reduced Ledger system residuals are not finite: {star.tolist()}")
+        star = (coef * rho[:, None, _RICCI_ENTRIES[0], _RICCI_ENTRIES[1]]).sum(axis=2)  # the same sum at any N
+    finite = np.isfinite(star).all(axis=1)
+    if not finite.all():
+        raise DegenerateMetricError(f"reduced Ledger system residuals are not finite: {star[~finite][0].tolist()}")
     return coef, star
 
 
@@ -191,88 +195,90 @@ class LedgerSolution:
 _Residuals = tuple[tuple[str, float], ...]
 
 
-@lru_cache(maxsize=256)
-def _solution_residuals(p: MetricParams) -> tuple[_Residuals, _Residuals, bool]:
-    """Absolute residuals, the same over max(1, their scale), and the naturally-reductive status.
+def _evaluate(points) -> list[tuple[_Residuals, _Residuals, bool]]:
+    """Per point, in one stacked pass: absolute residuals, the same over max(1, their scale), naturally reductive.
 
     The residuals come as (name, value) pairs.  A scale is the size the
     cancelling terms could have, since the Ricci entries carry rounding
     relative to max|rho|: max|nabla table| * max|rho| for the Ledger form,
     the row sum of |coefficient| times max|rho| for each reduced equation
-    ("star"), and 1 for the frame-orthonormality defect.  Cached like the
-    geometry, so a solution and its verification evaluate it once; callers
-    make their own dicts of the immutable pairs.
+    ("star"), and 1 for the frame-orthonormality defect.  Callers make
+    their own dicts of the immutable pairs.
     """
-    form = build_form(p)
-    rho = geometry.ricci(form)
-    rho_max = float(np.max(np.abs(rho)))
-    coef, signed = _ledger_system(p, rho)
+    geo = geometry.stacked_geometry(points)
+    coef, signed = _ledger_system(points, geo.rho)
     star = np.abs(signed)
-    star_scale = np.abs(coef).sum(axis=1) * rho_max
-    lgr = float(np.max(np.abs(geometry.ledger_table(p))))
-    f = orthonormal_frame(p).matrix
-    gram_defect = float(np.max(np.abs(f.T @ form.gram @ f - np.eye(8))))
-    absolute = (("ledger", lgr), ("star", float(star.max())), ("gram", gram_defect))
-    relative = (
-        ("ledger", lgr / max(1.0, float(np.max(np.abs(geometry.nomizu_table(p)))) * rho_max)),
-        ("star", float(np.max(star / np.maximum(1.0, star_scale)))),
-        ("gram", gram_defect),
-    )
-    return absolute, relative, is_naturally_reductive(p).naturally_reductive
-
-
-def _make_solution(branch: str, s: float, vv: float, ww: float, u: float) -> LedgerSolution:
-    params = MetricParams(1.0, u, math.sqrt(vv), math.sqrt(ww))
-    residuals, _, nr = _solution_residuals(params)
-    return LedgerSolution(
-        branch=branch, S=s, V=vv, W=ww, Usq=u * u, params=params, residuals=dict(residuals), naturally_reductive=nr
-    )
-
-
-def solve_ledger_u0(s: float) -> list[LedgerSolution]:
-    """Solution families with u = 0 at a given S = V + W in (1, 9).
-
-    V and W are the two roots of X^2 - S X + P with P = (S - 1)(9 - S)/8;
-    the two returned solutions realize both root orderings (v^2, w^2) =
-    (X1, X2) t^2 and (X2, X1) t^2.  The small root is taken as X1 = P/X2,
-    which keeps full precision where P -> 0 at either end of the interval.
-    """
-    lo, hi = S_INTERVAL_U0
-    if not (lo < s < hi):
-        raise InvalidParamsError(f"S must lie in the open interval ({lo:g}, {hi:g}), got {s:g}")
-    disc = (3.0 * s * s - 10.0 * s + 9.0) / 2.0
-    x2 = (s + math.sqrt(disc)) / 2.0
-    x1 = (s - 1.0) * (9.0 - s) / 8.0 / x2
+    grams = np.array([build_form(p).gram for p in points])
+    gram_defect = np.abs(geo.frame.transpose(0, 2, 1) @ grams @ geo.frame - np.eye(8)).max(axis=(1, 2))
+    with np.errstate(over="ignore"):  # an overflowing scale leaves a relative residual at 0
+        rel_lgr = geo.max_ledger / np.maximum(1.0, geo.max_n * geo.max_rho)
+        rel_star = (star / np.maximum(1.0, np.abs(coef).sum(axis=2) * geo.max_rho[:, None])).max(axis=1)
+    columns = (geo.max_ledger, star.max(axis=1), gram_defect, rel_lgr, rel_star, _reductive(geo))
     return [
-        _make_solution("u-zero", s, x1, x2, 0.0),
-        _make_solution("u-zero", s, x2, x1, 0.0),
+        ((("ledger", a), ("star", b), ("gram", g)), (("ledger", ra), ("star", rb), ("gram", g)), nr)
+        for a, b, g, ra, rb, nr in zip(*(column.tolist() for column in columns))
     ]
 
 
-def solve_ledger_unonzero(s: float) -> list[LedgerSolution]:
-    """Solution families with u != 0 at a given S in (1/3, (7 - sqrt(17))/2).
+# the solvers' newest 256 evaluations by params, which verify_solution reads back
+_EVALUATED: dict[MetricParams, tuple[_Residuals, _Residuals, bool]] = {}
+
+
+def _solve(branch: str, rows: list[tuple[float, float, float, float]]) -> list[LedgerSolution]:
+    """The solutions (S, V, W, u) at t = 1, evaluated together in one stacked pass."""
+    points = [MetricParams(1.0, u, math.sqrt(vv), math.sqrt(ww)) for _, vv, ww, u in rows]
+    evaluations = _evaluate(points) if points else []
+    _EVALUATED.update(zip(points, evaluations))
+    for p in list(_EVALUATED)[:-256]:  # the oldest first
+        del _EVALUATED[p]
+    return [
+        LedgerSolution(branch, s, vv, ww, u * u, p, dict(residuals), nr)
+        for (s, vv, ww, u), p, (residuals, _, nr) in zip(rows, points, evaluations)
+    ]
+
+
+def solve_ledger_u0(*grid: float) -> list[LedgerSolution]:
+    """Solution families with u = 0 at each given S = V + W in (1, 9), in order.
+
+    V and W are the two roots of X^2 - S X + P with P = (S - 1)(9 - S)/8;
+    the two solutions per S realize both root orderings (v^2, w^2) =
+    (X1, X2) t^2 and (X2, X1) t^2.  The small root is taken as X1 = P/X2,
+    which keeps full precision where P -> 0 at either end of the interval.
+    """
+    rows = []
+    for s in grid:
+        lo, hi = S_INTERVAL_U0
+        if not (lo < s < hi):
+            raise InvalidParamsError(f"S must lie in the open interval ({lo:g}, {hi:g}), got {s:g}")
+        disc = (3.0 * s * s - 10.0 * s + 9.0) / 2.0
+        x2 = (s + math.sqrt(disc)) / 2.0
+        x1 = (s - 1.0) * (9.0 - s) / 8.0 / x2
+        rows += [(s, x1, x2, 0.0), (s, x2, x1, 0.0)]
+    return _solve("u-zero", rows)
+
+
+def solve_ledger_unonzero(*grid: float) -> list[LedgerSolution]:
+    """Solution families with u != 0 at each given S in (1/3, (7 - sqrt(17))/2), in order.
 
     P = S(4-S)(3S-1) / (8(8-3S)) and the discriminant
     Delta = S(-3S^2+3S+4) / (2(8-3S)) are positive on the interval, so
     V, W = (S +- sqrt(Delta))/2 are two positive roots, and
     u^2 = 4 (8 - 7S + S^2) / (8 - 3S) t^4 falls from 208/63 t^4 at S = 1/3
-    to 0 at the upper end, inside the positive-definite bound 4 t^4.  Up to
-    four solutions are returned: both root orderings times both signs of u.
-    The small root is taken as P/big, exact to rounding as S -> 1/3.
+    to 0 at the upper end, inside the positive-definite bound 4 t^4.  Four
+    solutions per S: both root orderings times both signs of u.  The small
+    root is taken as P/big, exact to rounding as S -> 1/3.
     """
-    lo, hi = S_INTERVAL_UNONZERO
-    if not (lo < s < hi):
-        raise InvalidParamsError(f"S must lie in the open interval ({lo:g}, {hi:g}), got {s:g}")
-    delta = s * (-3.0 * s * s + 3.0 * s + 4.0) / (2.0 * (8.0 - 3.0 * s))
-    big = (s + math.sqrt(delta)) / 2.0
-    small = s * (4.0 - s) * (3.0 * s - 1.0) / (8.0 * (8.0 - 3.0 * s)) / big
-    usq = 4.0 * (8.0 - 7.0 * s + s * s) / (8.0 - 3.0 * s)
-    u = math.sqrt(usq)
-    return [
-        _make_solution("u-nonzero", s, vv, ww, sign * u)
-        for (vv, ww) in ((big, small), (small, big))
-        for sign in (1.0, -1.0)
-    ]
+    rows = []
+    for s in grid:
+        lo, hi = S_INTERVAL_UNONZERO
+        if not (lo < s < hi):
+            raise InvalidParamsError(f"S must lie in the open interval ({lo:g}, {hi:g}), got {s:g}")
+        delta = s * (-3.0 * s * s + 3.0 * s + 4.0) / (2.0 * (8.0 - 3.0 * s))
+        big = (s + math.sqrt(delta)) / 2.0
+        small = s * (4.0 - s) * (3.0 * s - 1.0) / (8.0 * (8.0 - 3.0 * s)) / big
+        u = math.sqrt(4.0 * (8.0 - 7.0 * s + s * s) / (8.0 - 3.0 * s))
+        rows += [(s, vv, ww, sign * u) for (vv, ww) in ((big, small), (small, big)) for sign in (1.0, -1.0)]
+    return _solve("u-nonzero", rows)
 
 
 # ----------------------------------------------------------------------
@@ -300,7 +306,7 @@ class VerificationReport:
 
 
 def verify_solution(sol: LedgerSolution, tol: float = DEFAULT_TOL) -> VerificationReport:
-    """Recompute Ricci, Ledger and reduced-system residuals for a solution.
+    """Judge a solution by the residuals at its params: the solver's own evaluation, else one made here.
 
     Passes iff every residual is at most ``tol * max(1, scale)``, with the
     scales of the relative residuals, and the naturally-reductive status
@@ -309,7 +315,7 @@ def verify_solution(sol: LedgerSolution, tol: float = DEFAULT_TOL) -> Verificati
     family contains.
     """
     p = sol.params
-    residuals, relative, nr = _solution_residuals(p)
+    residuals, relative, nr = _EVALUATED.get(p) or _evaluate([p])[0]
     expect_nr = p.u == 0.0 and abs(p.v) == abs(p.w) == abs(p.t)
     passed = max(r for _, r in relative) <= tol and nr == expect_nr
     return VerificationReport(

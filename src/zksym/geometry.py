@@ -34,11 +34,16 @@ reductivity, max|L| <= tol * max|nabla| * max|rho| for the first Ledger
 condition (judged at the homothetic metric with |t| = 1 where the bound
 underflows; an overflowing bound is an error).
 
-Vectors passed to the public functions are 8-dimensional raw m-coordinates
+The tensors of N points are built in one pass (:func:`stacked_geometry`):
+(N, 8, 8, 8) for C, U, nabla and L, (N, 8, 8) for rho and (N,) for their
+maxima per point; no reduction runs across points.  A query is the stack
+N = 1, cached by its parameters.
+
+Vectors passed to the query functions are 8-dimensional raw m-coordinates
 (basis order A1..C2): an input x enters the frame as f^-1 x and a vector
-result y leaves it as f y.  Tables and the Ricci matrix are returned in
-the frame, the only basis in which their coefficients have canonical
-closed forms.
+result y leaves it as f y.  Tables, (8, 8, 8), and the Ricci matrix,
+(8, 8), are returned in the frame, the only basis in which their
+coefficients have canonical closed forms.
 """
 
 from __future__ import annotations
@@ -82,62 +87,83 @@ def _as_m_vector(x) -> np.ndarray:
 
 
 class _Geometry:
-    """The connection, Ricci and Ledger tensors of the form that frame f makes orthonormal, in f.
+    """The connection, Ricci and Ledger tensors of the forms that the frames f make orthonormal, in f.
 
-    ``frame`` holds the frame vectors as columns in raw m-coordinates.
+    ``frame[n]`` holds the frame vectors of point n of the stack as columns
+    in raw m-coordinates; every tensor carries n as its first index.
     Instances are read-only after construction.
     """
 
     def __init__(self, f: np.ndarray, finv: np.ndarray):
         self.frame, self.frame_inv = f, finv
+        ft = f.transpose(0, 2, 1)
 
         with np.errstate(all="ignore"):  # overflow shows up as a non-finite tensor below
-            # c[i, j, k] = f[a, i] f[b, j] _CM[a, b, l] finv[k, l], one index at a time
-            c = np.tensordot(f, _CM @ finv.T, axes=(0, 0))
-            c = np.ascontiguousarray(np.tensordot(f, c, axes=(0, 1)).transpose(1, 0, 2))
-            u = 0.5 * (c.transpose(2, 1, 0) + c.transpose(1, 2, 0))
+            # c[n, i, j, k] = f[n, a, i] f[n, b, j] _CM[a, b, l] finv[n, k, l], one index at a time
+            c = _CM @ finv.transpose(0, 2, 1)[:, None]
+            c = ft[:, None] @ (ft @ c.reshape(-1, 8, 64)).reshape(-1, 8, 8, 8)
+            u = 0.5 * (c.transpose(0, 3, 2, 1) + c.transpose(0, 2, 3, 1))
             n = u + 0.5 * c
-            rho = (  # Besse's formula, see the module docstring
-                0.25 * np.einsum("ija,ijb->ab", c, c)
-                - 0.5 * np.einsum("ajk,bjk->ab", c, c)
-                - 0.5 * (f.T @ _KILLING_M @ f)
+            rho = (  # Besse's formula (module docstring); einsum sums in index order at any N, as BLAS need not
+                0.25 * np.einsum("nija,nijb->nab", c, c)
+                - 0.5 * np.einsum("najk,nbjk->nab", c, c)
+                - 0.5 * (ft @ _KILLING_M @ f)
             )
-            rho = 0.5 * (rho + rho.T)  # symmetrize away roundoff
-            e = (u.reshape(64, 8) @ rho).reshape(8, 8, 8)  # e[i, j, k] = rho(U(E_i, E_j), E_k)
-            lgr = -2.0 * (e + e.transpose(1, 2, 0) + e.transpose(2, 0, 1))
-        for arr in (c, u, n, rho, lgr):
-            if not np.isfinite(arr).all():
-                raise DegenerateMetricError("the curvature tensors overflow at this scale")
+            rho = 0.5 * (rho + rho.transpose(0, 2, 1))  # symmetrize away roundoff
+            e = (u.reshape(-1, 64, 8) @ rho).reshape(-1, 8, 8, 8)  # e[n, i, j, k] = rho(U(E_i, E_j), E_k)
+            lgr = -2.0 * (e + e.transpose(0, 2, 3, 1) + e.transpose(0, 3, 1, 2))
+        maxima = tuple(np.abs(a).max(axis=tuple(range(1, a.ndim))) for a in (c, u, n, rho, lgr))  # max keeps NaN
+        if not np.isfinite(maxima).all():
+            raise DegenerateMetricError("the curvature tensors overflow at this scale")
+        for arr in (c, u, n, rho, lgr) + maxima:
             arr.setflags(write=False)
         self.cm, self.u, self.n, self.rho, self.ledger = c, u, n, rho, lgr
+        self.max_cm, self.max_u, self.max_n, self.max_rho, self.max_ledger = maxima
 
     @cached_property
     def r4(self) -> np.ndarray:
-        """Curvature on frame triples: r4[i, j, :, k] = R(E_i, E_j) E_k.
+        """Curvature on frame triples: r4[n, i, j, :, k] = R(E_i, E_j) E_k.
 
         Only :func:`curvature` needs the full tensor.
         """
-        f, finv, nop = self.frame, self.frame_inv, self.n.transpose(0, 2, 1)
-        ch = (f.T @ _CH.transpose(2, 0, 1) @ f).transpose(1, 2, 0)
+        f, finv, nop = self.frame[:, None], self.frame_inv[:, None], self.n.transpose(0, 1, 3, 2)
+        ch = (f.transpose(0, 1, 3, 2) @ _CH.transpose(2, 0, 1) @ f).transpose(0, 2, 3, 1)
         adh = finv @ _ADH @ f
-        comp = np.einsum("ilm,jmk->ijlk", nop, nop)
+        comp = np.einsum("nilm,njmk->nijlk", nop, nop)
         r4 = (
             comp
-            - comp.transpose(1, 0, 2, 3)
-            - np.einsum("ijm,mlk->ijlk", self.cm, nop)
-            - np.einsum("ija,alk->ijlk", ch, adh)
+            - comp.transpose(0, 2, 1, 3, 4)
+            - np.einsum("nijm,nmlk->nijlk", self.cm, nop)
+            - np.einsum("nija,nalk->nijlk", ch, adh)
         )
         r4.setflags(write=False)
         return r4
 
     def to_frame(self, x) -> np.ndarray:
-        return self.frame_inv @ _as_m_vector(x)
+        return self.frame_inv[0] @ _as_m_vector(x)
+
+
+_rows: dict = {}  # rows of a stacked geometry, handed to the cache of one-point geometries below
 
 
 @lru_cache(maxsize=256)
-def _cached_geometry(params: MetricParams) -> _Geometry:
-    frame = orthonormal_frame(params)  # guarded by params.K
-    return _Geometry(frame.matrix, frame.inverse)
+def _cached_geometry(p: MetricParams) -> _Geometry:
+    if p in _rows:
+        return _rows.pop(p)
+    frame = orthonormal_frame(p)  # guarded by p.K
+    return _Geometry(frame.matrix[None], frame.inverse[None])
+
+
+def stacked_geometry(points) -> _Geometry:
+    """The geometry of the parameter points in one stacked pass, N = len(points); each row is cached."""
+    f = np.array([orthonormal_frame(p).matrix for p in points])  # each guarded by its K
+    geo = _Geometry(f, np.linalg.inv(f))
+    for i, p in enumerate(points):
+        _rows[p] = row = object.__new__(_Geometry)  # point i as a stack of one, sharing geo's arrays
+        vars(row).update((name, arr[i:i + 1]) for name, arr in vars(geo).items())
+        _cached_geometry(p)  # takes the row, unless p is cached already
+    _rows.clear()
+    return geo
 
 
 def _geometry(form: AdaptedForm) -> _Geometry:
@@ -156,7 +182,7 @@ def _geometry(form: AdaptedForm) -> _Geometry:
         raise InvalidParamsError(
             f"Gram matrix is not ad(h)-invariant: B([{z},{x}],{y}) + B({x},[{z},{y}]) = {report.max_residual:.3g}"
         )
-    return _Geometry(np.linalg.inv(low).T, low.T)  # f^T g f = I
+    return _Geometry(np.linalg.inv(low).T[None], low.T[None])  # f^T g f = I
 
 
 # ----------------------------------------------------------------------
@@ -171,13 +197,13 @@ def u_map(x, y, form: AdaptedForm) -> np.ndarray:
     and output are raw m-coordinates.
     """
     geo = _geometry(form)
-    return geo.frame @ np.einsum("ijk,i,j->k", geo.u, geo.to_frame(x), geo.to_frame(y))
+    return geo.frame[0] @ np.einsum("ijk,i,j->k", geo.u[0], geo.to_frame(x), geo.to_frame(y))
 
 
 def nabla(x, y, form: AdaptedForm) -> np.ndarray:
     """Connection operator nabla_x y = U(x,y) + [x,y]_m / 2 (raw m-coordinates)."""
     geo = _geometry(form)
-    return geo.frame @ np.einsum("ijk,i,j->k", geo.n, geo.to_frame(x), geo.to_frame(y))
+    return geo.frame[0] @ np.einsum("ijk,i,j->k", geo.n[0], geo.to_frame(x), geo.to_frame(y))
 
 
 def curvature(x, y, z, form: AdaptedForm) -> np.ndarray:
@@ -188,7 +214,7 @@ def curvature(x, y, z, form: AdaptedForm) -> np.ndarray:
     """
     geo = _geometry(form)
     xf, yf, zf = geo.to_frame(x), geo.to_frame(y), geo.to_frame(z)
-    return geo.frame @ np.einsum("ijlk,i,j,k->l", geo.r4, xf, yf, zf)
+    return geo.frame[0] @ np.einsum("ijlk,i,j,k->l", geo.r4[0], xf, yf, zf)
 
 
 def ricci(form: AdaptedForm) -> np.ndarray:
@@ -199,7 +225,7 @@ def ricci(form: AdaptedForm) -> np.ndarray:
     :func:`orthonormal_frame` when ``form`` has parameters, else the
     Cholesky frame of its Gram matrix.
     """
-    return _geometry(form).rho
+    return _geometry(form).rho[0]
 
 
 def ledger(x, y, z, form: AdaptedForm) -> float:
@@ -209,24 +235,24 @@ def ledger(x, y, z, form: AdaptedForm) -> float:
     ad(h)-invariant Gram matrix, with or without parameters.
     """
     geo = _geometry(form)
-    return float(np.einsum("ijk,i,j,k->", geo.ledger, geo.to_frame(x), geo.to_frame(y), geo.to_frame(z)))
+    return float(np.einsum("ijk,i,j,k->", geo.ledger[0], geo.to_frame(x), geo.to_frame(y), geo.to_frame(z)))
 
 
 def bracket_table(p: MetricParams) -> np.ndarray:
     """Projected brackets on frame pairs: table[i, j, :] = [E_i, E_j]_m in frame coordinates."""
-    return _cached_geometry(p).cm
+    return _cached_geometry(p).cm[0]
 
 
 def u_table(p: MetricParams) -> np.ndarray:
     """U on frame pairs, frame coordinates; symmetric in the first two indices."""
-    return _cached_geometry(p).u
+    return _cached_geometry(p).u[0]
 
 
 def nomizu_table(p: MetricParams) -> np.ndarray:
     """Connection coefficients on frame pairs: table[i, j, :] = nabla_{E_i} E_j."""
-    return _cached_geometry(p).n
+    return _cached_geometry(p).n[0]
 
 
 def ledger_table(p: MetricParams) -> np.ndarray:
     """First Ledger form on all frame triples (8x8x8, fully symmetric)."""
-    return _cached_geometry(p).ledger
+    return _cached_geometry(p).ledger[0]

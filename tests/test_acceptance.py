@@ -149,9 +149,8 @@ def test_criterion_5_connection_properties():
 
 def test_criterion_6_ledger_u_zero_branch():
     worst = 0.0
-    for s in _interior_grid(*S_INTERVAL_U0, 50):
-        for sol in solve_ledger_u0(float(s)):
-            worst = max(worst, sol.residuals["ledger"])
+    for sol in solve_ledger_u0(*_interior_grid(*S_INTERVAL_U0, 50).tolist()):  # one stacked pass
+        worst = max(worst, sol.residuals["ledger"])
     rng = np.random.default_rng(106)
     worst_b1 = 0.0
     for _ in range(10):
@@ -172,15 +171,14 @@ def test_criterion_7_ledger_u_nonzero_branch():
     worst_eq = 0.0
     bounds_ok = True
     nr_ok = True
-    for s in _interior_grid(*S_INTERVAL_UNONZERO, 50):
-        for sol in solve_ledger_unonzero(float(s)):
-            p_val, s_val = sol.V * sol.W, sol.S
-            eq1 = 64 * p_val - 24 * p_val * s_val + 4 * s_val - 13 * s_val**2 + 3 * s_val**3
-            eq2 = 7 * sol.Usq - (28 - 16 * s_val + 4 * (s_val**2 - 8 * p_val))
-            worst_eq = max(worst_eq, abs(eq1), abs(eq2))
-            worst_l = max(worst_l, sol.residuals["ledger"])
-            bounds_ok = bounds_ok and 0 < sol.Usq < 16
-            nr_ok = nr_ok and not sol.naturally_reductive
+    for sol in solve_ledger_unonzero(*_interior_grid(*S_INTERVAL_UNONZERO, 50).tolist()):  # one stacked pass
+        p_val, s_val = sol.V * sol.W, sol.S
+        eq1 = 64 * p_val - 24 * p_val * s_val + 4 * s_val - 13 * s_val**2 + 3 * s_val**3
+        eq2 = 7 * sol.Usq - (28 - 16 * s_val + 4 * (s_val**2 - 8 * p_val))
+        worst_eq = max(worst_eq, abs(eq1), abs(eq2))
+        worst_l = max(worst_l, sol.residuals["ledger"])
+        bounds_ok = bounds_ok and 0 < sol.Usq < 16
+        nr_ok = nr_ok and not sol.naturally_reductive
     ok = worst_l < 1e-8 and worst_eq < 1e-12 and bounds_ok and nr_ok
     _report(7, "u!=0 families solve both reduced equations and the Ledger condition", ok,
             f"worst |L| {worst_l:.3g}, worst equation residual {worst_eq:.3g}")

@@ -531,14 +531,104 @@ def test_the_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
     assert proc.stdout == "0\n", proc.stderr
 
 
-def test_solve_computes_each_solution_residuals_once(capsys):
-    analysis._solution_residuals.cache_clear()
-    code, out, _ = run_cli(capsys, "solve", "--branch", "u1", "--S", "1.1")
+def _counting_stacks(monkeypatch):
+    """Record the stack size N of every _Geometry built and of every residual evaluation."""
+    builds, evaluations = [], []
+    init, evaluate = geometry._Geometry.__init__, analysis._evaluate
+
+    def counting_init(self, f, finv):
+        builds.append(len(f))
+        init(self, f, finv)
+
+    def counting_evaluate(points):
+        evaluations.append(len(points))
+        return evaluate(points)
+
+    monkeypatch.setattr(geometry._Geometry, "__init__", counting_init)
+    monkeypatch.setattr(analysis, "_evaluate", counting_evaluate)
+    return builds, evaluations
+
+
+@pytest.mark.parametrize("branch,s,n", [("u1", "1.1", 4), ("u0", "5", 2)])
+def test_solve_evaluates_its_solutions_in_one_stacked_pass(capsys, monkeypatch, branch, s, n):
+    # one geometry of N = 2 or 4 and one evaluation of the same stack: no
+    # per-point geometry, no Gram factorization, one form per solution for
+    # its Gram defect, and the per-point reductivity test never runs
+    builds, evaluations = _counting_stacks(monkeypatch)
+    forms = _count_calls(monkeypatch, metric.build_form)
+    nr_tests = _count_calls(monkeypatch, analysis.is_naturally_reductive)
+    cholesky, factorizations = _counting(np.linalg.cholesky)
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    geometry._cached_geometry.cache_clear()
+    code, out, _ = run_cli(capsys, "solve", "--branch", branch, "--S", s)
     assert code == 0
-    info = analysis._solution_residuals.cache_info()
-    # computed for each of the four records, looked up again by its verification
-    assert len(out.splitlines()) == 4
-    assert (info.misses, info.hits) == (4, 4)
+    assert len(out.splitlines()) == n
+    assert (builds, evaluations) == ([n], [n])
+    assert (len(forms), len(nr_tests), len(factorizations)) == (n, 0, 0)
+    # each row of the stack went into the geometry cache, computed nowhere else
+    info = geometry._cached_geometry.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (n, 0, n)
+
+
+def test_verification_reads_back_the_solvers_evaluations(monkeypatch):
+    builds, evaluations = _counting_stacks(monkeypatch)
+    sols = analysis.solve_ledger_unonzero(1.1) + analysis.solve_ledger_u0(5.0)
+    assert (builds, evaluations) == ([4, 2], [4, 2])
+    reports = [analysis.verify_solution(sol) for sol in sols]
+    assert all(r.passed for r in reports)
+    assert (builds, evaluations) == ([4, 2], [4, 2])
+    # a hand-built solution at a point no solver evaluated is evaluated alone
+    p = metric.MetricParams(1.0, 0.0, 1.0, 1.0)
+    hand_built = analysis.LedgerSolution("u-zero", 2.0, 1.0, 1.0, 0.0, p, {}, True)
+    assert analysis.verify_solution(hand_built).passed
+    assert (builds, evaluations) == ([4, 2, 1], [4, 2, 1])
+
+
+def test_the_stores_keep_the_newest_256_points(monkeypatch):
+    builds, evaluations = _counting_stacks(monkeypatch)
+    grid = np.linspace(0.4, 1.4, 100).tolist()
+    sols = analysis.solve_ledger_unonzero(*grid)
+    assert (builds, evaluations) == ([400], [400])
+    assert list(analysis._EVALUATED) == [sol.params for sol in sols[-256:]]
+    assert geometry._cached_geometry.cache_info().currsize == 256
+    assert analysis.verify_solution(sols[-1]).passed and evaluations == [400]
+    assert analysis.verify_solution(sols[0]).passed and evaluations == [400, 1]
+
+
+def test_sweep_streams_the_records_of_one_solve_per_s(capsys, monkeypatch):
+    # 70 S values go through stacked passes of 32, 32 and 6 S, yet print
+    # exactly what 70 single solves print, in grid order
+    builds, evaluations = _counting_stacks(monkeypatch)
+    code, swept, _ = run_cli(capsys, "sweep", "--branch", "u1", "--S-min", "0.34", "--S-max", "1.43", "--S-steps", "70")
+    assert code == 0
+    assert evaluations == [128, 128, 24]
+    solved = ""
+    for s in np.linspace(0.34, 1.43, 70).tolist():
+        code, out, _ = run_cli(capsys, "solve", "--branch", "u1", "--S", repr(s), "--format", "json")
+        assert code == 0
+        solved += out
+    assert swept == solved
+
+
+def _sweep_peak_rss_kb(steps: int) -> int:
+    probe = (
+        "import contextlib, io, resource, sys\n"
+        "from zksym.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main(['sweep', '--branch', 'u0', '--S-min', '1.5', '--S-max', '8.5', '--S-steps', '{steps}'])\n"
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(zksym.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    code, rss = proc.stdout.split()
+    assert code == "0", proc.stderr
+    return int(rss)
+
+
+def test_sweep_memory_does_not_grow_with_the_grid():
+    # 2400 solutions evaluated at once would hold about 70 MB more than 400
+    # (the printed records, kept here in memory, take about 1.5 MB)
+    assert _sweep_peak_rss_kb(1200) - _sweep_peak_rss_kb(200) < 10_000
 
 
 _SCALES = (1e-6, 1e-3, 1.0, 1e3, 1e6, 1e12)
@@ -600,26 +690,6 @@ def _count_calls(monkeypatch, fn) -> list:
                 if obj is fn:
                     monkeypatch.setattr(module, attr, counting)
     return calls
-
-
-def test_solve_builds_each_form_once_and_tests_reductivity_once(capsys, monkeypatch):
-    # one form for the residuals' Gram defect; the geometry cache builds its
-    # frame from the parameters alone, with no Gram matrix and no Cholesky.
-    # The reductivity status is part of the cached residuals that
-    # verification reads back.
-    builds = _count_calls(monkeypatch, metric.build_form)
-    nr_tests = _count_calls(monkeypatch, analysis.is_naturally_reductive)
-    cholesky, factorizations = _counting(np.linalg.cholesky)
-    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
-    geometry._cached_geometry.cache_clear()
-    analysis._solution_residuals.cache_clear()
-    code, out, _ = run_cli(capsys, "solve", "--branch", "u1", "--S", "1.1")
-    assert code == 0
-    assert len(out.splitlines()) == 4
-    assert (len(builds), len(nr_tests), len(factorizations)) == (4, 4, 0)
-    info = analysis._solution_residuals.cache_info()
-    assert (info.misses, info.hits) == (4, 4)
-    assert geometry._cached_geometry.cache_info().misses == 4
 
 
 def test_inspect_validates_the_built_in_algebra_once_per_process(capsys, monkeypatch, tmp_path):
