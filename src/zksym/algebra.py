@@ -282,26 +282,30 @@ def algebra_to_dict(alg: GradedLieAlgebra) -> dict:
 def algebra_from_dict(data: dict) -> GradedLieAlgebra:
     """Inverse of :func:`algebra_to_dict`; a malformed document raises ValueError."""
     try:
-        n = int(data["dim"])
-        names = list(data["names"])
-        grading = [GradingLabel(_json_bits(bits)) for bits in data["grading"]]
+        (n,) = _json_typed([data["dim"]], (int,), "dim must be an integer")
+        names = data["names"]
+        if type(names) is not list or len(set(_json_typed(names, (str,), "names must be strings"))) != len(names):
+            raise ValueError(f"names must be a list of distinct strings, got {names!r}")
+        grading = [GradingLabel(_json_typed(bits, (bool,), "grading bits must be booleans")) for bits in data["grading"]]
         if len(names) != n:
             raise ValueError("names length disagrees with dim")
         c = np.zeros((n, n, n))
         for row in data["structure"]:
             i, j, k, value = row
-            i, j, k = int(i), int(j), int(k)
+            i, j, k = _json_typed((i, j, k), (int,), "structure indices must be integers")
             if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
                 raise ValueError(f"structure index out of range: {(i, j, k)}")
-            c[i, j, k] = float(value)
-    except (KeyError, TypeError) as exc:
+            # OverflowError for an int beyond the floats
+            c[i, j, k] = float(_json_typed([value], (int, float), "structure values must be numbers")[0])
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed algebra document: {exc}") from exc
     return GradedLieAlgebra(names, c, grading)
 
 
-def _json_bits(bits) -> tuple[bool, ...]:
-    # GradingLabel reads any truthy value as a set bit, the string "0" included
-    bits = tuple(bits)
-    if not all(isinstance(b, bool) for b in bits):
-        raise ValueError(f"grading bits must be booleans, got {list(bits)!r}")
-    return bits
+def _json_typed(values, types: tuple[type, ...], what: str) -> tuple:
+    # exact JSON types: int() reads 2.7 and "2" as integers, Python counts a
+    # bool as an int, and GradingLabel reads any truthy value as a set bit
+    values = tuple(values)
+    if not all(type(v) in types for v in values):
+        raise ValueError(f"{what}, got {list(values)!r}")
+    return values

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -96,9 +96,8 @@ def infinitesimal_isometries(p: MetricParams, tol: float = DEFAULT_TOL) -> np.nd
     singular-value cutoff ``tol``.  Columns of the returned (8, dim) array
     are the basis vectors in frame coordinates.
     """
-    cm = geometry.bracket_table(p)
-    # one row per frame pair i <= j: row[x] = cm[x, i, j] + cm[x, j, i]
-    a = (cm + cm.transpose(0, 2, 1)).transpose(1, 2, 0)[np.triu_indices(8)]
+    # one row per frame pair i <= j: the equation is 2 <U(E_i, E_j), X> = 0, so row[x] = U[i, j, x]
+    a = geometry.u_table(p)[np.triu_indices(8)]
     _, s, vh = np.linalg.svd(a)
     cutoff = tol * (s[0] if s.size and s[0] > 0 else 1.0)
     rank = int(np.sum(s > cutoff))
@@ -117,7 +116,7 @@ def ledger_system_residuals(p: MetricParams) -> np.ndarray:
     - K eq2, and 3 off u = 0 and v^2 = w^2 (``tests/test_symbolic.py``
     proves all three).  Raises DegenerateMetricError when a residual overflows.
     """
-    return _ledger_system([p], geometry.ricci(build_form(p))[None])[1][0]
+    return _ledger_system([p], geometry._cached_geometry(p).rho)[1][0]
 
 
 # frame index pairs of the Ricci entries r11, r33, r55, r77, r14
@@ -167,7 +166,8 @@ class LedgerSolution:
     V = v^2/t^2 and W = w^2/t^2 at the normalization t = 1; Usq = u^2/t^4
     (zero on the u-zero branch).  ``residuals`` reports the recomputed
     max |L| over frame triples ("ledger"), the max residual of the reduced
-    system ("star") and the frame-orthonormality defect ("gram").
+    system ("star") and the frame-orthonormality defect ("gram").  A solver
+    attaches its evaluation for :func:`verify_solution`; a copy has none.
     """
 
     branch: str
@@ -178,6 +178,7 @@ class LedgerSolution:
     params: MetricParams
     residuals: Mapping[str, float]
     naturally_reductive: bool
+    _evaluation: tuple[_Residuals, _Residuals, bool] | None = field(default=None, init=False, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -220,21 +221,16 @@ def _evaluate(points) -> list[tuple[_Residuals, _Residuals, bool]]:
     ]
 
 
-# the solvers' newest 256 evaluations by params, which verify_solution reads back
-_EVALUATED: dict[MetricParams, tuple[_Residuals, _Residuals, bool]] = {}
-
-
 def _solve(branch: str, rows: list[tuple[float, float, float, float]]) -> list[LedgerSolution]:
     """The solutions (S, V, W, u) at t = 1, evaluated together in one stacked pass."""
     points = [MetricParams(1.0, u, math.sqrt(vv), math.sqrt(ww)) for _, vv, ww, u in rows]
     evaluations = _evaluate(points) if points else []
-    _EVALUATED.update(zip(points, evaluations))
-    for p in list(_EVALUATED)[:-256]:  # the oldest first
-        del _EVALUATED[p]
-    return [
-        LedgerSolution(branch, s, vv, ww, u * u, p, dict(residuals), nr)
-        for (s, vv, ww, u), p, (residuals, _, nr) in zip(rows, points, evaluations)
-    ]
+    solutions = []
+    for (s, vv, ww, u), p, evaluation in zip(rows, points, evaluations):
+        sol = LedgerSolution(branch, s, vv, ww, u * u, p, dict(evaluation[0]), evaluation[2])
+        object.__setattr__(sol, "_evaluation", evaluation)
+        solutions.append(sol)
+    return solutions
 
 
 def solve_ledger_u0(*grid: float) -> list[LedgerSolution]:
@@ -306,7 +302,7 @@ class VerificationReport:
 
 
 def verify_solution(sol: LedgerSolution, tol: float = DEFAULT_TOL) -> VerificationReport:
-    """Judge a solution by the residuals at its params: the solver's own evaluation, else one made here.
+    """Judge a solution by the residuals at its params: the evaluation its solver attached, else one made here.
 
     Passes iff every residual is at most ``tol * max(1, scale)``, with the
     scales of the relative residuals, and the naturally-reductive status
@@ -315,7 +311,7 @@ def verify_solution(sol: LedgerSolution, tol: float = DEFAULT_TOL) -> Verificati
     family contains.
     """
     p = sol.params
-    residuals, relative, nr = _EVALUATED.get(p) or _evaluate([p])[0]
+    residuals, relative, nr = sol._evaluation or _evaluate([p])[0]
     expect_nr = p.u == 0.0 and abs(p.v) == abs(p.w) == abs(p.t)
     passed = max(r for _, r in relative) <= tol and nr == expect_nr
     return VerificationReport(

@@ -4,11 +4,11 @@ Everything is computed in one basis: an orthonormal frame E_1..E_8 of
 m = span{A1..A4, B1, B2, C1, C2} for the adapted form B.  In it B is the
 identity, so the metric enters only through the frame's structure
 constants C[i, j, :] = [E_i, E_j]_m; every tensor is a contraction of C,
-a function of the frame and its inverse alone.  A form with parameters
-takes the cached :func:`orthonormal_frame`, guarded by the exact K test
-(the Gram's eigenvalues are t^2 +- |u|/2, v^2, w^2), with no Gram matrix
-and no factorization.  A bare Gram matrix takes its Cholesky frame; it
-must be positive-definite and, as the formulas assume, ad(h)-invariant.
+a function of the frame and its inverse alone.  The frame is the cached
+:func:`orthonormal_frame` of the parameters, guarded by the exact K test
+(the Gram's eigenvalues are t^2 +- |u|/2, v^2, w^2).  A bare Gram g must
+be positive-definite, g = L L^T, and ad(h)-invariant; it is then the form
+of (|t|, u, |v|, |w|) = (L00, 2 g30, L44, L66), whose frame is inv(L)^T.
 
 * the symmetric map U defined by 2B(U(X,Y),Z) = B(X,[Z,Y]_m) + B([Z,X]_m,Y),
   that is U[i, j, k] = (C[k, j, i] + C[k, i, j]) / 2,
@@ -146,18 +146,19 @@ class _Geometry:
 _rows: dict = {}  # rows of a stacked geometry, handed to the cache of one-point geometries below
 
 
+def _stack(points) -> _Geometry:
+    f = np.array([orthonormal_frame(p).matrix for p in points])  # each guarded by its K
+    return _Geometry(f, np.linalg.inv(f))
+
+
 @lru_cache(maxsize=256)
 def _cached_geometry(p: MetricParams) -> _Geometry:
-    if p in _rows:
-        return _rows.pop(p)
-    frame = orthonormal_frame(p)  # guarded by p.K
-    return _Geometry(frame.matrix[None], frame.inverse[None])
+    return _rows.pop(p) if p in _rows else _stack([p])
 
 
 def stacked_geometry(points) -> _Geometry:
     """The geometry of the parameter points in one stacked pass, N = len(points); each row is cached."""
-    f = np.array([orthonormal_frame(p).matrix for p in points])  # each guarded by its K
-    geo = _Geometry(f, np.linalg.inv(f))
+    geo = _stack(points)
     for i, p in enumerate(points):
         _rows[p] = row = object.__new__(_Geometry)  # point i as a stack of one, sharing geo's arrays
         vars(row).update((name, arr[i:i + 1]) for name, arr in vars(geo).items())
@@ -182,7 +183,7 @@ def _geometry(form: AdaptedForm) -> _Geometry:
         raise InvalidParamsError(
             f"Gram matrix is not ad(h)-invariant: B([{z},{x}],{y}) + B({x},[{z},{y}]) = {report.max_residual:.3g}"
         )
-    return _Geometry(np.linalg.inv(low).T[None], low.T[None])  # f^T g f = I
+    return _cached_geometry(MetricParams(low[0, 0], 2.0 * form.gram[3, 0], low[4, 4], low[6, 6]))
 
 
 # ----------------------------------------------------------------------
@@ -222,8 +223,8 @@ def ricci(form: AdaptedForm) -> np.ndarray:
 
     rho_ij = rho(E_i, E_j), where rho(X, Y) is the trace of V -> R(V, X) Y,
     so rho_ij = sum_k <R(E_k, E_i) E_j, E_k>.  The frame is that of
-    :func:`orthonormal_frame` when ``form`` has parameters, else the
-    Cholesky frame of its Gram matrix.
+    :func:`orthonormal_frame` for the form's parameters; a bare Gram
+    matrix is read as its parameters (|t|, u, |v|, |w|).
     """
     return _geometry(form).rho[0]
 

@@ -85,10 +85,40 @@ def _algebra_doc(case):
         doc["structure"].append([0, 1, 0, float("nan")])
     elif case == "string bits":
         doc["grading"] = [["1" if b else "0" for b in bits] for bits in doc["grading"]]
+    elif case in _COERCED:
+        doc = {**_SMALL_ALGEBRA, **_COERCED[case]}
     return doc
 
 
-@pytest.mark.parametrize("case", ["null value", "null structure", "bare number row", "NaN value", "string bits"])
+# [h, m] = m, a valid document; in each entry of _COERCED one value is
+# replaced by one that int() or float() would read as valid (dim true as
+# 1, with one basis element), except an int beyond the floats
+_SMALL_ALGEBRA = {"dim": 2, "names": ["h", "m"], "grading": [[False], [True]], "structure": [[0, 1, 1, 1], [1, 0, 1, -1]]}
+_COERCED = {
+    "dim 2.7": {"dim": 2.7},
+    "dim true": {"dim": True, "names": ["m"], "grading": [[True]], "structure": []},
+    "dim string": {"dim": "2"},
+    "index 1.9": {"structure": [[0, 1.9, 1, 1], [1, 0, 1, -1]]},
+    "index string": {"structure": [[0, "1", 1, 1], [1, 0, 1, -1]]},
+    "index true": {"structure": [[0, True, 1, 1], [1, 0, 1, -1]]},
+    "value string": {"structure": [[0, 1, 1, "1"], [1, 0, 1, -1]]},
+    "value true": {"structure": [[0, 1, 1, True], [1, 0, 1, -1]]},
+    "value beyond the floats": {"structure": [[0, 1, 1, 10**400], [1, 0, 1, -1]]},
+    "names null and int": {"names": [None, 3]},
+    "names string": {"names": "hm"},
+    "names duplicate": {"names": ["m", "m"]},
+}
+
+
+def test_inspect_small_algebra(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    for doc in (_SMALL_ALGEBRA, {**_SMALL_ALGEBRA, **_COERCED["dim true"], "dim": 1}):
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "inspect", "--algebra", str(path))
+        assert code == 0 and "validation: valid" in out
+
+
+@pytest.mark.parametrize("case", ["null value", "null structure", "bare number row", "NaN value", "string bits", *_COERCED])
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_inspect_malformed_algebra_exits_1(tmp_path, capsys, case, fmt):
     path = tmp_path / "doc.json"
@@ -202,6 +232,26 @@ def test_isometries_dimension_four(capsys):
     doc = json.loads(out)
     assert doc["dimension"] == 4
     assert len(doc["basis"]) == 4
+
+
+@pytest.mark.parametrize(
+    "point,names",
+    [
+        (("1", "0", "1", "1"), metric.FRAME_NAMES),
+        (("1", "0", "1", "2"), ("C~1", "C~2")),
+        (("1", "0.5", "1.3", "0.8"), ()),
+    ],
+)
+def test_isometries_text(capsys, point, names):
+    argv = [f"--{key}={value}" for key, value in zip("tuvw", point)]
+    code, out, _ = run_cli(capsys, "isometries", *argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == f"dimension: {len(names)}"
+    terms = [line.split() for line in lines[1:]]  # "+c1 name1 +c2 name2 ..."
+    assert len(terms) == len(names) and {name for t in terms for name in t[1::2]} == set(names)
+    if len(names) == 8:  # the system is zero: the frame vectors themselves, up to sign
+        assert [line.lstrip(" +-") for line in lines[1:]] == [f"1 {name}" for name in names]
 
 
 def test_ledger_residual_report(capsys):
@@ -584,15 +634,19 @@ def test_verification_reads_back_the_solvers_evaluations(monkeypatch):
     assert (builds, evaluations) == ([4, 2, 1], [4, 2, 1])
 
 
-def test_the_stores_keep_the_newest_256_points(monkeypatch):
+def test_solutions_carry_their_own_evaluations(monkeypatch):
+    # the geometry cache keeps the newest 256 points, but each solution
+    # holds its own evaluation, so all 400 verify without evaluating again
     builds, evaluations = _counting_stacks(monkeypatch)
     grid = np.linspace(0.4, 1.4, 100).tolist()
     sols = analysis.solve_ledger_unonzero(*grid)
     assert (builds, evaluations) == ([400], [400])
-    assert list(analysis._EVALUATED) == [sol.params for sol in sols[-256:]]
     assert geometry._cached_geometry.cache_info().currsize == 256
-    assert analysis.verify_solution(sols[-1]).passed and evaluations == [400]
-    assert analysis.verify_solution(sols[0]).passed and evaluations == [400, 1]
+    assert all(analysis.verify_solution(sol).passed for sol in sols)
+    assert evaluations == [400]
+    # a copy does not carry the evaluation, even at the same params
+    copy = dataclasses.replace(sols[0], params=dataclasses.replace(sols[0].params))
+    assert analysis.verify_solution(copy).passed and evaluations == [400, 1]
 
 
 def test_sweep_streams_the_records_of_one_solve_per_s(capsys, monkeypatch):

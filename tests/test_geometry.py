@@ -409,6 +409,39 @@ def test_bare_gram_matches_params_form():
             assert np.max(np.abs(op(*args, bare) - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref)))), op
 
 
+def _form_results(form, x, y, z):
+    return [u_map(x, y, form), nabla(x, y, form), curvature(x, y, z, form), ricci(form), ledger(x, y, z, form)]
+
+
+def test_bare_gram_is_read_as_its_parameters():
+    # an invariant Gram is that of (|t|, u, |v|, |w|), whose closed frame is
+    # its Cholesky frame: the bare form computes one geometry, answers its
+    # later queries from the cache, and that entry is the point's own
+    rng = np.random.default_rng(38)
+    x, y, z = (rng.standard_normal(8) for _ in range(3))
+    for st, sv, sw in itertools.product((1.0, -1.0), repeat=3):
+        p = MetricParams(1.3 * st, 0.9, 0.8 * sv, 1.6 * sw)
+        geometry._cached_geometry.cache_clear()
+        got = _form_results(AdaptedForm(gram=build_form(p).gram), x, y, z)
+        info = geometry._cached_geometry.cache_info()
+        assert (info.misses, info.hits) == (1, 4), p
+        ref = _form_results(build_form(MetricParams(abs(p.t), p.u, abs(p.v), abs(p.w))), x, y, z)
+        assert geometry._cached_geometry.cache_info().misses == 1, p
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b), p
+
+
+def test_bare_gram_hits_the_entry_of_its_params():
+    rng = np.random.default_rng(39)
+    for _ in range(500):
+        p = sample_params(rng)
+        geometry._cached_geometry.cache_clear()
+        ricci(build_form(p))
+        ricci(AdaptedForm(gram=build_form(p).gram))
+        info = geometry._cached_geometry.cache_info()
+        assert (info.misses, info.hits) == (1, 1), p
+
+
 def test_bare_gram_must_be_adh_invariant():
     # positive-definite but not ad(h)-invariant: the invariant-connection
     # formulas do not hold for it, so every operation refuses it
