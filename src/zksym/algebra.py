@@ -295,9 +295,8 @@ def algebra_from_dict(data: dict) -> GradedLieAlgebra:
             i, j, k = _json_typed((i, j, k), (int,), "structure indices must be integers")
             if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
                 raise ValueError(f"structure index out of range: {(i, j, k)}")
-            # OverflowError for an int beyond the floats
             c[i, j, k] = float(_json_typed([value], (int, float), "structure values must be numbers")[0])
-    except (KeyError, TypeError, OverflowError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:  # float() of an int beyond the floats overflows
         raise ValueError(f"malformed algebra document: {exc}") from exc
     return GradedLieAlgebra(names, c, grading)
 

@@ -183,7 +183,11 @@ def _geometry(form: AdaptedForm) -> _Geometry:
         raise InvalidParamsError(
             f"Gram matrix is not ad(h)-invariant: B([{z},{x}],{y}) + B({x},[{z},{y}]) = {report.max_residual:.3g}"
         )
-    return _cached_geometry(MetricParams(low[0, 0], 2.0 * form.gram[3, 0], low[4, 4], low[6, 6]))
+    try:
+        p = MetricParams(low[0, 0], 2.0 * float(form.gram[3, 0]), low[4, 4], low[6, 6])
+    except InvalidParamsError as exc:  # only u = 2 g30 can leave the floats
+        raise DegenerateMetricError(f"u = 2 g30 = 2 * {form.gram[3, 0]:.3g} overflows") from exc
+    return _cached_geometry(p)
 
 
 # ----------------------------------------------------------------------

@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -137,12 +136,6 @@ class OrthonormalFrame:
         m = np.array(self.matrix, dtype=float)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    @cached_property
-    def inverse(self) -> np.ndarray:
-        inv = np.linalg.inv(self.matrix)
-        inv.setflags(write=False)
-        return inv
 
     def vector(self, name: str) -> np.ndarray:
         """Frame vector by name, in raw m-coordinates."""

@@ -305,7 +305,7 @@ def test_ledger_function_agrees_with_table():
 
 
 def test_ledger_without_params_matches_table():
-    # rho and nabla are traced in the raw basis, so the raw form alone suffices
+    # a bare Gram matrix is read as its parameters, so it gives the table's values
     p = MetricParams(1.3, -0.7, 0.8, 1.6)
     bare = AdaptedForm(gram=build_form(p).gram)
     f = orthonormal_frame(p).matrix
@@ -326,7 +326,7 @@ def _raw3(op, *form):
 
 
 def _naive_frame3(raw3, frame):
-    return np.einsum("ai,bj,abl,kl->ijk", frame.matrix, frame.matrix, raw3, frame.inverse)
+    return np.einsum("ai,bj,abl,kl->ijk", frame.matrix, frame.matrix, raw3, np.linalg.inv(frame.matrix))
 
 
 def _naive_tables(p):
@@ -334,7 +334,7 @@ def _naive_tables(p):
     Ricci trace over the orthonormal frame of the full curvature."""
     form = build_form(p)
     frame = orthonormal_frame(p)
-    f, finv = frame.matrix, frame.inverse
+    f, finv = frame.matrix, np.linalg.inv(frame.matrix)
     rho = np.array(
         [
             [sum((finv @ curvature(f[:, k], f[:, i], f[:, j], form))[k] for k in range(8)) for j in range(8)]
@@ -396,8 +396,8 @@ def test_tables_exact_near_the_k_guard():
 
 
 def test_bare_gram_matches_params_form():
-    # the Cholesky frame of a bare Gram matrix differs from the adapted frame
-    # by signs at negative t and v; the raw-vector results must not
+    # a bare Gram matrix takes the frame of (|t|, u, |v|, |w|), which differs from
+    # the adapted frame by signs at negative t and v; the raw-vector results must not
     p = MetricParams(-1.3, 0.9, -0.8, 1.6)
     form = build_form(p)
     bare = AdaptedForm(gram=form.gram)
@@ -440,6 +440,13 @@ def test_bare_gram_hits_the_entry_of_its_params():
         ricci(AdaptedForm(gram=build_form(p).gram))
         info = geometry._cached_geometry.cache_info()
         assert (info.misses, info.hits) == (1, 1), p
+
+
+def test_bare_gram_whose_u_overflows_is_degenerate():
+    # positive-definite, finite and invariant, but u = 2 g30 is beyond the floats
+    g = build_form(MetricParams(1.0, 1.8, 1.0, 1.0)).gram * 1e308
+    with pytest.raises(DegenerateMetricError, match="overflows"):
+        ricci(AdaptedForm(gram=g))
 
 
 def test_bare_gram_must_be_adh_invariant():
