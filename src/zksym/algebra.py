@@ -292,10 +292,11 @@ def algebra_from_dict(data: dict) -> GradedLieAlgebra:
         c = np.zeros((n, n, n))
         for row in data["structure"]:
             i, j, k, value = row
-            i, j, k = _json_typed((i, j, k), (int,), "structure indices must be integers")
+            if not (type(i) is type(j) is type(k) is int and type(value) in (int, float)):  # as in _json_typed
+                raise ValueError(f"structure rows must hold three integers and a number, got {row!r}")
             if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
                 raise ValueError(f"structure index out of range: {(i, j, k)}")
-            c[i, j, k] = float(_json_typed([value], (int, float), "structure values must be numbers")[0])
+            c[i, j, k] = float(value)
     except (KeyError, TypeError, OverflowError) as exc:  # float() of an int beyond the floats overflows
         raise ValueError(f"malformed algebra document: {exc}") from exc
     return GradedLieAlgebra(names, c, grading)
