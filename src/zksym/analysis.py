@@ -1,24 +1,24 @@
 """Structural predicates and parameter-family solvers.
 
-The first Ledger condition L = 0 restricts the adapted metrics.  On the
-nontrivial frame triples it reduces to four scalar equations in the Ricci
-entries; after the substitution V = v^2/t^2, W = w^2/t^2, S = V + W,
-P = V W (and U = u/t^2 when u != 0) those admit closed-form solution
+Everything is computed in the root-space frame of :mod:`zksym.geometry`,
+where the first Ledger condition L = 0 is two collinearity determinants
+D_alpha = 0.  After the substitution V = v^2/t^2, W = w^2/t^2, S = V + W,
+P = V W (and U = u/t^2 when u != 0) they admit closed-form solution
 families, one branch with u = 0 and one with u != 0.  The solvers below
-return the families normalized at t = 1 together with their numerically
-recomputed residuals; callers rescale t at will.  All solutions of one
-call, at one S or many, are evaluated in one stacked pass.
+return the families normalized at t = 1 with their recomputed residuals,
+all solutions of one call evaluated in one stacked pass.  The metrics with
+v = w form a third family that satisfies L = 0 and that no solver returns;
+of it only the round point u = 0, v^2 = w^2 = t^2 is naturally reductive.
 
-The metrics with v = w form a third family that satisfies L = 0 and that
-no solver returns; of it only the round point u = 0, v^2 = w^2 = t^2 is
-naturally reductive.  Verdicts compare like scales, as set out in
-:mod:`zksym.geometry`.
+Verdicts use frame-free scales: Frobenius norms, the same in every
+orthonormal frame, and each D_alpha against the sizes of its terms, which
+do not scale.  The adapted frame (A~1..C~2), in which reports name frame
+triples and the reduced equations are written, is for presentation only.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -39,7 +39,7 @@ S_INTERVAL_UNONZERO = (1.0 / 3.0, S_MAX_UNONZERO)
 
 @dataclass(frozen=True)
 class ReductivityReport:
-    """U-based naturally-reductive test: max |<U(X,Y),Z>| over frame triples."""
+    """U-based naturally-reductive test: max |<U(X,Y),Z>| over adapted frame triples."""
 
     naturally_reductive: bool
     max_coefficient: float
@@ -52,40 +52,50 @@ class ReductivityReport:
 def is_naturally_reductive(p: MetricParams, tol: float = DEFAULT_TOL) -> ReductivityReport:
     """Test whether the metric is naturally reductive (U vanishes on m).
 
-    U counts as zero up to tol * max|bracket table|.  The witness names a
-    frame triple (X, Y, Z) maximizing |<U(X,Y),Z>| when the test fails.
+    U counts as zero up to tol times the bracket table, in Frobenius norm,
+    which is the same in every orthonormal frame.  The witness names an
+    adapted frame triple (X, Y, Z) maximizing |<U(X,Y),Z>| when the test fails.
     """
     geo = geometry._cached_geometry(p)
+    table = np.abs(geo.table("u")[0])
     if _reductive(geo, tol)[0]:
-        return ReductivityReport(True, float(geo.max_u[0]), None)
-    i, j, k = np.unravel_index(int(np.argmax(np.abs(geo.u[0]))), (8, 8, 8))
-    return ReductivityReport(False, float(geo.max_u[0]), (FRAME_NAMES[i], FRAME_NAMES[j], FRAME_NAMES[k]))
+        return ReductivityReport(True, float(table.max()), None)
+    i, j, k = np.unravel_index(int(np.argmax(table)), (8, 8, 8))
+    return ReductivityReport(False, float(table.max()), (FRAME_NAMES[i], FRAME_NAMES[j], FRAME_NAMES[k]))
 
 
 def _reductive(geo, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """The naturally-reductive verdict at each point of a stacked geometry: max|U| <= tol * max|bracket table|."""
-    # two bracket coefficients multiply to 1/t^2, so the scale is at least 1/|t|, a normal float
-    return geo.max_u <= tol * geo.max_cm
+    """The naturally-reductive verdict at each point of a stacked geometry: ||U|| <= tol * ||bracket table||."""
+    return geo.norm_u <= tol * geo.norm_c
 
 
 def first_ledger_verdict(p: MetricParams, tol: float = DEFAULT_TOL) -> tuple[float, bool]:
-    """max|L| over frame triples, and whether it is at most tol * max|nabla table| * max|rho|.
+    """max|L| over adapted frame triples, and whether the first Ledger condition holds to tol.
 
-    Where that bound is no normal float, L may have underflowed (at |t| =
-    1e154 it is of order 1e-462), and the verdict is taken at the
-    homothetic metric with |t| = 1, where the ratio is the same.  Raises
-    DegenerateMetricError when the scale it judges by is no positive normal float.
+    L = 0 iff the two collinearity determinants D_alpha of
+    :mod:`zksym.geometry` vanish.  Each is judged against the sum of the
+    sizes of its three terms, |D_alpha| <= tol * sum |(x_i - x_j) r_k|,
+    both sides scale-free and frame-free.  Where the three points nearly
+    meet, near the round point, that sum vanishes with D_alpha, and U = 0
+    to tol, which implies L = 0, holds instead.  Raises
+    DegenerateMetricError when a determinant or its terms overflow.
     """
     geo = geometry._cached_geometry(p)
-    max_l = lgr = float(geo.max_ledger[0])
-    scale = float(geo.max_n[0]) * float(geo.max_rho[0])
-    if not tol * scale >= sys.float_info.min:
-        a = abs(p.t)
-        geo = geometry._cached_geometry(MetricParams(p.t / a, p.u / a / a, p.v / a, p.w / a))
-        scale, lgr = float(geo.max_n[0]) * float(geo.max_rho[0]), float(geo.max_ledger[0])
-    if not sys.float_info.min <= scale <= sys.float_info.max:
-        raise DegenerateMetricError(f"max|nabla table| * max|rho| = {scale:.3g} is no positive normal float")
-    return max_l, lgr <= tol * scale
+    return float(np.abs(geo.table("ledger")[0]).max()), bool(_ledger_holds(geo, tol)[0])
+
+
+def _ledger_holds(geo, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """The first Ledger verdict at each point of a stacked geometry (see :func:`first_ledger_verdict`)."""
+    det, scale = _determinants(geo, geo.det_scale)
+    return (det <= tol * scale).all(axis=1) | _reductive(geo, tol)
+
+
+def _determinants(geo, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|D_alpha| and a scale of each, (N, 2) both; raises where they are not finite."""
+    det = np.abs(geo.det)
+    if not np.isfinite(det + scale).all():
+        raise DegenerateMetricError(f"the Ledger determinants are not finite: {geo.det.tolist()}")
+    return det, scale
 
 
 def infinitesimal_isometries(p: MetricParams, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -94,7 +104,7 @@ def infinitesimal_isometries(p: MetricParams, tol: float = DEFAULT_TOL) -> np.nd
     Solves B([X,Y]_m, Z) + B(Y, [X,Z]_m) = 0 over all frame pairs (Y, Z)
     as a linear system in X; the kernel is extracted by SVD with relative
     singular-value cutoff ``tol``.  Columns of the returned (8, dim) array
-    are the basis vectors in frame coordinates.
+    are the basis vectors in adapted frame coordinates.
     """
     # one row per frame pair i <= j: the equation is 2 <U(E_i, E_j), X> = 0, so row[x] = U[i, j, x]
     a = geometry.u_table(p)[np.triu_indices(8)]
@@ -104,55 +114,40 @@ def infinitesimal_isometries(p: MetricParams, tol: float = DEFAULT_TOL) -> np.nd
     return vh[rank:].T.copy()
 
 
-def ledger_system_residuals(p: MetricParams) -> np.ndarray:
-    """The four reduced scalar equations of the first Ledger condition.
-
-    ``_ledger_system`` holds them as a (4, 5) coefficient matrix over the
-    Ricci entries (r11, r33, r55, r77, r14) of the orthonormal frame.  The
-    eight frame triples where L = -2 sum_cyc rho(U(X,Y), Z) can be nonzero,
-    (A~i, B~j, C~k) with j = k for i = 1, 4 and j != k for i = 2, 3, each
-    carry one equation times +-1/t, +-1/(vw), -1/(tvw) or -1/(Kvw), so all
-    four vanish iff L = 0.  The rank is at most 3, as v w eq3 = u/(2tK) eq4
-    - K eq2, and 3 off u = 0 and v^2 = w^2 (``tests/test_symbolic.py``
-    proves all three).  Raises DegenerateMetricError when a residual overflows.
-    """
-    return _ledger_system([p], geometry._cached_geometry(p).rho)[1][0]
-
-
-# frame index pairs of the Ricci entries r11, r33, r55, r77, r14
+# adapted frame index pairs of the Ricci entries r11, r33, r55, r77, r14
 _RICCI_ENTRIES = ([0, 2, 4, 6, 0], [0, 2, 4, 6, 3])
 
 
-def _ledger_system(points, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The reduced equations of each point as an (N, 4, 5) coefficient array over the Ricci entries, and their values.
+def ledger_system_residuals(p: MetricParams) -> np.ndarray:
+    """The four reduced scalar equations of the first Ledger condition, in the adapted frame.
 
-    Row i of point n is equation i; column j multiplies entry j of (r11,
-    r33, r55, r77, r14), read from rho[n] (a stack, (N, 8, 8)) at
-    ``_RICCI_ENTRIES``.  The coefficients are formed from ratios of like
-    scales (u/(2t) and K scale as t, (v^2 - w^2)/(vw) and w/v are
-    scale-free), so no intermediate product overflows where the
-    coefficients themselves do not.  Raises DegenerateMetricError when a
-    residual overflows.
+    A (4, 5) coefficient matrix over the Ricci entries (r11, r33, r55,
+    r77, r14) of the adapted frame.  The eight frame triples where L can
+    be nonzero, (A~i, B~j, C~k) with j = k for i = 1, 4 and j != k for i =
+    2, 3, each carry one equation times +-1/t, +-1/(vw), -1/(tvw) or
+    -1/(Kvw), so all four vanish iff L = 0.  The rank is at most 3, as
+    v w eq3 = u/(2tK) eq4 - K eq2, and 3 off u = 0 and v^2 = w^2
+    (``tests/test_symbolic.py`` proves all three).  The coefficients are
+    ratios of like scales (u/(2t) and K scale as t, (v^2 - w^2)/(vw) and
+    w/v are scale-free), so no product overflows where they do not.
+    Raises DegenerateMetricError when a residual overflows.
     """
-    coef = []
-    for p in points:  # in Python floats, several times faster than numpy for the few points of a solve
-        t, u, v, w, k = p.t, p.u, p.v, p.w, p.K
-        t2, v2, w2, k2 = t * t, v * v, w * w, k * k
-        half_u_t = u / (2 * t)
-        d_vw = (v2 - w2) / (v * w)
-        coef.append([
-            [v2 - w2, 0.0, w2 - t2, t2 - v2, half_u_t / k * (w2 - v2)],
-            [0.0, 0.0, -half_u_t, half_u_t, (v2 - w2) / k],
-            [0.0, half_u_t * d_vw / k, half_u_t * (w / v) / k, -half_u_t * (v / w) / k, -d_vw],
-            [0.0, v2 - w2, w2 - k2, k2 - v2, 0.0],
-        ])
-    coef = np.array(coef)
+    rho = geometry._cached_geometry(p).ricci[0]
+    t, u, v, w, k = p.t, p.u, p.v, p.w, p.K
+    t2, v2, w2, k2 = t * t, v * v, w * w, k * k
+    half_u_t = u / (2 * t)
+    d_vw = (v2 - w2) / (v * w)
+    coef = np.array([
+        [v2 - w2, 0.0, w2 - t2, t2 - v2, half_u_t / k * (w2 - v2)],
+        [0.0, 0.0, -half_u_t, half_u_t, (v2 - w2) / k],
+        [0.0, half_u_t * d_vw / k, half_u_t * (w / v) / k, -half_u_t * (v / w) / k, -d_vw],
+        [0.0, v2 - w2, w2 - k2, k2 - v2, 0.0],
+    ])
     with np.errstate(all="ignore"):  # overflow shows up as a non-finite residual below
-        star = (coef * rho[:, None, _RICCI_ENTRIES[0], _RICCI_ENTRIES[1]]).sum(axis=2)  # the same sum at any N
-    finite = np.isfinite(star).all(axis=1)
-    if not finite.all():
-        raise DegenerateMetricError(f"reduced Ledger system residuals are not finite: {star[~finite][0].tolist()}")
-    return coef, star
+        star = (coef * rho[_RICCI_ENTRIES]).sum(axis=1)
+    if not np.isfinite(star).all():
+        raise DegenerateMetricError(f"reduced Ledger system residuals are not finite: {star.tolist()}")
+    return star
 
 
 # ----------------------------------------------------------------------
@@ -164,9 +159,9 @@ class LedgerSolution:
     """Admissible parameter tuple solving the first Ledger condition.
 
     V = v^2/t^2 and W = w^2/t^2 at the normalization t = 1; Usq = u^2/t^4
-    (zero on the u-zero branch).  ``residuals`` reports the recomputed
-    max |L| over frame triples ("ledger"), the max residual of the reduced
-    system ("star") and the frame-orthonormality defect ("gram").  A solver
+    (zero on the u-zero branch).  ``residuals`` reports, computed in the
+    root frame, ||L|| in Frobenius norm ("ledger"), the larger |D_alpha|
+    ("star") and the root frame's orthonormality defect ("gram").  A solver
     attaches its evaluation for :func:`verify_solution`; a copy has none.
     """
 
@@ -197,28 +192,33 @@ _Residuals = tuple[tuple[str, float], ...]
 
 
 def _evaluate(points) -> list[tuple[_Residuals, _Residuals, bool]]:
-    """Per point, in one stacked pass: absolute residuals, the same over max(1, their scale), naturally reductive.
+    """Per point, in one stacked pass: absolute residuals, the same over their scale, naturally reductive.
 
-    The residuals come as (name, value) pairs.  A scale is the size the
-    cancelling terms could have, since the Ricci entries carry rounding
-    relative to max|rho|: max|nabla table| * max|rho| for the Ledger form,
-    the row sum of |coefficient| times max|rho| for each reduced equation
-    ("star"), and 1 for the frame-orthonormality defect.  Callers make
-    their own dicts of the immutable pairs.
+    The residuals come as (name, value) pairs: ||L|| in Frobenius norm
+    ("ledger"), over ||nabla|| ||rho||; the larger |D_alpha| ("star"), each
+    over the sizes of all the terms of its expansion in x, which bound what
+    rounding the solution's own parameters can move it by (near S = 1 on
+    the u = 0 branch one ulp of W moves it by far more than its three
+    terms' sizes); and the root frame's orthonormality defect for the Gram
+    matrix of :func:`build_form` ("gram"), whose scale is 1.  The scales
+    are frame-free and do not scale.  Callers make their own dicts.
     """
     geo = geometry.stacked_geometry(points)
-    coef, signed = _ledger_system(points, geo.rho)
-    star = np.abs(signed)
+    det, scale = _determinants(geo, geo.det_bound)  # the sizes include 3 / x_k > 0
     grams = np.array([build_form(p).gram for p in points])
-    gram_defect = np.abs(geo.frame.transpose(0, 2, 1) @ grams @ geo.frame - np.eye(8)).max(axis=(1, 2))
+    frame = geo.frame
+    gram_defect = np.abs(frame.transpose(0, 2, 1) @ grams @ frame - _EYE).max(axis=(1, 2))
     with np.errstate(over="ignore"):  # an overflowing scale leaves a relative residual at 0
-        rel_lgr = geo.max_ledger / np.maximum(1.0, geo.max_n * geo.max_rho)
-        rel_star = (star / np.maximum(1.0, np.abs(coef).sum(axis=2) * geo.max_rho[:, None])).max(axis=1)
-    columns = (geo.max_ledger, star.max(axis=1), gram_defect, rel_lgr, rel_star, _reductive(geo))
+        rel_lgr = geo.norm_ledger / (geo.norm_n * geo.norm_rho)
+    columns = (np.ldexp(geo.norm_ledger, -3 * geo.e), det.max(axis=1), gram_defect, rel_lgr,
+               (det / scale).max(axis=1), _reductive(geo))
     return [
         ((("ledger", a), ("star", b), ("gram", g)), (("ledger", ra), ("star", rb), ("gram", g)), nr)
         for a, b, g, ra, rb, nr in zip(*(column.tolist() for column in columns))
     ]
+
+
+_EYE = np.eye(8)
 
 
 def _solve(branch: str, rows: list[tuple[float, float, float, float]]) -> list[LedgerSolution]:
@@ -285,8 +285,8 @@ def solve_ledger_unonzero(*grid: float) -> list[LedgerSolution]:
 class VerificationReport:
     """Recomputed residuals and reductivity status of a LedgerSolution.
 
-    ``residuals`` are absolute, ``relative_residuals`` the same over
-    max(1, their scale); the verdict uses the relative ones.
+    ``residuals`` are absolute, ``relative_residuals`` the same over their
+    frame-free scales; the verdict uses the relative ones.
     """
 
     passed: bool
@@ -304,8 +304,8 @@ class VerificationReport:
 def verify_solution(sol: LedgerSolution, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Judge a solution by the residuals at its params: the evaluation its solver attached, else one made here.
 
-    Passes iff every residual is at most ``tol * max(1, scale)``, with the
-    scales of the relative residuals, and the naturally-reductive status
+    Passes iff every residual is at most ``tol`` times its scale, those of
+    the relative residuals, and the naturally-reductive status
     matches the expectation, which does not depend on tol: true only at
     the round point u = 0, V = W = 1 of ``sol.params``, which neither
     family contains.

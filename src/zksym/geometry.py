@@ -1,49 +1,40 @@
-"""Riemannian package of the flag manifold at the origin.
+"""Riemannian package of the flag manifold at the origin, computed in the root-space frame.
 
-Everything is computed in one basis: an orthonormal frame E_1..E_8 of
-m = span{A1..A4, B1, B2, C1, C2} for the adapted form B.  In it B is the
-identity, so the metric enters only through the frame's structure
-constants C[i, j, :] = [E_i, E_j]_m; every tensor is a contraction of C,
-a function of the frame and its inverse alone.  The frame is the cached
-:func:`orthonormal_frame` of the parameters, guarded by the exact K test
-(the Gram's eigenvalues are t^2 +- |u|/2, v^2, w^2).  A bare Gram g must
-be positive-definite, g = L L^T, and ad(h)-invariant; it is then the form
-of (|t|, u, |v|, |w|) = (L00, 2 g30, L44, L66), whose frame is inv(L)^T.
+The torus h = span{X1, X2} splits m into four inequivalent root spaces, the
+column pairs of the fixed orthogonal basis P: (A1 + A4, A2 - A3)/sqrt 2 for
+e1 - e2, (A1 - A4, A2 + A3)/sqrt 2 for e1 + e2, (B1, B2) for e1, (C1, C2)
+for e2.  So every adapted form is diag(x) in P, x = (t^2 + u/2, t^2 - u/2,
+v^2, w^2) (K^2 = x1 x2 / t^2), and E = P diag(x)^(-1/2) is orthonormal.
+The structure constants c0 of m in P are totally antisymmetric, 48 entries
++-1/sqrt 2 on the module triples (e1 -+ e2, e1, e2), and every tensor lives
+on that support, (N, 48) values for a stack of N points:
 
-* the symmetric map U defined by 2B(U(X,Y),Z) = B(X,[Z,Y]_m) + B([Z,X]_m,Y),
-  that is U[i, j, k] = (C[k, j, i] + C[k, i, j]) / 2,
-* the invariant connection operator  nabla_X Y = U(X,Y) + [X,Y]_m / 2,
-* the curvature
-  R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_{[X,Y]_m} Z - [[X,Y]_h, Z],
-  where nabla acts as the algebraic connection operator on m and the last
-  term is the isotropy action of the h-part of [X,Y],
-* the Ricci form rho(X,Y) = trace of V -> R(V,X)Y, by Besse's formula
-  (Einstein Manifolds, 1987, Cor. 7.38) from C and the Killing form B alone:
-  rho_ab = 1/4 sum_ij C[i,j,a] C[i,j,b] - 1/2 sum_jk C[a,j,k] C[b,j,k] - 1/2 B(E_a, E_b),
-  whose term in sum_i U(E_i, E_i) vanishes as so(5) is unimodular,
-* the first Ledger form
-  L(X,Y,Z) = (nabla_X rho)(Y,Z) + (nabla_Y rho)(Z,X) + (nabla_Z rho)(X,Y)
-           = -2 [rho(U(X,Y),Z) + rho(U(Y,Z),X) + rho(U(Z,X),Y)],
-  as rho is constant in the invariant frame and the bracket halves of
-  nabla cancel in the cyclic sum; so U = 0 (naturally reductive) gives L = 0.
+* C[i, j, k] = c0[i, j, k] sqrt(x_k) / (sqrt(x_i) sqrt(x_j)), the brackets,
+* U[i, j, k] = (C[k, j, i] + C[k, i, j]) / 2, from 2B(U(X,Y),Z) = B(X,[Z,Y]_m) + B([Z,X]_m,Y),
+* nabla_X Y = U(X,Y) + [X,Y]_m / 2 and R(X,Y) = [nabla_X, nabla_Y] - nabla_{[X,Y]_m} - ad [X,Y]_h,
+* rho = diag(r) by Besse's formula (Einstein Manifolds, 1987, Cor. 7.38),
+  summed per module triple as by Wang and Ziller (1986): r_k = 3 / x_k
+  (-B/2, B the Killing form) + sum (x_k^2 - x_i^2 - x_j^2) / (2 x_i x_j x_k),
+* L(X,Y,Z) = sum_cyc (nabla_X rho)(Y,Z) = -2 sum_cyc rho(U(X,Y),Z) (U = 0 gives
+  L = 0), which vanishes off the triples and is on the triple of alpha in {1, 2}
+      L = -c0 D_alpha / sqrt(x_alpha x3 x4),
+      D_alpha = (x3 - x_alpha) r4 + (x4 - x3) r_alpha + (x_alpha - x4) r3 = (x4 - x3) Q_alpha / (2 x1 x2 x3 x4),
+      Q_alpha = x_alpha (x3 + x4 - x_alpha)^2 + 8 x_beta (x_alpha - x3)(x_alpha - x4) - x_alpha (x_alpha^2 - x_beta^2):
+  L = 0 iff (x_alpha, r_alpha), (x3, r3), (x4, r4) are collinear for both alpha.
 
-Under the homothety (t, u, v, w) -> (l t, l^2 u, l v, l w), C, U and nabla
-scale as 1/l, rho as 1/l^2 and L as 1/l^3.  So a verdict compares like
-scales, never a tensor with tol alone: max|U| <= tol * max|C| for natural
-reductivity, max|L| <= tol * max|nabla| * max|rho| for the first Ledger
-condition (judged at the homothetic metric with |t| = 1 where the bound
-underflows; an overflowing bound is an error).
+A point is computed at its homothetic metric with 1 <= |t| < 2, an exact
+power-of-2 scaling ((t, u, v, w) -> (l t, l^2 u, l v, l w) scales C, U and
+nabla as 1/l, rho as 1/l^2, L as 1/l^3; D_alpha does not scale), from the
+exact t^2 and with each x_k - x_j formed before a quotient, so no entry
+loses digits near the K guard.  Verdicts use frame-free quantities:
+Frobenius norms and each D_alpha against the sizes of its terms.
 
-The tensors of N points are built in one pass (:func:`stacked_geometry`):
-(N, 8, 8, 8) for C, U, nabla and L, (N, 8, 8) for rho and (N,) for their
-maxima per point; no reduction runs across points.  A query is the stack
-N = 1, cached by its parameters.
-
-Vectors passed to the query functions are 8-dimensional raw m-coordinates
-(basis order A1..C2): an input x enters the frame as f^-1 x and a vector
-result y leaves it as f y.  Tables, (8, 8, 8), and the Ricci matrix,
-(8, 8), are returned in the frame, the only basis in which their
-coefficients have canonical closed forms.
+The adapted frame of :func:`zksym.metric.orthonormal_frame` is for
+presentation only: A~1 = sgn t (c E1 + s E3), A~2 = sgn t (c E2 + s E4),
+A~3 = c E4 - s E2, A~4 = s E1 - c E3, B~i = sgn v E_{4+i}, C~i = sgn w E_{6+i},
+with c = sqrt(x1 / 2t^2), s = sqrt(x2 / 2t^2).  Tables, (8, 8, 8), and the
+Ricci matrix, (8, 8), are returned in it, built for a point on first use.
+Raw m-vectors (basis A1..C2) enter the root frame by the coframe diag(sqrt x) P^T.
 """
 
 from __future__ import annotations
@@ -53,14 +44,7 @@ from functools import lru_cache, cached_property
 import numpy as np
 
 from .algebra import DEFAULT_TOL
-from .metric import (
-    AdaptedForm,
-    DegenerateMetricError,
-    InvalidParamsError,
-    MetricParams,
-    check_adh_invariance,
-    orthonormal_frame,
-)
+from .metric import AdaptedForm, DegenerateMetricError, InvalidParamsError, MetricParams, check_adh_invariance
 from .so5 import build_so5
 
 # CM[i, j, k], CH[i, j, a], ADH[a, l, k]: see GradedLieAlgebra.m_structure
@@ -71,84 +55,202 @@ _AD_M = build_so5().structure[list(build_so5().m_indices)]  # _AD_M[a, p, q]: co
 _KILLING_M = np.einsum("apq,bqp->ab", _AD_M, _AD_M)
 _KILLING_M.setflags(write=False)
 
+# the root basis P: column i in raw coordinates, in the module _MODULE[i]
+_P = np.eye(8)
+_P[:4, :4] = np.sqrt(0.5) * np.array([[1, 0, 1, 0], [0, 1, 0, 1], [0, -1, 0, 1], [1, 0, -1, 0]])
+_MODULE = np.repeat(np.arange(4), 2)
+_HALF_KILLING = -0.5 * np.diag(_P.T @ _KILLING_M @ _P)[::2]
 
-def m_bracket(x, y) -> np.ndarray:
-    """m-projection of the bracket of two raw m-vectors."""
-    x = _as_m_vector(x)
-    y = _as_m_vector(y)
-    return np.einsum("i,j,ijk->k", x, y, _CM)
+
+def _support():
+    """The support of c0 = the structure constants of m in P, c0 on it, and the columns of its ratios and L."""
+    c0 = np.tensordot(_P, np.tensordot(_P, _CM @ _P, (0, 1)), (0, 1))  # c0[i, j, k], as P^-1 = P^T
+    c0 = np.where(np.abs(c0) > 0.5, np.copysign(np.sqrt(0.5), c0), 0.0)  # exactly +-1/sqrt 2 or 0
+    entries = list(zip(*np.nonzero(c0)))
+    i, j, k = np.array(entries).T
+    triple = np.minimum(np.minimum(_MODULE[i], _MODULE[j]), _MODULE[k])  # alpha, the module 0 or 1
+    column = 2 * np.maximum(_MODULE[[k, i, j]] - 1, 0) + triple  # the ratio of which index's module is k
+    sign = [-c0[tuple(sorted(e))] for e in entries]  # L = -c0 D / sqrt(...) on the sorted triple (a, b, c)
+    return (i, j, k), c0[i, j, k], column, np.array(sign), triple
 
 
-def _as_m_vector(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (8,):
-        raise ValueError(f"m-vector must have shape (8,), got {x.shape}")
-    return x
+_INDEX, _C0, (_RK, _RI, _RJ), _L_SIGN, _TRIPLE = _support()
+
+# A point has six columns (slot, alpha), slot-major, the modules (k, i, j) of a triple: (alpha, e1, e2),
+# (e1, alpha, e2), (e2, alpha, e1).  Its ratios are sqrt(x_k) / (sqrt(x_i) sqrt(x_j)), the sizes of C.
+_KIJ = np.array([0, 1, 2, 2, 3, 3, 2, 2, 0, 1, 0, 1, 3, 3, 3, 3, 2, 2])  # the modules k, then i, then j
+_K_OF_MODULE = np.array([0, 1, 2, 4])  # a column whose k is module 0, 1, 2, 3
+_SWAP = np.array([2, 3, 0, 1, 0, 1])  # the column whose k is this column's i
+_NEXT = np.array([2, 3, 4, 5, 0, 1])  # the next slot of the same triple
+_TO_MODULES = 0.5 * np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 1]])
+_TRIPLES_OF_MODULES = 0.5 * np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 1.0]])
+# the terms (x3 - x_alpha) r4, (x4 - x3) r_alpha, (x_alpha - x4) r3 of D_alpha: x first and second, and r
+_DX, _DR = np.array([2, 2, 3, 3, 0, 1, 0, 1, 2, 2, 3, 3]), np.array([3, 3, 0, 1, 2, 2])
+_PLUS_MINUS = np.array([1.0, -1.0])
+_POWERS = np.repeat([-1, -2, -3], [6, 4, 2])  # homothety weights of the ratios, r and lam
+_NORM_WEIGHTS = np.array([4.0, 1.0, 1.0, 2.0, 12.0])
+# the rotation Q[a, i] to the adapted frame: c _QC + s _QS + _QB, column i times sgn t, t, 1, 1, sgn v, v, w, w
+_QC, _QS, _QB = np.zeros((3, 8, 8))
+_QC[[0, 1, 3, 2], [0, 1, 2, 3]] = [1, 1, 1, -1]
+_QS[[2, 3, 1, 0], [0, 1, 2, 3]] = [1, 1, -1, 1]
+_QB[4:, 4:] = np.eye(4)
+
+
+def _triples(a: np.ndarray) -> np.ndarray:
+    """The sum over the three slots of each triple, (N, 6) -> (N, 2); three terms add in order at any N."""
+    return a.reshape(-1, 3, 2).sum(axis=1)
+
+
+def _dense(values: np.ndarray) -> np.ndarray:
+    """(N, 8, 8, 8) root-frame tensors from their values on the support."""
+    out = np.zeros((len(values), 8, 8, 8))
+    out[(slice(None),) + _INDEX] = values
+    return out
 
 
 class _Geometry:
-    """The connection, Ricci and Ledger tensors of the forms that the frames f make orthonormal, in f.
+    """The geometry of the adapted metrics params[n] = (t, u, v, w), row n of every array, in the root frame.
 
-    ``frame[n]`` holds the frame vectors of point n of the stack as columns
-    in raw m-coordinates; every tensor carries n as its first index.
-    Instances are read-only after construction.
+    Computed at once, what the solve path reads: ``vals`` (the six ratios,
+    the sizes of C; r, rho per module; lam = D_alpha / sqrt(x_alpha x3 x4)),
+    ``det`` (D_alpha) with ``det_scale`` and ``det_bound`` (the sizes of its
+    three terms and of all its terms in x), and the Frobenius ``norms`` of
+    C, U, nabla, rho and L at the scale x / 4^e.  The rest is built on first use.
     """
 
-    def __init__(self, f: np.ndarray, finv: np.ndarray):
-        self.frame, self.frame_inv = f, finv
-        ft = f.transpose(0, 2, 1)
-
+    def __init__(self, params: np.ndarray):
+        self.params = params
+        self.e = e = np.frexp(params[:, 0])[1] - 1
+        unit = np.empty((len(params), 12))  # the ratios, r and lam at the unit scale
+        ratios, r, lam = unit[:, :6], unit[:, 6:10], unit[:, 10:]
         with np.errstate(all="ignore"):  # overflow shows up as a non-finite tensor below
-            # c[n, i, j, k] = f[n, a, i] f[n, b, j] _CM[a, b, l] finv[n, k, l], one index at a time
-            c = _CM @ finv.transpose(0, 2, 1)[:, None]
-            c = ft[:, None] @ (ft @ c.reshape(-1, 8, 64)).reshape(-1, 8, 8, 8)
-            u = 0.5 * (c.transpose(0, 3, 2, 1) + c.transpose(0, 2, 3, 1))
-            n = u + 0.5 * c
-            rho = (  # Besse's formula (module docstring); einsum sums in index order at any N, as BLAS need not
-                0.25 * np.einsum("nija,nijb->nab", c, c)
-                - 0.5 * np.einsum("najk,nbjk->nab", c, c)
-                - 0.5 * (ft @ _KILLING_M @ f)
-            )
-            rho = 0.5 * (rho + rho.transpose(0, 2, 1))  # symmetrize away roundoff
-            e = (u.reshape(-1, 64, 8) @ rho).reshape(-1, 8, 8, 8)  # e[n, i, j, k] = rho(U(E_i, E_j), E_k)
-            lgr = -2.0 * (e + e.transpose(0, 2, 3, 1) + e.transpose(0, 3, 1, 2))
-        maxima = tuple(np.abs(a).max(axis=tuple(range(1, a.ndim))) for a in (c, u, n, rho, lgr))  # max keeps NaN
-        if not np.isfinite(maxima).all():
+            y = np.ldexp(params, -e[:, None])
+            tau = y[:, 0].copy()
+            y *= y
+            hi = tau * 134217729.0  # Dekker's split: tau = hi + lo with 26 bits each, so hi * hi is exact
+            hi -= hi - tau
+            lo = tau - hi
+            y[:, 1] = np.ldexp(params[:, 1], -2 * e - 1)  # u/2
+            y[:, :2] = y[:, :1] + y[:, 1:2] * _PLUS_MINUS
+            y[:, :2] += (((hi * hi - tau * tau) + 2.0 * hi * lo) + lo * lo)[:, None]  # tau^2 - fl(tau^2)
+            self.y = y
+            kij = y.take(_KIJ, axis=1)
+            yk, yi, yj = kij[:, :6], kij[:, 6:12], kij[:, 12:]
+            sq = yk / yi
+            sq /= yj
+            np.sqrt(sq, out=ratios)
+            # per triple (x_k^2 - x_i^2 - x_j^2) / (x_i x_j x_k), with x_k^2 - x_j^2 exact where x_k = x_j;
+            # the sizes of its terms sum to the ratios' squares, sigma
+            inv = 1.0 / kij
+            twice = (yk - yj) * (inv[:, :6] + inv[:, 12:]) / yi - sq.take(_SWAP, axis=1)
+            np.multiply(_HALF_KILLING, inv.take(_K_OF_MODULE, axis=1), out=r)
+            sigma = _triples(sq)
+            sizes = r + sigma @ _TRIPLES_OF_MODULES
+            r += twice @ _TO_MODULES
+            # D_alpha's terms, their sizes, those of all its terms in x; L over -c0, which has the ratios'
+            # differences where D_alpha has those of x (rounded like the terms, which is all the verdicts need:
+            # ``ledger`` has the digits lost where they cancel); and ||U||^2, per triple
+            rd = r.take(_DR, axis=1)
+            x = y.take(_DX, axis=1)
+            diff = ratios - ratios.take(_NEXT, axis=1)  # per triple a - b, b - c, c - a
+            slots = np.empty((len(params), 5, 6))
+            np.multiply(x[:, :6] - x[:, 6:], rd, out=slots[:, 0])
+            np.abs(slots[:, 0], out=slots[:, 1])
+            np.multiply(x[:, :6] + x[:, 6:], sizes.take(_DR, axis=1), out=slots[:, 2])
+            np.multiply(diff, rd, out=slots[:, 3])
+            np.multiply(diff, diff, out=slots[:, 4])
+            sums = slots.reshape(-1, 5, 3, 2).sum(axis=2)  # three terms add in order at any N
+            self.det, self.det_scale, self.det_bound = sums[:, 0], sums[:, 1], sums[:, 2]
+            np.negative(sums[:, 3], out=lam)
+            # ||C||^2 / 4 = sigma and ||nabla||^2 = ||U||^2 + ||C||^2 / 4, as U is symmetric and C antisymmetric
+            rr = r * r
+            squares = np.concatenate([sigma, sums[:, 4], sums[:, 4] + sigma, rr[:, :2] + rr[:, 2:], lam * lam], axis=1)
+            self.norms = np.sqrt(squares.reshape(-1, 5, 2).sum(axis=2) * _NORM_WEIGHTS)
+            self.vals = np.ldexp(unit, e[:, None] * _POWERS)
+        if not np.isfinite(self.vals).all():
             raise DegenerateMetricError("the curvature tensors overflow at this scale")
-        for arr in (c, u, n, rho, lgr) + maxima:
-            arr.setflags(write=False)
-        self.cm, self.u, self.n, self.rho, self.ledger = c, u, n, rho, lgr
-        self.max_cm, self.max_u, self.max_n, self.max_rho, self.max_ledger = maxima
+        for a in vars(self).values():
+            a.setflags(write=False)
+
+    ratios, r, lam = (property(lambda self, s=s: self.vals[:, s]) for s in (slice(6), slice(6, 10), slice(10, 12)))
+    norm_c, norm_u, norm_n, norm_rho, norm_ledger = (property(lambda self, i=i: self.norms[:, i]) for i in range(5))
 
     @cached_property
-    def r4(self) -> np.ndarray:
-        """Curvature on frame triples: r4[n, i, j, :, k] = R(E_i, E_j) E_k.
+    def c(self) -> np.ndarray:
+        return _C0 * self.ratios[:, _RK]
 
-        Only :func:`curvature` needs the full tensor.
-        """
-        f, finv, nop = self.frame[:, None], self.frame_inv[:, None], self.n.transpose(0, 1, 3, 2)
-        ch = (f.transpose(0, 1, 3, 2) @ _CH.transpose(2, 0, 1) @ f).transpose(0, 2, 3, 1)
-        adh = finv @ _ADH @ f
-        comp = np.einsum("nilm,njmk->nijlk", nop, nop)
-        r4 = (
-            comp
-            - comp.transpose(0, 2, 1, 3, 4)
-            - np.einsum("nijm,nmlk->nijlk", self.cm, nop)
-            - np.einsum("nija,nalk->nijlk", ch, adh)
-        )
-        r4.setflags(write=False)
-        return r4
+    @cached_property
+    def u(self) -> np.ndarray:
+        return _C0 * (0.5 * (self.ratios[:, _RJ] - self.ratios[:, _RI]))  # (C[k, j, i] + C[k, i, j]) / 2
 
-    def to_frame(self, x) -> np.ndarray:
-        return self.frame_inv[0] @ _as_m_vector(x)
+    @cached_property
+    def n(self) -> np.ndarray:
+        return self.u + 0.5 * self.c
+
+    @cached_property
+    def ledger(self) -> np.ndarray:
+        """L on the support by Q_alpha, which keeps the digits D_alpha's terms lose where they cancel (u = 0, w = t)."""
+        y, g = self.y, np.sqrt(self.y)
+        ya, yb, y3, y4 = y[:, :2], y[:, 1::-1], y[:, 2:3], y[:, 3:]
+        with np.errstate(all="ignore"):
+            d3, d4 = ya - y3, ya - y4
+            s = np.where(np.abs(d4) <= np.abs(d3), y3 - d4, y4 - d3)  # x3 + x4 - x_alpha, by the nearer difference
+            q = (s / y3) * (s / y4) / yb + 8.0 * (d3 / y3) * (d4 / y4) / ya - ((ya - yb) / y3) * ((ya + yb) / y4) / yb
+            lam = 0.5 * ((y4 - y3) / g[:, 2:3] / g[:, 3:]) / g[:, :2] * q
+            return _L_SIGN * np.ldexp(lam, -3 * self.e[:, None])[:, _TRIPLE]
+
+    @cached_property
+    def frame(self) -> np.ndarray:
+        """E = P diag(x)^(-1/2): column i is root frame vector i in raw m-coordinates."""
+        return _P * np.ldexp(1.0 / np.sqrt(self.y), -self.e[:, None]).take(_MODULE, axis=1)[:, None]
+
+    @cached_property
+    def coframe(self) -> np.ndarray:
+        """E^-1 = diag(sqrt x) P^T."""
+        return np.ldexp(np.sqrt(self.y), self.e[:, None])[:, _MODULE, None] * _P.T
+
+    @property
+    def _cos_sin(self) -> np.ndarray:
+        """c = sqrt(x1 / 2t^2) and s = sqrt(x2 / 2t^2), (2, N)."""
+        return np.sqrt(self.y[:, :2] / (self.y[:, 0] + self.y[:, 1])[:, None]).T
+
+    @cached_property
+    def rotation(self) -> np.ndarray:
+        """Q[n, a, i]: adapted frame vector i in the root frame."""
+        c, s = self._cos_sin
+        signs = np.sign(self.params).take([0, 0, 1, 1, 2, 2, 3, 3], axis=1)
+        signs[:, 2:4] = 1.0
+        return (c[:, None, None] * _QC + s[:, None, None] * _QS + _QB) * signs[:, None]
+
+    def table(self, name: str) -> np.ndarray:
+        """The support values ``name`` presented in the adapted frame, (N, 8, 8, 8), built once."""
+        tables = vars(self).setdefault("_tables", {})
+        if name not in tables:
+            table, q = _dense(getattr(self, name)), self.rotation[:, None]
+            for _ in range(3):  # contract the last index with Q and bring it to the front: k, then j, then i
+                table = (table @ q).transpose(0, 3, 1, 2)
+            table.setflags(write=False)
+            tables[name] = table
+        return tables[name]
+
+    @cached_property
+    def ricci(self) -> np.ndarray:
+        """Q^T diag(r) Q entry by entry, so that r1 = r2 (u = 0) leaves rho(A~1, A~4) = 0 exactly."""
+        (c, s), (r1, r2, r3, r4) = self._cos_sin, self.r.T
+        rho = np.zeros((len(c), 8, 8))
+        rho[:, range(8), range(8)] = np.column_stack([c * c * r1 + s * s * r2, s * s * r1 + c * c * r2, r3, r4])[:, _MODULE]
+        rho[:, [0, 3, 1, 2], [3, 0, 2, 1]] = (np.sign(self.params[:, 0]) * c * s * (r1 - r2))[:, None] * [1, 1, -1, -1]
+        rho.setflags(write=False)
+        return rho
 
 
 _rows: dict = {}  # rows of a stacked geometry, handed to the cache of one-point geometries below
 
 
 def _stack(points) -> _Geometry:
-    f = np.array([orthonormal_frame(p).matrix for p in points])  # each guarded by its K
-    return _Geometry(f, np.linalg.inv(f))
+    for p in points:
+        p.K  # the guard of each point
+    return _Geometry(np.array([(p.t, p.u, p.v, p.w) for p in points]))
 
 
 @lru_cache(maxsize=256)
@@ -190,9 +292,28 @@ def _geometry(form: AdaptedForm) -> _Geometry:
     return _cached_geometry(p)
 
 
+def _apply(geo: _Geometry, tensor: np.ndarray, *vectors):
+    """A root-frame tensor of one point on raw vectors, its first indices each; a vector result in raw coordinates."""
+    for x in vectors:
+        tensor = np.tensordot(geo.coframe[0] @ _as_m_vector(x), tensor, (0, 0))
+    return tensor if tensor.ndim == 0 else geo.frame[0] @ tensor
+
+
+def _as_m_vector(x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (8,):
+        raise ValueError(f"m-vector must have shape (8,), got {x.shape}")
+    return x
+
+
 # ----------------------------------------------------------------------
 # public operations
 # ----------------------------------------------------------------------
+
+def m_bracket(x, y) -> np.ndarray:
+    """m-projection of the bracket of two raw m-vectors."""
+    return np.einsum("i,j,ijk->k", _as_m_vector(x), _as_m_vector(y), _CM)
+
 
 def u_map(x, y, form: AdaptedForm) -> np.ndarray:
     """Symmetric bilinear map U(x, y).
@@ -202,13 +323,13 @@ def u_map(x, y, form: AdaptedForm) -> np.ndarray:
     and output are raw m-coordinates.
     """
     geo = _geometry(form)
-    return geo.frame[0] @ np.einsum("ijk,i,j->k", geo.u[0], geo.to_frame(x), geo.to_frame(y))
+    return _apply(geo, _dense(geo.u)[0], x, y)
 
 
 def nabla(x, y, form: AdaptedForm) -> np.ndarray:
     """Connection operator nabla_x y = U(x,y) + [x,y]_m / 2 (raw m-coordinates)."""
     geo = _geometry(form)
-    return geo.frame[0] @ np.einsum("ijk,i,j->k", geo.n[0], geo.to_frame(x), geo.to_frame(y))
+    return _apply(geo, _dense(geo.n)[0], x, y)
 
 
 def curvature(x, y, z, form: AdaptedForm) -> np.ndarray:
@@ -218,19 +339,21 @@ def curvature(x, y, z, form: AdaptedForm) -> np.ndarray:
     which must be positive-definite and ad(h)-invariant.
     """
     geo = _geometry(form)
-    xf, yf, zf = geo.to_frame(x), geo.to_frame(y), geo.to_frame(z)
-    return geo.frame[0] @ np.einsum("ijlk,i,j,k->l", geo.r4[0], xf, yf, zf)
+    n = _dense(geo.n)[0]
+    h = np.einsum("i,j,ija->a", _as_m_vector(x), _as_m_vector(y), _CH)  # [x, y]_h, which acts on z by _ADH
+    return (_apply(geo, n, x, _apply(geo, n, y, z)) - _apply(geo, n, y, _apply(geo, n, x, z))
+            - _apply(geo, n, m_bracket(x, y), z) - np.einsum("a,alk,k->l", h, _ADH, z))
 
 
 def ricci(form: AdaptedForm) -> np.ndarray:
-    """Ricci matrix in the orthonormal frame (8x8 symmetric).
+    """Ricci matrix in the adapted orthonormal frame (8x8 symmetric).
 
     rho_ij = rho(E_i, E_j), where rho(X, Y) is the trace of V -> R(V, X) Y,
     so rho_ij = sum_k <R(E_k, E_i) E_j, E_k>.  The frame is that of
     :func:`orthonormal_frame` for the form's parameters; a bare Gram
     matrix is read as its parameters (|t|, u, |v|, |w|).
     """
-    return _geometry(form).rho[0]
+    return _geometry(form).ricci[0]
 
 
 def ledger(x, y, z, form: AdaptedForm) -> float:
@@ -240,24 +363,24 @@ def ledger(x, y, z, form: AdaptedForm) -> float:
     ad(h)-invariant Gram matrix, with or without parameters.
     """
     geo = _geometry(form)
-    return float(np.einsum("ijk,i,j,k->", geo.ledger[0], geo.to_frame(x), geo.to_frame(y), geo.to_frame(z)))
+    return float(_apply(geo, _dense(geo.ledger)[0], x, y, z))
 
 
 def bracket_table(p: MetricParams) -> np.ndarray:
     """Projected brackets on frame pairs: table[i, j, :] = [E_i, E_j]_m in frame coordinates."""
-    return _cached_geometry(p).cm[0]
+    return _cached_geometry(p).table("c")[0]
 
 
 def u_table(p: MetricParams) -> np.ndarray:
     """U on frame pairs, frame coordinates; symmetric in the first two indices."""
-    return _cached_geometry(p).u[0]
+    return _cached_geometry(p).table("u")[0]
 
 
 def nomizu_table(p: MetricParams) -> np.ndarray:
     """Connection coefficients on frame pairs: table[i, j, :] = nabla_{E_i} E_j."""
-    return _cached_geometry(p).n[0]
+    return _cached_geometry(p).table("n")[0]
 
 
 def ledger_table(p: MetricParams) -> np.ndarray:
     """First Ledger form on all frame triples (8x8x8, fully symmetric)."""
-    return _cached_geometry(p).ledger[0]
+    return _cached_geometry(p).table("ledger")[0]

@@ -16,8 +16,8 @@ must stay positive; since positive-definiteness of the A-block is
 equivalent to K being real, operations guard on K >= K_GUARD_EPS * |t| and
 refuse nearly degenerate parameters with a distinct error.
 
-The orthonormal frame returned by :func:`orthonormal_frame` is the one
-dual to the coframe
+The adapted orthonormal frame returned by :func:`orthonormal_frame`, in
+which the geometry presents its tables, is the one dual to the coframe
 
     a~1 = t a1 + u/(2t) a4,   a~2 = t a2 - u/(2t) a3,
     a~3 = K a3,               a~4 = K a4,

@@ -3,11 +3,17 @@
 Everything here is computed from first principles, separately from the
 library code paths it checks: a literal 5x5 matrix model for brackets, the
 closed-form coefficient tables of the orthonormal frame, the
-closed-form Ricci entries, and the reduced Ledger equations written out.
+closed-form Ricci entries, the reduced Ledger equations written out, and
+the Ricci eigenvalues of the root-space frame.  The closed forms take any
+numbers with the arithmetic of floats: evaluated at :func:`exact_point`
+they are exact to 50 digits.
 """
 
+import itertools
 import math
+import types
 
+import mpmath
 import numpy as np
 
 from zksym import MetricParams
@@ -51,6 +57,14 @@ def structure_constants() -> np.ndarray:
     mats = [skew_unit(name) for name in SO5_ORDER]
     c = np.array([[coords_from_matrix(commutator(a, b)) for b in mats] for a in mats])
     return c.astype(int)
+
+
+def exact_point(p: MetricParams) -> types.SimpleNamespace:
+    """The binary values of p's parameters, with K^2 and K, at 50 digits: an argument for the closed forms below."""
+    with mpmath.workdps(50):
+        t, u, v, w = (mpmath.mpf(x) for x in (p.t, p.u, p.v, p.w))
+        k2 = t * t - u * u / (4 * t * t)
+        return types.SimpleNamespace(t=t, u=u, v=v, w=w, k_squared=k2, K=mpmath.sqrt(k2))
 
 
 def sample_params(rng: np.random.Generator, k_min: float = 0.1) -> MetricParams:
@@ -170,8 +184,8 @@ def expected_ricci_entries(p, sqrt=math.sqrt) -> dict:
     }
 
 
-def expected_ricci_matrix(p: MetricParams) -> np.ndarray:
-    e = expected_ricci_entries(p)
+def expected_ricci_matrix(p, sqrt=math.sqrt) -> np.ndarray:
+    e = expected_ricci_entries(p, sqrt)
     rho = np.zeros((8, 8))
     rho[0, 0] = rho[1, 1] = e["r11"]
     rho[2, 2] = rho[3, 3] = e["r33"]
@@ -199,6 +213,44 @@ def expected_reduced_terms(p, sqrt=math.sqrt) -> list[list[tuple]]:
          (-(v2 - w2) / vw, e["r14"]), (-h * p.v / (p.w * k), e["r77"])],
         [(v2 - w2, e["r33"]), (w2 - k2, e["r55"]), (k2 - v2, e["r77"])],
     ]
+
+
+def ledger_rows(t, v, w, k) -> dict:
+    """The frame triples i <= j <= m where L can be nonzero: the reduced equation each carries, and its factor.
+
+    ``tests/test_symbolic.py`` proves that L is zero off them and factor
+    times the equation on them.
+    """
+    return {
+        (0, 4, 6): (0, -1 / (t * v * w)),
+        (1, 4, 7): (0, -1 / (t * v * w)),
+        (0, 5, 7): (1, -1 / (v * w)),
+        (1, 5, 6): (1, 1 / (v * w)),
+        (2, 4, 7): (2, -1 / t),
+        (3, 4, 6): (2, 1 / t),
+        (2, 5, 6): (3, -1 / (k * v * w)),
+        (3, 5, 7): (3, -1 / (k * v * w)),
+    }
+
+
+def expected_ledger_table(p, sqrt=math.sqrt) -> np.ndarray:
+    """The first Ledger form on all frame triples, from the reduced equations; ``p`` and ``sqrt`` as above."""
+    equations = [sum(c * r for c, r in terms) for terms in expected_reduced_terms(p, sqrt)]
+    tab = np.zeros((8, 8, 8))
+    for triple, (row, factor) in ledger_rows(p.t, p.v, p.w, sqrt(p.k_squared)).items():
+        for i, j, m in itertools.permutations(triple):
+            tab[i, j, m] = factor * equations[row]
+    return tab
+
+
+def expected_root_ricci(x1, x2, x3, x4) -> tuple:
+    """The Ricci eigenvalues r1..r4 on the four root spaces, for x = (t^2 + u/2, t^2 - u/2, v^2, w^2)."""
+    return (
+        (x1 * x1 - x3 * x3 + 6 * x3 * x4 - x4 * x4) / (2 * x1 * x3 * x4),
+        (x2 * x2 - x3 * x3 + 6 * x3 * x4 - x4 * x4) / (2 * x2 * x3 * x4),
+        -(x1 * x1 * x2 + x1 * x2 * x2 - 6 * x1 * x2 * x4 - (x1 + x2) * (x3 * x3 - x4 * x4)) / (2 * x1 * x2 * x3 * x4),
+        -(x1 * x1 * x2 + x1 * x2 * x2 - 6 * x1 * x2 * x3 + (x1 + x2) * (x3 * x3 - x4 * x4)) / (2 * x1 * x2 * x3 * x4),
+    )
 
 
 def unonzero_closed_form_v2(s: float) -> float:

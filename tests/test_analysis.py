@@ -10,7 +10,9 @@ from zksym import (
     InvalidParamsError,
     LedgerSolution,
     MetricParams,
+    S_INTERVAL_U0,
     S_INTERVAL_UNONZERO,
+    first_ledger_verdict,
     infinitesimal_isometries,
     is_naturally_reductive,
     ledger_system_residuals,
@@ -22,6 +24,7 @@ from zksym import (
     solve_ledger_unonzero,
     u_map,
     build_form,
+    geometry,
     verify_solution,
 )
 
@@ -156,10 +159,10 @@ def test_v_equals_w_solves_the_first_ledger_condition_without_being_naturally_re
         assert p.u != 0 and not is_naturally_reductive(p), p
 
 
-def test_a_solution_reports_the_reduced_system_at_its_params():
+def test_a_solution_reports_the_determinants_at_its_params():
     # one guarded evaluation serves both, so the values agree to the bit
     for sol in solve_ledger_u0(5.0) + solve_ledger_unonzero(1.0) + solve_ledger_u0(1.0 + 1e-10):
-        assert sol.residuals["star"] == float(np.max(np.abs(ledger_system_residuals(sol.params))))
+        assert sol.residuals["star"] == float(np.max(np.abs(geometry._cached_geometry(sol.params).det)))
     assert inspect.signature(verify_solution).parameters["tol"].default == DEFAULT_TOL
 
 
@@ -310,6 +313,28 @@ def test_solutions_verify_at_interval_ends(solver, s):
         assert report.residuals == sol.residuals
 
 
+@pytest.mark.parametrize("solver,interval", [(solve_ledger_u0, S_INTERVAL_U0), (solve_ledger_unonzero, S_INTERVAL_UNONZERO)])
+def test_solutions_verify_on_dense_grids_near_both_ends(solver, interval):
+    # Near S = 1 on the u = 0 branch one ulp of W moves a determinant by far
+    # more than its three terms' sizes; verification judges it against the
+    # sizes of all its terms in x, which bound that, and passes everywhere.
+    lo, hi = interval
+    for a, b in ((lo, lo + 1e-2), (hi - 1e-2, hi)):
+        for sol in solver(*np.linspace(a, b, 402)[1:-1].tolist()):
+            report = verify_solution(sol)
+            assert report.passed and max(report.relative_residuals.values()) < 1e-13, (sol.S, report.relative_residuals)
+
+
+def test_the_ledger_verdict_judges_each_determinant_against_its_terms():
+    # at u = 0, w = t the determinant is v^2 (1 - v^2) / 2 against terms of
+    # about 3 + 3: 8.3e-8 of them at v = 1e-3, where |L| is 5e-13 of
+    # max|nabla| max|rho|
+    p = MetricParams(1.0, 0.0, 1e-3, 1.0)
+    assert first_ledger_verdict(p) == (pytest.approx(5e-4, rel=1e-5), False)
+    assert first_ledger_verdict(p, tol=1e-7)[1]
+    assert first_ledger_verdict(MetricParams(1.0, 0.0, 1e-5, 1.0))[1]  # 8.3e-12
+
+
 # ----------------------------------------------------------------------
 # verification catches broken solutions
 # ----------------------------------------------------------------------
@@ -353,8 +378,7 @@ def test_verify_judges_the_params_not_the_record():
 
 
 def test_round_point_solution_verifies():
-    # two star rows vanish at the round point, so only the max(1, scale)
-    # guard keeps their relative residuals finite
+    # both determinants vanish at the round point, with their terms
     p = MetricParams(1.0, 0.0, 1.0, 1.0)
     zeros = {"ledger": 0.0, "star": 0.0, "gram": 0.0}
     sol = LedgerSolution("u-zero", 2.0, 1.0, 1.0, 0.0, p, zeros, True)

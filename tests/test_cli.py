@@ -586,9 +586,9 @@ def _counting_stacks(monkeypatch):
     builds, evaluations = [], []
     init, evaluate = geometry._Geometry.__init__, analysis._evaluate
 
-    def counting_init(self, f, finv):
-        builds.append(len(f))
-        init(self, f, finv)
+    def counting_init(self, params):
+        builds.append(len(params))
+        init(self, params)
 
     def counting_evaluate(points):
         evaluations.append(len(points))
@@ -717,11 +717,16 @@ def test_verdicts_do_not_depend_on_scale(capsys):
         assert any(verdicts[1.0][2])
 
 
-def test_a_ledger_verdict_without_a_normal_scale_exits_2(capsys):
-    # every tensor is finite, but max|nabla| * max|rho| is about 1e120 * 1e240
-    code, out, err = run_cli(capsys, "ledger", "--t", "1", "--u", "0", "--v", "1e-120", "--w", "1")
-    assert (code, out) == (2, "")
-    assert err == "numerical failure: max|nabla table| * max|rho| = inf is no positive normal float\n"
+def test_the_ledger_verdict_needs_no_scale_of_its_own(capsys):
+    # max|nabla table| * max|rho| is about 1e120 * 1e240 here, beyond the
+    # floats, but the determinants and their terms are scale-free: D = v^2 (1 - v^2) / 2
+    # against terms of 3 + 3, and the homothetic point at |t| = 2 reads the same
+    for t, v in (("1", "1e-120"), ("2", "2e-120")):
+        code, out, err = run_cli(capsys, "ledger", "--t", t, "--u", "0", "--v", v, "--w", t)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "first Ledger condition satisfied"
+    code, out, _ = run_cli(capsys, "ledger", "--t", "1", "--u", "0", "--v", "1e-3", "--w", "1")
+    assert out.splitlines()[-1] == "first Ledger condition violated"  # D / (3 + 3) = 8.3e-8
 
 
 def _counting(fn):

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -29,9 +30,12 @@ from zksym import (
 )
 
 from oracles import (
+    exact_point,
     expected_bracket_table,
+    expected_ledger_table,
     expected_ricci_entries,
     expected_ricci_matrix,
+    expected_root_ricci,
     expected_u_table,
     sample_params,
     structure_constants,
@@ -365,34 +369,83 @@ def _oracle_points():
     return points
 
 
-def test_tables_agree_with_direct_formulas():
-    for p in _oracle_points():
-        naive = _naive_tables(p)
-        got = {
-            "bracket_table": bracket_table(p),
-            "u_table": u_table(p),
-            "nomizu_table": nomizu_table(p),
-            "ricci": ricci(build_form(p)),
-            "ledger_table": ledger_table(p),
+def _exact_tables(p):
+    """Every table by its closed form in ``oracles``, at 50 digits and rounded once."""
+    exact = exact_point(p)
+    with mpmath.workdps(50):
+        bracket, u = expected_bracket_table(exact), expected_u_table(exact)
+        return {
+            "bracket_table": bracket,
+            "u_table": u,
+            "nomizu_table": u + 0.5 * bracket,
+            "ricci": expected_ricci_matrix(exact, mpmath.sqrt),
+            "ledger_table": expected_ledger_table(exact, mpmath.sqrt),
         }
-        # Near the K guard the frame change of U and nabla cancels terms
-        # |t|/K times larger than the result, so two summation orders differ
-        # by about eps |t|/K relative; below K/|t| = 1e-3 their bound grows so.
-        scale = max(1.0, 1e-3 * abs(p.t) / p.K)
-        for name, ref in naive.items():
+
+
+def _tables(p):
+    return {
+        "bracket_table": bracket_table(p),
+        "u_table": u_table(p),
+        "nomizu_table": nomizu_table(p),
+        "ricci": ricci(build_form(p)),
+        "ledger_table": ledger_table(p),
+    }
+
+
+def test_tables_agree_with_direct_formulas():
+    # Near the K guard (the last 16 points) the direct formulas lose about
+    # eps (t/K)^2 themselves, in the float K of their frame, so there every
+    # table is judged against its exact closed form instead.
+    points = _oracle_points()
+    for n, p in enumerate(points):
+        got = _tables(p)
+        for name, ref in (_naive_tables(p) if n < 34 else _exact_tables(p)).items():
             tol = 1e-12 * max(1.0, float(np.max(np.abs(ref))))
-            if name in ("u_table", "nomizu_table"):
-                tol *= scale
             assert np.max(np.abs(got[name] - ref)) <= tol, (name, p)
 
 
 def test_tables_exact_near_the_k_guard():
-    # In the orthonormal frame U is a sum of two bracket coefficients, with
-    # no solve, so it keeps full precision up to the K guard.
+    # In the root frame no quotient precedes the differences x2 = t^2 - u/2
+    # and x_k - x_j, and t^2 is split exactly, so U and the brackets keep
+    # full precision up to the K guard.
     for p in _oracle_points()[34:]:
         assert p.K / abs(p.t) < 1e-2
-        for got, exp in ((u_table(p), expected_u_table(p)), (bracket_table(p), expected_bracket_table(p))):
+        exact = _exact_tables(p)
+        for name in ("u_table", "bracket_table"):
+            got, exp = _tables(p)[name], exact[name]
             assert np.max(np.abs(got - exp)) <= 1e-14 * max(1.0, float(np.max(np.abs(exp)))), p
+
+
+# ----------------------------------------------------------------------
+# accuracy against 50-digit values of the closed forms
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("v,w", [(1.3, 0.8), (1.0, 1.0), (2.0, 0.5), (0.9, 1.1)])
+def test_ricci_eigenvalues_keep_full_precision_up_to_the_k_guard(v, w):
+    # the four r_k of the root frame against F1's closed forms, at (v, w) t
+    # where none of them cancels: no loss grows with t/K
+    rng = np.random.default_rng(43)
+    eps = np.finfo(float).eps
+    for k_ratio in np.logspace(-2, -8, 13):
+        t = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
+        p = MetricParams(t, 2.0 * t * t * np.sqrt(1.0 - k_ratio**2) * rng.choice([-1.0, 1.0]), v * t, w * t)
+        exact = exact_point(p)
+        with mpmath.workdps(50):
+            ref = expected_root_ricci(exact.t**2 + exact.u / 2, exact.t**2 - exact.u / 2, exact.v**2, exact.w**2)
+            for got, r in zip(geometry._cached_geometry(p).r[0], ref):
+                assert abs(got - r) <= 8 * eps * abs(r), (p, k_ratio)
+
+
+@pytest.mark.parametrize("t", [1.0, 1.37, -0.6])
+def test_ledger_keeps_full_precision_where_u_is_0_and_w_is_t(t):
+    # L depends only on r11 - r77 there, a difference of order v^2 of two
+    # Ricci entries near 3 / t^2; the determinant's closed form keeps it
+    for v in (1e-3, 1e-2, 1e-5):
+        p = MetricParams(t, 0.0, v * t, t)
+        with mpmath.workdps(50):
+            ref = float(np.max(np.abs(expected_ledger_table(exact_point(p), mpmath.sqrt))))
+        assert abs(np.max(np.abs(ledger_table(p))) - ref) <= 1e-12 * ref, p
 
 
 def test_bare_gram_matches_params_form():

@@ -11,12 +11,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from zksym import (
-    DEFAULT_TOL,
     MetricParams,
     analysis,
     build_form,
     geometry,
-    orthonormal_frame,
     ricci,
     solve_ledger_u0,
     solve_ledger_unonzero,
@@ -24,22 +22,26 @@ from zksym import (
 
 from oracles import sample_params
 
-EXACT = ("cm", "u", "n", "max_cm", "max_u", "max_n")
-CLOSE = ("rho", "ledger", "max_rho", "max_ledger")
+# what the solve path reads, computed at once, and the arrays on the support built from it
+EXACT = ("ratios", "r", "lam", "det", "det_scale", "det_bound", "norms", "c", "u", "n", "ledger", "frame", "coframe")
+# the tables presented in the adapted frame, built on first access
+CLOSE = {name: (lambda geo, name=name: geo.table(name)) for name in ("c", "u", "n", "ledger")}
+CLOSE["ricci"] = lambda geo: geo.ricci
 
 
 def _stack(points):
     """The stacked geometry of the points, built apart from the cache."""
-    f = np.array([orthonormal_frame(p).matrix for p in points])
-    return geometry._Geometry(f, np.linalg.inv(f))
+    for p in points:
+        p.K  # the guard
+    return geometry._Geometry(np.array([(p.t, p.u, p.v, p.w) for p in points]))
 
 
 def _assert_rows(stack, n: int, one, m: int = 0) -> None:
-    """Row n of a stack against row m of another: C, U, nabla bit-identical, rho and L to 1e-15 of their size."""
+    """Row n of a stack against row m of another: the support arrays bit-identical, the tables to 1e-15 of their size."""
     for name in EXACT:
         assert np.array_equal(getattr(stack, name)[n], getattr(one, name)[m]), name
-    for name in CLOSE:
-        got, ref = getattr(stack, name)[n], getattr(one, name)[m]
+    for name, present in CLOSE.items():
+        got, ref = present(stack)[n], present(one)[m]
         assert np.max(np.abs(got - ref)) <= 1e-15 * max(1.0, float(np.max(np.abs(ref)))), name
 
 
@@ -64,7 +66,8 @@ def test_a_stack_gives_each_point_what_a_stack_of_one_gives_it():
     rng = np.random.default_rng(21)
     points = [sample_params(rng, k_min=1e-3) for _ in range(20)] + _mixed_points()
     stack = _stack(points)
-    assert stack.cm.shape == (len(points), 8, 8, 8) and stack.rho.shape == (len(points), 8, 8)
+    assert stack.c.shape == (len(points), 48) and stack.r.shape == (len(points), 4)
+    assert stack.table("c").shape == (len(points), 8, 8, 8) and stack.ricci.shape == (len(points), 8, 8)
     for n, p in enumerate(points):
         _assert_rows(stack, n, _stack([p]))
 
@@ -100,7 +103,8 @@ def test_a_stacked_row_is_the_cached_query_geometry():
     assert geometry._cached_geometry.cache_info()[:2] == (0, len(points))  # (hits, misses)
     for n, p in enumerate(points):
         row = geometry._cached_geometry(p)
-        assert row.cm.shape == (1, 8, 8, 8) and np.shares_memory(row.cm, stack.cm)
+        assert row.ratios.shape == (1, 6) and np.shares_memory(row.ratios, stack.ratios)
+        assert row.c.shape == (1, 48)
         assert geometry.bracket_table(p).shape == (8, 8, 8) and ricci(build_form(p)).shape == (8, 8)
     geometry._cached_geometry.cache_clear()
     for n, p in enumerate(points):
@@ -135,10 +139,6 @@ def _points(draw) -> MetricParams:
     return MetricParams(draw(_sign) * p.t, p.u, draw(_sign) * p.v, draw(_sign) * p.w)
 
 
-def _ledger_verdict(geo) -> np.ndarray:
-    return geo.max_ledger <= DEFAULT_TOL * geo.max_n * geo.max_rho
-
-
 @settings(max_examples=300, deadline=None)
 @given(_points(), st.floats(-3.0, 3.0))
 def test_homothety_sign_and_swap_maps_preserve_the_geometry(p, log_lam):
@@ -152,13 +152,15 @@ def test_homothety_sign_and_swap_maps_preserve_the_geometry(p, log_lam):
         (MetricParams(-p.t, p.u, p.v, p.w), 1.0),
     ]
     geo = _stack([p] + [q for q, _ in images])
-    spectrum = np.linalg.eigvalsh(geo.rho[0])
-    nr, holds = analysis._reductive(geo), _ledger_verdict(geo)
+    spectrum = np.linalg.eigvalsh(geo.ricci[0])
+    nr, holds = analysis._reductive(geo), analysis._ledger_holds(geo)
+    max_c, max_u, max_l = (np.abs(a).max(axis=1) for a in (geo.c, geo.u, geo.ledger))
+    max_n, max_rho = np.abs(geo.n).max(axis=1), np.abs(geo.r).max(axis=1)
     for n, (_, lam) in enumerate(images, start=1):
-        got = np.linalg.eigvalsh(geo.rho[n]) * lam**2
+        got = np.linalg.eigvalsh(geo.ricci[n]) * lam**2
         assert np.max(np.abs(got - spectrum)) <= 1e-12 * np.max(np.abs(spectrum))
-        assert abs(geo.max_cm[n] * lam - geo.max_cm[0]) <= 1e-12 * geo.max_cm[0]
-        assert abs(geo.max_u[n] * lam - geo.max_u[0]) <= 1e-12 * geo.max_cm[0]
-        ledger_scale = geo.max_n[0] * geo.max_rho[0]
-        assert abs(geo.max_ledger[n] * lam**3 - geo.max_ledger[0]) <= 1e-12 * ledger_scale
+        assert abs(max_c[n] * lam - max_c[0]) <= 1e-12 * max_c[0]
+        assert abs(max_u[n] * lam - max_u[0]) <= 1e-12 * max_c[0]
+        ledger_scale = max_n[0] * max_rho[0]
+        assert abs(max_l[n] * lam**3 - max_l[0]) <= 1e-12 * ledger_scale
         assert (nr[n], holds[n]) == (nr[0], holds[0])

@@ -16,6 +16,14 @@ K kept as the symbol k bound by 4 t^2 k^2 = 4 t^4 - u^2.
   equations of ``oracles.expected_reduced_terms`` times factors built from
   t, v, w and k, so L = 0 iff all four vanish, at every admissible point.
   One equation is a combination of the other three.
+* In the root-space basis P of the torus weights, where every adapted
+  form is diag(x), x = (t^2 + u/2, t^2 - u/2, v^2, w^2), the same formulas
+  give rho = diag(r1, r1, r2, r2, r3, r3, r4, r4) with the r_k of
+  ``oracles.expected_root_ricci`` (F1), and L is, on the module triples
+  alone, -c0 [(x3 - x_a) r4 + (x4 - x3) r_a + (x_a - x4) r3] / sqrt(x_a x3 x4)
+  (F2), which is (x4 - x3) Q_a / (2 x1 x2 x3 x4) with the Q_a of
+  ``zksym.geometry``.  These are identities of rational functions of
+  s_k = sqrt(x_k).
 * On a solution family the four reduced equations vanish if each
   numerator lies in the family's ideal, saturated by t v w k (the
   auxiliary y with y t v w k = 1 removes the components where a
@@ -31,7 +39,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from oracles import expected_reduced_terms, expected_ricci_entries, structure_constants
+from oracles import expected_reduced_terms, expected_ricci_entries, expected_root_ricci, ledger_rows, structure_constants
 
 t, u, v, w, k, y = sp.symbols("t u v w k y")
 _K_DEFINITION = 4 * t**2 * k**2 - 4 * t**4 + u**2
@@ -133,19 +141,6 @@ def _reduced_system() -> sp.Matrix:
     return coef
 
 
-# nonzero frame triples of L: (reduced equation, factor); the factors do not vanish
-_LEDGER_ROWS = {
-    (0, 4, 6): (0, -1 / (t * v * w)),
-    (1, 4, 7): (0, -1 / (t * v * w)),
-    (0, 5, 7): (1, -1 / (v * w)),
-    (1, 5, 6): (1, 1 / (v * w)),
-    (2, 4, 7): (2, -1 / t),
-    (3, 4, 6): (2, 1 / t),
-    (2, 5, 6): (3, -1 / (k * v * w)),
-    (3, 5, 7): (3, -1 / (k * v * w)),
-}
-
-
 def test_first_ledger_form_is_the_reduced_system():
     ut, rho = _u_table(), _ricci_matrix(_R)
     system = _reduced_system()
@@ -155,7 +150,7 @@ def test_first_ledger_form_is_the_reduced_system():
 
     for i, j, m in itertools.combinations_with_replacement(range(8), 3):
         ledger = sp.expand(-2 * (e(i, j, m) + e(j, m, i) + e(m, i, j)))
-        row, factor = _LEDGER_ROWS.get((i, j, m), (0, 0))
+        row, factor = ledger_rows(t, v, w, k).get((i, j, m), (0, 0))
         for col, r in enumerate(_R):
             assert _vanishes(ledger.coeff(r) - factor * system[row, col]), (i, j, m, r)
 
@@ -193,3 +188,78 @@ def test_reduced_system_does_not_vanish_off_the_families():
     # the control: with K as the only relation, no equation reduces to zero
     basis = _basis([])
     assert all(basis.reduce(n)[1] != 0 for n in _numerators())
+
+
+# ----------------------------------------------------------------------
+# the root-space frame: F1 and F2
+# ----------------------------------------------------------------------
+
+_ROOT_S = sp.symbols("s1:5", positive=True)  # s_k = sqrt(x_k)
+_ROOT_X = [s_ * s_ for s_ in _ROOT_S]
+
+
+@functools.cache
+def _root_basis() -> sp.Matrix:
+    """Columns (A1 + A4, A2 - A3, A1 - A4, A2 + A3)/sqrt 2, B1, B2, C1, C2 in raw coordinates."""
+    p = sp.eye(8)
+    p[:4, :4] = sp.Matrix([[1, 0, 1, 0], [0, 1, 0, 1], [0, -1, 0, 1], [1, 0, -1, 0]]) / sp.sqrt(2)
+    return p
+
+
+@functools.cache
+def _root_brackets() -> tuple:
+    """c0 of m in P from the literal model, and C[i][j][k] of the frame E = P diag(x)^(-1/2)."""
+    cm = structure_constants()[2:, 2:, 2:]
+    p = _root_basis()
+    c0 = [[[sp.nsimplify(sum(p[a, i] * p[b, j] * cm[a, b, l] * p[l, k] for a in range(8) for b in range(8)
+                              for l in range(8) if cm[a, b, l]))
+            for k in range(8)] for j in range(8)] for i in range(8)]
+    s_ = [_ROOT_S[i // 2] for i in range(8)]
+    return c0, [[[c0[i][j][k] * s_[k] / (s_[i] * s_[j]) for k in range(8)] for j in range(8)] for i in range(8)]
+
+
+def test_the_adapted_forms_are_diagonal_in_the_root_basis():
+    gram = sp.diag(t**2, t**2, t**2, t**2, v**2, v**2, w**2, w**2)
+    gram[0, 3] = gram[3, 0] = u / 2
+    gram[1, 2] = gram[2, 1] = -u / 2
+    x = (t**2 + u / 2, t**2 - u / 2, v**2, w**2)
+    assert sp.simplify(_root_basis().T * gram * _root_basis() - sp.diag(*[x[i // 2] for i in range(8)])) == sp.zeros(8)
+    c0, _ = _root_brackets()
+    nonzero = [(i, j, k) for i in range(8) for j in range(8) for k in range(8) if c0[i][j][k] != 0]
+    assert len(nonzero) == 48 and {abs(c0[i][j][k]) for i, j, k in nonzero} == {1 / sp.sqrt(2)}
+    assert {tuple(sorted({i // 2, j // 2, k // 2})) for i, j, k in nonzero} == {(0, 2, 3), (1, 2, 3)}
+
+
+def test_root_ricci_eigenvalues_follow_from_the_brackets():
+    _, c = _root_brackets()
+    c2 = structure_constants()
+    killing = sp.Matrix(np.einsum("apq,bqp->ab", c2, c2)[2:, 2:])
+    frame = _root_basis() * sp.diag(*[1 / _ROOT_S[i // 2] for i in range(8)])
+    b = frame.T * killing * frame
+    r = expected_root_ricci(*_ROOT_X)
+    for p, q in itertools.combinations_with_replacement(range(8), 2):
+        rho = (
+            sum(c[i][j][p] * c[i][j][q] for i in range(8) for j in range(8)) / 4
+            - sum(c[p][j][m] * c[q][j][m] for j in range(8) for m in range(8)) / 2
+            - b[p, q] / 2
+        )
+        assert sp.cancel(rho - (r[p // 2] if p == q else 0)) == 0, (p, q)
+
+
+def test_the_first_ledger_form_is_two_collinearities():
+    c0, c = _root_brackets()
+    r = [expected_root_ricci(*_ROOT_X)[i // 2] for i in range(8)]
+    ut = [[[(c[m][j][i] + c[m][i][j]) / 2 for m in range(8)] for j in range(8)] for i in range(8)]
+    x1, x2, x3, x4 = _ROOT_X
+    rk = expected_root_ricci(*_ROOT_X)
+    for i, j, m in itertools.combinations_with_replacement(range(8), 3):
+        ledger = -2 * (ut[i][j][m] * r[m] + ut[j][m][i] * r[i] + ut[m][i][j] * r[j])
+        if sorted({i // 2, j // 2, m // 2}) not in ([0, 2, 3], [1, 2, 3]):
+            assert sp.cancel(ledger) == 0, (i, j, m)
+            continue
+        a = i // 2  # i < j < m, so E_i lies in the root space e1 -+ e2 of the triple
+        xa, xb = (x1, x2) if a == 0 else (x2, x1)
+        det = (x3 - xa) * rk[3] + (x4 - x3) * rk[a] + (xa - x4) * rk[2]
+        assert sp.cancel(ledger * _ROOT_S[a] * _ROOT_S[2] * _ROOT_S[3] + c0[i][j][m] * det) == 0, (i, j, m)
+        q = xa * (x3 + x4 - xa) ** 2 + 8 * xb * (xa - x3) * (xa - x4) - xa * (xa - xb) * (xa + xb)
+        assert sp.cancel(det - (x4 - x3) * q / (2 * x1 * x2 * x3 * x4)) == 0
