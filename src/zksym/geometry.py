@@ -1,40 +1,27 @@
 """Riemannian package of the flag manifold at the origin, computed in the root-space frame.
 
-The torus h = span{X1, X2} splits m into four inequivalent root spaces, the
-column pairs of the fixed orthogonal basis P: (A1 + A4, A2 - A3)/sqrt 2 for
-e1 - e2, (A1 - A4, A2 + A3)/sqrt 2 for e1 + e2, (B1, B2) for e1, (C1, C2)
-for e2.  So every adapted form is diag(x) in P, x = (t^2 + u/2, t^2 - u/2,
-v^2, w^2) (K^2 = x1 x2 / t^2), and E = P diag(x)^(-1/2) is orthonormal.
-The structure constants c0 of m in P are totally antisymmetric, 48 entries
-+-1/sqrt 2 on the module triples (e1 -+ e2, e1, e2), and every tensor lives
-on that support, (N, 48) values for a stack of N points:
-
-* C[i, j, k] = c0[i, j, k] sqrt(x_k) / (sqrt(x_i) sqrt(x_j)), the brackets,
-* U[i, j, k] = (C[k, j, i] + C[k, i, j]) / 2, from 2B(U(X,Y),Z) = B(X,[Z,Y]_m) + B([Z,X]_m,Y),
-* nabla_X Y = U(X,Y) + [X,Y]_m / 2 and R(X,Y) = [nabla_X, nabla_Y] - nabla_{[X,Y]_m} - ad [X,Y]_h,
-* rho = diag(r) by Besse's formula (Einstein Manifolds, 1987, Cor. 7.38),
-  summed per module triple as by Wang and Ziller (1986): r_k = 3 / x_k
-  (-B/2, B the Killing form) + sum (x_k^2 - x_i^2 - x_j^2) / (2 x_i x_j x_k),
-* L(X,Y,Z) = sum_cyc (nabla_X rho)(Y,Z) = -2 sum_cyc rho(U(X,Y),Z) (U = 0 gives
-  L = 0), which vanishes off the triples and is on the triple of alpha in {1, 2}
-      L = -c0 D_alpha / sqrt(x_alpha x3 x4),
-      D_alpha = (x3 - x_alpha) r4 + (x4 - x3) r_alpha + (x_alpha - x4) r3 = (x4 - x3) Q_alpha / (2 x1 x2 x3 x4),
-      Q_alpha = x_alpha (x3 + x4 - x_alpha)^2 + 8 x_beta (x_alpha - x3)(x_alpha - x4) - x_alpha (x_alpha^2 - x_beta^2):
-  L = 0 iff (x_alpha, r_alpha), (x3, r3), (x4, r4) are collinear for both alpha.
-
-A point is computed at its homothetic metric with 1 <= |t| < 2, an exact
-power-of-2 scaling ((t, u, v, w) -> (l t, l^2 u, l v, l w) scales C, U and
-nabla as 1/l, rho as 1/l^2, L as 1/l^3; D_alpha does not scale), from the
-exact t^2 and with each x_k - x_j formed before a quotient, so no entry
+The torus of h splits m into four inequivalent root spaces, the column
+pairs of a fixed orthogonal basis P, so every adapted form is diag(x) in P,
+x = (t^2 + u/2, t^2 - u/2, v^2, w^2), and E = P diag(x)^(-1/2) is
+orthonormal.  The structure constants c0 of m in P have 48 nonzeros, on two
+module triples, and every tensor lives on them: C = c0 sqrt(x_k) /
+(sqrt(x_i) sqrt(x_j)), U[i, j, k] = (C[k, j, i] + C[k, i, j]) / 2,
+nabla = U + C/2, rho = diag(r) (Besse's formula, Einstein Manifolds, Cor.
+7.38, summed per triple as by Wang and Ziller) and L = -2 sum_cyc
+rho(U(X,Y), Z) = -c0 D_alpha / sqrt(x_alpha x3 x4) on the triple of alpha =
+1, 2, where D_alpha = (x3 - x_alpha) r4 + (x4 - x3) r_alpha + (x_alpha - x4) r3
+is zero iff (x_alpha, r_alpha), (x3, r3), (x4, r4) are collinear.  A point
+is computed at its homothetic metric with 1 <= |t| < 2 (an exact scaling),
+from the exact t^2, forming each x_k - x_j before a quotient, so nothing
 loses digits near the K guard.  Verdicts use frame-free quantities:
 Frobenius norms and each D_alpha against the sizes of its terms.
 
 The adapted frame of :func:`zksym.metric.orthonormal_frame` is for
 presentation only: A~1 = sgn t (c E1 + s E3), A~2 = sgn t (c E2 + s E4),
-A~3 = c E4 - s E2, A~4 = s E1 - c E3, B~i = sgn v E_{4+i}, C~i = sgn w E_{6+i},
-with c = sqrt(x1 / 2t^2), s = sqrt(x2 / 2t^2).  Tables, (8, 8, 8), and the
-Ricci matrix, (8, 8), are returned in it, built for a point on first use.
-Raw m-vectors (basis A1..C2) enter the root frame by the coframe diag(sqrt x) P^T.
+A~3 = c E4 - s E2, A~4 = s E1 - c E3, B~i = sgn v E_{4+i}, C~i = sgn w E_{6+i}
+with c, s = sqrt(x1, x2 / 2t^2).  Tables (8, 8, 8) and the Ricci matrix
+(8, 8) are returned in it, built for a point on first use.  Raw
+m-vectors (basis A1..C2) enter the root frame by the coframe diag(sqrt x) P^T.
 """
 
 from __future__ import annotations
@@ -115,7 +102,8 @@ class _Geometry:
     the sizes of C; r, rho per module; lam = D_alpha / sqrt(x_alpha x3 x4)),
     ``det`` (D_alpha) with ``det_scale`` and ``det_bound`` (the sizes of its
     three terms and of all its terms in x), and the Frobenius ``norms`` of
-    C, U, nabla, rho and L at the scale x / 4^e.  The rest is built on first use.
+    C, U, nabla, rho and L at the scale x / 4^e.  The support values are
+    computed when asked for; the presented tables and the frames are kept.
     """
 
     def __init__(self, params: np.ndarray):
@@ -175,21 +163,24 @@ class _Geometry:
     ratios, r, lam = (property(lambda self, s=s: self.vals[:, s]) for s in (slice(6), slice(6, 10), slice(10, 12)))
     norm_c, norm_u, norm_n, norm_rho, norm_ledger = (property(lambda self, i=i: self.norms[:, i]) for i in range(5))
 
-    @cached_property
+    @property
     def c(self) -> np.ndarray:
         return _C0 * self.ratios[:, _RK]
 
-    @cached_property
+    @property
     def u(self) -> np.ndarray:
         return _C0 * (0.5 * (self.ratios[:, _RJ] - self.ratios[:, _RI]))  # (C[k, j, i] + C[k, i, j]) / 2
 
-    @cached_property
+    @property
     def n(self) -> np.ndarray:
         return self.u + 0.5 * self.c
 
-    @cached_property
+    @property
     def ledger(self) -> np.ndarray:
-        """L on the support by Q_alpha, which keeps the digits D_alpha's terms lose where they cancel (u = 0, w = t)."""
+        """L on the support by D_alpha = (x4 - x3) Q_alpha / (2 x1 x2 x3 x4), with beta the other of 1, 2 and
+        Q_alpha = x_alpha (x3 + x4 - x_alpha)^2 + 8 x_beta (x_alpha - x3)(x_alpha - x4) - x_alpha (x_alpha^2 - x_beta^2),
+        which keeps the digits the three terms of D_alpha lose where they cancel (u = 0, w = t).
+        """
         y, g = self.y, np.sqrt(self.y)
         ya, yb, y3, y4 = y[:, :2], y[:, 1::-1], y[:, 2:3], y[:, 3:]
         with np.errstate(all="ignore"):
@@ -214,7 +205,7 @@ class _Geometry:
         """c = sqrt(x1 / 2t^2) and s = sqrt(x2 / 2t^2), (2, N)."""
         return np.sqrt(self.y[:, :2] / (self.y[:, 0] + self.y[:, 1])[:, None]).T
 
-    @cached_property
+    @property
     def rotation(self) -> np.ndarray:
         """Q[n, a, i]: adapted frame vector i in the root frame."""
         c, s = self._cos_sin
@@ -226,9 +217,11 @@ class _Geometry:
         """The support values ``name`` presented in the adapted frame, (N, 8, 8, 8), built once."""
         tables = vars(self).setdefault("_tables", {})
         if name not in tables:
-            table, q = _dense(getattr(self, name)), self.rotation[:, None]
+            table, q = _dense(getattr(self, name)), self.rotation[:, None, None]
             for _ in range(3):  # contract the last index with Q and bring it to the front: k, then j, then i
-                table = (table @ q).transpose(0, 3, 1, 2)
+                # products then sums, with no fused multiply-add, so that terms that cancel leave exact zeros
+                table = (table[..., None] * q).sum(axis=-2).transpose(0, 3, 1, 2)
+            table += 0.0  # and no -0.0
             table.setflags(write=False)
             tables[name] = table
         return tables[name]
@@ -239,7 +232,7 @@ class _Geometry:
         (c, s), (r1, r2, r3, r4) = self._cos_sin, self.r.T
         rho = np.zeros((len(c), 8, 8))
         rho[:, range(8), range(8)] = np.column_stack([c * c * r1 + s * s * r2, s * s * r1 + c * c * r2, r3, r4])[:, _MODULE]
-        rho[:, [0, 3, 1, 2], [3, 0, 2, 1]] = (np.sign(self.params[:, 0]) * c * s * (r1 - r2))[:, None] * [1, 1, -1, -1]
+        rho[:, [0, 3, 1, 2], [3, 0, 2, 1]] = (np.sign(self.params[:, 0]) * c * s * (r1 - r2))[:, None] * [1, 1, -1, -1] + 0.0
         rho.setflags(write=False)
         return rho
 
