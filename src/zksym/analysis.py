@@ -13,7 +13,8 @@ of it only the round point u = 0, v^2 = w^2 = t^2 is naturally reductive.
 Verdicts use frame-free scales: Frobenius norms, the same in every
 orthonormal frame, and each D_alpha against the sizes of its terms, which
 do not scale.  The adapted frame (A~1..C~2), in which reports name frame
-triples and the reduced equations are written, is for presentation only.
+triples, is for presentation only; the four reduced equations written in
+it are closed combinations of D1 and D2 (:func:`ledger_system_residuals`).
 """
 
 from __future__ import annotations
@@ -114,37 +115,30 @@ def infinitesimal_isometries(p: MetricParams, tol: float = DEFAULT_TOL) -> np.nd
     return vh[rank:].T.copy()
 
 
-# adapted frame index pairs of the Ricci entries r11, r33, r55, r77, r14
-_RICCI_ENTRIES = ([0, 2, 4, 6, 0], [0, 2, 4, 6, 3])
-
-
 def ledger_system_residuals(p: MetricParams) -> np.ndarray:
     """The four reduced scalar equations of the first Ledger condition, in the adapted frame.
 
-    A (4, 5) coefficient matrix over the Ricci entries (r11, r33, r55,
-    r77, r14) of the adapted frame.  The eight frame triples where L can
-    be nonzero, (A~i, B~j, C~k) with j = k for i = 1, 4 and j != k for i =
-    2, 3, each carry one equation times +-1/t, +-1/(vw), -1/(tvw) or
-    -1/(Kvw), so all four vanish iff L = 0.  The rank is at most 3, as
-    v w eq3 = u/(2tK) eq4 - K eq2, and 3 off u = 0 and v^2 = w^2
-    (``tests/test_symbolic.py`` proves all three).  The coefficients are
-    ratios of like scales (u/(2t) and K scale as t, (v^2 - w^2)/(vw) and
-    w/v are scale-free), so no product overflows where they do not.
-    Raises DegenerateMetricError when a residual overflows.
+    The eight frame triples where L can be nonzero, (A~i, B~j, C~k) with
+    j = k for i = 1, 4 and j != k for i = 2, 3, each carry one equation
+    times +-1/t, +-1/(vw), -1/(tvw) or -1/(Kvw), so all four vanish iff
+    L = 0.  They are read off the D_alpha of :mod:`zksym.geometry`, vw signed:
+    eq1 = -(D1 + D2)/2, eq2 = -(D1 - D2)/(2t), eq4 = -(x2 D1 + x1 D2)/(2t^2)
+    and eq3 = sgn t (x2 D1 - x1 D2)/(2 vw sqrt(x1 x2)), of rank 2 in D_alpha.
+    Written out over the Ricci entries (r11, r33, r55, r77, r14), they have
+    rank at most 3, as v w eq3 = u/(2tK) eq4 - K eq2, and 3 off u = 0 and
+    v^2 = w^2 (``tests/test_symbolic.py`` proves all of this).  D_alpha is
+    scale-free, so they are formed at the unit scale and scaled as t^0,
+    t^-1, t^-2, t^0 after.  Raises DegenerateMetricError when one overflows.
     """
-    rho = geometry._cached_geometry(p).ricci[0]
-    t, u, v, w, k = p.t, p.u, p.v, p.w, p.K
-    t2, v2, w2, k2 = t * t, v * v, w * w, k * k
-    half_u_t = u / (2 * t)
-    d_vw = (v2 - w2) / (v * w)
-    coef = np.array([
-        [v2 - w2, 0.0, w2 - t2, t2 - v2, half_u_t / k * (w2 - v2)],
-        [0.0, 0.0, -half_u_t, half_u_t, (v2 - w2) / k],
-        [0.0, half_u_t * d_vw / k, half_u_t * (w / v) / k, -half_u_t * (v / w) / k, -d_vw],
-        [0.0, v2 - w2, w2 - k2, k2 - v2, 0.0],
-    ])
+    geo = geometry._cached_geometry(p)
+    x1, x2, x3, x4 = geo.y[0]
+    t, _, v, w = np.ldexp(geo.params[0], -geo.e[0])
     with np.errstate(all="ignore"):  # overflow shows up as a non-finite residual below
-        star = (coef * rho[_RICCI_ENTRIES]).sum(axis=1)
+        d1, d2 = 0.5 * (x4 - x3) * geo.q[0]
+        star = np.array([-(d1 + d2) / 2, -(d1 - d2) / (2 * t),
+                         np.sign(t) * (x2 * d1 - x1 * d2) / (2 * v * w * np.sqrt(x1 * x2)),
+                         -(x2 * d1 + x1 * d2) / (2 * t * t)])
+        star = np.ldexp(star, [0, -geo.e[0], -2 * geo.e[0], 0]) + 0.0  # and no -0.0
     if not np.isfinite(star).all():
         raise DegenerateMetricError(f"reduced Ledger system residuals are not finite: {star.tolist()}")
     return star

@@ -103,7 +103,7 @@ class _Geometry:
     ``det`` (D_alpha) with ``det_scale`` and ``det_bound`` (the sizes of its
     three terms and of all its terms in x), and the Frobenius ``norms`` of
     C, U, nabla, rho and L at the scale x / 4^e.  The support values are
-    computed when asked for; the presented tables and the frames are kept.
+    computed when asked for; the presented tables, the frames and q are kept.
     """
 
     def __init__(self, params: np.ndarray):
@@ -175,19 +175,24 @@ class _Geometry:
     def n(self) -> np.ndarray:
         return self.u + 0.5 * self.c
 
-    @property
-    def ledger(self) -> np.ndarray:
-        """L on the support by D_alpha = (x4 - x3) Q_alpha / (2 x1 x2 x3 x4), with beta the other of 1, 2 and
-        Q_alpha = x_alpha (x3 + x4 - x_alpha)^2 + 8 x_beta (x_alpha - x3)(x_alpha - x4) - x_alpha (x_alpha^2 - x_beta^2),
-        which keeps the digits the three terms of D_alpha lose where they cancel (u = 0, w = t).
+    @cached_property
+    def q(self) -> np.ndarray:
+        """Q_alpha / (x1 x2 x3 x4) at the unit scale, (N, 2), with beta the other of 1, 2 and
+        Q_alpha = x_alpha (x3 + x4 - x_alpha)^2 + 8 x_beta (x_alpha - x3)(x_alpha - x4) - x_alpha (x_alpha^2 - x_beta^2).
+        D_alpha = (x4 - x3) q / 2, which keeps the digits its three terms lose where they cancel (u = 0, w = t).
         """
-        y, g = self.y, np.sqrt(self.y)
-        ya, yb, y3, y4 = y[:, :2], y[:, 1::-1], y[:, 2:3], y[:, 3:]
+        ya, yb, y3, y4 = self.y[:, :2], self.y[:, 1::-1], self.y[:, 2:3], self.y[:, 3:]
         with np.errstate(all="ignore"):
             d3, d4 = ya - y3, ya - y4
             s = np.where(np.abs(d4) <= np.abs(d3), y3 - d4, y4 - d3)  # x3 + x4 - x_alpha, by the nearer difference
-            q = (s / y3) * (s / y4) / yb + 8.0 * (d3 / y3) * (d4 / y4) / ya - ((ya - yb) / y3) * ((ya + yb) / y4) / yb
-            lam = 0.5 * ((y4 - y3) / g[:, 2:3] / g[:, 3:]) / g[:, :2] * q
+            return (s / y3) * (s / y4) / yb + 8.0 * (d3 / y3) * (d4 / y4) / ya - ((ya - yb) / y3) * ((ya + yb) / y4) / yb
+
+    @property
+    def ledger(self) -> np.ndarray:
+        """L on the support, lam = D_alpha / sqrt(x_alpha x3 x4) by the Q-form of :attr:`q`."""
+        y, g = self.y, np.sqrt(self.y)
+        with np.errstate(all="ignore"):
+            lam = 0.5 * ((y[:, 3:] - y[:, 2:3]) / g[:, 2:3] / g[:, 3:]) / g[:, :2] * self.q
             return _L_SIGN * np.ldexp(lam, -3 * self.e[:, None])[:, _TRIPLE]
 
     @cached_property

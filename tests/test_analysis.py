@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -28,7 +29,7 @@ from zksym import (
     verify_solution,
 )
 
-from oracles import expected_reduced_terms, sample_params, unonzero_closed_form_v2
+from oracles import expected_reduced_terms, expected_ricci_entries, exact_point, sample_params, unonzero_closed_form_v2
 
 
 # ----------------------------------------------------------------------
@@ -144,6 +145,36 @@ def test_reduced_system_matches_the_equations_written_out():
         for value, terms in zip(got, expected_reduced_terms(p)):
             scale = sum(abs(c) for c, _ in terms) * rho_max
             assert abs(value - sum(c * r for c, r in terms)) <= 1e-13 * scale, p
+
+
+def _exact_reduced_system(p):
+    """The four written-out equations at 50 digits, and the scale sum |coef| max|rho| of each."""
+    exact = exact_point(p)
+    with mpmath.workdps(50):
+        rho_max = max(abs(r) for r in expected_ricci_entries(exact, mpmath.sqrt).values())
+        return [(float(sum(c * r for c, r in terms)), float(sum(abs(c) for c, _ in terms) * rho_max))
+                for terms in expected_reduced_terms(exact, mpmath.sqrt)]
+
+
+def test_reduced_system_keeps_its_digits_up_to_the_k_guard():
+    # read off D_alpha, no 1/K coefficient cancels: the sums over Ricci entries lost eps (t/K)^2
+    rng = np.random.default_rng(19)
+    for _ in range(60):
+        t, v, w = rng.uniform(0.5, 2.0, 3) * rng.choice([-1.0, 1.0], 3)
+        k_ratio = 10.0 ** rng.uniform(-7.9, 0.0)
+        p = MetricParams(t, 2.0 * t * t * np.sqrt(1.0 - k_ratio**2) * rng.choice([-1.0, 1.0]), v, w)
+        for got, (ref, scale) in zip(ledger_system_residuals(p), _exact_reduced_system(p)):
+            assert abs(got - ref) <= 1e-14 * scale, (p, k_ratio)
+
+
+@pytest.mark.parametrize("t", [1.0, 1.37, -0.6])
+def test_reduced_system_keeps_its_digits_where_u_is_0_and_w_is_t(t):
+    # the first and last equations are differences of order v^2 of Ricci entries near 3 / t^2, the
+    # middle two vanish exactly
+    for v in (1e-3, 1e-2, 0.1):
+        p = MetricParams(t, 0.0, v * t, t)
+        for got, (ref, _) in zip(ledger_system_residuals(p), _exact_reduced_system(p)):
+            assert abs(got - ref) <= 1e-14 * abs(ref), (p, got, ref)
 
 
 def test_v_equals_w_solves_the_first_ledger_condition_without_being_naturally_reductive():

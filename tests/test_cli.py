@@ -263,6 +263,9 @@ def test_ledger_residual_report(capsys):
     assert doc["max_ledger_residual"] == pytest.approx(3.0)
     assert len(doc["star_residuals"]) == 4
     assert not doc["satisfied"]
+    # at u = 0 the two determinants are equal, and their difference prints as 0.0, never -0.0
+    assert doc["star_residuals"] == pytest.approx([-6.0, 0.0, 0.0, -6.0])
+    assert "-0.0" not in out and all(math.copysign(1.0, x) == 1.0 for x in doc["star_residuals"][1:3])
 
 
 # ----------------------------------------------------------------------
@@ -442,7 +445,7 @@ def test_infinite_tolerance_exits_1(capsys, monkeypatch, fmt, source):
 
 @pytest.mark.filterwarnings("error")
 def test_ledger_system_at_overflowing_scale(capsys):
-    # the reduced-system coefficients are ratios of like scales, so products such
+    # the residuals are formed at the unit scale and scaled after, so products such
     # as u*w (1e462 here) are never formed; the four residuals stay finite
     code, out, err = run_cli(
         capsys, "ledger", "--t", "1e154", "--u", "1e308", "--v", "1e154", "--w", "1e154", "--format", "json"

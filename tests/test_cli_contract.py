@@ -109,6 +109,8 @@ def _contract(argv, capsys) -> dict:
 _LEDGER_KEYS = [["params", "tol", "max_ledger_residual", "star_residuals", "satisfied"]]
 _NR_KEYS = [["params", "tol", "naturally_reductive", "max_u_coefficient", "witness"]]
 
+_STAR_OVERFLOW = "numerical failure: reduced Ledger system residuals are not finite: [inf, nan, nan, inf]"
+
 # argv whose contract changed on purpose since the snapshot, with the new contract
 DIFFS: dict[tuple[str, ...], dict] = {
     # each collinearity determinant against the sum of its terms' sizes: 5e-7 against 6 here,
@@ -123,6 +125,11 @@ DIFFS: dict[tuple[str, ...], dict] = {
     # Frobenius norms: ||U|| / ||C|| = 8.2e-10, where max|U| / max|C| = 1.0e-9
     ("check-nr", *_point(1.0, 0.0, 1.0, 1.000000001), "--format", "json"):
         {"exit": 0, "stderr": "", "keys": _NR_KEYS, "verdicts": [{"naturally_reductive": True, "witness": None}]},
+    # the reduced residuals are read off D_alpha, which overflows here (about x3^2 / 2 = 5e399), where the
+    # Ricci-entry sums met inf - inf
+    ("ledger", *_point(1.0, 0.0, 1e100, 1.0)): {"exit": 2, "stderr": _STAR_OVERFLOW, "verdicts": []},
+    ("ledger", *_point(1.0, 0.0, 1e100, 1.0), "--format", "json"):
+        {"exit": 2, "stderr": _STAR_OVERFLOW, "keys": [], "verdicts": []},
 }
 
 
@@ -137,8 +144,10 @@ def test_cli_contract_is_unchanged(argv, capsys):
 
 
 def test_snapshot_covers_every_argv():
-    assert set(_expected()) == set(_argv())
+    expected = _expected()
+    assert set(expected) == set(_argv())
     assert set(DIFFS) <= set(_argv())
+    assert [argv for argv, contract in DIFFS.items() if contract == expected[argv]] == []  # no stale entry
 
 
 class _Capture:

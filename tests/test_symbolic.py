@@ -24,6 +24,10 @@ K kept as the symbol k bound by 4 t^2 k^2 = 4 t^4 - u^2.
   (F2), which is (x4 - x3) Q_a / (2 x1 x2 x3 x4) with the Q_a of
   ``zksym.geometry``.  These are identities of rational functions of
   s_k = sqrt(x_k).
+* The four reduced equations are closed combinations of the two
+  determinants D_a, as ``analysis.ledger_system_residuals`` reads them:
+  -(D1 + D2)/2, -(D1 - D2)/(2t), sgn t (x2 D1 - x1 D2)/(2 vw sqrt(x1 x2))
+  and -(x2 D1 + x1 D2)/(2t^2), with vw signed and sqrt(x1 x2) = |t| K.
 * On a solution family the four reduced equations vanish if each
   numerator lies in the family's ideal, saturated by t v w k (the
   auxiliary y with y t v w k = 1 removes the components where a
@@ -263,3 +267,18 @@ def test_the_first_ledger_form_is_two_collinearities():
         assert sp.cancel(ledger * _ROOT_S[a] * _ROOT_S[2] * _ROOT_S[3] + c0[i][j][m] * det) == 0, (i, j, m)
         q = xa * (x3 + x4 - xa) ** 2 + 8 * xb * (xa - x3) * (xa - x4) - xa * (xa - xb) * (xa + xb)
         assert sp.cancel(det - (x4 - x3) * q / (2 * x1 * x2 * x3 * x4)) == 0
+
+
+def test_the_reduced_system_is_read_off_the_determinants():
+    # t, v and w are symbols of either sign, and vw is their signed product; x1 x2 = t^2 K^2, so
+    # sgn t / sqrt(x1 x2) = 1 / (t K) at either sign of t
+    x1, x2, x3, x4 = t**2 + u / 2, t**2 - u / 2, v**2, w**2
+    assert _vanishes(x1 * x2 - t**2 * k**2)
+    size, kk = sp.symbols("size kk", positive=True)
+    assert all(sp.sign(s_ * size) / sp.sqrt((s_ * size * kk) ** 2) == 1 / (s_ * size * kk) for s_ in (1, -1))
+    r = expected_root_ricci(x1, x2, x3, x4)
+    d1, d2 = ((x3 - xa) * r[3] + (x4 - x3) * r[a] + (xa - x4) * r[2] for a, xa in ((0, x1), (1, x2)))
+    reduced = [-(d1 + d2) / 2, -(d1 - d2) / (2 * t),
+               (x2 * d1 - x1 * d2) / (2 * v * w * t * k), -(x2 * d1 + x1 * d2) / (2 * t**2)]
+    for got, terms in zip(reduced, expected_reduced_terms(_POINT, sqrt=lambda _: k)):
+        assert _vanishes(got - sum(c * entry for c, entry in terms))
