@@ -12,6 +12,7 @@ import numpy as np
 from zksym import (
     DegenerateMetricError,
     FRAME_NAMES,
+    InvalidParamsError,
     MetricParams,
     build_form,
     build_so5,
@@ -39,10 +40,14 @@ gram_in_frame = frame.matrix.T @ form.gram @ frame.matrix
 print("\nGram matrix in the frame (should be the identity):")
 print(gram_in_frame)
 
-# eigenvalues of the A-block are t^2 +- u/2, each twice; the metric
-# degenerates as |u| approaches 2 t^2 and the K-guard refuses early
+# eigenvalues of the A-block are t^2 +- u/2, each twice: the form is
+# positive-definite exactly for |u| < 2 t^2, and the K-guard refuses early
 print("\nA-block eigenvalues:", np.linalg.eigvalsh(form.gram[:4, :4]))
 try:
-    build_form(MetricParams(1.0, 3.0, 1.0, 1.0))
-except DegenerateMetricError as exc:
+    MetricParams(1.0, 3.0, 1.0, 1.0)
+except InvalidParamsError as exc:
     print(f"u = 3 t^2 refused: {exc}")
+try:
+    build_form(MetricParams(1.0, 2.0, 1.0, 1.0))
+except DegenerateMetricError as exc:
+    print(f"u = 2 t^2 refused: {exc}")

@@ -94,18 +94,20 @@ def _ledger_holds(geo, tol: float = DEFAULT_TOL) -> np.ndarray:
 def _determinants(geo, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """|D_alpha| and a scale of each, (N, 2) both; raises where they are not finite."""
     det = np.abs(geo.det)
-    if not np.isfinite(det + scale).all():
+    if not (np.isfinite(det).all() and np.isfinite(scale).all()):  # their sum may overflow where neither does
         raise DegenerateMetricError(f"the Ledger determinants are not finite: {geo.det.tolist()}")
     return det, scale
 
 
 def infinitesimal_isometries(p: MetricParams, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the infinitesimal isometries contained in m.
+    """Orthonormal basis of the X in m whose ad(X)_m is skew for the metric.
 
-    Solves B([X,Y]_m, Z) + B(Y, [X,Z]_m) = 0 over all frame pairs (Y, Z)
-    as a linear system in X; the kernel is extracted by SVD with relative
-    singular-value cutoff ``tol``.  Columns of the returned (8, dim) array
-    are the basis vectors in adapted frame coordinates.
+    Solves B([X,Y]_m, Z) + B(Y, [X,Z]_m) = 0, that is <U(Y, Z), X> = 0, over
+    all frame pairs (Y, Z) as a linear system in X; the kernel is extracted
+    by SVD with relative singular-value cutoff ``tol``.  Columns of the
+    returned (8, dim) array are the basis vectors in adapted frame coordinates.
+    At v = w the space is 4-dimensional, yet probes of Singer's stabilizer find
+    the isometry algebra so(5) there: it holds no extra Killing fields.
     """
     # one row per frame pair i <= j: the equation is 2 <U(E_i, E_j), X> = 0, so row[x] = U[i, j, x]
     a = geometry.u_table(p)[np.triu_indices(8)]

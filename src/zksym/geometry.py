@@ -285,8 +285,10 @@ def _geometry(form: AdaptedForm) -> _Geometry:
         )
     try:
         p = MetricParams(low[0, 0], 2.0 * float(form.gram[3, 0]), low[4, 4], low[6, 6])
-    except InvalidParamsError as exc:  # only u = 2 g30 can leave the floats
-        raise DegenerateMetricError(f"u = 2 g30 = 2 * {form.gram[3, 0]:.3g} overflows") from exc
+    except InvalidParamsError as exc:  # only u = 2 g30 can fail: it overflows, or it rounds past |u| = 2 L00^2
+        if np.isinf(2.0 * float(form.gram[3, 0])):
+            raise DegenerateMetricError(f"u = 2 g30 = 2 * {form.gram[3, 0]:.3g} overflows") from exc
+        raise DegenerateMetricError(f"Gram matrix too close to the degenerate boundary: {exc}") from exc
     return _cached_geometry(p)
 
 

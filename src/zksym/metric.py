@@ -7,19 +7,20 @@ four scalars (t, u, v, w):
     B = t^2 (a1^2 + a2^2 + a3^2 + a4^2) + u (a1 a4 - a2 a3)
         + v^2 (b1^2 + b2^2) + w^2 (c1^2 + c2^2)
 
-in the dual coordinates of the m-basis, with t*v*w != 0 and u inside the
-open interval (-4t^2, 4t^2).  The normalizing scalar
+in the dual coordinates of the m-basis, with t*v*w != 0.  The form is
+positive-definite exactly when |u| < 2t^2, that is |h| < |t| for the
+coupling h = u/(2t), so that
 
-    K = sqrt(t^2 - u^2 / (4 t^2))
+    K = sqrt((t - h)(t + h)) = sqrt(t^2 - u^2 / (4 t^2))
 
-must stay positive; since positive-definiteness of the A-block is
-equivalent to K being real, operations guard on K >= K_GUARD_EPS * |t| and
-refuse nearly degenerate parameters with a distinct error.
+is positive.  Parameters with |u| > 2t^2 are invalid; admissible ones
+with K below K_GUARD_EPS * |t| (u = +-2t^2 included) are refused by the
+guard on K as nearly degenerate, with a distinct error.
 
 The adapted orthonormal frame returned by :func:`orthonormal_frame`, in
 which the geometry presents its tables, is the one dual to the coframe
 
-    a~1 = t a1 + u/(2t) a4,   a~2 = t a2 - u/(2t) a3,
+    a~1 = t a1 + h a4,        a~2 = t a2 - h a3,
     a~3 = K a3,               a~4 = K a4,
     b~i = v bi,               c~i = w ci,
 
@@ -45,7 +46,7 @@ FRAME_NAMES = ("A~1", "A~2", "A~3", "A~4", "B~1", "B~2", "C~1", "C~2")
 
 
 class InvalidParamsError(ValueError):
-    """Metric parameters outside the admissible set (t*v*w = 0, |u| >= 4t^2)."""
+    """Metric parameters outside the admissible set (t*v*w = 0 or |u| > 2t^2)."""
 
 
 class DegenerateMetricError(ArithmeticError):
@@ -69,23 +70,17 @@ class MetricParams:
             object.__setattr__(self, name, value)
         if self.t == 0.0 or self.v == 0.0 or self.w == 0.0:
             raise InvalidParamsError("t, v, w must all be nonzero")
-        bound = 4.0 * self.t * self.t
-        if not (-bound < self.u < bound):
+        if abs(self.u / (2.0 * self.t)) > abs(self.t):  # |h| > |t|: the form is indefinite
+            bound = 2.0 * self.t * self.t
             raise InvalidParamsError(
-                f"u must lie in the open interval (-4t^2, 4t^2) = (-{bound:g}, {bound:g}), got {self.u:g}"
+                f"u must lie in the open interval (-2t^2, 2t^2) = (-{bound:g}, {bound:g}), got {self.u:g}"
             )
 
     @property
     def k_squared(self) -> float:
-        """t^2 - u^2/(4 t^2), without any guard."""
-        t2 = self.t * self.t
-        u2 = self.u * self.u
-        # u^2 may overflow where u^2/(4t^2) does not; (u/(2t))^2 everywhere
-        # would move K by an ulp, so it serves only there
-        if u2 == math.inf:
-            half = self.u / (2.0 * self.t)
-            return t2 - half * half
-        return t2 - u2 / (4.0 * t2)
+        """(t - h)(t + h) with h = u/(2t), that is t^2 - u^2/(4 t^2), without any guard."""
+        h = self.u / (2.0 * self.t)
+        return (self.t - h) * (self.t + h)
 
     @property
     def K(self) -> float:
@@ -100,7 +95,7 @@ class MetricParams:
             raise DegenerateMetricError(f"t^2, v^2, w^2 = {shown} leave the range of normal floats [{lo:.3g}, {hi:.3g}]")
         k2 = self.k_squared
         guard = (K_GUARD_EPS * self.t) ** 2
-        if not (k2 >= guard and k2 > 0.0):  # NaN when u^2 and 4t^2 both overflow
+        if not (k2 >= guard and k2 > 0.0):  # the guard underflows to 0 at the smallest t
             raise DegenerateMetricError(
                 f"K^2 = {k2:.3g} below guard {guard:.3g}: |u| too close to the degenerate boundary"
             )
@@ -170,14 +165,13 @@ def orthonormal_frame(p: MetricParams) -> OrthonormalFrame:
     """Frame dual to the adapted coframe; orthonormal for build_form(p)."""
     k = p.K
     t = p.t
-    two_t2 = 2.0 * t * t
-    mix = (p.u / two_t2 if two_t2 < math.inf else p.u / (2.0 * t) / t) / k
+    mix = p.u / (2.0 * t) / t / k  # h / (t K)
     f = np.zeros((8, 8))
     f[0, 0] = 1.0 / t                 # A~1 = A1/t
     f[1, 1] = 1.0 / t                 # A~2 = A2/t
-    f[1, 2] = mix                     # A~3 = u/(2 t^2 K) A2 + A3/K
+    f[1, 2] = mix                     # A~3 = h/(t K) A2 + A3/K
     f[2, 2] = 1.0 / k
-    f[0, 3] = -mix                    # A~4 = -u/(2 t^2 K) A1 + A4/K
+    f[0, 3] = -mix                    # A~4 = -h/(t K) A1 + A4/K
     f[3, 3] = 1.0 / k
     f[4, 4] = f[5, 5] = 1.0 / p.v     # B~i = Bi/v
     f[6, 6] = f[7, 7] = 1.0 / p.w     # C~i = Ci/w

@@ -211,8 +211,10 @@ def test_criterion_9_boundary_behavior(capsys):
     codes["S=(7-sqrt17)/2 (u1)"] = cli_main(
         ["solve", "--branch", "u1", "--S", repr((7 - math.sqrt(17)) / 2)]
     )
-    near = repr(4.0 * (1.0 - 5e-9))
-    codes["K guard"] = cli_main(["ricci", "--t", "1", "--u", near, "--v", "1", "--w", "1"])
+    codes["u=+2.5t^2"] = cli_main(["ricci", "--t", "1", "--u", "2.5", "--v", "1", "--w", "1"])
+    # admissible, 2t^2 - u = 3.3e-17 of 2t^2: inside the guard of K = 0
+    near = ["--t", "1.5442292252959517", "--u", "4.76928780051627"]
+    codes["K guard"] = cli_main(["ricci", *near, "--v", "1", "--w", "1"])
     capsys.readouterr()  # swallow the CLI chatter before reporting
     expected = {k: (2 if k == "K guard" else 1) for k in codes}
     ok = codes == expected

@@ -366,11 +366,51 @@ def test_u_boundary_exits_1(capsys):
         assert "open interval" in err
 
 
+# admissible (2t^2 - u is 3.3e-17 of 2t^2), inside the guard of K = 0, at a t that is not a power of two
+_IN_GUARD = (1.5442292252959517, 4.76928780051627)
+
+
 def test_k_guard_exits_2(capsys):
-    u = repr(4.0 * (1.0 - 5e-9))
-    code, _, err = run_cli(capsys, "ricci", "--t", "1", "--u", u, "--v", "1", "--w", "1")
+    t, u = map(repr, _IN_GUARD)
+    code, _, err = run_cli(capsys, "ricci", "--t", t, "--u", u, "--v", "1", "--w", "1")
     assert code == 2
     assert "numerical failure" in err
+
+
+@pytest.mark.parametrize("u,code", [("2.5", 1), ("-2.5", 1), ("4", 1), ("-4", 1), ("2", 2), ("-2", 2)])
+def test_u_classification(capsys, u, code):
+    # |u| > 2t^2 is indefinite, invalid input; on |u| = 2t^2, K = 0 and the guard refuses
+    got, out, err = run_cli(capsys, "ricci", "--t", "1", "--u", u, "--v", "1", "--w", "1")
+    assert (got, out) == (code, "")
+    if code == 1:
+        assert err == f"error: u must lie in the open interval (-2t^2, 2t^2) = (-2, 2), got {u}\n"
+    else:
+        assert err == "numerical failure: K^2 = 0 below guard 1e-16: |u| too close to the degenerate boundary\n"
+
+
+@pytest.mark.parametrize("e", [-300, 0, 200])
+def test_guard_decision_does_not_depend_on_scale(capsys, e):
+    # the homothetic copies (lt, l^2 u, lv, lw), l = 2^e, of a point inside the guard band:
+    # h = u/(2t) scales exactly, so K^2 = 0 at each; u^2 would underflow at 2^-300
+    t, u = (math.ldexp(x, k * e) for x, k in zip(_IN_GUARD, (1, 2)))
+    code, out, err = run_cli(capsys, "check-nr", "--t", repr(t), "--u", repr(u), "--v", repr(t), "--w", repr(t))
+    guard = (metric.K_GUARD_EPS * t) ** 2  # quoted at the point's own scale
+    assert (code, out) == (2, "")
+    assert err == f"numerical failure: K^2 = 0 below guard {guard:.3g}: |u| too close to the degenerate boundary\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_ledger_where_a_determinant_and_its_scale_sum_past_the_floats(capsys, fmt):
+    # |D_alpha| and its scale are both about 8e307 here: each is finite, their sum is not
+    code, out, err = run_cli(
+        capsys, "ledger", "--t", "1", "--u", "0.3", "--v", "8.177916494933263e+153", "--w", "8.99570814442659e+153",
+        "--format", fmt,
+    )
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        assert json.loads(out)["satisfied"] is False
+    else:
+        assert "first Ledger condition violated" in out
 
 
 @pytest.mark.parametrize("u", ["-5.8e-05", "-1E-3"])

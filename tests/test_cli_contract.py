@@ -130,6 +130,9 @@ DIFFS: dict[tuple[str, ...], dict] = {
     ("ledger", *_point(1.0, 0.0, 1e100, 1.0)): {"exit": 2, "stderr": _STAR_OVERFLOW, "verdicts": []},
     ("ledger", *_point(1.0, 0.0, 1e100, 1.0), "--format", "json"):
         {"exit": 2, "stderr": _STAR_OVERFLOW, "keys": [], "verdicts": []},
+    # the form is positive-definite exactly for |u| < 2t^2, where the snapshot named (-4t^2, 4t^2)
+    ("ricci", *_point(1.0, 4.0, 1.0, 1.0)):
+        {"exit": 1, "stderr": "error: u must lie in the open interval (-2t^2, 2t^2) = (-2, 2), got 4"},
 }
 
 

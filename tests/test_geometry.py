@@ -502,6 +502,16 @@ def test_bare_gram_whose_u_overflows_is_degenerate():
         ricci(AdaptedForm(gram=g))
 
 
+def test_bare_gram_read_past_the_boundary_is_degenerate():
+    # positive-definite and invariant within tolerance, as g33 = g00 (1 + 1e-10), but its smallest
+    # eigenvalue is 3e-11 of g00 and u = 2 g30 > 2 L00^2: the reading lands past |u| = 2t^2
+    a, c = 1.7, 1.7 * (1 + 2e-11)
+    g = np.eye(8)
+    g[:4, :4] = [[a, 0, 0, c], [0, a, -c, 0], [0, -c, a * (1 + 1e-10), 0], [c, 0, 0, a * (1 + 1e-10)]]
+    with pytest.raises(DegenerateMetricError, match="^Gram matrix too close to the degenerate boundary: u must"):
+        ricci(AdaptedForm(gram=g))
+
+
 def test_bare_gram_must_be_adh_invariant():
     # positive-definite but not ad(h)-invariant: the invariant-connection
     # formulas do not hold for it, so every operation refuses it

@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from zksym import (
     orthonormal_frame,
 )
 
-from oracles import sample_params
+from oracles import exact_point, sample_params
 
 
 # ----------------------------------------------------------------------
@@ -58,13 +60,39 @@ def test_k_when_u_squared_overflows():
 
 
 def test_k_guard_near_degenerate():
-    # |u| within 1e-8 * 4t^2 of the boundary: K^2 < 0, the guard refuses
-    with pytest.raises(DegenerateMetricError):
-        MetricParams(1, 4 * (1 - 5e-9), 1, 1).K
-    # anywhere past |u| = 2t^2 the form stops being positive-definite
-    with pytest.raises(DegenerateMetricError):
-        build_form(MetricParams(1, 3, 1, 1))
+    # admissible, yet 2t^2 - u is 3.3e-17 of 2t^2: h = u/(2t) rounds onto t, K^2 = 0, the guard refuses
+    p = MetricParams(1.5442292252959517, 4.76928780051627, 1, 1)
+    assert Fraction(p.u) < 2 * Fraction(p.t) ** 2 and p.k_squared == 0.0
+    with pytest.raises(DegenerateMetricError, match="too close to the degenerate boundary"):
+        p.K
+    for u in (2.0, -2.0):  # on the boundary |u| = 2t^2
+        with pytest.raises(DegenerateMetricError):
+            build_form(MetricParams(1, u, 1, 1))
+    # past |u| = 2t^2 the form is indefinite: invalid input, not a degenerate metric
+    for u in (3.0, -2.5, 4 * (1 - 5e-9)):
+        with pytest.raises(InvalidParamsError, match=r"\(-2t\^2, 2t\^2\)"):
+            MetricParams(1, u, 1, 1)
     assert MetricParams(1, 1.9, 1, 1).K > 0
+
+
+def test_k_squared_and_frame_keep_their_digits_across_scales():
+    # K^2 = (t - h)(t + h) with h = u/(2t): u is never squared, so at every scale
+    # K^2 and the frame lose only the eps (t/K)^2 of rounding h
+    rng = np.random.default_rng(29)
+    eps = np.finfo(float).eps
+    mpf = np.vectorize(mpmath.mpf, otypes=[object])
+    for _ in range(150):
+        t = 10.0 ** rng.uniform(-150, 150) * rng.choice([-1.0, 1.0])
+        k_ratio = 10.0 ** rng.uniform(-7.9, 0)
+        u = 2.0 * t * t * np.sqrt(1.0 - k_ratio**2) * rng.choice([-1.0, 1.0])
+        p = MetricParams(t, u, t * rng.uniform(0.5, 2.0), t * rng.uniform(0.5, 2.0))
+        exact = exact_point(p)
+        with mpmath.workdps(50):
+            unit = eps * exact.t**2 / exact.k_squared
+            assert abs(p.k_squared - exact.k_squared) <= 4 * unit * exact.k_squared, p
+            f = mpf(orthonormal_frame(p).matrix)
+            defect = f.T @ mpf(build_form(p).gram) @ f - np.eye(8)
+            assert max(abs(x) for x in defect.flat) <= 4 * unit, p
 
 
 # ----------------------------------------------------------------------
@@ -173,5 +201,11 @@ def test_frame_vectors_grading_homogeneous():
 
 
 def test_frame_refuses_near_degenerate():
-    with pytest.raises(DegenerateMetricError):
-        orthonormal_frame(MetricParams(1, 2.5, 1, 1))
+    for u in (2.0, -2.0):
+        with pytest.raises(DegenerateMetricError):
+            orthonormal_frame(MetricParams(1, u, 1, 1))
+    with pytest.raises(DegenerateMetricError):  # admissible, inside the guard of K = 0
+        orthonormal_frame(MetricParams(1.5442292252959517, 4.76928780051627, 1, 1))
+    for u in (4.0, -4.0):
+        with pytest.raises(InvalidParamsError):
+            MetricParams(1, u, 1, 1)
