@@ -12,7 +12,8 @@ rho(U(X,Y), Z) = -c0 D_alpha / sqrt(x_alpha x3 x4) on the triple of alpha =
 1, 2, where D_alpha = (x3 - x_alpha) r4 + (x4 - x3) r_alpha + (x_alpha - x4) r3
 is zero iff (x_alpha, r_alpha), (x3, r3), (x4, r4) are collinear.  A point
 is computed at its homothetic metric with 1 <= |t| < 2 (an exact scaling),
-from the exact t^2, forming each x_k - x_j before a quotient, so nothing
+on the x / 4^e that :attr:`zksym.metric.MetricParams.unit_scalars` forms
+from the exact t^2, with each x_k - x_j formed before a quotient, so nothing
 loses digits near the K guard.  Verdicts use frame-free quantities:
 Frobenius norms and each D_alpha against the sizes of its terms.
 
@@ -73,7 +74,6 @@ _TO_MODULES = 0.5 * np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1
 _TRIPLES_OF_MODULES = 0.5 * np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 1.0]])
 # the terms (x3 - x_alpha) r4, (x4 - x3) r_alpha, (x_alpha - x4) r3 of D_alpha: x first and second, and r
 _DX, _DR = np.array([2, 2, 3, 3, 0, 1, 0, 1, 2, 2, 3, 3]), np.array([3, 3, 0, 1, 2, 2])
-_PLUS_MINUS = np.array([1.0, -1.0])
 _POWERS = np.repeat([-1, -2, -3], [6, 4, 2])  # homothety weights of the ratios, r and lam
 _NORM_WEIGHTS = np.array([4.0, 1.0, 1.0, 2.0, 12.0])
 # the rotation Q[a, i] to the adapted frame: c _QC + s _QS + _QB, column i times sgn t, t, 1, 1, sgn v, v, w, w
@@ -96,7 +96,7 @@ def _dense(values: np.ndarray) -> np.ndarray:
 
 
 class _Geometry:
-    """The geometry of the adapted metrics params[n] = (t, u, v, w), row n of every array, in the root frame.
+    """The geometry of the parameter points in the root frame, row n of every array for points[n].
 
     Computed at once, what the solve path reads: ``vals`` (the six ratios,
     the sizes of C; r, rho per module; lam = D_alpha / sqrt(x_alpha x3 x4)),
@@ -106,22 +106,14 @@ class _Geometry:
     computed when asked for; the presented tables, the frames and q are kept.
     """
 
-    def __init__(self, params: np.ndarray):
-        self.params = params
-        self.e = e = np.frexp(params[:, 0])[1] - 1
-        unit = np.empty((len(params), 12))  # the ratios, r and lam at the unit scale
+    def __init__(self, points):
+        for p in points:
+            p.K  # the guard of each point
+        self.params = np.array([(p.t, p.u, p.v, p.w) for p in points])
+        self.e, self.y = e, y = [np.array(a) for a in zip(*(p.unit_scalars for p in points))]
+        unit = np.empty((len(points), 12))  # the ratios, r and lam at the unit scale
         ratios, r, lam = unit[:, :6], unit[:, 6:10], unit[:, 10:]
         with np.errstate(all="ignore"):  # overflow shows up as a non-finite tensor below
-            y = np.ldexp(params, -e[:, None])
-            tau = y[:, 0].copy()
-            y *= y
-            hi = tau * 134217729.0  # Dekker's split: tau = hi + lo with 26 bits each, so hi * hi is exact
-            hi -= hi - tau
-            lo = tau - hi
-            y[:, 1] = np.ldexp(params[:, 1], -2 * e - 1)  # u/2
-            y[:, :2] = y[:, :1] + y[:, 1:2] * _PLUS_MINUS
-            y[:, :2] += (((hi * hi - tau * tau) + 2.0 * hi * lo) + lo * lo)[:, None]  # tau^2 - fl(tau^2)
-            self.y = y
             kij = y.take(_KIJ, axis=1)
             yk, yi, yj = kij[:, :6], kij[:, 6:12], kij[:, 12:]
             sq = yk / yi
@@ -141,7 +133,7 @@ class _Geometry:
             rd = r.take(_DR, axis=1)
             x = y.take(_DX, axis=1)
             diff = ratios - ratios.take(_NEXT, axis=1)  # per triple a - b, b - c, c - a
-            slots = np.empty((len(params), 5, 6))
+            slots = np.empty((len(points), 5, 6))
             np.multiply(x[:, :6] - x[:, 6:], rd, out=slots[:, 0])
             np.abs(slots[:, 0], out=slots[:, 1])
             np.multiply(x[:, :6] + x[:, 6:], sizes.take(_DR, axis=1), out=slots[:, 2])
@@ -245,20 +237,14 @@ class _Geometry:
 _rows: dict = {}  # rows of a stacked geometry, handed to the cache of one-point geometries below
 
 
-def _stack(points) -> _Geometry:
-    for p in points:
-        p.K  # the guard of each point
-    return _Geometry(np.array([(p.t, p.u, p.v, p.w) for p in points]))
-
-
 @lru_cache(maxsize=256)
 def _cached_geometry(p: MetricParams) -> _Geometry:
-    return _rows.pop(p) if p in _rows else _stack([p])
+    return _rows.pop(p) if p in _rows else _Geometry([p])
 
 
 def stacked_geometry(points) -> _Geometry:
     """The geometry of the parameter points in one stacked pass, N = len(points); each row is cached."""
-    geo = _stack(points)
+    geo = _Geometry(points)
     for i, p in enumerate(points):
         _rows[p] = row = object.__new__(_Geometry)  # point i as a stack of one, sharing geo's arrays
         vars(row).update((name, arr[i:i + 1]) for name, arr in vars(geo).items())

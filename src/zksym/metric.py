@@ -7,18 +7,19 @@ four scalars (t, u, v, w):
     B = t^2 (a1^2 + a2^2 + a3^2 + a4^2) + u (a1 a4 - a2 a3)
         + v^2 (b1^2 + b2^2) + w^2 (c1^2 + c2^2)
 
-in the dual coordinates of the m-basis, with t*v*w != 0.  The form is
-positive-definite exactly when |u| < 2t^2, that is |h| < |t| for the
-coupling h = u/(2t), so that
+in the dual coordinates of the m-basis, with t*v*w != 0.  In the root
+basis of the torus it is diag(x), x = (t^2 + u/2, t^2 - u/2, v^2, w^2),
+formed once per point from the exact t^2 (:attr:`MetricParams.unit_scalars`).
+It is positive-definite exactly when x1, x2 > 0, that is |u| < 2t^2, so that
 
-    K = sqrt((t - h)(t + h)) = sqrt(t^2 - u^2 / (4 t^2))
+    K = sqrt(x1 x2 / t^2) = sqrt(t^2 - u^2 / (4 t^2))
 
 is positive.  Parameters with |u| > 2t^2 are invalid; admissible ones
 with K below K_GUARD_EPS * |t| (u = +-2t^2 included) are refused by the
 guard on K as nearly degenerate, with a distinct error.
 
 The adapted orthonormal frame returned by :func:`orthonormal_frame`, in
-which the geometry presents its tables, is the one dual to the coframe
+which the geometry presents its tables, is dual to the coframe, h = u/(2t),
 
     a~1 = t a1 + h a4,        a~2 = t a2 - h a3,
     a~3 = K a3,               a~4 = K a4,
@@ -32,6 +33,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -70,36 +72,48 @@ class MetricParams:
             object.__setattr__(self, name, value)
         if self.t == 0.0 or self.v == 0.0 or self.w == 0.0:
             raise InvalidParamsError("t, v, w must all be nonzero")
-        if abs(self.u / (2.0 * self.t)) > abs(self.t):  # |h| > |t|: the form is indefinite
+        if min(self.unit_scalars[1][:2]) < 0.0:  # x1 or x2 < 0: the form is indefinite
             bound = 2.0 * self.t * self.t
             raise InvalidParamsError(
                 f"u must lie in the open interval (-2t^2, 2t^2) = (-{bound:g}, {bound:g}), got {self.u:g}"
             )
 
+    @cached_property
+    def unit_scalars(self) -> tuple[int, tuple[float, float, float, float]]:
+        """(e, y): 2^e <= |t| < 2^(e+1) and y = x / 4^e, from the exact square of tau = t / 2^e, so the
+        signs of y1, y2 are exact; far from the unit scale y overflows to inf or underflows to 0 quietly."""
+        e = math.frexp(self.t)[1] - 1
+        p = math.ldexp(1.0, e)  # quotients by a power of two are exact, and overflow to inf quietly
+        tau, half_u, v, w = self.t / p, self.u / p / (2.0 * p), self.v / p, self.w / p
+        hi = tau * 134217729.0  # Dekker's split: tau = hi + lo with 26 bits each, so hi * hi is exact
+        hi -= hi - tau
+        lo, tt = tau - hi, tau * tau
+        error = ((hi * hi - tt) + 2.0 * hi * lo) + lo * lo  # tau^2 - fl(tau^2), exactly
+        return e, ((tt + half_u) + error, (tt - half_u) + error, v * v, w * w)
+
     @property
     def k_squared(self) -> float:
-        """(t - h)(t + h) with h = u/(2t), that is t^2 - u^2/(4 t^2), without any guard."""
-        h = self.u / (2.0 * self.t)
-        return (self.t - h) * (self.t + h)
+        """x1 x2 / t^2, formed at the unit scale, without any guard."""
+        e, (y1, y2, _, _) = self.unit_scalars
+        p = math.ldexp(1.0, e)
+        tau = self.t / p
+        return y1 * y2 / (tau * tau) * p * p
 
     @property
     def K(self) -> float:
-        """The positive normalizing scalar; raises if the metric is nearly degenerate.
-
-        Also refuses scales whose squares leave the range of normal floats.
-        """
+        """K > 0; refuses a nearly degenerate metric, and t^2, v^2, w^2 that are not normal floats."""
         lo, hi = _SQUARE_RANGE
         squares = (self.t * self.t, self.v * self.v, self.w * self.w)
         if not all(lo <= x <= hi for x in squares):
             shown = ", ".join(f"{x:.3g}" for x in squares)
             raise DegenerateMetricError(f"t^2, v^2, w^2 = {shown} leave the range of normal floats [{lo:.3g}, {hi:.3g}]")
-        k2 = self.k_squared
-        guard = (K_GUARD_EPS * self.t) ** 2
-        if not (k2 >= guard and k2 > 0.0):  # the guard underflows to 0 at the smallest t
-            raise DegenerateMetricError(
-                f"K^2 = {k2:.3g} below guard {guard:.3g}: |u| too close to the degenerate boundary"
-            )
-        return math.sqrt(k2)
+        e, (y1, y2, _, _) = self.unit_scalars
+        p = math.ldexp(1.0, e)
+        tau = abs(self.t / p)
+        if not y1 * y2 >= (K_GUARD_EPS * tau * tau) ** 2:  # K^2 >= (K_GUARD_EPS t)^2 at the unit scale
+            raise DegenerateMetricError(f"K^2 = {self.k_squared:.3g} below guard {(K_GUARD_EPS * self.t) ** 2:.3g}: "
+                                        "|u| too close to the degenerate boundary")
+        return math.sqrt(y1 * y2) / tau * p
 
 
 @dataclass(frozen=True, eq=False)

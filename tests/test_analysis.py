@@ -8,6 +8,7 @@ import pytest
 
 from zksym import (
     DEFAULT_TOL,
+    DegenerateMetricError,
     InvalidParamsError,
     LedgerSolution,
     MetricParams,
@@ -364,6 +365,13 @@ def test_the_ledger_verdict_judges_each_determinant_against_its_terms():
     assert first_ledger_verdict(p) == (pytest.approx(5e-4, rel=1e-5), False)
     assert first_ledger_verdict(p, tol=1e-7)[1]
     assert first_ledger_verdict(MetricParams(1.0, 0.0, 1e-5, 1.0))[1]  # 8.3e-12
+
+
+@pytest.mark.filterwarnings("error")
+def test_the_ledger_verdict_refuses_determinants_that_are_not_finite():
+    # x3 = v^2 = 1e200 makes D_alpha NaN; the CLI's ``ledger`` stops earlier, in the reduced system
+    with pytest.raises(DegenerateMetricError, match=r"^the Ledger determinants are not finite: \[\[nan, nan\]\]$"):
+        first_ledger_verdict(MetricParams(1.0, 0.0, 1e100, 1.0))
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -390,13 +391,78 @@ def test_u_classification(capsys, u, code):
 
 @pytest.mark.parametrize("e", [-300, 0, 200])
 def test_guard_decision_does_not_depend_on_scale(capsys, e):
-    # the homothetic copies (lt, l^2 u, lv, lw), l = 2^e, of a point inside the guard band:
-    # h = u/(2t) scales exactly, so K^2 = 0 at each; u^2 would underflow at 2^-300
+    # the homothetic copies (lt, l^2 u, lv, lw), l = 2^e, of a point inside the guard band: x = (t^2 + u/2,
+    # t^2 - u/2, v^2, w^2) scales by l^2 exactly, so K^2 = x1 x2 / t^2 = 1.56e-16 l^2 at each; u^2 would
+    # underflow at 2^-300
     t, u = (math.ldexp(x, k * e) for x, k in zip(_IN_GUARD, (1, 2)))
     code, out, err = run_cli(capsys, "check-nr", "--t", repr(t), "--u", repr(u), "--v", repr(t), "--w", repr(t))
-    guard = (metric.K_GUARD_EPS * t) ** 2  # quoted at the point's own scale
+    k2 = _exact_k_squared(*_IN_GUARD) * Fraction(2) ** (2 * e)  # quoted at the point's own scale, as the guard
+    guard = (metric.K_GUARD_EPS * t) ** 2
     assert (code, out) == (2, "")
-    assert err == f"numerical failure: K^2 = 0 below guard {guard:.3g}: |u| too close to the degenerate boundary\n"
+    assert err == f"numerical failure: K^2 = {float(k2):.3g} below guard {guard:.3g}: |u| too close to the degenerate boundary\n"
+
+
+def _exact_k_squared(t: float, u: float) -> Fraction:
+    """K^2 = x1 x2 / t^2 = (t^2 + u/2)(t^2 - u/2) / t^2 of the binary values t and u."""
+    t, u = Fraction(t), Fraction(u)
+    return (t * t + u / 2) * (t * t - u / 2) / (t * t)
+
+
+def test_guard_band_decided_on_the_exact_k_squared(capsys):
+    # K/|t| = 1.27e-8, above the guard 1e-8, where K^2 from the rounded h = u/(2t) read 0
+    t, u = 1.190614449268857, 2.8351255336155674
+    assert _exact_k_squared(t, u) > Fraction(metric.K_GUARD_EPS) ** 2 * Fraction(t) ** 2
+    code, out, err = run_cli(capsys, "check-nr", "--t", repr(t), "--u", repr(u), "--v", "1", "--w", "1")
+    assert (code, err) == (0, "")
+    assert out.startswith("false\nwitness: ")
+    # exact K/|t| = 1.2e-8 at |t| = 6e-72
+    code, out, err = run_cli(
+        capsys, "check-nr", "--t", "6.38230470200337e-72", "--u", "-8.146762661842865e-143",
+        "--v", "6.770046556759906e-72", "--w", "6.579124983711018e-72",
+    )
+    assert (code, err) == (0, "")
+    assert out.startswith("false\nwitness: ")
+
+
+def test_indefinite_by_a_hair_is_invalid(capsys):
+    # u > 2t^2 exactly, by 1.6e-16 of it: the form is indefinite, so invalid input, not a degenerate metric
+    t, u = 1.6118777843022354, 5.196299983054168
+    assert Fraction(u) > 2 * Fraction(t) ** 2
+    code, out, err = run_cli(capsys, "check-nr", "--t", repr(t), "--u", repr(u), "--v", "1", "--w", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: u must lie in the open interval (-2t^2, 2t^2) = (-5.1963, 5.1963), got 5.1963\n"
+
+
+def test_exit_code_is_the_exact_classification(capsys):
+    # at seeded points around |u| = 2t^2 and the guard K/|t| = 1e-8, from |t| = 1e-150 to 1e150, the exit
+    # code is that of the binary values: 1 where x2 = t^2 - |u|/2 < 0, the guard where K^2 < (1e-8 t)^2,
+    # and otherwise 0 or another numerical failure (the tensors overflow at the smallest t); only points
+    # within 1e-12 relative of the guard may go either way
+    rng = np.random.default_rng(38)
+    guard_ratio = Fraction(metric.K_GUARD_EPS) ** 2
+    seen = set()
+    for _ in range(300):
+        t = float(10.0 ** rng.uniform(-150, 150) * rng.choice([-1.0, 1.0]))
+        k_ratio = 10.0 ** rng.uniform(-9, -7)
+        u = float(2.0 * t * t * math.sqrt(1.0 - k_ratio**2) * rng.choice([-1.0, 1.0]))
+        for _ in range(int(rng.integers(0, 3))):
+            u = math.nextafter(u, rng.choice([-math.inf, math.inf]))
+        ratio = _exact_k_squared(t, u) / Fraction(t) ** 2 / guard_ratio
+        if abs(ratio - 1) < Fraction(1, 10**12):
+            continue
+        v, w = (t * float(rng.uniform(0.5, 2.0)) for _ in range(2))
+        code, out, err = run_cli(capsys, "check-nr", "--t", repr(t), "--u", repr(u), "--v", repr(v), "--w", repr(w))
+        if Fraction(t) ** 2 < abs(Fraction(u)) / 2:
+            want = (1, "u must lie in the open interval")
+        elif ratio < 1:
+            want = (2, "too close to the degenerate boundary")
+        else:
+            want = (0, "")
+            if code == 2:
+                want = (2, "curvature tensors overflow")
+        assert code == want[0] and want[1] in err, (t, u, v, w, err)
+        seen.add(want)
+    assert len(seen) == 4
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -447,7 +513,7 @@ def test_overflowing_gram_exits_2(capsys):
     ],
 )
 def test_non_finite_results_exit_2(capsys, argv):
-    # rho ~ 1e200 times a coefficient ~ 1e200 overflows the reduced Ledger system to NaN
+    # v = 1e100 puts x3 = v^2 = 1e200 in the Ledger determinants D_alpha, which overflow to NaN
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -629,9 +695,9 @@ def _counting_stacks(monkeypatch):
     builds, evaluations = [], []
     init, evaluate = geometry._Geometry.__init__, analysis._evaluate
 
-    def counting_init(self, params):
-        builds.append(len(params))
-        init(self, params)
+    def counting_init(self, points):
+        builds.append(len(points))
+        init(self, points)
 
     def counting_evaluate(points):
         evaluations.append(len(points))

@@ -512,6 +512,16 @@ def test_bare_gram_read_past_the_boundary_is_degenerate():
         ricci(AdaptedForm(gram=g))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("g00", [np.inf, np.nan])
+def test_bare_gram_that_is_not_finite_is_degenerate(g00):
+    # the Cholesky factorization passes such a matrix through without an error; its factor is not finite
+    g = np.eye(8)
+    g[0, 0] = g00
+    with pytest.raises(DegenerateMetricError, match="^Gram matrix is not finite$"):
+        ricci(AdaptedForm(gram=g))
+
+
 def test_bare_gram_must_be_adh_invariant():
     # positive-definite but not ad(h)-invariant: the invariant-connection
     # formulas do not hold for it, so every operation refuses it

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -60,12 +61,17 @@ def test_k_when_u_squared_overflows():
 
 
 def test_k_guard_near_degenerate():
-    # admissible, yet 2t^2 - u is 3.3e-17 of 2t^2: h = u/(2t) rounds onto t, K^2 = 0, the guard refuses
+    # admissible, yet 2t^2 - u is 3.3e-17 of 2t^2: K^2 = x1 x2 / t^2 from the exact t^2 is 1.56e-16,
+    # 0.66 of the guard, which refuses it
     p = MetricParams(1.5442292252959517, 4.76928780051627, 1, 1)
-    assert Fraction(p.u) < 2 * Fraction(p.t) ** 2 and p.k_squared == 0.0
+    t, u = Fraction(p.t), Fraction(p.u)
+    exact = (t * t + u / 2) * (t * t - u / 2) / (t * t)
+    assert u < 2 * t * t and abs(Fraction(p.k_squared) - exact) <= 4 * np.finfo(float).eps * exact
+    assert f"{p.k_squared:.5g}" == "1.5616e-16"
     with pytest.raises(DegenerateMetricError, match="too close to the degenerate boundary"):
         p.K
-    for u in (2.0, -2.0):  # on the boundary |u| = 2t^2
+    for u in (2.0, -2.0):  # on the boundary |u| = 2t^2, where K^2 = 0
+        assert MetricParams(1, u, 1, 1).k_squared == 0.0
         with pytest.raises(DegenerateMetricError):
             build_form(MetricParams(1, u, 1, 1))
     # past |u| = 2t^2 the form is indefinite: invalid input, not a degenerate metric
@@ -76,8 +82,9 @@ def test_k_guard_near_degenerate():
 
 
 def test_k_squared_and_frame_keep_their_digits_across_scales():
-    # K^2 = (t - h)(t + h) with h = u/(2t): u is never squared, so at every scale
-    # K^2 and the frame lose only the eps (t/K)^2 of rounding h
+    # K^2 = x1 x2 / t^2 is formed at the unit scale from the exact t^2, so at every scale K^2 and K
+    # keep all but a few ulps; the frame's mix h / (t K), h = u/(2t), loses only the eps (t/K)^2 of
+    # rounding h
     rng = np.random.default_rng(29)
     eps = np.finfo(float).eps
     mpf = np.vectorize(mpmath.mpf, otypes=[object])
@@ -88,11 +95,21 @@ def test_k_squared_and_frame_keep_their_digits_across_scales():
         p = MetricParams(t, u, t * rng.uniform(0.5, 2.0), t * rng.uniform(0.5, 2.0))
         exact = exact_point(p)
         with mpmath.workdps(50):
-            unit = eps * exact.t**2 / exact.k_squared
-            assert abs(p.k_squared - exact.k_squared) <= 4 * unit * exact.k_squared, p
+            assert abs(p.k_squared - exact.k_squared) <= 4 * eps * exact.k_squared, p
+            assert abs(p.K - exact.K) <= 4 * eps * exact.K, p
             f = mpf(orthonormal_frame(p).matrix)
             defect = f.T @ mpf(build_form(p).gram) @ f - np.eye(8)
-            assert max(abs(x) for x in defect.flat) <= 4 * unit, p
+            assert max(abs(x) for x in defect.flat) <= 4 * eps * exact.t**2 / exact.k_squared, p
+
+
+def test_k_keeps_its_digits_where_k_squared_is_subnormal():
+    # K/|t| = 1.75e-8 at |t| = 1e-150: K^2 = 3.1e-316 is subnormal, K = 1.75e-158 is not, and it is
+    # formed as sqrt(x1 x2) / |t| at the unit scale
+    p = MetricParams(1e-150, 1.9999999999999997e-300, 1e-150, 1e-150)
+    exact = exact_point(p)
+    assert p.k_squared < sys.float_info.min
+    with mpmath.workdps(50):
+        assert abs(p.K - exact.K) <= 4 * np.finfo(float).eps * exact.K
 
 
 # ----------------------------------------------------------------------

@@ -31,9 +31,7 @@ CLOSE["ricci"] = lambda geo: geo.ricci
 
 def _stack(points):
     """The stacked geometry of the points, built apart from the cache."""
-    for p in points:
-        p.K  # the guard
-    return geometry._Geometry(np.array([(p.t, p.u, p.v, p.w) for p in points]))
+    return geometry._Geometry(points)
 
 
 def _assert_rows(stack, n: int, one, m: int = 0) -> None:
