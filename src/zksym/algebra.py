@@ -18,6 +18,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+__all__ = [
+    "DEFAULT_TOL",
+    "GradedLieAlgebra",
+    "GradingLabel",
+    "ValidationReport",
+    "algebra_from_dict",
+    "algebra_to_dict",
+]
+
 DEFAULT_TOL = 1e-9
 
 

@@ -29,6 +29,21 @@ from . import geometry
 from .algebra import DEFAULT_TOL
 from .metric import FRAME_NAMES, DegenerateMetricError, InvalidParamsError, MetricParams, build_form
 
+__all__ = [
+    "LedgerSolution",
+    "ReductivityReport",
+    "S_INTERVAL_U0",
+    "S_INTERVAL_UNONZERO",
+    "VerificationReport",
+    "first_ledger_verdict",
+    "infinitesimal_isometries",
+    "is_naturally_reductive",
+    "ledger_system_residuals",
+    "solve_ledger_u0",
+    "solve_ledger_unonzero",
+    "verify_solution",
+]
+
 S_INTERVAL_U0 = (1.0, 9.0)
 S_MAX_UNONZERO = (7.0 - math.sqrt(17.0)) / 2.0
 S_INTERVAL_UNONZERO = (1.0 / 3.0, S_MAX_UNONZERO)

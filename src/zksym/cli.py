@@ -7,7 +7,9 @@ default tolerance can be overridden by the ZKSYM_TOL environment variable.
 
 Exit codes: 0 success, 1 invalid input or parameters, 2 numerical or
 validation failure.  A failure prints one line to stderr and no
-traceback; a malformed parameter or algebra file exits 1.  JSON output
+traceback; inspect, solve and sweep print their output first (the
+validation report, every solution record) and then that line.  A
+malformed parameter or algebra file exits 1.  JSON output
 never carries NaN or Infinity: a result without a JSON form exits 2.  When
 the reader of stdout closes it early (``zksym sweep ... | head -1``) the
 command stops quietly and exits 1.
@@ -30,7 +32,6 @@ from .algebra import DEFAULT_TOL, GradedLieAlgebra, algebra_from_dict, algebra_t
 from .analysis import (
     S_INTERVAL_U0,
     S_INTERVAL_UNONZERO,
-    VerificationReport,
     first_ledger_verdict,
     infinitesimal_isometries,
     is_naturally_reductive,
@@ -185,7 +186,7 @@ def _block_summary(alg: GradedLieAlgebra) -> dict[str, int]:
     return blocks
 
 
-def cmd_inspect(args) -> int:
+def cmd_inspect(args) -> None:
     tol = _resolve_tol(args)
     if args.algebra:
         try:
@@ -219,7 +220,8 @@ def cmd_inspect(args) -> int:
         print(f"dimension: {alg.dim}")
         print("grading blocks: " + " ".join(f"{k}={v}" for k, v in blocks.items()))
         print(f"validation: {report.summary()}")
-    return EXIT_OK if report.ok else EXIT_NUMERICAL
+    if not report.ok:
+        raise DegenerateMetricError(f"algebra {report.summary()}")
 
 
 # The point commands below take admissible parameters and the tolerance.
@@ -231,7 +233,7 @@ def cmd_tables(p: MetricParams, tol: float, as_json: bool) -> dict | None:
     ut = u_table(p)
     if as_json:
         return {"bracket": bt.tolist(), "u": ut.tolist()}
-    # entries at or below tol * max|bracket table| show as absent, as check-nr judges U
+    # entries at or below tol * max|bracket table| show as absent; check-nr judges U as a whole, ||U|| <= tol ||C||
     threshold = tol * float(np.max(np.abs(bt)))
     print("projected brackets [Ei, Ej]_m in the orthonormal frame:")
     _print_grid(bt, FRAME_NAMES, threshold)
@@ -286,7 +288,7 @@ def cmd_ledger(p: MetricParams, tol: float, as_json: bool) -> dict | None:
 def _point(command, frame: bool):
     """Runner of a point command: parameters, then tolerance, then the command and the JSON head."""
 
-    def run(args) -> int:
+    def run(args) -> None:
         p = _resolve_params(args)
         tol = _resolve_tol(args)
         body = command(p, tol, args.format == "json")
@@ -294,15 +296,14 @@ def _point(command, frame: bool):
             head = {"frame": list(FRAME_NAMES)} if frame else {}
             params = {"t": p.t, "u": p.u, "v": p.v, "w": p.w}
             _emit_json({**head, "params": params, "tol": tol, **body})
-        return EXIT_OK
 
     return run
 
 
-def _solutions(branch: str, grid, tol: float, as_json: bool) -> list[VerificationReport]:
-    """Print every solution of the branch at each S of the grid; return the failed verifications."""
+def _solutions(branch: str, grid, tol: float, as_json: bool) -> None:
+    """Print every solution of the branch at each S of the grid; after the last, raise if any fails verification."""
     solve = solve_ledger_u0 if branch == "u0" else solve_ledger_unonzero
-    failed = []
+    failed, count = [], 0
     for start in range(0, len(grid), 32):  # 32 S to a stacked pass, so the memory held does not grow with the grid
         for sol in solve(*grid[start:start + 32]):
             if as_json:
@@ -315,23 +316,23 @@ def _solutions(branch: str, grid, tol: float, as_json: bool) -> list[Verificatio
                     f"ledger={r['ledger']:.3g} star={r['star']:.3g} "
                     f"NR={'true' if sol.naturally_reductive else 'false'}"
                 )
+            count += 1
             report = verify_solution(sol, tol)
             if not report.passed:
                 failed.append(report)
-    return failed
+    if failed:
+        worst = max(failed, key=lambda r: max(r.relative_residuals.values()))
+        raise DegenerateMetricError(f"{len(failed)} of {count} solutions fail verification, worst: {worst.summary()}")
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> None:
     tol = _resolve_tol(args)
     if args.S is None:
         raise InvalidParamsError("solve needs --S")
-    failed = _solutions(args.branch, [args.S], tol, args.format == "json")
-    for report in failed:
-        print(f"verification failed: {report.summary()}", file=sys.stderr)
-    return EXIT_NUMERICAL if failed else EXIT_OK
+    _solutions(args.branch, [args.S], tol, args.format == "json")
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> None:
     tol = _resolve_tol(args)
     lo, hi = S_INTERVAL_U0 if args.branch == "u0" else S_INTERVAL_UNONZERO
     if not (lo < args.S_min <= args.S_max < hi):
@@ -341,7 +342,7 @@ def cmd_sweep(args) -> int:
     if args.S_steps < 1:
         raise InvalidParamsError("S-steps must be at least 1")
     grid = np.linspace(args.S_min, args.S_max, args.S_steps).tolist()
-    return EXIT_NUMERICAL if _solutions(args.branch, grid, tol, as_json=True) else EXIT_OK
+    _solutions(args.branch, grid, tol, as_json=True)
 
 
 # ----------------------------------------------------------------------
@@ -394,13 +395,14 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        return args.func(args)
+        args.func(args)
     except (_UsageError, InvalidParamsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except DegenerateMetricError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    return EXIT_OK
 
 
 def run() -> None:

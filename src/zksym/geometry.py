@@ -35,6 +35,19 @@ from .algebra import DEFAULT_TOL
 from .metric import AdaptedForm, DegenerateMetricError, InvalidParamsError, MetricParams, check_adh_invariance
 from .so5 import build_so5
 
+__all__ = [
+    "bracket_table",
+    "curvature",
+    "ledger",
+    "ledger_table",
+    "m_bracket",
+    "nabla",
+    "nomizu_table",
+    "ricci",
+    "u_map",
+    "u_table",
+]
+
 # CM[i, j, k], CH[i, j, a], ADH[a, l, k]: see GradedLieAlgebra.m_structure
 _CM, _CH, _ADH = build_so5().m_structure()
 

@@ -39,12 +39,36 @@ import numpy as np
 
 from .algebra import DEFAULT_TOL, GradedLieAlgebra
 
+__all__ = [
+    "AdaptedForm",
+    "DegenerateMetricError",
+    "FRAME_NAMES",
+    "InvalidParamsError",
+    "InvarianceReport",
+    "MetricParams",
+    "OrthonormalFrame",
+    "build_form",
+    "check_adh_invariance",
+    "orthonormal_frame",
+]
+
 K_GUARD_EPS = 1e-8
 
 # t^2, v^2 and w^2 must be normal floats: finite and not rounded towards zero
 _SQUARE_RANGE = (sys.float_info.min, sys.float_info.max)
 
 FRAME_NAMES = ("A~1", "A~2", "A~3", "A~4", "B~1", "B~2", "C~1", "C~2")
+
+
+def _quote(y: float, e: int, digits: int) -> str:
+    """y * 4^e as f"{y * 4^e:.{digits}g}" prints it where that is a normal float; else from the exact value."""
+    x = math.ldexp(y, 2 * e)
+    if y == 0.0 or abs(x) >= sys.float_info.min:
+        return f"{x:.{digits}g}"
+    from decimal import Decimal, localcontext  # loaded only to quote a value below the normal floats
+    with localcontext(prec=2300):  # exact: a float has at most 767 significant digits, 4^e for e >= -1074 1503
+        mantissa, exponent = f"{Decimal(y) * Decimal(4) ** e:.{digits - 1}e}".split("e")
+    return f"{mantissa.rstrip('0').rstrip('.')}e{exponent}"  # below the normal floats %g writes an exponent
 
 
 class InvalidParamsError(ValueError):
@@ -72,10 +96,11 @@ class MetricParams:
             object.__setattr__(self, name, value)
         if self.t == 0.0 or self.v == 0.0 or self.w == 0.0:
             raise InvalidParamsError("t, v, w must all be nonzero")
-        if min(self.unit_scalars[1][:2]) < 0.0:  # x1 or x2 < 0: the form is indefinite
-            bound = 2.0 * self.t * self.t
+        e, y = self.unit_scalars
+        if min(y[:2]) < 0.0:  # x1 or x2 < 0: the form is indefinite
+            bound = _quote(2.0 * math.ldexp(self.t, -e) ** 2, e, 6)  # 2t^2 from the unit scale, so it never underflows
             raise InvalidParamsError(
-                f"u must lie in the open interval (-2t^2, 2t^2) = (-{bound:g}, {bound:g}), got {self.u:g}"
+                f"u must lie in the open interval (-2t^2, 2t^2) = (-{bound}, {bound}), got {self.u:g}"
             )
 
     @cached_property
@@ -111,8 +136,8 @@ class MetricParams:
         p = math.ldexp(1.0, e)
         tau = abs(self.t / p)
         if not y1 * y2 >= (K_GUARD_EPS * tau * tau) ** 2:  # K^2 >= (K_GUARD_EPS t)^2 at the unit scale
-            raise DegenerateMetricError(f"K^2 = {self.k_squared:.3g} below guard {(K_GUARD_EPS * self.t) ** 2:.3g}: "
-                                        "|u| too close to the degenerate boundary")
+            k_squared, guard = _quote(y1 * y2 / (tau * tau), e, 3), _quote((K_GUARD_EPS * tau) ** 2, e, 3)
+            raise DegenerateMetricError(f"K^2 = {k_squared} below guard {guard}: |u| too close to the degenerate boundary")
         return math.sqrt(y1 * y2) / tau * p
 
 

@@ -23,6 +23,15 @@ import numpy as np
 
 from .algebra import DEFAULT_TOL, GradedLieAlgebra, GradingLabel, ValidationReport
 
+__all__ = [
+    "M_INDICES",
+    "M_NAMES",
+    "SO5_NAMES",
+    "build_so5",
+    "matrix_of",
+    "vector_of",
+]
+
 SO5_NAMES = ("X1", "X2", "A1", "A2", "A3", "A4", "B1", "B2", "C1", "C2")
 
 # (row, col) of the +1 entry of each basis matrix, in basis order

@@ -52,9 +52,15 @@ def test_inspect_corrupted_algebra_exits_2(tmp_path, capsys):
     doc["structure"][0][3] += 0.25  # break an otherwise valid document
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(doc))
-    code, out, _ = run_cli(capsys, "inspect", "--algebra", str(path))
+    code, out, err = run_cli(capsys, "inspect", "--algebra", str(path))
     assert code == 2
     assert "invalid" in out
+    # the report prints first, then one stderr line
+    assert err == "numerical failure: algebra invalid: 1 antisymmetry violation(s), 5 Jacobi violation(s)\n"
+    code, out, err = run_cli(capsys, "inspect", "--algebra", str(path), "--format", "json")
+    assert code == 2
+    assert json.loads(out)["valid"] is False
+    assert len(err.splitlines()) == 1 and err.startswith("numerical failure: algebra invalid")
 
 
 def test_inspect_unparseable_algebra_exits_1(tmp_path, capsys):
@@ -371,6 +377,15 @@ def test_u_boundary_exits_1(capsys):
 _IN_GUARD = (1.5442292252959517, 4.76928780051627)
 
 
+def test_bounds_below_the_normal_floats_are_quoted_exactly(capsys):
+    # 2t^2 = 2e-400 at t = 1e-200, and the guard (1e-8 t)^2 = 2.23e-324 at t = 2^-511, underflow as floats
+    code, _, err = run_cli(capsys, "ricci", "--t", "1e-200", "--u", "1e300", "--v", "1", "--w", "1")
+    assert (code, err) == (1, "error: u must lie in the open interval (-2t^2, 2t^2) = (-2e-400, 2e-400), got 1e+300\n")
+    t = repr(2.0 ** -511)
+    code, _, err = run_cli(capsys, "check-nr", "--t", t, "--u", repr(2.0 ** -1021), "--v", t, "--w", t)
+    assert (code, err) == (2, "numerical failure: K^2 = 0 below guard 2.23e-324: |u| too close to the degenerate boundary\n")
+
+
 def test_k_guard_exits_2(capsys):
     t, u = map(repr, _IN_GUARD)
     code, _, err = run_cli(capsys, "ricci", "--t", t, "--u", u, "--v", "1", "--w", "1")
@@ -631,17 +646,21 @@ def test_solve_and_sweep_print_the_same_records(capsys, branch, s):
         assert fields["NR"] == ("true" if rec["naturally_reductive"] else "false")
 
 
-def test_failed_verification_is_reported_by_solve_alone(capsys):
-    # an unreachable tolerance fails every record; solve names each on stderr, sweep only exits 2
-    code, out, err = run_cli(capsys, "solve", "--branch", "u0", "--S", "5", "--tol", "1e-300")
-    assert code == 2
-    assert len(out.splitlines()) == 2
-    assert [line.split(":")[0] for line in err.splitlines()] == ["verification failed"] * 2
-    sweep = ("sweep", "--branch", "u0", "--S-min", "5", "--S-max", "5", "--S-steps", "1", "--tol", "1e-300")
-    code, out, err = run_cli(capsys, *sweep)
-    assert code == 2
-    assert len(out.splitlines()) == 2
-    assert err == ""
+@pytest.mark.parametrize("argv,n", [
+    (("solve", "--branch", "u0", "--S", "5"), 2),
+    (("solve", "--branch", "u1", "--S", "1", "--format", "json"), 4),
+    (("sweep", "--branch", "u0", "--S-min", "5", "--S-max", "5", "--S-steps", "1"), 2),
+    (("sweep", "--branch", "u1", "--S-min", "0.4", "--S-max", "1.4", "--S-steps", "5"), 20),
+], ids=["solve-u0-text", "solve-u1-json", "sweep-u0", "sweep-u1"])
+def test_failed_verification_prints_every_record_then_one_line(capsys, argv, n):
+    # an unreachable tolerance fails every record: the records print as at the default tolerance,
+    # then one stderr line counts the failures, and the exit code is 2
+    code, records, _ = run_cli(capsys, *argv)
+    assert code == 0 and len(records.splitlines()) == n
+    code, out, err = run_cli(capsys, *argv, "--tol", "1e-300")
+    assert (code, out) == (2, records)
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"numerical failure: {n} of {n} solutions fail verification, worst: FAIL (")
 
 
 # ----------------------------------------------------------------------

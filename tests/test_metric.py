@@ -1,5 +1,6 @@
 import math
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import mpmath
@@ -14,6 +15,7 @@ from zksym import (
     build_form,
     build_so5,
     check_adh_invariance,
+    metric,
     orthonormal_frame,
 )
 
@@ -79,6 +81,24 @@ def test_k_guard_near_degenerate():
         with pytest.raises(InvalidParamsError, match=r"\(-2t\^2, 2t\^2\)"):
             MetricParams(1, u, 1, 1)
     assert MetricParams(1, 1.9, 1, 1).K > 0
+
+
+def test_quoted_bounds_read_as_their_floats_or_exactly_below_the_normal_floats():
+    # the error messages quote 2t^2, K^2 and (1e-8 t)^2 as y * 4^e from the unit scale: as the float
+    # prints where it is normal, else the exact binary value to the same digits, never an underflowed 0
+    rng = np.random.default_rng(31)
+    with localcontext(prec=3000):  # y * 4^e exactly
+        for _ in range(400):
+            y, e, digits = rng.uniform(1e-3, 8.0), int(rng.integers(-1100, 500)), int(rng.choice([3, 6]))
+            x = math.ldexp(y, 2 * e)
+            if x >= sys.float_info.min:
+                assert metric._quote(y, e, digits) == f"{x:.{digits}g}"
+            else:  # the binary fraction y / 4^-e in decimal, where a quotient by a power of two is exact
+                n, d = (Fraction(y) * Fraction(4) ** e).as_integer_ratio()
+                mantissa, exponent = f"{Decimal(n) / Decimal(d):.{digits - 1}e}".split("e")
+                assert metric._quote(y, e, digits) == f"{mantissa.rstrip('0').rstrip('.')}e{exponent}"
+    assert metric._quote(0.0, -600, 3) == "0"
+    assert metric._quote(1.0, -1000, 6) == "8.70981e-603" and metric._quote(0.75, -537, 3) == "3.71e-324"
 
 
 def test_k_squared_and_frame_keep_their_digits_across_scales():
