@@ -27,7 +27,7 @@ import numpy as np
 
 from . import geometry
 from .algebra import DEFAULT_TOL
-from .metric import FRAME_NAMES, DegenerateMetricError, InvalidParamsError, MetricParams, build_form
+from .metric import FRAME_NAMES, DegenerateMetricError, InvalidParamsError, MetricParams
 
 __all__ = [
     "LedgerSolution",
@@ -97,20 +97,20 @@ def first_ledger_verdict(p: MetricParams, tol: float = DEFAULT_TOL) -> tuple[flo
     DegenerateMetricError when a determinant or its terms overflow.
     """
     geo = geometry._cached_geometry(p)
-    return float(np.abs(geo.table("ledger")[0]).max()), bool(_ledger_holds(geo, tol)[0])
+    return float(geo.ledger_max[0]), _ledger_holds(geo, tol)[0]
 
 
-def _ledger_holds(geo, tol: float = DEFAULT_TOL) -> np.ndarray:
+def _ledger_holds(geo, tol: float = DEFAULT_TOL) -> list[bool]:
     """The first Ledger verdict at each point of a stacked geometry (see :func:`first_ledger_verdict`)."""
-    det, scale = _determinants(geo, geo.det_scale)
-    return (det <= tol * scale).all(axis=1) | _reductive(geo, tol)
+    rows = zip(*_determinants(geo, geo.det_scale), _reductive(geo, tol).tolist())
+    return [all(abs(d) <= tol * s for d, s in zip(det, scale)) or nr for det, scale, nr in rows]
 
 
-def _determinants(geo, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|D_alpha| and a scale of each, (N, 2) both; raises where they are not finite."""
-    det = np.abs(geo.det)
-    if not (np.isfinite(det).all() and np.isfinite(scale).all()):  # their sum may overflow where neither does
-        raise DegenerateMetricError(f"the Ledger determinants are not finite: {geo.det.tolist()}")
+def _determinants(geo, scale: np.ndarray) -> tuple[list, list]:
+    """D_alpha and a scale of each, two per point; raises where they are not finite."""
+    det, scale = geo.det.tolist(), scale.tolist()
+    if not all(math.isfinite(x) for row in det + scale for x in row):  # their sum may overflow where neither does
+        raise DegenerateMetricError(f"the Ledger determinants are not finite: {det}")
     return det, scale
 
 
@@ -147,15 +147,14 @@ def ledger_system_residuals(p: MetricParams) -> np.ndarray:
     scale-free, so they are formed at the unit scale and scaled as t^0,
     t^-1, t^-2, t^0 after.  Raises DegenerateMetricError when one overflows.
     """
-    geo = geometry._cached_geometry(p)
-    x1, x2, x3, x4 = geo.y[0]
-    t, _, v, w = np.ldexp(geo.params[0], -geo.e[0])
+    geo, (e, (x1, x2, x3, x4)) = geometry._cached_geometry(p), p.unit_scalars
+    t, _, v, w = np.ldexp(geo.params[0], -e)
     with np.errstate(all="ignore"):  # overflow shows up as a non-finite residual below
         d1, d2 = 0.5 * (x4 - x3) * geo.q[0]
         star = np.array([-(d1 + d2) / 2, -(d1 - d2) / (2 * t),
                          np.sign(t) * (x2 * d1 - x1 * d2) / (2 * v * w * np.sqrt(x1 * x2)),
                          -(x2 * d1 + x1 * d2) / (2 * t * t)])
-        star = np.ldexp(star, [0, -geo.e[0], -2 * geo.e[0], 0]) + 0.0  # and no -0.0
+        star = np.ldexp(star, [0, -e, -2 * e, 0]) + 0.0  # and no -0.0
     if not np.isfinite(star).all():
         raise DegenerateMetricError(f"reduced Ledger system residuals are not finite: {star.tolist()}")
     return star
@@ -211,25 +210,30 @@ def _evaluate(points) -> list[tuple[_Residuals, _Residuals, bool]]:
     rounding the solution's own parameters can move it by (near S = 1 on
     the u = 0 branch one ulp of W moves it by far more than its three
     terms' sizes); and the root frame's orthonormality defect for the Gram
-    matrix of :func:`build_form` ("gram"), whose scale is 1.  The scales
-    are frame-free and do not scale.  Callers make their own dicts.
+    matrix of :func:`build_form` in closed form ("gram", of scale 1).
+    The scales are frame-free and do not scale.  Callers make their own dicts.
     """
     geo = geometry.stacked_geometry(points)
     det, scale = _determinants(geo, geo.det_bound)  # the sizes include 3 / x_k > 0
-    grams = np.array([build_form(p).gram for p in points])
-    frame = geo.frame
-    gram_defect = np.abs(frame.transpose(0, 2, 1) @ grams @ frame - _EYE).max(axis=(1, 2))
     with np.errstate(over="ignore"):  # an overflowing scale leaves a relative residual at 0
         rel_lgr = geo.norm_ledger / (geo.norm_n * geo.norm_rho)
-    columns = (np.ldexp(geo.norm_ledger, -3 * geo.e), det.max(axis=1), gram_defect, rel_lgr,
-               (det / scale).max(axis=1), _reductive(geo))
+    columns = (np.ldexp(geo.norm_ledger, -3 * geo.e).tolist(), rel_lgr.tolist(), _reductive(geo).tolist())
     return [
-        ((("ledger", a), ("star", b), ("gram", g)), (("ledger", ra), ("star", rb), ("gram", g)), nr)
-        for a, b, g, ra, rb, nr in zip(*(column.tolist() for column in columns))
+        ((("ledger", a), ("star", max(map(abs, d))), ("gram", g)),
+         (("ledger", ra), ("star", max(abs(x) / y for x, y in zip(d, s))), ("gram", g)), nr)
+        for d, s, a, ra, nr, g in zip(det, scale, *columns, map(_gram_defect, points))
     ]
 
 
-_EYE = np.eye(8)
+def _gram_defect(p: MetricParams) -> float:
+    """max |E^T G E - I| for the Gram matrix G of :func:`build_form`, which holds fl(t^2) where the frame has
+    t^2: (fl(t^2) - t^2) / x_k on the A modules, 0 on B and C, rounded once from the exact rationals."""
+    n = p.t.as_integer_ratio()[0]
+    if (n // (n & -n)) ** 2 < 2**53:  # t's odd part squares within 53 bits: t^2 is a float
+        return 0.0
+    from fractions import Fraction  # loaded only where t^2 is not a float
+    t = Fraction(p.t)
+    return float(abs(Fraction(p.t * p.t) - t * t) / (t * t - abs(Fraction(p.u)) / 2))
 
 
 def _solve(branch: str, rows: list[tuple[float, float, float, float]]) -> list[LedgerSolution]:

@@ -3,30 +3,31 @@
 The torus of h splits m into four inequivalent root spaces, the column
 pairs of a fixed orthogonal basis P, so every adapted form is diag(x) in P,
 x = (t^2 + u/2, t^2 - u/2, v^2, w^2), and E = P diag(x)^(-1/2) is
-orthonormal.  The structure constants c0 of m in P have 48 nonzeros, on two
-module triples, and every tensor lives on them: C = c0 sqrt(x_k) /
-(sqrt(x_i) sqrt(x_j)), U[i, j, k] = (C[k, j, i] + C[k, i, j]) / 2,
-nabla = U + C/2, rho = diag(r) (Besse's formula, Einstein Manifolds, Cor.
-7.38, summed per triple as by Wang and Ziller) and L = -2 sum_cyc
-rho(U(X,Y), Z) = -c0 D_alpha / sqrt(x_alpha x3 x4) on the triple of alpha =
-1, 2, where D_alpha = (x3 - x_alpha) r4 + (x4 - x3) r_alpha + (x_alpha - x4) r3
-is zero iff (x_alpha, r_alpha), (x3, r3), (x4, r4) are collinear.  A point
-is computed at its homothetic metric with 1 <= |t| < 2 (an exact scaling),
-on the x / 4^e that :attr:`zksym.metric.MetricParams.unit_scalars` forms
-from the exact t^2, with each x_k - x_j formed before a quotient, so nothing
-loses digits near the K guard.  Verdicts use frame-free quantities:
-Frobenius norms and each D_alpha against the sizes of its terms.
+orthonormal.  The structure constants c0 of m in P have 48 nonzeros, on the
+module triples (alpha, e1, e2) of alpha = 1, 2, and every tensor lives on
+them: C = c0 sqrt(x_k) / (sqrt(x_i) sqrt(x_j)), U[i, j, k] = (C[k, j, i] +
+C[k, i, j]) / 2, nabla = U + C/2, rho = diag(r) (Besse, Einstein Manifolds,
+Cor. 7.38, summed per triple as by Wang and Ziller) and L = -2 sum_cyc
+rho(U(X,Y), Z) = -c0 D_alpha / sqrt(x_alpha x3 x4), where D_alpha =
+(x3 - x_alpha) r4 + (x4 - x3) r_alpha + (x_alpha - x4) r3 is zero iff
+(x_alpha, r_alpha), (x3, r3), (x4, r4) are collinear.  So a point's
+geometry is a few scalars: one program in Python floats, :func:`_program`,
+forms them from the x / 4^e of :attr:`zksym.metric.MetricParams.unit_scalars`
+(the exact homothety to 1 <= |t| < 2) with each x_k - x_j formed before a
+quotient, so nothing loses digits near the K guard.  Verdicts use
+frame-free quantities: Frobenius norms, each D_alpha against its terms.
 
 The adapted frame of :func:`zksym.metric.orthonormal_frame` is for
 presentation only: A~1 = sgn t (c E1 + s E3), A~2 = sgn t (c E2 + s E4),
 A~3 = c E4 - s E2, A~4 = s E1 - c E3, B~i = sgn v E_{4+i}, C~i = sgn w E_{6+i}
-with c, s = sqrt(x1, x2 / 2t^2).  Tables (8, 8, 8) and the Ricci matrix
-(8, 8) are returned in it, built for a point on first use.  Raw
+with c, s = sqrt(x1, x2 / 2t^2).  The tables (8, 8, 8) and the Ricci matrix
+(8, 8) in it are numpy arrays, built from the scalars on first use.  Raw
 m-vectors (basis A1..C2) enter the root frame by the coframe diag(sqrt x) P^T.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache, cached_property
 
 import numpy as np
@@ -60,7 +61,7 @@ _KILLING_M.setflags(write=False)
 _P = np.eye(8)
 _P[:4, :4] = np.sqrt(0.5) * np.array([[1, 0, 1, 0], [0, 1, 0, 1], [0, -1, 0, 1], [1, 0, -1, 0]])
 _MODULE = np.repeat(np.arange(4), 2)
-_HALF_KILLING = -0.5 * np.diag(_P.T @ _KILLING_M @ _P)[::2]
+_HALF_KILLING = (-0.5 * np.diag(_P.T @ _KILLING_M @ _P)[::2]).tolist()
 
 
 def _support():
@@ -77,18 +78,6 @@ def _support():
 
 _INDEX, _C0, (_RK, _RI, _RJ), _L_SIGN, _TRIPLE = _support()
 
-# A point has six columns (slot, alpha), slot-major, the modules (k, i, j) of a triple: (alpha, e1, e2),
-# (e1, alpha, e2), (e2, alpha, e1).  Its ratios are sqrt(x_k) / (sqrt(x_i) sqrt(x_j)), the sizes of C.
-_KIJ = np.array([0, 1, 2, 2, 3, 3, 2, 2, 0, 1, 0, 1, 3, 3, 3, 3, 2, 2])  # the modules k, then i, then j
-_K_OF_MODULE = np.array([0, 1, 2, 4])  # a column whose k is module 0, 1, 2, 3
-_SWAP = np.array([2, 3, 0, 1, 0, 1])  # the column whose k is this column's i
-_NEXT = np.array([2, 3, 4, 5, 0, 1])  # the next slot of the same triple
-_TO_MODULES = 0.5 * np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 1]])
-_TRIPLES_OF_MODULES = 0.5 * np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 1.0]])
-# the terms (x3 - x_alpha) r4, (x4 - x3) r_alpha, (x_alpha - x4) r3 of D_alpha: x first and second, and r
-_DX, _DR = np.array([2, 2, 3, 3, 0, 1, 0, 1, 2, 2, 3, 3]), np.array([3, 3, 0, 1, 2, 2])
-_POWERS = np.repeat([-1, -2, -3], [6, 4, 2])  # homothety weights of the ratios, r and lam
-_NORM_WEIGHTS = np.array([4.0, 1.0, 1.0, 2.0, 12.0])
 # the rotation Q[a, i] to the adapted frame: c _QC + s _QS + _QB, column i times sgn t, t, 1, 1, sgn v, v, w, w
 _QC, _QS, _QB = np.zeros((3, 8, 8))
 _QC[[0, 1, 3, 2], [0, 1, 2, 3]] = [1, 1, 1, -1]
@@ -96,9 +85,50 @@ _QS[[2, 3, 1, 0], [0, 1, 2, 3]] = [1, 1, -1, 1]
 _QB[4:, 4:] = np.eye(4)
 
 
-def _triples(a: np.ndarray) -> np.ndarray:
-    """The sum over the three slots of each triple, (N, 6) -> (N, 2); three terms add in order at any N."""
-    return a.reshape(-1, 3, 2).sum(axis=1)
+def _program(e: int, y) -> list[float]:
+    """From a point's unit-scale (e, y): the six ratios (the sizes of C), r and lam at its scale, then D_alpha,
+    det_scale and det_bound (two each) and the norms of C, U, nabla, rho and L at the unit scale.  The triple of
+    alpha has the slots (k, i, j) = (alpha, e1, e2), (e1, alpha, e2), (e2, alpha, e1), summed in that order."""
+    if not 0.0 < min(y) <= max(y) < math.inf:  # an x that under- or overflows at this scale
+        raise DegenerateMetricError("the curvature tensors overflow at this scale")
+    x1, x2, x3, x4 = y
+    k1, k2, k3, k4 = _HALF_KILLING
+    i3, i4 = 1.0 / x3, 1.0 / x4
+    r1, r2, r3, r4 = k1 * (1.0 / x1), k2 * (1.0 / x2), k3 * i3, k4 * i4
+    triples = []
+    for xa in (x1, x2):
+        # the squared ratios of the slots and per slot (x_k^2 - x_i^2 - x_j^2) / (x_i x_j x_k), with
+        # x_k^2 - x_j^2 exact where x_k = x_j; the sizes of its terms sum to the squared ratios, sigma
+        s0, s1, s2 = xa / x3 / x4, x3 / xa / x4, x4 / xa / x3
+        triples.append(((s0, s1, s2), s0 + s1 + s2, (xa - x4) * (1.0 / xa + i4) / x3 - s1,
+                        (x3 - x4) * (i3 + i4) / xa - s0, (x4 - x3) * (i4 + i3) / xa - s0))
+    (sq1, sigma1, a0, a1, a2), (sq2, sigma2, b0, b1, b2) = triples
+    both = 0.5 * sigma1 + 0.5 * sigma2
+    sizes = r1 + 0.5 * sigma1, r2 + 0.5 * sigma2, r3 + both, r4 + both
+    r1, r2, r3, r4 = r1 + 0.5 * a0, r2 + 0.5 * b0, r3 + (0.5 * a1 + 0.5 * b1), r4 + (0.5 * a2 + 0.5 * b2)
+    rows = []
+    for xa, ra, size, (s0, s1, s2) in ((x1, r1, sizes[0], sq1), (x2, r2, sizes[1], sq2)):
+        # D_alpha's terms, their sizes, those of all its terms in x; L over -c0, with the ratios' differences for
+        # those of x (rounded like the terms, all the verdicts need: ``ledger`` keeps the digits); ||U||^2
+        t0, t1, t2 = (x3 - xa) * r4, (x4 - x3) * ra, (xa - x4) * r3
+        c0, c1, c2 = math.sqrt(s0), math.sqrt(s1), math.sqrt(s2)
+        f0, f1, f2 = c0 - c1, c1 - c2, c2 - c0
+        rows.append((c0, c1, c2, t0 + t1 + t2, abs(t0) + abs(t1) + abs(t2),
+                     (x3 + xa) * sizes[3] + (x4 + x3) * size + (xa + x4) * sizes[2],
+                     -(f0 * r4 + f1 * ra + f2 * r3), f0 * f0 + f1 * f1 + f2 * f2))
+    (c0, c1, c2, d1, m1, b1, l1, u1), (c3, c4, c5, d2, m2, b2, l2, u2) = rows
+    # ||C||^2 / 4 = sigma and ||nabla||^2 = ||U||^2 + ||C||^2 / 4, as U is symmetric and C antisymmetric
+    norms = [math.sqrt((sigma1 + sigma2) * 4.0), math.sqrt(u1 + u2), math.sqrt((u1 + sigma1) + (u2 + sigma2)),
+             math.sqrt((r1 * r1 + r3 * r3 + (r2 * r2 + r4 * r4)) * 2.0), math.sqrt((l1 * l1 + l2 * l2) * 12.0)]
+    try:  # the ratios slot-major, r and lam, at the point's scale
+        e2, e3, ldexp = 2 * e, 3 * e, math.ldexp
+        scaled = [ldexp(c0, -e), ldexp(c3, -e), ldexp(c1, -e), ldexp(c4, -e), ldexp(c2, -e), ldexp(c5, -e),
+                  ldexp(r1, -e2), ldexp(r2, -e2), ldexp(r3, -e2), ldexp(r4, -e2), ldexp(l1, -e3), ldexp(l2, -e3)]
+    except OverflowError:
+        scaled = [math.inf]
+    if not all(map(math.isfinite, scaled)):
+        raise DegenerateMetricError("the curvature tensors overflow at this scale")
+    return scaled + [d1, d2, m1, m2, b1, b2] + norms
 
 
 def _dense(values: np.ndarray) -> np.ndarray:
@@ -109,76 +139,34 @@ def _dense(values: np.ndarray) -> np.ndarray:
 
 
 class _Geometry:
-    """The geometry of the parameter points in the root frame, row n of every array for points[n].
-
-    Computed at once, what the solve path reads: ``vals`` (the six ratios,
-    the sizes of C; r, rho per module; lam = D_alpha / sqrt(x_alpha x3 x4)),
-    ``det`` (D_alpha) with ``det_scale`` and ``det_bound`` (the sizes of its
-    three terms and of all its terms in x), and the Frobenius ``norms`` of
-    C, U, nabla, rho and L at the scale x / 4^e.  The support values are
-    computed when asked for; the presented tables, the frames and q are kept.
-    """
+    """The geometry of the parameter points in the root frame, row n of every array for points[n]: computed at
+    once, the parameters, e, y and what :func:`_program` forms, as ``values``; the support values when asked
+    for, and the presented tables, the frames and q once."""
 
     def __init__(self, points):
-        for p in points:
+        self.points = tuple(points)
+        self.values  # computed at once, so that a point's guard or overflow raises here
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        for p in self.points:
             p.K  # the guard of each point
-        self.params = np.array([(p.t, p.u, p.v, p.w) for p in points])
-        self.e, self.y = e, y = [np.array(a) for a in zip(*(p.unit_scalars for p in points))]
-        unit = np.empty((len(points), 12))  # the ratios, r and lam at the unit scale
-        ratios, r, lam = unit[:, :6], unit[:, 6:10], unit[:, 10:]
-        with np.errstate(all="ignore"):  # overflow shows up as a non-finite tensor below
-            kij = y.take(_KIJ, axis=1)
-            yk, yi, yj = kij[:, :6], kij[:, 6:12], kij[:, 12:]
-            sq = yk / yi
-            sq /= yj
-            np.sqrt(sq, out=ratios)
-            # per triple (x_k^2 - x_i^2 - x_j^2) / (x_i x_j x_k), with x_k^2 - x_j^2 exact where x_k = x_j;
-            # the sizes of its terms sum to the ratios' squares, sigma
-            inv = 1.0 / kij
-            twice = (yk - yj) * (inv[:, :6] + inv[:, 12:]) / yi - sq.take(_SWAP, axis=1)
-            np.multiply(_HALF_KILLING, inv.take(_K_OF_MODULE, axis=1), out=r)
-            sigma = _triples(sq)
-            sizes = r + sigma @ _TRIPLES_OF_MODULES
-            r += twice @ _TO_MODULES
-            # D_alpha's terms, their sizes, those of all its terms in x; L over -c0, which has the ratios'
-            # differences where D_alpha has those of x (rounded like the terms, which is all the verdicts need:
-            # ``ledger`` has the digits lost where they cancel); and ||U||^2, per triple
-            rd = r.take(_DR, axis=1)
-            x = y.take(_DX, axis=1)
-            diff = ratios - ratios.take(_NEXT, axis=1)  # per triple a - b, b - c, c - a
-            slots = np.empty((len(points), 5, 6))
-            np.multiply(x[:, :6] - x[:, 6:], rd, out=slots[:, 0])
-            np.abs(slots[:, 0], out=slots[:, 1])
-            np.multiply(x[:, :6] + x[:, 6:], sizes.take(_DR, axis=1), out=slots[:, 2])
-            np.multiply(diff, rd, out=slots[:, 3])
-            np.multiply(diff, diff, out=slots[:, 4])
-            sums = slots.reshape(-1, 5, 3, 2).sum(axis=2)  # three terms add in order at any N
-            self.det, self.det_scale, self.det_bound = sums[:, 0], sums[:, 1], sums[:, 2]
-            np.negative(sums[:, 3], out=lam)
-            # ||C||^2 / 4 = sigma and ||nabla||^2 = ||U||^2 + ||C||^2 / 4, as U is symmetric and C antisymmetric
-            rr = r * r
-            squares = np.concatenate([sigma, sums[:, 4], sums[:, 4] + sigma, rr[:, :2] + rr[:, 2:], lam * lam], axis=1)
-            self.norms = np.sqrt(squares.reshape(-1, 5, 2).sum(axis=2) * _NORM_WEIGHTS)
-            self.vals = np.ldexp(unit, e[:, None] * _POWERS)
-        if not np.isfinite(self.vals).all():
-            raise DegenerateMetricError("the curvature tensors overflow at this scale")
-        for a in vars(self).values():
-            a.setflags(write=False)
+        values = np.array([(p.t, p.u, p.v, p.w, e, *y, *_program(e, y)) for p in self.points for e, y in [p.unit_scalars]])
+        values.setflags(write=False)
+        return values
 
-    ratios, r, lam = (property(lambda self, s=s: self.vals[:, s]) for s in (slice(6), slice(6, 10), slice(10, 12)))
-    norm_c, norm_u, norm_n, norm_rho, norm_ledger = (property(lambda self, i=i: self.norms[:, i]) for i in range(5))
+    # the columns of ``values``: t, u, v, w, e, the four y, then the 23 of :func:`_program` in order
+    params, y, ratios, r, lam, det, det_scale, det_bound, norms = (
+        property(lambda self, s=s: self.values[:, s])
+        for s in (slice(4), slice(5, 9), slice(9, 15), slice(15, 19), slice(19, 21), slice(21, 23), slice(23, 25),
+                  slice(25, 27), slice(27, 32))
+    )
+    norm_c, norm_u, norm_n, norm_rho, norm_ledger = (property(lambda self, i=i: self.values[:, i]) for i in range(27, 32))
 
-    @property
-    def c(self) -> np.ndarray:
-        return _C0 * self.ratios[:, _RK]
-
-    @property
-    def u(self) -> np.ndarray:
-        return _C0 * (0.5 * (self.ratios[:, _RJ] - self.ratios[:, _RI]))  # (C[k, j, i] + C[k, i, j]) / 2
-
-    @property
-    def n(self) -> np.ndarray:
-        return self.u + 0.5 * self.c
+    e = property(lambda self: self.values[:, 4].astype(int))
+    c = property(lambda self: _C0 * self.ratios[:, _RK])
+    u = property(lambda self: _C0 * (0.5 * (self.ratios[:, _RJ] - self.ratios[:, _RI])))  # (C[k,j,i] + C[k,i,j]) / 2
+    n = property(lambda self: self.u + 0.5 * self.c)
 
     @cached_property
     def q(self) -> np.ndarray:
@@ -199,6 +187,13 @@ class _Geometry:
         with np.errstate(all="ignore"):
             lam = 0.5 * ((y[:, 3:] - y[:, 2:3]) / g[:, 2:3] / g[:, 3:]) / g[:, :2] * self.q
             return _L_SIGN * np.ldexp(lam, -3 * self.e[:, None])[:, _TRIPLE]
+
+    @cached_property
+    def ledger_max(self) -> np.ndarray:
+        """max |L| over the adapted frame triples, (N,), without the table: up to sign its entries are
+        c l1 +- s l2 and s l1 +- c l2, l_alpha = |L| on the root triples of alpha, products then a sum as there."""
+        (c, s), (l1, l2) = self._cos_sin, np.abs(self.ledger[:, [_TRIPLE.argmin(), _TRIPLE.argmax()]]).T
+        return np.abs([c * l1 + s * l2, c * l1 - s * l2, s * l1 + c * l2, s * l1 - c * l2]).max(axis=0)
 
     @cached_property
     def frame(self) -> np.ndarray:
@@ -247,22 +242,19 @@ class _Geometry:
         return rho
 
 
-_rows: dict = {}  # rows of a stacked geometry, handed to the cache of one-point geometries below
-
-
 @lru_cache(maxsize=256)
 def _cached_geometry(p: MetricParams) -> _Geometry:
-    return _rows.pop(p) if p in _rows else _Geometry([p])
+    """The geometry of one point, computed on first use, unless a stacked pass that holds the point fills it first."""
+    row = object.__new__(_Geometry)
+    row.points = (p,)
+    return row
 
 
 def stacked_geometry(points) -> _Geometry:
-    """The geometry of the parameter points in one stacked pass, N = len(points); each row is cached."""
+    """The geometry of the points in one stacked pass; a cache entry that has no values yet reads its row."""
     geo = _Geometry(points)
     for i, p in enumerate(points):
-        _rows[p] = row = object.__new__(_Geometry)  # point i as a stack of one, sharing geo's arrays
-        vars(row).update((name, arr[i:i + 1]) for name, arr in vars(geo).items())
-        _cached_geometry(p)  # takes the row, unless p is cached already
-    _rows.clear()
+        vars(_cached_geometry(p)).setdefault("values", geo.values[i:i + 1])
     return geo
 
 

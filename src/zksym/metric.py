@@ -62,13 +62,13 @@ FRAME_NAMES = ("A~1", "A~2", "A~3", "A~4", "B~1", "B~2", "C~1", "C~2")
 
 def _quote(y: float, e: int, digits: int) -> str:
     """y * 4^e as f"{y * 4^e:.{digits}g}" prints it where that is a normal float; else from the exact value."""
-    x = math.ldexp(y, 2 * e)
-    if y == 0.0 or abs(x) >= sys.float_info.min:
+    x = math.ldexp(y, 2 * e) if math.frexp(y)[1] + 2 * e <= 1024 else math.inf  # else it overflows
+    if y == 0.0 or sys.float_info.min <= abs(x) < math.inf:
         return f"{x:.{digits}g}"
-    from decimal import Decimal, localcontext  # loaded only to quote a value below the normal floats
-    with localcontext(prec=2300):  # exact: a float has at most 767 significant digits, 4^e for e >= -1074 1503
+    from decimal import Decimal, localcontext  # loaded only to quote a value beyond the normal floats
+    with localcontext(prec=2300):  # exact: a float has at most 767 significant digits, 4^e for |e| <= 1074 1503
         mantissa, exponent = f"{Decimal(y) * Decimal(4) ** e:.{digits - 1}e}".split("e")
-    return f"{mantissa.rstrip('0').rstrip('.')}e{exponent}"  # below the normal floats %g writes an exponent
+    return f"{mantissa.rstrip('0').rstrip('.')}e{exponent}"  # beyond the normal floats %g writes an exponent
 
 
 class InvalidParamsError(ValueError):
@@ -130,7 +130,8 @@ class MetricParams:
         lo, hi = _SQUARE_RANGE
         squares = (self.t * self.t, self.v * self.v, self.w * self.w)
         if not all(lo <= x <= hi for x in squares):
-            shown = ", ".join(f"{x:.3g}" for x in squares)
+            scales = [(a, math.frexp(a)[1] - 1) for a in (self.t, self.v, self.w)]  # each square at its own scale
+            shown = ", ".join(_quote(math.ldexp(a, -e) ** 2, e, 3) for a, e in scales)
             raise DegenerateMetricError(f"t^2, v^2, w^2 = {shown} leave the range of normal floats [{lo:.3g}, {hi:.3g}]")
         e, (y1, y2, _, _) = self.unit_scalars
         p = math.ldexp(1.0, e)

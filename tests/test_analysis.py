@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -14,6 +15,7 @@ from zksym import (
     MetricParams,
     S_INTERVAL_U0,
     S_INTERVAL_UNONZERO,
+    analysis,
     first_ledger_verdict,
     infinitesimal_isometries,
     is_naturally_reductive,
@@ -355,6 +357,29 @@ def test_solutions_verify_on_dense_grids_near_both_ends(solver, interval):
         for sol in solver(*np.linspace(a, b, 402)[1:-1].tolist()):
             report = verify_solution(sol)
             assert report.passed and max(report.relative_residuals.values()) < 1e-13, (sol.S, report.relative_residuals)
+
+
+def test_the_gram_residual_is_the_rounding_of_t_squared_over_x():
+    # build_form's Gram holds fl(t^2) where the root frame has t^2, so the frame's defect is
+    # (fl(t^2) - t^2) / x_k on the A modules: within 1 ulp of the exact rational everywhere, 9.85e-2 at the
+    # README's near-guard point, and exactly 0 at every solver output, where t = 1
+    rng = np.random.default_rng(65)
+    points = [MetricParams(-1.798, 6.465607999999999, 1.0, 1.0)]
+    while len(points) < 600:
+        t = 10.0 ** rng.uniform(-150.0, 150.0) * rng.choice([-1.0, 1.0])
+        k = 10.0 ** rng.uniform(-8.0, 0.0)  # K / |t|
+        p = MetricParams(t, 2.0 * t * t * math.sqrt(1.0 - k * k) * rng.choice([-1.0, 1.0]), t, t)
+        if p.k_squared >= (1e-8 * t) ** 2:
+            points.append(p)
+    for p in points:
+        t, u = Fraction(p.t), Fraction(p.u)
+        exact = abs(Fraction(p.t * p.t) - t * t) / min(t * t + u / 2, t * t - u / 2)
+        assert abs(Fraction(analysis._gram_defect(p)) - exact) <= math.ulp(float(exact)), p
+    near_guard = verify_solution(LedgerSolution("u-zero", 2.0, 1.0, 1.0, 0.0, points[0], {}, False))
+    assert f"{near_guard.residuals['gram']:.3g}" == "0.0985"
+    grid = (1.0 + 1e-6, 1.5, 5.0, 9.0 - 1e-6), (1.0 / 3.0 + 1e-6, 0.7, 1.3, S_INTERVAL_UNONZERO[1] - 1e-6)
+    for solver, s_values in zip((solve_ledger_u0, solve_ledger_unonzero), grid):
+        assert all(sol.residuals["gram"] == 0.0 for sol in solver(*s_values))
 
 
 def test_the_ledger_verdict_judges_each_determinant_against_its_terms():

@@ -386,6 +386,15 @@ def test_bounds_below_the_normal_floats_are_quoted_exactly(capsys):
     assert (code, err) == (2, "numerical failure: K^2 = 0 below guard 2.23e-324: |u| too close to the degenerate boundary\n")
 
 
+@pytest.mark.parametrize("argv,shown", [(("--t", "1e-200", "--v", "1", "--w", "1"), "1e-400, 1, 1"),
+                                        (("--t", "1", "--v", "1", "--w", "1e160"), "1, 1, 1e+320")])
+def test_squares_beyond_the_normal_floats_are_quoted_at_their_own_scale(capsys, argv, shown):
+    # t^2 = 1e-400 underflows to 0 and w^2 = 1e320 overflows to inf as floats; each is quoted from its own unit scale
+    code, out, err = run_cli(capsys, "ricci", "--u", "0", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"numerical failure: t^2, v^2, w^2 = {shown} leave the range of normal floats [2.23e-308, 1.8e+308]\n"
+
+
 def test_k_guard_exits_2(capsys):
     t, u = map(repr, _IN_GUARD)
     code, _, err = run_cli(capsys, "ricci", "--t", t, "--u", u, "--v", "1", "--w", "1")
@@ -730,8 +739,8 @@ def _counting_stacks(monkeypatch):
 @pytest.mark.parametrize("branch,s,n", [("u1", "1.1", 4), ("u0", "5", 2)])
 def test_solve_evaluates_its_solutions_in_one_stacked_pass(capsys, monkeypatch, branch, s, n):
     # one geometry of N = 2 or 4 and one evaluation of the same stack: no
-    # per-point geometry, no Gram factorization, one form per solution for
-    # its Gram defect, and the per-point reductivity test never runs
+    # per-point geometry, no Gram factorization, no form (the Gram defect is
+    # a closed form), and the per-point reductivity test never runs
     builds, evaluations = _counting_stacks(monkeypatch)
     forms = _count_calls(monkeypatch, metric.build_form)
     nr_tests = _count_calls(monkeypatch, analysis.is_naturally_reductive)
@@ -742,7 +751,7 @@ def test_solve_evaluates_its_solutions_in_one_stacked_pass(capsys, monkeypatch, 
     assert code == 0
     assert len(out.splitlines()) == n
     assert (builds, evaluations) == ([n], [n])
-    assert (len(forms), len(nr_tests), len(factorizations)) == (n, 0, 0)
+    assert (len(forms), len(nr_tests), len(factorizations)) == (0, 0, 0)
     # each row of the stack went into the geometry cache, computed nowhere else
     info = geometry._cached_geometry.cache_info()
     assert (info.misses, info.hits, info.currsize) == (n, 0, n)

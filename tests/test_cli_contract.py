@@ -133,6 +133,10 @@ DIFFS: dict[tuple[str, ...], dict] = {
     # the form is positive-definite exactly for |u| < 2t^2, where the snapshot named (-4t^2, 4t^2)
     ("ricci", *_point(1.0, 4.0, 1.0, 1.0)):
         {"exit": 1, "stderr": "error: u must lie in the open interval (-2t^2, 2t^2) = (-2, 2), got 4"},
+    # each square is quoted at its own binary scale, so one beyond the floats reads as its value, not inf
+    ("ricci", *_point(1.0, 0.0, 1e200, 1.0)):
+        {"exit": 2, "stderr": "numerical failure: t^2, v^2, w^2 = 1, 1e+400, 1 leave the range of normal floats "
+                              "[2.23e-308, 1.8e+308]"},
 }
 
 

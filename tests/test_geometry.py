@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -415,6 +417,76 @@ def test_tables_exact_near_the_k_guard():
         for name in ("u_table", "bracket_table"):
             got, exp = _tables(p)[name], exact[name]
             assert np.max(np.abs(got - exp)) <= 1e-14 * max(1.0, float(np.max(np.abs(exp)))), p
+
+
+# ----------------------------------------------------------------------
+# the scalar program of the eager values
+# ----------------------------------------------------------------------
+
+EAGER = ("ratios", "r", "lam", "det", "det_scale", "det_bound", "norms")
+
+
+def _eager_corpus() -> list[MetricParams]:
+    """2400 seeded admissible points: |t| in [1e-150, 1e150], K/|t| in [1e-8, 1], v/t and w/t in [1e-2, 1e2],
+    signs mixed, one in six with u = 0, one in six with v = w and one in six with u = 0 and w = |t|."""
+    rng = np.random.default_rng(64)
+    points = []
+    while len(points) < 2400:
+        t = 10.0 ** rng.uniform(-150.0, 150.0) * rng.choice([-1.0, 1.0])
+        k = 10.0 ** rng.uniform(-8.0, 0.0)  # K / |t|
+        u = 2.0 * t * t * math.sqrt(1.0 - k * k) * rng.choice([-1.0, 1.0])
+        v, w = (t * 10.0 ** rng.uniform(-2.0, 2.0) * rng.choice([-1.0, 1.0]) for _ in range(2))
+        kind = rng.integers(6)
+        if kind == 1:
+            u = 0.0
+        elif kind == 2:
+            w = v
+        elif kind == 3:
+            u, w = 0.0, abs(t)
+        try:
+            p = MetricParams(t, u, v, w)
+            p.K
+        except (ValueError, ArithmeticError):
+            continue
+        points.append(p)
+    return points
+
+
+def test_the_eager_values_are_those_of_the_array_program_bit_for_bit():
+    # The sha256 of the eager values of every corpus point that computes, as little-endian float64, and of
+    # the indices of those refused (L overflows as 1/t^3 below |t| of about 1e-103), as the stacked numpy
+    # program that the scalar program replaced computed them: the same operations in the same order.
+    kept, refused = [], []
+    for i, p in enumerate(_eager_corpus()):
+        try:
+            geometry._Geometry([p])
+            kept.append(p)
+        except DegenerateMetricError:
+            refused.append(i)
+    assert (len(kept), len(refused)) == (2064, 336)
+    geo = geometry._Geometry(kept)
+    data = b"".join(np.ascontiguousarray(getattr(geo, name), dtype="<f8").tobytes() for name in EAGER)
+    digest = hashlib.sha256(data + np.array(refused, dtype="<i8").tobytes()).hexdigest()
+    assert digest == "d75cfa74d3715cd50b0f4ee3a5dfd4249942812a37c70b6d5c78209d1109f252"
+
+
+def test_max_ledger_is_the_maximum_of_the_table_bit_for_bit():
+    # the closed form of max|L| over the adapted triples forms each entry as the table does, so it is the
+    # table's maximum exactly, the exact zeros of u = 0, w = |t| and v = w included
+    points = _eager_corpus()[::8] + [MetricParams(1.0, 0.0, 1.0, 1.0), MetricParams(1.0, 0.7, 1.3, 1.3)]
+    points += [sol.params for s in (1.5, 5.0, 8.9) for sol in zksym.solve_ledger_u0(s)]
+    points += [sol.params for s in (0.4, 1.0, 1.43) for sol in zksym.solve_ledger_unonzero(s)]
+    kept = []
+    for p in points:
+        try:
+            geometry._Geometry([p])
+            kept.append(p)
+        except DegenerateMetricError:
+            pass
+    geo = geometry._Geometry(kept)
+    table_max = np.abs(geo.table("ledger")).max(axis=(1, 2, 3))
+    assert np.array_equal(geo.ledger_max, table_max)
+    assert np.count_nonzero(table_max == 0.0) >= 50
 
 
 # ----------------------------------------------------------------------

@@ -84,14 +84,17 @@ def test_k_guard_near_degenerate():
 
 
 def test_quoted_bounds_read_as_their_floats_or_exactly_below_the_normal_floats():
-    # the error messages quote 2t^2, K^2 and (1e-8 t)^2 as y * 4^e from the unit scale: as the float
-    # prints where it is normal, else the exact binary value to the same digits, never an underflowed 0
+    # the error messages quote 2t^2, K^2, (1e-8 t)^2 and the squares as y * 4^e from the unit scale: as the
+    # float prints where it is normal, else the exact binary value to the same digits, never 0 or inf
     rng = np.random.default_rng(31)
     with localcontext(prec=3000):  # y * 4^e exactly
-        for _ in range(400):
-            y, e, digits = rng.uniform(1e-3, 8.0), int(rng.integers(-1100, 500)), int(rng.choice([3, 6]))
-            x = math.ldexp(y, 2 * e)
-            if x >= sys.float_info.min:
+        for _ in range(500):
+            y, e, digits = rng.uniform(1e-3, 8.0), int(rng.integers(-1100, 560)), int(rng.choice([3, 6]))
+            try:
+                x = math.ldexp(y, 2 * e)
+            except OverflowError:
+                x = math.inf
+            if sys.float_info.min <= x < math.inf:
                 assert metric._quote(y, e, digits) == f"{x:.{digits}g}"
             else:  # the binary fraction y / 4^-e in decimal, where a quotient by a power of two is exact
                 n, d = (Fraction(y) * Fraction(4) ** e).as_integer_ratio()
@@ -99,6 +102,7 @@ def test_quoted_bounds_read_as_their_floats_or_exactly_below_the_normal_floats()
                 assert metric._quote(y, e, digits) == f"{mantissa.rstrip('0').rstrip('.')}e{exponent}"
     assert metric._quote(0.0, -600, 3) == "0"
     assert metric._quote(1.0, -1000, 6) == "8.70981e-603" and metric._quote(0.75, -537, 3) == "3.71e-324"
+    assert metric._quote(1.0, 1000, 6) == "1.14813e+602" and metric._quote(4.0, 511, 3) == "1.8e+308"  # 2^1024
 
 
 def test_k_squared_and_frame_keep_their_digits_across_scales():
