@@ -6,7 +6,7 @@ D_alpha = 0.  After the substitution V = v^2/t^2, W = w^2/t^2, S = V + W,
 P = V W (and U = u/t^2 when u != 0) they admit closed-form solution
 families, one branch with u = 0 and one with u != 0.  The solvers below
 return the families normalized at t = 1 with their recomputed residuals,
-all solutions of one call evaluated in one stacked pass.  The metrics with
+each solution evaluated once, point by point.  The metrics with
 v = w form a third family that satisfies L = 0 and that no solver returns;
 of it only the round point u = 0, v^2 = w^2 = t^2 is naturally reductive.
 
@@ -73,15 +73,14 @@ def is_naturally_reductive(p: MetricParams, tol: float = DEFAULT_TOL) -> Reducti
     adapted frame triple (X, Y, Z) maximizing |<U(X,Y),Z>| when the test fails.
     """
     geo = geometry._cached_geometry(p)
-    table = np.abs(geo.table("u")[0])
-    if _reductive(geo, tol)[0]:
-        return ReductivityReport(True, float(table.max()), None)
-    i, j, k = np.unravel_index(int(np.argmax(table)), (8, 8, 8))
-    return ReductivityReport(False, float(table.max()), (FRAME_NAMES[i], FRAME_NAMES[j], FRAME_NAMES[k]))
+    u_max, (i, j, k) = geo.u_max
+    if _reductive(geo, tol):
+        return ReductivityReport(True, u_max, None)
+    return ReductivityReport(False, u_max, (FRAME_NAMES[i], FRAME_NAMES[j], FRAME_NAMES[k]))
 
 
-def _reductive(geo, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """The naturally-reductive verdict at each point of a stacked geometry: ||U|| <= tol * ||bracket table||."""
+def _reductive(geo, tol: float = DEFAULT_TOL) -> bool:
+    """The naturally-reductive verdict at a point's geometry: ||U|| <= tol * ||bracket table||."""
     return geo.norm_u <= tol * geo.norm_c
 
 
@@ -97,21 +96,19 @@ def first_ledger_verdict(p: MetricParams, tol: float = DEFAULT_TOL) -> tuple[flo
     DegenerateMetricError when a determinant or its terms overflow.
     """
     geo = geometry._cached_geometry(p)
-    return float(geo.ledger_max[0]), _ledger_holds(geo, tol)[0]
+    return geo.ledger_max, _ledger_holds(geo, tol)
 
 
-def _ledger_holds(geo, tol: float = DEFAULT_TOL) -> list[bool]:
-    """The first Ledger verdict at each point of a stacked geometry (see :func:`first_ledger_verdict`)."""
-    rows = zip(*_determinants(geo, geo.det_scale), _reductive(geo, tol).tolist())
-    return [all(abs(d) <= tol * s for d, s in zip(det, scale)) or nr for det, scale, nr in rows]
+def _ledger_holds(geo, tol: float = DEFAULT_TOL) -> bool:
+    """The first Ledger verdict at a point's geometry (see :func:`first_ledger_verdict`)."""
+    return all(abs(d) <= tol * s for d, s in _determinants(geo, geo.det_scale)) or _reductive(geo, tol)
 
 
-def _determinants(geo, scale: np.ndarray) -> tuple[list, list]:
-    """D_alpha and a scale of each, two per point; raises where they are not finite."""
-    det, scale = geo.det.tolist(), scale.tolist()
-    if not all(math.isfinite(x) for row in det + scale for x in row):  # their sum may overflow where neither does
-        raise DegenerateMetricError(f"the Ledger determinants are not finite: {det}")
-    return det, scale
+def _determinants(geo, scale: list[float]):
+    """The pairs (D_alpha, its scale) at a point's geometry; raises where they are not finite."""
+    if not all(map(math.isfinite, geo.det + scale)):  # their sum may overflow where neither does
+        raise DegenerateMetricError(f"the Ledger determinants are not finite: {geo.det}")
+    return zip(geo.det, scale)
 
 
 def infinitesimal_isometries(p: MetricParams, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -148,16 +145,15 @@ def ledger_system_residuals(p: MetricParams) -> np.ndarray:
     t^-1, t^-2, t^0 after.  Raises DegenerateMetricError when one overflows.
     """
     geo, (e, (x1, x2, x3, x4)) = geometry._cached_geometry(p), p.unit_scalars
-    t, _, v, w = np.ldexp(geo.params[0], -e)
-    with np.errstate(all="ignore"):  # overflow shows up as a non-finite residual below
-        d1, d2 = 0.5 * (x4 - x3) * geo.q[0]
-        star = np.array([-(d1 + d2) / 2, -(d1 - d2) / (2 * t),
-                         np.sign(t) * (x2 * d1 - x1 * d2) / (2 * v * w * np.sqrt(x1 * x2)),
-                         -(x2 * d1 + x1 * d2) / (2 * t * t)])
-        star = np.ldexp(star, [0, -e, -2 * e, 0]) + 0.0  # and no -0.0
-    if not np.isfinite(star).all():
-        raise DegenerateMetricError(f"reduced Ledger system residuals are not finite: {star.tolist()}")
-    return star
+    t, v, w = (math.ldexp(a, -e) for a in (p.t, p.v, p.w))
+    d1, d2 = (0.5 * (x4 - x3) * q for q in geo.q)
+    star = [-(d1 + d2) / 2, -(d1 - d2) / (2 * t),
+            math.copysign(1.0, t) * (x2 * d1 - x1 * d2) / (2 * v * w * math.sqrt(x1 * x2)),
+            -(x2 * d1 + x1 * d2) / (2 * t * t)]
+    star = [geometry._ldexp(x, n) + 0.0 for x, n in zip(star, (0, -e, -2 * e, 0))]  # and no -0.0
+    if not all(map(math.isfinite, star)):  # overflow shows up as a non-finite residual
+        raise DegenerateMetricError(f"reduced Ledger system residuals are not finite: {star}")
+    return np.array(star)
 
 
 # ----------------------------------------------------------------------
@@ -202,7 +198,7 @@ _Residuals = tuple[tuple[str, float], ...]
 
 
 def _evaluate(points) -> list[tuple[_Residuals, _Residuals, bool]]:
-    """Per point, in one stacked pass: absolute residuals, the same over their scale, naturally reductive.
+    """Per point, from its cached geometry: absolute residuals, the same over their scale, naturally reductive.
 
     The residuals come as (name, value) pairs: ||L|| in Frobenius norm
     ("ledger"), over ||nabla|| ||rho||; the larger |D_alpha| ("star"), each
@@ -213,16 +209,16 @@ def _evaluate(points) -> list[tuple[_Residuals, _Residuals, bool]]:
     matrix of :func:`build_form` in closed form ("gram", of scale 1).
     The scales are frame-free and do not scale.  Callers make their own dicts.
     """
-    geo = geometry.stacked_geometry(points)
-    det, scale = _determinants(geo, geo.det_bound)  # the sizes include 3 / x_k > 0
-    with np.errstate(over="ignore"):  # an overflowing scale leaves a relative residual at 0
-        rel_lgr = geo.norm_ledger / (geo.norm_n * geo.norm_rho)
-    columns = (np.ldexp(geo.norm_ledger, -3 * geo.e).tolist(), rel_lgr.tolist(), _reductive(geo).tolist())
-    return [
-        ((("ledger", a), ("star", max(map(abs, d))), ("gram", g)),
-         (("ledger", ra), ("star", max(abs(x) / y for x, y in zip(d, s))), ("gram", g)), nr)
-        for d, s, a, ra, nr, g in zip(det, scale, *columns, map(_gram_defect, points))
-    ]
+    evaluations = []
+    for p in points:
+        geo = geometry._cached_geometry(p)
+        star = max(abs(d) / s for d, s in _determinants(geo, geo.det_bound))  # the sizes include 3 / x_k > 0
+        absolute = ("ledger", geometry._ldexp(geo.norm_ledger, -3 * geo.e)), ("star", max(map(abs, geo.det)))
+        # an overflowing scale leaves the relative ||L|| at 0
+        relative = ("ledger", geo.norm_ledger / (geo.norm_n * geo.norm_rho)), ("star", star)
+        gram = ("gram", _gram_defect(p))
+        evaluations.append(((*absolute, gram), (*relative, gram), _reductive(geo)))
+    return evaluations
 
 
 def _gram_defect(p: MetricParams) -> float:
@@ -237,7 +233,7 @@ def _gram_defect(p: MetricParams) -> float:
 
 
 def _solve(branch: str, rows: list[tuple[float, float, float, float]]) -> list[LedgerSolution]:
-    """The solutions (S, V, W, u) at t = 1, evaluated together in one stacked pass."""
+    """The solutions (S, V, W, u) at t = 1, evaluated together by one :func:`_evaluate`."""
     points = [MetricParams(1.0, u, math.sqrt(vv), math.sqrt(ww)) for _, vv, ww, u in rows]
     evaluations = _evaluate(points) if points else []
     solutions = []

@@ -304,7 +304,7 @@ def _solutions(branch: str, grid, tol: float, as_json: bool) -> None:
     """Print every solution of the branch at each S of the grid; after the last, raise if any fails verification."""
     solve = solve_ledger_u0 if branch == "u0" else solve_ledger_unonzero
     failed, count = [], 0
-    for start in range(0, len(grid), 32):  # 32 S to a stacked pass, so the memory held does not grow with the grid
+    for start in range(0, len(grid), 32):  # 32 S to a solve, so the solutions held do not grow with the grid
         for sol in solve(*grid[start:start + 32]):
             if as_json:
                 _emit_json(sol.to_dict())

@@ -131,101 +131,110 @@ def _program(e: int, y) -> list[float]:
     return scaled + [d1, d2, m1, m2, b1, b2] + norms
 
 
-def _dense(values: np.ndarray) -> np.ndarray:
-    """(N, 8, 8, 8) root-frame tensors from their values on the support."""
-    out = np.zeros((len(values), 8, 8, 8))
-    out[(slice(None),) + _INDEX] = values
+def _ldexp(x: float, n: int) -> float:
+    """x 2^n, +-inf where that overflows, as np.ldexp (math.ldexp raises there)."""
+    try:
+        return math.ldexp(x, n)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def _dense(values) -> np.ndarray:
+    """The (8, 8, 8) root-frame tensor of its values on the support."""
+    out = np.zeros((8, 8, 8))
+    out[_INDEX] = values
     return out
 
 
 class _Geometry:
-    """The geometry of the parameter points in the root frame, row n of every array for points[n]: computed at
-    once, the parameters, e, y and what :func:`_program` forms, as ``values``; the support values when asked
-    for, and the presented tables, the frames and q once."""
+    """The geometry of one parameter point in the root frame: at once, its e and y and what :func:`_program`
+    forms, in Python floats; the support values, the frames and q when asked for, the presented tables once."""
 
-    def __init__(self, points):
-        self.points = tuple(points)
-        self.values  # computed at once, so that a point's guard or overflow raises here
+    def __init__(self, p: MetricParams):
+        p.K  # the guard, which like an overflow in the program raises before anything is kept
+        self.params = p
+        self.e, self.y = p.unit_scalars
+        values = _program(self.e, self.y)
+        self.ratios, self.r, self.lam = values[:6], values[6:10], values[10:12]
+        self.det, self.det_scale, self.det_bound = values[12:14], values[14:16], values[16:18]
+        self.norm_c, self.norm_u, self.norm_n, self.norm_rho, self.norm_ledger = values[18:]
 
-    @cached_property
-    def values(self) -> np.ndarray:
-        for p in self.points:
-            p.K  # the guard of each point
-        values = np.array([(p.t, p.u, p.v, p.w, e, *y, *_program(e, y)) for p in self.points for e, y in [p.unit_scalars]])
-        values.setflags(write=False)
-        return values
-
-    # the columns of ``values``: t, u, v, w, e, the four y, then the 23 of :func:`_program` in order
-    params, y, ratios, r, lam, det, det_scale, det_bound, norms = (
-        property(lambda self, s=s: self.values[:, s])
-        for s in (slice(4), slice(5, 9), slice(9, 15), slice(15, 19), slice(19, 21), slice(21, 23), slice(23, 25),
-                  slice(25, 27), slice(27, 32))
-    )
-    norm_c, norm_u, norm_n, norm_rho, norm_ledger = (property(lambda self, i=i: self.values[:, i]) for i in range(27, 32))
-
-    e = property(lambda self: self.values[:, 4].astype(int))
-    c = property(lambda self: _C0 * self.ratios[:, _RK])
-    u = property(lambda self: _C0 * (0.5 * (self.ratios[:, _RJ] - self.ratios[:, _RI])))  # (C[k,j,i] + C[k,i,j]) / 2
+    c = property(lambda self: _C0 * np.take(self.ratios, _RK))
+    # (C[k,j,i] + C[k,i,j]) / 2
+    u = property(lambda self: _C0 * (0.5 * (np.take(self.ratios, _RJ) - np.take(self.ratios, _RI))))
     n = property(lambda self: self.u + 0.5 * self.c)
 
     @cached_property
-    def q(self) -> np.ndarray:
-        """Q_alpha / (x1 x2 x3 x4) at the unit scale, (N, 2), with beta the other of 1, 2 and
+    def q(self) -> list[float]:
+        """Q_alpha / (x1 x2 x3 x4) at the unit scale, alpha = 1, 2, with beta the other of 1, 2 and
         Q_alpha = x_alpha (x3 + x4 - x_alpha)^2 + 8 x_beta (x_alpha - x3)(x_alpha - x4) - x_alpha (x_alpha^2 - x_beta^2).
         D_alpha = (x4 - x3) q / 2, which keeps the digits its three terms lose where they cancel (u = 0, w = t).
         """
-        ya, yb, y3, y4 = self.y[:, :2], self.y[:, 1::-1], self.y[:, 2:3], self.y[:, 3:]
-        with np.errstate(all="ignore"):
+        y1, y2, y3, y4 = self.y
+        q = []
+        for ya, yb in ((y1, y2), (y2, y1)):
             d3, d4 = ya - y3, ya - y4
-            s = np.where(np.abs(d4) <= np.abs(d3), y3 - d4, y4 - d3)  # x3 + x4 - x_alpha, by the nearer difference
-            return (s / y3) * (s / y4) / yb + 8.0 * (d3 / y3) * (d4 / y4) / ya - ((ya - yb) / y3) * ((ya + yb) / y4) / yb
+            s = y3 - d4 if abs(d4) <= abs(d3) else y4 - d3  # x3 + x4 - x_alpha, by the nearer difference
+            q.append((s / y3) * (s / y4) / yb + 8.0 * (d3 / y3) * (d4 / y4) / ya - ((ya - yb) / y3) * ((ya + yb) / y4) / yb)
+        return q
+
+    @cached_property
+    def _ledger_lam(self) -> list[float]:
+        """lam_alpha = D_alpha / sqrt(x_alpha x3 x4) at the point's scale by the Q-form of :attr:`q`."""
+        y1, y2, y3, y4 = self.y
+        h = 0.5 * ((y4 - y3) / math.sqrt(y3) / math.sqrt(y4))
+        return [_ldexp(h / math.sqrt(ya) * qa, -3 * self.e) for ya, qa in zip((y1, y2), self.q)]
 
     @property
     def ledger(self) -> np.ndarray:
-        """L on the support, lam = D_alpha / sqrt(x_alpha x3 x4) by the Q-form of :attr:`q`."""
-        y, g = self.y, np.sqrt(self.y)
-        with np.errstate(all="ignore"):
-            lam = 0.5 * ((y[:, 3:] - y[:, 2:3]) / g[:, 2:3] / g[:, 3:]) / g[:, :2] * self.q
-            return _L_SIGN * np.ldexp(lam, -3 * self.e[:, None])[:, _TRIPLE]
+        """L on the support, +-lam_alpha on the triples of alpha."""
+        return _L_SIGN * np.take(self._ledger_lam, _TRIPLE)
 
     @cached_property
-    def ledger_max(self) -> np.ndarray:
-        """max |L| over the adapted frame triples, (N,), without the table: up to sign its entries are
-        c l1 +- s l2 and s l1 +- c l2, l_alpha = |L| on the root triples of alpha, products then a sum as there."""
-        (c, s), (l1, l2) = self._cos_sin, np.abs(self.ledger[:, [_TRIPLE.argmin(), _TRIPLE.argmax()]]).T
-        return np.abs([c * l1 + s * l2, c * l1 - s * l2, s * l1 + c * l2, s * l1 - c * l2]).max(axis=0)
+    def ledger_max(self) -> float:
+        """max |L| over the adapted frame triples, without the table: up to sign its entries are c l1 +- s l2
+        and s l1 +- c l2, l_alpha = |lam_alpha| / sqrt 2 = |L| on the root triples of alpha, products then a sum
+        as there; a difference first, so that a NaN wins as in np.max."""
+        (c, s), (l1, l2) = self._cos_sin, (math.sqrt(0.5) * abs(lam) for lam in self._ledger_lam)
+        return max(abs(c * l1 - s * l2), abs(c * l1 + s * l2), abs(s * l1 + c * l2), abs(s * l1 - c * l2))
+
+    @cached_property
+    def u_max(self) -> tuple[float, tuple[int, int, int]]:
+        """max |U| over the adapted frame triples and the first (i, j, k), in np.argmax's order, that attains it."""
+        table = np.abs(self.table("u"))
+        index = np.unravel_index(int(np.argmax(table)), table.shape)
+        return float(table[index]), tuple(map(int, index))
 
     @cached_property
     def frame(self) -> np.ndarray:
         """E = P diag(x)^(-1/2): column i is root frame vector i in raw m-coordinates."""
-        return _P * np.ldexp(1.0 / np.sqrt(self.y), -self.e[:, None]).take(_MODULE, axis=1)[:, None]
+        return _P * np.ldexp(1.0 / np.sqrt(self.y), -self.e)[_MODULE]
 
     @cached_property
     def coframe(self) -> np.ndarray:
         """E^-1 = diag(sqrt x) P^T."""
-        return np.ldexp(np.sqrt(self.y), self.e[:, None])[:, _MODULE, None] * _P.T
+        return np.ldexp(np.sqrt(self.y), self.e)[_MODULE, None] * _P.T
 
     @property
-    def _cos_sin(self) -> np.ndarray:
-        """c = sqrt(x1 / 2t^2) and s = sqrt(x2 / 2t^2), (2, N)."""
-        return np.sqrt(self.y[:, :2] / (self.y[:, 0] + self.y[:, 1])[:, None]).T
+    def _cos_sin(self) -> tuple[float, float]:
+        """c = sqrt(x1 / 2t^2) and s = sqrt(x2 / 2t^2)."""
+        y1, y2 = self.y[:2]
+        return math.sqrt(y1 / (y1 + y2)), math.sqrt(y2 / (y1 + y2))
 
     @property
     def rotation(self) -> np.ndarray:
-        """Q[n, a, i]: adapted frame vector i in the root frame."""
-        c, s = self._cos_sin
-        signs = np.sign(self.params).take([0, 0, 1, 1, 2, 2, 3, 3], axis=1)
-        signs[:, 2:4] = 1.0
-        return (c[:, None, None] * _QC + s[:, None, None] * _QS + _QB) * signs[:, None]
+        """Q[a, i]: adapted frame vector i in the root frame."""
+        (c, s), p = self._cos_sin, self.params
+        return (c * _QC + s * _QS + _QB) * np.sign([p.t, p.t, 1.0, 1.0, p.v, p.v, p.w, p.w])
 
     def table(self, name: str) -> np.ndarray:
-        """The support values ``name`` presented in the adapted frame, (N, 8, 8, 8), built once."""
+        """The support values ``name`` presented in the adapted frame, (8, 8, 8), built once."""
         tables = vars(self).setdefault("_tables", {})
         if name not in tables:
-            table, q = _dense(getattr(self, name)), self.rotation[:, None, None]
+            table, q = _dense(getattr(self, name)), self.rotation
             for _ in range(3):  # contract the last index with Q and bring it to the front: k, then j, then i
                 # products then sums, with no fused multiply-add, so that terms that cancel leave exact zeros
-                table = (table[..., None] * q).sum(axis=-2).transpose(0, 3, 1, 2)
+                table = (table[..., None] * q).sum(axis=-2).transpose(2, 0, 1)
             table += 0.0  # and no -0.0
             table.setflags(write=False)
             tables[name] = table
@@ -234,28 +243,15 @@ class _Geometry:
     @cached_property
     def ricci(self) -> np.ndarray:
         """Q^T diag(r) Q entry by entry, so that r1 = r2 (u = 0) leaves rho(A~1, A~4) = 0 exactly."""
-        (c, s), (r1, r2, r3, r4) = self._cos_sin, self.r.T
-        rho = np.zeros((len(c), 8, 8))
-        rho[:, range(8), range(8)] = np.column_stack([c * c * r1 + s * s * r2, s * s * r1 + c * c * r2, r3, r4])[:, _MODULE]
-        rho[:, [0, 3, 1, 2], [3, 0, 2, 1]] = (np.sign(self.params[:, 0]) * c * s * (r1 - r2))[:, None] * [1, 1, -1, -1] + 0.0
+        (c, s), (r1, r2, r3, r4) = self._cos_sin, self.r
+        rho = np.diag(np.take([c * c * r1 + s * s * r2, s * s * r1 + c * c * r2, r3, r4], _MODULE))
+        off = math.copysign(1.0, self.params.t) * c * s * (r1 - r2)
+        rho[[0, 3, 1, 2], [3, 0, 2, 1]] = np.multiply(off, [1, 1, -1, -1]) + 0.0
         rho.setflags(write=False)
         return rho
 
 
-@lru_cache(maxsize=256)
-def _cached_geometry(p: MetricParams) -> _Geometry:
-    """The geometry of one point, computed on first use, unless a stacked pass that holds the point fills it first."""
-    row = object.__new__(_Geometry)
-    row.points = (p,)
-    return row
-
-
-def stacked_geometry(points) -> _Geometry:
-    """The geometry of the points in one stacked pass; a cache entry that has no values yet reads its row."""
-    geo = _Geometry(points)
-    for i, p in enumerate(points):
-        vars(_cached_geometry(p)).setdefault("values", geo.values[i:i + 1])
-    return geo
+_cached_geometry = lru_cache(maxsize=256)(_Geometry)  # a point that the guard or the program refuses leaves no entry
 
 
 def _geometry(form: AdaptedForm) -> _Geometry:
@@ -286,8 +282,8 @@ def _geometry(form: AdaptedForm) -> _Geometry:
 def _apply(geo: _Geometry, tensor: np.ndarray, *vectors):
     """A root-frame tensor of one point on raw vectors, its first indices each; a vector result in raw coordinates."""
     for x in vectors:
-        tensor = np.tensordot(geo.coframe[0] @ _as_m_vector(x), tensor, (0, 0))
-    return tensor if tensor.ndim == 0 else geo.frame[0] @ tensor
+        tensor = np.tensordot(geo.coframe @ _as_m_vector(x), tensor, (0, 0))
+    return tensor if tensor.ndim == 0 else geo.frame @ tensor
 
 
 def _as_m_vector(x) -> np.ndarray:
@@ -314,13 +310,13 @@ def u_map(x, y, form: AdaptedForm) -> np.ndarray:
     and output are raw m-coordinates.
     """
     geo = _geometry(form)
-    return _apply(geo, _dense(geo.u)[0], x, y)
+    return _apply(geo, _dense(geo.u), x, y)
 
 
 def nabla(x, y, form: AdaptedForm) -> np.ndarray:
     """Connection operator nabla_x y = U(x,y) + [x,y]_m / 2 (raw m-coordinates)."""
     geo = _geometry(form)
-    return _apply(geo, _dense(geo.n)[0], x, y)
+    return _apply(geo, _dense(geo.n), x, y)
 
 
 def curvature(x, y, z, form: AdaptedForm) -> np.ndarray:
@@ -330,7 +326,7 @@ def curvature(x, y, z, form: AdaptedForm) -> np.ndarray:
     which must be positive-definite and ad(h)-invariant.
     """
     geo = _geometry(form)
-    n = _dense(geo.n)[0]
+    n = _dense(geo.n)
     h = np.einsum("i,j,ija->a", _as_m_vector(x), _as_m_vector(y), _CH)  # [x, y]_h, which acts on z by _ADH
     return (_apply(geo, n, x, _apply(geo, n, y, z)) - _apply(geo, n, y, _apply(geo, n, x, z))
             - _apply(geo, n, m_bracket(x, y), z) - np.einsum("a,alk,k->l", h, _ADH, z))
@@ -344,7 +340,7 @@ def ricci(form: AdaptedForm) -> np.ndarray:
     :func:`orthonormal_frame` for the form's parameters; a bare Gram
     matrix is read as its parameters (|t|, u, |v|, |w|).
     """
-    return _geometry(form).ricci[0]
+    return _geometry(form).ricci
 
 
 def ledger(x, y, z, form: AdaptedForm) -> float:
@@ -354,24 +350,24 @@ def ledger(x, y, z, form: AdaptedForm) -> float:
     ad(h)-invariant Gram matrix, with or without parameters.
     """
     geo = _geometry(form)
-    return float(_apply(geo, _dense(geo.ledger)[0], x, y, z))
+    return float(_apply(geo, _dense(geo.ledger), x, y, z))
 
 
 def bracket_table(p: MetricParams) -> np.ndarray:
     """Projected brackets on frame pairs: table[i, j, :] = [E_i, E_j]_m in frame coordinates."""
-    return _cached_geometry(p).table("c")[0]
+    return _cached_geometry(p).table("c")
 
 
 def u_table(p: MetricParams) -> np.ndarray:
     """U on frame pairs, frame coordinates; symmetric in the first two indices."""
-    return _cached_geometry(p).table("u")[0]
+    return _cached_geometry(p).table("u")
 
 
 def nomizu_table(p: MetricParams) -> np.ndarray:
     """Connection coefficients on frame pairs: table[i, j, :] = nabla_{E_i} E_j."""
-    return _cached_geometry(p).table("n")[0]
+    return _cached_geometry(p).table("n")
 
 
 def ledger_table(p: MetricParams) -> np.ndarray:
     """First Ledger form on all frame triples (8x8x8, fully symmetric)."""
-    return _cached_geometry(p).table("ledger")[0]
+    return _cached_geometry(p).table("ledger")

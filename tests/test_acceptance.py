@@ -149,7 +149,7 @@ def test_criterion_5_connection_properties():
 
 def test_criterion_6_ledger_u_zero_branch():
     worst = 0.0
-    for sol in solve_ledger_u0(*_interior_grid(*S_INTERVAL_U0, 50).tolist()):  # one stacked pass
+    for sol in solve_ledger_u0(*_interior_grid(*S_INTERVAL_U0, 50).tolist()):  # one solve call
         worst = max(worst, sol.residuals["ledger"])
     rng = np.random.default_rng(106)
     worst_b1 = 0.0
@@ -171,7 +171,7 @@ def test_criterion_7_ledger_u_nonzero_branch():
     worst_eq = 0.0
     bounds_ok = True
     nr_ok = True
-    for sol in solve_ledger_unonzero(*_interior_grid(*S_INTERVAL_UNONZERO, 50).tolist()):  # one stacked pass
+    for sol in solve_ledger_unonzero(*_interior_grid(*S_INTERVAL_UNONZERO, 50).tolist()):  # one solve call
         p_val, s_val = sol.V * sol.W, sol.S
         eq1 = 64 * p_val - 24 * p_val * s_val + 4 * s_val - 13 * s_val**2 + 3 * s_val**3
         eq2 = 7 * sol.Usq - (28 - 16 * s_val + 4 * (s_val**2 - 8 * p_val))

@@ -395,7 +395,7 @@ def test_the_ledger_verdict_judges_each_determinant_against_its_terms():
 @pytest.mark.filterwarnings("error")
 def test_the_ledger_verdict_refuses_determinants_that_are_not_finite():
     # x3 = v^2 = 1e200 makes D_alpha NaN; the CLI's ``ledger`` stops earlier, in the reduced system
-    with pytest.raises(DegenerateMetricError, match=r"^the Ledger determinants are not finite: \[\[nan, nan\]\]$"):
+    with pytest.raises(DegenerateMetricError, match=r"^the Ledger determinants are not finite: \[nan, nan\]$"):
         first_ledger_verdict(MetricParams(1.0, 0.0, 1e100, 1.0))
 
 

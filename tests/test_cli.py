@@ -718,14 +718,14 @@ def test_the_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
     assert proc.stdout == "0\n", proc.stderr
 
 
-def _counting_stacks(monkeypatch):
-    """Record the stack size N of every _Geometry built and of every residual evaluation."""
+def _counting_geometries(monkeypatch):
+    """Record the point of every _Geometry built and the number of points of every residual evaluation."""
     builds, evaluations = [], []
     init, evaluate = geometry._Geometry.__init__, analysis._evaluate
 
-    def counting_init(self, points):
-        builds.append(len(points))
-        init(self, points)
+    def counting_init(self, p):
+        builds.append(p)
+        init(self, p)
 
     def counting_evaluate(points):
         evaluations.append(len(points))
@@ -738,10 +738,10 @@ def _counting_stacks(monkeypatch):
 
 @pytest.mark.parametrize("branch,s,n", [("u1", "1.1", 4), ("u0", "5", 2)])
 def test_solve_evaluates_its_solutions_in_one_stacked_pass(capsys, monkeypatch, branch, s, n):
-    # one geometry of N = 2 or 4 and one evaluation of the same stack: no
-    # per-point geometry, no Gram factorization, no form (the Gram defect is
-    # a closed form), and the per-point reductivity test never runs
-    builds, evaluations = _counting_stacks(monkeypatch)
+    # one evaluation of the N = 2 or 4 solutions, one geometry per point,
+    # built through the cache: no Gram factorization, no form (the Gram
+    # defect is a closed form), and the reductivity query never runs
+    builds, evaluations = _counting_geometries(monkeypatch)
     forms = _count_calls(monkeypatch, metric.build_form)
     nr_tests = _count_calls(monkeypatch, analysis.is_naturally_reductive)
     cholesky, factorizations = _counting(np.linalg.cholesky)
@@ -750,46 +750,48 @@ def test_solve_evaluates_its_solutions_in_one_stacked_pass(capsys, monkeypatch, 
     code, out, _ = run_cli(capsys, "solve", "--branch", branch, "--S", s)
     assert code == 0
     assert len(out.splitlines()) == n
-    assert (builds, evaluations) == ([n], [n])
+    assert (len(builds), evaluations) == (n, [n])
     assert (len(forms), len(nr_tests), len(factorizations)) == (0, 0, 0)
-    # each row of the stack went into the geometry cache, computed nowhere else
+    # each point's geometry went into the cache, computed nowhere else
     info = geometry._cached_geometry.cache_info()
     assert (info.misses, info.hits, info.currsize) == (n, 0, n)
 
 
 def test_verification_reads_back_the_solvers_evaluations(monkeypatch):
-    builds, evaluations = _counting_stacks(monkeypatch)
+    builds, evaluations = _counting_geometries(monkeypatch)
+    geometry._cached_geometry.cache_clear()
     sols = analysis.solve_ledger_unonzero(1.1) + analysis.solve_ledger_u0(5.0)
-    assert (builds, evaluations) == ([4, 2], [4, 2])
+    assert (len(builds), evaluations) == (6, [4, 2])
     reports = [analysis.verify_solution(sol) for sol in sols]
     assert all(r.passed for r in reports)
-    assert (builds, evaluations) == ([4, 2], [4, 2])
+    assert (len(builds), evaluations) == (6, [4, 2])
     # a hand-built solution at a point no solver evaluated is evaluated alone
     p = metric.MetricParams(1.0, 0.0, 1.0, 1.0)
     hand_built = analysis.LedgerSolution("u-zero", 2.0, 1.0, 1.0, 0.0, p, {}, True)
     assert analysis.verify_solution(hand_built).passed
-    assert (builds, evaluations) == ([4, 2, 1], [4, 2, 1])
+    assert (len(builds), evaluations) == (7, [4, 2, 1])
 
 
 def test_solutions_carry_their_own_evaluations(monkeypatch):
     # the geometry cache keeps the newest 256 points, but each solution
     # holds its own evaluation, so all 400 verify without evaluating again
-    builds, evaluations = _counting_stacks(monkeypatch)
+    builds, evaluations = _counting_geometries(monkeypatch)
+    geometry._cached_geometry.cache_clear()
     grid = np.linspace(0.4, 1.4, 100).tolist()
     sols = analysis.solve_ledger_unonzero(*grid)
-    assert (builds, evaluations) == ([400], [400])
+    assert (len(builds), evaluations) == (400, [400])
     assert geometry._cached_geometry.cache_info().currsize == 256
     assert all(analysis.verify_solution(sol).passed for sol in sols)
-    assert evaluations == [400]
-    # a copy does not carry the evaluation, even at the same params
+    assert (len(builds), evaluations) == (400, [400])
+    # a copy does not carry the evaluation, even at the same params, whose geometry has left the cache
     copy = dataclasses.replace(sols[0], params=dataclasses.replace(sols[0].params))
-    assert analysis.verify_solution(copy).passed and evaluations == [400, 1]
+    assert analysis.verify_solution(copy).passed and (len(builds), evaluations) == (401, [400, 1])
 
 
 def test_sweep_streams_the_records_of_one_solve_per_s(capsys, monkeypatch):
-    # 70 S values go through stacked passes of 32, 32 and 6 S, yet print
-    # exactly what 70 single solves print, in grid order
-    builds, evaluations = _counting_stacks(monkeypatch)
+    # 70 S values go through solves of 32, 32 and 6 S, yet print exactly
+    # what 70 single solves print, in grid order
+    _, evaluations = _counting_geometries(monkeypatch)
     code, swept, _ = run_cli(capsys, "sweep", "--branch", "u1", "--S-min", "0.34", "--S-max", "1.43", "--S-steps", "70")
     assert code == 0
     assert evaluations == [128, 128, 24]

@@ -9,13 +9,16 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import zksym
 from zksym import (
     AdaptedForm,
     DegenerateMetricError,
+    FRAME_NAMES,
     InvalidParamsError,
     MetricParams,
+    analysis,
     bracket_table,
     build_form,
     curvature,
@@ -27,6 +30,8 @@ from zksym import (
     nomizu_table,
     orthonormal_frame,
     ricci,
+    solve_ledger_u0,
+    solve_ledger_unonzero,
     u_map,
     u_table,
 )
@@ -423,7 +428,24 @@ def test_tables_exact_near_the_k_guard():
 # the scalar program of the eager values
 # ----------------------------------------------------------------------
 
-EAGER = ("ratios", "r", "lam", "det", "det_scale", "det_bound", "norms")
+EAGER = ("ratios", "r", "lam", "det", "det_scale", "det_bound")
+NORMS = ("norm_c", "norm_u", "norm_n", "norm_rho", "norm_ledger")
+
+
+def _eager(geo) -> list:
+    """A point's eager values name by name, the five norms as one row."""
+    return [getattr(geo, name) for name in EAGER] + [[getattr(geo, name) for name in NORMS]]
+
+
+def _geometries(points) -> tuple[list, list[int]]:
+    """The geometry of each point that computes, and the indices of the points refused."""
+    kept, refused = [], []
+    for i, p in enumerate(points):
+        try:
+            kept.append(geometry._Geometry(p))
+        except DegenerateMetricError:
+            refused.append(i)
+    return kept, refused
 
 
 def _eager_corpus() -> list[MetricParams]:
@@ -455,17 +477,11 @@ def _eager_corpus() -> list[MetricParams]:
 def test_the_eager_values_are_those_of_the_array_program_bit_for_bit():
     # The sha256 of the eager values of every corpus point that computes, as little-endian float64, and of
     # the indices of those refused (L overflows as 1/t^3 below |t| of about 1e-103), as the stacked numpy
-    # program that the scalar program replaced computed them: the same operations in the same order.
-    kept, refused = [], []
-    for i, p in enumerate(_eager_corpus()):
-        try:
-            geometry._Geometry([p])
-            kept.append(p)
-        except DegenerateMetricError:
-            refused.append(i)
-    assert (len(kept), len(refused)) == (2064, 336)
-    geo = geometry._Geometry(kept)
-    data = b"".join(np.ascontiguousarray(getattr(geo, name), dtype="<f8").tobytes() for name in EAGER)
+    # program that the scalar program replaced computed them: the same operations in the same order.  The
+    # bytes are those of its (N, k) arrays, name by name, the five norms one (N, 5) array.
+    geos, refused = _geometries(_eager_corpus())
+    assert (len(geos), len(refused)) == (2064, 336)
+    data = b"".join(np.array(rows, dtype="<f8").tobytes() for rows in zip(*map(_eager, geos)))
     digest = hashlib.sha256(data + np.array(refused, dtype="<i8").tobytes()).hexdigest()
     assert digest == "d75cfa74d3715cd50b0f4ee3a5dfd4249942812a37c70b6d5c78209d1109f252"
 
@@ -474,19 +490,101 @@ def test_max_ledger_is_the_maximum_of_the_table_bit_for_bit():
     # the closed form of max|L| over the adapted triples forms each entry as the table does, so it is the
     # table's maximum exactly, the exact zeros of u = 0, w = |t| and v = w included
     points = _eager_corpus()[::8] + [MetricParams(1.0, 0.0, 1.0, 1.0), MetricParams(1.0, 0.7, 1.3, 1.3)]
-    points += [sol.params for s in (1.5, 5.0, 8.9) for sol in zksym.solve_ledger_u0(s)]
-    points += [sol.params for s in (0.4, 1.0, 1.43) for sol in zksym.solve_ledger_unonzero(s)]
-    kept = []
-    for p in points:
-        try:
-            geometry._Geometry([p])
-            kept.append(p)
-        except DegenerateMetricError:
-            pass
-    geo = geometry._Geometry(kept)
-    table_max = np.abs(geo.table("ledger")).max(axis=(1, 2, 3))
-    assert np.array_equal(geo.ledger_max, table_max)
-    assert np.count_nonzero(table_max == 0.0) >= 50
+    points += [sol.params for s in (1.5, 5.0, 8.9) for sol in solve_ledger_u0(s)]
+    points += [sol.params for s in (0.4, 1.0, 1.43) for sol in solve_ledger_unonzero(s)]
+    geos, _ = _geometries(points)
+    table_max = [float(np.abs(geo.table("ledger")).max()) for geo in geos]
+    assert np.array_equal([geo.ledger_max for geo in geos], table_max)
+    assert table_max.count(0.0) >= 50
+
+
+def test_max_u_and_its_witness_are_the_first_maximum_of_the_table():
+    # one argmax per geometry, cached with the point: the first maximal (i, j, k) in np.argmax's order,
+    # which the symmetry of U in (i, j) makes a choice between ties
+    rng = np.random.default_rng(65)
+    for p in [sample_params(rng) for _ in range(500)] + [MetricParams(1.0, 0.0, 1.0, 1.0)]:
+        table = np.abs(u_table(p))
+        i, j, k = np.unravel_index(np.argmax(table), (8, 8, 8))
+        report = analysis.is_naturally_reductive(p)
+        assert report.max_coefficient == table.max() == table[i, j, k], p
+        assert geometry._cached_geometry(p).u_max == (table.max(), (i, j, k)), p
+        witness = (FRAME_NAMES[i], FRAME_NAMES[j], FRAME_NAMES[k])
+        assert report.witness == (None if report.naturally_reductive else witness), p
+    assert analysis.is_naturally_reductive(MetricParams(1.0, 0.0, 1.0, 1.0)).naturally_reductive
+
+
+@pytest.mark.parametrize("p,message", [
+    (MetricParams(1.0, 2.0, 1.0, 1.0), "below guard"),  # u = 2t^2: the K guard
+    (MetricParams(1.0, 0.0, 1e150, 1.0), "the curvature tensors overflow at this scale"),
+])
+def test_a_refused_point_leaves_no_cache_entry(p, message):
+    geometry._cached_geometry.cache_clear()
+    ricci(build_form(MetricParams(1.0, 0.5, 1.2, 0.8)))
+    errors = []
+    for _ in range(2):
+        with pytest.raises(DegenerateMetricError, match=message) as refused:
+            analysis.first_ledger_verdict(p)
+        assert geometry._cached_geometry.cache_info().currsize == 1, p
+        errors.append(str(refused.value))
+    assert errors[0] == errors[1]
+
+
+# ----------------------------------------------------------------------
+# metamorphic relations
+# ----------------------------------------------------------------------
+
+def _homothety(p: MetricParams, lam: float) -> MetricParams:
+    return MetricParams(lam * p.t, lam * lam * p.u, lam * p.v, lam * p.w)
+
+
+_sign = st.sampled_from((1.0, -1.0))
+
+
+@st.composite
+def _points(draw) -> MetricParams:
+    """Admissible points of four kinds: random, either solver's solutions, the v = w family, the round point."""
+    kind = draw(st.sampled_from(("random", "u0", "u1", "v=w", "round")))
+    t = draw(st.floats(0.5, 2.0))
+    if kind == "random":
+        v, w = draw(st.floats(0.3, 3.0)), draw(st.floats(0.3, 3.0))
+        p = MetricParams(1.0, draw(st.floats(-1.8, 1.8)), v / t, w / t)
+    elif kind == "u0":
+        p = solve_ledger_u0(draw(st.floats(1.01, 8.99)))[draw(st.integers(0, 1))].params
+    elif kind == "u1":
+        p = solve_ledger_unonzero(draw(st.floats(0.34, 1.43)))[draw(st.integers(0, 3))].params
+    elif kind == "v=w":
+        v = draw(st.floats(0.3, 3.0))
+        p = MetricParams(1.0, draw(st.floats(-1.8, 1.8)), v, v)
+    else:
+        p = MetricParams(1.0, 0.0, 1.0, 1.0)
+    p = _homothety(p, t)
+    return MetricParams(draw(_sign) * p.t, p.u, draw(_sign) * p.v, draw(_sign) * p.w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_points(), st.floats(-3.0, 3.0))
+def test_homothety_sign_and_swap_maps_preserve_the_geometry(p, log_lam):
+    # (t,u,v,w) -> (l t, l^2 u, l v, l w) scales C and U as 1/l, rho as
+    # 1/l^2 and L as 1/l^3; u -> -u, v <-> w and t -> -t change none of them
+    lam = 10.0 ** log_lam
+    images = [
+        (_homothety(p, lam), lam),
+        (MetricParams(p.t, -p.u, p.v, p.w), 1.0),
+        (MetricParams(p.t, p.u, p.w, p.v), 1.0),
+        (MetricParams(-p.t, p.u, p.v, p.w), 1.0),
+    ]
+    geo = geometry._Geometry(p)
+    spectrum = np.linalg.eigvalsh(geo.ricci)
+    max_c, max_u, max_l, max_n, max_rho = (np.abs(a).max() for a in (geo.c, geo.u, geo.ledger, geo.n, geo.r))
+    verdicts = analysis._reductive(geo), analysis._ledger_holds(geo)
+    for q, lam in images:
+        image = geometry._Geometry(q)
+        got = np.linalg.eigvalsh(image.ricci) * lam**2
+        assert np.max(np.abs(got - spectrum)) <= 1e-12 * np.max(np.abs(spectrum))
+        assert abs(np.abs(image.c).max() * lam - max_c) <= 1e-12 * max_c
+        assert abs(np.abs(image.u).max() * lam - max_u) <= 1e-12 * max_c
+        assert abs(np.abs(image.ledger).max() * lam**3 - max_l) <= 1e-12 * max_n * max_rho
+        assert (analysis._reductive(image), analysis._ledger_holds(image)) == verdicts
 
 
 # ----------------------------------------------------------------------
@@ -505,7 +603,7 @@ def test_ricci_eigenvalues_keep_full_precision_up_to_the_k_guard(v, w):
         exact = exact_point(p)
         with mpmath.workdps(50):
             ref = expected_root_ricci(exact.t**2 + exact.u / 2, exact.t**2 - exact.u / 2, exact.v**2, exact.w**2)
-            for got, r in zip(geometry._cached_geometry(p).r[0], ref):
+            for got, r in zip(geometry._cached_geometry(p).r, ref):
                 assert abs(got - r) <= 8 * eps * abs(r), (p, k_ratio)
 
 
