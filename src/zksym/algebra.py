@@ -279,7 +279,7 @@ def algebra_to_dict(alg: GradedLieAlgebra) -> dict:
     are integers round-trip bit-exactly through JSON.
     """
     nz = np.argwhere(alg.structure != 0.0)
-    structure = [[int(i), int(j), int(k), float(alg.structure[i, j, k])] for i, j, k in nz]
+    structure = [[*ijk, value] for ijk, value in zip(nz.tolist(), alg.structure[tuple(nz.T)].tolist())]
     return {
         "dim": alg.dim,
         "names": list(alg.names),

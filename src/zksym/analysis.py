@@ -93,9 +93,11 @@ def first_ledger_verdict(p: MetricParams, tol: float = DEFAULT_TOL) -> tuple[flo
     both sides scale-free and frame-free.  Where the three points nearly
     meet, near the round point, that sum vanishes with D_alpha, and U = 0
     to tol, which implies L = 0, holds instead.  Raises
-    DegenerateMetricError when a determinant or its terms overflow.
+    DegenerateMetricError when max|L|, a determinant or its terms overflow.
     """
     geo = geometry._cached_geometry(p)
+    if not math.isfinite(geo.ledger_max):  # the Q-form L can overflow where the determinants do not
+        raise DegenerateMetricError(f"max |L| over frame triples is not finite: {geo.ledger_max}")
     return geo.ledger_max, _ledger_holds(geo, tol)
 
 
@@ -114,18 +116,17 @@ def _determinants(geo, scale: list[float]):
 def infinitesimal_isometries(p: MetricParams, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of the X in m whose ad(X)_m is skew for the metric.
 
-    Solves B([X,Y]_m, Z) + B(Y, [X,Z]_m) = 0, that is <U(Y, Z), X> = 0, over
-    all frame pairs (Y, Z) as a linear system in X; the kernel is extracted
-    by SVD with relative singular-value cutoff ``tol``.  Columns of the
-    returned (8, dim) array are the basis vectors in adapted frame coordinates.
-    At v = w the space is 4-dimensional, yet probes of Singer's stabilizer find
-    the isometry algebra so(5) there: it holds no extra Killing fields.
+    Solves B([X,Y]_m, Z) + B(Y, [X,Z]_m) = 0, that is <U(Y, Z), X> = 0, over all
+    frame pairs (Y, Z) as a linear system in X; the kernel is extracted by SVD
+    with relative singular-value cutoff ``tol``.  The SVD is formed once per
+    cached point; only the tol cut runs per query.  Columns of the returned
+    (8, dim) array are the basis vectors in adapted frame coordinates.  At v = w the
+    space is 4-dimensional, yet probes of Singer's stabilizer find the isometry
+    algebra so(5) there: it holds no extra Killing fields.
     """
-    # one row per frame pair i <= j: the equation is 2 <U(E_i, E_j), X> = 0, so row[x] = U[i, j, x]
-    a = geometry.u_table(p)[np.triu_indices(8)]
-    _, s, vh = np.linalg.svd(a)
-    cutoff = tol * (s[0] if s.size and s[0] > 0 else 1.0)
-    rank = int(np.sum(s > cutoff))
+    s, vh = geometry._cached_geometry(p).u_svd
+    cutoff = tol * (s[0] if s and s[0] > 0 else 1.0)
+    rank = sum(x > cutoff for x in s)
     return vh[rank:].T.copy()
 
 

@@ -157,21 +157,22 @@ def _emit_json(payload: dict) -> None:
     print(text)
 
 
-def _combo(vec, names, threshold: float) -> str:
-    terms = [f"{c:+.6g} {n}" for c, n in zip(vec, names) if abs(c) > threshold]
-    return " ".join(terms) if terms else "0"
+def _term(c: float, name: str) -> str:
+    return f"{c:+.6g} {name}"
 
 
 def _print_grid(table: np.ndarray, names, threshold: float) -> None:
-    cells = [[_combo(table[i, j], names, threshold) for j in range(8)] for i in range(8)]
-    widths = [max(len(names[j]), max(len(cells[i][j]) for i in range(8))) for j in range(8)]
-    label_w = max(len(n) for n in names)
-    header = " " * label_w + " | " + " | ".join(n.ljust(widths[j]) for j, n in enumerate(names))
+    terms, above = {}, np.abs(table) > threshold
+    for (i, j, k), c in zip(np.argwhere(above).tolist(), table[above].tolist()):  # both in row-major order
+        terms.setdefault((i, j), []).append(_term(c, names[k]))
+    cells = [[" ".join(terms.get((i, j), ["0"])) for j in range(8)] for i in range(8)]
+    widths = [max(map(len, column)) for column in zip(names, *cells)]
+    label_w = max(map(len, names))
+    header = " " * label_w + " | " + " | ".join(map(str.ljust, names, widths))
     print(header)
     print("-" * len(header))
-    for i in range(8):
-        row = " | ".join(cells[i][j].ljust(widths[j]) for j in range(8))
-        print(f"{names[i].ljust(label_w)} | {row}")
+    for name, row in zip(names, cells):
+        print(f"{name.ljust(label_w)} | {' | '.join(map(str.ljust, row, widths))}")
 
 
 # ----------------------------------------------------------------------
@@ -179,11 +180,8 @@ def _print_grid(table: np.ndarray, names, threshold: float) -> None:
 # ----------------------------------------------------------------------
 
 def _block_summary(alg: GradedLieAlgebra) -> dict[str, int]:
-    blocks = {}
-    for label in alg.labels:
-        name = _LABEL_NAMES.get(str(label), str(label)) if alg.k == 2 else str(label)
-        blocks[name] = len(alg.label_indices(label))
-    return blocks
+    names = _LABEL_NAMES if alg.k == 2 else {}
+    return {names.get(str(label), str(label)): len(alg.label_indices(label)) for label in alg.labels}
 
 
 def cmd_inspect(args) -> None:
@@ -209,11 +207,7 @@ def cmd_inspect(args) -> None:
             "dim": alg.dim,
             "blocks": blocks,
             "valid": report.ok,
-            "violations": {
-                "antisymmetry": [list(t) for t in report.antisymmetry],
-                "jacobi": [list(t) for t in report.jacobi],
-                "grading": [list(t) for t in report.grading],
-            },
+            "violations": {k: [list(t) for t in getattr(report, k)] for k in ("antisymmetry", "jacobi", "grading")},
             "algebra": algebra_to_dict(alg),
         })
     else:
@@ -229,8 +223,7 @@ def cmd_inspect(args) -> None:
 # (see _point); otherwise they print their text.
 
 def cmd_tables(p: MetricParams, tol: float, as_json: bool) -> dict | None:
-    bt = bracket_table(p)
-    ut = u_table(p)
+    bt, ut = bracket_table(p), u_table(p)
     if as_json:
         return {"bracket": bt.tolist(), "u": ut.tolist()}
     # entries at or below tol * max|bracket table| show as absent; check-nr judges U as a whole, ||U|| <= tol ||C||
@@ -247,9 +240,10 @@ def cmd_ricci(p: MetricParams, tol: float, as_json: bool) -> dict | None:
     if as_json:
         return {"matrix": rho.tolist()}
     print("Ricci matrix in the orthonormal frame:")
-    width = max(len(_fmt(x)) for x in rho.ravel())
-    for i in range(8):
-        print("  ".join(_fmt(rho[i, j]).rjust(width) for j in range(8)))
+    cells = [[_fmt(x) for x in row] for row in rho.tolist()]
+    width = max(len(cell) for row in cells for cell in row)
+    for row in cells:
+        print("  ".join(cell.rjust(width) for cell in row))
 
 
 def cmd_isometries(p: MetricParams, tol: float, as_json: bool) -> dict | None:
@@ -257,18 +251,15 @@ def cmd_isometries(p: MetricParams, tol: float, as_json: bool) -> dict | None:
     if as_json:
         return {"dimension": basis.shape[1], "basis": basis.T.tolist()}
     print(f"dimension: {basis.shape[1]}")
-    for col in range(basis.shape[1]):
-        print(f"  {_combo(basis[:, col], FRAME_NAMES, tol)}")
+    for vec in basis.T.tolist():
+        print("  " + (" ".join(_term(c, n) for c, n in zip(vec, FRAME_NAMES) if abs(c) > tol) or "0"))
 
 
 def cmd_check_nr(p: MetricParams, tol: float, as_json: bool) -> dict | None:
     report = is_naturally_reductive(p, tol)
     if as_json:
-        return {
-            "naturally_reductive": report.naturally_reductive,
-            "max_u_coefficient": report.max_coefficient,
-            "witness": list(report.witness) if report.witness else None,
-        }
+        return {"naturally_reductive": report.naturally_reductive, "max_u_coefficient": report.max_coefficient,
+                "witness": list(report.witness) if report.witness else None}
     print("true" if report.naturally_reductive else "false")
     if not report.naturally_reductive:
         x, y, z = report.witness

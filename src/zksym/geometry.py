@@ -206,6 +206,13 @@ class _Geometry:
         return float(table[index]), tuple(map(int, index))
 
     @cached_property
+    def u_svd(self) -> tuple[list[float], np.ndarray]:
+        """The singular values (floats) and read-only vh of U's rows on frame pairs i <= j: row[x] = U[i, j, x]."""
+        _, s, vh = np.linalg.svd(self.table("u")[np.triu_indices(8)])
+        vh.setflags(write=False)
+        return s.tolist(), vh
+
+    @cached_property
     def frame(self) -> np.ndarray:
         """E = P diag(x)^(-1/2): column i is root frame vector i in raw m-coordinates."""
         return _P * np.ldexp(1.0 / np.sqrt(self.y), -self.e)[_MODULE]

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -220,14 +222,30 @@ def test_project_rejects_unknown_labels():
 # ----------------------------------------------------------------------
 
 def test_json_round_trip_bit_exact():
-    import json
-
     alg = build_so5()
     doc = json.dumps(algebra_to_dict(alg))
     back = algebra_from_dict(json.loads(doc))
     assert back.names == alg.names
     assert back.grading == alg.grading
     assert np.array_equal(back.structure, alg.structure)
+
+
+def _rescaled_so5(seed: int) -> GradedLieAlgebra:
+    """so(5) in the basis lambda_i e_i: constants c[i, j, k] lambda_i lambda_j / lambda_k, no longer integers."""
+    base, lam = build_so5(), np.random.default_rng(seed).uniform(0.5, 2.0, 10)
+    return GradedLieAlgebra(base.names, base.structure * np.multiply.outer(np.outer(lam, lam), 1.0 / lam), base.grading)
+
+
+@pytest.mark.parametrize("alg", [build_so5(), _rescaled_so5(18)], ids=["so5", "rescaled so5"])
+def test_structure_rows_are_python_numbers_that_round_trip_bit_exactly(alg):
+    rows = algebra_to_dict(alg)["structure"]
+    # the rows as formed entry by entry from numpy scalars
+    nz = np.argwhere(alg.structure != 0.0)
+    assert rows == [[int(i), int(j), int(k), float(alg.structure[i, j, k])] for i, j, k in nz]
+    assert all(type(i) is type(j) is type(k) is int and type(v) is float for i, j, k, v in rows)
+    back = json.loads(json.dumps(rows))
+    assert [v.hex() for *_, v in back] == [v.hex() for *_, v in rows]
+    assert np.array_equal(algebra_from_dict(algebra_to_dict(alg)).structure, alg.structure)
 
 
 def test_from_dict_rejects_malformed():

@@ -119,6 +119,41 @@ def test_isometry_solutions_satisfy_the_defining_equation():
                 assert abs(val) < 1e-9
 
 
+def _fresh_isometries(p: MetricParams, tol: float) -> np.ndarray:
+    """The isometry basis with its own SVD of U's rows on the frame pairs i <= j, as each query once formed it."""
+    _, s, vh = np.linalg.svd(geometry.u_table(p)[np.triu_indices(8)])
+    cutoff = tol * (s[0] if s.size and s[0] > 0 else 1.0)
+    return vh[int(np.sum(s > cutoff)):].T.copy()
+
+
+def test_a_cached_point_answers_isometry_queries_without_a_new_svd(monkeypatch):
+    p = MetricParams(1.0, 0.5, 2.0, 2.0)
+    geometry._cached_geometry.cache_clear()
+    svd, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
+    first = infinitesimal_isometries(p)
+    assert len(calls) == 1
+    first[:] = 7.0  # the caller's array, not the cache's
+    again, coarse = infinitesimal_isometries(p), infinitesimal_isometries(p, 0.5)
+    assert len(calls) == 1
+    assert not geometry._cached_geometry(p).u_svd[1].flags.writeable
+    monkeypatch.undo()
+    assert again.tobytes() == _fresh_isometries(p, DEFAULT_TOL).tobytes() and again.shape == (8, 4)
+    assert coarse.tobytes() == _fresh_isometries(p, 0.5).tobytes()
+
+
+def test_the_cached_svd_gives_each_tolerance_what_a_fresh_one_gives():
+    rng = np.random.default_rng(18)
+    points = [MetricParams(*params) for params, _, _ in CASES] + [sample_params(rng) for _ in range(40)]
+    dims = set()
+    for p in points:
+        for tol in (DEFAULT_TOL, 0.5):
+            got, want = infinitesimal_isometries(p, tol), _fresh_isometries(p, tol)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (p, tol)
+            dims.add((tol, got.shape[1]))
+    assert {d for tol, d in dims if tol == 0.5} != {d for tol, d in dims if tol == DEFAULT_TOL}  # the cut moves
+
+
 # ----------------------------------------------------------------------
 # reduced system of the first Ledger condition
 # ----------------------------------------------------------------------
@@ -397,6 +432,18 @@ def test_the_ledger_verdict_refuses_determinants_that_are_not_finite():
     # x3 = v^2 = 1e200 makes D_alpha NaN; the CLI's ``ledger`` stops earlier, in the reduced system
     with pytest.raises(DegenerateMetricError, match=r"^the Ledger determinants are not finite: \[nan, nan\]$"):
         first_ledger_verdict(MetricParams(1.0, 0.0, 1e100, 1.0))
+
+
+# near the K guard with v, w far below |t| the program's r3 and r4 round to one float, so its D_alpha are 0,
+# while the Q-form L overflows: max|L| reads inf - inf
+_NAN_LEDGER = MetricParams(-9.42892081319446e-80, 1.7780714471072755e-158, -9.07772418158703e-105, -9.750089198671494e-93)
+
+
+@pytest.mark.filterwarnings("error")
+def test_the_ledger_verdict_refuses_a_max_l_that_is_not_finite():
+    assert geometry._cached_geometry(_NAN_LEDGER).det == [0.0, 0.0]
+    with pytest.raises(DegenerateMetricError, match=r"^max \|L\| over frame triples is not finite: nan$"):
+        first_ledger_verdict(_NAN_LEDGER)
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -503,6 +505,17 @@ def test_ledger_where_a_determinant_and_its_scale_sum_past_the_floats(capsys, fm
         assert "first Ledger condition violated" in out
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_ledger_where_max_l_is_not_finite_exits_2_in_both_formats(capsys, fmt):
+    # the program's determinants are 0 here while the Q-form L overflows; text printed "nan" and "satisfied"
+    argv = ("ledger", "--t", "-9.42892081319446e-80", "--u", "1.7780714471072755e-158",
+            "--v", "-9.07772418158703e-105", "--w", "-9.750089198671494e-93", "--format", fmt)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "numerical failure: max |L| over frame triples is not finite: nan\n"
+
+
 @pytest.mark.parametrize("u", ["-5.8e-05", "-1E-3"])
 def test_negative_exponent_values_parse(capsys, u):
     code, out, _ = run_cli(capsys, "ricci", "--t", "1", "--u", u, "--v", "1", "--w", "1", "--format", "json")
@@ -903,6 +916,93 @@ def test_inspect_validates_the_built_in_algebra_once_per_process(capsys, monkeyp
     for _ in range(2):
         assert run_cli(capsys, "inspect", "--algebra", str(path))[0] == 0
     assert len(calls) == 3
+
+
+# ----------------------------------------------------------------------
+# every stdout byte, pinned
+# ----------------------------------------------------------------------
+
+def _pinned_points() -> list[tuple[float, float, float, float]]:
+    """The round point and 49 seeded points, |t| log-uniform in [1e-3, 1e3]: generic, u = 0, v = w,
+    u = 0 with w = |t|, the u = 0 and u != 0 solutions scaled to t, and K/|t| from 1e-1 down to 1e-7."""
+    rng = random.Random(18)
+    points = [(1.0, 0.0, 1.0, 1.0)]
+    for n in range(49):
+        t = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        u = rng.uniform(-1.8, 1.8) * t * t
+        v, w = (rng.choice((-1.0, 1.0)) * abs(t) * 10.0 ** rng.uniform(-1.0, 1.0) for _ in range(2))
+        kind = n % 7
+        if kind == 1:
+            u = 0.0
+        elif kind == 2:
+            w = v
+        elif kind == 3:
+            u, w = 0.0, abs(t)
+        elif kind in (4, 5):
+            solve = analysis.solve_ledger_u0 if kind == 4 else analysis.solve_ledger_unonzero
+            lo, hi = analysis.S_INTERVAL_U0 if kind == 4 else analysis.S_INTERVAL_UNONZERO
+            q = rng.choice(solve(rng.uniform(lo, hi))).params
+            u, v, w = q.u * t * t, q.v * t, q.w * t
+        elif kind == 6:
+            kappa = (1e-1, 1e-3, 1e-5, 1e-7)[n // 7 % 4]  # K/|t|, above the guard of 1e-8
+            u = rng.choice((-1.0, 1.0)) * 2.0 * t * t * math.sqrt(1.0 - kappa * kappa)
+        points.append((t, u, v, w))
+    return points
+
+
+def _pinned_argvs(command: str, fmt: str, tmp_path) -> list[list[str]]:
+    if command != "inspect":
+        return [[command, "--t", repr(t), "--u", repr(u), "--v", repr(v), "--w", repr(w), "--format", fmt]
+                for t, u, v, w in _pinned_points()]
+    # so(5) in a seeded basis order, serialized: the same algebra in new coordinates
+    base, perm = build_so5(), list(range(10))
+    random.Random(18).shuffle(perm)
+    alg = GradedLieAlgebra([base.names[i] for i in perm], base.structure[np.ix_(perm, perm, perm)],
+                           [base.grading[i] for i in perm])
+    path = tmp_path / "so5-permuted.json"
+    path.write_text(json.dumps(algebra_to_dict(alg)))
+    return [["inspect", "--format", fmt], ["inspect", "--algebra", str(path), "--format", fmt]]
+
+
+def _svd_digest() -> str:
+    """sha256 of numpy's SVD (s and vh) of U's rows on the frame pairs i <= j at each pinned point."""
+    digest = hashlib.sha256()
+    for p in _pinned_points():
+        _, s, vh = np.linalg.svd(geometry.u_table(metric.MetricParams(*p))[np.triu_indices(8)])
+        digest.update(s.tobytes() + vh.tobytes())
+    return digest.hexdigest()
+
+
+# sha256 over each argv's exit code and stdout, in order.  The tables, the Ricci matrix and the
+# isometry basis print every float, so a digest also pins numpy's own results.  Only the isometry basis
+# comes from LAPACK, whose last bits (and the signs of singular vectors) may differ between builds and
+# CPUs: those two digests are compared only where the SVDs of the corpus are the ones pinned here.
+_SVD_PINNED = "05e578fe5bfb8277ef109972c2a935909d932b1e72bbd494dd0274a0967ad529"
+_PINNED = {
+    ("tables", "text"): "82fd998443b19398f75facc233ce5d10766775790567d7089aaae1840a9fc077",
+    ("tables", "json"): "6ae86c6b10ff63b9caf0894194acf30e5f0d45847aeb7e076f32412712cde10d",
+    ("ricci", "text"): "53099fbf1dbb8be64127245ffaa0a1b0e324975f202ea94e10dd47bdde0347bf",
+    ("ricci", "json"): "188223be2f0492561826f5692f7230e4d762124d22ae324a537dc56a74b44912",
+    ("isometries", "text"): "b71379dc75be14410fd75fa123baf7e96b127cb87c27b7b68db60ff532fc8678",
+    ("isometries", "json"): "35478e32717667ce63fa3adeab9b9335ee6c676a07c11d2c741be9da3ab3025a",
+    ("check-nr", "text"): "a4597ebda36854e62ccb761d2635a8c3f9603c386d1475d214ad4967f2af8a29",
+    ("check-nr", "json"): "c01b221259e14491ac5910d63982c6bd2c3276aa81f1cd6da51902168004656a",
+    ("ledger", "text"): "8c1134ed9b39e8d0e315f2ec8ca24c43626bd2f76037e4e80612e0d2ed9cd2ef",
+    ("ledger", "json"): "e05bbe0910aee1296d3d399d6fba679f3a67fc5a9df757e5ddff2c229f56ce5d",
+    ("inspect", "text"): "93a7aefb3221ba5fa983e60b91717b1c1734defa3790fd0d12c91dce6aa8c35a",
+    ("inspect", "json"): "973cf70193359d803bf11f0a2372107782aacd9b3f641a88c5a95bb1c656e7a1",
+}
+
+
+@pytest.mark.parametrize("command,fmt", list(_PINNED))
+def test_every_stdout_byte_is_pinned(capsys, tmp_path, command, fmt):
+    if command == "isometries" and _svd_digest() != _SVD_PINNED:
+        pytest.skip("this numpy's SVD rounds the corpus differently from the one the digests were pinned with")
+    digest = hashlib.sha256()
+    for argv in _pinned_argvs(command, fmt, tmp_path):
+        code, out, _ = run_cli(capsys, *argv)
+        digest.update(f"{code}\n{out}\0".encode())
+    assert digest.hexdigest() == _PINNED[command, fmt]
 
 
 # ----------------------------------------------------------------------
