@@ -308,6 +308,8 @@ def algebra_from_dict(data: dict) -> GradedLieAlgebra:
             c[i, j, k] = float(value)
     except (KeyError, TypeError, OverflowError) as exc:  # float() of an int beyond the floats overflows
         raise ValueError(f"malformed algebra document: {exc}") from exc
+    except MemoryError as exc:  # np.zeros of a dim beyond the address space, refused at once
+        raise ValueError(f"dim {n} is too large: its structure array cannot be allocated") from exc
     return GradedLieAlgebra(names, c, grading)
 
 

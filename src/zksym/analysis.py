@@ -6,7 +6,7 @@ D_alpha = 0.  After the substitution V = v^2/t^2, W = w^2/t^2, S = V + W,
 P = V W (and U = u/t^2 when u != 0) they admit closed-form solution
 families, one branch with u = 0 and one with u != 0.  The solvers below
 return the families normalized at t = 1 with their recomputed residuals,
-each solution evaluated once, point by point.  The metrics with
+read off each point's cached geometry.  The metrics with
 v = w form a third family that satisfies L = 0 and that no solver returns;
 of it only the round point u = 0, v^2 = w^2 = t^2 is naturally reductive.
 
@@ -20,7 +20,7 @@ it are closed combinations of D1 and D2 (:func:`ledger_system_residuals`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -145,7 +145,8 @@ def ledger_system_residuals(p: MetricParams) -> np.ndarray:
     scale-free, so they are formed at the unit scale and scaled as t^0,
     t^-1, t^-2, t^0 after.  Raises DegenerateMetricError when one overflows.
     """
-    geo, (e, (x1, x2, x3, x4)) = geometry._cached_geometry(p), p.unit_scalars
+    geo = geometry._cached_geometry(p)
+    e, (x1, x2, x3, x4) = geo.e, geo.y
     t, v, w = (math.ldexp(a, -e) for a in (p.t, p.v, p.w))
     d1, d2 = (0.5 * (x4 - x3) * q for q in geo.q)
     star = [-(d1 + d2) / 2, -(d1 - d2) / (2 * t),
@@ -168,8 +169,8 @@ class LedgerSolution:
     V = v^2/t^2 and W = w^2/t^2 at the normalization t = 1; Usq = u^2/t^4
     (zero on the u-zero branch).  ``residuals`` reports, computed in the
     root frame, ||L|| in Frobenius norm ("ledger"), the larger |D_alpha|
-    ("star") and the root frame's orthonormality defect ("gram").  A solver
-    attaches its evaluation for :func:`verify_solution`; a copy has none.
+    ("star") and the root frame's orthonormality defect ("gram"), as
+    :func:`verify_solution` recomputes them at ``params``.
     """
 
     branch: str
@@ -180,7 +181,6 @@ class LedgerSolution:
     params: MetricParams
     residuals: Mapping[str, float]
     naturally_reductive: bool
-    _evaluation: tuple[_Residuals, _Residuals, bool] | None = field(default=None, init=False, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -195,31 +195,25 @@ class LedgerSolution:
         }
 
 
-_Residuals = tuple[tuple[str, float], ...]
+def _evaluate(p: MetricParams) -> tuple[dict[str, float], dict[str, float], bool]:
+    """From the point's cached geometry: its absolute residuals, the same over their scales, naturally reductive.
 
-
-def _evaluate(points) -> list[tuple[_Residuals, _Residuals, bool]]:
-    """Per point, from its cached geometry: absolute residuals, the same over their scale, naturally reductive.
-
-    The residuals come as (name, value) pairs: ||L|| in Frobenius norm
-    ("ledger"), over ||nabla|| ||rho||; the larger |D_alpha| ("star"), each
-    over the sizes of all the terms of its expansion in x, which bound what
-    rounding the solution's own parameters can move it by (near S = 1 on
-    the u = 0 branch one ulp of W moves it by far more than its three
-    terms' sizes); and the root frame's orthonormality defect for the Gram
-    matrix of :func:`build_form` in closed form ("gram", of scale 1).
-    The scales are frame-free and do not scale.  Callers make their own dicts.
+    The residuals are ||L|| in Frobenius norm ("ledger"), over ||nabla|| ||rho||;
+    the larger |D_alpha| ("star"), each over the sizes of all the terms of
+    its expansion in x, which bound what rounding the solution's own
+    parameters can move it by (near S = 1 on the u = 0 branch one ulp of W
+    moves it by far more than its three terms' sizes); and the root frame's
+    orthonormality defect for the Gram matrix of :func:`build_form` in
+    closed form ("gram", of scale 1).  The scales are frame-free and do not
+    scale.  Only the geometry is kept, in its cache; each call makes new dicts.
     """
-    evaluations = []
-    for p in points:
-        geo = geometry._cached_geometry(p)
-        star = max(abs(d) / s for d, s in _determinants(geo, geo.det_bound))  # the sizes include 3 / x_k > 0
-        absolute = ("ledger", geometry._ldexp(geo.norm_ledger, -3 * geo.e)), ("star", max(map(abs, geo.det)))
-        # an overflowing scale leaves the relative ||L|| at 0
-        relative = ("ledger", geo.norm_ledger / (geo.norm_n * geo.norm_rho)), ("star", star)
-        gram = ("gram", _gram_defect(p))
-        evaluations.append(((*absolute, gram), (*relative, gram), _reductive(geo)))
-    return evaluations
+    geo = geometry._cached_geometry(p)
+    (d1, s1), (d2, s2) = _determinants(geo, geo.det_bound)  # the sizes include 3 / x_k > 0
+    absolute = {"ledger": geometry._ldexp(geo.norm_ledger, -3 * geo.e), "star": max(abs(d1), abs(d2))}
+    # an overflowing scale leaves the relative ||L|| at 0
+    relative = {"ledger": geo.norm_ledger / (geo.norm_n * geo.norm_rho), "star": max(abs(d1) / s1, abs(d2) / s2)}
+    absolute["gram"] = relative["gram"] = _gram_defect(p)
+    return absolute, relative, _reductive(geo)
 
 
 def _gram_defect(p: MetricParams) -> float:
@@ -234,14 +228,12 @@ def _gram_defect(p: MetricParams) -> float:
 
 
 def _solve(branch: str, rows: list[tuple[float, float, float, float]]) -> list[LedgerSolution]:
-    """The solutions (S, V, W, u) at t = 1, evaluated together by one :func:`_evaluate`."""
-    points = [MetricParams(1.0, u, math.sqrt(vv), math.sqrt(ww)) for _, vv, ww, u in rows]
-    evaluations = _evaluate(points) if points else []
+    """The solutions (S, V, W, u) at t = 1, each with the residuals of its point's :func:`_evaluate`."""
     solutions = []
-    for (s, vv, ww, u), p, evaluation in zip(rows, points, evaluations):
-        sol = LedgerSolution(branch, s, vv, ww, u * u, p, dict(evaluation[0]), evaluation[2])
-        object.__setattr__(sol, "_evaluation", evaluation)
-        solutions.append(sol)
+    for s, vv, ww, u in rows:
+        p = MetricParams(1.0, u, math.sqrt(vv), math.sqrt(ww))
+        residuals, _, nr = _evaluate(p)
+        solutions.append(LedgerSolution(branch, s, vv, ww, u * u, p, residuals, nr))
     return solutions
 
 
@@ -314,22 +306,23 @@ class VerificationReport:
 
 
 def verify_solution(sol: LedgerSolution, tol: float = DEFAULT_TOL) -> VerificationReport:
-    """Judge a solution by the residuals at its params: the evaluation its solver attached, else one made here.
+    """Judge a solution by the residuals :func:`_evaluate` recomputes at its params.
 
     Passes iff every residual is at most ``tol`` times its scale, those of
     the relative residuals, and the naturally-reductive status
     matches the expectation, which does not depend on tol: true only at
     the round point u = 0, V = W = 1 of ``sol.params``, which neither
-    family contains.
+    family contains.  For a solver's output the point's geometry is
+    usually still cached, and nothing is recomputed but the residuals.
     """
     p = sol.params
-    residuals, relative, nr = sol._evaluation or _evaluate([p])[0]
+    residuals, relative, nr = _evaluate(p)
     expect_nr = p.u == 0.0 and abs(p.v) == abs(p.w) == abs(p.t)
-    passed = max(r for _, r in relative) <= tol and nr == expect_nr
+    passed = max(relative.values()) <= tol and nr == expect_nr
     return VerificationReport(
         passed=passed,
-        residuals=dict(residuals),
+        residuals=residuals,
         naturally_reductive=nr,
         expected_naturally_reductive=expect_nr,
-        relative_residuals=dict(relative),
+        relative_residuals=relative,
     )

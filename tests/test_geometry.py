@@ -428,7 +428,7 @@ def test_tables_exact_near_the_k_guard():
 # the scalar program of the eager values
 # ----------------------------------------------------------------------
 
-EAGER = ("ratios", "r", "lam", "det", "det_scale", "det_bound")
+EAGER = ("ratios", "r", "det", "det_scale", "det_bound")
 NORMS = ("norm_c", "norm_u", "norm_n", "norm_rho", "norm_ledger")
 
 
@@ -483,7 +483,7 @@ def test_the_eager_values_are_those_of_the_array_program_bit_for_bit():
     assert (len(geos), len(refused)) == (2064, 336)
     data = b"".join(np.array(rows, dtype="<f8").tobytes() for rows in zip(*map(_eager, geos)))
     digest = hashlib.sha256(data + np.array(refused, dtype="<i8").tobytes()).hexdigest()
-    assert digest == "d75cfa74d3715cd50b0f4ee3a5dfd4249942812a37c70b6d5c78209d1109f252"
+    assert digest == "d8ed2893c8039c47da18fe9b12826eff364f65b8c3b68cb533cbfa72fd8bc68e"
 
 
 def test_max_ledger_is_the_maximum_of_the_table_bit_for_bit():
