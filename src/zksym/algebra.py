@@ -8,7 +8,8 @@ span the reductive complement m.
 
 Vectors are plain numpy arrays in the canonical basis.  All objects are
 immutable after construction and every operation is pure, so instances can
-be shared freely across threads.
+be shared freely across threads.  The default tolerance DEFAULT_TOL lives in
+:mod:`zksym.metric`, which loads without numpy.
 """
 
 from __future__ import annotations
@@ -19,15 +20,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 __all__ = [
-    "DEFAULT_TOL",
     "GradedLieAlgebra",
     "GradingLabel",
     "ValidationReport",
     "algebra_from_dict",
     "algebra_to_dict",
 ]
-
-DEFAULT_TOL = 1e-9
 
 
 @dataclass(frozen=True)

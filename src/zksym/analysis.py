@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from . import geometry
-from .algebra import DEFAULT_TOL
-from .metric import FRAME_NAMES, DegenerateMetricError, InvalidParamsError, MetricParams
+from .metric import DEFAULT_TOL, FRAME_NAMES, DegenerateMetricError, InvalidParamsError, MetricParams
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "LedgerSolution",
@@ -145,6 +145,12 @@ def ledger_system_residuals(p: MetricParams) -> np.ndarray:
     scale-free, so they are formed at the unit scale and scaled as t^0,
     t^-1, t^-2, t^0 after.  Raises DegenerateMetricError when one overflows.
     """
+    import numpy as np  # loaded only where an array is formed: ``ledger`` prints the floats of _reduced_system
+    return np.array(_reduced_system(p))
+
+
+def _reduced_system(p: MetricParams) -> list[float]:
+    """The residuals of :func:`ledger_system_residuals`, as floats."""
     geo = geometry._cached_geometry(p)
     e, (x1, x2, x3, x4) = geo.e, geo.y
     t, v, w = (math.ldexp(a, -e) for a in (p.t, p.v, p.w))
@@ -155,7 +161,7 @@ def ledger_system_residuals(p: MetricParams) -> np.ndarray:
     star = [geometry._ldexp(x, n) + 0.0 for x, n in zip(star, (0, -e, -2 * e, 0))]  # and no -0.0
     if not all(map(math.isfinite, star)):  # overflow shows up as a non-finite residual
         raise DegenerateMetricError(f"reduced Ledger system residuals are not finite: {star}")
-    return np.array(star)
+    return star
 
 
 # ----------------------------------------------------------------------

@@ -27,29 +27,11 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .algebra import DEFAULT_TOL, GradedLieAlgebra, algebra_from_dict, algebra_to_dict
-from .analysis import (
-    S_INTERVAL_U0,
-    S_INTERVAL_UNONZERO,
-    first_ledger_verdict,
-    infinitesimal_isometries,
-    is_naturally_reductive,
-    ledger_system_residuals,
-    solve_ledger_u0,
-    solve_ledger_unonzero,
-    verify_solution,
-)
+from .analysis import (S_INTERVAL_U0, S_INTERVAL_UNONZERO, _reduced_system, first_ledger_verdict,
+                       infinitesimal_isometries, is_naturally_reductive, solve_ledger_u0, solve_ledger_unonzero,
+                       verify_solution)
 from .geometry import bracket_table, ricci, u_table
-from .metric import (
-    DegenerateMetricError,
-    FRAME_NAMES,
-    InvalidParamsError,
-    MetricParams,
-    build_form,
-)
-from .so5 import build_so5, validate_so5
+from .metric import DEFAULT_TOL, FRAME_NAMES, DegenerateMetricError, InvalidParamsError, MetricParams, build_form
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -162,7 +144,8 @@ def _term(c: float, name: str) -> str:
     return f"{c:+.6g} {name}"
 
 
-def _print_grid(table: np.ndarray, names, threshold: float) -> None:
+def _print_grid(table, names, threshold: float) -> None:
+    import numpy as np  # loaded only where an array is formed, as in tables, ricci, isometries and check-nr
     terms, above = {}, np.abs(table) > threshold
     for (i, j, k), c in zip(np.argwhere(above).tolist(), table[above].tolist()):  # both in row-major order
         terms.setdefault((i, j), []).append(_term(c, names[k]))
@@ -180,12 +163,14 @@ def _print_grid(table: np.ndarray, names, threshold: float) -> None:
 # commands
 # ----------------------------------------------------------------------
 
-def _block_summary(alg: GradedLieAlgebra) -> dict[str, int]:
+def _block_summary(alg) -> dict[str, int]:
     names = _LABEL_NAMES if alg.k == 2 else {}
     return {names.get(str(label), str(label)): len(alg.label_indices(label)) for label in alg.labels}
 
 
 def cmd_inspect(args) -> None:
+    from .algebra import algebra_from_dict, algebra_to_dict  # loaded only here, with numpy
+    from .so5 import build_so5, validate_so5
     tol = _resolve_tol(args)
     if args.algebra:
         try:
@@ -228,7 +213,7 @@ def cmd_tables(p: MetricParams, tol: float, as_json: bool) -> dict | None:
     if as_json:
         return {"bracket": bt.tolist(), "u": ut.tolist()}
     # entries at or below tol * max|bracket table| show as absent; check-nr judges U as a whole, ||U|| <= tol ||C||
-    threshold = tol * float(np.max(np.abs(bt)))
+    threshold = tol * float(abs(bt).max())
     print("projected brackets [Ei, Ej]_m in the orthonormal frame:")
     _print_grid(bt, FRAME_NAMES, threshold)
     print()
@@ -268,10 +253,10 @@ def cmd_check_nr(p: MetricParams, tol: float, as_json: bool) -> dict | None:
 
 
 def cmd_ledger(p: MetricParams, tol: float, as_json: bool) -> dict | None:
-    star = ledger_system_residuals(p)
+    star = _reduced_system(p)
     max_l, satisfied = first_ledger_verdict(p, tol)
     if as_json:
-        return {"max_ledger_residual": max_l, "star_residuals": star.tolist(), "satisfied": satisfied}
+        return {"max_ledger_residual": max_l, "star_residuals": star, "satisfied": satisfied}
     print(f"max |L| over frame triples: {_fmt(max_l)}")
     print("reduced-system residuals: " + " ".join(_fmt(x) for x in star))
     print("first Ledger condition satisfied" if satisfied else "first Ledger condition violated")
@@ -335,6 +320,8 @@ def cmd_sweep(args) -> None:
         )
     if args.S_steps < 1:
         raise InvalidParamsError("S-steps must be at least 1")
+    if args.S_steps > sys.float_info.max:  # its step would overflow; no sweep that long could finish
+        raise InvalidParamsError(f"S-steps must be at most {sys.float_info.max:.3g}")
     first, last, n = args.S_min, args.S_max, args.S_steps
     step = (last - first) / max(n - 1, 1)  # np.linspace's floats, S-max last, one at a time: memory stays flat in n
     _solutions(args.branch, (last if i == n - 1 > 0 else first + i * step for i in range(n)), tol, as_json=True)

@@ -28,13 +28,10 @@ m-vectors (basis A1..C2) enter the root frame by the coframe diag(sqrt x) P^T.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, cached_property
+from functools import cache, cached_property, lru_cache
 
-import numpy as np
-
-from .algebra import DEFAULT_TOL
-from .metric import AdaptedForm, DegenerateMetricError, InvalidParamsError, MetricParams, check_adh_invariance
-from .so5 import build_so5
+from .metric import (DEFAULT_TOL, AdaptedForm, DegenerateMetricError, InvalidParamsError, MetricParams,
+                     check_adh_invariance)
 
 __all__ = [
     "bracket_table",
@@ -49,19 +46,30 @@ __all__ = [
     "u_table",
 ]
 
-# CM[i, j, k], CH[i, j, a], ADH[a, l, k]: see GradedLieAlgebra.m_structure
-_CM, _CH, _ADH = build_so5().m_structure()
+# -B(P_i, P_i) / 2 per module, B the Killing form (-6 I on m), as numpy derives it from P: 3 + 1 ulp on A
+_HALF_KILLING = [3.0000000000000004, 3.0000000000000004, 3.0, 3.0]
 
-# Killing form B(X, Y) = trace(ad X ad Y) of so(5) on m in the raw basis; metric-free (it is -6 I)
-_AD_M = build_so5().structure[list(build_so5().m_indices)]  # _AD_M[a, p, q]: component q of [m_a, e_p]
-_KILLING_M = np.einsum("apq,bqp->ab", _AD_M, _AD_M)
-_KILLING_M.setflags(write=False)
 
-# the root basis P: column i in raw coordinates, in the module _MODULE[i]
-_P = np.eye(8)
-_P[:4, :4] = np.sqrt(0.5) * np.array([[1, 0, 1, 0], [0, 1, 0, 1], [0, -1, 0, 1], [1, 0, -1, 0]])
-_MODULE = np.repeat(np.arange(4), 2)
-_HALF_KILLING = (-0.5 * np.diag(_P.T @ _KILLING_M @ _P)[::2]).tolist()
+@cache
+def _arrays() -> None:
+    """Bind numpy and the root frame's arrays as module globals, once.  table, ricci, u_max, u_svd, m_bracket and
+    _geometry call this first, and only after them are the support values and frames read; the scalar program
+    needs none of it, so ``solve``, ``sweep`` and ``ledger`` load no numpy."""
+    global np, _CM, _CH, _ADH, _P, _MODULE, _INDEX, _C0, _RK, _RI, _RJ, _L_SIGN, _TRIPLE, _QC, _QS, _QB
+    import numpy as np
+    from .so5 import build_so5
+
+    # the root basis P: column i in raw coordinates, in the module _MODULE[i]
+    p = np.eye(8)
+    p[:4, :4] = np.sqrt(0.5) * np.array([[1, 0, 1, 0], [0, 1, 0, 1], [0, -1, 0, 1], [1, 0, -1, 0]])
+    # the rotation Q[a, i] to the adapted frame: c _QC + s _QS + _QB, column i times sgn t, t, 1, 1, sgn v, v, w, w
+    q = np.zeros((3, 8, 8))
+    q[0][[0, 1, 3, 2], [0, 1, 2, 3]] = [1, 1, 1, -1]
+    q[1][[2, 3, 1, 0], [0, 1, 2, 3]] = [1, 1, -1, 1]
+    q[2][4:, 4:] = np.eye(4)
+    # bound when built, so a concurrent first call rebinds only finished arrays; CM, CH, ADH: see m_structure
+    (_CM, _CH, _ADH), _P, _MODULE, (_QC, _QS, _QB) = build_so5().m_structure(), p, np.repeat(np.arange(4), 2), q
+    _INDEX, _C0, (_RK, _RI, _RJ), _L_SIGN, _TRIPLE = _support()
 
 
 def _support():
@@ -74,15 +82,6 @@ def _support():
     column = 2 * np.maximum(_MODULE[[k, i, j]] - 1, 0) + triple  # the ratio of which index's module is k
     sign = [-c0[tuple(sorted(e))] for e in entries]  # L = -c0 D / sqrt(...) on the sorted triple (a, b, c)
     return (i, j, k), c0[i, j, k], column, np.array(sign), triple
-
-
-_INDEX, _C0, (_RK, _RI, _RJ), _L_SIGN, _TRIPLE = _support()
-
-# the rotation Q[a, i] to the adapted frame: c _QC + s _QS + _QB, column i times sgn t, t, 1, 1, sgn v, v, w, w
-_QC, _QS, _QB = np.zeros((3, 8, 8))
-_QC[[0, 1, 3, 2], [0, 1, 2, 3]] = [1, 1, 1, -1]
-_QS[[2, 3, 1, 0], [0, 1, 2, 3]] = [1, 1, -1, 1]
-_QB[4:, 4:] = np.eye(4)
 
 
 def _program(e: int, y) -> tuple[list[float], ...]:
@@ -158,6 +157,7 @@ class _Geometry:
         self.ratios, self.r, self.det, self.det_scale, self.det_bound, norms = _program(self.e, self.y)
         self.norm_c, self.norm_u, self.norm_n, self.norm_rho, self.norm_ledger = norms
 
+    # the support values C, U, nabla (and L below), read by members and functions that have called _arrays()
     c = property(lambda self: _C0 * np.take(self.ratios, _RK))
     # (C[k,j,i] + C[k,i,j]) / 2
     u = property(lambda self: _C0 * (0.5 * (np.take(self.ratios, _RJ) - np.take(self.ratios, _RI))))
@@ -200,6 +200,7 @@ class _Geometry:
     @cached_property
     def u_max(self) -> tuple[float, tuple[int, int, int]]:
         """max |U| over the adapted frame triples and the first (i, j, k), in np.argmax's order, that attains it."""
+        _arrays()
         table = np.abs(self.table("u"))
         index = np.unravel_index(int(np.argmax(table)), table.shape)
         return float(table[index]), tuple(map(int, index))
@@ -207,6 +208,7 @@ class _Geometry:
     @cached_property
     def u_svd(self) -> tuple[list[float], np.ndarray]:
         """The singular values (floats) and read-only vh of U's rows on frame pairs i <= j: row[x] = U[i, j, x]."""
+        _arrays()
         _, s, vh = np.linalg.svd(self.table("u")[np.triu_indices(8)])
         vh.setflags(write=False)
         return s.tolist(), vh
@@ -235,6 +237,7 @@ class _Geometry:
 
     def table(self, name: str) -> np.ndarray:
         """The support values ``name`` presented in the adapted frame, (8, 8, 8), built once."""
+        _arrays()
         tables = vars(self).setdefault("_tables", {})
         if name not in tables:
             table, q = _dense(getattr(self, name)), self.rotation
@@ -249,6 +252,7 @@ class _Geometry:
     @cached_property
     def ricci(self) -> np.ndarray:
         """Q^T diag(r) Q entry by entry, so that r1 = r2 (u = 0) leaves rho(A~1, A~4) = 0 exactly."""
+        _arrays()
         (c, s), (r1, r2, r3, r4) = self._cos_sin, self.r
         rho = np.diag(np.take([c * c * r1 + s * s * r2, s * s * r1 + c * c * r2, r3, r4], _MODULE))
         off = math.copysign(1.0, self.params.t) * c * s * (r1 - r2)
@@ -261,6 +265,7 @@ _cached_geometry = lru_cache(maxsize=256)(_Geometry)  # a point that the guard o
 
 
 def _geometry(form: AdaptedForm) -> _Geometry:
+    _arrays()
     if form.params is not None:
         return _cached_geometry(form.params)
     try:
@@ -270,6 +275,7 @@ def _geometry(form: AdaptedForm) -> _Geometry:
     if not np.isfinite(low).all():
         raise DegenerateMetricError("Gram matrix is not finite")
     # the invariant-connection formulas hold only for ad(h)-invariant forms
+    from .so5 import build_so5  # loaded only for a bare Gram matrix
     report = check_adh_invariance(build_so5(), form)
     if not report.ok(DEFAULT_TOL * float(np.max(np.abs(form.gram)))):
         z, x, y = report.worst
@@ -305,6 +311,7 @@ def _as_m_vector(x) -> np.ndarray:
 
 def m_bracket(x, y) -> np.ndarray:
     """m-projection of the bracket of two raw m-vectors."""
+    _arrays()
     return np.einsum("i,j,ijk->k", _as_m_vector(x), _as_m_vector(y), _CM)
 
 

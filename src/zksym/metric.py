@@ -26,6 +26,9 @@ which the geometry presents its tables, is dual to the coframe, h = u/(2t),
     b~i = v bi,               c~i = w ci,
 
 so that tables computed in it carry definite signs.
+
+DEFAULT_TOL lives here, beside MetricParams, the errors and FRAME_NAMES: this
+module loads numpy only where it forms an array.
 """
 
 from __future__ import annotations
@@ -34,13 +37,15 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .algebra import DEFAULT_TOL, GradedLieAlgebra
+if TYPE_CHECKING:
+    import numpy as np
+    from .algebra import GradedLieAlgebra
 
 __all__ = [
     "AdaptedForm",
+    "DEFAULT_TOL",
     "DegenerateMetricError",
     "FRAME_NAMES",
     "InvalidParamsError",
@@ -52,6 +57,7 @@ __all__ = [
     "orthonormal_frame",
 ]
 
+DEFAULT_TOL = 1e-9
 K_GUARD_EPS = 1e-8
 
 # t^2, v^2 and w^2 must be normal floats: finite and not rounded towards zero
@@ -154,6 +160,7 @@ class AdaptedForm:
     params: MetricParams | None = field(default=None, init=False)
 
     def __post_init__(self):
+        import numpy as np  # loaded only where an array is formed, here and below
         g = np.array(self.gram, dtype=float)
         if g.shape != (8, 8):
             raise ValueError(f"gram matrix must be 8x8, got {g.shape}")
@@ -168,6 +175,7 @@ class OrthonormalFrame:
     matrix: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
         m = np.array(self.matrix, dtype=float)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -184,6 +192,7 @@ def build_form(p: MetricParams) -> AdaptedForm:
     C-blocks are v^2 and w^2 multiples of the identity, and distinct
     grading blocks are orthogonal.
     """
+    import numpy as np
     p.K  # positive-definiteness guard
     t2 = p.t * p.t
     half_u = 0.5 * p.u
@@ -203,6 +212,7 @@ def build_form(p: MetricParams) -> AdaptedForm:
 
 def orthonormal_frame(p: MetricParams) -> OrthonormalFrame:
     """Frame dual to the adapted coframe; orthonormal for build_form(p)."""
+    import numpy as np
     k = p.K
     t = p.t
     mix = p.u / (2.0 * t) / t / k  # h / (t K)
@@ -236,6 +246,7 @@ def check_adh_invariance(alg: GradedLieAlgebra, form: AdaptedForm) -> Invariance
     Returns the worst triple (Z, X, Y); the residual is zero for every
     output of :func:`build_form`.  Judge it with :meth:`InvarianceReport.ok`.
     """
+    import numpy as np
     n = len(alg.m_indices)
     if form.gram.shape != (n, n):
         raise ValueError("form dimension does not match the reductive complement")

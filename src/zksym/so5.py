@@ -21,7 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, GradedLieAlgebra, GradingLabel, ValidationReport
+from .algebra import GradedLieAlgebra, GradingLabel, ValidationReport
+from .metric import DEFAULT_TOL
 
 __all__ = [
     "M_INDICES",

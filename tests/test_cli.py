@@ -852,25 +852,35 @@ def test_the_sweep_grid_is_that_of_np_linspace(capsys, monkeypatch):
         assert grids == np.linspace(lo, hi, n).tolist(), (lo, hi, n)
 
 
-def _sweep_peak_rss_kb(steps: int) -> int:
-    probe = (
-        "import contextlib, io, resource, sys\n"
-        "from zksym.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = main(['sweep', '--branch', 'u0', '--S-min', '1.5', '--S-max', '8.5', '--S-steps', '{steps}'])\n"
-        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(Path(zksym.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
-    code, rss = proc.stdout.split()
-    assert code == "0", proc.stderr
-    return int(rss)
+class _KeptStdout(io.TextIOBase):
+    """A stdout whose reader keeps every record."""
+
+    def __init__(self):
+        self.records = []
+
+    def write(self, text):
+        self.records.append(text)
+        return len(text)
 
 
-def test_sweep_memory_does_not_grow_with_the_grid():
-    # 2400 solutions evaluated at once would hold about 70 MB more than 400
-    # (the printed records, kept here in memory, take about 1.5 MB)
-    assert _sweep_peak_rss_kb(1200) - _sweep_peak_rss_kb(200) < 10_000
+def _kept_sweep_peak_bytes(monkeypatch, steps: int) -> tuple[int, int]:
+    """The peak of what Python allocates in a sweep whose reader keeps its records, and what those records hold."""
+    monkeypatch.setattr(sys, "stdout", _KeptStdout())
+    tracemalloc.start()
+    try:
+        assert main(["sweep", "--branch", "u0", "--S-min", "1.5", "--S-max", "8.5", "--S-steps", str(steps)]) == 0
+        records = sys.stdout.records
+        return tracemalloc.get_traced_memory()[1], sys.getsizeof(records) + sum(map(sys.getsizeof, records))
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_memory_does_not_grow_with_the_grid(monkeypatch):
+    # beyond the records its reader keeps, 1200 steps hold what 200 do: 32 S are solved at a time, so the
+    # solutions held do not grow with the grid (2400 solutions at once hold 1.5 MB more than the records)
+    _kept_sweep_peak_bytes(monkeypatch, 10)  # what the first sweep of a process allocates once
+    (small, kept_small), (large, kept_large) = (_kept_sweep_peak_bytes(monkeypatch, n) for n in (200, 1200))
+    assert large - small < (kept_large - kept_small) + 500_000
 
 
 class _ClosedStdout(io.StringIO):

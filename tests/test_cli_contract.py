@@ -70,6 +70,9 @@ def _argv() -> list[tuple[str, ...]]:
         ("solve", "--branch", "u0"),
         ("solve", "--branch", "u1", "--S", "2"),
         ("sweep", "--branch", "u0", "--S-min", "5", "--S-max", "4"),
+        # a step count beyond the floats, whose step division overflowed with a traceback
+        ("sweep", "--branch", "u0", "--S-min", "2", "--S-max", "3", "--S-steps", "9" * 401),
+        ("sweep", "--branch", "u0", "--S-min", "2", "--S-max", "3", "--S-steps", "9" * 401, "--format", "json"),
         ("inspect", "--algebra", "/nonexistent/algebra.json"),
         # numerical failures: exit 2
         ("ricci", *_point(1.0, 2.0 * (1.0 - 1e-17), 1.0, 1.0)),

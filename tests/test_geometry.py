@@ -21,6 +21,7 @@ from zksym import (
     analysis,
     bracket_table,
     build_form,
+    build_so5,
     curvature,
     geometry,
     ledger,
@@ -251,7 +252,20 @@ def test_killing_form_on_m_is_minus_six():
     c = structure_constants()
     killing = np.einsum("apq,bqp->ab", c, c)
     assert np.array_equal(killing, -6 * np.eye(10))
-    assert np.array_equal(geometry._KILLING_M, -6 * np.eye(8))
+
+
+def test_the_half_killing_constants_are_the_bits_numpy_derives():
+    # _program's literal constants against -diag(P^T B P) / 2 as numpy forms it, B the Killing form on m
+    # (-6 I): exactly 3 in exact arithmetic, but P's rounded sqrt(1/2) moves the A modules' last bit, and
+    # the eager values carry that bit
+    alg = build_so5()
+    ad_m = alg.structure[list(alg.m_indices)]  # ad_m[a, p, q]: component q of [m_a, e_p]
+    killing_m = np.einsum("apq,bqp->ab", ad_m, ad_m)
+    assert np.array_equal(killing_m, -6 * np.eye(8))
+    geometry._arrays()
+    derived = (-0.5 * np.diag(geometry._P.T @ killing_m @ geometry._P)[::2]).tolist()
+    assert [x.hex() for x in geometry._HALF_KILLING] == [x.hex() for x in derived]
+    assert geometry._HALF_KILLING == [3.0000000000000004, 3.0000000000000004, 3.0, 3.0]
 
 
 def test_ricci_u_zero_degeneracies():

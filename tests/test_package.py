@@ -1,9 +1,14 @@
 import ast
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import zksym
+from zksym.cli import main
 from zksym import algebra, analysis, geometry, metric, so5
 
 # the public interface of the package, each name declared once, in its module's __all__
@@ -42,3 +47,63 @@ def test_the_package_exports_the_union_of_the_module_lists():
     for module, name in ((so5, "basis_matrix"), (so5, "validate_so5"), (so5, "LABELS"), (metric, "K_GUARD_EPS"),
                          (analysis, "S_MAX_UNONZERO")):
         assert hasattr(module, name) and name not in zksym.__all__
+
+
+def test_the_package_table_names_each_module_with_its_own_list():
+    for module in _MODULES:
+        short = module.__name__.rsplit(".", 1)[1]
+        assert {name for name, owner in zksym._MODULE_OF.items() if owner == short} == set(module.__all__)
+
+
+def test_dir_and_star_import_give_the_exported_names():
+    public = {name for name in dir(zksym) if not name.startswith("_")}
+    assert _EXPORTED <= public and public - _EXPORTED <= {"algebra", "analysis", "cli", "geometry", "metric", "so5"}
+    namespace = {}
+    exec("from zksym import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(zksym.__all__) == _EXPORTED
+
+
+# ----------------------------------------------------------------------
+# numpy off the verdict path: what a fresh process imports
+# ----------------------------------------------------------------------
+
+def _fresh(statement: str) -> tuple[str, bool]:
+    """Run a statement in a fresh interpreter on this checkout; its stdout and whether it imported numpy."""
+    src = str(Path(zksym.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = f"import sys\n{statement}\nprint('numpy' in sys.modules, file=sys.stderr)\n"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout, {"False": False, "True": True}[proc.stderr.splitlines()[-1]]
+
+
+def _main(*argv: str) -> str:
+    return f"from zksym.cli import main\nassert main({list(argv)!r}) == 0"
+
+
+_POINT = ("--t", "1", "--u", "0.3", "--v", "1.2", "--w", "0.8")
+_VERDICT_PATH = {
+    "import zksym": "import zksym",
+    "zksym.MetricParams": "import zksym\nassert zksym.MetricParams(1, 0, 1, 1).K == 1",
+    "solve": _main("solve", "--branch", "u0", "--S", "5"),
+    "solve json": _main("solve", "--branch", "u0", "--S", "5", "--format", "json"),
+    "sweep": _main("sweep", "--branch", "u1", "--S-min", "0.34", "--S-max", "1.43", "--S-steps", "50"),
+    "ledger": _main("ledger", *_POINT),
+    "ledger json": _main("ledger", *_POINT, "--format", "json"),
+    "unknown name": "import zksym\nassert not hasattr(zksym, 'no_such_name')",
+}
+
+
+@pytest.mark.parametrize("statement", _VERDICT_PATH.values(), ids=_VERDICT_PATH)
+def test_the_verdict_path_imports_no_numpy(statement):
+    assert _fresh(statement)[1] is False
+
+
+@pytest.mark.parametrize("argv", [("tables", *_POINT), ("ricci", *_POINT), ("isometries", *_POINT, "--format", "json"),
+                                  ("check-nr", *_POINT), ("inspect",), ("ledger", *_POINT)], ids=" ".join)
+def test_a_fresh_process_prints_what_this_one_does(argv, capsys):
+    # the array commands build geometry's arrays on their first call, and numpy with them
+    assert main(list(argv)) == 0
+    out, numpy_loaded = _fresh(_main(*argv))
+    assert out == capsys.readouterr().out
+    assert numpy_loaded is (argv[0] != "ledger")
