@@ -243,7 +243,7 @@ class GradedLieAlgebra:
         anti_bad = np.argwhere((np.abs(anti) > tol) & upper)
 
         # jac[i, j, l, :] = [[e_i,e_j],e_l] + [[e_j,e_l],e_i] + [[e_l,e_i],e_j]
-        c2 = np.einsum("ijm,mlk->ijlk", c, c)
+        c2 = np.tensordot(c, c, (2, 0))  # c2[i, j, l, k] = sum_m c[i, j, m] c[m, l, k]
         jac = c2 + c2.transpose(1, 2, 0, 3) + c2.transpose(2, 0, 1, 3)
         increasing = (idx[:, None, None] < idx[None, :, None]) & (idx[None, :, None] < idx[None, None, :])
         jac_bad = np.argwhere((np.max(np.abs(jac), axis=3) > tol) & increasing)

@@ -117,17 +117,16 @@ def infinitesimal_isometries(p: MetricParams, tol: float = DEFAULT_TOL) -> np.nd
     """Orthonormal basis of the X in m whose ad(X)_m is skew for the metric.
 
     Solves B([X,Y]_m, Z) + B(Y, [X,Z]_m) = 0, that is <U(Y, Z), X> = 0, over all
-    frame pairs (Y, Z) as a linear system in X; the kernel is extracted by SVD
-    with relative singular-value cutoff ``tol``.  The SVD is formed once per
-    cached point; only the tol cut runs per query.  Columns of the returned
-    (8, dim) array are the basis vectors in adapted frame coordinates.  At v = w the
-    space is 4-dimensional, yet probes of Singer's stabilizer find the isometry
+    frame pairs (Y, Z) as a linear system in X, whose singular values are one
+    sigma_k per module, twice, in closed form: the kernel is the sum of the
+    modules with sigma_k <= tol * max sigma.  Columns of the returned (8, dim)
+    array are their root vectors in adapted frame coordinates (entries 0, +-1,
+    +-c, +-s), or A~1..A~4 where both A modules are kept.  At v = w the space
+    is 4-dimensional, yet probes of Singer's stabilizer find the isometry
     algebra so(5) there: it holds no extra Killing fields.
     """
-    s, vh = geometry._cached_geometry(p).u_svd
-    cutoff = tol * (s[0] if s and s[0] > 0 else 1.0)
-    rank = sum(x > cutoff for x in s)
-    return vh[rank:].T.copy()
+    import numpy as np  # loaded only where an array is formed: ``isometries`` prints the geometry's floats
+    return np.array(geometry._cached_geometry(p).isometries(tol), dtype=float).reshape(-1, 8).T
 
 
 def ledger_system_residuals(p: MetricParams) -> np.ndarray:

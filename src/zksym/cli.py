@@ -28,10 +28,9 @@ import sys
 from pathlib import Path
 
 from .analysis import (S_INTERVAL_U0, S_INTERVAL_UNONZERO, _reduced_system, first_ledger_verdict,
-                       infinitesimal_isometries, is_naturally_reductive, solve_ledger_u0, solve_ledger_unonzero,
-                       verify_solution)
-from .geometry import bracket_table, ricci, u_table
-from .metric import DEFAULT_TOL, FRAME_NAMES, DegenerateMetricError, InvalidParamsError, MetricParams, build_form
+                       is_naturally_reductive, solve_ledger_u0, solve_ledger_unonzero, verify_solution)
+from .geometry import _cached_geometry
+from .metric import DEFAULT_TOL, FRAME_NAMES, DegenerateMetricError, InvalidParamsError, MetricParams
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -145,16 +144,15 @@ def _term(c: float, name: str) -> str:
 
 
 def _print_grid(table, names, threshold: float) -> None:
-    import numpy as np  # loaded only where an array is formed, as in tables, ricci, isometries and check-nr
-    terms, above = {}, np.abs(table) > threshold
-    for (i, j, k), c in zip(np.argwhere(above).tolist(), table[above].tolist()):  # both in row-major order
-        terms.setdefault((i, j), []).append(_term(c, names[k]))
-    cells = [[" ".join(terms.get((i, j), ["0"])) for j in range(8)] for i in range(8)]
+    terms = {}
+    for index in itertools.compress(range(512), table):  # the nonzero entries of the flat table, in row-major order
+        if abs(table[index]) > threshold:
+            terms.setdefault(index // 8, []).append(_term(table[index], names[index % 8]))
+    cells = [[" ".join(terms.get(8 * i + j, ["0"])) for j in range(8)] for i in range(8)]
     widths = [max(map(len, column)) for column in zip(names, *cells)]
     label_w = max(map(len, names))
     header = " " * label_w + " | " + " | ".join(map(str.ljust, names, widths))
-    print(header)
-    print("-" * len(header))
+    print(header, "-" * len(header), sep="\n")
     for name, row in zip(names, cells):
         print(f"{name.ljust(label_w)} | {' | '.join(map(str.ljust, row, widths))}")
 
@@ -209,36 +207,35 @@ def cmd_inspect(args) -> None:
 # (see _point); otherwise they print their text.
 
 def cmd_tables(p: MetricParams, tol: float, as_json: bool) -> dict | None:
-    bt, ut = bracket_table(p), u_table(p)
-    if as_json:
-        return {"bracket": bt.tolist(), "u": ut.tolist()}
+    bt, ut = (_cached_geometry(p).table(name) for name in ("c", "u"))
+    if as_json:  # the flat tables as (8, 8, 8) lists
+        return {key: memoryview(t).cast("B").cast("d", (8, 8, 8)).tolist() for key, t in (("bracket", bt), ("u", ut))}
     # entries at or below tol * max|bracket table| show as absent; check-nr judges U as a whole, ||U|| <= tol ||C||
-    threshold = tol * float(abs(bt).max())
+    threshold = tol * max(max(bt), -min(bt))
     print("projected brackets [Ei, Ej]_m in the orthonormal frame:")
     _print_grid(bt, FRAME_NAMES, threshold)
-    print()
-    print("symmetric map U(Ei, Ej) in the orthonormal frame:")
+    print("\nsymmetric map U(Ei, Ej) in the orthonormal frame:")
     _print_grid(ut, FRAME_NAMES, threshold)
 
 
 def cmd_ricci(p: MetricParams, tol: float, as_json: bool) -> dict | None:
-    rho = ricci(build_form(p))
+    rho = _cached_geometry(p).ricci
     if as_json:
-        return {"matrix": rho.tolist()}
+        return {"matrix": rho}
     print("Ricci matrix in the orthonormal frame:")
-    cells = [[_fmt(x) for x in row] for row in rho.tolist()]
+    cells = [[_fmt(x) for x in row] for row in rho]
     width = max(len(cell) for row in cells for cell in row)
     for row in cells:
         print("  ".join(cell.rjust(width) for cell in row))
 
 
 def cmd_isometries(p: MetricParams, tol: float, as_json: bool) -> dict | None:
-    basis = infinitesimal_isometries(p, tol)
+    basis = _cached_geometry(p).isometries(tol)
     if as_json:
-        return {"dimension": basis.shape[1], "basis": basis.T.tolist()}
-    print(f"dimension: {basis.shape[1]}")
-    for vec in basis.T.tolist():
-        print("  " + (" ".join(_term(c, n) for c, n in zip(vec, FRAME_NAMES) if abs(c) > tol) or "0"))
+        return {"dimension": len(basis), "basis": basis}
+    print(f"dimension: {len(basis)}")
+    for vec in basis:
+        print("  " + " ".join(_term(c, n) for c, n in zip(vec, FRAME_NAMES) if c))
 
 
 def cmd_check_nr(p: MetricParams, tol: float, as_json: bool) -> dict | None:

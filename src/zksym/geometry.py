@@ -20,15 +20,18 @@ frame-free quantities: Frobenius norms, each D_alpha against its terms.
 The adapted frame of :func:`zksym.metric.orthonormal_frame` is for
 presentation only: A~1 = sgn t (c E1 + s E3), A~2 = sgn t (c E2 + s E4),
 A~3 = c E4 - s E2, A~4 = s E1 - c E3, B~i = sgn v E_{4+i}, C~i = sgn w E_{6+i}
-with c, s = sqrt(x1, x2 / 2t^2).  The tables (8, 8, 8) and the Ricci matrix
-(8, 8) in it are numpy arrays, built from the scalars on first use.  Raw
-m-vectors (basis A1..C2) enter the root frame by the coframe diag(sqrt x) P^T.
+with c, s = sqrt(x1, x2 / 2t^2).  Its tables (8, 8, 8) and Ricci matrix (8, 8)
+are floats too, built on first use; numpy forms only the library's arrays and
+raw m-vectors (basis A1..C2), which enter the root frame by diag(sqrt x) P^T.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from collections import defaultdict
 from functools import cache, cached_property, lru_cache
+from itertools import permutations, product
 
 from .metric import (DEFAULT_TOL, AdaptedForm, DegenerateMetricError, InvalidParamsError, MetricParams,
                      check_adh_invariance)
@@ -49,39 +52,29 @@ __all__ = [
 # -B(P_i, P_i) / 2 per module, B the Killing form (-6 I on m), as numpy derives it from P: 3 + 1 ulp on A
 _HALF_KILLING = [3.0000000000000004, 3.0000000000000004, 3.0, 3.0]
 
+# c0 = sign / sqrt 2 on the permutations, by their parity, of these sorted triples (A, B, C) of P. Per support entry
+# (i, j, k), in C order: 64 i + 8 j + k, c0, the ratio columns of k, i, j, L's sign (-c0 on the triple), alpha - 1
+_TRIPLES = ((0, 4, 6, -1), (0, 5, 7, -1), (1, 4, 7, -1), (1, 5, 6, 1), (2, 4, 6, -1), (2, 5, 7, 1), (3, 4, 7, -1),
+            (3, 5, 6, -1))
+_INDEX, _C0, _RK, _RI, _RJ, _L_SIGN, _TRIPLE = zip(*sorted(
+    (64 * i + 8 * j + k, (-1) ** ((i > j) + (i > k) + (j > k)) * sign * math.sqrt(0.5),
+     *(2 * max(m // 2 - 1, 0) + a // 2 for m in (k, i, j)), -sign * math.sqrt(0.5), a // 2)
+    for a, b, c, sign in _TRIPLES for i, j, k in permutations((a, b, c))))
+
 
 @cache
 def _arrays() -> None:
-    """Bind numpy and the root frame's arrays as module globals, once.  table, ricci, u_max, u_svd, m_bracket and
-    _geometry call this first, and only after them are the support values and frames read; the scalar program
-    needs none of it, so ``solve``, ``sweep`` and ``ledger`` load no numpy."""
-    global np, _CM, _CH, _ADH, _P, _MODULE, _INDEX, _C0, _RK, _RI, _RJ, _L_SIGN, _TRIPLE, _QC, _QS, _QB
+    """Bind numpy and so(5)'s arrays as module globals, once, for raw vectors, a bare Gram matrix and the arrays
+    the library returns; what the CLI prints needs none of it, so only ``inspect`` among the commands loads numpy."""
+    global np, _CM, _CH, _ADH, _P, _MODULE
     import numpy as np
     from .so5 import build_so5
 
     # the root basis P: column i in raw coordinates, in the module _MODULE[i]
     p = np.eye(8)
     p[:4, :4] = np.sqrt(0.5) * np.array([[1, 0, 1, 0], [0, 1, 0, 1], [0, -1, 0, 1], [1, 0, -1, 0]])
-    # the rotation Q[a, i] to the adapted frame: c _QC + s _QS + _QB, column i times sgn t, t, 1, 1, sgn v, v, w, w
-    q = np.zeros((3, 8, 8))
-    q[0][[0, 1, 3, 2], [0, 1, 2, 3]] = [1, 1, 1, -1]
-    q[1][[2, 3, 1, 0], [0, 1, 2, 3]] = [1, 1, -1, 1]
-    q[2][4:, 4:] = np.eye(4)
     # bound when built, so a concurrent first call rebinds only finished arrays; CM, CH, ADH: see m_structure
-    (_CM, _CH, _ADH), _P, _MODULE, (_QC, _QS, _QB) = build_so5().m_structure(), p, np.repeat(np.arange(4), 2), q
-    _INDEX, _C0, (_RK, _RI, _RJ), _L_SIGN, _TRIPLE = _support()
-
-
-def _support():
-    """The support of c0 = the structure constants of m in P, c0 on it, and the columns of its ratios and L."""
-    c0 = np.tensordot(_P, np.tensordot(_P, _CM @ _P, (0, 1)), (0, 1))  # c0[i, j, k], as P^-1 = P^T
-    c0 = np.where(np.abs(c0) > 0.5, np.copysign(np.sqrt(0.5), c0), 0.0)  # exactly +-1/sqrt 2 or 0
-    entries = list(zip(*np.nonzero(c0)))
-    i, j, k = np.array(entries).T
-    triple = np.minimum(np.minimum(_MODULE[i], _MODULE[j]), _MODULE[k])  # alpha, the module 0 or 1
-    column = 2 * np.maximum(_MODULE[[k, i, j]] - 1, 0) + triple  # the ratio of which index's module is k
-    sign = [-c0[tuple(sorted(e))] for e in entries]  # L = -c0 D / sqrt(...) on the sorted triple (a, b, c)
-    return (i, j, k), c0[i, j, k], column, np.array(sign), triple
+    (_CM, _CH, _ADH), _P, _MODULE = build_so5().m_structure(), p, np.repeat(np.arange(4), 2)
 
 
 def _program(e: int, y) -> tuple[list[float], ...]:
@@ -142,7 +135,7 @@ def _ldexp(x: float, n: int) -> float:
 def _dense(values) -> np.ndarray:
     """The (8, 8, 8) root-frame tensor of its values on the support."""
     out = np.zeros((8, 8, 8))
-    out[_INDEX] = values
+    np.put(out, _INDEX, values)
     return out
 
 
@@ -157,11 +150,11 @@ class _Geometry:
         self.ratios, self.r, self.det, self.det_scale, self.det_bound, norms = _program(self.e, self.y)
         self.norm_c, self.norm_u, self.norm_n, self.norm_rho, self.norm_ledger = norms
 
-    # the support values C, U, nabla (and L below), read by members and functions that have called _arrays()
-    c = property(lambda self: _C0 * np.take(self.ratios, _RK))
+    # the support values of C, U, nabla (and L below), in the order of _INDEX
+    c = property(lambda self: [c0 * self.ratios[k] for c0, k in zip(_C0, _RK)])
     # (C[k,j,i] + C[k,i,j]) / 2
-    u = property(lambda self: _C0 * (0.5 * (np.take(self.ratios, _RJ) - np.take(self.ratios, _RI))))
-    n = property(lambda self: self.u + 0.5 * self.c)
+    u = property(lambda self: [c0 * (0.5 * (self.ratios[j] - self.ratios[i])) for c0, i, j in zip(_C0, _RI, _RJ)])
+    n = property(lambda self: [u + 0.5 * c for u, c in zip(self.u, self.c)])
 
     @cached_property
     def q(self) -> list[float]:
@@ -184,10 +177,8 @@ class _Geometry:
         h = 0.5 * ((y4 - y3) / math.sqrt(y3) / math.sqrt(y4))
         return [_ldexp(h / math.sqrt(ya) * qa, -3 * self.e) for ya, qa in zip((y1, y2), self.q)]
 
-    @property
-    def ledger(self) -> np.ndarray:
-        """L on the support, +-lam_alpha on the triples of alpha."""
-        return _L_SIGN * np.take(self._ledger_lam, _TRIPLE)
+    # L on the support, +-lam_alpha on the triples of alpha
+    ledger = property(lambda self: [sign * self._ledger_lam[alpha] for sign, alpha in zip(_L_SIGN, _TRIPLE)])
 
     @cached_property
     def ledger_max(self) -> float:
@@ -199,19 +190,26 @@ class _Geometry:
 
     @cached_property
     def u_max(self) -> tuple[float, tuple[int, int, int]]:
-        """max |U| over the adapted frame triples and the first (i, j, k), in np.argmax's order, that attains it."""
-        _arrays()
-        table = np.abs(self.table("u"))
-        index = np.unravel_index(int(np.argmax(table)), table.shape)
-        return float(table[index]), tuple(map(int, index))
+        """max |U| over the adapted frame triples and the first (i, j, k), in C order, that attains it."""
+        table = list(map(abs, self.table("u")))
+        i, jk = divmod(table.index(max(table)), 64)
+        return max(table), (i, *divmod(jk, 8))
 
     @cached_property
-    def u_svd(self) -> tuple[list[float], np.ndarray]:
-        """The singular values (floats) and read-only vh of U's rows on frame pairs i <= j: row[x] = U[i, j, x]."""
-        _arrays()
-        _, s, vh = np.linalg.svd(self.table("u")[np.triu_indices(8)])
-        vh.setflags(write=False)
-        return s.tolist(), vh
+    def sigma(self) -> list[float]:
+        """Per module A1, A2, B, C, twice a singular value of the rows U[i, j, :] (i <= j), with its root vectors for
+        right singular vectors: their Gram matrix there is sigma_k^2 I_2, 1/4 the sum of U[i, j, k']^2 over i, j, k'."""
+        a1, a2, b1, b2, c1, c2 = self.ratios  # with the A, B, C module on top, alpha = 1, 2
+        return [0.5 * abs(b1 - c1), 0.5 * abs(b2 - c2), 0.5 * math.hypot(c1 - a1, c2 - a2),
+                0.5 * math.hypot(b1 - a1, b2 - a2)]
+
+    def isometries(self, tol: float) -> list[list[float]]:
+        """The kernel of the rows: the root vectors of each module with sigma_k <= tol max sigma; A~1..A~4 for both."""
+        kept = [not s > tol * (max(self.sigma) or 1.0) for s in self.sigma]  # all, where every sigma_k is 0
+        basis = [[dict(row).get(i, 0.0) for i in range(8)] for a, row in enumerate(self.root_vectors) if kept[a // 2]]
+        if kept[0] and kept[1]:  # the A block, spanned by the frame vectors themselves
+            basis[:4] = [[float(i == j) for j in range(8)] for i in range(4)]
+        return basis
 
     @cached_property
     def frame(self) -> np.ndarray:
@@ -230,35 +228,35 @@ class _Geometry:
         return math.sqrt(y1 / (y1 + y2)), math.sqrt(y2 / (y1 + y2))
 
     @property
-    def rotation(self) -> np.ndarray:
-        """Q[a, i]: adapted frame vector i in the root frame."""
+    def root_vectors(self) -> list[list[tuple[int, float]]]:
+        """Root frame vector a in the adapted frame, row a of Q, as its (i, Q[a, i]) with Q[a, i] != 0."""
         (c, s), p = self._cos_sin, self.params
-        return (c * _QC + s * _QS + _QB) * np.sign([p.t, p.t, 1.0, 1.0, p.v, p.v, p.w, p.w])
+        ct, st, sv, sw = math.copysign(c, p.t), math.copysign(s, p.t), math.copysign(1.0, p.v), math.copysign(1.0, p.w)
+        return [[(0, ct), (3, s)], [(1, ct), (2, -s)], [(0, st), (3, -c)], [(1, st), (2, c)],
+                [(4, sv)], [(5, sv)], [(6, sw)], [(7, sw)]]
 
-    def table(self, name: str) -> np.ndarray:
-        """The support values ``name`` presented in the adapted frame, (8, 8, 8), built once."""
-        _arrays()
+    def table(self, name: str) -> array:
+        """The support values ``name`` presented in the adapted frame, (8, 8, 8) flat in C order, built once.  Q has
+        two nonzeros in a row of A, one in B, C: each entry sums at most two products, each rounded once, any order."""
         tables = vars(self).setdefault("_tables", {})
         if name not in tables:
-            table, q = _dense(getattr(self, name)), self.rotation
-            for _ in range(3):  # contract the last index with Q and bring it to the front: k, then j, then i
-                # products then sums, with no fused multiply-add, so that terms that cancel leave exact zeros
-                table = (table[..., None] * q).sum(axis=-2).transpose(2, 0, 1)
-            table += 0.0  # and no -0.0
-            table.setflags(write=False)
-            tables[name] = table
+            table, q = defaultdict(float), self.root_vectors
+            for index, x in zip(_INDEX, getattr(self, name)):  # products then sums, with no fused multiply-add,
+                for (i, qi), (j, qj), (k, qk) in product(q[index // 64], q[index // 8 % 8], q[index % 8]):
+                    table[64 * i + 8 * j + k] += x * qi * qj * qk  # so that terms that cancel leave exact zeros
+            tables[name] = array("d", [table.get(index, 0.0) + 0.0 for index in range(512)])  # and no -0.0
         return tables[name]
 
     @cached_property
-    def ricci(self) -> np.ndarray:
-        """Q^T diag(r) Q entry by entry, so that r1 = r2 (u = 0) leaves rho(A~1, A~4) = 0 exactly."""
-        _arrays()
+    def ricci(self) -> tuple[tuple[float, ...], ...]:
+        """Q^T diag(r) Q entry by entry, its 8 rows: r1 = r2 (u = 0) leaves rho(A~1, A~4) = 0 exactly."""
         (c, s), (r1, r2, r3, r4) = self._cos_sin, self.r
-        rho = np.diag(np.take([c * c * r1 + s * s * r2, s * s * r1 + c * c * r2, r3, r4], _MODULE))
+        rho = [0.0] * 64
+        rho[::18] = rho[9::18] = [c * c * r1 + s * s * r2, s * s * r1 + c * c * r2, r3, r4]  # the diagonal
         off = math.copysign(1.0, self.params.t) * c * s * (r1 - r2)
-        rho[[0, 3, 1, 2], [3, 0, 2, 1]] = np.multiply(off, [1, 1, -1, -1]) + 0.0
-        rho.setflags(write=False)
-        return rho
+        rho[3] = rho[24] = off + 0.0  # (A~1, A~4) and (A~4, A~1), with no -0.0
+        rho[10] = rho[17] = -off + 0.0  # (A~2, A~3) and (A~3, A~2)
+        return tuple(tuple(rho[i:i + 8]) for i in range(0, 64, 8))
 
 
 _cached_geometry = lru_cache(maxsize=256)(_Geometry)  # a point that the guard or the program refuses leaves no entry
@@ -353,7 +351,7 @@ def ricci(form: AdaptedForm) -> np.ndarray:
     :func:`orthonormal_frame` for the form's parameters; a bare Gram
     matrix is read as its parameters (|t|, u, |v|, |w|).
     """
-    return _geometry(form).ricci
+    return np.array(_geometry(form).ricci)
 
 
 def ledger(x, y, z, form: AdaptedForm) -> float:
@@ -366,21 +364,26 @@ def ledger(x, y, z, form: AdaptedForm) -> float:
     return float(_apply(geo, _dense(geo.ledger), x, y, z))
 
 
+def _presented(p: MetricParams, name: str) -> np.ndarray:  # a new array of the table ``name``
+    _arrays()
+    return np.array(_cached_geometry(p).table(name)).reshape(8, 8, 8)
+
+
 def bracket_table(p: MetricParams) -> np.ndarray:
     """Projected brackets on frame pairs: table[i, j, :] = [E_i, E_j]_m in frame coordinates."""
-    return _cached_geometry(p).table("c")
+    return _presented(p, "c")
 
 
 def u_table(p: MetricParams) -> np.ndarray:
     """U on frame pairs, frame coordinates; symmetric in the first two indices."""
-    return _cached_geometry(p).table("u")
+    return _presented(p, "u")
 
 
 def nomizu_table(p: MetricParams) -> np.ndarray:
     """Connection coefficients on frame pairs: table[i, j, :] = nabla_{E_i} E_j."""
-    return _cached_geometry(p).table("n")
+    return _presented(p, "n")
 
 
 def ledger_table(p: MetricParams) -> np.ndarray:
     """First Ledger form on all frame triples (8x8x8, fully symmetric)."""
-    return _cached_geometry(p).table("ledger")
+    return _presented(p, "ledger")

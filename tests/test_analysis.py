@@ -126,32 +126,53 @@ def _fresh_isometries(p: MetricParams, tol: float) -> np.ndarray:
     return vh[int(np.sum(s > cutoff)):].T.copy()
 
 
-def test_a_cached_point_answers_isometry_queries_without_a_new_svd(monkeypatch):
-    p = MetricParams(1.0, 0.5, 2.0, 2.0)
-    geometry._cached_geometry.cache_clear()
-    svd, calls = np.linalg.svd, []
-    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
-    first = infinitesimal_isometries(p)
-    assert len(calls) == 1
-    first[:] = 7.0  # the caller's array, not the cache's
-    again, coarse = infinitesimal_isometries(p), infinitesimal_isometries(p, 0.5)
-    assert len(calls) == 1
-    assert not geometry._cached_geometry(p).u_svd[1].flags.writeable
-    monkeypatch.undo()
-    assert again.tobytes() == _fresh_isometries(p, DEFAULT_TOL).tobytes() and again.shape == (8, 4)
-    assert coarse.tobytes() == _fresh_isometries(p, 0.5).tobytes()
+def _projector(basis: np.ndarray) -> np.ndarray:
+    return basis @ basis.T
 
 
-def test_the_cached_svd_gives_each_tolerance_what_a_fresh_one_gives():
+def test_isometry_queries_form_no_svd_and_span_what_a_fresh_svd_spans(monkeypatch):
+    # the closed form against the reference SVD of U's rows: the same dimension, the same kernel to 1e-12,
+    # and no query calls np.linalg.svd
     rng = np.random.default_rng(18)
     points = [MetricParams(*params) for params, _, _ in CASES] + [sample_params(rng) for _ in range(40)]
+    svd, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
+    geometry._cached_geometry.cache_clear()
+    got = {(p, tol): infinitesimal_isometries(p, tol) for p in points for tol in (DEFAULT_TOL, 0.5)}
+    assert calls == []
+    monkeypatch.undo()
     dims = set()
-    for p in points:
-        for tol in (DEFAULT_TOL, 0.5):
-            got, want = infinitesimal_isometries(p, tol), _fresh_isometries(p, tol)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (p, tol)
-            dims.add((tol, got.shape[1]))
+    for (p, tol), basis in got.items():
+        want = _fresh_isometries(p, tol)
+        assert basis.shape == want.shape, (p, tol)
+        assert np.max(np.abs(_projector(basis) - _projector(want)), initial=0.0) <= 1e-12, (p, tol)
+        dims.add((tol, basis.shape[1]))
     assert {d for tol, d in dims if tol == 0.5} != {d for tol, d in dims if tol == DEFAULT_TOL}  # the cut moves
+
+
+def _isometry_corpus(rng: np.random.Generator, n: int) -> list[MetricParams]:
+    """Seeded points, |t| log-uniform in [1e-3, 1e3]: generic, v = w, u = 0 with w = |t|, the round point."""
+    points = []
+    for i in range(n):
+        t = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0)
+        u = rng.uniform(-1.9, 1.9) * t * t
+        v, w = (rng.choice([-1.0, 1.0]) * abs(t) * 10.0 ** rng.uniform(-1.0, 1.0) for _ in range(2))
+        if i % 4 == 1:
+            w = v
+        elif i % 4 == 2:
+            u, w = 0.0, abs(t)
+        elif i % 4 == 3:
+            u, v, w = 0.0, rng.choice([-1.0, 1.0]) * t, abs(t)
+        points.append(MetricParams(t, u, v, w))
+    return points
+
+
+def test_the_singular_values_are_one_per_module_each_twice():
+    # U's rows on the frame pairs i <= j: numpy's singular values are the four closed-form sigma_k, each twice
+    for p in _isometry_corpus(np.random.default_rng(21), 1200):
+        s = np.linalg.svd(geometry.u_table(p)[np.triu_indices(8)], compute_uv=False)
+        sigma = np.repeat(sorted(geometry._cached_geometry(p).sigma, reverse=True), 2)
+        assert np.max(np.abs(s - sigma)) <= 1e-15 * s[0], p
 
 
 # ----------------------------------------------------------------------

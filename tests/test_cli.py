@@ -276,6 +276,35 @@ def test_isometries_text(capsys, point, names):
         assert [line.lstrip(" +-") for line in lines[1:]] == [f"1 {name}" for name in names]
 
 
+def test_isometries_text_shows_every_nonzero_entry(capsys):
+    # under a tolerance that keeps every module, the basis is the adapted frame, each entry exactly 1
+    code, out, _ = run_cli(capsys, "isometries", "--t", "1", "--u", "0", "--v", "1", "--w", "1", "--tol", "1e308")
+    assert code == 0
+    assert out.splitlines() == ["dimension: 8"] + [f"  +1 {name}" for name in metric.FRAME_NAMES]
+
+
+def test_isometry_entries_are_exact(capsys):
+    # u = 0 and w = |t|: the kernel is the B module, whose basis entries are exactly 1 and 0, where an SVD's
+    # would read -0.9999999999999999 and 1e-16
+    argv = ["isometries", "--t", "-72.95950902050484", "--u", "0.0", "--v", "19.736687683341707",
+            "--w", "72.95950902050484"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    b1, b2 = [0.0] * 8, [0.0] * 8
+    b1[4] = b2[5] = 1.0
+    assert json.loads(out)["basis"] == [b1, b2]
+    assert run_cli(capsys, *argv)[1].splitlines() == ["dimension: 2", "  +1 B~1", "  +1 B~2"]
+    # the A module of e1 - e2 alone: its root vectors sgn t (c A~1 + s A~4) and sgn t c A~2 - s A~3, with
+    # c, s = sqrt(x1, x2 / 2t^2) and exact zeros
+    code, out, _ = run_cli(capsys, "isometries", "--t", "-1", "--u", "1.9", "--v", "1.2", "--w", "0.8", "--tol", "0.1",
+                           "--format", "json")
+    assert code == 0
+    (a1, a2) = json.loads(out)["basis"]
+    c, s = math.sqrt(1.95 / 2), math.sqrt(0.05 / 2)
+    assert [a1[i] for i in (1, 2, 4, 5, 6, 7)] == [a2[i] for i in (0, 3, 4, 5, 6, 7)] == [0.0] * 6
+    assert [a1[0], a1[3], a2[1], a2[2]] == pytest.approx([-c, s, -c, -s], rel=1e-15)
+
+
 def test_ledger_residual_report(capsys):
     code, out, _ = run_cli(
         capsys, "ledger", "--t", "1", "--u", "0", "--v", "1", "--w", "2", "--format", "json"
@@ -1036,27 +1065,15 @@ def _pinned_argvs(command: str, fmt: str, tmp_path) -> list[list[str]]:
     return [["inspect", "--format", fmt], ["inspect", "--algebra", str(path), "--format", fmt]]
 
 
-def _svd_digest() -> str:
-    """sha256 of numpy's SVD (s and vh) of U's rows on the frame pairs i <= j at each pinned point."""
-    digest = hashlib.sha256()
-    for p in _pinned_points():
-        _, s, vh = np.linalg.svd(geometry.u_table(metric.MetricParams(*p))[np.triu_indices(8)])
-        digest.update(s.tobytes() + vh.tobytes())
-    return digest.hexdigest()
-
-
 # sha256 over each argv's exit code and stdout, in order.  The tables, the Ricci matrix and the
-# isometry basis print every float, so a digest also pins numpy's own results.  Only the isometry basis
-# comes from LAPACK, whose last bits (and the signs of singular vectors) may differ between builds and
-# CPUs: those two digests are compared only where the SVDs of the corpus are the ones pinned here.
-_SVD_PINNED = "05e578fe5bfb8277ef109972c2a935909d932b1e72bbd494dd0274a0967ad529"
+# isometry basis print every float, so a digest also pins how each was rounded.
 _PINNED = {
     ("tables", "text"): "82fd998443b19398f75facc233ce5d10766775790567d7089aaae1840a9fc077",
     ("tables", "json"): "6ae86c6b10ff63b9caf0894194acf30e5f0d45847aeb7e076f32412712cde10d",
     ("ricci", "text"): "53099fbf1dbb8be64127245ffaa0a1b0e324975f202ea94e10dd47bdde0347bf",
     ("ricci", "json"): "188223be2f0492561826f5692f7230e4d762124d22ae324a537dc56a74b44912",
-    ("isometries", "text"): "b71379dc75be14410fd75fa123baf7e96b127cb87c27b7b68db60ff532fc8678",
-    ("isometries", "json"): "35478e32717667ce63fa3adeab9b9335ee6c676a07c11d2c741be9da3ab3025a",
+    ("isometries", "text"): "af8d13691668db345f6da22a554c4ef11cb83bb2495b2a1e627e697b91a1df69",
+    ("isometries", "json"): "57b7ba61b1121fa50cdda8bcc00f98bab7e89e168021accfbec74646d89f0460",
     ("check-nr", "text"): "a4597ebda36854e62ccb761d2635a8c3f9603c386d1475d214ad4967f2af8a29",
     ("check-nr", "json"): "c01b221259e14491ac5910d63982c6bd2c3276aa81f1cd6da51902168004656a",
     ("ledger", "text"): "8c1134ed9b39e8d0e315f2ec8ca24c43626bd2f76037e4e80612e0d2ed9cd2ef",
@@ -1068,8 +1085,6 @@ _PINNED = {
 
 @pytest.mark.parametrize("command,fmt", list(_PINNED))
 def test_every_stdout_byte_is_pinned(capsys, tmp_path, command, fmt):
-    if command == "isometries" and _svd_digest() != _SVD_PINNED:
-        pytest.skip("this numpy's SVD rounds the corpus differently from the one the digests were pinned with")
     digest = hashlib.sha256()
     for argv in _pinned_argvs(command, fmt, tmp_path):
         code, out, _ = run_cli(capsys, *argv)

@@ -268,6 +268,27 @@ def test_the_half_killing_constants_are_the_bits_numpy_derives():
     assert geometry._HALF_KILLING == [3.0000000000000004, 3.0000000000000004, 3.0, 3.0]
 
 
+def test_the_support_is_the_one_numpy_derives_from_so5():
+    # the generated support against c0 = the structure constants of m in P as numpy forms them from build_so5():
+    # each entry's index, c0, the ratio columns of k, i and j, L's sign and the triple, in np.nonzero's order
+    geometry._arrays()
+    p, module = geometry._P, geometry._MODULE
+    raw = np.tensordot(p, np.tensordot(p, geometry._CM @ p, (0, 1)), (0, 1))  # c0[i, j, k], as P^-1 = P^T
+    c0 = np.where(np.abs(raw) > 0.5, np.copysign(np.sqrt(0.5), raw), 0.0)  # exactly +-1/sqrt 2 or 0
+    assert np.max(np.abs(raw - c0)) <= 1e-15
+    entries = list(zip(*np.nonzero(c0)))
+    i, j, k = np.array(entries).T
+    triple = np.minimum(np.minimum(module[i], module[j]), module[k])
+    column = 2 * np.maximum(module[[k, i, j]] - 1, 0) + triple
+    sign = [-c0[tuple(sorted(e))] for e in entries]
+    derived = [64 * i + 8 * j + k, c0[i, j, k], *column, sign, triple]
+    assert len(entries) == 48
+    for got, want in zip((geometry._INDEX, geometry._C0, geometry._RK, geometry._RI, geometry._RJ,
+                          geometry._L_SIGN, geometry._TRIPLE), derived):
+        assert [x.hex() if isinstance(x, float) else x for x in got] == \
+            [x.hex() if isinstance(x, float) else x for x in np.asarray(want).tolist()]
+
+
 def test_ricci_u_zero_degeneracies():
     p = MetricParams(1.4, 0, 0.8, 1.9)
     rho = ricci(build_form(p))

@@ -64,7 +64,7 @@ def test_dir_and_star_import_give_the_exported_names():
 
 
 # ----------------------------------------------------------------------
-# numpy off the verdict path: what a fresh process imports
+# numpy only where an array is formed: what a fresh process imports
 # ----------------------------------------------------------------------
 
 def _fresh(statement: str) -> tuple[str, bool]:
@@ -90,6 +90,10 @@ _VERDICT_PATH = {
     "sweep": _main("sweep", "--branch", "u1", "--S-min", "0.34", "--S-max", "1.43", "--S-steps", "50"),
     "ledger": _main("ledger", *_POINT),
     "ledger json": _main("ledger", *_POINT, "--format", "json"),
+    "tables json": _main("tables", *_POINT, "--format", "json"),
+    "ricci json": _main("ricci", *_POINT, "--format", "json"),
+    "check-nr json": _main("check-nr", *_POINT, "--format", "json"),
+    "isometries": _main("isometries", *_POINT),
     "unknown name": "import zksym\nassert not hasattr(zksym, 'no_such_name')",
 }
 
@@ -102,8 +106,8 @@ def test_the_verdict_path_imports_no_numpy(statement):
 @pytest.mark.parametrize("argv", [("tables", *_POINT), ("ricci", *_POINT), ("isometries", *_POINT, "--format", "json"),
                                   ("check-nr", *_POINT), ("inspect",), ("ledger", *_POINT)], ids=" ".join)
 def test_a_fresh_process_prints_what_this_one_does(argv, capsys):
-    # the array commands build geometry's arrays on their first call, and numpy with them
+    # the point commands print Python floats; only inspect forms arrays, and loads numpy with them
     assert main(list(argv)) == 0
     out, numpy_loaded = _fresh(_main(*argv))
     assert out == capsys.readouterr().out
-    assert numpy_loaded is (argv[0] != "ledger")
+    assert numpy_loaded is (argv[0] == "inspect")
