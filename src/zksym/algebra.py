@@ -148,11 +148,7 @@ class GradedLieAlgebra:
     @property
     def labels(self) -> tuple[GradingLabel, ...]:
         """Distinct labels in order of first appearance."""
-        seen: list[GradingLabel] = []
-        for lab in self.grading:
-            if lab not in seen:
-                seen.append(lab)
-        return tuple(seen)
+        return tuple(dict.fromkeys(self.grading))
 
     def index(self, name: str) -> int:
         return self.names.index(name)

@@ -17,7 +17,7 @@ command stops quietly and exits 1.
 
 from __future__ import annotations
 
-import argparse
+import collections
 import functools
 import itertools
 import json
@@ -25,6 +25,7 @@ import math
 import os
 import re
 import sys
+import types
 from pathlib import Path
 
 from .analysis import (S_INTERVAL_U0, S_INTERVAL_UNONZERO, _reduced_system, first_ledger_verdict,
@@ -47,15 +48,6 @@ class _UsageError(Exception):
 # negative numbers, exponent notation included; argparse's own pattern
 # reads "-5.8e-05" as an option and refuses it as a value
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
-
-
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = _NEGATIVE_NUMBER
-
-    def error(self, message):
-        raise _UsageError(message)
 
 
 # ----------------------------------------------------------------------
@@ -163,7 +155,8 @@ def _print_grid(table, names, threshold: float) -> None:
 
 def _block_summary(alg) -> dict[str, int]:
     names = _LABEL_NAMES if alg.k == 2 else {}
-    return {names.get(str(label), str(label)): len(alg.label_indices(label)) for label in alg.labels}
+    # one pass; a Counter keeps first appearance, the order of alg.labels
+    return {names.get(str(label), str(label)): n for label, n in collections.Counter(alg.grading).items()}
 
 
 def cmd_inspect(args) -> None:
@@ -328,52 +321,97 @@ def cmd_sweep(args) -> None:
 # parser
 # ----------------------------------------------------------------------
 
-# name: (help, handler, takes --t/--u/--v/--w/--params), in the order of the help text
+# One option of a command: flag, dest, type (None keeps the string), choices, default, required, help.
+_TOL = ("--tol", "tol", float, None, None, False, "tolerance (default: ZKSYM_TOL or 1e-9)")
+_FORMAT = ("--format", "format", None, ("text", "json"), "text", False, None)
+_BRANCH = ("--branch", "branch", None, ("u0", "u1"), None, True, None)
+_POINT_OPTIONS = (_TOL, _FORMAT, *((f"--{key}", key, float, None, None, False, None) for key in "tuvw"),
+                  ("--params", "params", None, None, None, False, "JSON or TOML file with keys t, u, v, w"))
+
+# name: (help, handler, options), in the order of the help text
 _COMMANDS = {
-    "inspect": ("report the built-in graded so(5) or a serialized algebra", cmd_inspect, False),
-    "tables": ("bracket and U tables in the orthonormal frame", _point(cmd_tables, frame=True), True),
-    "ricci": ("Ricci matrix in the orthonormal frame", _point(cmd_ricci, frame=True), True),
-    "isometries": ("basis of infinitesimal isometries contained in m", _point(cmd_isometries, frame=True), True),
-    "check-nr": ("test natural reductivity", _point(cmd_check_nr, frame=False), True),
-    "ledger": ("residuals of the first Ledger condition", _point(cmd_ledger, frame=False), True),
-    "solve": ("solution families of the first Ledger condition at one S", cmd_solve, False),
-    "sweep": ("stream solution records over an S grid (one JSON per line)", cmd_sweep, False),
+    "inspect": ("report the built-in graded so(5) or a serialized algebra", cmd_inspect,
+                (_TOL, _FORMAT, ("--algebra", "algebra", None, None, None, False,
+                                 "JSON file holding a serialized algebra"))),
+    "tables": ("bracket and U tables in the orthonormal frame", _point(cmd_tables, frame=True), _POINT_OPTIONS),
+    "ricci": ("Ricci matrix in the orthonormal frame", _point(cmd_ricci, frame=True), _POINT_OPTIONS),
+    "isometries": ("basis of infinitesimal isometries contained in m", _point(cmd_isometries, frame=True),
+                   _POINT_OPTIONS),
+    "check-nr": ("test natural reductivity", _point(cmd_check_nr, frame=False), _POINT_OPTIONS),
+    "ledger": ("residuals of the first Ledger condition", _point(cmd_ledger, frame=False), _POINT_OPTIONS),
+    "solve": ("solution families of the first Ledger condition at one S", cmd_solve,
+              (_TOL, _FORMAT, _BRANCH, ("--S", "S", float, None, None, False, None))),
+    "sweep": ("stream solution records over an S grid (one JSON per line)", cmd_sweep,
+              (_TOL, _FORMAT, _BRANCH, ("--S-min", "S_min", float, None, None, True, None),
+               ("--S-max", "S_max", float, None, None, True, None),
+               ("--S-steps", "S_steps", int, None, 50, False, None))),
 }
+_FLAGS = {name: {option[0]: option for option in options} for name, (_, _, options) in _COMMANDS.items()}
+
+
+def _read_argv(argv: list[str]) -> types.SimpleNamespace | None:
+    """The namespace build_parser() gives for a command name followed by exact --flag value pairs.
+
+    None for any other argv (help, abbreviated flags, --flag=value, --, a value that does not
+    convert or is not a choice, a missing required flag): argparse then decides, as the reference.
+    """
+    if len(argv) % 2 != 1 or argv[0] not in _FLAGS:
+        return None
+    flags, values = _FLAGS[argv[0]], {}
+    for i in range(1, len(argv), 2):
+        option, value = flags.get(argv[i]), argv[i + 1]
+        # argparse reads a value that starts with "-" as a flag unless it is a negative number
+        if option is None or value[:1] == "-" and not _NEGATIVE_NUMBER.match(value):
+            return None
+        _, dest, kind, choices, _, _, _ = option
+        if kind is not None:
+            try:
+                value = kind(value)
+            except ValueError:
+                return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value  # a repeated flag keeps its last value
+    _, handler, options = _COMMANDS[argv[0]]
+    namespace = {"command": argv[0]}
+    for _, dest, _, _, default, required, _ in options:
+        if dest not in values and required:
+            return None
+        namespace[dest] = values.get(dest, default)
+    return types.SimpleNamespace(**namespace, func=handler)
+
+
+def _usage_error(message: str):
+    raise _UsageError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="zksym", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    subs = parser.add_subparsers(dest="command", required=True)
-    parsers = {}
-    for name, (help_text, handler, takes_params) in _COMMANDS.items():
-        sp = parsers[name] = subs.add_parser(name, help=help_text)
-        sp.add_argument("--tol", type=float, default=None, help="tolerance (default: ZKSYM_TOL or 1e-9)")
-        sp.add_argument("--format", choices=("text", "json"), default="text")
-        if takes_params:
-            for key in ("t", "u", "v", "w"):
-                sp.add_argument(f"--{key}", type=float, default=None)
-            sp.add_argument("--params", default=None, help="JSON or TOML file with keys t, u, v, w")
-        sp.set_defaults(func=handler)
+    import argparse  # loaded only for help and usage errors
 
-    parsers["inspect"].add_argument("--algebra", default=None, help="JSON file holding a serialized algebra")
-    for name in ("solve", "sweep"):
-        parsers[name].add_argument("--branch", choices=("u0", "u1"), required=True)
-    parsers["solve"].add_argument("--S", type=float, default=None)
-    parsers["sweep"].add_argument("--S-min", dest="S_min", type=float, required=True)
-    parsers["sweep"].add_argument("--S-max", dest="S_max", type=float, required=True)
-    parsers["sweep"].add_argument("--S-steps", dest="S_steps", type=int, default=50)
+    parser = argparse.ArgumentParser(prog="zksym", description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, handler, options) in _COMMANDS.items():
+        sp = subs.add_parser(name, help=help_text)
+        for flag, dest, kind, choices, default, required, option_help in options:
+            sp.add_argument(flag, dest=dest, type=kind, choices=choices, default=default, required=required,
+                            help=option_help)
+        sp.set_defaults(func=handler)
+    # set on each instance: a subclass would be a new class on every call, which slows the build by a fifth
+    for p in (parser, *subs.choices.values()):
+        p.error, p._negative_number_matcher = _usage_error, _NEGATIVE_NUMBER
     return parser
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser of this process, built on the first call of main; parse_args leaves it unchanged."""
+    """The parser of this process, built on the first argv the table reader declines; parse_args leaves it unchanged."""
     return build_parser()
 
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _read_argv(sys.argv[1:] if argv is None else argv) or _parser().parse_args(argv)
         args.func(args)
     except (_UsageError, InvalidParamsError) as exc:
         print(f"error: {exc}", file=sys.stderr)

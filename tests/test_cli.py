@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import hashlib
 import io
@@ -10,9 +11,11 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import zksym
 from zksym import GradedLieAlgebra, algebra_to_dict, analysis, build_so5, cli, geometry, metric, so5
@@ -728,7 +731,7 @@ def test_failed_verification_prints_every_record_then_one_line(capsys, argv, n):
 
 
 # ----------------------------------------------------------------------
-# one parser per process, one residual computation per solution
+# the option table, and one parser per process for what it declines
 # ----------------------------------------------------------------------
 
 def test_main_builds_the_parser_once(capsys, monkeypatch):
@@ -740,9 +743,122 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "build_parser", counting_build_parser)
     cli._parser.cache_clear()
-    for argv in (("inspect",), ("ricci", *_POINT), ("ricci", "--nope", "1"), ("solve", "--branch", "u0", "--S", "5")):
+    # a well-formed command line is read from the option table: no parser
+    for argv in (("inspect",), ("ricci", *_POINT), ("solve", "--branch", "u0", "--S", "5"), ("solve", "--branch", "u0")):
+        run_cli(capsys, *argv)
+    assert built == []
+    # the first argv the table declines builds the parser, and later ones reuse it
+    for argv in (("ricci", "--nope", "1"), ("solve", "--br", "u0", "--S=5"), ("ricci", *_POINT, "--form", "json")):
         run_cli(capsys, *argv)
     assert len(built) == 1
+
+
+def _outcome(argv) -> tuple[object, str, str]:
+    """Exit code (or SystemExit code, for help), stdout and stderr of one in-process main call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _argparse_outcome(argv) -> tuple[object, str, str]:
+    """_outcome with the option table reader declining every argv, so argparse parses it."""
+    with mock.patch.object(cli, "_read_argv", lambda argv: None):
+        return _outcome(argv)
+
+
+_ALL_FLAGS = sorted({flag for flags in cli._FLAGS.values() for flag in flags})
+_ODD_FLAGS = ["--form", "--br", "--S-m", "--S-st", "--par", "--tol=1e-3", "--format=json", "--S=5", "--t=-1",
+              "--", "-h", "--help", "--nope", "-t"]
+_VALUES = ["-5.8e-05", "-1E-3", "-inf", "inf", "nan", "1_0", " 5", "5 ", "", "-", "-.5", "-0", "0x10", "9" * 401,
+           "text", "json", "xml", "JSON", "u0", "u1", "u2", "1", "2", "3", "5", "0.5", "-2", "1e-300", "1e400"]
+
+
+@st.composite
+def _command_lines(draw) -> list[str]:
+    """A command (or not), then flag-value pairs mostly of its own flags, with odd flags and stray tokens mixed in."""
+    command = draw(st.sampled_from([*cli._COMMANDS, "tab", "-h", ""]))
+    own = sorted(cli._FLAGS.get(command, _ALL_FLAGS))
+    argv = [command]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 9))
+        if kind < 6:
+            argv += [draw(st.sampled_from(own)), draw(st.sampled_from(_VALUES))]
+        elif kind < 8:
+            argv += [draw(st.sampled_from(_ALL_FLAGS + _ODD_FLAGS)), draw(st.sampled_from(_VALUES))]
+        else:
+            argv.append(draw(st.sampled_from(_ALL_FLAGS + _ODD_FLAGS + _VALUES)))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_command_lines())
+@example(["ricci", *_POINT, "--u", "-5.8e-05", "--tol", "-1E-3"])
+@example(["ricci", *_POINT, "--t", "-inf"])
+@example(["check-nr", *_POINT, "--v", "nan", "--w", "1_0", "--t", " 5"])
+@example(["sweep", "--branch", "u0", "--S-min", "2", "--S-max", "3", "--S-steps", "9" * 401])
+@example(["sweep", "--branch", "u0", "--S-min", "2", "--S-max", "3"])
+@example(["sweep", "--branch", "u0", "--S-max", "3"])
+@example(["solve", "--branch", "u2", "--S", "5"])
+@example(["solve", "--S", "5", "--branch", "u1", "--branch", "u0", "--S", "4", "--format", "json"])
+@example(["ledger", *_POINT, "--format", "xml"])
+@example(["ledger", *_POINT, "--params", ""])
+@example(["tables", *_POINT, "--params", "-"])
+@example([])
+def test_the_option_table_reads_argv_as_argparse_does(argv):
+    namespace = cli._read_argv(argv)
+    if namespace is not None:
+        # repr tells nan from nan and 10 from 10.0
+        reference = cli.build_parser().parse_args(argv)
+        assert {k: repr(v) for k, v in vars(namespace).items()} == {k: repr(v) for k, v in vars(reference).items()}
+    assert _outcome(argv) == _argparse_outcome(argv)
+
+
+# sha256 over the exit code, stdout and stderr at 80 columns, recorded under Python 3.11 when
+# argparse parsed every argv: help, usage errors and the spellings only argparse reads
+_HELP_AND_USAGE = {
+    ("-h",): "95871f2c2793b06b0bb7ebcce31f13642b505aaad1b5ecdb847aa4463d1f7692",
+    ("inspect", "-h"): "5cd6b68c9677a6f1c3410ae0a1ef335bde1e3b584c9fefb868c375afc51be178",
+    ("tables", "-h"): "9147d1241d3304dd235db65841afa09f6859318a46f1b542c41243cc26186640",
+    ("ricci", "-h"): "2a3d21514549ee728c832aaa77297145b81c3f40d5a1be9e6c959b3bab06f692",
+    ("isometries", "-h"): "fba7152dfaf655ecc6e311de9d0f91e1ee645c944f137f9e85e2b59b49d26738",
+    ("check-nr", "-h"): "ef9d7fe9dabba2e693dcc74d3dfad5c333e945216c91679b43ef81619d66a619",
+    ("ledger", "-h"): "b7a211c433a84e49838a0707878255055bd8e0e268b030cfa310815c8620b183",
+    ("solve", "-h"): "258a40464bb9b729d11fb20763976435ebb3df9b90189b42b6840399967bea13",
+    ("sweep", "-h"): "acbe4458057456f6f86c8fc68c0105add7a7f238aaa5373f20a41beeca35780e",
+    (): "92395aeb452224cec80df6e2a35d14fe0d12f006c587ff798bfb429da298b498",
+    ("nope",): "04bd45f7ec8251ad5857315283eba171e4bff479c7fad449410c84ad66085a27",
+    ("--form", "json"): "ee0e9f083502cb7cebf4260fe1c2ab5ae857e41352d7bafce873d53606b22ed8",
+    ("ricci", *_POINT, "--form", "json"): "c7327f64441ff76dd3107e5177e1634106985b5bbca7c86c59e47681441071bc",
+    ("solve", "--br", "u0", "--S=5"): "03a20e7b2f523f0bb3013c21089c69f6c70b9c261c3fcd20d01755abfabb0483",
+    ("ricci", "--nope", "1"): "48da723bae4d6b517a158008eb0dec9e5553a584e0296e9513170f6b70841c45",
+    ("solve", "--branch", "u0"): "132b487fe91b70eef642958d5849a6427c0cc0d121eeb333732f6854d1ae4cfd",
+    ("solve", "--S", "5"): "86ec6fe37b7cd4dc6e870fe79ad63f3ffd235a78a47ac66a85bfb62a920ae381",
+    ("tables", *_POINT, "--format", "xml"): "30e9e1a06c6308354e7aab03f9d5aace5704aa6e833de1704ef4f3f98fe32a19",
+    ("ricci", "--t", "-inf", "--u", "1", "--v", "1", "--w", "2"):
+        "c1f3874b299eaddf75cb5e68e7afd062fd0b74b795b3432f09f50342356f9085",
+    ("ledger", *_POINT, "--tol=-1E-3"): "54f79332709f7cdcbe4fad3a00ceef41954dee8ab8bed17bb47ef5f81bd828cd",
+    ("sweep", "--branch", "u0", "--S", "2", "--S-max", "3"):
+        "9200d4d1fe87e67f66b3139ca210a3495fc0edce6d8f0330f54e1d991f1e892a",
+    ("sweep", "--branch", "u0", "--S-min", "2", "--S-max", "3", "--S-steps", "2.5"):
+        "87f3c6aec2d23e8ce57f3af6cd94cab6c2ec274483e8acbdd4b90df95c9f97be",
+    ("ricci", "--t", "5", *_POINT): "0a8bc8ba2f53332cdb9c93b17344f082a94540b83c50bc2bdf64947dbb6e5849",
+    ("tables", *_POINT, "--", "x"): "70af0fc5dcfd2d19afef7fb5b85815bdea4dabad4354e804d2763abfdc6b4038",
+    ("ricci", *_POINT, "--t"): "c1f3874b299eaddf75cb5e68e7afd062fd0b74b795b3432f09f50342356f9085",
+}
+
+
+@pytest.mark.parametrize("argv", list(_HELP_AND_USAGE), ids=" ".join)
+def test_help_and_usage_errors_are_pinned(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its help text to the terminal width
+    monkeypatch.delenv("ZKSYM_TOL", raising=False)
+    code, out, err = _outcome(argv)
+    assert (code, out, err) == _argparse_outcome(argv)
+    if sys.version_info[:2] == (3, 11):  # argparse's wording changes between Python versions
+        assert hashlib.sha256(f"{code}\n{out}\0{err}".encode()).hexdigest() == _HELP_AND_USAGE[argv]
 
 
 def _fresh_process(argv, env):

@@ -67,11 +67,11 @@ def test_dir_and_star_import_give_the_exported_names():
 # numpy only where an array is formed: what a fresh process imports
 # ----------------------------------------------------------------------
 
-def _fresh(statement: str) -> tuple[str, bool]:
-    """Run a statement in a fresh interpreter on this checkout; its stdout and whether it imported numpy."""
+def _fresh(statement: str, module: str = "numpy") -> tuple[str, bool]:
+    """Run a statement in a fresh interpreter on this checkout; its stdout and whether it imported the module."""
     src = str(Path(zksym.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = f"import sys\n{statement}\nprint('numpy' in sys.modules, file=sys.stderr)\n"
+    code = f"import sys\n{statement}\nprint({module!r} in sys.modules, file=sys.stderr)\n"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout, {"False": False, "True": True}[proc.stderr.splitlines()[-1]]
@@ -101,6 +101,12 @@ _VERDICT_PATH = {
 @pytest.mark.parametrize("statement", _VERDICT_PATH.values(), ids=_VERDICT_PATH)
 def test_the_verdict_path_imports_no_numpy(statement):
     assert _fresh(statement)[1] is False
+
+
+@pytest.mark.parametrize("statement", _VERDICT_PATH.values(), ids=_VERDICT_PATH)
+def test_a_well_formed_command_line_imports_no_argparse(statement):
+    # argparse is loaded only for help and for argv the option table does not read
+    assert _fresh(statement, "argparse")[1] is False
 
 
 @pytest.mark.parametrize("argv", [("tables", *_POINT), ("ricci", *_POINT), ("isometries", *_POINT, "--format", "json"),
