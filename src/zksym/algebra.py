@@ -226,7 +226,10 @@ class GradedLieAlgebra:
 
         ``tol`` is the absolute threshold below which a residual (or a
         structure constant, for the closure check) counts as zero.  With
-        integer structure constants ``tol=0.0`` gives exact checks.
+        integer structure constants ``tol=0.0`` gives exact checks.  Each
+        Jacobi term is one matrix product laid out as (i, j, l, k), and each
+        check scans for its index triples only when its largest residual
+        exceeds ``tol``, so a valid algebra forms no triple list.
         """
         if tol < 0:
             raise ValueError("tol must be nonnegative")
@@ -234,32 +237,37 @@ class GradedLieAlgebra:
         n = self.dim
         idx = np.arange(n)
 
-        anti = c + c.transpose(1, 0, 2)
-        upper = (idx[:, None] <= idx[None, :])[:, :, None]
-        anti_bad = np.argwhere((np.abs(anti) > tol) & upper)
+        # "max <= tol" is False for a NaN residual, which scans as well
+        anti = np.abs(c + c.transpose(1, 0, 2))
+        max_anti = float(anti.max())
+        anti_bad = () if max_anti <= tol else _triples((anti > tol) & (idx[:, None] <= idx)[:, :, None])  # i <= j
 
-        # jac[i, j, l, :] = [[e_i,e_j],e_l] + [[e_j,e_l],e_i] + [[e_l,e_i],e_j]
-        c2 = np.tensordot(c, c, (2, 0))  # c2[i, j, l, k] = sum_m c[i, j, m] c[m, l, k]
-        jac = c2 + c2.transpose(1, 2, 0, 3) + c2.transpose(2, 0, 1, 3)
-        increasing = (idx[:, None, None] < idx[None, :, None]) & (idx[None, :, None] < idx[None, None, :])
-        jac_bad = np.argwhere((np.max(np.abs(jac), axis=3) > tol) & increasing)
+        # jac[i, j, l, :] = [[e_i,e_j],e_l] + [[e_j,e_l],e_i] + [[e_l,e_i],e_j], added in this order,
+        # where [[e_a,e_b],e_d] = sum_m c[a, b, m] c[m, d, :]
+        pairs, ct = c.reshape(n * n, n), c.transpose(1, 0, 2)  # ct[b, a] = c[a, b]
+        jac = (pairs @ c.reshape(n, n * n)).reshape(n, n, n, n)
+        jac += np.matmul(pairs, ct).reshape(n, n, n, n)
+        jac += np.matmul(ct[:, None], ct[None, :])
+        max_jac = float(np.abs(jac, out=jac).max())
+        lt = idx[:, None] < idx
+        jac_bad = () if max_jac <= tol else _triples((jac.max(axis=3) > tol) & lt[:, :, None] & lt[None])  # i < j < l
 
         # labels as integers, so the group law is XOR
         code = np.array([sum(int(b) << pos for pos, b in enumerate(lab.bits)) for lab in self.grading])
         off_target = (code[:, None] ^ code[None, :])[:, :, None] != code[None, None, :]
-        grading_bad = np.argwhere((np.abs(c) > tol) & off_target)
+        grading_bad = (np.abs(c) > tol) & off_target
 
         return ValidationReport(
-            antisymmetry=_triples(anti_bad),
-            jacobi=_triples(jac_bad),
-            grading=_triples(grading_bad),
-            max_antisymmetry_residual=float(np.max(np.abs(anti))),
-            max_jacobi_residual=float(np.max(np.abs(jac))),
+            antisymmetry=anti_bad,
+            jacobi=jac_bad,
+            grading=_triples(grading_bad) if grading_bad.any() else (),
+            max_antisymmetry_residual=max_anti,
+            max_jacobi_residual=max_jac,
         )
 
 
-def _triples(rows: np.ndarray) -> tuple[tuple[int, int, int], ...]:
-    return tuple(tuple(r) for r in rows.tolist())
+def _triples(mask: np.ndarray) -> tuple[tuple[int, int, int], ...]:
+    return tuple(map(tuple, np.argwhere(mask).tolist()))
 
 
 # ----------------------------------------------------------------------
@@ -272,13 +280,13 @@ def algebra_to_dict(alg: GradedLieAlgebra) -> dict:
     Structure constants are stored as (i, j, k, value) rows; values that
     are integers round-trip bit-exactly through JSON.
     """
-    nz = np.argwhere(alg.structure != 0.0)
-    structure = [[*ijk, value] for ijk, value in zip(nz.tolist(), alg.structure[tuple(nz.T)].tolist())]
+    i, j, k = np.nonzero(alg.structure)
+    rows = zip(i.tolist(), j.tolist(), k.tolist(), alg.structure[i, j, k].tolist())
     return {
         "dim": alg.dim,
         "names": list(alg.names),
         "grading": [list(lab.bits) for lab in alg.grading],
-        "structure": structure,
+        "structure": [list(row) for row in rows],
     }
 
 
@@ -289,17 +297,25 @@ def algebra_from_dict(data: dict) -> GradedLieAlgebra:
         names = data["names"]
         if type(names) is not list or len(set(_json_typed(names, (str,), "names must be strings"))) != len(names):
             raise ValueError(f"names must be a list of distinct strings, got {names!r}")
-        grading = [GradingLabel(_json_typed(bits, (bool,), "grading bits must be booleans")) for bits in data["grading"]]
+        labels: dict[tuple, GradingLabel] = {}  # one label per distinct bit tuple
+        grading = []
+        for bits in data["grading"]:
+            bits = _json_typed(bits, (bool,), "grading bits must be booleans")
+            if bits not in labels:
+                labels[bits] = GradingLabel(bits)
+            grading.append(labels[bits])
         if len(names) != n:
             raise ValueError("names length disagrees with dim")
         c = np.zeros((n, n, n))
+        values = {}  # by flat index, so a repeated (i, j, k) keeps its last value
         for row in data["structure"]:
             i, j, k, value = row
             if not (type(i) is type(j) is type(k) is int and type(value) in (int, float)):  # as in _json_typed
                 raise ValueError(f"structure rows must hold three integers and a number, got {row!r}")
             if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
                 raise ValueError(f"structure index out of range: {(i, j, k)}")
-            c[i, j, k] = float(value)
+            values[(i * n + j) * n + k] = float(value)
+        c.reshape(-1)[list(values)] = list(values.values())
     except (KeyError, TypeError, OverflowError) as exc:  # float() of an int beyond the floats overflows
         raise ValueError(f"malformed algebra document: {exc}") from exc
     except MemoryError as exc:  # np.zeros of a dim beyond the address space, refused at once

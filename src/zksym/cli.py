@@ -37,6 +37,8 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_NUMERICAL = 2
 
+_JSON_ENCODER = json.JSONEncoder(allow_nan=False)  # json.dumps(..., allow_nan=False) builds one per call
+
 # pretty names for the Z_2^2 labels of the built-in instance
 _LABEL_NAMES = {"00": "e", "10": "a", "01": "b", "11": "c"}
 
@@ -125,7 +127,7 @@ def _fmt(x: float) -> str:
 
 def _emit_json(payload: dict) -> None:
     try:
-        text = json.dumps(payload, allow_nan=False)
+        text = _JSON_ENCODER.encode(payload)
     except ValueError as exc:  # NaN and Infinity have no JSON form
         raise DegenerateMetricError("a non-finite number has no JSON form") from exc
     print(text)
@@ -155,8 +157,10 @@ def _print_grid(table, names, threshold: float) -> None:
 
 def _block_summary(alg) -> dict[str, int]:
     names = _LABEL_NAMES if alg.k == 2 else {}
-    # one pass; a Counter keeps first appearance, the order of alg.labels
-    return {names.get(str(label), str(label)): n for label, n in collections.Counter(alg.grading).items()}
+    # one pass over bit tuples; a Counter keeps first appearance, the order of alg.labels
+    counts = collections.Counter(label.bits for label in alg.grading)
+    labels = ("".join("1" if b else "0" for b in bits) for bits in counts)  # as str(GradingLabel)
+    return {names.get(label, label): n for label, n in zip(labels, counts.values())}
 
 
 def cmd_inspect(args) -> None:

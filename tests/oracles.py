@@ -3,10 +3,11 @@
 Everything here is computed from first principles, separately from the
 library code paths it checks: a literal 5x5 matrix model for brackets, the
 closed-form coefficient tables of the orthonormal frame, the
-closed-form Ricci entries, the reduced Ledger equations written out, and
-the Ricci eigenvalues of the root-space frame.  The closed forms take any
-numbers with the arithmetic of floats: evaluated at :func:`exact_point`
-they are exact to 50 digits.
+closed-form Ricci entries, the reduced Ledger equations written out, the
+Ricci eigenvalues of the root-space frame, and the graded Lie algebra
+checks and serialization written densely, entry by entry.  The closed
+forms take any numbers with the arithmetic of floats: evaluated at
+:func:`exact_point` they are exact to 50 digits.
 """
 
 import itertools
@@ -258,3 +259,48 @@ def unonzero_closed_form_v2(s: float) -> float:
     return (-16 * s + 6 * s * s - math.sqrt(2 * s * (32 + 12 * s - 33 * s * s + 9 * s ** 3))) / (
         -32 + 12 * s
     )
+
+
+# ----------------------------------------------------------------------
+# graded Lie algebras: the dense checks and the entry-by-entry serialization
+# ----------------------------------------------------------------------
+
+def dense_validate(structure, grading, tol: float) -> tuple:
+    """Antisymmetry, Jacobi and closure triples, then the max antisymmetry and Jacobi residuals.
+
+    Every residual is formed and every triple scanned: the three Jacobi terms
+    are transposes of one contraction, summed through strided views.
+    """
+    c = np.asarray(structure, dtype=float)
+    idx = np.arange(c.shape[0])
+    anti = c + c.transpose(1, 0, 2)
+    upper = (idx[:, None] <= idx[None, :])[:, :, None]
+    c2 = np.tensordot(c, c, (2, 0))  # c2[i, j, l, k] = sum_m c[i, j, m] c[m, l, k]
+    jac = c2 + c2.transpose(1, 2, 0, 3) + c2.transpose(2, 0, 1, 3)
+    increasing = (idx[:, None, None] < idx[None, :, None]) & (idx[None, :, None] < idx[None, None, :])
+    code = np.array([sum(int(b) << pos for pos, b in enumerate(lab.bits)) for lab in grading])
+    off_target = (code[:, None] ^ code[None, :])[:, :, None] != code[None, None, :]
+
+    def triples(mask):
+        return tuple(tuple(r) for r in np.argwhere(mask).tolist())
+
+    return (
+        triples((np.abs(anti) > tol) & upper),
+        triples((np.max(np.abs(jac), axis=3) > tol) & increasing),
+        triples((np.abs(c) > tol) & off_target),
+        float(np.max(np.abs(anti))),
+        float(np.max(np.abs(jac))),
+    )
+
+
+def structure_from_rows(n: int, rows) -> np.ndarray:
+    """The (n, n, n) tensor of (i, j, k, value) rows written one at a time, so a repeated index keeps its last value."""
+    c = np.zeros((n, n, n))
+    for i, j, k, value in rows:
+        c[i, j, k] = float(value)
+    return c
+
+
+def rows_from_structure(c: np.ndarray) -> list:
+    """The nonzero constants as [i, j, k, value] rows of Python numbers, read entry by entry in index order."""
+    return [[int(i), int(j), int(k), float(c[i, j, k])] for i, j, k in np.argwhere(c != 0.0)]

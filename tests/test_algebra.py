@@ -1,4 +1,7 @@
 import json
+import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +15,8 @@ from zksym import (
     build_so5,
 )
 
-from oracles import commutator, coords_from_matrix, skew_unit
+from oracles import (commutator, coords_from_matrix, dense_validate, rows_from_structure, skew_unit,
+                     structure_from_rows)
 
 
 # ----------------------------------------------------------------------
@@ -173,6 +177,92 @@ def test_validate_reports_grading_violation():
     assert report.antisymmetry == () and report.jacobi == ()
 
 
+def _valid_base(n: int, rng: np.random.Generator) -> tuple[np.ndarray, list[GradingLabel]]:
+    """so(5), so(3) or nothing, whichever fits in n, plus an abelian rest with random Z_2^2 labels."""
+    c = np.zeros((n, n, n))
+    if n >= 10:
+        so5 = build_so5()
+        c[:10, :10, :10], grading = so5.structure, list(so5.grading)
+    elif n >= 3:
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):  # [e_i, e_j] = e_k, graded a, b, c
+            c[i, j, k], c[j, i, k] = 1.0, -1.0
+        grading = [GradingLabel(bits) for bits in ((True, False), (False, True), (True, True))]
+    else:
+        grading = []
+    grading += [GradingLabel(tuple(bits)) for bits in rng.integers(0, 2, (n - len(grading), 2)).tolist()]
+    return c, grading
+
+
+def _random_algebra(kind: str, n: int, seed: int) -> GradedLieAlgebra:
+    rng = np.random.default_rng([n, seed])
+    c, grading = _valid_base(n, rng)
+    perm = rng.permutation(n)  # the same algebra in another basis order
+    if kind in ("gaussian", "overflowing"):  # neither antisymmetric nor integer
+        c = rng.standard_normal((n, n, n))
+        if kind == "overflowing" and n < 7:  # every product overflows to +-inf, so most Jacobi rows are NaN
+            c *= 1e200
+        elif kind == "overflowing":  # [[e0,e1],e3] = inf and [[e1,e3],e0] = -inf along e4: a NaN row among finite ones
+            c[0, 1, 2] = c[2, 3, 4] = c[1, 3, 6] = 1e200
+            c[6, 0, 4] = -1e200
+    elif kind == "antisymmetric gaussian":
+        g = rng.standard_normal((n, n, n))
+        c = g - g.transpose(1, 0, 2)
+    elif kind == "planted":
+        # dyadic constants: every residual is exact, whatever order the products are summed in
+        for _ in range(rng.integers(1, 4)):
+            i, j, k = rng.integers(0, n, 3)
+            c[i, j, k] += rng.choice([-3.0, -0.5, 0.125, 0.25, 2.0])
+            if rng.random() < 0.5:  # keep antisymmetry, so only Jacobi or closure breaks
+                c[j, i, k] = -c[i, j, k] if i != j else 0.0
+    return GradedLieAlgebra([f"e{i}" for i in range(n)], c[np.ix_(perm, perm, perm)], [grading[i] for i in perm])
+
+
+@pytest.mark.parametrize("kind", ["valid", "planted", "gaussian", "antisymmetric gaussian", "overflowing"])
+def test_validate_matches_the_dense_oracle(kind):
+    for n in range(1, 13):
+        for seed in range(3):
+            alg = _random_algebra(kind, n, seed)
+            for tol in (0.0, 1e-12, 1e-9, 0.3):
+                # the overflowing kind sums infinities of both signs: its residuals are inf and NaN
+                with np.errstate(over="ignore", invalid="ignore"):
+                    report = alg.validate(tol)
+                    *triples, max_anti, max_jac = dense_validate(alg.structure, alg.grading, tol)
+                assert [report.antisymmetry, report.jacobi, report.grading] == triples, (kind, n, seed, tol)
+                for got, want in ((report.max_antisymmetry_residual, max_anti), (report.max_jacobi_residual, max_jac)):
+                    assert math.isclose(got, want, rel_tol=1e-12) or math.isnan(got) and math.isnan(want)
+
+
+def test_validate_of_a_valid_algebra_scans_no_triples(monkeypatch):
+    scans = []
+    argwhere = np.argwhere
+    monkeypatch.setattr(np, "argwhere", lambda mask: scans.append(mask.shape) or argwhere(mask))
+    so5 = build_so5()
+    assert so5.validate(0.0).ok and _random_algebra("valid", 12, 0).validate(1e-9).ok
+    assert scans == []
+    broken = np.array(so5.structure)
+    broken[0, 2, 5] += 0.1
+    broken[2, 0, 5] -= 0.1
+    report = GradedLieAlgebra(so5.names, broken, so5.grading).validate(1e-12)
+    assert report.jacobi and not report.antisymmetry and not report.grading
+    assert scans == [(10, 10, 10)]  # the Jacobi rows alone
+
+
+def test_validate_peak_memory_stays_within_the_dense_oracle():
+    # dim 32: each (i, j, l, k) array holds 32^4 floats, 8 MiB
+    rng = np.random.default_rng(32)
+    alg = GradedLieAlgebra([f"e{i}" for i in range(32)], rng.standard_normal((32, 32, 32)),
+                           [GradingLabel(tuple(bits)) for bits in rng.integers(0, 2, (32, 2)).tolist()])
+    peaks = []
+    for check in (lambda: alg.validate(0.3), lambda: dense_validate(alg.structure, alg.grading, 0.3)):
+        tracemalloc.start()
+        try:
+            check()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 1.1 * peaks[1], peaks
+
+
 # ----------------------------------------------------------------------
 # projection
 # ----------------------------------------------------------------------
@@ -239,13 +329,42 @@ def _rescaled_so5(seed: int) -> GradedLieAlgebra:
 @pytest.mark.parametrize("alg", [build_so5(), _rescaled_so5(18)], ids=["so5", "rescaled so5"])
 def test_structure_rows_are_python_numbers_that_round_trip_bit_exactly(alg):
     rows = algebra_to_dict(alg)["structure"]
-    # the rows as formed entry by entry from numpy scalars
-    nz = np.argwhere(alg.structure != 0.0)
-    assert rows == [[int(i), int(j), int(k), float(alg.structure[i, j, k])] for i, j, k in nz]
+    assert rows == rows_from_structure(alg.structure)
     assert all(type(i) is type(j) is type(k) is int and type(v) is float for i, j, k, v in rows)
     back = json.loads(json.dumps(rows))
     assert [v.hex() for *_, v in back] == [v.hex() for *_, v in rows]
     assert np.array_equal(algebra_from_dict(algebra_to_dict(alg)).structure, alg.structure)
+
+
+def _shuffled_so5_rows() -> dict:
+    doc = algebra_to_dict(build_so5())
+    random.Random(23).shuffle(doc["structure"])
+    return doc
+
+
+_H_M = {"dim": 2, "names": ["h", "m"], "grading": [[False], [True]]}  # [h, m] = m
+_EDGE_DOCS = {
+    "duplicate rows, the last wins": {**_H_M, "structure": [[0, 1, 1, 1], [1, 0, 1, -1], [0, 1, 1, 2.5], [1, 0, 1, -2.5]]},
+    "a duplicate back to zero": {**_H_M, "structure": [[0, 1, 1, 1], [1, 0, 1, -1], [0, 1, 1, 0], [1, 0, 1, -0.0]]},
+    "explicit zeros of both signs": {**_H_M, "structure": [[1, 1, 1, -0.0], [0, 1, 1, 0.5], [0, 0, 0, 0.0], [1, 0, 1, -0.5]]},
+    "unsorted rows": _shuffled_so5_rows(),
+    "dim 1": {"dim": 1, "names": ["x"], "grading": [[True, False]], "structure": [[0, 0, 0, -0.0]]},
+    "dim 1, no rows": {"dim": 1, "names": ["x"], "grading": [[False]], "structure": []},
+}
+
+
+@pytest.mark.parametrize("case", list(_EDGE_DOCS))
+def test_from_dict_and_to_dict_match_the_entry_by_entry_oracles(case):
+    doc = json.loads(json.dumps(_EDGE_DOCS[case]))
+    alg = algebra_from_dict(doc)
+    # the bytes compare signed zeros as well
+    assert alg.structure.tobytes() == structure_from_rows(doc["dim"], doc["structure"]).tobytes()
+    assert alg.grading == tuple(GradingLabel(tuple(bits)) for bits in doc["grading"])
+    rows = algebra_to_dict(alg)["structure"]
+    expected = rows_from_structure(alg.structure)
+    assert rows == expected and all(value != 0.0 for *_, value in rows)
+    assert [[type(x) for x in row] for row in rows] == [[int, int, int, float]] * len(rows)
+    assert [value.hex() for *_, value in rows] == [value.hex() for *_, value in expected]
 
 
 def test_from_dict_rejects_malformed():

@@ -99,6 +99,16 @@ def _algebra_doc(case):
         doc["structure"].append([0, 1, 0, float("nan")])
     elif case == "string bits":
         doc["grading"] = [["1" if b else "0" for b in bits] for bits in doc["grading"]]
+    elif case == "null grading":
+        doc["grading"] = None
+    elif case == "empty bits before string bits":  # the first fault is reported
+        doc["grading"][:2] = [[], ["1", "0"]]
+    elif case == "short row":
+        doc["structure"][1] = [0, 1, 1]
+    elif case == "index out of range":
+        doc["structure"].append([0, 10, 1, 1.0])
+    elif case == "negative index":
+        doc["structure"].append([0, -1, 1, 1.0])
     elif case in _COERCED:
         doc = {**_SMALL_ALGEBRA, **_COERCED[case]}
     return doc
@@ -132,7 +142,36 @@ def test_inspect_small_algebra(tmp_path, capsys):
         assert code == 0 and "validation: valid" in out
 
 
-@pytest.mark.parametrize("case", ["null value", "null structure", "bare number row", "NaN value", "string bits", *_COERCED])
+# the one stderr line of each malformed document, after "error: "
+_MALFORMED = {
+    "null value": "structure rows must hold three integers and a number, got [0, 2, 4, None]",
+    "null structure": "malformed algebra document: 'NoneType' object is not iterable",
+    "bare number row": "malformed algebra document: cannot unpack non-iterable int object",
+    "NaN value": "structure constants must be finite",
+    "string bits": "grading bits must be booleans, got ['0', '0']",
+    "null grading": "malformed algebra document: 'NoneType' object is not iterable",
+    "empty bits before string bits": "grading label needs at least one bit",
+    "short row": "not enough values to unpack (expected 4, got 3)",
+    "index out of range": "structure index out of range: (0, 10, 1)",
+    "negative index": "structure index out of range: (0, -1, 1)",
+    "dim 2.7": "dim must be an integer, got [2.7]",
+    "dim true": "dim must be an integer, got [True]",
+    "dim string": "dim must be an integer, got ['2']",
+    "index 1.9": "structure rows must hold three integers and a number, got [0, 1.9, 1, 1]",
+    "index string": "structure rows must hold three integers and a number, got [0, '1', 1, 1]",
+    "index true": "structure rows must hold three integers and a number, got [0, True, 1, 1]",
+    "value string": "structure rows must hold three integers and a number, got [0, 1, 1, '1']",
+    "value true": "structure rows must hold three integers and a number, got [0, 1, 1, True]",
+    "value beyond the floats": "malformed algebra document: int too large to convert to float",
+    "names null and int": "names must be strings, got [None, 3]",
+    "names string": "names must be a list of distinct strings, got 'hm'",
+    "names duplicate": "names must be a list of distinct strings, got ['m', 'm']",
+}
+
+
+@pytest.mark.parametrize("case", ["null value", "null structure", "bare number row", "NaN value", "string bits", *_COERCED,
+                                  "null grading", "empty bits before string bits", "short row", "index out of range",
+                                  "negative index"])
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_inspect_malformed_algebra_exits_1(tmp_path, capsys, case, fmt):
     path = tmp_path / "doc.json"
@@ -140,7 +179,7 @@ def test_inspect_malformed_algebra_exits_1(tmp_path, capsys, case, fmt):
     code, out, err = run_cli(capsys, "inspect", "--algebra", str(path), "--format", fmt)
     assert code == 1
     assert out == ""
-    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert err == f"error: {_MALFORMED[case]}\n"
 
 
 def test_inspect_of_a_dimension_too_large_to_allocate_exits_1(tmp_path, capsys):
