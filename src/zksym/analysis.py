@@ -11,10 +11,11 @@ v = w form a third family that satisfies L = 0 and that no solver returns;
 of it only the round point u = 0, v^2 = w^2 = t^2 is naturally reductive.
 
 Verdicts use frame-free scales: Frobenius norms, the same in every
-orthonormal frame, and each D_alpha against the sizes of its terms, which
-do not scale.  The adapted frame (A~1..C~2), in which reports name frame
-triples, is for presentation only; the four reduced equations written in
-it are closed combinations of D1 and D2 (:func:`ledger_system_residuals`).
+orthonormal frame, and each D_alpha against the sizes of all its terms in
+x, which do not scale.  The adapted frame (A~1..C~2), in which reports
+name frame triples, is for presentation only; the four reduced equations
+written in it are closed combinations of D1 and D2
+(:func:`ledger_system_residuals`).
 """
 
 from __future__ import annotations
@@ -88,29 +89,29 @@ def first_ledger_verdict(p: MetricParams, tol: float = DEFAULT_TOL) -> tuple[flo
     """max|L| over adapted frame triples, and whether the first Ledger condition holds to tol.
 
     L = 0 iff the two collinearity determinants D_alpha of
-    :mod:`zksym.geometry` vanish.  Each is judged against the sum of the
-    sizes of its three terms, |D_alpha| <= tol * sum |(x_i - x_j) r_k|,
-    both sides scale-free and frame-free.  Where the three points nearly
-    meet, near the round point, that sum vanishes with D_alpha, and U = 0
-    to tol, which implies L = 0, holds instead.  Raises
-    DegenerateMetricError when max|L|, a determinant or its terms overflow.
+    :mod:`zksym.geometry` vanish.  Each is judged as :func:`verify_solution`
+    judges it, against the sizes of all the terms of its expansion in x,
+    |D_alpha| <= tol * sum |term|, both sides scale-free and frame-free and
+    compared at one power-of-two scale, where the sum does not overflow.
+    The sum holds 3/x_k > 0, so it does not vanish, not even at the round
+    point.  Raises DegenerateMetricError when a determinant or its sum is
+    not finite.
     """
     geo = geometry._cached_geometry(p)
-    if not math.isfinite(geo.ledger_max):  # the Q-form L can overflow where the determinants do not
-        raise DegenerateMetricError(f"max |L| over frame triples is not finite: {geo.ledger_max}")
     return geo.ledger_max, _ledger_holds(geo, tol)
 
 
 def _ledger_holds(geo, tol: float = DEFAULT_TOL) -> bool:
     """The first Ledger verdict at a point's geometry (see :func:`first_ledger_verdict`)."""
-    return all(abs(d) <= tol * s for d, s in _determinants(geo, geo.det_scale)) or _reductive(geo, tol)
+    return all(d <= tol * bound for d, bound in _determinants(geo))
 
 
-def _determinants(geo, scale: list[float]):
-    """The pairs (D_alpha, its scale) at a point's geometry; raises where they are not finite."""
-    if not all(map(math.isfinite, geo.det + scale)):  # their sum may overflow where neither does
+def _determinants(geo) -> list[tuple[float, float]]:
+    """The pairs (|D_alpha|, the sizes of all its terms in x) at a point's geometry, both times one power of two;
+    raises where they are not finite."""
+    if not all(math.isfinite(d) and math.isfinite(bound) for d, bound in geo.det_bound):
         raise DegenerateMetricError(f"the Ledger determinants are not finite: {geo.det}")
-    return zip(geo.det, scale)
+    return geo.det_bound
 
 
 def infinitesimal_isometries(p: MetricParams, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -153,7 +154,7 @@ def _reduced_system(p: MetricParams) -> list[float]:
     geo = geometry._cached_geometry(p)
     e, (x1, x2, x3, x4) = geo.e, geo.y
     t, v, w = (math.ldexp(a, -e) for a in (p.t, p.v, p.w))
-    d1, d2 = (0.5 * (x4 - x3) * q for q in geo.q)
+    d1, d2 = geo.det
     star = [-(d1 + d2) / 2, -(d1 - d2) / (2 * t),
             math.copysign(1.0, t) * (x2 * d1 - x1 * d2) / (2 * v * w * math.sqrt(x1 * x2)),
             -(x2 * d1 + x1 * d2) / (2 * t * t)]
@@ -207,16 +208,17 @@ def _evaluate(p: MetricParams) -> tuple[dict[str, float], dict[str, float], bool
     the larger |D_alpha| ("star"), each over the sizes of all the terms of
     its expansion in x, which bound what rounding the solution's own
     parameters can move it by (near S = 1 on the u = 0 branch one ulp of W
-    moves it by far more than its three terms' sizes); and the root frame's
-    orthonormality defect for the Gram matrix of :func:`build_form` in
-    closed form ("gram", of scale 1).  The scales are frame-free and do not
-    scale.  Only the geometry is kept, in its cache; each call makes new dicts.
+    moves it by far more than its three terms' sizes), the scale that
+    ``ledger`` judges it against too; and the root frame's orthonormality
+    defect for the Gram matrix of :func:`build_form` in closed form ("gram",
+    of scale 1).  The scales are frame-free and do not scale.  Only the
+    geometry is kept, in its cache; each call makes new dicts.
     """
     geo = geometry._cached_geometry(p)
-    (d1, s1), (d2, s2) = _determinants(geo, geo.det_bound)  # the sizes include 3 / x_k > 0
-    absolute = {"ledger": geometry._ldexp(geo.norm_ledger, -3 * geo.e), "star": max(abs(d1), abs(d2))}
+    (d1, s1), (d2, s2) = _determinants(geo)  # the sizes include 3 / x_k > 0
+    absolute = {"ledger": geometry._ldexp(geo.norm_ledger, -3 * geo.e), "star": max(map(abs, geo.det))}
     # an overflowing scale leaves the relative ||L|| at 0
-    relative = {"ledger": geo.norm_ledger / (geo.norm_n * geo.norm_rho), "star": max(abs(d1) / s1, abs(d2) / s2)}
+    relative = {"ledger": geo.norm_ledger / (geo.norm_n * geo.norm_rho), "star": max(d1 / s1, d2 / s2)}
     absolute["gram"] = relative["gram"] = _gram_defect(p)
     return absolute, relative, _reductive(geo)
 

@@ -99,7 +99,7 @@ def _resolve_params(args) -> MetricParams:
     return MetricParams(values["t"], values["u"], values["v"], values["w"])
 
 
-def _resolve_tol(args) -> float:
+def _resolve_tol(args, relative: bool = True) -> float:
     tol = args.tol
     if tol is None:
         env = os.environ.get("ZKSYM_TOL")
@@ -114,6 +114,8 @@ def _resolve_tol(args) -> float:
         raise InvalidParamsError(f"tolerance must be positive, got {tol:g}")
     if tol == math.inf:  # every check would pass
         raise InvalidParamsError("tolerance must be finite, got inf")
+    if relative and tol >= 1.0:  # every relative verdict would pass
+        raise InvalidParamsError(f"tolerance must be below 1, got {tol:g}")
     return tol
 
 
@@ -166,7 +168,7 @@ def _block_summary(alg) -> dict[str, int]:
 def cmd_inspect(args) -> None:
     from .algebra import algebra_from_dict, algebra_to_dict  # loaded only here, with numpy
     from .so5 import build_so5, validate_so5
-    tol = _resolve_tol(args)
+    tol = _resolve_tol(args, relative=False)  # absolute: Jacobi, antisymmetry and grading residuals
     if args.algebra:
         try:
             data = json.loads(Path(args.algebra).read_text())

@@ -14,8 +14,10 @@ rho(U(X,Y), Z) = -c0 D_alpha / sqrt(x_alpha x3 x4), where D_alpha =
 geometry is a few scalars: one program in Python floats, :func:`_program`,
 forms them from the x / 4^e of :attr:`zksym.metric.MetricParams.unit_scalars`
 (the exact homothety to 1 <= |t| < 2) with each x_k - x_j formed before a
-quotient, so nothing loses digits near the K guard.  Verdicts use
-frame-free quantities: Frobenius norms, each D_alpha against its terms.
+quotient, so nothing loses digits near the K guard.  It forms D_alpha once,
+as (x4 - x3) Q_alpha / (2 x1 x2 x3 x4), and L, the reduced system and the
+verdicts all read that.  Verdicts use frame-free quantities: Frobenius
+norms, each D_alpha against the sizes of all its terms in x.
 
 The adapted frame of :func:`zksym.metric.orthonormal_frame` is for
 presentation only: A~1 = sgn t (c E1 + s E3), A~2 = sgn t (c E2 + s E4),
@@ -78,9 +80,10 @@ def _arrays() -> None:
 
 
 def _program(e: int, y) -> tuple[list[float], ...]:
-    """From a point's unit-scale (e, y): the six ratios (the sizes of C) and r at its scale, then at the unit
-    scale D_alpha, det_scale and det_bound (two each) and the norms of C, U, nabla, rho and L.  The triple of
-    alpha has the slots (k, i, j) = (alpha, e1, e2), (e1, alpha, e2), (e2, alpha, e1), summed in that order."""
+    """From a point's unit-scale (e, y): the six ratios (the sizes of C), r and lam_alpha = D_alpha /
+    sqrt(x_alpha x3 x4) at its scale, then at the unit scale D_alpha, the pairs (|D_alpha|, the sizes of all
+    its terms in x) times one power of two, and the norms of C, U, nabla, rho and L.  The triple of alpha has
+    the slots (k, i, j) = (alpha, e1, e2), (e1, alpha, e2), (e2, alpha, e1), summed in that order."""
     if not 0.0 < min(y) <= max(y) < math.inf:  # an x that under- or overflows at this scale
         raise DegenerateMetricError("the curvature tensors overflow at this scale")
     x1, x2, x3, x4 = y
@@ -98,30 +101,40 @@ def _program(e: int, y) -> tuple[list[float], ...]:
     both = 0.5 * sigma1 + 0.5 * sigma2
     sizes = r1 + 0.5 * sigma1, r2 + 0.5 * sigma2, r3 + both, r4 + both
     r1, r2, r3, r4 = r1 + 0.5 * a0, r2 + 0.5 * b0, r3 + (0.5 * a1 + 0.5 * b1), r4 + (0.5 * a2 + 0.5 * b2)
+    # |D_alpha| and its bound sum (x_i + x_j) |the terms of r_k| are compared at x 2^-k (power), where both are finite
+    h, power = 0.5 * ((x4 - x3) / math.sqrt(x3) / math.sqrt(x4)), math.ldexp(1.0, -math.frexp(max(y))[1])
+    z3, z4 = x3 * power, x4 * power
     rows = []
-    for xa, ra, size, (s0, s1, s2) in ((x1, r1, sizes[0], sq1), (x2, r2, sizes[1], sq2)):
-        # D_alpha's terms, their sizes, those of all its terms in x; L over -c0, with the ratios' differences for
-        # those of x (rounded like the terms, all the verdicts need: ``ledger`` keeps the digits); ||U||^2
-        t0, t1, t2 = (x3 - xa) * r4, (x4 - x3) * ra, (xa - x4) * r3
+    for xa, xb, size, (s0, s1, s2) in ((x1, x2, sizes[0], sq1), (x2, x1, sizes[1], sq2)):
+        # D_alpha = (x4 - x3) q / 2, q = Q_alpha / (x1 x2 x3 x4) with beta the other of 1, 2 and Q_alpha =
+        # x_alpha (x3 + x4 - x_alpha)^2 + 8 x_beta (x_alpha - x3)(x_alpha - x4) - x_alpha (x_alpha^2 - x_beta^2),
+        # which keeps the digits that the terms (x_i - x_j) r_k of D_alpha lose where they cancel (u = 0, w = t)
+        d3, d4 = xa - x3, xa - x4
+        s = x3 - d4 if abs(d4) <= abs(d3) else x4 - d3  # x3 + x4 - x_alpha, by the nearer difference
+        q = (s / x3) * (s / x4) / xb + 8.0 * (d3 / x3) * (d4 / x4) / xa - ((xa - xb) / x3) * ((xa + xb) / x4) / xb
+        d = 0.5 * (x4 - x3) * q
+        za = xa * power
+        bound = (z3 + za) * sizes[3] + (z4 + z3) * size + (za + z4) * sizes[2]
         c0, c1, c2 = math.sqrt(s0), math.sqrt(s1), math.sqrt(s2)
-        f0, f1, f2 = c0 - c1, c1 - c2, c2 - c0
-        rows.append((c0, c1, c2, t0 + t1 + t2, abs(t0) + abs(t1) + abs(t2),
-                     (x3 + xa) * sizes[3] + (x4 + x3) * size + (xa + x4) * sizes[2],
-                     -(f0 * r4 + f1 * ra + f2 * r3), f0 * f0 + f1 * f1 + f2 * f2))
-    (c0, c1, c2, d1, m1, b1, l1, u1), (c3, c4, c5, d2, m2, b2, l2, u2) = rows
-    # ||C||^2 / 4 = sigma and ||nabla||^2 = ||U||^2 + ||C||^2 / 4, as U is symmetric and C antisymmetric
+        f0, f1, f2 = c0 - c1, c1 - c2, c2 - c0  # ||U||^2 on the triple, from the differences of its ratios
+        rows.append((c0, c1, c2, d, (abs(d) * power, bound), h / math.sqrt(xa) * q,
+                     f0 * f0 + f1 * f1 + f2 * f2))
+    (c0, c1, c2, d1, b1, l1, u1), (c3, c4, c5, d2, b2, l2, u2) = rows
+    # ||C||^2 / 4 = sigma and ||nabla||^2 = ||U||^2 + ||C||^2 / 4, as U is symmetric and C antisymmetric;
+    # ||L||^2 = 12 ||lam||^2, as L is +-lam_alpha / sqrt 2 on the 24 entries of the triples of alpha
     norms = [math.sqrt((sigma1 + sigma2) * 4.0), math.sqrt(u1 + u2), math.sqrt((u1 + sigma1) + (u2 + sigma2)),
              math.sqrt((r1 * r1 + r3 * r3 + (r2 * r2 + r4 * r4)) * 2.0), math.sqrt((l1 * l1 + l2 * l2) * 12.0)]
     e2, e3, ldexp = 2 * e, 3 * e, math.ldexp
-    try:  # the ratios slot-major and r at the point's scale; L's lam_alpha there only has to be finite too
+    try:  # the ratios slot-major, r and lam at the point's scale, where |lam1| + |lam2| bounds max|L| too
         ratios = [ldexp(c0, -e), ldexp(c3, -e), ldexp(c1, -e), ldexp(c4, -e), ldexp(c2, -e), ldexp(c5, -e)]
         r = [ldexp(r1, -e2), ldexp(r2, -e2), ldexp(r3, -e2), ldexp(r4, -e2)]
-        finite = all(map(math.isfinite, ratios + r + [ldexp(l1, -e3), ldexp(l2, -e3)]))
+        lam = [ldexp(l1, -e3), ldexp(l2, -e3)]
+        finite = all(map(math.isfinite, ratios + r + [abs(lam[0]) + abs(lam[1])]))
     except OverflowError:
         finite = False
     if not finite:
         raise DegenerateMetricError("the curvature tensors overflow at this scale")
-    return ratios, r, [d1, d2], [m1, m2], [b1, b2], norms
+    return ratios, r, lam, [d1, d2], [b1, b2], norms
 
 
 def _ldexp(x: float, n: int) -> float:
@@ -141,13 +154,13 @@ def _dense(values) -> np.ndarray:
 
 class _Geometry:
     """The geometry of one parameter point in the root frame: at once, its e and y and what :func:`_program`
-    forms, in Python floats; the support values, the frames and q when asked for, the presented tables once."""
+    forms, in Python floats; the support values and the frames when asked for, the presented tables once."""
 
     def __init__(self, p: MetricParams):
         p.K  # the guard, which like an overflow in the program raises before anything is kept
         self.params = p
         self.e, self.y = p.unit_scalars
-        self.ratios, self.r, self.det, self.det_scale, self.det_bound, norms = _program(self.e, self.y)
+        self.ratios, self.r, self.lam, self.det, self.det_bound, norms = _program(self.e, self.y)
         self.norm_c, self.norm_u, self.norm_n, self.norm_rho, self.norm_ledger = norms
 
     # the support values of C, U, nabla (and L below), in the order of _INDEX
@@ -156,36 +169,15 @@ class _Geometry:
     u = property(lambda self: [c0 * (0.5 * (self.ratios[j] - self.ratios[i])) for c0, i, j in zip(_C0, _RI, _RJ)])
     n = property(lambda self: [u + 0.5 * c for u, c in zip(self.u, self.c)])
 
-    @cached_property
-    def q(self) -> list[float]:
-        """Q_alpha / (x1 x2 x3 x4) at the unit scale, alpha = 1, 2, with beta the other of 1, 2 and
-        Q_alpha = x_alpha (x3 + x4 - x_alpha)^2 + 8 x_beta (x_alpha - x3)(x_alpha - x4) - x_alpha (x_alpha^2 - x_beta^2).
-        D_alpha = (x4 - x3) q / 2, which keeps the digits its three terms lose where they cancel (u = 0, w = t).
-        """
-        y1, y2, y3, y4 = self.y
-        q = []
-        for ya, yb in ((y1, y2), (y2, y1)):
-            d3, d4 = ya - y3, ya - y4
-            s = y3 - d4 if abs(d4) <= abs(d3) else y4 - d3  # x3 + x4 - x_alpha, by the nearer difference
-            q.append((s / y3) * (s / y4) / yb + 8.0 * (d3 / y3) * (d4 / y4) / ya - ((ya - yb) / y3) * ((ya + yb) / y4) / yb)
-        return q
-
-    @cached_property
-    def _ledger_lam(self) -> list[float]:
-        """lam_alpha = D_alpha / sqrt(x_alpha x3 x4) at the point's scale by the Q-form of :attr:`q`."""
-        y1, y2, y3, y4 = self.y
-        h = 0.5 * ((y4 - y3) / math.sqrt(y3) / math.sqrt(y4))
-        return [_ldexp(h / math.sqrt(ya) * qa, -3 * self.e) for ya, qa in zip((y1, y2), self.q)]
-
     # L on the support, +-lam_alpha on the triples of alpha
-    ledger = property(lambda self: [sign * self._ledger_lam[alpha] for sign, alpha in zip(_L_SIGN, _TRIPLE)])
+    ledger = property(lambda self: [sign * self.lam[alpha] for sign, alpha in zip(_L_SIGN, _TRIPLE)])
 
     @cached_property
     def ledger_max(self) -> float:
         """max |L| over the adapted frame triples, without the table: up to sign its entries are c l1 +- s l2
         and s l1 +- c l2, l_alpha = |lam_alpha| / sqrt 2 = |L| on the root triples of alpha, products then a sum
-        as there; a difference first, so that a NaN wins as in np.max."""
-        (c, s), (l1, l2) = self._cos_sin, (math.sqrt(0.5) * abs(lam) for lam in self._ledger_lam)
+        as there."""
+        (c, s), (l1, l2) = self._cos_sin, (math.sqrt(0.5) * abs(lam) for lam in self.lam)
         return max(abs(c * l1 - s * l2), abs(c * l1 + s * l2), abs(s * l1 + c * l2), abs(s * l1 - c * l2))
 
     @cached_property

@@ -439,32 +439,36 @@ def test_the_gram_residual_is_the_rounding_of_t_squared_over_x():
 
 
 def test_the_ledger_verdict_judges_each_determinant_against_its_terms():
-    # at u = 0, w = t the determinant is v^2 (1 - v^2) / 2 against terms of
-    # about 3 + 3: 8.3e-8 of them at v = 1e-3, where |L| is 5e-13 of
-    # max|nabla| max|rho|
+    # at u = 0, w = t the determinant is v^2 (1 - v^2) / 2, 3.8e-14 of the sizes of all its terms in x at
+    # v = 1e-3, where |L| is 5e-13 of max|nabla| max|rho|: the verdict that verification gives
     p = MetricParams(1.0, 0.0, 1e-3, 1.0)
-    assert first_ledger_verdict(p) == (pytest.approx(5e-4, rel=1e-5), False)
-    assert first_ledger_verdict(p, tol=1e-7)[1]
-    assert first_ledger_verdict(MetricParams(1.0, 0.0, 1e-5, 1.0))[1]  # 8.3e-12
+    assert first_ledger_verdict(p) == (pytest.approx(5e-4, rel=1e-5), True)
+    assert not first_ledger_verdict(p, tol=1e-14)[1]
+    assert first_ledger_verdict(MetricParams(1.0, 0.0, 1e-5, 1.0), tol=1e-21)[1]  # 3.8e-22
 
 
 @pytest.mark.filterwarnings("error")
 def test_the_ledger_verdict_refuses_determinants_that_are_not_finite():
-    # x3 = v^2 = 1e200 makes D_alpha NaN; the CLI's ``ledger`` stops earlier, in the reduced system
-    with pytest.raises(DegenerateMetricError, match=r"^the Ledger determinants are not finite: \[nan, nan\]$"):
+    # x3 = v^2 = 1e200 makes D_alpha = (x4 - x3) q / 2, with q about x3, -inf; the CLI's ``ledger`` stops
+    # earlier, in the reduced system
+    with pytest.raises(DegenerateMetricError, match=r"^the Ledger determinants are not finite: \[-inf, -inf\]$"):
         first_ledger_verdict(MetricParams(1.0, 0.0, 1e100, 1.0))
 
 
-# near the K guard with v, w far below |t| the program's r3 and r4 round to one float, so its D_alpha are 0,
-# while the Q-form L overflows: max|L| reads inf - inf
-_NAN_LEDGER = MetricParams(-9.42892081319446e-80, 1.7780714471072755e-158, -9.07772418158703e-105, -9.750089198671494e-93)
+# near the K guard with v, w far below |t|: at the unit scale (e = -263) D_1 = 8.6309e50 and D_2 = 1.0789e50
+# exactly (60 digits), which the Q-form keeps, so lam_1 = D_1 / sqrt(x1 x3 x4) is 7.3e325 at the point's scale;
+# the three terms (x_i - x_j) r_k of D_alpha, and the differences of the ratios, cancel to 0 in floats there
+_OVERFLOWING_LEDGER = MetricParams(-9.42892081319446e-80, 1.7780714471072755e-158, -9.07772418158703e-105,
+                                   -9.750089198671494e-93)
 
 
 @pytest.mark.filterwarnings("error")
 def test_the_ledger_verdict_refuses_a_max_l_that_is_not_finite():
-    assert geometry._cached_geometry(_NAN_LEDGER).det == [0.0, 0.0]
-    with pytest.raises(DegenerateMetricError, match=r"^max \|L\| over frame triples is not finite: nan$"):
-        first_ledger_verdict(_NAN_LEDGER)
+    e, y = _OVERFLOWING_LEDGER.unit_scalars
+    with pytest.raises(DegenerateMetricError, match=r"^the curvature tensors overflow at this scale$"):
+        geometry._program(e, y)
+    with pytest.raises(DegenerateMetricError, match=r"^the curvature tensors overflow at this scale$"):
+        first_ledger_verdict(_OVERFLOWING_LEDGER)
 
 
 # ----------------------------------------------------------------------

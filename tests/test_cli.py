@@ -255,6 +255,31 @@ def test_env_tolerance_override(capsys, monkeypatch):
     assert code == 1
 
 
+_GENERIC = ("--t", "1", "--u", "0.3", "--v", "1.2", "--w", "0.8")
+_RELATIVE = [(command, *_GENERIC) for command in ("tables", "ricci", "isometries", "check-nr", "ledger")]
+_RELATIVE += [("solve", "--branch", "u0", "--S", "5"), ("sweep", "--branch", "u1", "--S-min", "0.4", "--S-max", "1.4")]
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("argv", _RELATIVE, ids=lambda argv: argv[0])
+def test_a_relative_tolerance_of_1_or_more_exits_1(capsys, monkeypatch, argv, source):
+    # every verdict but inspect's is relative, so at tol 1 each passed: at this generic point isometries printed
+    # dimension 8, check-nr true and ledger "satisfied"
+    for tol in ("1", "1e308"):
+        if source == "env":
+            monkeypatch.setenv("ZKSYM_TOL", tol)
+        flag = ("--tol", tol) if source == "flag" else ()
+        assert run_cli(capsys, *argv, *flag) == (1, "", f"error: tolerance must be below 1, got {float(tol):g}\n")
+
+
+def test_inspect_keeps_its_absolute_tolerance_above_1(capsys, tmp_path):
+    path = tmp_path / "so5.json"
+    path.write_text(json.dumps(algebra_to_dict(build_so5())))
+    for argv in (("inspect", "--tol", "10"), ("inspect", "--algebra", str(path), "--tol", "10")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "") and "validation: valid" in out
+
+
 # ----------------------------------------------------------------------
 # computation commands
 # ----------------------------------------------------------------------
@@ -319,8 +344,8 @@ def test_isometries_text(capsys, point, names):
 
 
 def test_isometries_text_shows_every_nonzero_entry(capsys):
-    # under a tolerance that keeps every module, the basis is the adapted frame, each entry exactly 1
-    code, out, _ = run_cli(capsys, "isometries", "--t", "1", "--u", "0", "--v", "1", "--w", "1", "--tol", "1e308")
+    # at the round point every module is kept at any tol: the basis is the adapted frame, each entry exactly 1
+    code, out, _ = run_cli(capsys, "isometries", "--t", "1", "--u", "0", "--v", "1", "--w", "1")
     assert code == 0
     assert out.splitlines() == ["dimension: 8"] + [f"  +1 {name}" for name in metric.FRAME_NAMES]
 
@@ -592,12 +617,12 @@ def test_ledger_where_a_determinant_and_its_scale_sum_past_the_floats(capsys, fm
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_ledger_where_max_l_is_not_finite_exits_2_in_both_formats(capsys, fmt):
-    # the program's determinants are 0 here while the Q-form L overflows; text printed "nan" and "satisfied"
+    # D_1 is 8.6e50 at the unit scale and L 7e325 at the point's: the program refuses the point, as every command
     argv = ("ledger", "--t", "-9.42892081319446e-80", "--u", "1.7780714471072755e-158",
             "--v", "-9.07772418158703e-105", "--w", "-9.750089198671494e-93", "--format", fmt)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err == "numerical failure: max |L| over frame triples is not finite: nan\n"
+    assert err == "numerical failure: the curvature tensors overflow at this scale\n"
 
 
 @pytest.mark.parametrize("u", ["-5.8e-05", "-1E-3"])
@@ -872,7 +897,7 @@ _HELP_AND_USAGE = {
     ("nope",): "04bd45f7ec8251ad5857315283eba171e4bff479c7fad449410c84ad66085a27",
     ("--form", "json"): "ee0e9f083502cb7cebf4260fe1c2ab5ae857e41352d7bafce873d53606b22ed8",
     ("ricci", *_POINT, "--form", "json"): "c7327f64441ff76dd3107e5177e1634106985b5bbca7c86c59e47681441071bc",
-    ("solve", "--br", "u0", "--S=5"): "03a20e7b2f523f0bb3013c21089c69f6c70b9c261c3fcd20d01755abfabb0483",
+    ("solve", "--br", "u0", "--S=5"): "e76250e7d1d08aa468ca6a6f6f4da985fb82606ac0b68cc12a6bb180920ef182",
     ("ricci", "--nope", "1"): "48da723bae4d6b517a158008eb0dec9e5553a584e0296e9513170f6b70841c45",
     ("solve", "--branch", "u0"): "132b487fe91b70eef642958d5849a6427c0cc0d121eeb333732f6854d1ae4cfd",
     ("solve", "--S", "5"): "86ec6fe37b7cd4dc6e870fe79ad63f3ffd235a78a47ac66a85bfb62a920ae381",
@@ -1127,14 +1152,32 @@ def test_verdicts_do_not_depend_on_scale(capsys):
 
 def test_the_ledger_verdict_needs_no_scale_of_its_own(capsys):
     # max|nabla table| * max|rho| is about 1e120 * 1e240 here, beyond the
-    # floats, but the determinants and their terms are scale-free: D = v^2 (1 - v^2) / 2
-    # against terms of 3 + 3, and the homothetic point at |t| = 2 reads the same
+    # floats, but the determinants and the sizes of their terms in x are scale-free:
+    # D = v^2 (1 - v^2) / 2, and the homothetic point at |t| = 2 reads the same
     for t, v in (("1", "1e-120"), ("2", "2e-120")):
         code, out, err = run_cli(capsys, "ledger", "--t", t, "--u", "0", "--v", v, "--w", t)
         assert (code, err) == (0, "")
         assert out.splitlines()[-1] == "first Ledger condition satisfied"
     code, out, _ = run_cli(capsys, "ledger", "--t", "1", "--u", "0", "--v", "1e-3", "--w", "1")
-    assert out.splitlines()[-1] == "first Ledger condition violated"  # D / (3 + 3) = 8.3e-8
+    assert out.splitlines()[-1] == "first Ledger condition satisfied"  # 3.8e-14 of the sizes of its terms
+    code, out, _ = run_cli(capsys, "ledger", "--t", "1", "--u", "0", "--v", "1e-3", "--w", "1", "--tol", "1e-14")
+    assert out.splitlines()[-1] == "first Ledger condition violated"
+
+
+@pytest.mark.parametrize("branch", ["u0", "u1"])
+def test_solve_and_ledger_agree_on_dense_grids_near_both_ends(capsys, branch):
+    # S log-spaced from 1e-10 to 1e-2 inside either end: every solution passes its verification, and ``ledger``
+    # at its printed parameters reads "satisfied", as both judge D_alpha against the sizes of all its terms in
+    # x.  Near S = 1 on the u = 0 branch one ulp of W moves D_alpha by far more than its three terms' sizes.
+    lo, hi = analysis.S_INTERVAL_U0 if branch == "u0" else analysis.S_INTERVAL_UNONZERO
+    gaps = np.geomspace(1e-10, 1e-2, 200).tolist()
+    for s in [lo + gap for gap in gaps] + [hi - gap for gap in gaps]:
+        code, out, err = run_cli(capsys, "solve", "--branch", branch, "--S", repr(s), "--format", "json")
+        assert (code, err) == (0, ""), s
+        for record in map(json.loads, out.splitlines()):
+            point = [arg for key in "tuvw" for arg in (f"--{key}", repr(record["params"][key]))]
+            code, ledger, _ = run_cli(capsys, "ledger", *point, "--format", "json")
+            assert code == 0 and json.loads(ledger)["satisfied"], (s, point)
 
 
 def _counting(fn):

@@ -109,19 +109,12 @@ def _contract(argv, capsys) -> dict:
     return record
 
 
-_LEDGER_KEYS = [["params", "tol", "max_ledger_residual", "star_residuals", "satisfied"]]
 _NR_KEYS = [["params", "tol", "naturally_reductive", "max_u_coefficient", "witness"]]
 
 _STAR_OVERFLOW = "numerical failure: reduced Ledger system residuals are not finite: [inf, nan, nan, inf]"
 
 # argv whose contract changed on purpose since the snapshot, with the new contract
 DIFFS: dict[tuple[str, ...], dict] = {
-    # each collinearity determinant against the sum of its terms' sizes: 5e-7 against 6 here,
-    # where |L| was 5e-13 of max|nabla| max|rho|
-    ("ledger", *_point(1.0, 0.0, 0.001, 1.0), "--format", "json"):
-        {"exit": 0, "stderr": "", "keys": _LEDGER_KEYS, "verdicts": [{"satisfied": False}]},
-    ("ledger", *_point(1.0, 0.0, 0.001, 1.0)):
-        {"exit": 0, "stderr": "", "verdicts": ["first Ledger condition violated"]},
     # the determinants and their terms are scale-free, so no max|nabla| max|rho| (1e360 here) is needed
     ("ledger", *_point(1.0, 0.0, 1e-120, 1.0)):
         {"exit": 0, "stderr": "", "verdicts": ["first Ledger condition satisfied"]},

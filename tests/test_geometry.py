@@ -463,12 +463,13 @@ def test_tables_exact_near_the_k_guard():
 # the scalar program of the eager values
 # ----------------------------------------------------------------------
 
-EAGER = ("ratios", "r", "det", "det_scale", "det_bound")
-NORMS = ("norm_c", "norm_u", "norm_n", "norm_rho", "norm_ledger")
+# the eager values whose formulas are those of the stacked numpy program, the four norms as one row
+EAGER = ("ratios", "r")
+NORMS = ("norm_c", "norm_u", "norm_n", "norm_rho")
 
 
 def _eager(geo) -> list:
-    """A point's eager values name by name, the five norms as one row."""
+    """A point's eager values name by name, the four norms as one row."""
     return [getattr(geo, name) for name in EAGER] + [[getattr(geo, name) for name in NORMS]]
 
 
@@ -513,12 +514,40 @@ def test_the_eager_values_are_those_of_the_array_program_bit_for_bit():
     # The sha256 of the eager values of every corpus point that computes, as little-endian float64, and of
     # the indices of those refused (L overflows as 1/t^3 below |t| of about 1e-103), as the stacked numpy
     # program that the scalar program replaced computed them: the same operations in the same order.  The
-    # bytes are those of its (N, k) arrays, name by name, the five norms one (N, 5) array.
+    # bytes are those of its (N, k) arrays, name by name, the four norms one (N, 4) array.  D_alpha and ||L||
+    # are formed in the Q-form, which that program did not use, and are checked against exact values below.
     geos, refused = _geometries(_eager_corpus())
     assert (len(geos), len(refused)) == (2064, 336)
     data = b"".join(np.array(rows, dtype="<f8").tobytes() for rows in zip(*map(_eager, geos)))
     digest = hashlib.sha256(data + np.array(refused, dtype="<i8").tobytes()).hexdigest()
-    assert digest == "d8ed2893c8039c47da18fe9b12826eff364f65b8c3b68cb533cbfa72fd8bc68e"
+    assert digest == "3b83e296e87f6e6148bdc2cac365da9931f85706d3a9e9c7b51b7a7d59f057ff"
+
+
+def test_the_determinants_and_the_ledger_norm_are_the_q_form_to_rounding():
+    # D_alpha = (x4 - x3) (T1 + T2 - T3) / 2 with T1 = (x3 + x4 - x_alpha)^2 / (x3 x4 x_beta),
+    # T2 = 8 (x_alpha - x3) (x_alpha - x4) / (x3 x4 x_alpha) and T3 = (x_alpha^2 - x_beta^2) / (x3 x4 x_beta), at 60
+    # digits from the program's own y.  The error stays within 4 eps of the larger of the verdict's scale (the sizes
+    # of all the terms of D_alpha in x, det_bound at its power of two) and the sizes of the Q-form's own terms, and
+    # ||L|| = sqrt 12 ||lam||, lam = D_alpha / sqrt(x_alpha x3 x4), within 4 eps of the same scale for lam.  The
+    # Q-form's sizes exceed the verdict's scale near the K guard with v, w small (up to 1.2e3 times in this corpus),
+    # where T1 and T3 cancel.
+    geos, _ = _geometries(_eager_corpus())
+    eps = 2.0**-52
+    with mpmath.workdps(60):
+        for geo in geos:
+            x1, x2, x3, x4 = map(mpmath.mpf, geo.y)
+            k = math.frexp(max(geo.y))[1]
+            lam, lam_scale = [], []
+            for (xa, xb), got, (_, bound) in zip(((x1, x2), (x2, x1)), geo.det, geo.det_bound):
+                terms = ((x3 + x4 - xa) ** 2 / (x3 * x4 * xb), 8 * (xa - x3) * (xa - x4) / (x3 * x4 * xa),
+                         -(xa - xb) * (xa + xb) / (x3 * x4 * xb))
+                half = (x4 - x3) / 2
+                exact, scale = half * sum(terms), max(abs(half) * sum(map(abs, terms)), mpmath.ldexp(bound, k))
+                assert abs(got - exact) <= 4 * eps * scale, (geo.params, got, exact)
+                lam.append(exact / mpmath.sqrt(xa * x3 * x4))
+                lam_scale.append(scale / mpmath.sqrt(xa * x3 * x4))
+            exact, scale = (mpmath.sqrt(12 * (a * a + b * b)) for a, b in (lam, lam_scale))
+            assert abs(geo.norm_ledger - exact) <= 4 * eps * scale, geo.params
 
 
 def test_max_ledger_is_the_maximum_of_the_table_bit_for_bit():
