@@ -130,9 +130,7 @@ class GradedLieAlgebra:
         self.structure = c
         self.grading = grading
 
-    # ------------------------------------------------------------------
-    # basic queries
-    # ------------------------------------------------------------------
+    # --- basic queries ---
     @property
     def dim(self) -> int:
         return len(self.names)
@@ -172,9 +170,7 @@ class GradedLieAlgebra:
         e = self.identity_label
         return tuple(i for i, lab in enumerate(self.grading) if lab != e)
 
-    # ------------------------------------------------------------------
-    # operations
-    # ------------------------------------------------------------------
+    # --- operations ---
     def _check_vector(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
@@ -226,9 +222,9 @@ class GradedLieAlgebra:
 
         ``tol`` is the absolute threshold below which a residual (or a
         structure constant, for the closure check) counts as zero.  With
-        integer structure constants ``tol=0.0`` gives exact checks.  Each
-        Jacobi term is one matrix product laid out as (i, j, l, k), and each
-        check scans for its index triples only when its largest residual
+        integer structure constants ``tol=0.0`` gives exact checks.  The
+        Jacobi terms are one matrix product and its two cyclic rotations, and
+        each check scans for its index triples only when its largest residual
         exceeds ``tol``, so a valid algebra forms no triple list.
         """
         if tol < 0:
@@ -243,11 +239,10 @@ class GradedLieAlgebra:
         anti_bad = () if max_anti <= tol else _triples((anti > tol) & (idx[:, None] <= idx)[:, :, None])  # i <= j
 
         # jac[i, j, l, :] = [[e_i,e_j],e_l] + [[e_j,e_l],e_i] + [[e_l,e_i],e_j], added in this order,
-        # where [[e_a,e_b],e_d] = sum_m c[a, b, m] c[m, d, :]
-        pairs, ct = c.reshape(n * n, n), c.transpose(1, 0, 2)  # ct[b, a] = c[a, b]
-        jac = (pairs @ c.reshape(n, n * n)).reshape(n, n, n, n)
-        jac += np.matmul(pairs, ct).reshape(n, n, n, n)
-        jac += np.matmul(ct[:, None], ct[None, :])
+        # from t[a, b, d, :] = [[e_a,e_b],e_d] = sum_m c[a, b, m] c[m, d, :]
+        t = (c.reshape(n * n, n) @ c.reshape(n, n * n)).reshape(n, n, n, n)
+        jac = t + t.transpose(2, 0, 1, 3)
+        jac += t.transpose(1, 2, 0, 3)
         max_jac = float(np.abs(jac, out=jac).max())
         lt = idx[:, None] < idx
         jac_bad = () if max_jac <= tol else _triples((jac.max(axis=3) > tol) & lt[:, :, None] & lt[None])  # i < j < l
@@ -270,9 +265,7 @@ def _triples(mask: np.ndarray) -> tuple[tuple[int, int, int], ...]:
     return tuple(map(tuple, np.argwhere(mask).tolist()))
 
 
-# ----------------------------------------------------------------------
-# JSON serialization
-# ----------------------------------------------------------------------
+# --- JSON serialization ---
 
 def algebra_to_dict(alg: GradedLieAlgebra) -> dict:
     """Serializable document: {dim, names, grading, structure nonzeros}.

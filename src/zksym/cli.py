@@ -30,7 +30,7 @@ from pathlib import Path
 
 from .analysis import (S_INTERVAL_U0, S_INTERVAL_UNONZERO, _reduced_system, first_ledger_verdict,
                        is_naturally_reductive, solve_ledger_u0, solve_ledger_unonzero, verify_solution)
-from .geometry import _cached_geometry
+from .geometry import _SUPPORT, _cached_geometry
 from .metric import DEFAULT_TOL, FRAME_NAMES, DegenerateMetricError, InvalidParamsError, MetricParams
 
 EXIT_OK = 0
@@ -52,9 +52,7 @@ class _UsageError(Exception):
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
-# ----------------------------------------------------------------------
-# input plumbing
-# ----------------------------------------------------------------------
+# --- input plumbing ---
 
 def _load_params_file(path: str) -> dict:
     p = Path(path)
@@ -119,20 +117,29 @@ def _resolve_tol(args, relative: bool = True) -> float:
     return tol
 
 
-# ----------------------------------------------------------------------
-# output plumbing
-# ----------------------------------------------------------------------
+# --- output plumbing ---
 
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _emit_json(payload: dict) -> None:
+def _json_text(value) -> str:
     try:
-        text = _JSON_ENCODER.encode(payload)
+        return _JSON_ENCODER.encode(value)
     except ValueError as exc:  # NaN and Infinity have no JSON form
         raise DegenerateMetricError("a non-finite number has no JSON form") from exc
-    print(text)
+
+
+def _emit_json(payload: dict, rendered: str = "") -> None:  # rendered: last fields as JSON text, ', "key": value'
+    text = _json_text(payload)
+    print(f"{text[:-1]}{rendered}}}" if rendered else text)
+
+
+@functools.cache
+def _table_template() -> str:  # a table's JSON text as json.dumps writes its (8, 8, 8) lists, %s on the support
+    slots = set(_SUPPORT)
+    return _JSON_ENCODER.encode([[[None if 64 * i + 8 * j + k in slots else 0.0 for k in range(8)] for j in range(8)]
+                                 for i in range(8)]).replace("null", "%s")
 
 
 def _term(c: float, name: str) -> str:
@@ -141,9 +148,9 @@ def _term(c: float, name: str) -> str:
 
 def _print_grid(table, names, threshold: float) -> None:
     terms = {}
-    for index in itertools.compress(range(512), table):  # the nonzero entries of the flat table, in row-major order
-        if abs(table[index]) > threshold:
-            terms.setdefault(index // 8, []).append(_term(table[index], names[index % 8]))
+    for index, x in zip(_SUPPORT, table):  # the support values, in row-major order
+        if abs(x) > threshold:
+            terms.setdefault(index // 8, []).append(_term(x, names[index % 8]))
     cells = [[" ".join(terms.get(8 * i + j, ["0"])) for j in range(8)] for i in range(8)]
     widths = [max(map(len, column)) for column in zip(names, *cells)]
     label_w = max(map(len, names))
@@ -153,9 +160,7 @@ def _print_grid(table, names, threshold: float) -> None:
         print(f"{name.ljust(label_w)} | {' | '.join(map(str.ljust, row, widths))}")
 
 
-# ----------------------------------------------------------------------
-# commands
-# ----------------------------------------------------------------------
+# --- commands ---
 
 def _block_summary(alg) -> dict[str, int]:
     names = _LABEL_NAMES if alg.k == 2 else {}
@@ -167,7 +172,7 @@ def _block_summary(alg) -> dict[str, int]:
 
 def cmd_inspect(args) -> None:
     from .algebra import algebra_from_dict, algebra_to_dict  # loaded only here, with numpy
-    from .so5 import build_so5, validate_so5
+    from .so5 import _document, build_so5, validate_so5
     tol = _resolve_tol(args, relative=False)  # absolute: Jacobi, antisymmetry and grading residuals
     if args.algebra:
         try:
@@ -180,10 +185,9 @@ def cmd_inspect(args) -> None:
             alg = algebra_from_dict(data)
         except ValueError as exc:
             raise InvalidParamsError(str(exc)) from exc
-        report = alg.validate(tol)
+        report, document = alg.validate(tol), functools.partial(algebra_to_dict, alg)
     else:
-        alg = build_so5()
-        report = validate_so5()
+        alg, report, document = build_so5(), validate_so5(), _document
     blocks = _block_summary(alg)
     if args.format == "json":
         _emit_json({
@@ -191,7 +195,7 @@ def cmd_inspect(args) -> None:
             "blocks": blocks,
             "valid": report.ok,
             "violations": {k: [list(t) for t in getattr(report, k)] for k in ("antisymmetry", "jacobi", "grading")},
-            "algebra": algebra_to_dict(alg),
+            "algebra": document(),
         })
     else:
         print(f"dimension: {alg.dim}")
@@ -202,13 +206,15 @@ def cmd_inspect(args) -> None:
 
 
 # The point commands below take admissible parameters and the tolerance.
-# With as_json they return the JSON fields that follow the shared head
-# (see _point); otherwise they print their text.
+# With as_json they return the JSON fields after the shared head (see
+# _point), as a dict or as JSON text; otherwise they print their text.
 
-def cmd_tables(p: MetricParams, tol: float, as_json: bool) -> dict | None:
+def cmd_tables(p: MetricParams, tol: float, as_json: bool) -> str | None:
     bt, ut = (_cached_geometry(p).table(name) for name in ("c", "u"))
-    if as_json:  # the flat tables as (8, 8, 8) lists
-        return {key: memoryview(t).cast("B").cast("d", (8, 8, 8)).tolist() for key, t in (("bracket", bt), ("u", ut))}
+    if as_json:  # the (8, 8, 8) lists as JSON text, each distinct value formatted once
+        texts = dict(zip(distinct := list(set(bt + ut)), _json_text(distinct)[1:-1].split(", ")))
+        return "".join(f', "{key}": ' + _table_template() % tuple(map(texts.__getitem__, t))
+                       for key, t in (("bracket", bt), ("u", ut)))
     # entries at or below tol * max|bracket table| show as absent; check-nr judges U as a whole, ||U|| <= tol ||C||
     threshold = tol * max(max(bt), -min(bt))
     print("projected brackets [Ei, Ej]_m in the orthonormal frame:")
@@ -267,8 +273,8 @@ def _point(command, frame: bool):
         body = command(p, tol, args.format == "json")
         if body is not None:
             head = {"frame": list(FRAME_NAMES)} if frame else {}
-            params = {"t": p.t, "u": p.u, "v": p.v, "w": p.w}
-            _emit_json({**head, "params": params, "tol": tol, **body})
+            head.update(params={"t": p.t, "u": p.u, "v": p.v, "w": p.w}, tol=tol)
+            _emit_json(head, body) if isinstance(body, str) else _emit_json({**head, **body})
 
     return run
 
@@ -323,9 +329,7 @@ def cmd_sweep(args) -> None:
     _solutions(args.branch, (last if i == n - 1 > 0 else first + i * step for i in range(n)), tol, as_json=True)
 
 
-# ----------------------------------------------------------------------
-# parser
-# ----------------------------------------------------------------------
+# --- parser ---
 
 # One option of a command: flag, dest, type (None keeps the string), choices, default, required, help.
 _TOL = ("--tol", "tol", float, None, None, False, "tolerance (default: ZKSYM_TOL or 1e-9)")

@@ -22,7 +22,7 @@ norms, each D_alpha against the sizes of all its terms in x.
 The adapted frame of :func:`zksym.metric.orthonormal_frame` is for
 presentation only: A~1 = sgn t (c E1 + s E3), A~2 = sgn t (c E2 + s E4),
 A~3 = c E4 - s E2, A~4 = s E1 - c E3, B~i = sgn v E_{4+i}, C~i = sgn w E_{6+i}
-with c, s = sqrt(x1, x2 / 2t^2).  Its tables (8, 8, 8) and Ricci matrix (8, 8)
+with c, s = sqrt(x1, x2 / 2t^2).  Its tables (48 slots) and Ricci matrix (8, 8)
 are floats too, built on first use; numpy forms only the library's arrays and
 raw m-vectors (basis A1..C2), which enter the root frame by diag(sqrt x) P^T.
 """
@@ -30,8 +30,6 @@ raw m-vectors (basis A1..C2), which enter the root frame by diag(sqrt x) P^T.
 from __future__ import annotations
 
 import math
-from array import array
-from collections import defaultdict
 from functools import cache, cached_property, lru_cache
 from itertools import permutations, product
 
@@ -62,6 +60,10 @@ _INDEX, _C0, _RK, _RI, _RJ, _L_SIGN, _TRIPLE = zip(*sorted(
     (64 * i + 8 * j + k, (-1) ** ((i > j) + (i > k) + (j > k)) * sign * math.sqrt(0.5),
      *(2 * max(m // 2 - 1, 0) + a // 2 for m in (k, i, j)), -sign * math.sqrt(0.5), a // 2)
     for a, b, c, sign in _TRIPLES for i, j, k in permutations((a, b, c))))
+# the columns of the nonzeros of row a of Q (_Geometry.root_vectors), which carry the support to 48 slots, in C order
+_ROWS = ((0, 3), (1, 2), (0, 3), (1, 2), (4,), (5,), (6,), (7,))
+_SUPPORT = tuple(sorted({64 * i + 8 * j + k for index in _INDEX
+                         for i, j, k in product(_ROWS[index // 64], _ROWS[index // 8 % 8], _ROWS[index % 8])}))
 
 
 @cache
@@ -145,10 +147,11 @@ def _ldexp(x: float, n: int) -> float:
         return math.copysign(math.inf, x)
 
 
-def _dense(values) -> np.ndarray:
-    """The (8, 8, 8) root-frame tensor of its values on the support."""
+def _dense(values, slots=_INDEX) -> np.ndarray:
+    """A new (8, 8, 8) array of the values on their slots: the root frame support or the adapted one, _SUPPORT."""
+    _arrays()
     out = np.zeros((8, 8, 8))
-    np.put(out, _INDEX, values)
+    np.put(out, slots, values)
     return out
 
 
@@ -184,7 +187,7 @@ class _Geometry:
     def u_max(self) -> tuple[float, tuple[int, int, int]]:
         """max |U| over the adapted frame triples and the first (i, j, k), in C order, that attains it."""
         table = list(map(abs, self.table("u")))
-        i, jk = divmod(table.index(max(table)), 64)
+        i, jk = divmod(_SUPPORT[table.index(max(table))] if any(table) else 0, 64)  # (0, 0, 0) where all are 0
         return max(table), (i, *divmod(jk, 8))
 
     @cached_property
@@ -227,16 +230,16 @@ class _Geometry:
         return [[(0, ct), (3, s)], [(1, ct), (2, -s)], [(0, st), (3, -c)], [(1, st), (2, c)],
                 [(4, sv)], [(5, sv)], [(6, sw)], [(7, sw)]]
 
-    def table(self, name: str) -> array:
-        """The support values ``name`` presented in the adapted frame, (8, 8, 8) flat in C order, built once.  Q has
-        two nonzeros in a row of A, one in B, C: each entry sums at most two products, each rounded once, any order."""
+    def table(self, name: str) -> tuple[float, ...]:
+        """The support values ``name`` presented in the adapted frame, on the slots _SUPPORT, built once.  Q has two
+        nonzeros in a row of A, one in B, C: each entry sums at most two products, each rounded once, any order."""
         tables = vars(self).setdefault("_tables", {})
         if name not in tables:
-            table, q = defaultdict(float), self.root_vectors
+            table, q = dict.fromkeys(_SUPPORT, 0.0), self.root_vectors
             for index, x in zip(_INDEX, getattr(self, name)):  # products then sums, with no fused multiply-add,
                 for (i, qi), (j, qj), (k, qk) in product(q[index // 64], q[index // 8 % 8], q[index % 8]):
                     table[64 * i + 8 * j + k] += x * qi * qj * qk  # so that terms that cancel leave exact zeros
-            tables[name] = array("d", [table.get(index, 0.0) + 0.0 for index in range(512)])  # and no -0.0
+            tables[name] = tuple(table.values())  # from 0.0, which leaves no -0.0
         return tables[name]
 
     @cached_property
@@ -356,26 +359,21 @@ def ledger(x, y, z, form: AdaptedForm) -> float:
     return float(_apply(geo, _dense(geo.ledger), x, y, z))
 
 
-def _presented(p: MetricParams, name: str) -> np.ndarray:  # a new array of the table ``name``
-    _arrays()
-    return np.array(_cached_geometry(p).table(name)).reshape(8, 8, 8)
-
-
 def bracket_table(p: MetricParams) -> np.ndarray:
     """Projected brackets on frame pairs: table[i, j, :] = [E_i, E_j]_m in frame coordinates."""
-    return _presented(p, "c")
+    return _dense(_cached_geometry(p).table("c"), _SUPPORT)
 
 
 def u_table(p: MetricParams) -> np.ndarray:
     """U on frame pairs, frame coordinates; symmetric in the first two indices."""
-    return _presented(p, "u")
+    return _dense(_cached_geometry(p).table("u"), _SUPPORT)
 
 
 def nomizu_table(p: MetricParams) -> np.ndarray:
     """Connection coefficients on frame pairs: table[i, j, :] = nabla_{E_i} E_j."""
-    return _presented(p, "n")
+    return _dense(_cached_geometry(p).table("n"), _SUPPORT)
 
 
 def ledger_table(p: MetricParams) -> np.ndarray:
     """First Ledger form on all frame triples (8x8x8, fully symmetric)."""
-    return _presented(p, "ledger")
+    return _dense(_cached_geometry(p).table("ledger"), _SUPPORT)

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import GradedLieAlgebra, GradingLabel, ValidationReport
+from .algebra import GradedLieAlgebra, GradingLabel, ValidationReport, algebra_to_dict
 from .metric import DEFAULT_TOL
 
 __all__ = [
@@ -117,3 +117,8 @@ def build_so5() -> GradedLieAlgebra:
 def validate_so5() -> ValidationReport:
     """The exact (tolerance 0) validation report of build_so5(), computed once per process."""
     return build_so5().validate(0.0)
+
+
+@lru_cache(maxsize=1)
+def _document() -> dict:  # algebra_to_dict(build_so5()), formed once per process for inspect, which only reads it
+    return algebra_to_dict(build_so5())

@@ -247,6 +247,37 @@ def test_validate_of_a_valid_algebra_scans_no_triples(monkeypatch):
     assert scans == [(10, 10, 10)]  # the Jacobi rows alone
 
 
+def _three_product_jacobi(c: np.ndarray) -> np.ndarray:
+    """|jac[i, j, l, :]| with each Jacobi term its own matrix product laid out as (i, j, l, k), added in the order
+    [[e_i,e_j],e_l] + [[e_j,e_l],e_i] + [[e_l,e_i],e_j]: the reference for one product and its two rotations."""
+    n = len(c)
+    pairs, ct = c.reshape(n * n, n), c.transpose(1, 0, 2)  # ct[b, a] = c[a, b]
+    jac = (pairs @ c.reshape(n, n * n)).reshape(n, n, n, n)
+    jac += np.matmul(pairs, ct).reshape(n, n, n, n)
+    jac += np.matmul(ct[:, None], ct[None, :])
+    return np.abs(jac)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 10, 16, 24])
+def test_validate_forms_the_jacobi_sum_of_the_three_products(n):
+    # the same terms added in the same order; only the dot products inside each matrix product may group
+    # differently, so the largest residual agrees to a few rounding errors of the terms' sizes, and the
+    # violating triples, judged away from their row maxima, agree exactly
+    rng = np.random.default_rng([25, n])
+    names, grading = [f"e{i}" for i in range(n)], [GradingLabel((False, False))] * n
+    idx = np.arange(n)
+    increasing = (idx[:, None, None] < idx[None, :, None]) & (idx[None, :, None] < idx[None, None, :])
+    for _ in range(4):
+        c = rng.standard_normal((n, n, n)) * 10.0 ** rng.uniform(-3, 3)
+        want = _three_product_jacobi(c)
+        size = 3.0 * float((np.abs(c).reshape(n * n, n) @ np.abs(c).reshape(n, n * n)).max())
+        row_max = want.max(axis=3)
+        for tol in (0.0, float(np.median(row_max)) * (1.0 + 1e-6)):
+            report = GradedLieAlgebra(names, c, grading).validate(tol)
+            assert abs(report.max_jacobi_residual - want.max()) <= 4 * n * np.finfo(float).eps * size
+            assert report.jacobi == tuple(map(tuple, np.argwhere((row_max > tol) & increasing).tolist()))
+
+
 def test_validate_peak_memory_stays_within_the_dense_oracle():
     # dim 32: each (i, j, l, k) array holds 32^4 floats, 8 MiB
     rng = np.random.default_rng(32)

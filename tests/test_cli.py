@@ -306,6 +306,48 @@ def test_tables_json_round_trip(capsys):
     assert bracket[0, 4, 6] == pytest.approx(-2.0)
 
 
+def test_tables_json_is_json_dumps_of_the_library_tables(capsys):
+    # the record written from its support values is byte for byte the one json.dumps writes from the dense
+    # (8, 8, 8) arrays, over |t| from 1e-150 to 1e150, K/|t| down to 1e-8, u = 0 and v = w included
+    rng = random.Random(25)
+    points = [(1.0, 0.3, 1.2, 0.8), (1.0, 0.0, 1.0, 2.0), (1.0, 0.0, 1.0, 1.0)]
+    while len(points) < 120:
+        t = 10.0 ** rng.uniform(-150.0, 150.0) * rng.choice([-1.0, 1.0])
+        k = 10.0 ** rng.uniform(-8.0, 0.0) if rng.random() < 0.5 else rng.uniform(0.1, 1.0)  # K / |t|
+        u = 0.0 if rng.random() < 0.2 else 2.0 * t * t * math.sqrt(1.0 - k * k) * rng.choice([-1.0, 1.0])
+        v, w = (t * 10.0 ** rng.uniform(-2.0, 2.0) * rng.choice([-1.0, 1.0]) for _ in range(2))
+        points.append((t, u, v, -v if rng.random() < 0.2 else w))
+    written = 0
+    for t, u, v, w in points:
+        argv = ["tables", "--t", repr(t), "--u", repr(u), "--v", repr(v), "--w", repr(w), "--format", "json"]
+        code, out, err = run_cli(capsys, *argv)
+        if code == 2:  # refused by the K guard or an overflow, as the library refuses it
+            with pytest.raises(zksym.DegenerateMetricError):
+                zksym.bracket_table(zksym.MetricParams(t, u, v, w))
+            continue
+        p = zksym.MetricParams(t, u, v, w)
+        record = {"frame": list(zksym.FRAME_NAMES), "params": {"t": p.t, "u": p.u, "v": p.v, "w": p.w}, "tol": 1e-9,
+                  "bracket": zksym.bracket_table(p).tolist(), "u": zksym.u_table(p).tolist()}
+        assert (code, out, err) == (0, json.dumps(record) + "\n", ""), argv
+        written += 1
+    assert written >= 100
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_tables_json_with_a_non_finite_entry_exits_2(capsys, monkeypatch, bad):
+    # a table entry is at most sqrt 2 times the largest ratio, which the program keeps finite, and no admissible
+    # point found overflows one, so the entry is planted: the record is refused whole, with the one JSON message
+    def table(geo, name):
+        values = list(original(geo, name))
+        values[17] = bad
+        return tuple(values)
+
+    original = geometry._Geometry.table
+    monkeypatch.setattr(geometry._Geometry, "table", table)
+    code, out, err = run_cli(capsys, "tables", "--t", "1", "--u", "0.3", "--v", "1.2", "--w", "0.8", "--format", "json")
+    assert (code, out, err) == (2, "", "numerical failure: a non-finite number has no JSON form\n")
+
+
 def test_check_nr_false(capsys):
     code, out, _ = run_cli(capsys, "check-nr", "--t", "1", "--u", "0", "--v", "1", "--w", "2")
     assert code == 0
@@ -1214,6 +1256,22 @@ def test_inspect_validates_the_built_in_algebra_once_per_process(capsys, monkeyp
     path.write_text(json.dumps(algebra_to_dict(build_so5())))
     for _ in range(2):
         assert run_cli(capsys, "inspect", "--algebra", str(path))[0] == 0
+    assert len(calls) == 3
+
+
+def test_inspect_json_forms_the_built_in_document_once_per_process(capsys, monkeypatch, tmp_path):
+    calls = _count_calls(monkeypatch, zksym.algebra_to_dict)
+    so5._document.cache_clear()
+    first = run_cli(capsys, "inspect", "--format", "json")
+    assert run_cli(capsys, "inspect", "--format", "json") == first
+    assert json.loads(first[1])["algebra"] == algebra_to_dict(build_so5())
+    assert len(calls) == 1
+    # text forms none; a serialized algebra's document is formed on every JSON call
+    path = tmp_path / "so5.json"
+    path.write_text(json.dumps(algebra_to_dict(build_so5())))
+    assert run_cli(capsys, "inspect", "--algebra", str(path))[0] == 0 and len(calls) == 1
+    for _ in range(2):
+        assert run_cli(capsys, "inspect", "--algebra", str(path), "--format", "json")[0] == 0
     assert len(calls) == 3
 
 

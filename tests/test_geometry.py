@@ -289,6 +289,26 @@ def test_the_support_is_the_one_numpy_derives_from_so5():
             [x.hex() if isinstance(x, float) else x for x in np.asarray(want).tolist()]
 
 
+def test_the_adapted_tables_live_on_the_48_slots_of_the_support():
+    # Q carries the 48 root frame entries to 48 of the 512 slots of each adapted table: the generic points fill
+    # exactly those with nonzeros of the bracket, U, nomizu and ledger tables, and no point leaves them
+    support = set(geometry._SUPPORT)
+    assert len(support) == 48 and list(geometry._SUPPORT) == sorted(support)
+    rng = np.random.default_rng(25)
+    tables = (bracket_table, u_table, nomizu_table, ledger_table)
+    seen = set()
+    for p in [sample_params(rng) for _ in range(2000)]:
+        for table in tables:
+            seen.update(np.flatnonzero(table(p)).tolist())
+    assert seen == support
+    # u = 0, v = w (where L = 0) and the round point (where U and L vanish) keep their nonzeros there too
+    special = [MetricParams(1.0, 0.0, 0.7, 1.3), MetricParams(-1.2, 0.0, 0.9, -2.1), MetricParams(1.0, 0.7, 1.3, 1.3),
+               MetricParams(0.8, -0.4, 1.1, -1.1), MetricParams(1.0, 0.0, 1.0, 1.0), MetricParams(-2.0, 0.0, 2.0, -2.0)]
+    for p in special:
+        nonzero = [set(np.flatnonzero(table(p)).tolist()) for table in tables]
+        assert set().union(*nonzero) <= support and nonzero[0], p
+
+
 def test_ricci_u_zero_degeneracies():
     p = MetricParams(1.4, 0, 0.8, 1.9)
     rho = ricci(build_form(p))
