@@ -10,12 +10,12 @@ read off each point's cached geometry.  The metrics with
 v = w form a third family that satisfies L = 0 and that no solver returns;
 of it only the round point u = 0, v^2 = w^2 = t^2 is naturally reductive.
 
-Verdicts use frame-free scales: Frobenius norms, the same in every
-orthonormal frame, and each D_alpha against the sizes of all its terms in
-x, which do not scale.  The adapted frame (A~1..C~2), in which reports
-name frame triples, is for presentation only; the four reduced equations
-written in it are closed combinations of D1 and D2
-(:func:`ledger_system_residuals`).
+Verdicts are frame-free and do not scale: natural reductivity and the
+isometries are equalities of x = (t^2 + u/2, t^2 - u/2, v^2, w^2) to a
+relative tol, and the Ledger verdict weighs each D_alpha against the sizes
+of all its terms in x.  The adapted frame (A~1..C~2), in which reports name
+frame triples, is for presentation only; the four reduced equations written
+in it are closed combinations of D1, D2 (:func:`ledger_system_residuals`).
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ S_INTERVAL_UNONZERO = (1.0 / 3.0, S_MAX_UNONZERO)
 
 @dataclass(frozen=True)
 class ReductivityReport:
-    """U-based naturally-reductive test: max |<U(X,Y),Z>| over adapted frame triples."""
+    """Naturally-reductive verdict, with max |<U(X,Y),Z>| over adapted frame triples and a triple attaining it."""
 
     naturally_reductive: bool
     max_coefficient: float
@@ -69,20 +69,15 @@ class ReductivityReport:
 def is_naturally_reductive(p: MetricParams, tol: float = DEFAULT_TOL) -> ReductivityReport:
     """Test whether the metric is naturally reductive (U vanishes on m).
 
-    U counts as zero up to tol times the bracket table, in Frobenius norm,
-    which is the same in every orthonormal frame.  The witness names an
-    adapted frame triple (X, Y, Z) maximizing |<U(X,Y),Z>| when the test fails.
+    U = 0 exactly where x1 = x2 = x3 = x4 (u = 0, v^2 = w^2 = t^2), so the
+    test is (max x - min x) / (max x + min x) <= tol.  The witness names an
+    adapted frame triple (X, Y, Z) maximizing |<U(X,Y),Z>| when it fails.
     """
     geo = geometry._cached_geometry(p)
     u_max, (i, j, k) = geo.u_max
-    if _reductive(geo, tol):
+    if geo.equal("1234", tol):
         return ReductivityReport(True, u_max, None)
     return ReductivityReport(False, u_max, (FRAME_NAMES[i], FRAME_NAMES[j], FRAME_NAMES[k]))
-
-
-def _reductive(geo, tol: float = DEFAULT_TOL) -> bool:
-    """The naturally-reductive verdict at a point's geometry: ||U|| <= tol * ||bracket table||."""
-    return geo.norm_u <= tol * geo.norm_c
 
 
 def first_ledger_verdict(p: MetricParams, tol: float = DEFAULT_TOL) -> tuple[float, bool]:
@@ -118,13 +113,14 @@ def infinitesimal_isometries(p: MetricParams, tol: float = DEFAULT_TOL) -> np.nd
     """Orthonormal basis of the X in m whose ad(X)_m is skew for the metric.
 
     Solves B([X,Y]_m, Z) + B(Y, [X,Z]_m) = 0, that is <U(Y, Z), X> = 0, over all
-    frame pairs (Y, Z) as a linear system in X, whose singular values are one
-    sigma_k per module, twice, in closed form: the kernel is the sum of the
-    modules with sigma_k <= tol * max sigma.  Columns of the returned (8, dim)
-    array are their root vectors in adapted frame coordinates (entries 0, +-1,
-    +-c, +-s), or A~1..A~4 where both A modules are kept.  At v = w the space
-    is 4-dimensional, yet probes of Singer's stabilizer find the isometry
-    algebra so(5) there: it holds no extra Killing fields.
+    frame pairs (Y, Z) as a linear system in X.  Its kernel is a sum of
+    modules: both A where v^2 = w^2, B where u = 0 and w^2 = t^2, C where
+    u = 0 and v^2 = t^2, each equality of x to a relative tol as in
+    :func:`is_naturally_reductive`.  Columns of the (8, dim) array are
+    A~1..A~4, then the root vectors of B and C, in adapted frame coordinates
+    (entries 0, +-1).  At v = w the space is 4-dimensional, yet probes of
+    Singer's stabilizer find the isometry algebra so(5) there: it holds no
+    extra Killing fields.
     """
     import numpy as np  # loaded only where an array is formed: ``isometries`` prints the geometry's floats
     return np.array(geometry._cached_geometry(p).isometries(tol), dtype=float).reshape(-1, 8).T
@@ -220,7 +216,7 @@ def _evaluate(p: MetricParams) -> tuple[dict[str, float], dict[str, float], bool
     # an overflowing scale leaves the relative ||L|| at 0
     relative = {"ledger": geo.norm_ledger / (geo.norm_n * geo.norm_rho), "star": max(d1 / s1, d2 / s2)}
     absolute["gram"] = relative["gram"] = _gram_defect(p)
-    return absolute, relative, _reductive(geo)
+    return absolute, relative, geo.equal("1234", DEFAULT_TOL)
 
 
 def _gram_defect(p: MetricParams) -> float:

@@ -215,7 +215,7 @@ def cmd_tables(p: MetricParams, tol: float, as_json: bool) -> str | None:
         texts = dict(zip(distinct := list(set(bt + ut)), _json_text(distinct)[1:-1].split(", ")))
         return "".join(f', "{key}": ' + _table_template() % tuple(map(texts.__getitem__, t))
                        for key, t in (("bracket", bt), ("u", ut)))
-    # entries at or below tol * max|bracket table| show as absent; check-nr judges U as a whole, ||U|| <= tol ||C||
+    # entries at or below tol * max|bracket table| show as absent; check-nr judges x, not these entries
     threshold = tol * max(max(bt), -min(bt))
     print("projected brackets [Ei, Ej]_m in the orthonormal frame:")
     _print_grid(bt, FRAME_NAMES, threshold)

@@ -16,8 +16,8 @@ forms them from the x / 4^e of :attr:`zksym.metric.MetricParams.unit_scalars`
 (the exact homothety to 1 <= |t| < 2) with each x_k - x_j formed before a
 quotient, so nothing loses digits near the K guard.  It forms D_alpha once,
 as (x4 - x3) Q_alpha / (2 x1 x2 x3 x4), and L, the reduced system and the
-verdicts all read that.  Verdicts use frame-free quantities: Frobenius
-norms, each D_alpha against the sizes of all its terms in x.
+Ledger verdict (against the sizes of all its terms in x) read that; every
+other point verdict is an equality of x (:meth:`_Geometry.equal`).
 
 The adapted frame of :func:`zksym.metric.orthonormal_frame` is for
 presentation only: A~1 = sgn t (c E1 + s E3), A~2 = sgn t (c E2 + s E4),
@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from functools import cache, cached_property, lru_cache
 from itertools import permutations, product
+from operator import itemgetter
 
 from .metric import (DEFAULT_TOL, AdaptedForm, DegenerateMetricError, InvalidParamsError, MetricParams,
                      check_adh_invariance)
@@ -64,6 +65,8 @@ _INDEX, _C0, _RK, _RI, _RJ, _L_SIGN, _TRIPLE = zip(*sorted(
 _ROWS = ((0, 3), (1, 2), (0, 3), (1, 2), (4,), (5,), (6,), (7,))
 _SUPPORT = tuple(sorted({64 * i + 8 * j + k for index in _INDEX
                          for i, j, k in product(_ROWS[index // 64], _ROWS[index // 8 % 8], _ROWS[index % 8])}))
+# the sets J of modules whose x_k the point verdicts compare, each with the getter of its y_k
+_SETS = {name: itemgetter(*(int(k) - 1 for k in name)) for name in ("1234", "34", "124", "123")}
 
 
 @cache
@@ -122,10 +125,10 @@ def _program(e: int, y) -> tuple[list[float], ...]:
         rows.append((c0, c1, c2, d, (abs(d) * power, bound), h / math.sqrt(xa) * q,
                      f0 * f0 + f1 * f1 + f2 * f2))
     (c0, c1, c2, d1, b1, l1, u1), (c3, c4, c5, d2, b2, l2, u2) = rows
-    # ||C||^2 / 4 = sigma and ||nabla||^2 = ||U||^2 + ||C||^2 / 4, as U is symmetric and C antisymmetric;
+    # ||nabla||^2 = ||U||^2 + ||C||^2 / 4 = ||U||^2 + sigma, as U is symmetric and C antisymmetric;
     # ||L||^2 = 12 ||lam||^2, as L is +-lam_alpha / sqrt 2 on the 24 entries of the triples of alpha
-    norms = [math.sqrt((sigma1 + sigma2) * 4.0), math.sqrt(u1 + u2), math.sqrt((u1 + sigma1) + (u2 + sigma2)),
-             math.sqrt((r1 * r1 + r3 * r3 + (r2 * r2 + r4 * r4)) * 2.0), math.sqrt((l1 * l1 + l2 * l2) * 12.0)]
+    norms = [math.sqrt((u1 + sigma1) + (u2 + sigma2)), math.sqrt((r1 * r1 + r3 * r3 + (r2 * r2 + r4 * r4)) * 2.0),
+             math.sqrt((l1 * l1 + l2 * l2) * 12.0)]
     e2, e3, ldexp = 2 * e, 3 * e, math.ldexp
     try:  # the ratios slot-major, r and lam at the point's scale, where |lam1| + |lam2| bounds max|L| too
         ratios = [ldexp(c0, -e), ldexp(c3, -e), ldexp(c1, -e), ldexp(c4, -e), ldexp(c2, -e), ldexp(c5, -e)]
@@ -164,7 +167,7 @@ class _Geometry:
         self.params = p
         self.e, self.y = p.unit_scalars
         self.ratios, self.r, self.lam, self.det, self.det_bound, norms = _program(self.e, self.y)
-        self.norm_c, self.norm_u, self.norm_n, self.norm_rho, self.norm_ledger = norms
+        self.norm_n, self.norm_rho, self.norm_ledger = norms
 
     # the support values of C, U, nabla (and L below), in the order of _INDEX
     c = property(lambda self: [c0 * self.ratios[k] for c0, k in zip(_C0, _RK)])
@@ -190,21 +193,21 @@ class _Geometry:
         i, jk = divmod(_SUPPORT[table.index(max(table))] if any(table) else 0, 64)  # (0, 0, 0) where all are 0
         return max(table), (i, *divmod(jk, 8))
 
-    @cached_property
-    def sigma(self) -> list[float]:
-        """Per module A1, A2, B, C, twice a singular value of the rows U[i, j, :] (i <= j), with its root vectors for
-        right singular vectors: their Gram matrix there is sigma_k^2 I_2, 1/4 the sum of U[i, j, k']^2 over i, j, k'."""
-        a1, a2, b1, b2, c1, c2 = self.ratios  # with the A, B, C module on top, alpha = 1, 2
-        return [0.5 * abs(b1 - c1), 0.5 * abs(b2 - c2), 0.5 * math.hypot(c1 - a1, c2 - a2),
-                0.5 * math.hypot(b1 - a1, b2 - a2)]
+    def equal(self, modules: str, tol: float) -> bool:
+        """Whether the x_k of ``modules`` (1234, 34, 124 or 123: A1, A2, B, C) are equal to a relative tol, eps_J =
+        (max - min) / (max + min) <= tol: the least relative move of each x_k that makes them equal.  Each y_k is
+        x_k to about 2^-52 relative, hi - lo rounds once and tol (hi + lo) twice (finite: where x3 + x4 overflows,
+        so does D_alpha), so this is the exact verdict wherever |eps_J - tol| > (2 + 5 tol) 2^-53, tol hi normal."""
+        x = _SETS[modules](self.y)
+        lo, hi = min(x), max(x)
+        return hi - lo <= tol * (hi + lo)
 
     def isometries(self, tol: float) -> list[list[float]]:
-        """The kernel of the rows: the root vectors of each module with sigma_k <= tol max sigma; A~1..A~4 for both."""
-        kept = [not s > tol * (max(self.sigma) or 1.0) for s in self.sigma]  # all, where every sigma_k is 0
-        basis = [[dict(row).get(i, 0.0) for i in range(8)] for a, row in enumerate(self.root_vectors) if kept[a // 2]]
-        if kept[0] and kept[1]:  # the A block, spanned by the frame vectors themselves
-            basis[:4] = [[float(i == j) for j in range(8)] for i in range(4)]
-        return basis
+        """The kernel of U's rows, a sum of modules: A~1..A~4 where x3 = x4, the root vectors of B where
+        x1 = x2 = x4 and those of C where x1 = x2 = x3, each to a relative tol (:meth:`equal`)."""
+        kept = [self.equal("34", tol)] * 4 + [self.equal("124", tol)] * 2 + [self.equal("123", tol)] * 2
+        rows = [[(a, 1.0)] for a in range(4)] + self.root_vectors[4:]  # A~1..A~4, the root vectors of B and C
+        return [[dict(row).get(i, 0.0) for i in range(8)] for row, keep in zip(rows, kept) if keep]
 
     @cached_property
     def frame(self) -> np.ndarray:

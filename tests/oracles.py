@@ -4,7 +4,8 @@ Everything here is computed from first principles, separately from the
 library code paths it checks: a literal 5x5 matrix model for brackets, the
 closed-form coefficient tables of the orthonormal frame, the
 closed-form Ricci entries, the reduced Ledger equations written out, the
-Ricci eigenvalues of the root-space frame, and the graded Lie algebra
+Ricci eigenvalues of the root-space frame, the singular values of U's rows
+and the relative spread of the x_k, and the graded Lie algebra
 checks and serialization written densely, entry by entry.  The closed
 forms take any numbers with the arithmetic of floats: evaluated at
 :func:`exact_point` they are exact to 50 digits.
@@ -252,6 +253,26 @@ def expected_root_ricci(x1, x2, x3, x4) -> tuple:
         -(x1 * x1 * x2 + x1 * x2 * x2 - 6 * x1 * x2 * x4 - (x1 + x2) * (x3 * x3 - x4 * x4)) / (2 * x1 * x2 * x3 * x4),
         -(x1 * x1 * x2 + x1 * x2 * x2 - 6 * x1 * x2 * x3 + (x1 + x2) * (x3 * x3 - x4 * x4)) / (2 * x1 * x2 * x3 * x4),
     )
+
+
+def module_singular_values(ratios) -> list[float]:
+    """The singular values of U's rows U[i, j, :] (i <= j), one per module A1, A2, B, C, each twice, from the
+    ratios a1, a2, b1, b2, c1, c2 of the root frame, sqrt(x_a / (x3 x4)), sqrt(x3 / (x_a x4)), sqrt(x4 / (x_a x3))
+    for a = 1, 2: the Gram matrix of the rows is sigma_k^2 I_2 on module k, 1/4 the sum of U[i, j, k']^2 over i, j
+    and the k' of the module (``tests/test_symbolic.py``)."""
+    a1, a2, b1, b2, c1, c2 = ratios
+    return [0.5 * abs(b1 - c1), 0.5 * abs(b2 - c2), 0.5 * math.hypot(c1 - a1, c2 - a2),
+            0.5 * math.hypot(b1 - a1, b2 - a2)]
+
+
+def spread(p: MetricParams, modules: str):
+    """eps_J = (max - min) / (max + min) of the x_k, k in ``modules`` (digits of 1234: A1, A2, B, C), at 50 digits
+    from the binary parameters: the least relative move of each x_k that makes them equal."""
+    e = exact_point(p)
+    with mpmath.workdps(50):
+        x = (e.t * e.t + e.u / 2, e.t * e.t - e.u / 2, e.v * e.v, e.w * e.w)
+        xs = [x[int(k) - 1] for k in modules]
+        return (max(xs) - min(xs)) / (max(xs) + min(xs))
 
 
 def unonzero_closed_form_v2(s: float) -> float:

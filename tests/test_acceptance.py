@@ -114,7 +114,7 @@ def test_criterion_4_naturally_reductive_equivalence():
         and not is_naturally_reductive(MetricParams(1, 0, 1, 2)).naturally_reductive
         and not is_naturally_reductive(MetricParams(1, 0.5, 1, 1)).naturally_reductive
     )
-    _report(4, "U-based predicate coincides with the closed-form criterion on 500 draws",
+    _report(4, "naturally-reductive predicate coincides with the closed-form criterion on 500 draws",
             agree and examples_ok)
 
 

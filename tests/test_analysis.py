@@ -32,7 +32,8 @@ from zksym import (
     verify_solution,
 )
 
-from oracles import expected_reduced_terms, expected_ricci_entries, exact_point, sample_params, unonzero_closed_form_v2
+from oracles import (expected_reduced_terms, expected_ricci_entries, exact_point, module_singular_values, sample_params,
+                     spread, unonzero_closed_form_v2)
 
 
 # ----------------------------------------------------------------------
@@ -74,6 +75,61 @@ def test_nr_equivalent_to_closed_form_criterion():
             and abs(p.t**2 - p.w**2) <= tol
         )
         assert via_u == closed
+
+
+def _band(tol: float) -> float:
+    """The stated rounding band of _Geometry.equal: outside |eps_J - tol| <= (2 + 5 tol) 2^-53 it is exact."""
+    return (2.0 + 5.0 * tol) * 2.0**-53
+
+
+def _spread_corpus(rng: np.random.Generator, modules: str, tol: float, n: int) -> list[MetricParams]:
+    """Seeded points whose eps_J lies 2 to 64 bands above or below tol before their parameters are rounded:
+    the x_k of J spread from lo to lo (1 + eps) / (1 - eps), the others anywhere in [0.1, 10], scaled by
+    s^2 with s log-uniform in [1e-90, 1e90]; for J = 34 one in three has x2 / x1 about 1e-15 (K / |t| about
+    6e-8, near the K guard), where every set holding x1 and x2 has eps near 1."""
+    points = []
+    while len(points) < n:
+        eps = tol + rng.choice([-1.0, 1.0]) * rng.uniform(2.0, 64.0) * _band(tol)
+        x = list(10.0 ** rng.uniform(-1.0, 1.0, 4))
+        if modules == "34" and rng.integers(3) == 0:
+            x[1] = x[0] * 10.0 ** rng.uniform(-15.5, -14.5)
+        ks = [int(k) - 1 for k in rng.permutation(list(modules))]
+        lo = x[ks[0]]
+        x[ks[1]] = lo * (1.0 + eps) / (1.0 - eps)
+        for k in ks[2:]:
+            x[k] = rng.uniform(lo, x[ks[1]])
+        s = 10.0 ** rng.uniform(-90.0, 90.0)
+        t = rng.choice([-1.0, 1.0]) * math.sqrt((x[0] + x[1]) / 2.0) * s
+        v, w = (rng.choice([-1.0, 1.0]) * math.sqrt(x[k]) * s for k in (2, 3))
+        points.append(MetricParams(t, (x[0] - x[1]) * s * s, v, w))
+    return points
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.1, 0.9])
+@pytest.mark.parametrize("modules", ["1234", "34", "124", "123"])
+def test_the_equality_verdicts_are_exact_outside_the_rounding_band(modules, tol):
+    # eps_J at 50 digits from the binary parameters: outside the stated band the float verdict is eps_J <= tol,
+    # on both sides of tol; check-nr reads J = 1234 and the isometries J = 34, 124, 123
+    near = {True: 0, False: 0}
+    for p in _spread_corpus(np.random.default_rng(112), modules, tol, 150):
+        eps, geo = spread(p, modules), geometry._cached_geometry(p)
+        if abs(eps - tol) <= _band(tol):  # the rounding of the parameters moved it into the band
+            continue
+        assert geo.equal(modules, tol) == (eps <= tol), (p, eps)
+        near[bool(eps <= tol)] += abs(eps - tol) <= 64 * _band(tol)
+        if modules == "1234":
+            assert is_naturally_reductive(p, tol).naturally_reductive == (eps <= tol), p
+        dim = 4 * (spread(p, "34") <= tol) + 2 * (spread(p, "124") <= tol) + 2 * (spread(p, "123") <= tol)
+        assert infinitesimal_isometries(p, tol).shape == (8, dim), p
+    assert min(near.values()) >= 40, near
+
+
+def test_check_nr_has_a_meaning_at_every_tolerance_below_1(capsys):
+    # x = (1, 1, 100, 0.01): eps_1234 = 99.99 / 100.01 = 0.9998, on either side of tol 0.999 and 0.9999
+    from zksym.cli import main
+    argv = ["check-nr", "--t", "1", "--u", "0", "--v", "10", "--w", "0.1", "--tol"]
+    assert (main(argv + ["0.999"]), capsys.readouterr().out.splitlines()[0]) == (0, "false")
+    assert (main(argv + ["0.9999"]), capsys.readouterr().out.splitlines()[0]) == (0, "true")
 
 
 # ----------------------------------------------------------------------
@@ -130,8 +186,16 @@ def _projector(basis: np.ndarray) -> np.ndarray:
     return basis @ basis.T
 
 
+def _spread_kernel(p: MetricParams, tol: float) -> np.ndarray:
+    """The projector on the modules whose equality set holds to tol at 50 digits: A~1..A~4 where eps_34 <= tol,
+    B~1, B~2 where eps_124 <= tol, C~1, C~2 where eps_123 <= tol."""
+    kept = [spread(p, modules) <= tol for modules in ("34", "34", "34", "34", "124", "124", "123", "123")]
+    return np.diag(np.array(kept, dtype=float))
+
+
 def test_isometry_queries_form_no_svd_and_span_what_a_fresh_svd_spans(monkeypatch):
-    # the closed form against the reference SVD of U's rows: the same dimension, the same kernel to 1e-12,
+    # the closed form against the reference SVD of U's rows at the default tol: the same dimension, the same
+    # kernel to 1e-12; at tol 0.5, far from any equality, against the kernel of the equality sets of x;
     # and no query calls np.linalg.svd
     rng = np.random.default_rng(18)
     points = [MetricParams(*params) for params, _, _ in CASES] + [sample_params(rng) for _ in range(40)]
@@ -143,9 +207,9 @@ def test_isometry_queries_form_no_svd_and_span_what_a_fresh_svd_spans(monkeypatc
     monkeypatch.undo()
     dims = set()
     for (p, tol), basis in got.items():
-        want = _fresh_isometries(p, tol)
-        assert basis.shape == want.shape, (p, tol)
-        assert np.max(np.abs(_projector(basis) - _projector(want)), initial=0.0) <= 1e-12, (p, tol)
+        want = _projector(_fresh_isometries(p, tol)) if tol == DEFAULT_TOL else _spread_kernel(p, tol)
+        assert basis.shape[1] == round(np.trace(want)), (p, tol)
+        assert np.max(np.abs(_projector(basis) - want), initial=0.0) <= 1e-12, (p, tol)
         dims.add((tol, basis.shape[1]))
     assert {d for tol, d in dims if tol == 0.5} != {d for tol, d in dims if tol == DEFAULT_TOL}  # the cut moves
 
@@ -171,7 +235,7 @@ def test_the_singular_values_are_one_per_module_each_twice():
     # U's rows on the frame pairs i <= j: numpy's singular values are the four closed-form sigma_k, each twice
     for p in _isometry_corpus(np.random.default_rng(21), 1200):
         s = np.linalg.svd(geometry.u_table(p)[np.triu_indices(8)], compute_uv=False)
-        sigma = np.repeat(sorted(geometry._cached_geometry(p).sigma, reverse=True), 2)
+        sigma = np.repeat(sorted(module_singular_values(geometry._cached_geometry(p).ratios), reverse=True), 2)
         assert np.max(np.abs(s - sigma)) <= 1e-15 * s[0], p
 
 

@@ -403,15 +403,13 @@ def test_isometry_entries_are_exact(capsys):
     b1[4] = b2[5] = 1.0
     assert json.loads(out)["basis"] == [b1, b2]
     assert run_cli(capsys, *argv)[1].splitlines() == ["dimension: 2", "  +1 B~1", "  +1 B~2"]
-    # the A module of e1 - e2 alone: its root vectors sgn t (c A~1 + s A~4) and sgn t c A~2 - s A~3, with
-    # c, s = sqrt(x1, x2 / 2t^2) and exact zeros
-    code, out, _ = run_cli(capsys, "isometries", "--t", "-1", "--u", "1.9", "--v", "1.2", "--w", "0.8", "--tol", "0.1",
-                           "--format", "json")
-    assert code == 0
-    (a1, a2) = json.loads(out)["basis"]
-    c, s = math.sqrt(1.95 / 2), math.sqrt(0.05 / 2)
-    assert [a1[i] for i in (1, 2, 4, 5, 6, 7)] == [a2[i] for i in (0, 3, 4, 5, 6, 7)] == [0.0] * 6
-    assert [a1[0], a1[3], a2[1], a2[2]] == pytest.approx([-c, s, -c, -s], rel=1e-15)
+    # both A modules are kept or dropped together, by eps_34 = (1.44 - 0.64) / (1.44 + 0.64) = 0.385, though
+    # their singular values differ by sqrt(x1 / x2) = 6.2 here: dropped at tol 0.1, kept as A~1..A~4 at tol 0.5,
+    # with B and C dropped (eps_124 = eps_123 = 0.95)
+    argv = ["isometries", "--t", "-1", "--u", "1.9", "--v", "1.2", "--w", "0.8", "--format", "json", "--tol"]
+    assert json.loads(run_cli(capsys, *argv, "0.1")[1])["basis"] == []
+    a_block = [[float(i == j) for j in range(8)] for i in range(4)]
+    assert json.loads(run_cli(capsys, *argv, "0.5")[1])["basis"] == a_block
 
 
 def test_ledger_residual_report(capsys):

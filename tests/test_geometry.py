@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import zksym
 from zksym import (
     AdaptedForm,
+    DEFAULT_TOL,
     DegenerateMetricError,
     FRAME_NAMES,
     InvalidParamsError,
@@ -483,13 +484,13 @@ def test_tables_exact_near_the_k_guard():
 # the scalar program of the eager values
 # ----------------------------------------------------------------------
 
-# the eager values whose formulas are those of the stacked numpy program, the four norms as one row
+# the eager values whose formulas are those of the stacked numpy program, the two norms as one row
 EAGER = ("ratios", "r")
-NORMS = ("norm_c", "norm_u", "norm_n", "norm_rho")
+NORMS = ("norm_n", "norm_rho")
 
 
 def _eager(geo) -> list:
-    """A point's eager values name by name, the four norms as one row."""
+    """A point's eager values name by name, the two norms as one row."""
     return [getattr(geo, name) for name in EAGER] + [[getattr(geo, name) for name in NORMS]]
 
 
@@ -534,13 +535,14 @@ def test_the_eager_values_are_those_of_the_array_program_bit_for_bit():
     # The sha256 of the eager values of every corpus point that computes, as little-endian float64, and of
     # the indices of those refused (L overflows as 1/t^3 below |t| of about 1e-103), as the stacked numpy
     # program that the scalar program replaced computed them: the same operations in the same order.  The
-    # bytes are those of its (N, k) arrays, name by name, the four norms one (N, 4) array.  D_alpha and ||L||
-    # are formed in the Q-form, which that program did not use, and are checked against exact values below.
+    # bytes are those of its (N, k) arrays, name by name, the norms of nabla and rho one (N, 2) array.  D_alpha
+    # and ||L|| are formed in the Q-form, which that program did not use, and are checked against exact values
+    # below.
     geos, refused = _geometries(_eager_corpus())
     assert (len(geos), len(refused)) == (2064, 336)
     data = b"".join(np.array(rows, dtype="<f8").tobytes() for rows in zip(*map(_eager, geos)))
     digest = hashlib.sha256(data + np.array(refused, dtype="<i8").tobytes()).hexdigest()
-    assert digest == "3b83e296e87f6e6148bdc2cac365da9931f85706d3a9e9c7b51b7a7d59f057ff"
+    assert digest == "d52ecee11781bf89b31dd10810320a530d47be2dfaf004f7d4e50c40616831c3"
 
 
 def test_the_determinants_and_the_ledger_norm_are_the_q_form_to_rounding():
@@ -660,7 +662,7 @@ def test_homothety_sign_and_swap_maps_preserve_the_geometry(p, log_lam):
     geo = geometry._Geometry(p)
     spectrum = np.linalg.eigvalsh(geo.ricci)
     max_c, max_u, max_l, max_n, max_rho = (np.abs(a).max() for a in (geo.c, geo.u, geo.ledger, geo.n, geo.r))
-    verdicts = analysis._reductive(geo), analysis._ledger_holds(geo)
+    verdicts = geo.equal("1234", DEFAULT_TOL), len(geo.isometries(DEFAULT_TOL)), analysis._ledger_holds(geo)
     for q, lam in images:
         image = geometry._Geometry(q)
         got = np.linalg.eigvalsh(image.ricci) * lam**2
@@ -668,7 +670,8 @@ def test_homothety_sign_and_swap_maps_preserve_the_geometry(p, log_lam):
         assert abs(np.abs(image.c).max() * lam - max_c) <= 1e-12 * max_c
         assert abs(np.abs(image.u).max() * lam - max_u) <= 1e-12 * max_c
         assert abs(np.abs(image.ledger).max() * lam**3 - max_l) <= 1e-12 * max_n * max_rho
-        assert (analysis._reductive(image), analysis._ledger_holds(image)) == verdicts
+        assert (image.equal("1234", DEFAULT_TOL), len(image.isometries(DEFAULT_TOL)),
+                analysis._ledger_holds(image)) == verdicts
 
 
 # ----------------------------------------------------------------------

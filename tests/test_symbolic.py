@@ -24,6 +24,12 @@ K kept as the symbol k bound by 4 t^2 k^2 = 4 t^4 - u^2.
   (F2), which is (x4 - x3) Q_a / (2 x1 x2 x3 x4) with the Q_a of
   ``zksym.geometry``.  These are identities of rational functions of
   s_k = sqrt(x_k).
+* There, too, the ratios a, b, c = sqrt(x_a / (x3 x4)), sqrt(x3 / (x_a x4)),
+  sqrt(x4 / (x_a x3)) of C on the triple of alpha differ by (x3 - x4),
+  (x4 - x_a) and (x3 - x_a) over sqrt(x_a x3 x4), and the squared singular
+  values of U's rows, one per module, and ||U||^2 are sums of squares of
+  those differences (F15): each point verdict but the Ledger one is an
+  equality of x.
 * The four reduced equations are closed combinations of the two
   determinants D_a, as ``analysis.ledger_system_residuals`` reads them:
   -(D1 + D2)/2, -(D1 - D2)/(2t), sgn t (x2 D1 - x1 D2)/(2 vw sqrt(x1 x2))
@@ -282,3 +288,30 @@ def test_the_reduced_system_is_read_off_the_determinants():
                (x2 * d1 - x1 * d2) / (2 * v * w * t * k), -(x2 * d1 + x1 * d2) / (2 * t**2)]
     for got, terms in zip(reduced, expected_reduced_terms(_POINT, sqrt=lambda _: k)):
         assert _vanishes(got - sum(c * entry for c, entry in terms))
+
+
+def test_the_point_verdicts_are_equalities_of_x():
+    # On the triple of alpha, C's ratios are a, b, c = sqrt(x_a / (x3 x4)), sqrt(x3 / (x_a x4)), sqrt(x4 / (x_a x3)),
+    # and their differences are differences of x over sqrt(x_a x3 x4) > 0.  The rows U[i, j, :] (i <= j) have
+    # Gram matrix sigma_k^2 on the root vectors of module k, and sigma_k^2 and ||U||^2 are sums of squares of
+    # those differences.  So sigma_A1 = sigma_A2 = 0 iff x3 = x4, sigma_B = 0 iff x1 = x2 = x4, sigma_C = 0 iff
+    # x1 = x2 = x3, and U = 0 iff x1 = x2 = x3 = x4: the sets that check-nr and isometries decide.
+    _, c = _root_brackets()
+    ut = [[[(c[m][j][i] + c[m][i][j]) / 2 for m in range(8)] for j in range(8)] for i in range(8)]
+    _, _, x3, x4 = _ROOT_X
+    ratios = []
+    for sa, xa in zip(_ROOT_S[:2], _ROOT_X[:2]):
+        a, b, cc = sp.sqrt(xa / (x3 * x4)), sp.sqrt(x3 / (xa * x4)), sp.sqrt(x4 / (xa * x3))
+        root = sa * _ROOT_S[2] * _ROOT_S[3]  # sqrt(x_a x3 x4)
+        assert sp.cancel(b - cc - (x3 - x4) / root) == 0
+        assert sp.cancel(cc - a - (x4 - xa) / root) == 0
+        assert sp.cancel(b - a - (x3 - xa) / root) == 0
+        ratios.append((a, b, cc))
+    (a1, b1, c1), (a2, b2, c2) = ratios
+    sigma2 = [(b1 - c1) ** 2 / 4, (b2 - c2) ** 2 / 4, ((c1 - a1) ** 2 + (c2 - a2) ** 2) / 4,
+              ((b1 - a1) ** 2 + (b2 - a2) ** 2) / 4]
+    for p, q in itertools.combinations_with_replacement(range(8), 2):
+        gram = sum(ut[i][j][p] * ut[i][j][q] for i in range(8) for j in range(i, 8))
+        assert sp.cancel(gram - (sigma2[p // 2] if p == q else 0)) == 0, (p, q)
+    norm2 = sum(ut[i][j][m] ** 2 for i in range(8) for j in range(8) for m in range(8))
+    assert sp.cancel(norm2 - sum((a - b) ** 2 + (b - cc) ** 2 + (cc - a) ** 2 for a, b, cc in ratios)) == 0
