@@ -173,6 +173,7 @@ class LedgerSolution:
     root frame, ||L|| in Frobenius norm ("ledger"), the larger |D_alpha|
     ("star") and the root frame's orthonormality defect ("gram"), as
     :func:`verify_solution` recomputes them at ``params``.
+    ``naturally_reductive`` is the ``check-nr`` verdict at DEFAULT_TOL, whatever tol the caller uses.
     """
 
     branch: str
@@ -312,8 +313,9 @@ def verify_solution(sol: LedgerSolution, tol: float = DEFAULT_TOL) -> Verificati
     """Judge a solution by the residuals :func:`_evaluate` recomputes at its params.
 
     Passes iff every residual is at most ``tol`` times its scale, those of
-    the relative residuals, and the naturally-reductive status
-    matches the expectation, which does not depend on tol: true only at
+    the relative residuals, and the naturally-reductive status (the
+    ``check-nr`` verdict at DEFAULT_TOL, whatever ``tol`` is) matches the
+    expectation, which does not depend on tol either: true only at
     the round point u = 0, V = W = 1 of ``sol.params``, which neither
     family contains.  For a solver's output the point's geometry is
     usually still cached, and nothing is recomputed but the residuals.

@@ -38,6 +38,9 @@ EXIT_INVALID = 1
 EXIT_NUMERICAL = 2
 
 _JSON_ENCODER = json.JSONEncoder(allow_nan=False)  # json.dumps(..., allow_nan=False) builds one per call
+# LedgerSolution.to_dict() as json.dumps writes it, from its branch, 11 finite floats (%r, as the encoder) and NR
+_SOLUTION = ('{"branch": "%s", "S": %r, "V": %r, "W": %r, "Usq": %r, "params": {"t": %r, "u": %r, "v": %r, "w": %r}, '
+             '"residuals": {"ledger": %r, "star": %r, "gram": %r}, "naturally_reductive": %s}')
 
 # pretty names for the Z_2^2 labels of the built-in instance
 _LABEL_NAMES = {"00": "e", "10": "a", "01": "b", "11": "c"}
@@ -185,7 +188,7 @@ def cmd_inspect(args) -> None:
             alg = algebra_from_dict(data)
         except ValueError as exc:
             raise InvalidParamsError(str(exc)) from exc
-        report, document = alg.validate(tol), functools.partial(algebra_to_dict, alg)
+        report, document = alg.validate(tol), lambda: _json_text(algebra_to_dict(alg))  # formed on every call
     else:
         alg, report, document = build_so5(), validate_so5(), _document
     blocks = _block_summary(alg)
@@ -195,8 +198,7 @@ def cmd_inspect(args) -> None:
             "blocks": blocks,
             "valid": report.ok,
             "violations": {k: [list(t) for t in getattr(report, k)] for k in ("antisymmetry", "jacobi", "grading")},
-            "algebra": document(),
-        })
+        }, ', "algebra": ' + document())
     else:
         print(f"dimension: {alg.dim}")
         print("grading blocks: " + " ".join(f"{k}={v}" for k, v in blocks.items()))
@@ -287,16 +289,15 @@ def _solutions(branch: str, grid, tol: float, as_json: bool) -> None:
     # and the solutions held do not grow with the grid (one solve per S ran sweeps 15 % slower)
     while chunk := list(itertools.islice(grid, 32)):
         for sol in solve(*chunk):
+            p, r, nr = sol.params, sol.residuals, "true" if sol.naturally_reductive else "false"
             if as_json:
-                _emit_json(sol.to_dict())
+                numbers = (sol.S, sol.V, sol.W, sol.Usq, p.t, p.u, p.v, p.w, r["ledger"], r["star"], r["gram"])
+                if not all(map(math.isfinite, numbers)):
+                    raise DegenerateMetricError("a non-finite number has no JSON form")
+                print(_SOLUTION % (sol.branch, *numbers, nr))
             else:
-                r = sol.residuals
-                print(
-                    f"branch={sol.branch} S={_fmt(sol.S)} V={_fmt(sol.V)} W={_fmt(sol.W)} "
-                    f"u={_fmt(sol.params.u)} v={_fmt(sol.params.v)} w={_fmt(sol.params.w)} "
-                    f"ledger={r['ledger']:.3g} star={r['star']:.3g} "
-                    f"NR={'true' if sol.naturally_reductive else 'false'}"
-                )
+                print(f"branch={sol.branch} S={_fmt(sol.S)} V={_fmt(sol.V)} W={_fmt(sol.W)} u={_fmt(p.u)} "
+                      f"v={_fmt(p.v)} w={_fmt(p.w)} ledger={r['ledger']:.3g} star={r['star']:.3g} NR={nr}")
             count += 1
             report = verify_solution(sol, tol)
             if not report.passed:

@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -87,7 +86,9 @@ class DegenerateMetricError(ArithmeticError):
 
 @dataclass(frozen=True)
 class MetricParams:
-    """Admissible parameter tuple (t, u, v, w) of an adapted metric."""
+    """Admissible parameter tuple (t, u, v, w) of an adapted metric, and its ``unit_scalars`` (e, y), not a field:
+    2^e <= |t| < 2^(e+1) and y = x / 4^e, from the exact square of tau = t / 2^e, so the signs of y1, y2 are exact;
+    far from the unit scale y overflows to inf or underflows to 0 quietly."""
 
     t: float
     u: float
@@ -102,17 +103,6 @@ class MetricParams:
             object.__setattr__(self, name, value)
         if self.t == 0.0 or self.v == 0.0 or self.w == 0.0:
             raise InvalidParamsError("t, v, w must all be nonzero")
-        e, y = self.unit_scalars
-        if min(y[:2]) < 0.0:  # x1 or x2 < 0: the form is indefinite
-            bound = _quote(2.0 * math.ldexp(self.t, -e) ** 2, e, 6)  # 2t^2 from the unit scale, so it never underflows
-            raise InvalidParamsError(
-                f"u must lie in the open interval (-2t^2, 2t^2) = (-{bound}, {bound}), got {self.u:g}"
-            )
-
-    @cached_property
-    def unit_scalars(self) -> tuple[int, tuple[float, float, float, float]]:
-        """(e, y): 2^e <= |t| < 2^(e+1) and y = x / 4^e, from the exact square of tau = t / 2^e, so the
-        signs of y1, y2 are exact; far from the unit scale y overflows to inf or underflows to 0 quietly."""
         e = math.frexp(self.t)[1] - 1
         p = math.ldexp(1.0, e)  # quotients by a power of two are exact, and overflow to inf quietly
         tau, half_u, v, w = self.t / p, self.u / p / (2.0 * p), self.v / p, self.w / p
@@ -120,7 +110,13 @@ class MetricParams:
         hi -= hi - tau
         lo, tt = tau - hi, tau * tau
         error = ((hi * hi - tt) + 2.0 * hi * lo) + lo * lo  # tau^2 - fl(tau^2), exactly
-        return e, ((tt + half_u) + error, (tt - half_u) + error, v * v, w * w)
+        y = ((tt + half_u) + error, (tt - half_u) + error, v * v, w * w)
+        object.__setattr__(self, "unit_scalars", (e, y))  # not a field: ==, hash and repr see (t, u, v, w) alone
+        if min(y[:2]) < 0.0:  # x1 or x2 < 0: the form is indefinite
+            bound = _quote(2.0 * math.ldexp(self.t, -e) ** 2, e, 6)  # 2t^2 from the unit scale, so it never underflows
+            raise InvalidParamsError(
+                f"u must lie in the open interval (-2t^2, 2t^2) = (-{bound}, {bound}), got {self.u:g}"
+            )
 
     @property
     def k_squared(self) -> float:

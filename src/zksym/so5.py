@@ -17,6 +17,7 @@ block a, {B1, B2} in block b and {C1, C2} in block c.
 
 from __future__ import annotations
 
+import json
 from functools import lru_cache
 
 import numpy as np
@@ -120,5 +121,5 @@ def validate_so5() -> ValidationReport:
 
 
 @lru_cache(maxsize=1)
-def _document() -> dict:  # algebra_to_dict(build_so5()), formed once per process for inspect, which only reads it
-    return algebra_to_dict(build_so5())
+def _document() -> str:  # algebra_to_dict(build_so5()) as JSON text, formed once per process for inspect
+    return json.dumps(algebra_to_dict(build_so5()), allow_nan=False)

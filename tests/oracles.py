@@ -4,8 +4,8 @@ Everything here is computed from first principles, separately from the
 library code paths it checks: a literal 5x5 matrix model for brackets, the
 closed-form coefficient tables of the orthonormal frame, the
 closed-form Ricci entries, the reduced Ledger equations written out, the
-Ricci eigenvalues of the root-space frame, the singular values of U's rows
-and the relative spread of the x_k, and the graded Lie algebra
+Ricci eigenvalues of the root-space frame, the singular values of U's rows,
+the relative spread of the x_k and the unit-scale x_k, and the graded Lie algebra
 checks and serialization written densely, entry by entry.  The closed
 forms take any numbers with the arithmetic of floats: evaluated at
 :func:`exact_point` they are exact to 50 digits.
@@ -273,6 +273,19 @@ def spread(p: MetricParams, modules: str):
         x = (e.t * e.t + e.u / 2, e.t * e.t - e.u / 2, e.v * e.v, e.w * e.w)
         xs = [x[int(k) - 1] for k in modules]
         return (max(xs) - min(xs)) / (max(xs) + min(xs))
+
+
+def unit_scalars(t: float, u: float, v: float, w: float) -> tuple[int, tuple[float, float, float, float]]:
+    """(e, y) of ``MetricParams.unit_scalars`` by the formula the library used when it was a cached property:
+    2^e <= |t| < 2^(e+1) and y = x / 4^e, from the exact square of tau = t / 2^e by Dekker's split."""
+    e = math.frexp(t)[1] - 1
+    p = math.ldexp(1.0, e)
+    tau, half_u, v, w = t / p, u / p / (2.0 * p), v / p, w / p
+    hi = tau * 134217729.0
+    hi -= hi - tau
+    lo, tt = tau - hi, tau * tau
+    error = ((hi * hi - tt) + 2.0 * hi * lo) + lo * lo
+    return e, ((tt + half_u) + error, (tt - half_u) + error, v * v, w * w)
 
 
 def unonzero_closed_form_v2(s: float) -> float:

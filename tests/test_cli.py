@@ -817,6 +817,68 @@ def test_solve_and_sweep_print_the_same_records(capsys, branch, s):
         assert fields["NR"] == ("true" if rec["naturally_reductive"] else "false")
 
 
+_BRANCHES = {"u0": (analysis.solve_ledger_u0, analysis.S_INTERVAL_U0),
+             "u1": (analysis.solve_ledger_unonzero, analysis.S_INTERVAL_UNONZERO)}
+
+
+def _records(solutions) -> str:
+    return "".join(json.dumps(sol.to_dict()) + "\n" for sol in solutions)
+
+
+@pytest.mark.parametrize("branch", list(_BRANCHES))
+def test_solve_and_sweep_records_are_json_dumps_of_to_dict(capsys, branch):
+    # the records are written from a template: byte for byte json.dumps of the library's LedgerSolution.to_dict()
+    solve, (lo, hi) = _BRANCHES[branch]
+    for s in [lo + 10.0 ** -k for k in range(1, 11)] + [hi - 10.0 ** -k for k in range(1, 11)]:
+        code, out, err = run_cli(capsys, "solve", "--branch", branch, "--S", repr(s), "--format", "json")
+        assert (code, out, err) == (0, _records(solve(s)), ""), s
+    # dense grids over the whole interval and within 1e-6 of each end, reaching 1e-10 from both
+    for first, last, n in ((lo + 1e-10, hi - 1e-10, 301), (lo + 1e-10, lo + 1e-6, 64), (hi - 1e-6, hi - 1e-10, 64)):
+        argv = ("sweep", "--branch", branch, "--S-min", repr(first), "--S-max", repr(last), "--S-steps", str(n))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (0, _records(solve(*np.linspace(first, last, n).tolist())), ""), argv
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("key", ["S", "V", "W", "Usq", "ledger", "star", "gram"])
+@pytest.mark.parametrize("argv,planted", [
+    (("solve", "--branch", "u1", "--S", "1", "--format", "json"), 2),
+    (("sweep", "--branch", "u0", "--S-min", "2", "--S-max", "8", "--S-steps", "40"), 70),  # in the second solve
+], ids=["solve", "sweep"])
+def test_a_non_finite_solution_record_exits_2(capsys, monkeypatch, argv, planted, key, bad):
+    # the solvers' numbers are finite wherever they return, so one is planted: the records before it print,
+    # then the one JSON message, exit 2
+    name = "solve_ledger_u0" if argv[2] == "u0" else "solve_ledger_unonzero"
+    original, returned = getattr(analysis, name), []
+
+    def solve(*grid):
+        solutions = original(*grid)
+        if 0 <= planted - len(returned) < len(solutions):
+            sol = solutions[planted - len(returned)]
+            changed = {"residuals": {**sol.residuals, key: bad}} if key in sol.residuals else {key: bad}
+            solutions[planted - len(returned)] = dataclasses.replace(sol, **changed)
+        returned.extend(solutions)
+        return solutions
+
+    monkeypatch.setattr(cli, name, solve)
+    code, out, err = run_cli(capsys, *argv)
+    message = "numerical failure: a non-finite number has no JSON form\n"
+    assert (code, out, err) == (2, _records(returned[:planted]), message)
+
+
+def test_solve_flags_natural_reductivity_at_the_default_tol_whatever_tol_is(capsys):
+    # documented: the record's flag is check-nr's verdict at DEFAULT_TOL, which verify_solution's exact expectation
+    # needs, so at --tol 0.5 solve and check-nr read the same point differently (eps_1234 = 0.35)
+    point = {"t": 1.0, "u": 0.0, "v": 0.8040190354753588, "w": 1.1634231348023272}
+    code, out, err = run_cli(capsys, "solve", "--branch", "u0", "--S", "2", "--tol", "0.5", "--format", "json")
+    assert code == 0 and err == ""
+    assert [r["naturally_reductive"] for r in map(json.loads, out.splitlines()) if r["params"] == point] == [False]
+    code, out, _ = run_cli(capsys, "solve", "--branch", "u0", "--S", "2", "--tol", "0.5")
+    assert code == 0 and [line[-8:] for line in out.splitlines() if " v=0.804019 w=1.16342 " in line] == ["NR=false"]
+    argv = ("check-nr", "--t", "1", "--u", "0", "--v", repr(point["v"]), "--w", repr(point["w"]), "--tol", "0.5")
+    assert run_cli(capsys, *argv) == (0, "true\n", "")
+
+
 @pytest.mark.parametrize("argv,n", [
     (("solve", "--branch", "u0", "--S", "5"), 2),
     (("solve", "--branch", "u1", "--S", "1", "--format", "json"), 4),

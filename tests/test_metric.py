@@ -1,4 +1,8 @@
+import copy
+import dataclasses
 import math
+import pickle
+import random
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -19,6 +23,7 @@ from zksym import (
     orthonormal_frame,
 )
 
+import oracles
 from oracles import exact_point, sample_params
 
 
@@ -46,6 +51,52 @@ def test_rejects_non_finite():
         MetricParams(float("nan"), 0, 1, 1)
     with pytest.raises(InvalidParamsError):
         MetricParams(1, float("inf"), 1, 1)
+
+
+def _bits(scalars) -> tuple:
+    e, y = scalars
+    return e, tuple(x.hex() for x in y)  # hex tells -0.0 from 0.0
+
+
+def test_metric_params_keeps_its_dataclass_contract():
+    # unit_scalars is an attribute set once at construction, beside the four fields, not one of them
+    p = MetricParams(1.5, -0.25, 2.0, -0.5)
+    assert [f.name for f in dataclasses.fields(p)] == ["t", "u", "v", "w"]
+    assert dataclasses.astuple(p) == (1.5, -0.25, 2.0, -0.5)
+    assert repr(p) == "MetricParams(t=1.5, u=-0.25, v=2.0, w=-0.5)"
+    assert p == MetricParams(1.5, -0.25, 2.0, -0.5) and hash(p) == hash((1.5, -0.25, 2.0, -0.5))
+    assert p != MetricParams(1.5, 0.25, 2.0, -0.5)
+    q = dataclasses.replace(p, u=0.25)
+    assert q == MetricParams(1.5, 0.25, 2.0, -0.5)
+    assert _bits(q.unit_scalars) == _bits(oracles.unit_scalars(1.5, 0.25, 2.0, -0.5)) != _bits(p.unit_scalars)
+    for copied in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert copied == p and _bits(copied.unit_scalars) == _bits(p.unit_scalars)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.unit_scalars = (0, (1.0, 1.0, 1.0, 1.0))
+
+
+def test_unit_scalars_are_bit_identical_to_the_formula():
+    rng = random.Random(27)
+    points = [(1e-200, 0.0, 1.0, 1.0), (-1e-200, 0.0, 1e-300, 1e300), (1e200, 1.7e308, 1e-300, 1e200),
+              (-1e200, -1e300, 1e150, -1.0), (1.190614449268857, 2.8351255336155674, 1.0, 1.0)]  # K/|t| = 1.27e-8
+    for _ in range(300):
+        t = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-150.0, 150.0)
+        v, w = (rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 300.0) for _ in range(2))
+        points.append((t, rng.uniform(-1.99, 1.99) * t * t, v, w))
+        # K/|t| from 1.5e-8 to 1e-4, just above the guard of 1e-8
+        kappa = 10.0 ** rng.uniform(math.log10(1.5e-8), -4.0)
+        points.append((t, rng.choice((-1.0, 1.0)) * 2.0 * t * t * math.sqrt(1.0 - kappa * kappa), v, w))
+    checked = 0
+    for point in points:
+        try:
+            p = MetricParams(*point)
+        except InvalidParamsError:  # indefinite, refused from the same scalars: the formula's y1 or y2 is negative
+            assert min(oracles.unit_scalars(*point)[1][:2]) < 0.0, point
+            continue
+        assert _bits(p.unit_scalars) == _bits(oracles.unit_scalars(*point)), point
+        checked += 1
+    assert checked >= 550
+    assert MetricParams(1.190614449268857, 2.8351255336155674, 1, 1).K > 1e-8 * 1.190614449268857
 
 
 def test_k_value():
