@@ -22,8 +22,10 @@ other point verdict is an equality of x (:meth:`_Geometry.equal`).
 The adapted frame of :func:`zksym.metric.orthonormal_frame` is for
 presentation only: A~1 = sgn t (c E1 + s E3), A~2 = sgn t (c E2 + s E4),
 A~3 = c E4 - s E2, A~4 = s E1 - c E3, B~i = sgn v E_{4+i}, C~i = sgn w E_{6+i}
-with c, s = sqrt(x1, x2 / 2t^2).  Its tables (48 slots) and Ricci matrix (8, 8)
-are floats too, built on first use; numpy forms only the library's arrays and
+with c, s = sqrt(x1, x2 / 2t^2).  Its tables (48 slots), their maxima and its Ricci
+matrix (8, 8) are floats too, built on first use.  A bare Gram matrix g, finite, of
+positive diagonal and ad(h)-invariant, is P diag(x) P^T, read with no factorization
+as (sqrt g00, 2 g30, sqrt g44, sqrt g66); numpy forms only the library's arrays and
 raw m-vectors (basis A1..C2), which enter the root frame by diag(sqrt x) P^T.
 """
 
@@ -180,11 +182,8 @@ class _Geometry:
 
     @cached_property
     def ledger_max(self) -> float:
-        """max |L| over the adapted frame triples, without the table: up to sign its entries are c l1 +- s l2
-        and s l1 +- c l2, l_alpha = |lam_alpha| / sqrt 2 = |L| on the root triples of alpha, products then a sum
-        as there."""
-        (c, s), (l1, l2) = self._cos_sin, (math.sqrt(0.5) * abs(lam) for lam in self.lam)
-        return max(abs(c * l1 - s * l2), abs(c * l1 + s * l2), abs(s * l1 + c * l2), abs(s * l1 - c * l2))
+        """max |L| over the adapted frame triples."""
+        return max(map(abs, self.table("ledger")))
 
     @cached_property
     def u_max(self) -> tuple[float, tuple[int, int, int]]:
@@ -264,25 +263,24 @@ def _geometry(form: AdaptedForm) -> _Geometry:
     _arrays()
     if form.params is not None:
         return _cached_geometry(form.params)
-    try:
-        low = np.linalg.cholesky(form.gram)  # the positive-definite guard of a bare Gram matrix
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateMetricError(f"Gram matrix is not positive-definite: {exc}") from exc
-    if not np.isfinite(low).all():
+    g = form.gram
+    if not np.isfinite(g).all():
         raise DegenerateMetricError("Gram matrix is not finite")
+    if not g.diagonal().min() > 0.0:
+        raise DegenerateMetricError(f"Gram matrix is not positive-definite: its diagonal has {g.diagonal().min():.3g}")
     # the invariant-connection formulas hold only for ad(h)-invariant forms
     from .so5 import build_so5  # loaded only for a bare Gram matrix
     report = check_adh_invariance(build_so5(), form)
-    if not report.ok(DEFAULT_TOL * float(np.max(np.abs(form.gram)))):
+    if not report.ok(DEFAULT_TOL * float(np.max(np.abs(g)))):
         z, x, y = report.worst
         raise InvalidParamsError(
             f"Gram matrix is not ad(h)-invariant: B([{z},{x}],{y}) + B({x},[{z},{y}]) = {report.max_residual:.3g}"
         )
-    try:
-        p = MetricParams(low[0, 0], 2.0 * float(form.gram[3, 0]), low[4, 4], low[6, 6])
-    except InvalidParamsError as exc:  # only u = 2 g30 can fail: it overflows, or it rounds past |u| = 2 L00^2
-        if np.isinf(2.0 * float(form.gram[3, 0])):
-            raise DegenerateMetricError(f"u = 2 g30 = 2 * {form.gram[3, 0]:.3g} overflows") from exc
+    try:  # the positive-definite guard, x1, x2 > 0, of the invariant g = P diag(x) P^T: g00 = t^2, g30 = u/2
+        p = MetricParams(math.sqrt(g[0, 0]), 2.0 * float(g[3, 0]), math.sqrt(g[4, 4]), math.sqrt(g[6, 6]))
+    except InvalidParamsError as exc:  # only u = 2 g30 can fail: it overflows, or it lies past |u| = 2 g00
+        if math.isinf(2.0 * float(g[3, 0])):
+            raise DegenerateMetricError(f"u = 2 g30 = 2 * {g[3, 0]:.3g} overflows") from exc
         raise DegenerateMetricError(f"Gram matrix too close to the degenerate boundary: {exc}") from exc
     return _cached_geometry(p)
 
@@ -349,7 +347,8 @@ def ricci(form: AdaptedForm) -> np.ndarray:
     :func:`orthonormal_frame` for the form's parameters; a bare Gram
     matrix is read as its parameters (|t|, u, |v|, |w|).
     """
-    return np.array(_geometry(form).ricci)
+    geo = _geometry(form)  # binds np on a first call
+    return np.array(geo.ricci)
 
 
 def ledger(x, y, z, form: AdaptedForm) -> float:

@@ -5,7 +5,8 @@ library code paths it checks: a literal 5x5 matrix model for brackets, the
 closed-form coefficient tables of the orthonormal frame, the
 closed-form Ricci entries, the reduced Ledger equations written out, the
 Ricci eigenvalues of the root-space frame, the singular values of U's rows,
-the relative spread of the x_k and the unit-scale x_k, and the graded Lie algebra
+max|L| in closed form, the Cholesky reading of a Gram matrix, the relative
+spread of the x_k and the unit-scale x_k, and the graded Lie algebra
 checks and serialization written densely, entry by entry.  The closed
 forms take any numbers with the arithmetic of floats: evaluated at
 :func:`exact_point` they are exact to 50 digits.
@@ -263,6 +264,20 @@ def module_singular_values(ratios) -> list[float]:
     a1, a2, b1, b2, c1, c2 = ratios
     return [0.5 * abs(b1 - c1), 0.5 * abs(b2 - c2), 0.5 * math.hypot(c1 - a1, c2 - a2),
             0.5 * math.hypot(b1 - a1, b2 - a2)]
+
+
+def ledger_max(c: float, s: float, lam1: float, lam2: float) -> float:
+    """max |L| over the adapted frame triples without the table, from c, s = sqrt(x1, x2 / 2t^2) and the root frame
+    lam_alpha: up to sign the entries are c l1 +- s l2 and s l1 +- c l2, l_alpha = |lam_alpha| / sqrt 2 = |L| on the
+    root triples of alpha, products then a sum as the table forms them."""
+    l1, l2 = math.sqrt(0.5) * abs(lam1), math.sqrt(0.5) * abs(lam2)
+    return max(abs(c * l1 - s * l2), abs(c * l1 + s * l2), abs(s * l1 + c * l2), abs(s * l1 - c * l2))
+
+
+def cholesky_params(gram: np.ndarray) -> MetricParams:
+    """A Gram matrix read as its parameters through its Cholesky factor g = L L^T: (L00, 2 g30, L44, L66)."""
+    low = np.linalg.cholesky(gram)
+    return MetricParams(low[0, 0], 2.0 * float(gram[3, 0]), low[4, 4], low[6, 6])
 
 
 def spread(p: MetricParams, modules: str):

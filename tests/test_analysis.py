@@ -479,6 +479,26 @@ def test_solutions_verify_on_dense_grids_near_both_ends(solver, interval):
             assert report.passed and max(report.relative_residuals.values()) < 1e-13, (sol.S, report.relative_residuals)
 
 
+def _einstein_spread(p: MetricParams) -> float:
+    """max |rho - lam I| / |lam| of the Ricci matrix in the adapted frame, lam = its trace / 8."""
+    rho = ricci(build_form(p))
+    lam = np.trace(rho) / 8
+    return float(np.max(np.abs(rho - lam * np.eye(8))) / abs(lam))
+
+
+def test_the_two_einstein_metrics_lie_on_the_solver_families():
+    # the Kaehler-Einstein metric, x ~ (2, 4, 3, 1) up to the swaps, is the u != 0 solution at S = 4/3, and the
+    # non-Kaehler one, u = 0 and (V, W) = 3/4 +- sqrt 6 / 8, the u = 0 solution at S = 3/2: rho = lam I to rounding
+    # (2.7 and 1.5 eps measured); the u = 0 solutions at S = 2 miss it by 0.18
+    eps = np.finfo(float).eps
+    solutions = solve_ledger_unonzero(4 / 3) + solve_ledger_u0(1.5)
+    assert len(solutions) == 6
+    for sol in solutions:
+        assert _einstein_spread(sol.params) <= 8 * eps, sol.params
+    for sol in solve_ledger_u0(2.0):
+        assert 0.17 < _einstein_spread(sol.params) < 0.19, sol.params
+
+
 def test_the_gram_residual_is_the_rounding_of_t_squared_over_x():
     # build_form's Gram holds fl(t^2) where the root frame has t^2, so the frame's defect is
     # (fl(t^2) - t^2) / x_k on the A modules: within 1 ulp of the exact rational everywhere, 9.85e-2 at the

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -39,6 +40,7 @@ from zksym import (
 )
 
 from oracles import (
+    cholesky_params,
     exact_point,
     expected_bracket_table,
     expected_ledger_table,
@@ -46,6 +48,7 @@ from oracles import (
     expected_ricci_matrix,
     expected_root_ricci,
     expected_u_table,
+    ledger_max as closed_ledger_max,
     sample_params,
     structure_constants,
 )
@@ -573,14 +576,16 @@ def test_the_determinants_and_the_ledger_norm_are_the_q_form_to_rounding():
 
 
 def test_max_ledger_is_the_maximum_of_the_table_bit_for_bit():
-    # the closed form of max|L| over the adapted triples forms each entry as the table does, so it is the
-    # table's maximum exactly, the exact zeros of u = 0, w = |t| and v = w included
+    # max|L| is read off the table; the oracle's closed form over the adapted triples forms each entry as the
+    # table does, so the two agree exactly, the exact zeros of u = 0, w = |t| and v = w included
     points = _eager_corpus()[::8] + [MetricParams(1.0, 0.0, 1.0, 1.0), MetricParams(1.0, 0.7, 1.3, 1.3)]
     points += [sol.params for s in (1.5, 5.0, 8.9) for sol in solve_ledger_u0(s)]
     points += [sol.params for s in (0.4, 1.0, 1.43) for sol in solve_ledger_unonzero(s)]
     geos, _ = _geometries(points)
     table_max = [float(np.abs(geo.table("ledger")).max()) for geo in geos]
     assert np.array_equal([geo.ledger_max for geo in geos], table_max)
+    closed = [closed_ledger_max(*geo._cos_sin, *geo.lam) for geo in geos]
+    assert [float.hex(geo.ledger_max) for geo in geos] == list(map(float.hex, closed))
     assert table_max.count(0.0) >= 50
 
 
@@ -724,8 +729,8 @@ def _form_results(form, x, y, z):
 
 
 def test_bare_gram_is_read_as_its_parameters():
-    # an invariant Gram is that of (|t|, u, |v|, |w|), whose closed frame is
-    # its Cholesky frame: the bare form computes one geometry, answers its
+    # an invariant Gram is that of (|t|, u, |v|, |w|), read in closed form
+    # from g00, g30, g44, g66: the bare form computes one geometry, answers its
     # later queries from the cache, and that entry is the point's own
     rng = np.random.default_rng(38)
     x, y, z = (rng.standard_normal(8) for _ in range(3))
@@ -772,7 +777,7 @@ def test_bare_gram_read_past_the_boundary_is_degenerate():
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("g00", [np.inf, np.nan])
 def test_bare_gram_that_is_not_finite_is_degenerate(g00):
-    # the Cholesky factorization passes such a matrix through without an error; its factor is not finite
+    # the first check of a bare Gram: a matrix with an entry that is not finite is refused before any other
     g = np.eye(8)
     g[0, 0] = g00
     with pytest.raises(DegenerateMetricError, match="^Gram matrix is not finite$"):
@@ -803,6 +808,101 @@ def test_bare_gram_must_be_adh_invariant():
         for op, args in ((u_map, (x, y)), (curvature, (x, y, z))):
             ref = op(*args, form)
             assert np.max(np.abs(op(*args, bare) - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+
+
+def _invariant_gram(g00: float, g30: float) -> np.ndarray:
+    """The ad(h)-invariant Gram matrix with g00 = t^2 and g30 = u/2 and v = w = 1, whatever its signature."""
+    g = np.eye(8)
+    g[:4, :4] = [[g00, 0, 0, g30], [0, g00, -g30, 0], [0, -g30, g00, 0], [g30, 0, 0, g00]]
+    return g
+
+
+def _with(g: np.ndarray, **entries: float) -> np.ndarray:
+    """A copy of g with the entries named gij set, the matrix kept symmetric."""
+    g = g.copy()
+    for name, value in entries.items():
+        g[int(name[1]), int(name[2])] = g[int(name[2]), int(name[1])] = value
+    return g
+
+
+@pytest.fixture
+def no_lapack(monkeypatch):
+    """Every function of np.linalg raises."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg called")
+    for name in np.linalg.__all__:
+        if not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, refuse)
+
+
+def test_bare_gram_reads_the_parameters_of_its_cholesky_factor_bit_for_bit(monkeypatch):
+    # (sqrt g00, 2 g30, sqrt g44, sqrt g66) is (L00, 2 g30, L44, L66): L00 is the same rounded square root,
+    # L44 = sqrt(g44 - 0), and sqrt(fl(t^2)) = |t|, so a build_form Gram is read as (|t|, u, |v|, |w|) exactly
+    monkeypatch.setattr(geometry, "_cached_geometry", lambda p: p)  # the point _geometry reads, not its geometry
+    signs = itertools.product((1.0, -1.0), repeat=3)
+    points = [MetricParams(1.3 * st, 0.9, 0.8 * sv, 1.6 * sw) for st, sv, sw in signs]
+    points += _eager_corpus()[::2] + [MetricParams(1.190614449268857, 2.8351255336155674, 1.0, 1.0)]  # K/|t| = 1.27e-8
+    factored = 0
+    for p in points:
+        gram = build_form(p).gram
+        read = [x.hex() for x in dataclasses.astuple(geometry._geometry(AdaptedForm(gram=gram)))]
+        assert read == [abs(p.t).hex(), p.u.hex(), abs(p.v).hex(), abs(p.w).hex()], p
+        try:
+            factor = cholesky_params(gram)
+        except np.linalg.LinAlgError:  # K^2 = g33 - g30^2 / g00 cancels below the rounding of t^2, so
+            assert math.sqrt(p.k_squared) < 2e-8 * abs(p.t), p  # the factorization refused the point
+            continue
+        assert read == [x.hex() for x in dataclasses.astuple(factor)], p
+        factored += 1
+    assert factored >= len(points) - 20
+
+
+def test_every_bare_gram_operation_answers_without_lapack(no_lapack):
+    p = MetricParams(1.3, 0.9, 0.8, 1.6)
+    form = build_form(p)
+    rng = np.random.default_rng(40)
+    x, y, z = (rng.standard_normal(8) for _ in range(3))
+    ref = _form_results(form, x, y, z)
+    geometry._cached_geometry.cache_clear()
+    got = _form_results(AdaptedForm(gram=form.gram), x, y, z)
+    assert geometry._cached_geometry.cache_info().misses == 1
+    for a, b in zip(got, ref):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("gram,error,message", [
+    (_with(np.eye(8), g00=np.inf), DegenerateMetricError, "Gram matrix is not finite"),
+    (_with(np.eye(8), g03=np.nan), DegenerateMetricError, "Gram matrix is not finite"),
+    (np.diag([1.0, 1, 1, -1, 1, 1, 1, 1]), DegenerateMetricError,
+     "Gram matrix is not positive-definite: its diagonal has -1"),
+    (np.diag([1.0, 1, 1, 1, 1, 1, 0, 0]), DegenerateMetricError,
+     "Gram matrix is not positive-definite: its diagonal has 0"),
+    (_with(np.eye(8), g04=0.1), InvalidParamsError,
+     "Gram matrix is not ad(h)-invariant: B([X2,A2],B1) + B(A2,[X2,B1]) = 0.1"),
+    # indefinite, of positive diagonal and not invariant: the invariance check refuses it
+    (_with(np.eye(8), g01=2.0), InvalidParamsError,
+     "Gram matrix is not ad(h)-invariant: B([X2,A1],A1) + B(A1,[X2,A1]) = 4"),
+    (build_form(MetricParams(1.0, 1.8, 1.0, 1.0)).gram * 1e308, DegenerateMetricError,
+     "u = 2 g30 = 2 * 9e+307 overflows"),
+    # invariant within tolerance, as g33 = g00 (1 + 1e-10), and read past |u| = 2 g00
+    (_with(_invariant_gram(1.7, 1.7 * (1 + 2e-11)), g22=1.7 * (1 + 1e-10), g33=1.7 * (1 + 1e-10)),
+     DegenerateMetricError, "Gram matrix too close to the degenerate boundary: u must lie in the open interval "
+                            "(-2t^2, 2t^2) = (-3.4, 3.4), got 3.4"),
+    # invariant and indefinite, |u| > 2t^2: the reading's own guard refuses it
+    (_invariant_gram(1.0, 1.5), DegenerateMetricError, "Gram matrix too close to the degenerate boundary: u must lie "
+                                                       "in the open interval (-2t^2, 2t^2) = (-2, 2), got 3"),
+    # invariant and singular, |u| = 2t^2: the K guard refuses it
+    (_invariant_gram(1.0, -1.0), DegenerateMetricError,
+     "K^2 = 0 below guard 1e-16: |u| too close to the degenerate boundary"),
+], ids=["inf", "nan", "negative diagonal", "zero diagonal", "not invariant", "indefinite, not invariant",
+        "u overflows", "past the boundary", "invariant indefinite", "invariant singular"])
+def test_each_bare_gram_refusal_names_its_reason(no_lapack, gram, error, message):
+    x, y, z = np.eye(8)[:3]
+    for call in (lambda f: u_map(x, y, f), lambda f: nabla(x, y, f), lambda f: curvature(x, y, z, f), ricci,
+                 lambda f: ledger(x, y, z, f)):
+        with pytest.raises(error) as refused:
+            call(AdaptedForm(gram=gram))
+        assert str(refused.value) == message
 
 
 def test_only_build_form_attaches_params():

@@ -117,3 +117,31 @@ def test_a_fresh_process_prints_what_this_one_does(argv, capsys):
     out, numpy_loaded = _fresh(_main(*argv))
     assert out == capsys.readouterr().out
     assert numpy_loaded is (argv[0] == "inspect")
+
+
+# ----------------------------------------------------------------------
+# each array function as the first call of a process, which binds numpy in geometry
+# ----------------------------------------------------------------------
+
+_SETUP = """import zksym
+p = zksym.MetricParams(1.0, 0.3, 1.2, 0.8)
+x, y, z = [0.3, -1.0, 0.5, 2.0, 0.1, -0.7, 1.1, 0.4], [1.0, 0.2, -0.3, 0.0, 0.9, 0.5, -1.2, 0.6], [0.0] * 7 + [1.0]
+"""
+_FORMS = {"params": "zksym.build_form(p)", "bare": "zksym.AdaptedForm(gram=zksym.build_form(p).gram)"}
+_FIRST_CALLS = {
+    **{f"{name} {kind}": f"zksym.{name}({args}{form})" for name, args in (
+        ("u_map", "x, y, "), ("nabla", "x, y, "), ("curvature", "x, y, z, "), ("ricci", ""), ("ledger", "x, y, z, "))
+       for kind, form in _FORMS.items()},
+    **{name: f"zksym.{name}(p)" for name in ("bracket_table", "u_table", "nomizu_table", "ledger_table",
+                                             "infinitesimal_isometries", "ledger_system_residuals", "build_form",
+                                             "orthonormal_frame")},
+    "m_bracket": "zksym.m_bracket(x, y)",
+}
+
+
+@pytest.mark.parametrize("call", _FIRST_CALLS.values(), ids=_FIRST_CALLS)
+def test_each_array_function_answers_as_the_first_call_of_a_process(call, capsys):
+    statement = (f"{_SETUP}r = {call}\nr = getattr(r, 'gram', getattr(r, 'matrix', r))\n"
+                 "print(repr(r.tolist() if hasattr(r, 'tolist') else r))")
+    exec(statement, {})
+    assert _fresh(statement)[0] == capsys.readouterr().out
