@@ -10,12 +10,12 @@ read off each point's cached geometry.  The metrics with
 v = w form a third family that satisfies L = 0 and that no solver returns;
 of it only the round point u = 0, v^2 = w^2 = t^2 is naturally reductive.
 
-Verdicts are frame-free and do not scale: natural reductivity and the
-isometries are equalities of x = (t^2 + u/2, t^2 - u/2, v^2, w^2) to a
-relative tol, and the Ledger verdict weighs each D_alpha against the sizes
-of all its terms in x.  The adapted frame (A~1..C~2), in which reports name
-frame triples, is for presentation only; the four reduced equations written
-in it are closed combinations of D1, D2 (:func:`ledger_system_residuals`).
+Every point verdict is a relative backward error in x = (t^2 + u/2,
+t^2 - u/2, v^2, w^2), frame-free and scale-free: eps_J to an equality of x
+(natural reductivity, isometries), eta_alpha to D_alpha = 0 (Ledger).  The
+adapted frame (A~1..C~2), in which reports name frame triples, is for
+presentation only; its four reduced equations are closed combinations of
+D1, D2 (:func:`ledger_system_residuals`).
 """
 
 from __future__ import annotations
@@ -83,14 +83,12 @@ def is_naturally_reductive(p: MetricParams, tol: float = DEFAULT_TOL) -> Reducti
 def first_ledger_verdict(p: MetricParams, tol: float = DEFAULT_TOL) -> tuple[float, bool]:
     """max|L| over adapted frame triples, and whether the first Ledger condition holds to tol.
 
-    L = 0 iff the two collinearity determinants D_alpha of
-    :mod:`zksym.geometry` vanish.  Each is judged as :func:`verify_solution`
-    judges it, against the sizes of all the terms of its expansion in x,
-    |D_alpha| <= tol * sum |term|, both sides scale-free and frame-free and
-    compared at one power-of-two scale, where the sum does not overflow.
-    The sum holds 3/x_k > 0, so it does not vanish, not even at the round
-    point.  Raises DegenerateMetricError when a determinant or its sum is
-    not finite.
+    L = 0 iff the two collinearity determinants D_alpha of :mod:`zksym.geometry` vanish.  Each passes, as in
+    :func:`verify_solution`, where its backward error eta_alpha = |D_alpha| / sum_k |x_k dD_alpha/dx_k| <= tol:
+    there a relative move of x by tol reaches D_alpha = 0, to first order.  The float eta_alpha is within
+    32 eps (eta_alpha (1 + x_alpha / (x3 + x4 + x_beta)) + 1) of that of the exact x of the binary parameters (its
+    middle term is the Q-form's cancellation near the K guard with v, w small), so the verdict is exact outside that
+    band around tol.  Raises DegenerateMetricError where a determinant is not finite.
     """
     geo = geometry._cached_geometry(p)
     return geo.ledger_max, _ledger_holds(geo, tol)
@@ -98,15 +96,14 @@ def first_ledger_verdict(p: MetricParams, tol: float = DEFAULT_TOL) -> tuple[flo
 
 def _ledger_holds(geo, tol: float = DEFAULT_TOL) -> bool:
     """The first Ledger verdict at a point's geometry (see :func:`first_ledger_verdict`)."""
-    return all(d <= tol * bound for d, bound in _determinants(geo))
+    return _eta(geo) <= tol
 
 
-def _determinants(geo) -> list[tuple[float, float]]:
-    """The pairs (|D_alpha|, the sizes of all its terms in x) at a point's geometry, both times one power of two;
-    raises where they are not finite."""
-    if not all(math.isfinite(d) and math.isfinite(bound) for d, bound in geo.det_bound):
+def _eta(geo) -> float:
+    """The larger eta_alpha at a point's geometry; raises where a Ledger determinant D_alpha is not finite."""
+    if not all(map(math.isfinite, geo.det)):
         raise DegenerateMetricError(f"the Ledger determinants are not finite: {geo.det}")
-    return geo.det_bound
+    return max(geo.eta)
 
 
 def infinitesimal_isometries(p: MetricParams, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -201,21 +198,15 @@ class LedgerSolution:
 def _evaluate(p: MetricParams) -> tuple[dict[str, float], dict[str, float], bool]:
     """From the point's cached geometry: its absolute residuals, the same over their scales, naturally reductive.
 
-    The residuals are ||L|| in Frobenius norm ("ledger"), over ||nabla|| ||rho||;
-    the larger |D_alpha| ("star"), each over the sizes of all the terms of
-    its expansion in x, which bound what rounding the solution's own
-    parameters can move it by (near S = 1 on the u = 0 branch one ulp of W
-    moves it by far more than its three terms' sizes), the scale that
-    ``ledger`` judges it against too; and the root frame's orthonormality
-    defect for the Gram matrix of :func:`build_form` in closed form ("gram",
-    of scale 1).  The scales are frame-free and do not scale.  Only the
-    geometry is kept, in its cache; each call makes new dicts.
+    The residuals are ||L|| in Frobenius norm ("ledger"), over ||nabla|| ||rho||; the larger |D_alpha| ("star"),
+    relative the larger eta_alpha, as ``ledger`` judges it; and the root frame's orthonormality defect for the Gram
+    matrix of :func:`build_form` in closed form ("gram", of scale 1).  The scales are frame-free and do not scale.
+    Only the geometry is kept, in its cache; each call makes new dicts.
     """
     geo = geometry._cached_geometry(p)
-    (d1, s1), (d2, s2) = _determinants(geo)  # the sizes include 3 / x_k > 0
     absolute = {"ledger": geometry._ldexp(geo.norm_ledger, -3 * geo.e), "star": max(map(abs, geo.det))}
     # an overflowing scale leaves the relative ||L|| at 0
-    relative = {"ledger": geo.norm_ledger / (geo.norm_n * geo.norm_rho), "star": max(d1 / s1, d2 / s2)}
+    relative = {"ledger": geo.norm_ledger / (geo.norm_n * geo.norm_rho), "star": _eta(geo)}
     absolute["gram"] = relative["gram"] = _gram_defect(p)
     return absolute, relative, geo.equal("1234", DEFAULT_TOL)
 

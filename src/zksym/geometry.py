@@ -15,16 +15,16 @@ geometry is a few scalars: one program in Python floats, :func:`_program`,
 forms them from the x / 4^e of :attr:`zksym.metric.MetricParams.unit_scalars`
 (the exact homothety to 1 <= |t| < 2) with each x_k - x_j formed before a
 quotient, so nothing loses digits near the K guard.  It forms D_alpha once,
-as (x4 - x3) Q_alpha / (2 x1 x2 x3 x4), and L, the reduced system and the
-Ledger verdict (against the sizes of all its terms in x) read that; every
-other point verdict is an equality of x (:meth:`_Geometry.equal`).
+as (x4 - x3) Q_alpha / (2 x1 x2 x3 x4), which L and the reduced system read,
+and its backward error eta_alpha = |D_alpha| / sum_k |x_k dD_alpha/dx_k|, a
+relative distance in x as each other point verdict is (:meth:`_Geometry.equal`).
 
 The adapted frame of :func:`zksym.metric.orthonormal_frame` is for
 presentation only: A~1 = sgn t (c E1 + s E3), A~2 = sgn t (c E2 + s E4),
 A~3 = c E4 - s E2, A~4 = s E1 - c E3, B~i = sgn v E_{4+i}, C~i = sgn w E_{6+i}
 with c, s = sqrt(x1, x2 / 2t^2).  Its tables (48 slots), their maxima and its Ricci
-matrix (8, 8) are floats too, built on first use.  A bare Gram matrix g, finite, of
-positive diagonal and ad(h)-invariant, is P diag(x) P^T, read with no factorization
+matrix (8, 8) are floats too, built on first use.  A bare Gram matrix g, finite, symmetric,
+of positive diagonal and ad(h)-invariant, is P diag(x) P^T, read with no factorization
 as (sqrt g00, 2 g30, sqrt g44, sqrt g66); numpy forms only the library's arrays and
 raw m-vectors (basis A1..C2), which enter the root frame by diag(sqrt x) P^T.
 """
@@ -87,32 +87,27 @@ def _arrays() -> None:
 
 
 def _program(e: int, y) -> tuple[list[float], ...]:
-    """From a point's unit-scale (e, y): the six ratios (the sizes of C), r and lam_alpha = D_alpha /
-    sqrt(x_alpha x3 x4) at its scale, then at the unit scale D_alpha, the pairs (|D_alpha|, the sizes of all
-    its terms in x) times one power of two, and the norms of C, U, nabla, rho and L.  The triple of alpha has
-    the slots (k, i, j) = (alpha, e1, e2), (e1, alpha, e2), (e2, alpha, e1), summed in that order."""
+    """From a point's unit-scale (e, y): the six ratios (the magnitudes of C), r and lam_alpha = D_alpha /
+    sqrt(x_alpha x3 x4) at its scale, then at the unit scale D_alpha, eta_alpha (see :func:`_partials`) and the
+    norms of C, U, nabla, rho and L.  The triple of alpha has the slots (k, i, j) = (alpha, e1, e2),
+    (e1, alpha, e2), (e2, alpha, e1), summed in that order."""
     if not 0.0 < min(y) <= max(y) < math.inf:  # an x that under- or overflows at this scale
         raise DegenerateMetricError("the curvature tensors overflow at this scale")
     x1, x2, x3, x4 = y
     k1, k2, k3, k4 = _HALF_KILLING
-    i3, i4 = 1.0 / x3, 1.0 / x4
+    i3, i4, h = 1.0 / x3, 1.0 / x4, 0.5 * ((x4 - x3) / math.sqrt(x3) / math.sqrt(x4))
     r1, r2, r3, r4 = k1 * (1.0 / x1), k2 * (1.0 / x2), k3 * i3, k4 * i4
     triples = []
     for xa in (x1, x2):
         # the squared ratios of the slots and per slot (x_k^2 - x_i^2 - x_j^2) / (x_i x_j x_k), with
-        # x_k^2 - x_j^2 exact where x_k = x_j; the sizes of its terms sum to the squared ratios, sigma
+        # x_k^2 - x_j^2 exact where x_k = x_j; sigma, the sum of the squared ratios, is ||C||^2 / 4 on the triple
         s0, s1, s2 = xa / x3 / x4, x3 / xa / x4, x4 / xa / x3
         triples.append(((s0, s1, s2), s0 + s1 + s2, (xa - x4) * (1.0 / xa + i4) / x3 - s1,
                         (x3 - x4) * (i3 + i4) / xa - s0, (x4 - x3) * (i4 + i3) / xa - s0))
     (sq1, sigma1, a0, a1, a2), (sq2, sigma2, b0, b1, b2) = triples
-    both = 0.5 * sigma1 + 0.5 * sigma2
-    sizes = r1 + 0.5 * sigma1, r2 + 0.5 * sigma2, r3 + both, r4 + both
     r1, r2, r3, r4 = r1 + 0.5 * a0, r2 + 0.5 * b0, r3 + (0.5 * a1 + 0.5 * b1), r4 + (0.5 * a2 + 0.5 * b2)
-    # |D_alpha| and its bound sum (x_i + x_j) |the terms of r_k| are compared at x 2^-k (power), where both are finite
-    h, power = 0.5 * ((x4 - x3) / math.sqrt(x3) / math.sqrt(x4)), math.ldexp(1.0, -math.frexp(max(y))[1])
-    z3, z4 = x3 * power, x4 * power
     rows = []
-    for xa, xb, size, (s0, s1, s2) in ((x1, x2, sizes[0], sq1), (x2, x1, sizes[1], sq2)):
+    for xa, xb, (s0, s1, s2) in ((x1, x2, sq1), (x2, x1, sq2)):
         # D_alpha = (x4 - x3) q / 2, q = Q_alpha / (x1 x2 x3 x4) with beta the other of 1, 2 and Q_alpha =
         # x_alpha (x3 + x4 - x_alpha)^2 + 8 x_beta (x_alpha - x3)(x_alpha - x4) - x_alpha (x_alpha^2 - x_beta^2),
         # which keeps the digits that the terms (x_i - x_j) r_k of D_alpha lose where they cancel (u = 0, w = t)
@@ -120,13 +115,14 @@ def _program(e: int, y) -> tuple[list[float], ...]:
         s = x3 - d4 if abs(d4) <= abs(d3) else x4 - d3  # x3 + x4 - x_alpha, by the nearer difference
         q = (s / x3) * (s / x4) / xb + 8.0 * (d3 / x3) * (d4 / x4) / xa - ((xa - xb) / x3) * ((xa + xb) / x4) / xb
         d = 0.5 * (x4 - x3) * q
-        za = xa * power
-        bound = (z3 + za) * sizes[3] + (z4 + z3) * size + (za + z4) * sizes[2]
+        # eta_alpha = |q| / sum_k |T_k|: 0 where D_alpha = 0 (x3 = x4 too), +inf where the sum vanishes but not D_alpha
+        t1, t2, t3, t4 = _partials(xa, xb, x3, x4, s, q) if d and x3 != x4 else (math.inf,) * 4
+        total = abs(t1) + abs(t2) + abs(t3) + abs(t4)
         c0, c1, c2 = math.sqrt(s0), math.sqrt(s1), math.sqrt(s2)
         f0, f1, f2 = c0 - c1, c1 - c2, c2 - c0  # ||U||^2 on the triple, from the differences of its ratios
-        rows.append((c0, c1, c2, d, (abs(d) * power, bound), h / math.sqrt(xa) * q,
+        rows.append((c0, c1, c2, d, abs(q) / total if total else math.inf, h / math.sqrt(xa) * q,
                      f0 * f0 + f1 * f1 + f2 * f2))
-    (c0, c1, c2, d1, b1, l1, u1), (c3, c4, c5, d2, b2, l2, u2) = rows
+    (c0, c1, c2, d1, eta1, l1, u1), (c3, c4, c5, d2, eta2, l2, u2) = rows
     # ||nabla||^2 = ||U||^2 + ||C||^2 / 4 = ||U||^2 + sigma, as U is symmetric and C antisymmetric;
     # ||L||^2 = 12 ||lam||^2, as L is +-lam_alpha / sqrt 2 on the 24 entries of the triples of alpha
     norms = [math.sqrt((u1 + sigma1) + (u2 + sigma2)), math.sqrt((r1 * r1 + r3 * r3 + (r2 * r2 + r4 * r4)) * 2.0),
@@ -141,7 +137,17 @@ def _program(e: int, y) -> tuple[list[float], ...]:
         finite = False
     if not finite:
         raise DegenerateMetricError("the curvature tensors overflow at this scale")
-    return ratios, r, lam, [d1, d2], [b1, b2], norms
+    return ratios, r, lam, [d1, d2], [eta1, eta2], norms
+
+
+def _partials(xa: float, xb: float, x3: float, x4: float, s: float, q: float) -> tuple[float, float, float, float]:
+    """T_k = 2 x_k dD_alpha/dx_k / (x4 - x3) for k = alpha, beta, 3, 4, from the s and q of :func:`_program`, x3 != x4:
+    x_k dq/dx_k in q's ratio style, -x3 q / (x4 - x3) added for k = 3 and +x4 q / (x4 - x3) for k = 4; they sum to 0."""
+    d3, d4, g, m, c = xa - x3, xa - x4, x3 + x4, q / (x4 - x3), ((xa - xb) / x3) * ((xa + xb) / x4) / xb
+    return (8.0 * (xa / x3 / x4 - 1.0 / xa) - 2.0 * (xa / x3) * (g / x4) / xb,
+            ((d3 + d4) / x3) * (g / x4) / xb + xb / x3 / x4,
+            (s / x3) * ((x3 + d4) / x4) / xb + c - 8.0 * (d4 / x3) / x4 - x3 * m,
+            (s / x4) * ((x4 + d3) / x3) / xb + c - 8.0 * (d3 / x3) / x4 + x4 * m)
 
 
 def _ldexp(x: float, n: int) -> float:
@@ -168,7 +174,7 @@ class _Geometry:
         p.K  # the guard, which like an overflow in the program raises before anything is kept
         self.params = p
         self.e, self.y = p.unit_scalars
-        self.ratios, self.r, self.lam, self.det, self.det_bound, norms = _program(self.e, self.y)
+        self.ratios, self.r, self.lam, self.det, self.eta, norms = _program(self.e, self.y)
         self.norm_n, self.norm_rho, self.norm_ledger = norms
 
     # the support values of C, U, nabla (and L below), in the order of _INDEX
@@ -266,12 +272,14 @@ def _geometry(form: AdaptedForm) -> _Geometry:
     g = form.gram
     if not np.isfinite(g).all():
         raise DegenerateMetricError("Gram matrix is not finite")
+    if (skew := float(np.max(np.abs(g - g.T)))) > (bound := DEFAULT_TOL * float(np.max(np.abs(g)))):
+        raise InvalidParamsError(f"Gram matrix is not symmetric: max |g - g^T| = {skew:.3g}")
     if not g.diagonal().min() > 0.0:
         raise DegenerateMetricError(f"Gram matrix is not positive-definite: its diagonal has {g.diagonal().min():.3g}")
     # the invariant-connection formulas hold only for ad(h)-invariant forms
     from .so5 import build_so5  # loaded only for a bare Gram matrix
     report = check_adh_invariance(build_so5(), form)
-    if not report.ok(DEFAULT_TOL * float(np.max(np.abs(g)))):
+    if not report.ok(bound):
         z, x, y = report.worst
         raise InvalidParamsError(
             f"Gram matrix is not ad(h)-invariant: B([{z},{x}],{y}) + B({x},[{z},{y}]) = {report.max_residual:.3g}"

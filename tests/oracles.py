@@ -5,7 +5,8 @@ library code paths it checks: a literal 5x5 matrix model for brackets, the
 closed-form coefficient tables of the orthonormal frame, the
 closed-form Ricci entries, the reduced Ledger equations written out, the
 Ricci eigenvalues of the root-space frame, the singular values of U's rows,
-max|L| in closed form, the Cholesky reading of a Gram matrix, the relative
+max|L| in closed form, the Ledger determinants with their partials and
+backward error, the Cholesky reading of a Gram matrix, the relative
 spread of the x_k and the unit-scale x_k, and the graded Lie algebra
 checks and serialization written densely, entry by entry.  The closed
 forms take any numbers with the arithmetic of floats: evaluated at
@@ -254,6 +255,30 @@ def expected_root_ricci(x1, x2, x3, x4) -> tuple:
         -(x1 * x1 * x2 + x1 * x2 * x2 - 6 * x1 * x2 * x4 - (x1 + x2) * (x3 * x3 - x4 * x4)) / (2 * x1 * x2 * x3 * x4),
         -(x1 * x1 * x2 + x1 * x2 * x2 - 6 * x1 * x2 * x3 + (x1 + x2) * (x3 * x3 - x4 * x4)) / (2 * x1 * x2 * x3 * x4),
     )
+
+
+def ledger_determinants(x1, x2, x3, x4) -> list[tuple]:
+    """Per alpha = 1, 2: D_alpha = (x4 - x3) Q_alpha / (2 x1 x2 x3 x4) and its terms x_k dD_alpha/dx_k for k = alpha,
+    beta, 3, 4, from the partials of the polynomial Q_alpha written out (``tests/test_symbolic.py`` checks them)."""
+    out = []
+    for a, b in ((x1, x2), (x2, x1)):
+        g, den = x3 + x4, 2 * x1 * x2 * x3 * x4
+        q = a * (g - a) ** 2 + 8 * b * (a - x3) * (a - x4) - a * (a * a - b * b)
+        dq = ((g - a) ** 2 - 2 * a * (g - a) + 8 * b * (2 * a - g) - 3 * a * a + b * b,
+              8 * (a - x3) * (a - x4) + 2 * a * b, 2 * a * (g - a) - 8 * b * (a - x4),
+              2 * a * (g - a) - 8 * b * (a - x3))
+        d = (x4 - x3) * q / den  # x_k d(1/den)/dx_k = -1/den, and d(x4 - x3)/dx_k = 0, 0, -1, 1
+        terms = [x * ((x4 - x3) * dk + sign * q) / den - d for x, dk, sign in zip((a, b, x3, x4), dq, (0, 0, -1, 1))]
+        out.append((d, terms))
+    return out
+
+
+def backward_error(x1, x2, x3, x4, dps: int = 60) -> list:
+    """eta_alpha = |D_alpha| / sum_k |x_k dD_alpha/dx_k| per alpha at ``dps`` digits, 0 where D_alpha = 0: the least
+    relative move of x that reaches D_alpha = 0, to first order."""
+    with mpmath.workdps(dps):
+        terms = ledger_determinants(*map(mpmath.mpf, (x1, x2, x3, x4)))
+        return [abs(d) / sum(map(abs, ts)) if d else mpmath.mpf(0) for d, ts in terms]
 
 
 def module_singular_values(ratios) -> list[float]:

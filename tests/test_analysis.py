@@ -32,8 +32,8 @@ from zksym import (
     verify_solution,
 )
 
-from oracles import (expected_reduced_terms, expected_ricci_entries, exact_point, module_singular_values, sample_params,
-                     spread, unonzero_closed_form_v2)
+from oracles import (backward_error, expected_reduced_terms, expected_ricci_entries, exact_point,
+                     module_singular_values, sample_params, spread, unonzero_closed_form_v2)
 
 
 # ----------------------------------------------------------------------
@@ -470,13 +470,24 @@ def test_solutions_verify_at_interval_ends(solver, s):
 @pytest.mark.parametrize("solver,interval", [(solve_ledger_u0, S_INTERVAL_U0), (solve_ledger_unonzero, S_INTERVAL_UNONZERO)])
 def test_solutions_verify_on_dense_grids_near_both_ends(solver, interval):
     # Near S = 1 on the u = 0 branch one ulp of W moves a determinant by far
-    # more than its three terms' sizes; verification judges it against the
-    # sizes of all its terms in x, which bound that, and passes everywhere.
+    # more than its three terms' sizes; verification judges its backward
+    # error in x, which the rounding of x bounds, and passes everywhere.
     lo, hi = interval
     for a, b in ((lo, lo + 1e-2), (hi - 1e-2, hi)):
         for sol in solver(*np.linspace(a, b, 402)[1:-1].tolist()):
             report = verify_solution(sol)
             assert report.passed and max(report.relative_residuals.values()) < 1e-13, (sol.S, report.relative_residuals)
+
+
+@pytest.mark.parametrize("solver,interval",
+                         [(solve_ledger_u0, S_INTERVAL_U0), (solve_ledger_unonzero, S_INTERVAL_UNONZERO)])
+def test_solver_outputs_have_a_backward_error_at_rounding(solver, interval):
+    # 1e-1 .. 1e-10 from both ends of the interval: each determinant is within a relative move of x by 1e-15 of 0
+    lo, hi = interval
+    offsets = [10.0**-k for k in range(1, 11)]
+    for sol in solver(*[lo + d for d in offsets], *[hi - d for d in offsets[::-1]]):
+        assert max(geometry._cached_geometry(sol.params).eta) <= 1e-15, sol.S
+        assert first_ledger_verdict(sol.params, tol=1e-15)[1], sol.S
 
 
 def _einstein_spread(p: MetricParams) -> float:
@@ -523,12 +534,60 @@ def test_the_gram_residual_is_the_rounding_of_t_squared_over_x():
 
 
 def test_the_ledger_verdict_judges_each_determinant_against_its_terms():
-    # at u = 0, w = t the determinant is v^2 (1 - v^2) / 2, 3.8e-14 of the sizes of all its terms in x at
-    # v = 1e-3, where |L| is 5e-13 of max|nabla| max|rho|: the verdict that verification gives
+    # at u = 0, w = t the determinant is v^2 (1 - v^2) / 2, of backward error eta = 6.25e-14 at v = 1e-3, where
+    # |L| is 5e-13 of max|nabla| max|rho|: the verdict that verification gives
     p = MetricParams(1.0, 0.0, 1e-3, 1.0)
     assert first_ledger_verdict(p) == (pytest.approx(5e-4, rel=1e-5), True)
     assert not first_ledger_verdict(p, tol=1e-14)[1]
-    assert first_ledger_verdict(MetricParams(1.0, 0.0, 1e-5, 1.0), tol=1e-21)[1]  # 3.8e-22
+    assert first_ledger_verdict(MetricParams(1.0, 0.0, 1e-5, 1.0), tol=1e-21)[1]  # 6.25e-22
+
+
+def _ledger_corpus(rng: np.random.Generator, n: int) -> list[MetricParams]:
+    """Seeded admissible points, t log-uniform in [1e-100, 1e100], in turn generic, near v = w, near a solver family,
+    near the K guard with v, w far below |t| (where the Q-form's terms cancel) and near the round point."""
+    points = []
+    while len(points) < n:
+        t, sign = 10.0 ** rng.uniform(-100.0, 100.0) * rng.choice([-1.0, 1.0]), rng.choice([-1.0, 1.0], 2)
+        kind, near = len(points) % 5, 10.0 ** rng.uniform(-12.0, -1.0) * rng.choice([-1.0, 1.0])
+        u, v, w = t * t * rng.uniform(-1.99, 1.99), *(t * 10.0 ** rng.uniform(-2.0, 2.0, 2))
+        if kind == 1:
+            w = v * (1.0 + near)
+        elif kind == 2:
+            sol = rng.choice(solve_ledger_u0(rng.uniform(1.0, 9.0)) + solve_ledger_unonzero(rng.uniform(0.34, 1.43)))
+            u, v, w = sol.params.u * t * t, sol.params.v * t * (1.0 + near), sol.params.w * t
+        elif kind == 3:
+            u = 2.0 * t * t * (1.0 - 0.5 * 10.0 ** rng.uniform(-15.5, -6.0)) * rng.choice([-1.0, 1.0])
+            v = t * 10.0 ** rng.uniform(-8.0, -1.0)
+            w = v * (1.0 + 10.0 ** rng.uniform(-12.0, 0.0))
+        elif kind == 4:
+            u, v, w = t * t * near, t * (1.0 + near * rng.uniform(-1.0, 1.0)), t * (1.0 + near * rng.uniform(-1.0, 1.0))
+        try:
+            p = MetricParams(t, u, v * sign[0], w * sign[1])
+            geometry._cached_geometry(p)
+        except (ValueError, ArithmeticError):
+            continue
+        points.append(p)
+    return points
+
+
+def test_the_ledger_verdict_is_exact_outside_the_stated_band():
+    # eta_alpha at 60 digits from the binary parameters, and tol placed at 1.5 times the band of
+    # first_ledger_verdict's docstring below and above the larger one: the verdict is max eta_alpha <= tol
+    eps, below = 2.0**-52, 0
+    for p in _ledger_corpus(np.random.default_rng(129), 400):
+        e = exact_point(p)
+        with mpmath.workdps(60):
+            eta = backward_error(e.t * e.t + e.u / 2, e.t * e.t - e.u / 2, e.v * e.v, e.w * e.w)
+        x1, x2, x3, x4 = geometry._cached_geometry(p).y
+        amp = [x1 / (x3 + x4 + x2), x2 / (x3 + x4 + x1)]
+        top = max(range(2), key=lambda a: eta[a])
+        for side in (-1.0, 1.0):
+            tol = float(eta[top] * (1 + side * 48 * eps * (1 + amp[top])) + side * 48 * eps)
+            if tol <= 0.0 or any(abs(eta[a] - tol) <= 32 * eps * (eta[a] * (1 + amp[a]) + 1) for a in range(2)):
+                continue  # below 0, or the other eta_alpha lies inside its own band
+            assert first_ledger_verdict(p, tol)[1] == (side > 0), (p, tol, eta)
+            below += side < 0
+    assert below >= 150
 
 
 @pytest.mark.filterwarnings("error")

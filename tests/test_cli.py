@@ -1254,14 +1254,14 @@ def test_verdicts_do_not_depend_on_scale(capsys):
 
 def test_the_ledger_verdict_needs_no_scale_of_its_own(capsys):
     # max|nabla table| * max|rho| is about 1e120 * 1e240 here, beyond the
-    # floats, but the determinants and the sizes of their terms in x are scale-free:
+    # floats, but the determinants and their backward errors in x are scale-free:
     # D = v^2 (1 - v^2) / 2, and the homothetic point at |t| = 2 reads the same
     for t, v in (("1", "1e-120"), ("2", "2e-120")):
         code, out, err = run_cli(capsys, "ledger", "--t", t, "--u", "0", "--v", v, "--w", t)
         assert (code, err) == (0, "")
         assert out.splitlines()[-1] == "first Ledger condition satisfied"
     code, out, _ = run_cli(capsys, "ledger", "--t", "1", "--u", "0", "--v", "1e-3", "--w", "1")
-    assert out.splitlines()[-1] == "first Ledger condition satisfied"  # 3.8e-14 of the sizes of its terms
+    assert out.splitlines()[-1] == "first Ledger condition satisfied"  # its backward error is 6.25e-14
     code, out, _ = run_cli(capsys, "ledger", "--t", "1", "--u", "0", "--v", "1e-3", "--w", "1", "--tol", "1e-14")
     assert out.splitlines()[-1] == "first Ledger condition violated"
 
@@ -1269,8 +1269,8 @@ def test_the_ledger_verdict_needs_no_scale_of_its_own(capsys):
 @pytest.mark.parametrize("branch", ["u0", "u1"])
 def test_solve_and_ledger_agree_on_dense_grids_near_both_ends(capsys, branch):
     # S log-spaced from 1e-10 to 1e-2 inside either end: every solution passes its verification, and ``ledger``
-    # at its printed parameters reads "satisfied", as both judge D_alpha against the sizes of all its terms in
-    # x.  Near S = 1 on the u = 0 branch one ulp of W moves D_alpha by far more than its three terms' sizes.
+    # at its printed parameters reads "satisfied", as both judge the backward error of D_alpha in x.  Near S = 1 on
+    # the u = 0 branch one ulp of W moves D_alpha by far more than its three terms' sizes.
     lo, hi = analysis.S_INTERVAL_U0 if branch == "u0" else analysis.S_INTERVAL_UNONZERO
     gaps = np.geomspace(1e-10, 1e-2, 200).tolist()
     for s in [lo + gap for gap in gaps] + [hi - gap for gap in gaps]:

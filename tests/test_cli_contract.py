@@ -114,7 +114,11 @@ _STAR_OVERFLOW = "numerical failure: reduced Ledger system residuals are not fin
 # argv whose contract changed on purpose since the snapshot, with the new contract
 DIFFS: dict[tuple[str, ...], dict] = {
     # check-nr at (1, 0, 1, 1.000000001) reads its snapshot contract again, false with its witness: x lies
-    # eps_1234 = 1.0000000822e-9 from equal, above tol by 8.2e-8 of tol, far outside rounding
+    # eps_1234 = 1.0000000822e-9 from equal, above tol by 8.2e-8 of tol, far outside rounding; ledger there
+    # judges the backward error eta = 1.0000000767e-9 of D_alpha, above tol as well (|D|/bound read 3.0e-11)
+    ("ledger", *_point(1.0, 0.0, 1.0, 1.000000001), "--format", "json"):
+        {"exit": 0, "stderr": "", "keys": [["params", "tol", "max_ledger_residual", "star_residuals", "satisfied"]],
+         "verdicts": [{"satisfied": False}]},
     # the determinants and their terms are scale-free, so no max|nabla| max|rho| (1e360 here) is needed
     ("ledger", *_point(1.0, 0.0, 1e-120, 1.0)):
         {"exit": 0, "stderr": "", "verdicts": ["first Ledger condition satisfied"]},

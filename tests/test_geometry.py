@@ -40,6 +40,7 @@ from zksym import (
 )
 
 from oracles import (
+    backward_error,
     cholesky_params,
     exact_point,
     expected_bracket_table,
@@ -48,6 +49,7 @@ from oracles import (
     expected_ricci_matrix,
     expected_root_ricci,
     expected_u_table,
+    ledger_determinants,
     ledger_max as closed_ledger_max,
     sample_params,
     structure_constants,
@@ -551,28 +553,51 @@ def test_the_eager_values_are_those_of_the_array_program_bit_for_bit():
 def test_the_determinants_and_the_ledger_norm_are_the_q_form_to_rounding():
     # D_alpha = (x4 - x3) (T1 + T2 - T3) / 2 with T1 = (x3 + x4 - x_alpha)^2 / (x3 x4 x_beta),
     # T2 = 8 (x_alpha - x3) (x_alpha - x4) / (x3 x4 x_alpha) and T3 = (x_alpha^2 - x_beta^2) / (x3 x4 x_beta), at 60
-    # digits from the program's own y.  The error stays within 4 eps of the larger of the verdict's scale (the sizes
-    # of all the terms of D_alpha in x, det_bound at its power of two) and the sizes of the Q-form's own terms, and
-    # ||L|| = sqrt 12 ||lam||, lam = D_alpha / sqrt(x_alpha x3 x4), within 4 eps of the same scale for lam.  The
-    # Q-form's sizes exceed the verdict's scale near the K guard with v, w small (up to 1.2e3 times in this corpus),
-    # where T1 and T3 cancel.
+    # digits from the program's own y.  The error stays within 4 eps of the sizes of the Q-form's own terms, and
+    # ||L|| = sqrt 12 ||lam||, lam = D_alpha / sqrt(x_alpha x3 x4), within 4 eps of the same scale for lam.  Near the
+    # K guard with v, w small T1 and T3 cancel, so these sizes exceed |D_alpha| there: up to 974 times the scale
+    # sum_k |x_k dD_alpha/dx_k| of its backward error in this corpus (see below).
     geos, _ = _geometries(_eager_corpus())
     eps = 2.0**-52
     with mpmath.workdps(60):
         for geo in geos:
             x1, x2, x3, x4 = map(mpmath.mpf, geo.y)
-            k = math.frexp(max(geo.y))[1]
             lam, lam_scale = [], []
-            for (xa, xb), got, (_, bound) in zip(((x1, x2), (x2, x1)), geo.det, geo.det_bound):
+            for (xa, xb), got in zip(((x1, x2), (x2, x1)), geo.det):
                 terms = ((x3 + x4 - xa) ** 2 / (x3 * x4 * xb), 8 * (xa - x3) * (xa - x4) / (x3 * x4 * xa),
                          -(xa - xb) * (xa + xb) / (x3 * x4 * xb))
                 half = (x4 - x3) / 2
-                exact, scale = half * sum(terms), max(abs(half) * sum(map(abs, terms)), mpmath.ldexp(bound, k))
+                exact, scale = half * sum(terms), abs(half) * sum(map(abs, terms))
                 assert abs(got - exact) <= 4 * eps * scale, (geo.params, got, exact)
                 lam.append(exact / mpmath.sqrt(xa * x3 * x4))
                 lam_scale.append(scale / mpmath.sqrt(xa * x3 * x4))
             exact, scale = (mpmath.sqrt(12 * (a * a + b * b)) for a, b in (lam, lam_scale))
             assert abs(geo.norm_ledger - exact) <= 4 * eps * scale, geo.params
+
+
+def test_the_determinants_are_within_400_eps_of_their_backward_error_scale():
+    # |D_float - D| <= 400 eps sum_k |x_k dD_alpha/dx_k|, D and its partials at 60 digits from the program's own y:
+    # the Q-form's rounding moves eta_alpha by at most 400 eps.  The worst, 333 eps, is near the K guard with
+    # v, w small, at (-6.06e133, -7.35e267, 7.00e131, 1.30e132), where T1 and T3 cancel
+    geos, _ = _geometries(_eager_corpus())
+    eps, worst = 2.0**-52, 0.0
+    with mpmath.workdps(60):
+        for geo in geos:
+            for got, (exact, terms) in zip(geo.det, ledger_determinants(*map(mpmath.mpf, geo.y))):
+                worst = max(worst, abs(got - exact) / (eps * sum(map(abs, terms))))
+    assert worst <= 400
+
+
+def test_the_backward_error_is_that_of_60_digits_to_1e_11():
+    # eta_alpha from the program against 60-digit eta_alpha of the program's own y, on every geometry of the corpus:
+    # within 1e-11 of itself, and exactly 0 where D_alpha = 0 (x3 = x4); never NaN
+    geos, _ = _geometries(_eager_corpus())
+    zeros = 0
+    for geo in geos:
+        for got, exact in zip(geo.eta, backward_error(*geo.y)):
+            assert got == exact == 0 or abs(got - exact) <= 1e-11 * exact, (geo.params, got, exact)
+            zeros += exact == 0
+    assert zeros >= 100
 
 
 def test_max_ledger_is_the_maximum_of_the_table_bit_for_bit():
@@ -877,6 +902,9 @@ def test_every_bare_gram_operation_answers_without_lapack(no_lapack):
      "Gram matrix is not positive-definite: its diagonal has -1"),
     (np.diag([1.0, 1, 1, 1, 1, 1, 0, 0]), DegenerateMetricError,
      "Gram matrix is not positive-definite: its diagonal has 0"),
+    # an antisymmetric part that commutes with ad(h) passes the invariance check; it is refused first
+    (np.eye(8) + np.diag([0, 0, 0, 0, 5.0, 0, 0], k=1) - np.diag([0, 0, 0, 0, 5.0, 0, 0], k=-1), InvalidParamsError,
+     "Gram matrix is not symmetric: max |g - g^T| = 10"),
     (_with(np.eye(8), g04=0.1), InvalidParamsError,
      "Gram matrix is not ad(h)-invariant: B([X2,A2],B1) + B(A2,[X2,B1]) = 0.1"),
     # indefinite, of positive diagonal and not invariant: the invariance check refuses it
@@ -894,8 +922,8 @@ def test_every_bare_gram_operation_answers_without_lapack(no_lapack):
     # invariant and singular, |u| = 2t^2: the K guard refuses it
     (_invariant_gram(1.0, -1.0), DegenerateMetricError,
      "K^2 = 0 below guard 1e-16: |u| too close to the degenerate boundary"),
-], ids=["inf", "nan", "negative diagonal", "zero diagonal", "not invariant", "indefinite, not invariant",
-        "u overflows", "past the boundary", "invariant indefinite", "invariant singular"])
+], ids=["inf", "nan", "negative diagonal", "zero diagonal", "not symmetric", "not invariant",
+        "indefinite, not invariant", "u overflows", "past the boundary", "invariant indefinite", "invariant singular"])
 def test_each_bare_gram_refusal_names_its_reason(no_lapack, gram, error, message):
     x, y, z = np.eye(8)[:3]
     for call in (lambda f: u_map(x, y, f), lambda f: nabla(x, y, f), lambda f: curvature(x, y, z, f), ricci,

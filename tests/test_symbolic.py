@@ -34,6 +34,13 @@ K kept as the symbol k bound by 4 t^2 k^2 = 4 t^4 - u^2.
   determinants D_a, as ``analysis.ledger_system_residuals`` reads them:
   -(D1 + D2)/2, -(D1 - D2)/(2t), sgn t (x2 D1 - x1 D2)/(2 vw sqrt(x1 x2))
   and -(x2 D1 + x1 D2)/(2t^2), with vw signed and sqrt(x1 x2) = |t| K.
+* Q1 - Q2 = (x1 - x2) R with R = 7 x1 x2 - 2 (x1 + x2)(x3 + x4) + x3^2 -
+  6 x3 x4 + x4^2 (F9), and at t = 1, x1,2 = 1 +- h, S = x3 + x4, P = x3 x4
+  the lex Groebner basis of (Q1, R) is the two polynomials from which the
+  solvers' formulas are read (F11).
+* The four terms that ``geometry._partials`` forms, and those of the
+  oracle, are 2 x_k dD_a/dx_k / (x4 - x3) and x_k dD_a/dx_k: the backward
+  error eta_a = |D_a| / sum_k |x_k dD_a/dx_k| that the Ledger verdict reads.
 * On a solution family the four reduced equations vanish if each
   numerator lies in the family's ideal, saturated by t v w k (the
   auxiliary y with y t v w k = 1 removes the components where a
@@ -49,7 +56,9 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from oracles import expected_reduced_terms, expected_ricci_entries, expected_root_ricci, ledger_rows, structure_constants
+from oracles import (expected_reduced_terms, expected_ricci_entries, expected_root_ricci, ledger_determinants,
+                     ledger_rows, structure_constants)
+from zksym import geometry, solve_ledger_u0, solve_ledger_unonzero
 
 t, u, v, w, k, y = sp.symbols("t u v w k y")
 _K_DEFINITION = 4 * t**2 * k**2 - 4 * t**4 + u**2
@@ -315,3 +324,61 @@ def test_the_point_verdicts_are_equalities_of_x():
         assert sp.cancel(gram - (sigma2[p // 2] if p == q else 0)) == 0, (p, q)
     norm2 = sum(ut[i][j][m] ** 2 for i in range(8) for j in range(8) for m in range(8))
     assert sp.cancel(norm2 - sum((a - b) ** 2 + (b - cc) ** 2 + (cc - a) ** 2 for a, b, cc in ratios)) == 0
+
+
+# ----------------------------------------------------------------------
+# the Ledger ideal (F9, F11) and the backward error of D_alpha
+# ----------------------------------------------------------------------
+
+_X = sp.symbols("x1:5", positive=True)
+
+
+def _q_form(xa, xb, x3, x4):
+    """Q_alpha of F2, with beta the other of 1, 2."""
+    return xa * (x3 + x4 - xa) ** 2 + 8 * xb * (xa - x3) * (xa - x4) - xa * (xa * xa - xb * xb)
+
+
+def test_the_ledger_ideal_splits_and_its_groebner_basis_gives_the_solvers():
+    x1, x2, x3, x4 = _X
+    r = 7 * x1 * x2 - 2 * (x1 + x2) * (x3 + x4) + x3**2 - 6 * x3 * x4 + x4**2
+    assert sp.expand(_q_form(x1, x2, x3, x4) - _q_form(x2, x1, x3, x4) - (x1 - x2) * r) == 0
+    # Q1 and R are symmetric in (x3, x4): written in S = x3 + x4, P = x3 x4 at t = 1, x1,2 = 1 +- h
+    big_p, h, big_s = sp.symbols("P h S")
+    xa, xb = 1 + h, 1 - h
+    q1 = xa * (big_s - xa) ** 2 + 8 * xb * (xa * xa - xa * big_s + big_p) - xa * (xa * xa - xb * xb)
+    r1 = 7 * xa * xb - 2 * (xa + xb) * big_s + big_s**2 - 8 * big_p
+    symmetric = {big_s: x3 + x4, big_p: x3 * x4, h: x1 - 1}
+    assert sp.expand(q1.subs(symmetric) - _q_form(x1, 2 - x1, x3, x4)) == 0
+    assert sp.expand(r1.subs(symmetric) - r.subs(x2, 2 - x1)) == 0
+    basis = sp.groebner([q1, r1], big_p, h, big_s, order="lex")
+    assert list(basis.exprs) == [8 * big_p - big_s**2 + 4 * big_s + 7 * h**2 - 7,
+                                 big_s**2 + 3 * big_s * h**2 - 7 * big_s - 8 * h**2 + 8]
+    # the second element is linear in h^2 and the first in P: the formulas of solve_ledger_unonzero, with h = u/2
+    h2 = sp.solve(basis.exprs[1].subs(h**2, sp.Symbol("h2")), sp.Symbol("h2"))[0]
+    p_u1 = sp.solve(basis.exprs[0].subs(h**2, h2), big_p)[0]
+    assert sp.cancel(h2 - (8 - 7 * big_s + big_s**2) / (8 - 3 * big_s)) == 0
+    assert sp.cancel(p_u1 - big_s * (4 - big_s) * (3 * big_s - 1) / (8 * (8 - 3 * big_s))) == 0
+    # at h = 0 (u = 0, x1 = x2), Q1 = 0 alone reads the P of solve_ledger_u0
+    p_u0 = sp.solve(q1.subs(h, 0), big_p)[0]
+    assert sp.factor(p_u0 - (big_s - 1) * (9 - big_s) / 8) == 0
+    for sol in solve_ledger_unonzero(0.4, 1.0, 4 / 3, 1.43):
+        assert sol.Usq / 4 == pytest.approx(float(h2.subs(big_s, sol.S)), rel=1e-13)
+        assert sol.V * sol.W == pytest.approx(float(p_u1.subs(big_s, sol.S)), rel=1e-13)
+    for sol in solve_ledger_u0(1.5, 5.0, 8.9):
+        assert sol.V * sol.W == pytest.approx(float(p_u0.subs(big_s, sol.S)), rel=1e-13)
+
+
+def test_the_backward_error_terms_are_the_partials_of_the_determinant():
+    # D_a = (x4 - x3) q / 2 with q = Q_a / (x1 x2 x3 x4); the program's T_k = 2 x_k dD_a/dx_k / (x4 - x3) from its
+    # s = x3 + x4 - x_a and q, and the oracle's x_k dD_a/dx_k, for k = a, b, 3, 4
+    x1, x2, x3, x4 = _X
+    oracle = ledger_determinants(x1, x2, x3, x4)
+    for (xa, xb), (d_oracle, terms) in zip(((x1, x2), (x2, x1)), oracle):
+        q = _q_form(xa, xb, x3, x4) / (x1 * x2 * x3 * x4)
+        d = (x4 - x3) * q / 2
+        assert sp.cancel(d_oracle - d) == 0
+        partials = [x * sp.diff(d, x) for x in (xa, xb, x3, x4)]
+        assert [sp.cancel(a - b) for a, b in zip(terms, partials)] == [0] * 4
+        got = geometry._partials(xa, xb, x3, x4, x3 + x4 - xa, q)
+        assert [sp.cancel(a - 2 * b / (x4 - x3)) for a, b in zip(got, partials)] == [0] * 4
+        assert sp.cancel(sum(partials)) == 0  # D_a is of degree 0 in x
