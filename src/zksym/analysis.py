@@ -11,11 +11,11 @@ v = w form a third family that satisfies L = 0 and that no solver returns;
 of it only the round point u = 0, v^2 = w^2 = t^2 is naturally reductive.
 
 Every point verdict is a relative backward error in x = (t^2 + u/2,
-t^2 - u/2, v^2, w^2), frame-free and scale-free: eps_J to an equality of x
-(natural reductivity, isometries), eta_alpha to D_alpha = 0 (Ledger).  The
-adapted frame (A~1..C~2), in which reports name frame triples, is for
-presentation only; its four reduced equations are closed combinations of
-D1, D2 (:func:`ledger_system_residuals`).
+t^2 - u/2, v^2, w^2), frame-free and scale-free: eps_J to an equality of
+x (natural reductivity, isometries), eta_alpha to D_alpha = 0 (Ledger).
+The adapted frame (A~1..C~2), in which reports name frame triples, is for
+presentation only; the four reduced equations written in it are closed
+combinations of D1, D2 (:func:`ledger_system_residuals`).
 """
 
 from __future__ import annotations
@@ -83,26 +83,28 @@ def is_naturally_reductive(p: MetricParams, tol: float = DEFAULT_TOL) -> Reducti
 def first_ledger_verdict(p: MetricParams, tol: float = DEFAULT_TOL) -> tuple[float, bool]:
     """max|L| over adapted frame triples, and whether the first Ledger condition holds to tol.
 
-    L = 0 iff the two collinearity determinants D_alpha of :mod:`zksym.geometry` vanish.  Each passes, as in
-    :func:`verify_solution`, where its backward error eta_alpha = |D_alpha| / sum_k |x_k dD_alpha/dx_k| <= tol:
-    there a relative move of x by tol reaches D_alpha = 0, to first order.  The float eta_alpha is within
-    32 eps (eta_alpha (1 + x_alpha / (x3 + x4 + x_beta)) + 1) of that of the exact x of the binary parameters (its
-    middle term is the Q-form's cancellation near the K guard with v, w small), so the verdict is exact outside that
-    band around tol.  Raises DegenerateMetricError where a determinant is not finite.
+    L = 0 iff the two collinearity determinants D_alpha of
+    :mod:`zksym.geometry` vanish.  Each passes, as in :func:`verify_solution`,
+    where its backward error eta_alpha = |D_alpha| / sum_k |x_k dD_alpha/dx_k|
+    is at most tol: there a relative move of x by tol reaches D_alpha = 0, to
+    first order.  The float eta_alpha is within 32 eps (eta_alpha (1 +
+    x_alpha / (x3 + x4 + x_beta)) + 1) of that of the exact x of the binary
+    parameters (its middle term is the Q-form's cancellation near the K
+    guard with v, w small), so the verdict is exact outside that band around
+    tol.  Raises DegenerateMetricError where a determinant or one of its
+    partials is not finite.
     """
     geo = geometry._cached_geometry(p)
-    return geo.ledger_max, _ledger_holds(geo, tol)
-
-
-def _ledger_holds(geo, tol: float = DEFAULT_TOL) -> bool:
-    """The first Ledger verdict at a point's geometry (see :func:`first_ledger_verdict`)."""
-    return _eta(geo) <= tol
+    return geo.ledger_max, _eta(geo) <= tol
 
 
 def _eta(geo) -> float:
-    """The larger eta_alpha at a point's geometry; raises where a Ledger determinant D_alpha is not finite."""
+    """The larger eta_alpha at a point's geometry; raises where a Ledger determinant D_alpha is not finite, or where
+    a partial x_k dD_alpha/dx_k overflows (eta_alpha is NaN there)."""
     if not all(map(math.isfinite, geo.det)):
         raise DegenerateMetricError(f"the Ledger determinants are not finite: {geo.det}")
+    if any(map(math.isnan, geo.eta)):
+        raise DegenerateMetricError(f"the partials of the Ledger determinants overflow: D = {geo.det}")
     return max(geo.eta)
 
 
@@ -198,10 +200,12 @@ class LedgerSolution:
 def _evaluate(p: MetricParams) -> tuple[dict[str, float], dict[str, float], bool]:
     """From the point's cached geometry: its absolute residuals, the same over their scales, naturally reductive.
 
-    The residuals are ||L|| in Frobenius norm ("ledger"), over ||nabla|| ||rho||; the larger |D_alpha| ("star"),
-    relative the larger eta_alpha, as ``ledger`` judges it; and the root frame's orthonormality defect for the Gram
-    matrix of :func:`build_form` in closed form ("gram", of scale 1).  The scales are frame-free and do not scale.
-    Only the geometry is kept, in its cache; each call makes new dicts.
+    The residuals are ||L|| in Frobenius norm ("ledger"), over ||nabla|| ||rho||;
+    the larger |D_alpha| ("star"), relative the larger eta_alpha, as ``ledger``
+    judges it; and the root frame's orthonormality defect for the Gram matrix
+    of :func:`build_form` in closed form ("gram", of scale 1).  The scales are
+    frame-free and do not scale.  Only the geometry is kept, in its cache;
+    each call makes new dicts.
     """
     geo = geometry._cached_geometry(p)
     absolute = {"ledger": geometry._ldexp(geo.norm_ledger, -3 * geo.e), "star": max(map(abs, geo.det))}

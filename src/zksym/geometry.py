@@ -95,7 +95,8 @@ def _program(e: int, y) -> tuple[list[float], ...]:
         raise DegenerateMetricError("the curvature tensors overflow at this scale")
     x1, x2, x3, x4 = y
     k1, k2, k3, k4 = _HALF_KILLING
-    i3, i4, h = 1.0 / x3, 1.0 / x4, 0.5 * ((x4 - x3) / math.sqrt(x3) / math.sqrt(x4))
+    i3, i4 = 1.0 / x3, 1.0 / x4
+    h = 0.5 * ((x4 - x3) / math.sqrt(x3) / math.sqrt(x4))
     r1, r2, r3, r4 = k1 * (1.0 / x1), k2 * (1.0 / x2), k3 * i3, k4 * i4
     triples = []
     for xa in (x1, x2):
@@ -115,12 +116,14 @@ def _program(e: int, y) -> tuple[list[float], ...]:
         s = x3 - d4 if abs(d4) <= abs(d3) else x4 - d3  # x3 + x4 - x_alpha, by the nearer difference
         q = (s / x3) * (s / x4) / xb + 8.0 * (d3 / x3) * (d4 / x4) / xa - ((xa - xb) / x3) * ((xa + xb) / x4) / xb
         d = 0.5 * (x4 - x3) * q
-        # eta_alpha = |q| / sum_k |T_k|: 0 where D_alpha = 0 (x3 = x4 too), +inf where the sum vanishes but not D_alpha
-        t1, t2, t3, t4 = _partials(xa, xb, x3, x4, s, q) if d and x3 != x4 else (math.inf,) * 4
+        n, t1, t2, t3, t4 = _partials(xa, xb, x3, x4, s, q)
         total = abs(t1) + abs(t2) + abs(t3) + abs(t4)
+        # eta_alpha = |n| / total: 0 where D_alpha = 0, +inf where its partials vanish but it does not, and nan
+        # where a partial overflows, which ``ledger`` refuses
+        eta = math.nan if not total < math.inf else abs(n) / total if total else math.inf if n else 0.0
         c0, c1, c2 = math.sqrt(s0), math.sqrt(s1), math.sqrt(s2)
         f0, f1, f2 = c0 - c1, c1 - c2, c2 - c0  # ||U||^2 on the triple, from the differences of its ratios
-        rows.append((c0, c1, c2, d, abs(q) / total if total else math.inf, h / math.sqrt(xa) * q,
+        rows.append((c0, c1, c2, d, eta, h / math.sqrt(xa) * q,
                      f0 * f0 + f1 * f1 + f2 * f2))
     (c0, c1, c2, d1, eta1, l1, u1), (c3, c4, c5, d2, eta2, l2, u2) = rows
     # ||nabla||^2 = ||U||^2 + ||C||^2 / 4 = ||U||^2 + sigma, as U is symmetric and C antisymmetric;
@@ -140,14 +143,17 @@ def _program(e: int, y) -> tuple[list[float], ...]:
     return ratios, r, lam, [d1, d2], [eta1, eta2], norms
 
 
-def _partials(xa: float, xb: float, x3: float, x4: float, s: float, q: float) -> tuple[float, float, float, float]:
-    """T_k = 2 x_k dD_alpha/dx_k / (x4 - x3) for k = alpha, beta, 3, 4, from the s and q of :func:`_program`, x3 != x4:
-    x_k dq/dx_k in q's ratio style, -x3 q / (x4 - x3) added for k = 3 and +x4 q / (x4 - x3) for k = 4; they sum to 0."""
-    d3, d4, g, m, c = xa - x3, xa - x4, x3 + x4, q / (x4 - x3), ((xa - xb) / x3) * ((xa + xb) / x4) / xb
-    return (8.0 * (xa / x3 / x4 - 1.0 / xa) - 2.0 * (xa / x3) * (g / x4) / xb,
-            ((d3 + d4) / x3) * (g / x4) / xb + xb / x3 / x4,
-            (s / x3) * ((x3 + d4) / x4) / xb + c - 8.0 * (d4 / x3) / x4 - x3 * m,
-            (s / x4) * ((x4 + d3) / x3) / xb + c - 8.0 * (d3 / x3) / x4 + x4 * m)
+def _partials(xa: float, xb: float, x3: float, x4: float, s: float, q: float) -> tuple[float, ...]:
+    """D_alpha and x_k dD_alpha/dx_k for k = alpha, beta, 3, 4, each over x3 + x4, from the s and q of :func:`_program`:
+    rho q and rho x_k dq/dx_k, in q's ratio style, with rho = (x4 - x3) / (2 (x3 + x4)), then -x3 q / (2 (x3 + x4))
+    added for k = 3 and +x4 q / (2 (x3 + x4)) for k = 4.  Each is at most |q| / 2 or |x_k dq/dx_k| / 2, whose terms
+    are of the size of q's, however small x4 - x3 is; the four partials sum to 0."""
+    d3, d4, half = xa - x3, xa - x4, 0.5 * x3 + 0.5 * x4  # (x3 + x4) / 2, which does not overflow
+    rho, g4, c = 0.25 * (x4 - x3) / half, 2.0 * (half / x4), ((xa - xb) / x3) * ((xa + xb) / x4) / xb
+    return (rho * q, rho * (8.0 * (xa / x3 / x4 - 1.0 / xa) - 2.0 * (xa / x3) * g4 / xb),
+            rho * (((d3 + d4) / x3) * g4 / xb + xb / x3 / x4),
+            rho * ((s / x3) * ((x3 + d4) / x4) / xb + c - 8.0 * (d4 / x3) / x4) - 0.25 * x3 / half * q,
+            rho * ((s / x4) * ((x4 + d3) / x3) / xb + c - 8.0 * (d3 / x3) / x4) + 0.25 * x4 / half * q)
 
 
 def _ldexp(x: float, n: int) -> float:

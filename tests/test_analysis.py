@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+import types
 from fractions import Fraction
 
 import mpmath
@@ -544,11 +545,12 @@ def test_the_ledger_verdict_judges_each_determinant_against_its_terms():
 
 def _ledger_corpus(rng: np.random.Generator, n: int) -> list[MetricParams]:
     """Seeded admissible points, t log-uniform in [1e-100, 1e100], in turn generic, near v = w, near a solver family,
-    near the K guard with v, w far below |t| (where the Q-form's terms cancel) and near the round point."""
+    near the K guard with v, w far below |t| (where the Q-form's terms cancel), near the round point and with v/t, w/t
+    down to 1e-150 (v w / t^2 log-uniform in [1e-150, 1e-4]: q / (x4 - x3) can overflow there, D_alpha does not)."""
     points = []
     while len(points) < n:
         t, sign = 10.0 ** rng.uniform(-100.0, 100.0) * rng.choice([-1.0, 1.0]), rng.choice([-1.0, 1.0], 2)
-        kind, near = len(points) % 5, 10.0 ** rng.uniform(-12.0, -1.0) * rng.choice([-1.0, 1.0])
+        kind, near = len(points) % 6, 10.0 ** rng.uniform(-12.0, -1.0) * rng.choice([-1.0, 1.0])
         u, v, w = t * t * rng.uniform(-1.99, 1.99), *(t * 10.0 ** rng.uniform(-2.0, 2.0, 2))
         if kind == 1:
             w = v * (1.0 + near)
@@ -561,6 +563,9 @@ def _ledger_corpus(rng: np.random.Generator, n: int) -> list[MetricParams]:
             w = v * (1.0 + 10.0 ** rng.uniform(-12.0, 0.0))
         elif kind == 4:
             u, v, w = t * t * near, t * (1.0 + near * rng.uniform(-1.0, 1.0)), t * (1.0 + near * rng.uniform(-1.0, 1.0))
+        elif kind == 5:
+            logs = rng.uniform(-150.0, -4.0) * rng.dirichlet([1.0, 1.0])
+            v, w = t * 10.0 ** logs[0], t * 10.0 ** logs[1]
         try:
             p = MetricParams(t, u, v * sign[0], w * sign[1])
             geometry._cached_geometry(p)
@@ -590,12 +595,33 @@ def test_the_ledger_verdict_is_exact_outside_the_stated_band():
     assert below >= 150
 
 
+def test_the_ledger_verdict_reads_eta_where_v_and_w_are_far_below_t():
+    # at unit-scale y = (1, 1, 1e-110, 4e-110), q = 2.25e220 and x4 - x3 = 3e-110, so q / (x4 - x3) overflows (a
+    # form of eta through it read 0), yet D_alpha = 3.375e110 and eta_alpha = (9/4) / 6 = 0.375 at 60 digits
+    p = MetricParams(1.0, 0.0, 1e-55, 2e-55)
+    e = exact_point(p)
+    with mpmath.workdps(60):
+        exact = backward_error(e.t * e.t + e.u / 2, e.t * e.t - e.u / 2, e.v * e.v, e.w * e.w)
+    assert [float(x) for x in exact] == [0.375, 0.375]
+    assert geometry._cached_geometry(p).eta == pytest.approx([0.375, 0.375], rel=1e-15)
+    assert not first_ledger_verdict(p)[1] and not first_ledger_verdict(p, 0.37)[1] and first_ledger_verdict(p, 0.38)[1]
+
+
 @pytest.mark.filterwarnings("error")
 def test_the_ledger_verdict_refuses_determinants_that_are_not_finite():
     # x3 = v^2 = 1e200 makes D_alpha = (x4 - x3) q / 2, with q about x3, -inf; the CLI's ``ledger`` stops
     # earlier, in the reduced system
     with pytest.raises(DegenerateMetricError, match=r"^the Ledger determinants are not finite: \[-inf, -inf\]$"):
         first_ledger_verdict(MetricParams(1.0, 0.0, 1e100, 1.0))
+
+
+def test_the_ledger_verdict_refuses_partials_that_overflow():
+    # the program gives eta_alpha = NaN where a partial x_k dD_alpha/dx_k overflows but D_alpha does not: no
+    # verdict there, rather than eta_alpha = |D_alpha| / inf = 0
+    geo = types.SimpleNamespace(det=[1.5, -2.0], eta=[0.25, math.nan])
+    message = r"^the partials of the Ledger determinants overflow: D = \[1\.5, -2\.0\]$"
+    with pytest.raises(DegenerateMetricError, match=message):
+        analysis._eta(geo)
 
 
 # near the K guard with v, w far below |t|: at the unit scale (e = -263) D_1 = 8.6309e50 and D_2 = 1.0789e50

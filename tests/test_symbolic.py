@@ -38,9 +38,10 @@ K kept as the symbol k bound by 4 t^2 k^2 = 4 t^4 - u^2.
   6 x3 x4 + x4^2 (F9), and at t = 1, x1,2 = 1 +- h, S = x3 + x4, P = x3 x4
   the lex Groebner basis of (Q1, R) is the two polynomials from which the
   solvers' formulas are read (F11).
-* The four terms that ``geometry._partials`` forms, and those of the
-  oracle, are 2 x_k dD_a/dx_k / (x4 - x3) and x_k dD_a/dx_k: the backward
-  error eta_a = |D_a| / sum_k |x_k dD_a/dx_k| that the Ledger verdict reads.
+* What ``geometry._partials`` forms is D_a and its four terms x_k dD_a/dx_k,
+  each over x3 + x4, and the oracle's terms are x_k dD_a/dx_k: the
+  backward error eta_a = |D_a| / sum_k |x_k dD_a/dx_k| that the Ledger
+  verdict reads.
 * On a solution family the four reduced equations vanish if each
   numerator lies in the family's ideal, saturated by t v w k (the
   auxiliary y with y t v w k = 1 removes the components where a
@@ -369,8 +370,8 @@ def test_the_ledger_ideal_splits_and_its_groebner_basis_gives_the_solvers():
 
 
 def test_the_backward_error_terms_are_the_partials_of_the_determinant():
-    # D_a = (x4 - x3) q / 2 with q = Q_a / (x1 x2 x3 x4); the program's T_k = 2 x_k dD_a/dx_k / (x4 - x3) from its
-    # s = x3 + x4 - x_a and q, and the oracle's x_k dD_a/dx_k, for k = a, b, 3, 4
+    # D_a = (x4 - x3) q / 2 with q = Q_a / (x1 x2 x3 x4); the program's D_a and x_k dD_a/dx_k over x3 + x4 from
+    # its s = x3 + x4 - x_a and q, and the oracle's x_k dD_a/dx_k, for k = a, b, 3, 4
     x1, x2, x3, x4 = _X
     oracle = ledger_determinants(x1, x2, x3, x4)
     for (xa, xb), (d_oracle, terms) in zip(((x1, x2), (x2, x1)), oracle):
@@ -380,5 +381,5 @@ def test_the_backward_error_terms_are_the_partials_of_the_determinant():
         partials = [x * sp.diff(d, x) for x in (xa, xb, x3, x4)]
         assert [sp.cancel(a - b) for a, b in zip(terms, partials)] == [0] * 4
         got = geometry._partials(xa, xb, x3, x4, x3 + x4 - xa, q)
-        assert [sp.cancel(a - 2 * b / (x4 - x3)) for a, b in zip(got, partials)] == [0] * 4
+        assert [sp.cancel(a - b / (x3 + x4)) for a, b in zip(got, [d, *partials])] == [0] * 5
         assert sp.cancel(sum(partials)) == 0  # D_a is of degree 0 in x
