@@ -12,10 +12,11 @@ of it only the round point u = 0, v^2 = w^2 = t^2 is naturally reductive.
 
 Every point verdict is a relative backward error in x = (t^2 + u/2,
 t^2 - u/2, v^2, w^2), frame-free and scale-free: eps_J to an equality of
-x (natural reductivity, isometries), eta_alpha to D_alpha = 0 (Ledger).
-The adapted frame (A~1..C~2), in which reports name frame triples, is for
-presentation only; the four reduced equations written in it are closed
-combinations of D1, D2 (:func:`ledger_system_residuals`).
+x (natural reductivity, isometries), eta_alpha to D_alpha = 0 (Ledger, in
+``ledger`` and :func:`verify_solution` alike).  The adapted frame (A~1..C~2),
+in which reports name frame triples, is for presentation only; the four
+reduced equations written in it are closed combinations of D1, D2
+(:func:`ledger_system_residuals`).
 """
 
 from __future__ import annotations
@@ -171,7 +172,8 @@ class LedgerSolution:
     (zero on the u-zero branch).  ``residuals`` reports, computed in the
     root frame, ||L|| in Frobenius norm ("ledger"), the larger |D_alpha|
     ("star") and the root frame's orthonormality defect ("gram"), as
-    :func:`verify_solution` recomputes them at ``params``.
+    :func:`verify_solution` recomputes them at ``params``; it judges the
+    larger eta_alpha and "gram", not the absolute sizes.
     ``naturally_reductive`` is the ``check-nr`` verdict at DEFAULT_TOL, whatever tol the caller uses.
     """
 
@@ -198,19 +200,18 @@ class LedgerSolution:
 
 
 def _evaluate(p: MetricParams) -> tuple[dict[str, float], dict[str, float], bool]:
-    """From the point's cached geometry: its absolute residuals, the same over their scales, naturally reductive.
+    """From the point's cached geometry: its absolute residuals, those verification judges, naturally reductive.
 
-    The residuals are ||L|| in Frobenius norm ("ledger"), over ||nabla|| ||rho||;
-    the larger |D_alpha| ("star"), relative the larger eta_alpha, as ``ledger``
-    judges it; and the root frame's orthonormality defect for the Gram matrix
-    of :func:`build_form` in closed form ("gram", of scale 1).  The scales are
-    frame-free and do not scale.  Only the geometry is kept, in its cache;
-    each call makes new dicts.
+    The absolute residuals are ||L|| in Frobenius norm ("ledger"), the larger
+    |D_alpha| ("star") and the root frame's orthonormality defect for the Gram
+    matrix of :func:`build_form` in closed form ("gram").  The relative ones
+    are the larger eta_alpha ("star"), as ``ledger`` judges it, and "gram",
+    of scale 1: both frame-free and scale-free.  Only the geometry is kept,
+    in its cache; each call makes new dicts.
     """
     geo = geometry._cached_geometry(p)
     absolute = {"ledger": geometry._ldexp(geo.norm_ledger, -3 * geo.e), "star": max(map(abs, geo.det))}
-    # an overflowing scale leaves the relative ||L|| at 0
-    relative = {"ledger": geo.norm_ledger / (geo.norm_n * geo.norm_rho), "star": _eta(geo)}
+    relative = {"star": _eta(geo)}
     absolute["gram"] = relative["gram"] = _gram_defect(p)
     return absolute, relative, geo.equal("1234", DEFAULT_TOL)
 
@@ -288,8 +289,8 @@ def solve_ledger_unonzero(*grid: float) -> list[LedgerSolution]:
 class VerificationReport:
     """Recomputed residuals and reductivity status of a LedgerSolution.
 
-    ``residuals`` are absolute, ``relative_residuals`` the same over their
-    frame-free scales; the verdict uses the relative ones.
+    ``residuals`` are absolute; ``relative_residuals``, the larger eta_alpha
+    ("star") and the Gram defect ("gram"), are what the verdict uses.
     """
 
     passed: bool
@@ -307,8 +308,8 @@ class VerificationReport:
 def verify_solution(sol: LedgerSolution, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Judge a solution by the residuals :func:`_evaluate` recomputes at its params.
 
-    Passes iff every residual is at most ``tol`` times its scale, those of
-    the relative residuals, and the naturally-reductive status (the
+    Passes iff the larger eta_alpha and the Gram defect, the relative
+    residuals, are at most ``tol``, and the naturally-reductive status (the
     ``check-nr`` verdict at DEFAULT_TOL, whatever ``tol`` is) matches the
     expectation, which does not depend on tol either: true only at
     the round point u = 0, V = W = 1 of ``sol.params``, which neither

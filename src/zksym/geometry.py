@@ -86,10 +86,10 @@ def _arrays() -> None:
     (_CM, _CH, _ADH), _P, _MODULE = build_so5().m_structure(), p, np.repeat(np.arange(4), 2)
 
 
-def _program(e: int, y) -> tuple[list[float], ...]:
+def _program(e: int, y) -> tuple:
     """From a point's unit-scale (e, y): the six ratios (the magnitudes of C), r and lam_alpha = D_alpha /
     sqrt(x_alpha x3 x4) at its scale, then at the unit scale D_alpha, eta_alpha (see :func:`_partials`) and the
-    norms of C, U, nabla, rho and L.  The triple of alpha has the slots (k, i, j) = (alpha, e1, e2),
+    Frobenius norm of L.  The triple of alpha has the slots (k, i, j) = (alpha, e1, e2),
     (e1, alpha, e2), (e2, alpha, e1), summed in that order."""
     if not 0.0 < min(y) <= max(y) < math.inf:  # an x that under- or overflows at this scale
         raise DegenerateMetricError("the curvature tensors overflow at this scale")
@@ -98,17 +98,13 @@ def _program(e: int, y) -> tuple[list[float], ...]:
     i3, i4 = 1.0 / x3, 1.0 / x4
     h = 0.5 * ((x4 - x3) / math.sqrt(x3) / math.sqrt(x4))
     r1, r2, r3, r4 = k1 * (1.0 / x1), k2 * (1.0 / x2), k3 * i3, k4 * i4
-    triples = []
-    for xa in (x1, x2):
-        # the squared ratios of the slots and per slot (x_k^2 - x_i^2 - x_j^2) / (x_i x_j x_k), with
-        # x_k^2 - x_j^2 exact where x_k = x_j; sigma, the sum of the squared ratios, is ||C||^2 / 4 on the triple
-        s0, s1, s2 = xa / x3 / x4, x3 / xa / x4, x4 / xa / x3
-        triples.append(((s0, s1, s2), s0 + s1 + s2, (xa - x4) * (1.0 / xa + i4) / x3 - s1,
-                        (x3 - x4) * (i3 + i4) / xa - s0, (x4 - x3) * (i4 + i3) / xa - s0))
-    (sq1, sigma1, a0, a1, a2), (sq2, sigma2, b0, b1, b2) = triples
-    r1, r2, r3, r4 = r1 + 0.5 * a0, r2 + 0.5 * b0, r3 + (0.5 * a1 + 0.5 * b1), r4 + (0.5 * a2 + 0.5 * b2)
     rows = []
-    for xa, xb, (s0, s1, s2) in ((x1, x2, sq1), (x2, x1, sq2)):
+    for xa, xb in ((x1, x2), (x2, x1)):
+        # the squared ratios of the slots and per slot (x_k^2 - x_i^2 - x_j^2) / (x_i x_j x_k), with
+        # x_k^2 - x_j^2 exact where x_k = x_j
+        s0, s1, s2 = xa / x3 / x4, x3 / xa / x4, x4 / xa / x3
+        terms = ((xa - x4) * (1.0 / xa + i4) / x3 - s1,
+                 (x3 - x4) * (i3 + i4) / xa - s0, (x4 - x3) * (i4 + i3) / xa - s0)
         # D_alpha = (x4 - x3) q / 2, q = Q_alpha / (x1 x2 x3 x4) with beta the other of 1, 2 and Q_alpha =
         # x_alpha (x3 + x4 - x_alpha)^2 + 8 x_beta (x_alpha - x3)(x_alpha - x4) - x_alpha (x_alpha^2 - x_beta^2),
         # which keeps the digits that the terms (x_i - x_j) r_k of D_alpha lose where they cancel (u = 0, w = t)
@@ -121,15 +117,11 @@ def _program(e: int, y) -> tuple[list[float], ...]:
         # eta_alpha = |n| / total: 0 where D_alpha = 0, +inf where its partials vanish but it does not, and nan
         # where a partial overflows, which ``ledger`` refuses
         eta = math.nan if not total < math.inf else abs(n) / total if total else math.inf if n else 0.0
-        c0, c1, c2 = math.sqrt(s0), math.sqrt(s1), math.sqrt(s2)
-        f0, f1, f2 = c0 - c1, c1 - c2, c2 - c0  # ||U||^2 on the triple, from the differences of its ratios
-        rows.append((c0, c1, c2, d, eta, h / math.sqrt(xa) * q,
-                     f0 * f0 + f1 * f1 + f2 * f2))
-    (c0, c1, c2, d1, eta1, l1, u1), (c3, c4, c5, d2, eta2, l2, u2) = rows
-    # ||nabla||^2 = ||U||^2 + ||C||^2 / 4 = ||U||^2 + sigma, as U is symmetric and C antisymmetric;
+        rows.append((math.sqrt(s0), math.sqrt(s1), math.sqrt(s2), *terms, d, eta, h / math.sqrt(xa) * q))
+    (c0, c1, c2, a0, a1, a2, d1, eta1, l1), (c3, c4, c5, b0, b1, b2, d2, eta2, l2) = rows
+    r1, r2, r3, r4 = r1 + 0.5 * a0, r2 + 0.5 * b0, r3 + (0.5 * a1 + 0.5 * b1), r4 + (0.5 * a2 + 0.5 * b2)
     # ||L||^2 = 12 ||lam||^2, as L is +-lam_alpha / sqrt 2 on the 24 entries of the triples of alpha
-    norms = [math.sqrt((u1 + sigma1) + (u2 + sigma2)), math.sqrt((r1 * r1 + r3 * r3 + (r2 * r2 + r4 * r4)) * 2.0),
-             math.sqrt((l1 * l1 + l2 * l2) * 12.0)]
+    norm_ledger = math.sqrt((l1 * l1 + l2 * l2) * 12.0)
     e2, e3, ldexp = 2 * e, 3 * e, math.ldexp
     try:  # the ratios slot-major, r and lam at the point's scale, where |lam1| + |lam2| bounds max|L| too
         ratios = [ldexp(c0, -e), ldexp(c3, -e), ldexp(c1, -e), ldexp(c4, -e), ldexp(c2, -e), ldexp(c5, -e)]
@@ -140,7 +132,7 @@ def _program(e: int, y) -> tuple[list[float], ...]:
         finite = False
     if not finite:
         raise DegenerateMetricError("the curvature tensors overflow at this scale")
-    return ratios, r, lam, [d1, d2], [eta1, eta2], norms
+    return ratios, r, lam, [d1, d2], [eta1, eta2], norm_ledger
 
 
 def _partials(xa: float, xb: float, x3: float, x4: float, s: float, q: float) -> tuple[float, ...]:
@@ -180,8 +172,7 @@ class _Geometry:
         p.K  # the guard, which like an overflow in the program raises before anything is kept
         self.params = p
         self.e, self.y = p.unit_scalars
-        self.ratios, self.r, self.lam, self.det, self.eta, norms = _program(self.e, self.y)
-        self.norm_n, self.norm_rho, self.norm_ledger = norms
+        self.ratios, self.r, self.lam, self.det, self.eta, self.norm_ledger = _program(self.e, self.y)
 
     # the support values of C, U, nabla (and L below), in the order of _INDEX
     c = property(lambda self: [c0 * self.ratios[k] for c0, k in zip(_C0, _RK)])

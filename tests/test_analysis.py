@@ -491,6 +491,21 @@ def test_solver_outputs_have_a_backward_error_at_rounding(solver, interval):
         assert first_ledger_verdict(sol.params, tol=1e-15)[1], sol.S
 
 
+@pytest.mark.parametrize("solver,interval",
+                         [(solve_ledger_u0, S_INTERVAL_U0), (solve_ledger_unonzero, S_INTERVAL_UNONZERO)])
+def test_verification_and_ledger_agree_at_every_tol(solver, interval):
+    # verify_solution judges the Ledger condition by eta_alpha alone, as ``ledger`` does: on a dense grid of the
+    # interval (S = 1 + 4/1001 among them, where eta is 1.0e-16 and ||L|| / (||nabla|| ||rho||) 1.0e-15), on dense
+    # grids 1e-2 from each end and 1e-1 .. 1e-10 from both ends, the two verdicts agree down to tol at rounding
+    lo, hi = interval
+    offsets = [10.0**-k for k in range(1, 11)]
+    grid = (np.linspace(lo, hi, 2003)[1:-1].tolist() + np.linspace(lo, lo + 1e-2, 402)[1:-1].tolist()
+            + np.linspace(hi - 1e-2, hi, 402)[1:-1].tolist() + [lo + d for d in offsets] + [hi - d for d in offsets])
+    for sol in solver(*grid):
+        for tol in (5e-16, 1e-15, 1e-12, 1e-9):
+            assert verify_solution(sol, tol).passed == first_ledger_verdict(sol.params, tol)[1], (sol.S, tol)
+
+
 def _einstein_spread(p: MetricParams) -> float:
     """max |rho - lam I| / |lam| of the Ricci matrix in the adapted frame, lam = its trace / 8."""
     rho = ricci(build_form(p))

@@ -489,14 +489,13 @@ def test_tables_exact_near_the_k_guard():
 # the scalar program of the eager values
 # ----------------------------------------------------------------------
 
-# the eager values whose formulas are those of the stacked numpy program, the two norms as one row
+# the eager values whose formulas are those of the stacked numpy program
 EAGER = ("ratios", "r")
-NORMS = ("norm_n", "norm_rho")
 
 
 def _eager(geo) -> list:
-    """A point's eager values name by name, the two norms as one row."""
-    return [getattr(geo, name) for name in EAGER] + [[getattr(geo, name) for name in NORMS]]
+    """A point's eager values name by name."""
+    return [getattr(geo, name) for name in EAGER]
 
 
 def _geometries(points) -> tuple[list, list[int]]:
@@ -540,14 +539,13 @@ def test_the_eager_values_are_those_of_the_array_program_bit_for_bit():
     # The sha256 of the eager values of every corpus point that computes, as little-endian float64, and of
     # the indices of those refused (L overflows as 1/t^3 below |t| of about 1e-103), as the stacked numpy
     # program that the scalar program replaced computed them: the same operations in the same order.  The
-    # bytes are those of its (N, k) arrays, name by name, the norms of nabla and rho one (N, 2) array.  D_alpha
-    # and ||L|| are formed in the Q-form, which that program did not use, and are checked against exact values
-    # below.
+    # bytes are those of its (N, k) arrays, name by name.  D_alpha and ||L|| are formed in the Q-form, which
+    # that program did not use, and are checked against exact values below.
     geos, refused = _geometries(_eager_corpus())
     assert (len(geos), len(refused)) == (2064, 336)
     data = b"".join(np.array(rows, dtype="<f8").tobytes() for rows in zip(*map(_eager, geos)))
     digest = hashlib.sha256(data + np.array(refused, dtype="<i8").tobytes()).hexdigest()
-    assert digest == "d52ecee11781bf89b31dd10810320a530d47be2dfaf004f7d4e50c40616831c3"
+    assert digest == "507284271ae2c0006c086626cac3c76c3621220611f5ff16477757e431d49b7a"
 
 
 def test_the_determinants_and_the_ledger_norm_are_the_q_form_to_rounding():

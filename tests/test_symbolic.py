@@ -37,7 +37,9 @@ K kept as the symbol k bound by 4 t^2 k^2 = 4 t^4 - u^2.
 * Q1 - Q2 = (x1 - x2) R with R = 7 x1 x2 - 2 (x1 + x2)(x3 + x4) + x3^2 -
   6 x3 x4 + x4^2 (F9), and at t = 1, x1,2 = 1 +- h, S = x3 + x4, P = x3 x4
   the lex Groebner basis of (Q1, R) is the two polynomials from which the
-  solvers' formulas are read (F11).
+  solvers' formulas are read (F11).  The admissible cone cuts the u != 0
+  component into two arcs, S in (1/3, (7 - sqrt 17)/2) and (4, (7 + sqrt 17)/2),
+  and the u = 0 one into S in (1, 9).
 * What ``geometry._partials`` forms is D_a and its four terms x_k dD_a/dx_k,
   each over x3 + x4, and the oracle's terms are x_k dD_a/dx_k: the
   backward error eta_a = |D_a| / sum_k |x_k dD_a/dx_k| that the Ledger
@@ -59,7 +61,8 @@ import sympy as sp
 
 from oracles import (expected_reduced_terms, expected_ricci_entries, expected_root_ricci, ledger_determinants,
                      ledger_rows, structure_constants)
-from zksym import geometry, solve_ledger_u0, solve_ledger_unonzero
+from zksym import (MetricParams, first_ledger_verdict, geometry, is_naturally_reductive, solve_ledger_u0,
+                   solve_ledger_unonzero)
 
 t, u, v, w, k, y = sp.symbols("t u v w k y")
 _K_DEFINITION = 4 * t**2 * k**2 - 4 * t**4 + u**2
@@ -367,6 +370,34 @@ def test_the_ledger_ideal_splits_and_its_groebner_basis_gives_the_solvers():
         assert sol.V * sol.W == pytest.approx(float(p_u1.subs(big_s, sol.S)), rel=1e-13)
     for sol in solve_ledger_u0(1.5, 5.0, 8.9):
         assert sol.V * sol.W == pytest.approx(float(p_u0.subs(big_s, sol.S)), rel=1e-13)
+
+
+def test_the_admissible_cone_cuts_two_u_nonzero_arcs_and_one_u_zero_interval():
+    # On F11's u != 0 component, h^2 = (S^2 - 7S + 8)/(8 - 3S) and P = S(4 - S)(3S - 1)/(8(8 - 3S)), a metric is
+    # admissible iff 0 < h^2 < 1 (u != 0, x2 > 0) and V, W > 0 (S > 0, P > 0, S^2 >= 4P).  solveset decides each
+    # rational inequality exactly: the set is (1/3, (7 - sqrt 17)/2), the solver's interval, and (4, (7 + sqrt 17)/2),
+    # a second arc that no solver returns.  It leaves the u = 0 family at S = (7 + sqrt 17)/2, where h = 0, and runs
+    # to h^2 = 1, P = 0 at S = 4.  On the u = 0 component, P = (S - 1)(9 - S)/8, the set is (1, 9).
+    big_s = sp.Symbol("S", real=True)
+    h2 = (big_s**2 - 7 * big_s + 8) / (8 - 3 * big_s)
+    p_u1 = big_s * (4 - big_s) * (3 * big_s - 1) / (8 * (8 - 3 * big_s))
+    p_u0 = (big_s - 1) * (9 - big_s) / 8
+
+    def cone(*conditions):
+        return sp.Intersection(*(sp.solveset(c, big_s, sp.S.Reals) for c in conditions))
+
+    root17 = sp.sqrt(17)
+    assert cone(h2 > 0, h2 < 1, big_s > 0, p_u1 > 0, big_s**2 - 4 * p_u1 >= 0) == sp.Union(
+        sp.Interval.open(sp.Rational(1, 3), (7 - root17) / 2), sp.Interval.open(4, (7 + root17) / 2))
+    assert cone(big_s > 0, p_u0 > 0, big_s**2 - 4 * p_u0 >= 0) == sp.Interval.open(1, 9)
+    # on the second arc both Q_alpha vanish exactly, and the floats of the point satisfy the Ledger condition
+    # to rounding; none of its metrics is naturally reductive
+    for s in (sp.Rational(41, 10), sp.Rational(9, 2), sp.Integer(5), sp.Rational(11, 2)):
+        h, root = sp.sqrt(h2.subs(big_s, s)), sp.sqrt(s**2 - 4 * p_u1.subs(big_s, s))
+        x = (1 + h, 1 - h, (s + root) / 2, (s - root) / 2)
+        assert sp.expand(_q_form(*x)) == sp.expand(_q_form(x[1], x[0], *x[2:])) == 0, s
+        p = MetricParams(1.0, float(2 * h), float(sp.sqrt(x[2])), float(sp.sqrt(x[3])))
+        assert first_ledger_verdict(p, 1e-15)[1] and not is_naturally_reductive(p), s
 
 
 def test_the_backward_error_terms_are_the_partials_of_the_determinant():
