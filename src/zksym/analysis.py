@@ -13,17 +13,18 @@ of it only the round point u = 0, v^2 = w^2 = t^2 is naturally reductive.
 Every point verdict is a relative backward error in x = (t^2 + u/2,
 t^2 - u/2, v^2, w^2), frame-free and scale-free: eps_J to an equality of
 x (natural reductivity, isometries), eta_alpha to D_alpha = 0 (Ledger, in
-``ledger`` and :func:`verify_solution` alike).  The adapted frame (A~1..C~2),
-in which reports name frame triples, is for presentation only; the four
-reduced equations written in it are closed combinations of D1, D2
-(:func:`ledger_system_residuals`).
+``ledger`` and :func:`verify_solution` alike: a solution verifies exactly
+where ``ledger`` reads satisfied, whoever built it).  The adapted frame
+(A~1..C~2), in which reports name frame triples, is for presentation
+only; the four reduced equations written in it are closed combinations
+of D1, D2 (:func:`ledger_system_residuals`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from . import geometry
 from .metric import DEFAULT_TOL, FRAME_NAMES, DegenerateMetricError, InvalidParamsError, MetricParams
@@ -173,7 +174,7 @@ class LedgerSolution:
     root frame, ||L|| in Frobenius norm ("ledger"), the larger |D_alpha|
     ("star") and the root frame's orthonormality defect ("gram"), as
     :func:`verify_solution` recomputes them at ``params``; it judges the
-    larger eta_alpha and "gram", not the absolute sizes.
+    larger eta_alpha alone, none of these.
     ``naturally_reductive`` is the ``check-nr`` verdict at DEFAULT_TOL, whatever tol the caller uses.
     """
 
@@ -199,21 +200,21 @@ class LedgerSolution:
         }
 
 
-def _evaluate(p: MetricParams) -> tuple[dict[str, float], dict[str, float], bool]:
-    """From the point's cached geometry: its absolute residuals, those verification judges, naturally reductive.
+def _evaluate(p: MetricParams) -> tuple[dict[str, float], float, bool]:
+    """From the point's cached geometry: its absolute residuals, the larger eta_alpha, naturally reductive.
 
     The absolute residuals are ||L|| in Frobenius norm ("ledger"), the larger
     |D_alpha| ("star") and the root frame's orthonormality defect for the Gram
-    matrix of :func:`build_form` in closed form ("gram").  The relative ones
-    are the larger eta_alpha ("star"), as ``ledger`` judges it, and "gram",
-    of scale 1: both frame-free and scale-free.  Only the geometry is kept,
-    in its cache; each call makes new dicts.
+    matrix of :func:`build_form` in closed form ("gram"), reported, not judged.
+    The larger eta_alpha, frame-free and scale-free, is what ``ledger`` and
+    verification judge.  Only the geometry is kept, in its cache; each call
+    makes a new dict.
     """
     geo = geometry._cached_geometry(p)
-    absolute = {"ledger": geometry._ldexp(geo.norm_ledger, -3 * geo.e), "star": max(map(abs, geo.det))}
-    relative = {"star": _eta(geo)}
-    absolute["gram"] = relative["gram"] = _gram_defect(p)
-    return absolute, relative, geo.equal("1234", DEFAULT_TOL)
+    residuals = {"ledger": geometry._ldexp(geo.norm_ledger, -3 * geo.e), "star": max(map(abs, geo.det))}
+    eta = _eta(geo)
+    residuals["gram"] = _gram_defect(p)
+    return residuals, eta, geo.equal("1234", DEFAULT_TOL)
 
 
 def _gram_defect(p: MetricParams) -> float:
@@ -227,13 +228,20 @@ def _gram_defect(p: MetricParams) -> float:
     return float(abs(Fraction(p.t * p.t) - t * t) / (t * t - abs(Fraction(p.u)) / 2))
 
 
-def _solve(branch: str, rows: list[tuple[float, float, float, float]]) -> list[LedgerSolution]:
-    """The solutions (S, V, W, u) at t = 1, each with the residuals of its point's :func:`_evaluate`."""
+def _solve(branch: str, interval: tuple[float, float], roots: Callable[[float], Iterable[tuple[float, float, float]]],
+           grid: tuple[float, ...]) -> list[LedgerSolution]:
+    """The solutions at t = 1 from the (V, W, u) rows of ``roots(S)`` at each S of the grid, in order, each with
+    the residuals of its point's :func:`_evaluate`; raises before evaluating any point if an S leaves the interval."""
+    lo, hi = interval
+    for s in grid:
+        if not (lo < s < hi):
+            raise InvalidParamsError(f"S must lie in the open interval ({lo:g}, {hi:g}), got {s:g}")
     solutions = []
-    for s, vv, ww, u in rows:
-        p = MetricParams(1.0, u, math.sqrt(vv), math.sqrt(ww))
-        residuals, _, nr = _evaluate(p)
-        solutions.append(LedgerSolution(branch, s, vv, ww, u * u, p, residuals, nr))
+    for s in grid:
+        for vv, ww, u in roots(s):
+            p = MetricParams(1.0, u, math.sqrt(vv), math.sqrt(ww))
+            residuals, _, nr = _evaluate(p)
+            solutions.append(LedgerSolution(branch, s, vv, ww, u * u, p, residuals, nr))
     return solutions
 
 
@@ -245,16 +253,12 @@ def solve_ledger_u0(*grid: float) -> list[LedgerSolution]:
     (X1, X2) t^2 and (X2, X1) t^2.  The small root is taken as X1 = P/X2,
     which keeps full precision where P -> 0 at either end of the interval.
     """
-    rows = []
-    for s in grid:
-        lo, hi = S_INTERVAL_U0
-        if not (lo < s < hi):
-            raise InvalidParamsError(f"S must lie in the open interval ({lo:g}, {hi:g}), got {s:g}")
+    def roots(s):
         disc = (3.0 * s * s - 10.0 * s + 9.0) / 2.0
         x2 = (s + math.sqrt(disc)) / 2.0
         x1 = (s - 1.0) * (9.0 - s) / 8.0 / x2
-        rows += [(s, x1, x2, 0.0), (s, x2, x1, 0.0)]
-    return _solve("u-zero", rows)
+        return (x1, x2, 0.0), (x2, x1, 0.0)
+    return _solve("u-zero", S_INTERVAL_U0, roots, grid)
 
 
 def solve_ledger_unonzero(*grid: float) -> list[LedgerSolution]:
@@ -268,17 +272,13 @@ def solve_ledger_unonzero(*grid: float) -> list[LedgerSolution]:
     solutions per S: both root orderings times both signs of u.  The small
     root is taken as P/big, exact to rounding as S -> 1/3.
     """
-    rows = []
-    for s in grid:
-        lo, hi = S_INTERVAL_UNONZERO
-        if not (lo < s < hi):
-            raise InvalidParamsError(f"S must lie in the open interval ({lo:g}, {hi:g}), got {s:g}")
+    def roots(s):
         delta = s * (-3.0 * s * s + 3.0 * s + 4.0) / (2.0 * (8.0 - 3.0 * s))
         big = (s + math.sqrt(delta)) / 2.0
         small = s * (4.0 - s) * (3.0 * s - 1.0) / (8.0 * (8.0 - 3.0 * s)) / big
         u = math.sqrt(4.0 * (8.0 - 7.0 * s + s * s) / (8.0 - 3.0 * s))
-        rows += [(s, vv, ww, sign * u) for (vv, ww) in ((big, small), (small, big)) for sign in (1.0, -1.0)]
-    return _solve("u-nonzero", rows)
+        return [(vv, ww, sign * u) for (vv, ww) in ((big, small), (small, big)) for sign in (1.0, -1.0)]
+    return _solve("u-nonzero", S_INTERVAL_UNONZERO, roots, grid)
 
 
 # ----------------------------------------------------------------------
@@ -289,14 +289,13 @@ def solve_ledger_unonzero(*grid: float) -> list[LedgerSolution]:
 class VerificationReport:
     """Recomputed residuals and reductivity status of a LedgerSolution.
 
-    ``residuals`` are absolute; ``relative_residuals``, the larger eta_alpha
-    ("star") and the Gram defect ("gram"), are what the verdict uses.
+    ``residuals`` are absolute; ``relative_residuals`` holds the larger
+    eta_alpha ("star"), which the verdict uses.
     """
 
     passed: bool
     residuals: Mapping[str, float]
     naturally_reductive: bool
-    expected_naturally_reductive: bool
     relative_residuals: Mapping[str, float]
 
     def summary(self) -> str:
@@ -306,24 +305,19 @@ class VerificationReport:
 
 
 def verify_solution(sol: LedgerSolution, tol: float = DEFAULT_TOL) -> VerificationReport:
-    """Judge a solution by the residuals :func:`_evaluate` recomputes at its params.
+    """Judge a solution by the larger eta_alpha :func:`_evaluate` recomputes at its params.
 
-    Passes iff the larger eta_alpha and the Gram defect, the relative
-    residuals, are at most ``tol``, and the naturally-reductive status (the
-    ``check-nr`` verdict at DEFAULT_TOL, whatever ``tol`` is) matches the
-    expectation, which does not depend on tol either: true only at
-    the round point u = 0, V = W = 1 of ``sol.params``, which neither
-    family contains.  For a solver's output the point's geometry is
-    usually still cached, and nothing is recomputed but the residuals.
+    Passes iff it is at most ``tol``: a solution verifies exactly where
+    ``ledger`` reads satisfied at ``sol.params``, whoever built it.  The
+    absolute residuals, "gram" among them, and the naturally-reductive
+    status (the ``check-nr`` verdict at DEFAULT_TOL) are reported, not
+    judged.  For a solver's output the point's geometry is usually still
+    cached, and nothing is recomputed but the residuals.
     """
-    p = sol.params
-    residuals, relative, nr = _evaluate(p)
-    expect_nr = p.u == 0.0 and abs(p.v) == abs(p.w) == abs(p.t)
-    passed = max(relative.values()) <= tol and nr == expect_nr
+    residuals, eta, nr = _evaluate(sol.params)
     return VerificationReport(
-        passed=passed,
+        passed=eta <= tol,
         residuals=residuals,
         naturally_reductive=nr,
-        expected_naturally_reductive=expect_nr,
-        relative_residuals=relative,
+        relative_residuals={"star": eta},
     )

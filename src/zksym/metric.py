@@ -119,14 +119,6 @@ class MetricParams:
             )
 
     @property
-    def k_squared(self) -> float:
-        """x1 x2 / t^2, formed at the unit scale, without any guard."""
-        e, (y1, y2, _, _) = self.unit_scalars
-        p = math.ldexp(1.0, e)
-        tau = self.t / p
-        return y1 * y2 / (tau * tau) * p * p
-
-    @property
     def K(self) -> float:
         """K > 0; refuses a nearly degenerate metric, and t^2, v^2, w^2 that are not normal floats."""
         lo, hi = _SQUARE_RANGE

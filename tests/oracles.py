@@ -71,13 +71,24 @@ def exact_point(p: MetricParams) -> types.SimpleNamespace:
         return types.SimpleNamespace(t=t, u=u, v=v, w=w, k_squared=k2, K=mpmath.sqrt(k2))
 
 
+def k_squared(p) -> float:
+    """K^2 = x1 x2 / t^2 without any guard: for a MetricParams formed at the unit scale from its ``unit_scalars``,
+    as the guard of ``MetricParams.K`` quotes it; for anything else, such as :func:`exact_point`, its k_squared."""
+    if not isinstance(p, MetricParams):
+        return p.k_squared
+    e, (y1, y2, _, _) = p.unit_scalars
+    scale = math.ldexp(1.0, e)
+    tau = p.t / scale
+    return y1 * y2 / (tau * tau) * scale * scale
+
+
 def sample_params(rng: np.random.Generator, k_min: float = 0.1) -> MetricParams:
     """Random admissible parameters with t, v, w in [0.5, 2] and K >= k_min."""
     while True:
         t, v, w = rng.uniform(0.5, 2.0, 3)
         u = rng.uniform(-2.0 * t * t, 2.0 * t * t)
         p = MetricParams(t, u, v, w)
-        if p.k_squared >= k_min * k_min:
+        if k_squared(p) >= k_min * k_min:
             return p
 
 
@@ -172,7 +183,7 @@ def expected_ricci_entries(p, sqrt=math.sqrt) -> dict:
     and must suit those values.
     """
     t, u, v, w = p.t, p.u, p.v, p.w
-    k2 = p.k_squared
+    k2 = k_squared(p)
     k = sqrt(k2)
     t2, v2, w2 = t * t, v * v, w * w
     t4, u2 = t2 * t2, u * u
@@ -208,7 +219,7 @@ def expected_reduced_terms(p, sqrt=math.sqrt) -> list[list[tuple]]:
     :func:`expected_ricci_entries`.
     """
     e = expected_ricci_entries(p, sqrt)
-    t2, v2, w2, k2 = p.t * p.t, p.v * p.v, p.w * p.w, p.k_squared
+    t2, v2, w2, k2 = p.t * p.t, p.v * p.v, p.w * p.w, k_squared(p)
     k, vw, h = sqrt(k2), p.v * p.w, p.u / (2 * p.t)
     return [
         [(v2 - w2, e["r11"]), (w2 - t2, e["r55"]), (t2 - v2, e["r77"]), (h * (w2 - v2) / k, e["r14"])],
@@ -241,7 +252,7 @@ def expected_ledger_table(p, sqrt=math.sqrt) -> np.ndarray:
     """The first Ledger form on all frame triples, from the reduced equations; ``p`` and ``sqrt`` as above."""
     equations = [sum(c * r for c, r in terms) for terms in expected_reduced_terms(p, sqrt)]
     tab = np.zeros((8, 8, 8))
-    for triple, (row, factor) in ledger_rows(p.t, p.v, p.w, sqrt(p.k_squared)).items():
+    for triple, (row, factor) in ledger_rows(p.t, p.v, p.w, sqrt(k_squared(p))).items():
         for i, j, m in itertools.permutations(triple):
             tab[i, j, m] = factor * equations[row]
     return tab

@@ -31,6 +31,7 @@ from oracles import (
     expected_bracket_table,
     expected_ricci_matrix,
     expected_u_table,
+    k_squared,
     sample_params,
 )
 
@@ -158,7 +159,7 @@ def test_criterion_6_ledger_u_zero_branch():
             t, v = rng.uniform(0.5, 2.0, 2)
             u = rng.uniform(-1.8, 1.8) * t * t
             p = MetricParams(t, u, v, v)
-            if p.k_squared >= 0.01:
+            if k_squared(p) >= 0.01:
                 break
         worst_b1 = max(worst_b1, float(np.max(np.abs(ledger_table(p)))))
     ok = worst < 1e-8 and worst_b1 < 1e-10

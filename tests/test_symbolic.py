@@ -39,7 +39,12 @@ K kept as the symbol k bound by 4 t^2 k^2 = 4 t^4 - u^2.
   the lex Groebner basis of (Q1, R) is the two polynomials from which the
   solvers' formulas are read (F11).  The admissible cone cuts the u != 0
   component into two arcs, S in (1/3, (7 - sqrt 17)/2) and (4, (7 + sqrt 17)/2),
-  and the u = 0 one into S in (1, 9).
+  and the u = 0 one into S in (1, 9).  Q1 + x2 R is a quadratic in x3 + x4
+  alone, and R is linear in x3 x4 (F17).
+* The real positive Einstein metrics are, up to the swaps x1 <-> x2 and
+  x3 <-> x4, the Kaehler-Einstein x ~ (2, 4, 3, 1) and the u = 0 metric
+  with (V, W) = 3/4 +- sqrt 6 / 8 (F5): at t = 1 the lex Groebner bases of
+  r1 - r2, r1 - r3 and r1 - r4, saturated, are zero-dimensional.
 * What ``geometry._partials`` forms is D_a and its four terms x_k dD_a/dx_k,
   each over x3 + x4, and the oracle's terms are x_k dD_a/dx_k: the
   backward error eta_a = |D_a| / sum_k |x_k dD_a/dx_k| that the Ledger
@@ -398,6 +403,52 @@ def test_the_admissible_cone_cuts_two_u_nonzero_arcs_and_one_u_zero_interval():
         assert sp.expand(_q_form(*x)) == sp.expand(_q_form(x[1], x[0], *x[2:])) == 0, s
         p = MetricParams(1.0, float(2 * h), float(sp.sqrt(x[2])), float(sp.sqrt(x[3])))
         assert first_ledger_verdict(p, 1e-15)[1] and not is_naturally_reductive(p), s
+
+
+def test_the_u_nonzero_component_is_one_quadratic_in_x3_plus_x4():
+    # F17: with sigma = x3 + x4 and pi = x3 x4, Q1 + x2 R is a quadratic in sigma alone and R is linear in pi, so on
+    # Q1 = R = 0 each (x1, x2) gives two sigma and their pi; at t = 1, x1,2 = 1 +- h, the quadratic is twice
+    # S^2 - 4S - 3S K^2 + 8K^2 with K^2 = 1 - h^2
+    def quadratic(a, b, sigma):
+        return (a + b) * sigma**2 - 2 * (a**2 + 5 * a * b + b**2) * sigma + 8 * a * b * (a + b)
+
+    x1, x2, x3, x4 = _X
+    sigma, pi = x3 + x4, x3 * x4
+    r = 7 * x1 * x2 - 2 * (x1 + x2) * (x3 + x4) + x3**2 - 6 * x3 * x4 + x4**2
+    assert sp.expand(_q_form(x1, x2, x3, x4) + x2 * r - quadratic(x1, x2, sigma)) == 0
+    assert sp.expand(r - (sigma**2 - 2 * (x1 + x2) * sigma + 7 * x1 * x2 - 8 * pi)) == 0
+    h, big_s, k2 = sp.symbols("h S K2")
+    at_unit = sp.expand(quadratic(1 + h, 1 - h, big_s)).subs(h**2, 1 - k2)
+    assert sp.expand(at_unit - 2 * (big_s**2 - 4 * big_s - 3 * big_s * k2 + 8 * k2)) == 0
+
+
+def test_the_real_positive_einstein_metrics_are_the_two_on_the_solver_families():
+    # F5 as a proof.  At t = 1, x = (1 + h, 1 - h, V, W): the numerators of r1 - r2, r1 - r3 and r1 - r4, saturated
+    # by h V W (1 - h^2), have the lex eliminant (W - 1)(3W - 2)(3W - 1); at h = 0, where r1 = r2, those of r1 - r3
+    # and r1 - r4, saturated by V W, have (4W^2 - 6W + 3)(32W^2 - 48W + 15), whose first factor has no real root.
+    # The real points with V, W > 0 and h^2 < 1 are the Kaehler-Einstein metric x ~ (2, 4, 3, 1), the u != 0
+    # solution at S = 4/3, and the u = 0 one with (V, W) = 3/4 +- sqrt 6 / 8 at S = 3/2, up to x1 <-> x2, x3 <-> x4
+    h, big_v, big_w, y = sp.symbols("h V W y")
+    cases = ((h, h * big_v * big_w * (1 - h**2), (big_w - 1) * (3 * big_w - 2) * (3 * big_w - 1)),
+             (sp.Integer(0), big_v * big_w, (4 * big_w**2 - 6 * big_w + 3) * (32 * big_w**2 - 48 * big_w + 15)))
+    assert sp.discriminant(4 * big_w**2 - 6 * big_w + 3, big_w) < 0
+    found = set()
+    for hh, saturation, eliminant in cases:
+        r = expected_root_ricci(1 + hh, 1 - hh, big_v, big_w)
+        numerators = [sp.numer(sp.together(r[0] - r[k])) for k in (1, 2, 3)]
+        gens = [h, big_v, big_w] if hh == h else [big_v, big_w]
+        basis = sp.groebner([n for n in numerators if n != 0] + [y * saturation - 1], y, *gens, order="lex")
+        assert basis.is_zero_dimensional
+        assert sp.expand(basis.exprs[-1] - eliminant) == 0
+        for point in sp.solve(basis.exprs[1:], gens, dict=True):  # the elements free of y
+            hv, vv, ww = point.get(h, hh), point[big_v], point[big_w]
+            if all(a.is_real for a in (hv, vv, ww)) and vv > 0 and ww > 0 and hv**2 < 1:
+                found.add((hv, vv, ww))
+    third, root6 = sp.Rational(1, 3), sp.sqrt(6) / 8
+    kaehler = {(sign * third, a, b) for sign in (1, -1) for a, b in ((1, third), (third, 1))}
+    other = {(0, sp.Rational(3, 4) + sign * root6, sp.Rational(3, 4) - sign * root6) for sign in (1, -1)}
+    assert found == kaehler | other
+    assert {vv + ww for _, vv, ww in found} == {sp.Rational(4, 3), sp.Rational(3, 2)}
 
 
 def test_the_backward_error_terms_are_the_partials_of_the_determinant():
