@@ -275,7 +275,8 @@ def solve_ledger_unonzero(*grid: float) -> list[LedgerSolution]:
     def roots(s):
         delta = s * (-3.0 * s * s + 3.0 * s + 4.0) / (2.0 * (8.0 - 3.0 * s))
         big = (s + math.sqrt(delta)) / 2.0
-        small = s * (4.0 - s) * (3.0 * s - 1.0) / (8.0 * (8.0 - 3.0 * s)) / big
+        # 3S - 1 rounds to 0 at the first float above 1/3, where it is the Fast2Sum error of 2S + S
+        small = s * (4.0 - s) * (3.0 * s - 1.0 or (2.0 * s - 3.0 * s) + s) / (8.0 * (8.0 - 3.0 * s)) / big
         u = math.sqrt(4.0 * (8.0 - 7.0 * s + s * s) / (8.0 - 3.0 * s))
         return [(vv, ww, sign * u) for (vv, ww) in ((big, small), (small, big)) for sign in (1.0, -1.0)]
     return _solve("u-nonzero", S_INTERVAL_UNONZERO, roots, grid)

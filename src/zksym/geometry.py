@@ -22,18 +22,20 @@ relative distance in x as each other point verdict is (:meth:`_Geometry.equal`).
 The adapted frame of :func:`zksym.metric.orthonormal_frame` is for
 presentation only: A~1 = sgn t (c E1 + s E3), A~2 = sgn t (c E2 + s E4),
 A~3 = c E4 - s E2, A~4 = s E1 - c E3, B~i = sgn v E_{4+i}, C~i = sgn w E_{6+i}
-with c, s = sqrt(x1, x2 / 2t^2).  Its tables (48 slots), their maxima and its Ricci
-matrix (8, 8) are floats too, built on first use.  A bare Gram matrix g, finite, symmetric,
-of positive diagonal and ad(h)-invariant, is P diag(x) P^T, read with no factorization
-as (sqrt g00, 2 g30, sqrt g44, sqrt g66); numpy forms only the library's arrays and
-raw m-vectors (basis A1..C2), which enter the root frame by diag(sqrt x) P^T.
+with c, s = sqrt(x1, x2 / 2t^2): a rotation of each A root pair (a, a + 2) and the signs
+of v and w, so each entry of its tables (48 slots) is a rotated pair of root entries (one
+A index each).  These, their maxima and its Ricci matrix (8, 8) are floats, built on first
+use.  A bare Gram matrix g, finite, symmetric, of positive diagonal and ad(h)-invariant,
+is P diag(x) P^T, read with no factorization as (sqrt g00, 2 g30, sqrt g44, sqrt g66);
+numpy forms only the library's arrays and raw m-vectors (basis A1..C2), which enter the
+root frame by diag(sqrt x) P^T.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cache, cached_property, lru_cache
-from itertools import permutations, product
+from itertools import permutations
 from operator import itemgetter
 
 from .metric import (DEFAULT_TOL, AdaptedForm, DegenerateMetricError, InvalidParamsError, MetricParams,
@@ -63,10 +65,11 @@ _INDEX, _C0, _RK, _RI, _RJ, _L_SIGN, _TRIPLE = zip(*sorted(
     (64 * i + 8 * j + k, (-1) ** ((i > j) + (i > k) + (j > k)) * sign * math.sqrt(0.5),
      *(2 * max(m // 2 - 1, 0) + a // 2 for m in (k, i, j)), -sign * math.sqrt(0.5), a // 2)
     for a, b, c, sign in _TRIPLES for i, j, k in permutations((a, b, c))))
-# the columns of the nonzeros of row a of Q (_Geometry.root_vectors), which carry the support to 48 slots, in C order
-_ROWS = ((0, 3), (1, 2), (0, 3), (1, 2), (4,), (5,), (6,), (7,))
-_SUPPORT = tuple(sorted({64 * i + 8 * j + k for index in _INDEX
-                         for i, j, k in product(_ROWS[index // 64], _ROWS[index // 8 % 8], _ROWS[index % 8])}))
+# per adapted slot, in C order: the positions in _INDEX of the root entries of A index a, a ^ 2 (a = 0, 1) that Q
+# rotates into the A columns a, a ^ 3 (each root entry has one A index), and its A column
+_SUPPORT, _PAIRS = zip(*sorted(
+    (index + ((b - a) << 3 * n), (_INDEX.index(index), _INDEX.index(index + (2 << 3 * n)), b))
+    for index in _INDEX for n in range(3) if (a := index >> 3 * n & 7) < 2 for b in (a, a ^ 3)))
 # the sets J of modules whose x_k the point verdicts compare, each with the getter of its y_k
 _SETS = {name: itemgetter(*(int(k) - 1 for k in name)) for name in ("1234", "34", "124", "123")}
 
@@ -208,8 +211,9 @@ class _Geometry:
         """The kernel of U's rows, a sum of modules: A~1..A~4 where x3 = x4, the root vectors of B where
         x1 = x2 = x4 and those of C where x1 = x2 = x3, each to a relative tol (:meth:`equal`)."""
         kept = [self.equal("34", tol)] * 4 + [self.equal("124", tol)] * 2 + [self.equal("123", tol)] * 2
-        rows = [[(a, 1.0)] for a in range(4)] + self.root_vectors[4:]  # A~1..A~4, the root vectors of B and C
-        return [[dict(row).get(i, 0.0) for i in range(8)] for row, keep in zip(rows, kept) if keep]
+        # in the adapted frame A~1..A~4 are units, the root vectors of B are sgn v B~i and those of C sgn w C~i
+        signs = [1.0] * 4 + [math.copysign(1.0, self.params.v)] * 2 + [math.copysign(1.0, self.params.w)] * 2
+        return [[sign if i == a else 0.0 for i in range(8)] for a, (sign, keep) in enumerate(zip(signs, kept)) if keep]
 
     @cached_property
     def frame(self) -> np.ndarray:
@@ -227,24 +231,16 @@ class _Geometry:
         y1, y2 = self.y[:2]
         return math.sqrt(y1 / (y1 + y2)), math.sqrt(y2 / (y1 + y2))
 
-    @property
-    def root_vectors(self) -> list[list[tuple[int, float]]]:
-        """Root frame vector a in the adapted frame, row a of Q, as its (i, Q[a, i]) with Q[a, i] != 0."""
-        (c, s), p = self._cos_sin, self.params
-        ct, st, sv, sw = math.copysign(c, p.t), math.copysign(s, p.t), math.copysign(1.0, p.v), math.copysign(1.0, p.w)
-        return [[(0, ct), (3, s)], [(1, ct), (2, -s)], [(0, st), (3, -c)], [(1, st), (2, c)],
-                [(4, sv)], [(5, sv)], [(6, sw)], [(7, sw)]]
-
     def table(self, name: str) -> tuple[float, ...]:
-        """The support values ``name`` presented in the adapted frame, on the slots _SUPPORT, built once.  Q has two
-        nonzeros in a row of A, one in B, C: each entry sums at most two products, each rounded once, any order."""
+        """The support values ``name`` presented in the adapted frame, on the slots _SUPPORT, built once.  Q turns each
+        A pair (a, a ^ 2) through c, s and signs B, C by sgn v, sgn w: a slot is sgn v sgn w (q x_i + q' x_j), each
+        product rounded once, as Q's rows summed in any order would give, and + 0.0 leaves no -0.0."""
         tables = vars(self).setdefault("_tables", {})
         if name not in tables:
-            table, q = dict.fromkeys(_SUPPORT, 0.0), self.root_vectors
-            for index, x in zip(_INDEX, getattr(self, name)):  # products then sums, with no fused multiply-add,
-                for (i, qi), (j, qj), (k, qk) in product(q[index // 64], q[index // 8 % 8], q[index % 8]):
-                    table[64 * i + 8 * j + k] += x * qi * qj * qk  # so that terms that cancel leave exact zeros
-            tables[name] = tuple(table.values())  # from 0.0, which leaves no -0.0
+            x, (c, s), p = getattr(self, name), self._cos_sin, self.params
+            ct, st, sign = math.copysign(c, p.t), math.copysign(s, p.t), math.copysign(1.0, p.v * p.w)
+            q, q2 = (ct, ct, -s, s), (st, st, c, -c)  # Q[a, b] and Q[a ^ 2, b] for the adapted A column b
+            tables[name] = tuple((x[i] * q[b] + x[j] * q2[b]) * sign + 0.0 for i, j, b in _PAIRS)
         return tables[name]
 
     @cached_property

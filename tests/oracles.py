@@ -5,8 +5,9 @@ library code paths it checks: a literal 5x5 matrix model for brackets, the
 closed-form coefficient tables of the orthonormal frame, the
 closed-form Ricci entries, the reduced Ledger equations written out, the
 Ricci eigenvalues of the root-space frame, the singular values of U's rows,
-max|L| in closed form, the Ledger determinants with their partials and
-backward error, the Cholesky reading of a Gram matrix, the relative
+max|L| in closed form, the adapted tables as a generic change of basis,
+the Ledger determinants with their partials and backward error, the
+Cholesky reading of a Gram matrix, the relative
 spread of the x_k and the unit-scale x_k, and the graded Lie algebra
 checks and serialization written densely, entry by entry.  The closed
 forms take any numbers with the arithmetic of floats: evaluated at
@@ -308,6 +309,21 @@ def ledger_max(c: float, s: float, lam1: float, lam2: float) -> float:
     root triples of alpha, products then a sum as the table forms them."""
     l1, l2 = math.sqrt(0.5) * abs(lam1), math.sqrt(0.5) * abs(lam2)
     return max(abs(c * l1 - s * l2), abs(c * l1 + s * l2), abs(s * l1 + c * l2), abs(s * l1 - c * l2))
+
+
+def adapted_table(geo, name: str, index) -> dict[int, float]:
+    """The root frame support values ``name`` of a geometry, on the slots ``index``, in the adapted frame as a generic
+    change of basis: row a of Q is root frame vector a in the adapted frame, and each value times Q's rows at its
+    three indices is summed over ``itertools.product`` from 0.0, each product rounded once.  {slot: value} in C order."""
+    (c, s), p = geo._cos_sin, geo.params
+    ct, st, sv, sw = math.copysign(c, p.t), math.copysign(s, p.t), math.copysign(1.0, p.v), math.copysign(1.0, p.w)
+    q = [[(0, ct), (3, s)], [(1, ct), (2, -s)], [(0, st), (3, -c)], [(1, st), (2, c)],
+         [(4, sv)], [(5, sv)], [(6, sw)], [(7, sw)]]
+    table = {}
+    for slot, x in zip(index, getattr(geo, name)):
+        for (i, qi), (j, qj), (k, qk) in itertools.product(q[slot // 64], q[slot // 8 % 8], q[slot % 8]):
+            table[64 * i + 8 * j + k] = table.get(64 * i + 8 * j + k, 0.0) + x * qi * qj * qk
+    return dict(sorted(table.items()))
 
 
 def cholesky_params(gram: np.ndarray) -> MetricParams:

@@ -479,6 +479,21 @@ def test_solutions_verify_on_dense_grids_near_both_ends(solver, interval):
             assert report.passed and max(report.relative_residuals.values()) < 1e-13, (sol.S, report.relative_residuals)
 
 
+@pytest.mark.parametrize("solver,interval", [(solve_ledger_u0, S_INTERVAL_U0), (solve_ledger_unonzero, S_INTERVAL_UNONZERO)])
+def test_solutions_verify_at_the_first_and_last_floats_of_each_interval(solver, interval):
+    # at the first float above 1/3, 3S = 1 + 2^-53 rounds to 1, so 3S - 1 must come from the Fast2Sum error of 2S + S
+    lo, hi = interval
+    first, last = [math.nextafter(lo, hi)], [math.nextafter(hi, lo)]
+    for _ in range(2):
+        first.append(math.nextafter(first[-1], hi))
+        last.append(math.nextafter(last[-1], lo))
+    solutions = solver(*first, *last[::-1])
+    assert len(solutions) == 6 * (2 if solver is solve_ledger_u0 else 4)
+    for sol in solutions:
+        report = verify_solution(sol)
+        assert report.passed and sol.V > 0.0 and sol.W > 0.0, (sol.S, report.relative_residuals)
+
+
 @pytest.mark.parametrize("solver,interval",
                          [(solve_ledger_u0, S_INTERVAL_U0), (solve_ledger_unonzero, S_INTERVAL_UNONZERO)])
 def test_solver_outputs_have_a_backward_error_at_rounding(solver, interval):

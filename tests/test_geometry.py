@@ -40,6 +40,7 @@ from zksym import (
 )
 
 from oracles import (
+    adapted_table,
     backward_error,
     cholesky_params,
     exact_point,
@@ -314,6 +315,41 @@ def test_the_adapted_tables_live_on_the_48_slots_of_the_support():
     for p in special:
         nonzero = [set(np.flatnonzero(table(p)).tolist()) for table in tables]
         assert set().union(*nonzero) <= support and nonzero[0], p
+
+
+def _table_points(rng, n):
+    # n points per sign pattern of (t, v, w): |t| from 1e-150 to 1e150, K/|t| from 1e-7 to 1, v/t and w/t from
+    # 1e-2 to 1e2; of each six, one has u = 0, one v = w and one is the round point
+    points = []
+    for signs in itertools.product((1.0, -1.0), repeat=3):
+        for i in range(n):
+            t = 10.0 ** rng.uniform(-150.0, 150.0)
+            u = math.copysign(2.0 * t * t * math.sqrt(1.0 - 10.0 ** rng.uniform(-14.0, 0.0)), rng.uniform(-1.0, 1.0))
+            v, w = t * 10.0 ** rng.uniform(-2.0, 2.0, 2)
+            u, v, w = [(u, v, w), (0.0, v, w), (u, v, v), (0.0, t, t), (u, v, w), (u, v, w)][i % 6]
+            points.append(MetricParams(signs[0] * t, u, signs[1] * v, signs[2] * w))
+    return points
+
+
+def test_the_adapted_tables_are_q_as_a_change_of_basis_bit_for_bit():
+    # each adapted slot is one rotated A pair of the root support: the same bits as Q's rows applied as a generic
+    # change of basis, with no -0.0, over every sign pattern, u = 0, v = w, the round point, K/|t| down to 1e-7 and
+    # |t| from 1e-150 to 1e150; a point whose curvature overflows is refused before any table (L ~ 1/t^3)
+    compared, scales, ks = 0, [], []
+    for p in _table_points(np.random.default_rng(32), 80):
+        try:
+            geo = geometry._Geometry(p)
+        except DegenerateMetricError:
+            continue
+        for name in ("c", "u", "n", "ledger"):
+            table, reference = geo.table(name), adapted_table(geo, name, geometry._INDEX)
+            assert list(reference) == list(geometry._SUPPORT), p
+            assert list(map(float.hex, table)) == list(map(float.hex, reference.values())), (p, name)
+            assert not any(x == 0.0 and math.copysign(1.0, x) < 0.0 for x in table), (p, name)
+        compared += 1
+        scales.append(abs(p.t))
+        ks.append(p.K / abs(p.t))
+    assert compared >= 400 and min(scales) < 1e-145 and max(scales) > 1e145 and min(ks) < 2e-7
 
 
 def test_ricci_u_zero_degeneracies():
