@@ -165,7 +165,7 @@ def _reduced_system(p: MetricParams) -> list[float]:
 # solution families of the first Ledger condition
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LedgerSolution:
     """Admissible parameter tuple solving the first Ledger condition.
 
@@ -187,6 +187,11 @@ class LedgerSolution:
     residuals: Mapping[str, float]
     naturally_reductive: bool
 
+    def __init__(self, branch: str, S: float, V: float, W: float, Usq: float, params: MetricParams,
+                 residuals: Mapping[str, float], naturally_reductive: bool):
+        self.__dict__.update(branch=branch, S=S, V=V, W=W, Usq=Usq, params=params, residuals=residuals,
+                             naturally_reductive=naturally_reductive)
+
     def to_dict(self) -> dict:
         return {
             "branch": self.branch,
@@ -207,14 +212,17 @@ def _evaluate(p: MetricParams) -> tuple[dict[str, float], float, bool]:
     |D_alpha| ("star") and the root frame's orthonormality defect for the Gram
     matrix of :func:`build_form` in closed form ("gram"), reported, not judged.
     The larger eta_alpha, frame-free and scale-free, is what ``ledger`` and
-    verification judge.  Only the geometry is kept, in its cache; each call
-    makes a new dict.
+    verification judge.  All but "gram" are formed once per geometry, kept on
+    it as its tables are: the solver and each verification at the same params,
+    whoever built the solution, read the same values.  Each call makes a new dict.
     """
     geo = geometry._cached_geometry(p)
-    residuals = {"ledger": geometry._ldexp(geo.norm_ledger, -3 * geo.e), "star": max(map(abs, geo.det))}
-    eta = _eta(geo)
-    residuals["gram"] = _gram_defect(p)
-    return residuals, eta, geo.equal("1234", DEFAULT_TOL)
+    point = vars(geo).get("_evaluation")
+    if point is None:
+        point = vars(geo)["_evaluation"] = (geometry._ldexp(geo.norm_ledger, -3 * geo.e), max(map(abs, geo.det)),
+                                            _eta(geo), geo.equal("1234", DEFAULT_TOL))
+    norm_ledger, star, eta, nr = point
+    return {"ledger": norm_ledger, "star": star, "gram": _gram_defect(p)}, eta, nr
 
 
 def _gram_defect(p: MetricParams) -> float:
@@ -286,7 +294,7 @@ def solve_ledger_unonzero(*grid: float) -> list[LedgerSolution]:
 # end-to-end verification
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class VerificationReport:
     """Recomputed residuals and reductivity status of a LedgerSolution.
 
@@ -298,6 +306,11 @@ class VerificationReport:
     residuals: Mapping[str, float]
     naturally_reductive: bool
     relative_residuals: Mapping[str, float]
+
+    def __init__(self, passed: bool, residuals: Mapping[str, float], naturally_reductive: bool,
+                 relative_residuals: Mapping[str, float]):
+        self.__dict__.update(passed=passed, residuals=residuals, naturally_reductive=naturally_reductive,
+                             relative_residuals=relative_residuals)
 
     def summary(self) -> str:
         worst = max(self.relative_residuals.values())
@@ -313,7 +326,7 @@ def verify_solution(sol: LedgerSolution, tol: float = DEFAULT_TOL) -> Verificati
     absolute residuals, "gram" among them, and the naturally-reductive
     status (the ``check-nr`` verdict at DEFAULT_TOL) are reported, not
     judged.  For a solver's output the point's geometry is usually still
-    cached, and nothing is recomputed but the residuals.
+    cached with its evaluation, and only "gram" is recomputed.
     """
     residuals, eta, nr = _evaluate(sol.params)
     return VerificationReport(

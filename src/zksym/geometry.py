@@ -93,7 +93,8 @@ def _program(e: int, y) -> tuple:
     """From a point's unit-scale (e, y): the six ratios (the magnitudes of C), r and lam_alpha = D_alpha /
     sqrt(x_alpha x3 x4) at its scale, then at the unit scale D_alpha, eta_alpha (see :func:`_partials`) and the
     Frobenius norm of L.  The triple of alpha has the slots (k, i, j) = (alpha, e1, e2),
-    (e1, alpha, e2), (e2, alpha, e1), summed in that order."""
+    (e1, alpha, e2), (e2, alpha, e1), summed in that order.  Its row is a function of (x_alpha, x_beta) alone,
+    so where y1 == y2 (u = 0, or |u| below half an ulp of t^2) alpha = 2 reuses alpha = 1's, bit for bit."""
     if not 0.0 < min(y) <= max(y) < math.inf:  # an x that under- or overflows at this scale
         raise DegenerateMetricError("the curvature tensors overflow at this scale")
     x1, x2, x3, x4 = y
@@ -103,6 +104,9 @@ def _program(e: int, y) -> tuple:
     r1, r2, r3, r4 = k1 * (1.0 / x1), k2 * (1.0 / x2), k3 * i3, k4 * i4
     rows = []
     for xa, xb in ((x1, x2), (x2, x1)):
+        if rows and xa == xb:  # y1 == y2: the row of alpha = 2 is that of alpha = 1
+            rows.append(rows[0])
+            break
         # the squared ratios of the slots and per slot (x_k^2 - x_i^2 - x_j^2) / (x_i x_j x_k), with
         # x_k^2 - x_j^2 exact where x_k = x_j
         s0, s1, s2 = xa / x3 / x4, x3 / xa / x4, x4 / xa / x3
@@ -169,7 +173,8 @@ def _dense(values, slots=_INDEX) -> np.ndarray:
 
 class _Geometry:
     """The geometry of one parameter point in the root frame: at once, its e and y and what :func:`_program`
-    forms, in Python floats; the support values and the frames when asked for, the presented tables once."""
+    forms, in Python floats; the support values and the frames when asked for, the presented tables once (and
+    the point evaluation of :func:`zksym.analysis._evaluate`, which it keeps here)."""
 
     def __init__(self, p: MetricParams):
         p.K  # the guard, which like an overflow in the program raises before anything is kept

@@ -84,7 +84,18 @@ class DegenerateMetricError(ArithmeticError):
     """Parameters too close to the degenerate boundary (K below the guard)."""
 
 
-@dataclass(frozen=True)
+def _finite(name: str, value) -> float:
+    """The parameter as a finite float; refuses a NaN, an infinity and a number beyond the floats, by name."""
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond the floats
+        raise InvalidParamsError(f"parameter {name} must be finite, got a number beyond the floats") from None
+    if not math.isfinite(value):
+        raise InvalidParamsError(f"parameter {name} must be finite, got {value!r}")
+    return value
+
+
+@dataclass(frozen=True, init=False)
 class MetricParams:
     """Admissible parameter tuple (t, u, v, w) of an adapted metric, and its ``unit_scalars`` (e, y), not a field:
     2^e <= |t| < 2^(e+1) and y = x / 4^e, from the exact square of tau = t / 2^e, so the signs of y1, y2 are exact;
@@ -95,35 +106,29 @@ class MetricParams:
     v: float
     w: float
 
-    def __post_init__(self):
-        for name in ("t", "u", "v", "w"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise InvalidParamsError(f"parameter {name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
-        if self.t == 0.0 or self.v == 0.0 or self.w == 0.0:
+    def __init__(self, t: float, u: float, v: float, w: float):
+        t, u, v, w = _finite("t", t), _finite("u", u), _finite("v", v), _finite("w", w)
+        if t == 0.0 or v == 0.0 or w == 0.0:
             raise InvalidParamsError("t, v, w must all be nonzero")
-        e = math.frexp(self.t)[1] - 1
+        e = math.frexp(t)[1] - 1
         p = math.ldexp(1.0, e)  # quotients by a power of two are exact, and overflow to inf quietly
-        tau, half_u, v, w = self.t / p, self.u / p / (2.0 * p), self.v / p, self.w / p
+        tau, half_u = t / p, u / p / (2.0 * p)
         hi = tau * 134217729.0  # Dekker's split: tau = hi + lo with 26 bits each, so hi * hi is exact
         hi -= hi - tau
         lo, tt = tau - hi, tau * tau
         error = ((hi * hi - tt) + 2.0 * hi * lo) + lo * lo  # tau^2 - fl(tau^2), exactly
-        y = ((tt + half_u) + error, (tt - half_u) + error, v * v, w * w)
-        object.__setattr__(self, "unit_scalars", (e, y))  # not a field: ==, hash and repr see (t, u, v, w) alone
-        if min(y[:2]) < 0.0:  # x1 or x2 < 0: the form is indefinite
-            bound = _quote(2.0 * math.ldexp(self.t, -e) ** 2, e, 6)  # 2t^2 from the unit scale, so it never underflows
-            raise InvalidParamsError(
-                f"u must lie in the open interval (-2t^2, 2t^2) = (-{bound}, {bound}), got {self.u:g}"
-            )
+        y = ((tt + half_u) + error, (tt - half_u) + error, (v / p) * (v / p), (w / p) * (w / p))
+        if y[0] < 0.0 or y[1] < 0.0:  # x1 or x2 < 0: the form is indefinite
+            bound = _quote(2.0 * tau ** 2, e, 6)  # 2t^2 from the unit scale, so it never underflows
+            raise InvalidParamsError(f"u must lie in the open interval (-2t^2, 2t^2) = (-{bound}, {bound}), got {u:g}")
+        self.__dict__.update(t=t, u=u, v=v, w=w, unit_scalars=(e, y))  # ==, hash and repr see the fields alone
 
     @property
     def K(self) -> float:
         """K > 0; refuses a nearly degenerate metric, and t^2, v^2, w^2 that are not normal floats."""
         lo, hi = _SQUARE_RANGE
-        squares = (self.t * self.t, self.v * self.v, self.w * self.w)
-        if not all(lo <= x <= hi for x in squares):
+        t2, v2, w2 = self.t * self.t, self.v * self.v, self.w * self.w
+        if not (lo <= t2 <= hi and lo <= v2 <= hi and lo <= w2 <= hi):
             scales = [(a, math.frexp(a)[1] - 1) for a in (self.t, self.v, self.w)]  # each square at its own scale
             shown = ", ".join(_quote(math.ldexp(a, -e) ** 2, e, 3) for a, e in scales)
             raise DegenerateMetricError(f"t^2, v^2, w^2 = {shown} leave the range of normal floats [{lo:.3g}, {hi:.3g}]")

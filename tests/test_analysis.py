@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import inspect
 import math
+import pickle
 import types
 from fractions import Fraction
 
@@ -30,6 +32,7 @@ from zksym import (
     u_map,
     build_form,
     geometry,
+    VerificationReport,
     verify_solution,
 )
 
@@ -752,6 +755,48 @@ def test_verify_judges_the_params_not_the_record():
     recomputed = dict(report.residuals)
     report.residuals["ledger"] = 0.0
     assert verify_solution(moved).residuals == recomputed
+
+
+@pytest.mark.parametrize("record", ["solution", "report"])
+def test_the_solution_records_keep_their_dataclass_contract(record):
+    # fields in order, written once at construction: repr, ==, replace, keywords, copies and pickle as a
+    # frozen dataclass of these fields gives them
+    sol = solve_ledger_unonzero(1.2)[0]
+    value = sol if record == "solution" else verify_solution(sol)
+    names = (["branch", "S", "V", "W", "Usq", "params", "residuals", "naturally_reductive"] if record == "solution"
+             else ["passed", "residuals", "naturally_reductive", "relative_residuals"])
+    cls = type(value)
+    assert [f.name for f in dataclasses.fields(value)] == names
+    assert list(vars(value)) == names
+    values = [getattr(value, name) for name in names]
+    assert dataclasses.astuple(value) == dataclasses.astuple(cls(*values))
+    assert repr(value) == f"{cls.__name__}(" + ", ".join(f"{n}={v!r}" for n, v in zip(names, values)) + ")"
+    assert value == cls(*values) == cls(**dict(zip(names, values)))
+    changed = dataclasses.replace(value, naturally_reductive=not value.naturally_reductive)
+    assert changed != value and vars(changed) == {**vars(value), "naturally_reductive": not value.naturally_reductive}
+    for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert copied == value and list(vars(copied)) == names
+    with pytest.raises(TypeError):
+        cls(*values[:-1])
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        value.extra = None
+
+
+def test_a_reports_residuals_are_its_own():
+    # the evaluation is kept on the point's geometry, yet each report gets a new dict: mutating one changes
+    # neither the solution's residuals nor a later report
+    sol = solve_ledger_u0(5.0)[0]
+    kept = dict(sol.residuals)
+    report = verify_solution(sol)
+    assert report.residuals == kept and report.residuals is not sol.residuals
+    report.residuals["ledger"] = report.residuals["star"] = -1.0
+    report.relative_residuals["star"] = -1.0
+    again = verify_solution(sol)
+    assert sol.residuals == kept and again.residuals == kept and again.relative_residuals["star"] >= 0.0
+    assert again.residuals is not report.residuals and again.passed
 
 
 def test_round_point_solution_verifies():

@@ -1095,6 +1095,28 @@ def test_solve_builds_one_geometry_per_solution(capsys, monkeypatch, branch, s, 
     assert (info.misses, info.hits, info.currsize) == (n, n, n)
 
 
+@pytest.mark.parametrize("branch,s,n", [("u1", "1.1", 4), ("u0", "5", 2)])
+def test_solve_and_its_verifications_evaluate_each_point_once(capsys, monkeypatch, branch, s, n):
+    # the solver's evaluation is kept on each point's geometry and each verification reads it there, that of a
+    # hand-built solution at the same params too: eta and the round-point verdict run once per point
+    etas = _count_calls(monkeypatch, analysis._eta)
+    counting_equal, equals = _counting(geometry._Geometry.equal)
+    monkeypatch.setattr(geometry._Geometry, "equal", counting_equal)
+    builds, evaluations = _counting_geometries(monkeypatch)
+    geometry._cached_geometry.cache_clear()
+    code, out, _ = run_cli(capsys, "solve", "--branch", branch, "--S", s, "--format", "json")
+    assert code == 0 and len(out.splitlines()) == n
+    assert len(builds) == n and evaluations == builds + builds
+    assert len(etas) == len(equals) == n
+    for record in map(json.loads, out.splitlines()):
+        p = metric.MetricParams(**record["params"])
+        hand_built = analysis.LedgerSolution(record["branch"], record["S"], record["V"], record["W"], record["Usq"],
+                                             p, {}, False)
+        report = analysis.verify_solution(hand_built)
+        assert report.passed and report.residuals == record["residuals"]
+    assert len(builds) == len(etas) == len(equals) == n
+
+
 def test_a_solution_its_copy_and_a_hand_built_one_verify_alike():
     for sol in analysis.solve_ledger_unonzero(0.4, 1.1) + analysis.solve_ledger_u0(1.5, 5.0):
         p = sol.params
@@ -1367,7 +1389,26 @@ def _pinned_points() -> list[tuple[float, float, float, float]]:
     return points
 
 
+def _pinned_solver_argvs(command: str, fmt: str) -> list[list[str]]:
+    """Per branch: ``solve`` at 12 seeded S, at 10^-1..10^-10 from each interval end and at the first and last
+    floats of the interval; ``sweep`` in 200 steps from the first float to the last."""
+    argvs = []
+    for branch, (lo, hi) in (("u0", analysis.S_INTERVAL_U0), ("u1", analysis.S_INTERVAL_UNONZERO)):
+        first, last = math.nextafter(lo, math.inf), math.nextafter(hi, -math.inf)
+        if command == "sweep":
+            argvs.append(["sweep", "--branch", branch, "--S-min", repr(first), "--S-max", repr(last),
+                          "--S-steps", "200"])
+            continue
+        rng = random.Random(33)
+        grid = [rng.uniform(lo, hi) for _ in range(12)]
+        grid += [s for k in range(1, 11) for s in (lo + 10.0 ** -k, hi - 10.0 ** -k)] + [first, last]
+        argvs += [["solve", "--branch", branch, "--S", repr(s), "--format", fmt] for s in grid]
+    return argvs
+
+
 def _pinned_argvs(command: str, fmt: str, tmp_path) -> list[list[str]]:
+    if command in ("solve", "sweep"):
+        return _pinned_solver_argvs(command, fmt)
     if command != "inspect":
         return [[command, "--t", repr(t), "--u", repr(u), "--v", repr(v), "--w", repr(w), "--format", fmt]
                 for t, u, v, w in _pinned_points()]
@@ -1396,6 +1437,10 @@ _PINNED = {
     ("ledger", "json"): "e05bbe0910aee1296d3d399d6fba679f3a67fc5a9df757e5ddff2c229f56ce5d",
     ("inspect", "text"): "93a7aefb3221ba5fa983e60b91717b1c1734defa3790fd0d12c91dce6aa8c35a",
     ("inspect", "json"): "973cf70193359d803bf11f0a2372107782aacd9b3f641a88c5a95bb1c656e7a1",
+    # every record of both solvers, ||L|| and max|D| of each solution among them
+    ("solve", "json"): "74e39262ae8728d281b7cdee3095bd2bf3ffb7cce6a26ebcde43bb3c6abd5440",
+    ("solve", "text"): "59a5ad6d19bf12181a3b7ebb86c6b55ab6ac27fc8f9f65d90df50c2a813bb390",
+    ("sweep", "json"): "48634f8a2379cd405ab0711a1186860acc728054a15890b7deeb7680ea450f84",
 }
 
 

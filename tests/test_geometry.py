@@ -585,6 +585,74 @@ def test_the_eager_values_are_those_of_the_array_program_bit_for_bit():
     assert digest == "507284271ae2c0006c086626cac3c76c3621220611f5ff16477757e431d49b7a"
 
 
+def _swap_points() -> list[MetricParams]:
+    """The eager corpus and 2400 seeded points, |t| log-uniform in [1e-100, 1e100], signs mixed: generic, u = 0,
+    v = w, 0 < |u| below half an ulp of t^2 (so y1 == y2), and K/|t| down to 1e-8."""
+    rng = np.random.default_rng(33)
+    points = _eager_corpus()
+    while len(points) < 4800:
+        t = 10.0 ** rng.uniform(-100.0, 100.0) * rng.choice([-1.0, 1.0])
+        u = rng.uniform(-1.99, 1.99) * t * t
+        v, w = (t * 10.0 ** rng.uniform(-3.0, 3.0) * rng.choice([-1.0, 1.0]) for _ in range(2))
+        kind = rng.integers(5)
+        if kind == 1:
+            u = 0.0
+        elif kind == 2:
+            w = v
+        elif kind == 3:
+            u = t * t * 10.0 ** rng.uniform(-40.0, -16.5) * rng.choice([-1.0, 1.0])
+        elif kind == 4:
+            k = 10.0 ** rng.uniform(-8.0, 0.0)  # K / |t|
+            u = 2.0 * t * t * math.sqrt(1.0 - k * k) * rng.choice([-1.0, 1.0])
+        try:
+            points.append(MetricParams(t, u, v, w))
+        except InvalidParamsError:
+            pass
+    return points
+
+
+def _program_or_refusal(p: MetricParams):
+    try:
+        return geometry._program(*p.unit_scalars)
+    except DegenerateMetricError:
+        return None
+
+
+def test_negating_u_swaps_the_two_ledger_triples_bit_for_bit(monkeypatch):
+    # u -> -u swaps y1 and y2 exactly, so the program at (t, -u, v, w) is the one at (t, u, v, w) with alpha = 1
+    # and 2 swapped, bit for bit: each row is a function of (x_alpha, x_beta) alone, the two r_alpha share their
+    # constant, and ||L|| sums the rows in either order.  So where y1 == y2 the row of alpha = 2 is that of
+    # alpha = 1, which the program forms once
+    assert geometry._HALF_KILLING[0] == geometry._HALF_KILLING[1]
+    calls = []
+    partials = geometry._partials
+    monkeypatch.setattr(geometry, "_partials", lambda *args: calls.append(args) or partials(*args))
+    hexes = lambda values: [float.hex(x) for x in values]
+    equal_rows = tiny_u = 0
+    for p in _swap_points():
+        q = dataclasses.replace(p, u=-p.u)
+        e, y = p.unit_scalars
+        assert q.unit_scalars == (e, (y[1], y[0], y[2], y[3])), p
+        calls.clear()
+        got = _program_or_refusal(p)
+        if got is None:
+            assert _program_or_refusal(q) is None, p
+            continue
+        assert len(calls) == (1 if y[0] == y[1] else 2), p
+        ratios, r, lam, det, eta, norm = got
+        ratios2, r2, lam2, det2, eta2, norm2 = geometry._program(*q.unit_scalars)
+        assert hexes(ratios2) == hexes([ratios[i ^ 1] for i in range(6)]), p  # slot-major: alpha = 1, 2 per slot
+        assert hexes(r2) == hexes([r[1], r[0], r[2], r[3]]), p
+        assert (hexes(lam2), hexes(det2), hexes(eta2)) == (hexes(lam[::-1]), hexes(det[::-1]), hexes(eta[::-1])), p
+        assert norm2.hex() == norm.hex(), p
+        if y[0] == y[1]:
+            assert hexes(ratios[::2]) == hexes(ratios[1::2]) and r[0].hex() == r[1].hex(), p
+            assert (hexes(lam[:1]), hexes(det[:1]), hexes(eta[:1])) == (hexes(lam[1:]), hexes(det[1:]), hexes(eta[1:]))
+            equal_rows += 1
+            tiny_u += p.u != 0.0
+    assert equal_rows >= 1600 and tiny_u >= 450
+
+
 def test_the_determinants_and_the_ledger_norm_are_the_q_form_to_rounding():
     # D_alpha = (x4 - x3) (T1 + T2 - T3) / 2 with T1 = (x3 + x4 - x_alpha)^2 / (x3 x4 x_beta),
     # T2 = 8 (x_alpha - x3) (x_alpha - x4) / (x3 x4 x_alpha) and T3 = (x_alpha^2 - x_beta^2) / (x3 x4 x_beta), at 60

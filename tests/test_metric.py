@@ -51,6 +51,13 @@ def test_rejects_non_finite():
         MetricParams(float("nan"), 0, 1, 1)
     with pytest.raises(InvalidParamsError):
         MetricParams(1, float("inf"), 1, 1)
+    # an int beyond the floats, where float() raises OverflowError, is refused as an infinity is, by name
+    for index, name in enumerate("tuvw"):
+        for big in (10**400, -(10**400)):
+            args = [1, 0, 1, 1]
+            args[index] = big
+            with pytest.raises(InvalidParamsError, match=f"^parameter {name} must be finite"):
+                MetricParams(*args)
 
 
 def _bits(scalars) -> tuple:
