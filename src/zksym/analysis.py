@@ -5,10 +5,12 @@ where the first Ledger condition L = 0 is two collinearity determinants
 D_alpha = 0.  After the substitution V = v^2/t^2, W = w^2/t^2, S = V + W,
 P = V W (and U = u/t^2 when u != 0) they admit closed-form solution
 families, one branch with u = 0 and one with u != 0.  The solvers below
-return the families normalized at t = 1 with their recomputed residuals,
-read off each point's cached geometry.  The metrics with
-v = w form a third family that satisfies L = 0 and that no solver returns;
-of it only the round point u = 0, v^2 = w^2 = t^2 is naturally reductive.
+return the families normalized at t = 1 with their residuals; each point's
+cached geometry forms those and every other Ledger readout, and this module
+judges them and assembles records.  Two more sets satisfy L = 0 and no
+solver returns them: the metrics with v = w, of which only the round point
+u = 0, v^2 = w^2 = t^2 is naturally reductive, and a second u != 0 arc,
+S in (4, (7 + sqrt(17))/2) (:func:`solve_ledger_unonzero`).
 
 Every point verdict is a relative backward error in x = (t^2 + u/2,
 t^2 - u/2, v^2, w^2), frame-free and scale-free: eps_J to an equality of
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from . import geometry
-from .metric import DEFAULT_TOL, FRAME_NAMES, DegenerateMetricError, InvalidParamsError, MetricParams
+from .metric import DEFAULT_TOL, FRAME_NAMES, InvalidParamsError, MetricParams
 
 if TYPE_CHECKING:
     import numpy as np
@@ -97,17 +99,7 @@ def first_ledger_verdict(p: MetricParams, tol: float = DEFAULT_TOL) -> tuple[flo
     partials is not finite.
     """
     geo = geometry._cached_geometry(p)
-    return geo.ledger_max, _eta(geo) <= tol
-
-
-def _eta(geo) -> float:
-    """The larger eta_alpha at a point's geometry; raises where a Ledger determinant D_alpha is not finite, or where
-    a partial x_k dD_alpha/dx_k overflows (eta_alpha is NaN there)."""
-    if not all(map(math.isfinite, geo.det)):
-        raise DegenerateMetricError(f"the Ledger determinants are not finite: {geo.det}")
-    if any(map(math.isnan, geo.eta)):
-        raise DegenerateMetricError(f"the partials of the Ledger determinants overflow: D = {geo.det}")
-    return max(geo.eta)
+    return geo.ledger_max, geo.evaluation()[3] <= tol  # the larger eta_alpha, formed once per geometry
 
 
 def infinitesimal_isometries(p: MetricParams, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -138,27 +130,12 @@ def ledger_system_residuals(p: MetricParams) -> np.ndarray:
     and eq3 = sgn t (x2 D1 - x1 D2)/(2 vw sqrt(x1 x2)), of rank 2 in D_alpha.
     Written out over the Ricci entries (r11, r33, r55, r77, r14), they have
     rank at most 3, as v w eq3 = u/(2tK) eq4 - K eq2, and 3 off u = 0 and
-    v^2 = w^2 (``tests/test_symbolic.py`` proves all of this).  D_alpha is
-    scale-free, so they are formed at the unit scale and scaled as t^0,
-    t^-1, t^-2, t^0 after.  Raises DegenerateMetricError when one overflows.
+    v^2 = w^2 (``tests/test_symbolic.py`` proves all of this).  The point's
+    cached geometry forms them once, from D_alpha at the unit scale.  Raises
+    DegenerateMetricError when one overflows.
     """
-    import numpy as np  # loaded only where an array is formed: ``ledger`` prints the floats of _reduced_system
-    return np.array(_reduced_system(p))
-
-
-def _reduced_system(p: MetricParams) -> list[float]:
-    """The residuals of :func:`ledger_system_residuals`, as floats."""
-    geo = geometry._cached_geometry(p)
-    e, (x1, x2, x3, x4) = geo.e, geo.y
-    t, v, w = (math.ldexp(a, -e) for a in (p.t, p.v, p.w))
-    d1, d2 = geo.det
-    star = [-(d1 + d2) / 2, -(d1 - d2) / (2 * t),
-            math.copysign(1.0, t) * (x2 * d1 - x1 * d2) / (2 * v * w * math.sqrt(x1 * x2)),
-            -(x2 * d1 + x1 * d2) / (2 * t * t)]
-    star = [geometry._ldexp(x, n) + 0.0 for x, n in zip(star, (0, -e, -2 * e, 0))]  # and no -0.0
-    if not all(map(math.isfinite, star)):  # overflow shows up as a non-finite residual
-        raise DegenerateMetricError(f"reduced Ledger system residuals are not finite: {star}")
-    return star
+    import numpy as np  # loaded only where an array is formed: ``ledger`` prints the geometry's floats
+    return np.array(geometry._cached_geometry(p).reduced_system)
 
 
 # ----------------------------------------------------------------------
@@ -206,34 +183,13 @@ class LedgerSolution:
 
 
 def _evaluate(p: MetricParams) -> tuple[dict[str, float], float, bool]:
-    """From the point's cached geometry: its absolute residuals, the larger eta_alpha, naturally reductive.
-
-    The absolute residuals are ||L|| in Frobenius norm ("ledger"), the larger
-    |D_alpha| ("star") and the root frame's orthonormality defect for the Gram
-    matrix of :func:`build_form` in closed form ("gram"), reported, not judged.
-    The larger eta_alpha, frame-free and scale-free, is what ``ledger`` and
-    verification judge.  All but "gram" are formed once per geometry, kept on
-    it as its tables are: the solver and each verification at the same params,
-    whoever built the solution, read the same values.  Each call makes a new dict.
-    """
-    geo = geometry._cached_geometry(p)
-    point = vars(geo).get("_evaluation")
-    if point is None:
-        point = vars(geo)["_evaluation"] = (geometry._ldexp(geo.norm_ledger, -3 * geo.e), max(map(abs, geo.det)),
-                                            _eta(geo), geo.equal("1234", DEFAULT_TOL))
-    norm_ledger, star, eta, nr = point
-    return {"ledger": norm_ledger, "star": star, "gram": _gram_defect(p)}, eta, nr
-
-
-def _gram_defect(p: MetricParams) -> float:
-    """max |E^T G E - I| for the Gram matrix G of :func:`build_form`, which holds fl(t^2) where the frame has
-    t^2: (fl(t^2) - t^2) / x_k on the A modules, 0 on B and C, rounded once from the exact rationals."""
-    n = p.t.as_integer_ratio()[0]
-    if (n // (n & -n)) ** 2 < 2**53:  # t's odd part squares within 53 bits: t^2 is a float
-        return 0.0
-    from fractions import Fraction  # loaded only where t^2 is not a float
-    t = Fraction(p.t)
-    return float(abs(Fraction(p.t * p.t) - t * t) / (t * t - abs(Fraction(p.u)) / 2))
+    """A record's absolute residuals, reported, not judged: ||L|| in Frobenius norm ("ledger"), the larger |D_alpha|
+    ("star") and the root frame's orthonormality defect for the Gram matrix of :func:`build_form` ("gram"); then the
+    larger eta_alpha, which ``ledger`` and verification judge, and naturally reductive.  The point's cached geometry
+    forms them once (:meth:`zksym.geometry._Geometry.evaluation`), so the solver and each verification at the same
+    params, whoever built the solution, read the same values; each call makes a new dict."""
+    norm_ledger, star, gram, eta, nr = geometry._cached_geometry(p).evaluation()
+    return {"ledger": norm_ledger, "star": star, "gram": gram}, eta, nr
 
 
 def _solve(branch: str, interval: tuple[float, float], roots: Callable[[float], Iterable[tuple[float, float, float]]],
@@ -278,7 +234,8 @@ def solve_ledger_unonzero(*grid: float) -> list[LedgerSolution]:
     u^2 = 4 (8 - 7S + S^2) / (8 - 3S) t^4 falls from 208/63 t^4 at S = 1/3
     to 0 at the upper end, inside the positive-definite bound 4 t^4.  Four
     solutions per S: both root orderings times both signs of u.  The small
-    root is taken as P/big, exact to rounding as S -> 1/3.
+    root is taken as P/big, exact to rounding as S -> 1/3.  The same formulas
+    give a second arc, S in (4, (7 + sqrt(17))/2), which no solver returns.
     """
     def roots(s):
         delta = s * (-3.0 * s * s + 3.0 * s + 4.0) / (2.0 * (8.0 - 3.0 * s))
@@ -326,7 +283,7 @@ def verify_solution(sol: LedgerSolution, tol: float = DEFAULT_TOL) -> Verificati
     absolute residuals, "gram" among them, and the naturally-reductive
     status (the ``check-nr`` verdict at DEFAULT_TOL) are reported, not
     judged.  For a solver's output the point's geometry is usually still
-    cached with its evaluation, and only "gram" is recomputed.
+    cached with its evaluation, and nothing is recomputed.
     """
     residuals, eta, nr = _evaluate(sol.params)
     return VerificationReport(

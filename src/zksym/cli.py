@@ -28,8 +28,8 @@ import sys
 import types
 from pathlib import Path
 
-from .analysis import (S_INTERVAL_U0, S_INTERVAL_UNONZERO, _reduced_system, first_ledger_verdict,
-                       is_naturally_reductive, solve_ledger_u0, solve_ledger_unonzero, verify_solution)
+from .analysis import (S_INTERVAL_U0, S_INTERVAL_UNONZERO, first_ledger_verdict, is_naturally_reductive,
+                       solve_ledger_u0, solve_ledger_unonzero, verify_solution)
 from .geometry import _SUPPORT, _cached_geometry
 from .metric import DEFAULT_TOL, FRAME_NAMES, DegenerateMetricError, InvalidParamsError, MetricParams
 
@@ -182,7 +182,7 @@ def cmd_inspect(args) -> None:
             data = json.loads(Path(args.algebra).read_text())
         except OSError as exc:
             raise InvalidParamsError(f"cannot read algebra file: {exc}") from exc
-        except ValueError as exc:  # not JSON, or not UTF-8
+        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep to decode
             raise InvalidParamsError(f"malformed algebra file: {exc}") from exc
         try:
             alg = algebra_from_dict(data)
@@ -257,7 +257,7 @@ def cmd_check_nr(p: MetricParams, tol: float, as_json: bool) -> dict | None:
 
 
 def cmd_ledger(p: MetricParams, tol: float, as_json: bool) -> dict | None:
-    star = _reduced_system(p)
+    star = _cached_geometry(p).reduced_system
     max_l, satisfied = first_ledger_verdict(p, tol)
     if as_json:
         return {"max_ledger_residual": max_l, "star_residuals": star, "satisfied": satisfied}
@@ -284,7 +284,7 @@ def _point(command, frame: bool):
 def _solutions(branch: str, grid, tol: float, as_json: bool) -> None:
     """Print every solution of the branch at each S of the grid; after the last, raise if any fails verification."""
     solve = solve_ledger_u0 if branch == "u0" else solve_ledger_unonzero
-    failed, count, grid = [], 0, iter(grid)
+    failed, worst, count, grid = 0, None, 0, iter(grid)
     # 32 S to a solve: its <= 128 points fit the 256-entry geometry cache, so each verification is a cache hit,
     # and the solutions held do not grow with the grid (one solve per S ran sweeps 15 % slower)
     while chunk := list(itertools.islice(grid, 32)):
@@ -300,11 +300,11 @@ def _solutions(branch: str, grid, tol: float, as_json: bool) -> None:
                       f"v={_fmt(p.v)} w={_fmt(p.w)} ledger={r['ledger']:.3g} star={r['star']:.3g} NR={nr}")
             count += 1
             report = verify_solution(sol, tol)
-            if not report.passed:
-                failed.append(report)
+            if not report.passed:  # the count and the first worst report, not every failed one
+                failed += 1
+                worst = max(worst or report, report, key=lambda r: max(r.relative_residuals.values()))
     if failed:
-        worst = max(failed, key=lambda r: max(r.relative_residuals.values()))
-        raise DegenerateMetricError(f"{len(failed)} of {count} solutions fail verification, worst: {worst.summary()}")
+        raise DegenerateMetricError(f"{failed} of {count} solutions fail verification, worst: {worst.summary()}")
 
 
 def cmd_solve(args) -> None:

@@ -163,6 +163,17 @@ def _ldexp(x: float, n: int) -> float:
         return math.copysign(math.inf, x)
 
 
+def _gram_defect(p: MetricParams) -> float:
+    """max |E^T G E - I| for the Gram matrix G of :func:`zksym.metric.build_form`, which holds fl(t^2) where the
+    frame has t^2: (fl(t^2) - t^2) / x_k on the A modules, 0 on B and C, rounded once from the exact rationals."""
+    n = p.t.as_integer_ratio()[0]
+    if (n // (n & -n)) ** 2 < 2**53:  # t's odd part squares within 53 bits: t^2 is a float
+        return 0.0
+    from fractions import Fraction  # loaded only where t^2 is not a float
+    t = Fraction(p.t)
+    return float(abs(Fraction(p.t * p.t) - t * t) / (t * t - abs(Fraction(p.u)) / 2))
+
+
 def _dense(values, slots=_INDEX) -> np.ndarray:
     """A new (8, 8, 8) array of the values on their slots: the root frame support or the adapted one, _SUPPORT."""
     _arrays()
@@ -173,8 +184,8 @@ def _dense(values, slots=_INDEX) -> np.ndarray:
 
 class _Geometry:
     """The geometry of one parameter point in the root frame: at once, its e and y and what :func:`_program`
-    forms, in Python floats; the support values and the frames when asked for, the presented tables once (and
-    the point evaluation of :func:`zksym.analysis._evaluate`, which it keeps here)."""
+    forms, in Python floats; the support values and the frames when asked for, the presented tables and the
+    Ledger readouts once, so only it and :mod:`zksym.metric` know the unit scale e, and only it D_alpha and eta."""
 
     def __init__(self, p: MetricParams):
         p.K  # the guard, which like an overflow in the program raises before anything is kept
@@ -195,6 +206,34 @@ class _Geometry:
     def ledger_max(self) -> float:
         """max |L| over the adapted frame triples."""
         return max(map(abs, self.table("ledger")))
+
+    def evaluation(self) -> tuple[float, float, float, float, bool]:
+        """A solution record's ||L|| at the point's scale, max|D_alpha|, Gram defect, larger eta_alpha and round-point
+        verdict at DEFAULT_TOL, kept as :meth:`table` keeps its tuples (a cached_property locks on Python 3.11); raises
+        where a D_alpha is not finite, or where a partial x_k dD_alpha/dx_k overflows (eta_alpha is NaN there)."""
+        point = vars(self).get("_evaluation")
+        if point is None:
+            if not all(map(math.isfinite, self.det)):
+                raise DegenerateMetricError(f"the Ledger determinants are not finite: {self.det}")
+            if any(map(math.isnan, self.eta)):
+                raise DegenerateMetricError(f"the partials of the Ledger determinants overflow: D = {self.det}")
+            point = self._evaluation = (_ldexp(self.norm_ledger, -3 * self.e), max(map(abs, self.det)),
+                                        _gram_defect(self.params), max(self.eta), self.equal("1234", DEFAULT_TOL))
+        return point
+
+    @cached_property
+    def reduced_system(self) -> tuple[float, float, float, float]:
+        """The four reduced Ledger equations of :func:`zksym.analysis.ledger_system_residuals`, formed from D_alpha
+        at the unit scale and scaled as t^0, t^-1, t^-2, t^0 after; raises where one overflows."""
+        e, (x1, x2, x3, x4), (d1, d2), p = self.e, self.y, self.det, self.params
+        t, v, w = (math.ldexp(a, -e) for a in (p.t, p.v, p.w))
+        star = [-(d1 + d2) / 2, -(d1 - d2) / (2 * t),
+                math.copysign(1.0, t) * (x2 * d1 - x1 * d2) / (2 * v * w * math.sqrt(x1 * x2)),
+                -(x2 * d1 + x1 * d2) / (2 * t * t)]
+        star = [_ldexp(x, n) + 0.0 for x, n in zip(star, (0, -e, -2 * e, 0))]  # and no -0.0
+        if not all(map(math.isfinite, star)):  # overflow shows up as a non-finite residual
+            raise DegenerateMetricError(f"reduced Ledger system residuals are not finite: {star}")
+        return tuple(star)
 
     @cached_property
     def u_max(self) -> tuple[float, tuple[int, int, int]]:

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -85,6 +86,18 @@ def test_inspect_non_utf8_algebra_exits_1(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: malformed algebra file") and len(err.splitlines()) == 1
+
+
+def test_a_deeply_nested_file_is_malformed_not_a_traceback(tmp_path, capsys):
+    # JSON nested deeper than the decoder recurses: one stderr line and exit 1, as an algebra and as parameters
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run_cli(capsys, "inspect", "--algebra", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: malformed algebra file: ") and len(err.splitlines()) == 1
+    code, out, err = run_cli(capsys, "ledger", "--params", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: malformed parameter file {path}: ") and len(err.splitlines()) == 1
 
 
 def _algebra_doc(case):
@@ -1098,8 +1111,9 @@ def test_solve_builds_one_geometry_per_solution(capsys, monkeypatch, branch, s, 
 @pytest.mark.parametrize("branch,s,n", [("u1", "1.1", 4), ("u0", "5", 2)])
 def test_solve_and_its_verifications_evaluate_each_point_once(capsys, monkeypatch, branch, s, n):
     # the solver's evaluation is kept on each point's geometry and each verification reads it there, that of a
-    # hand-built solution at the same params too: eta and the round-point verdict run once per point
-    etas = _count_calls(monkeypatch, analysis._eta)
+    # hand-built solution at the same params too: the evaluation (eta, the Gram defect and the round-point verdict)
+    # is formed once per point
+    formed = _count_calls(monkeypatch, geometry._gram_defect)
     counting_equal, equals = _counting(geometry._Geometry.equal)
     monkeypatch.setattr(geometry._Geometry, "equal", counting_equal)
     builds, evaluations = _counting_geometries(monkeypatch)
@@ -1107,14 +1121,27 @@ def test_solve_and_its_verifications_evaluate_each_point_once(capsys, monkeypatc
     code, out, _ = run_cli(capsys, "solve", "--branch", branch, "--S", s, "--format", "json")
     assert code == 0 and len(out.splitlines()) == n
     assert len(builds) == n and evaluations == builds + builds
-    assert len(etas) == len(equals) == n
+    assert len(formed) == len(equals) == n
     for record in map(json.loads, out.splitlines()):
         p = metric.MetricParams(**record["params"])
         hand_built = analysis.LedgerSolution(record["branch"], record["S"], record["V"], record["W"], record["Usq"],
                                              p, {}, False)
         report = analysis.verify_solution(hand_built)
         assert report.passed and report.residuals == record["residuals"]
-    assert len(builds) == len(etas) == len(equals) == n
+    assert len(builds) == len(formed) == len(equals) == n
+
+
+def test_a_cached_ledger_query_forms_its_reduced_system_once(capsys, monkeypatch):
+    # ledger reads the reduced system off the point's cached geometry, as tables and ricci read theirs
+    counting, formed = _counting(geometry._Geometry.reduced_system.func)
+    reduced_system = functools.cached_property(counting)
+    reduced_system.__set_name__(geometry._Geometry, "reduced_system")
+    monkeypatch.setattr(geometry._Geometry, "reduced_system", reduced_system)
+    geometry._cached_geometry.cache_clear()
+    first = run_cli(capsys, "ledger", *_POINT, "--format", "json")
+    assert first[0] == 0 and run_cli(capsys, "ledger", *_POINT, "--format", "json") == first
+    assert run_cli(capsys, "ledger", *_POINT)[0] == 0
+    assert len(formed) == 1 and geometry._cached_geometry.cache_info().currsize == 1
 
 
 def test_a_solution_its_copy_and_a_hand_built_one_verify_alike():
@@ -1196,12 +1223,14 @@ class _KeptStdout(io.TextIOBase):
         return len(text)
 
 
-def _kept_sweep_peak_bytes(monkeypatch, steps: int) -> tuple[int, int]:
-    """The peak of what Python allocates in a sweep whose reader keeps its records, and what those records hold."""
+def _kept_sweep_peak_bytes(monkeypatch, steps: int, failing: bool = False) -> tuple[int, int]:
+    """The peak of what Python allocates in a sweep whose reader keeps its records, and what those records hold;
+    a failing sweep runs at tol 1e-300, where most records fail their verification, and exits 2."""
     monkeypatch.setattr(sys, "stdout", _KeptStdout())
+    argv = ["sweep", "--branch", "u0", "--S-min", "1.5", "--S-max", "8.5", "--S-steps", str(steps)]
     tracemalloc.start()
     try:
-        assert main(["sweep", "--branch", "u0", "--S-min", "1.5", "--S-max", "8.5", "--S-steps", str(steps)]) == 0
+        assert main(argv + ["--tol", "1e-300"] * failing) == 2 * failing
         records = sys.stdout.records
         return tracemalloc.get_traced_memory()[1], sys.getsizeof(records) + sum(map(sys.getsizeof, records))
     finally:
@@ -1214,6 +1243,18 @@ def test_sweep_memory_does_not_grow_with_the_grid(monkeypatch):
     _kept_sweep_peak_bytes(monkeypatch, 10)  # what the first sweep of a process allocates once
     (small, kept_small), (large, kept_large) = (_kept_sweep_peak_bytes(monkeypatch, n) for n in (200, 1200))
     assert large - small < (kept_large - kept_small) + 500_000
+
+
+def test_sweep_memory_does_not_grow_with_the_grid_when_verifications_fail(monkeypatch, capsys):
+    # a sweep keeps the failure count and the first worst report, which is all its stderr line reads, not every
+    # failed report (which grew the peak by 1.0 MB more than the records from 200 to 1200 steps)
+    _kept_sweep_peak_bytes(monkeypatch, 10, failing=True)
+    (small, kept_small), (large, kept_large) = (_kept_sweep_peak_bytes(monkeypatch, n, failing=True)
+                                                for n in (200, 1200))
+    assert large - small < (kept_large - kept_small) + 500_000
+    assert capsys.readouterr().err.splitlines()[-1] == ("numerical failure: 1862 of 2400 solutions fail verification, "
+                                                        "worst: FAIL (max relative residual 4.35e-16, naturally "
+                                                        "reductive: False)")
 
 
 class _ClosedStdout(io.StringIO):

@@ -795,7 +795,7 @@ def test_homothety_sign_and_swap_maps_preserve_the_geometry(p, log_lam):
     geo = geometry._Geometry(p)
     spectrum = np.linalg.eigvalsh(geo.ricci)
     max_c, max_u, max_l, max_n, max_rho = (np.abs(a).max() for a in (geo.c, geo.u, geo.ledger, geo.n, geo.r))
-    verdicts = geo.equal("1234", DEFAULT_TOL), len(geo.isometries(DEFAULT_TOL)), analysis._eta(geo) <= DEFAULT_TOL
+    verdicts = geo.equal("1234", DEFAULT_TOL), len(geo.isometries(DEFAULT_TOL)), geo.evaluation()[3] <= DEFAULT_TOL
     for q, lam in images:
         image = geometry._Geometry(q)
         got = np.linalg.eigvalsh(image.ricci) * lam**2
@@ -804,7 +804,7 @@ def test_homothety_sign_and_swap_maps_preserve_the_geometry(p, log_lam):
         assert abs(np.abs(image.u).max() * lam - max_u) <= 1e-12 * max_c
         assert abs(np.abs(image.ledger).max() * lam**3 - max_l) <= 1e-12 * max_n * max_rho
         assert (image.equal("1234", DEFAULT_TOL), len(image.isometries(DEFAULT_TOL)),
-                analysis._eta(image) <= DEFAULT_TOL) == verdicts
+                image.evaluation()[3] <= DEFAULT_TOL) == verdicts
 
 
 # ----------------------------------------------------------------------
