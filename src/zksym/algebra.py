@@ -302,7 +302,7 @@ def algebra_from_dict(data: dict) -> GradedLieAlgebra:
         c = np.zeros((n, n, n))
         values = {}  # by flat index, so a repeated (i, j, k) keeps its last value
         for row in data["structure"]:
-            i, j, k, value = row
+            i, j, k, value = row if type(row) is list and len(row) == 4 else (None,) * 4  # fails the check below
             if not (type(i) is type(j) is type(k) is int and type(value) in (int, float)):  # as in _json_typed
                 raise ValueError(f"structure rows must hold three integers and a number, got {row!r}")
             if not (0 <= i < n and 0 <= j < n and 0 <= k < n):

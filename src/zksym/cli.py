@@ -165,46 +165,50 @@ def _print_grid(table, names, threshold: float) -> None:
 
 # --- commands ---
 
-def _block_summary(alg) -> dict[str, int]:
-    names = _LABEL_NAMES if alg.k == 2 else {}
-    # one pass over bit tuples; a Counter keeps first appearance, the order of alg.labels
-    counts = collections.Counter(label.bits for label in alg.grading)
-    labels = ("".join("1" if b else "0" for b in bits) for bits in counts)  # as str(GradingLabel)
-    return {names.get(label, label): n for label, n in zip(labels, counts.values())}
-
-
 def cmd_inspect(args) -> None:
-    from .algebra import algebra_from_dict, algebra_to_dict  # loaded only here, with numpy
-    from .so5 import _document, build_so5, validate_so5
+    """Print the report of the built-in so(5), validated exactly, or of the --algebra file at tol.
+
+    The file is read on every call and its bytes key the reply memo (_inspection: 256 entries, strings only),
+    so an edited file is validated again and a repeated one is not; a fresh process gains nothing from it.
+    """
     tol = _resolve_tol(args, relative=False)  # absolute: Jacobi, antisymmetry and grading residuals
-    if args.algebra:
-        try:
-            data = json.loads(Path(args.algebra).read_text())
-        except OSError as exc:
-            raise InvalidParamsError(f"cannot read algebra file: {exc}") from exc
+    try:
+        document = Path(args.algebra).read_bytes() if args.algebra else None
+    except OSError as exc:
+        raise InvalidParamsError(f"cannot read algebra file: {exc}") from exc
+    reply, failure = _inspection(document, tol if args.algebra else 0.0, args.format == "json")
+    print(reply)
+    if failure:
+        raise DegenerateMetricError(f"algebra {failure}")
+
+
+@functools.lru_cache(maxsize=256)
+def _inspection(document: bytes | None, tol: float, as_json: bool) -> tuple[str, str | None]:
+    """One inspect reply, its stdout text and a failed validation's summary; a malformed document raises, unmemoized."""
+    from .algebra import algebra_from_dict, algebra_to_dict  # loaded only here, with numpy
+    from .so5 import build_so5
+    if document is None:
+        alg = build_so5()
+    else:
+        try:  # UTF-8 whatever the locale, newlines as Path.read_text reads them: the same error positions
+            data = json.loads(document.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
         except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep to decode
             raise InvalidParamsError(f"malformed algebra file: {exc}") from exc
         try:
             alg = algebra_from_dict(data)
         except ValueError as exc:
             raise InvalidParamsError(str(exc)) from exc
-        report, document = alg.validate(tol), lambda: _json_text(algebra_to_dict(alg))  # formed on every call
+    report = alg.validate(tol)
+    names = _LABEL_NAMES if alg.k == 2 else {}  # a Counter keeps first appearance, the order of alg.labels
+    blocks = {names.get(label, label): n for label, n in collections.Counter(map(str, alg.grading)).items()}
+    if as_json:
+        violations = {k: [list(t) for t in getattr(report, k)] for k in ("antisymmetry", "jacobi", "grading")}
+        reply = _json_text({"dim": alg.dim, "blocks": blocks, "valid": report.ok, "violations": violations,
+                            "algebra": algebra_to_dict(alg)})
     else:
-        alg, report, document = build_so5(), validate_so5(), _document
-    blocks = _block_summary(alg)
-    if args.format == "json":
-        _emit_json({
-            "dim": alg.dim,
-            "blocks": blocks,
-            "valid": report.ok,
-            "violations": {k: [list(t) for t in getattr(report, k)] for k in ("antisymmetry", "jacobi", "grading")},
-        }, ', "algebra": ' + document())
-    else:
-        print(f"dimension: {alg.dim}")
-        print("grading blocks: " + " ".join(f"{k}={v}" for k, v in blocks.items()))
-        print(f"validation: {report.summary()}")
-    if not report.ok:
-        raise DegenerateMetricError(f"algebra {report.summary()}")
+        reply = (f"dimension: {alg.dim}\ngrading blocks: {' '.join(f'{k}={v}' for k, v in blocks.items())}\n"
+                 f"validation: {report.summary()}")
+    return reply, None if report.ok else report.summary()
 
 
 # The point commands below take admissible parameters and the tolerance.

@@ -17,12 +17,11 @@ block a, {B1, B2} in block b and {C1, C2} in block c.
 
 from __future__ import annotations
 
-import json
 from functools import lru_cache
 
 import numpy as np
 
-from .algebra import GradedLieAlgebra, GradingLabel, ValidationReport, algebra_to_dict
+from .algebra import GradedLieAlgebra, GradingLabel, ValidationReport
 from .metric import DEFAULT_TOL
 
 __all__ = [
@@ -118,8 +117,3 @@ def build_so5() -> GradedLieAlgebra:
 def validate_so5() -> ValidationReport:
     """The exact (tolerance 0) validation report of build_so5(), computed once per process."""
     return build_so5().validate(0.0)
-
-
-@lru_cache(maxsize=1)
-def _document() -> str:  # algebra_to_dict(build_so5()) as JSON text, formed once per process for inspect
-    return json.dumps(algebra_to_dict(build_so5()), allow_nan=False)

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import functools
+import gc
 import hashlib
 import io
 import json
@@ -10,6 +11,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -88,6 +90,16 @@ def test_inspect_non_utf8_algebra_exits_1(tmp_path, capsys):
     assert err.startswith("error: malformed algebra file") and len(err.splitlines()) == 1
 
 
+def test_a_malformed_file_reports_positions_after_newline_translation(tmp_path, capsys):
+    # as Path.read_text reads a file: CRLF and a lone CR end a line, one character each
+    path = tmp_path / "junk.json"
+    for text in (b'{\r\n"dim": 2,\r\n x}', b'{\r"dim": 2,\r x}', b'{\n"dim": 2,\n x}'):
+        path.write_bytes(text)
+        assert run_cli(capsys, "inspect", "--algebra", str(path)) == (
+            1, "", "error: malformed algebra file: Expecting property name enclosed in double quotes: "
+                   "line 3 column 2 (char 13)\n")
+
+
 def test_a_deeply_nested_file_is_malformed_not_a_traceback(tmp_path, capsys):
     # JSON nested deeper than the decoder recurses: one stderr line and exit 1, as an algebra and as parameters
     path = tmp_path / "nested.json"
@@ -159,12 +171,12 @@ def test_inspect_small_algebra(tmp_path, capsys):
 _MALFORMED = {
     "null value": "structure rows must hold three integers and a number, got [0, 2, 4, None]",
     "null structure": "malformed algebra document: 'NoneType' object is not iterable",
-    "bare number row": "malformed algebra document: cannot unpack non-iterable int object",
+    "bare number row": "structure rows must hold three integers and a number, got 5",
     "NaN value": "structure constants must be finite",
     "string bits": "grading bits must be booleans, got ['0', '0']",
     "null grading": "malformed algebra document: 'NoneType' object is not iterable",
     "empty bits before string bits": "grading label needs at least one bit",
-    "short row": "not enough values to unpack (expected 4, got 3)",
+    "short row": "structure rows must hold three integers and a number, got [0, 1, 1]",
     "index out of range": "structure index out of range: (0, 10, 1)",
     "negative index": "structure index out of range: (0, -1, 1)",
     "dim 2.7": "dim must be an integer, got [2.7]",
@@ -1370,32 +1382,165 @@ def _count_calls(monkeypatch, fn) -> list:
 def test_inspect_validates_the_built_in_algebra_once_per_process(capsys, monkeypatch, tmp_path):
     counting_validate, calls = _counting(GradedLieAlgebra.validate)
     monkeypatch.setattr(GradedLieAlgebra, "validate", counting_validate)
-    so5.validate_so5.cache_clear()
+    cli._inspection.cache_clear()
     first = run_cli(capsys, "inspect")
     assert run_cli(capsys, "inspect") == first
     assert len(calls) == 1
-    # a serialized algebra is validated on every call
+    # a serialized algebra is validated once per document too, whatever the file is named
     path = tmp_path / "so5.json"
     path.write_text(json.dumps(algebra_to_dict(build_so5())))
     for _ in range(2):
         assert run_cli(capsys, "inspect", "--algebra", str(path))[0] == 0
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 def test_inspect_json_forms_the_built_in_document_once_per_process(capsys, monkeypatch, tmp_path):
     calls = _count_calls(monkeypatch, zksym.algebra_to_dict)
-    so5._document.cache_clear()
+    cli._inspection.cache_clear()
     first = run_cli(capsys, "inspect", "--format", "json")
     assert run_cli(capsys, "inspect", "--format", "json") == first
     assert json.loads(first[1])["algebra"] == algebra_to_dict(build_so5())
     assert len(calls) == 1
-    # text forms none; a serialized algebra's document is formed on every JSON call
+    # text forms none; a serialized algebra's document is formed on its first JSON call
     path = tmp_path / "so5.json"
     path.write_text(json.dumps(algebra_to_dict(build_so5())))
     assert run_cli(capsys, "inspect", "--algebra", str(path))[0] == 0 and len(calls) == 1
     for _ in range(2):
         assert run_cli(capsys, "inspect", "--algebra", str(path), "--format", "json")[0] == 0
-    assert len(calls) == 3
+    assert len(calls) == 2
+
+
+def _count_inspect_stages(monkeypatch) -> dict[str, list]:
+    """Record the calls of each stage of an inspect reply: decode, build, validate, document."""
+    counting_validate, validate = _counting(GradedLieAlgebra.validate)
+    monkeypatch.setattr(GradedLieAlgebra, "validate", counting_validate)
+    counting_loads, loads = _counting(json.loads)
+    monkeypatch.setattr(cli.json, "loads", counting_loads)
+    return {"loads": loads, "from_dict": _count_calls(monkeypatch, zksym.algebra_from_dict), "validate": validate,
+            "to_dict": _count_calls(monkeypatch, zksym.algebra_to_dict)}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_inspect_answers_a_document_once_per_process(capsys, monkeypatch, tmp_path, fmt):
+    path = tmp_path / "so5.json"
+    path.write_text(json.dumps(algebra_to_dict(build_so5())))
+    cli._inspection.cache_clear()
+    calls = _count_inspect_stages(monkeypatch)
+    first = run_cli(capsys, "inspect", "--algebra", str(path), "--format", fmt)
+    assert first[0] == 0 and run_cli(capsys, "inspect", "--algebra", str(path), "--format", fmt) == first
+    # a text reply forms no JSON document
+    assert {name: len(c) for name, c in calls.items()} == {"loads": 1, "from_dict": 1, "validate": 1,
+                                                           "to_dict": int(fmt == "json")}
+    # another tol is another entry, validated again
+    assert run_cli(capsys, "inspect", "--algebra", str(path), "--format", fmt, "--tol", "1e-12")[0] == 0
+    assert len(calls["validate"]) == 2 and cli._inspection.cache_info().currsize == 2
+
+
+def test_inspect_sees_an_edited_file_at_once(capsys, tmp_path):
+    path, doc = tmp_path / "so5.json", algebra_to_dict(build_so5())
+    valid = json.dumps(doc)
+    doc["structure"][0][3] += 0.25
+    broken = json.dumps(doc)
+    for fmt in ("text", "json"):
+        for text, code in ((valid, 0), (broken, 2), (valid, 0), (broken, 2)):
+            path.write_text(text)
+            got, out, err = run_cli(capsys, "inspect", "--algebra", str(path), "--format", fmt)
+            assert got == code
+            if code:
+                assert err == "numerical failure: algebra invalid: 1 antisymmetry violation(s), 5 Jacobi violation(s)\n"
+                assert "validation: invalid" in out if fmt == "text" else json.loads(out)["valid"] is False
+            else:
+                assert err == "" and ("validation: valid" in out if fmt == "text" else json.loads(out)["valid"])
+
+
+@pytest.mark.parametrize("case", ["short row", "null grading", "NaN value", "dim string"])
+def test_a_malformed_document_errors_on_every_call_and_leaves_no_entry(capsys, tmp_path, case):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_algebra_doc(case)))
+    size = cli._inspection.cache_info().currsize
+    for fmt in ("text", "json", "text"):
+        expected = (1, "", f"error: {_MALFORMED[case]}\n")
+        assert run_cli(capsys, "inspect", "--algebra", str(path), "--format", fmt) == expected
+        assert cli._inspection.cache_info().currsize == size
+
+
+def test_the_inspect_memo_keeps_strings_only(capsys, monkeypatch, tmp_path):
+    refs = []
+
+    def keep_refs(fn):
+        def wrapped(*args, **kwargs):
+            alg = fn(*args, **kwargs)
+            refs.extend((weakref.ref(alg), weakref.ref(alg.structure)))
+            return alg
+        return wrapped
+
+    monkeypatch.setattr(zksym.algebra, "algebra_from_dict", keep_refs(zksym.algebra.algebra_from_dict))
+    cli._inspection.cache_clear()
+    path, doc = tmp_path / "so5.json", algebra_to_dict(build_so5())
+    doc["structure"][0][3] += 0.25
+    path.write_text(json.dumps(doc))
+    for fmt in ("text", "json"):
+        run_cli(capsys, "inspect", "--algebra", str(path), "--format", fmt)
+        run_cli(capsys, "inspect", "--format", fmt)
+    assert len(refs) == 4
+    gc.collect()
+    assert all(ref() is None for ref in refs)  # neither the algebra nor its array outlives its reply
+    for document in (path.read_bytes(), None):
+        for as_json in (False, True):
+            reply, failure = cli._inspection(document, 1e-9 if document else 0.0, as_json)
+            assert type(reply) is str and (failure is None if document is None else type(failure) is str)
+
+
+def _inspect_corpus(tmp_path) -> list[Path]:
+    """so(5) in seeded basis orders, rescaled by seeded basis scales, and each of those broken."""
+    base, paths = build_so5(), []
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        perm, lam = rng.permutation(10), rng.uniform(0.5, 2.0, 10)
+        structure = base.structure[np.ix_(perm, perm, perm)]
+        rescaled = structure * np.multiply.outer(np.outer(lam, lam), 1 / lam)
+        for kind, c in (("permuted", structure), ("rescaled", rescaled)):
+            doc = algebra_to_dict(GradedLieAlgebra([base.names[i] for i in perm], c, [base.grading[i] for i in perm]))
+            for broken in (False, True):
+                if broken:
+                    doc["structure"][seed][3] += 0.25
+                paths.append(tmp_path / f"{kind}-{seed}-{'broken' if broken else 'valid'}.json")
+                paths[-1].write_text(json.dumps(doc))
+    return paths
+
+
+def test_inspect_replies_are_the_same_cold_and_warm(capsys, tmp_path):
+    argvs = [["inspect", "--format", fmt, "--tol", tol, *algebra] for fmt in ("text", "json")
+             for tol in ("1e-12", "1e-9", "0.3")
+             for algebra in ([], *(["--algebra", str(path)] for path in _inspect_corpus(tmp_path)))]
+    cold = []
+    for argv in argvs:
+        cli._inspection.cache_clear()
+        cold.append(run_cli(capsys, *argv))
+    assert {code for code, _, _ in cold} == {0, 2}
+    assert [run_cli(capsys, *argv) for argv in argvs] == cold
+    assert [run_cli(capsys, *argv) for argv in argvs] == cold
+
+
+def test_an_algebra_file_is_read_as_utf8_whatever_the_locale(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({**_SMALL_ALGEBRA, "names": ["h", "m\u00e9"]}, ensure_ascii=False), encoding="utf-8")
+    assert b"m\xc3\xa9" in path.read_bytes()
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": os.pathsep.join([str(Path(zksym.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    for fmt in ("text", "json"):
+        done = subprocess.run([sys.executable, "-m", "zksym.cli", "inspect", "--algebra", str(path), "--format", fmt],
+                              capture_output=True, env=env)
+        assert (done.returncode, done.stderr) == (0, b"")
+        if fmt == "text":
+            assert b"validation: valid" in done.stdout
+        else:
+            assert json.loads(done.stdout)["algebra"]["names"] == ["h", "m\u00e9"]
+    path.write_bytes(b'{"dim": 1, "names": ["\xe9"]}')  # Latin-1, not UTF-8: malformed in any locale
+    done = subprocess.run([sys.executable, "-m", "zksym.cli", "inspect", "--algebra", str(path)], capture_output=True,
+                          env=env)
+    assert (done.returncode, done.stdout) == (1, b"")
+    assert done.stderr.startswith(b"error: malformed algebra file: 'utf-8' codec can't decode byte 0xe9")
 
 
 # ----------------------------------------------------------------------
