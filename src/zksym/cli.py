@@ -133,11 +133,6 @@ def _json_text(value) -> str:
         raise DegenerateMetricError("a non-finite number has no JSON form") from exc
 
 
-def _emit_json(payload: dict, rendered: str = "") -> None:  # rendered: last fields as JSON text, ', "key": value'
-    text = _json_text(payload)
-    print(f"{text[:-1]}{rendered}}}" if rendered else text)
-
-
 @functools.cache
 def _table_template() -> str:  # a table's JSON text as json.dumps writes its (8, 8, 8) lists, %s on the support
     slots = set(_SUPPORT)
@@ -149,7 +144,7 @@ def _term(c: float, name: str) -> str:
     return f"{c:+.6g} {name}"
 
 
-def _print_grid(table, names, threshold: float) -> None:
+def _grid(table, names, threshold: float) -> str:
     terms = {}
     for index, x in zip(_SUPPORT, table):  # the support values, in row-major order
         if abs(x) > threshold:
@@ -158,9 +153,8 @@ def _print_grid(table, names, threshold: float) -> None:
     widths = [max(map(len, column)) for column in zip(names, *cells)]
     label_w = max(map(len, names))
     header = " " * label_w + " | " + " | ".join(map(str.ljust, names, widths))
-    print(header, "-" * len(header), sep="\n")
-    for name, row in zip(names, cells):
-        print(f"{name.ljust(label_w)} | {' | '.join(map(str.ljust, row, widths))}")
+    return "\n".join([header, "-" * len(header), *(f"{name.ljust(label_w)} | {' | '.join(map(str.ljust, row, widths))}"
+                                                    for name, row in zip(names, cells))])
 
 
 # --- commands ---
@@ -211,11 +205,14 @@ def _inspection(document: bytes | None, tol: float, as_json: bool) -> tuple[str,
     return reply, None if report.ok else report.summary()
 
 
-# The point commands below take admissible parameters and the tolerance.
-# With as_json they return the JSON fields after the shared head (see
-# _point), as a dict or as JSON text; otherwise they print their text.
+# The point commands below take admissible parameters and the tolerance and return their reply: with as_json
+# the JSON fields after the shared head (see _point) as JSON text, ', "key": value', otherwise their text.
 
-def cmd_tables(p: MetricParams, tol: float, as_json: bool) -> str | None:
+def _fields(**fields) -> str:
+    return ", " + _json_text(fields)[1:-1]
+
+
+def cmd_tables(p: MetricParams, tol: float, as_json: bool) -> str:
     bt, ut = (_cached_geometry(p).table(name) for name in ("c", "u"))
     if as_json:  # the (8, 8, 8) lists as JSON text, each distinct value formatted once
         texts = dict(zip(distinct := list(set(bt + ut)), _json_text(distinct)[1:-1].split(", ")))
@@ -223,64 +220,70 @@ def cmd_tables(p: MetricParams, tol: float, as_json: bool) -> str | None:
                        for key, t in (("bracket", bt), ("u", ut)))
     # entries at or below tol * max|bracket table| show as absent; check-nr judges x, not these entries
     threshold = tol * max(max(bt), -min(bt))
-    print("projected brackets [Ei, Ej]_m in the orthonormal frame:")
-    _print_grid(bt, FRAME_NAMES, threshold)
-    print("\nsymmetric map U(Ei, Ej) in the orthonormal frame:")
-    _print_grid(ut, FRAME_NAMES, threshold)
+    return (f"projected brackets [Ei, Ej]_m in the orthonormal frame:\n{_grid(bt, FRAME_NAMES, threshold)}\n\n"
+            f"symmetric map U(Ei, Ej) in the orthonormal frame:\n{_grid(ut, FRAME_NAMES, threshold)}")
 
 
-def cmd_ricci(p: MetricParams, tol: float, as_json: bool) -> dict | None:
+def cmd_ricci(p: MetricParams, tol: float, as_json: bool) -> str:
     rho = _cached_geometry(p).ricci
     if as_json:
-        return {"matrix": rho}
-    print("Ricci matrix in the orthonormal frame:")
+        return _fields(matrix=rho)
     cells = [[_fmt(x) for x in row] for row in rho]
     width = max(len(cell) for row in cells for cell in row)
-    for row in cells:
-        print("  ".join(cell.rjust(width) for cell in row))
+    return "\n".join(["Ricci matrix in the orthonormal frame:", *("  ".join(cell.rjust(width) for cell in row)
+                                                                 for row in cells)])
 
 
-def cmd_isometries(p: MetricParams, tol: float, as_json: bool) -> dict | None:
+def cmd_isometries(p: MetricParams, tol: float, as_json: bool) -> str:
     basis = _cached_geometry(p).isometries(tol)
     if as_json:
-        return {"dimension": len(basis), "basis": basis}
-    print(f"dimension: {len(basis)}")
-    for vec in basis:
-        print("  " + " ".join(_term(c, n) for c, n in zip(vec, FRAME_NAMES) if c))
+        return _fields(dimension=len(basis), basis=basis)
+    return "\n".join([f"dimension: {len(basis)}", *("  " + " ".join(_term(c, n) for c, n in zip(vec, FRAME_NAMES) if c)
+                                                    for vec in basis)])
 
 
-def cmd_check_nr(p: MetricParams, tol: float, as_json: bool) -> dict | None:
+def cmd_check_nr(p: MetricParams, tol: float, as_json: bool) -> str:
     report = is_naturally_reductive(p, tol)
     if as_json:
-        return {"naturally_reductive": report.naturally_reductive, "max_u_coefficient": report.max_coefficient,
-                "witness": list(report.witness) if report.witness else None}
-    print("true" if report.naturally_reductive else "false")
-    if not report.naturally_reductive:
-        x, y, z = report.witness
-        print(f"witness: |<U({x}, {y}), {z}>| = {_fmt(report.max_coefficient)}")
+        return _fields(naturally_reductive=report.naturally_reductive, max_u_coefficient=report.max_coefficient,
+                       witness=list(report.witness) if report.witness else None)
+    if report.naturally_reductive:
+        return "true"
+    x, y, z = report.witness
+    return f"false\nwitness: |<U({x}, {y}), {z}>| = {_fmt(report.max_coefficient)}"
 
 
-def cmd_ledger(p: MetricParams, tol: float, as_json: bool) -> dict | None:
+def cmd_ledger(p: MetricParams, tol: float, as_json: bool) -> str:
     star = _cached_geometry(p).reduced_system
     max_l, satisfied = first_ledger_verdict(p, tol)
     if as_json:
-        return {"max_ledger_residual": max_l, "star_residuals": star, "satisfied": satisfied}
-    print(f"max |L| over frame triples: {_fmt(max_l)}")
-    print("reduced-system residuals: " + " ".join(_fmt(x) for x in star))
-    print("first Ledger condition satisfied" if satisfied else "first Ledger condition violated")
+        return _fields(max_ledger_residual=max_l, star_residuals=star, satisfied=satisfied)
+    return (f"max |L| over frame triples: {_fmt(max_l)}\nreduced-system residuals: {' '.join(map(_fmt, star))}\n"
+            f"first Ledger condition {'satisfied' if satisfied else 'violated'}")
+
+
+# a point reply's JSON head after its frame, as json.dumps writes it from the finite t, u, v, w and tol (%r)
+_HEAD = '"params": {"t": %r, "u": %r, "v": %r, "w": %r}, "tol": %r'
 
 
 def _point(command, frame: bool):
-    """Runner of a point command: parameters, then tolerance, then the command and the JSON head."""
+    """Runner of a point command: parameters, then tolerance, then the reply kept on the point's cached geometry.
+
+    Per (command, format) the geometry keeps in _replies the text of the last tol, as table() keeps its tuples: a
+    repeated query formats no number, and the texts leave the 256-entry cache with their point.  A render that
+    raises keeps nothing; a fresh process gains nothing.  The JSON head is written on every call: u = -0.0 and 0.0
+    share a geometry, not a head.
+    """
+    head = ('{"frame": ' + _JSON_ENCODER.encode(FRAME_NAMES) + ", " if frame else "{") + _HEAD
 
     def run(args) -> None:
         p = _resolve_params(args)
         tol = _resolve_tol(args)
-        body = command(p, tol, args.format == "json")
-        if body is not None:
-            head = {"frame": list(FRAME_NAMES)} if frame else {}
-            head.update(params={"t": p.t, "u": p.u, "v": p.v, "w": p.w}, tol=tol)
-            _emit_json(head, body) if isinstance(body, str) else _emit_json({**head, **body})
+        as_json, replies = args.format == "json", vars(_cached_geometry(p)).setdefault("_replies", {})
+        kept = replies.get(key := (command, as_json))
+        if kept is None or kept[0] != tol:
+            kept = replies[key] = tol, command(p, tol, as_json)
+        print(f"{head % (p.t, p.u, p.v, p.w, tol)}{kept[1]}}}" if as_json else kept[1])
 
     return run
 

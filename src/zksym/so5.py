@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import GradedLieAlgebra, GradingLabel, ValidationReport
+from .algebra import GradedLieAlgebra, GradingLabel
 from .metric import DEFAULT_TOL
 
 __all__ = [
@@ -112,8 +112,3 @@ def build_so5() -> GradedLieAlgebra:
             c[i, j] = vector_of(comm, tol=0.0)
     return GradedLieAlgebra(SO5_NAMES, c, _GRADING)
 
-
-@lru_cache(maxsize=1)
-def validate_so5() -> ValidationReport:
-    """The exact (tolerance 0) validation report of build_so5(), computed once per process."""
-    return build_so5().validate(0.0)

@@ -368,6 +368,7 @@ def test_tables_json_with_a_non_finite_entry_exits_2(capsys, monkeypatch, bad):
         return tuple(values)
 
     original = geometry._Geometry.table
+    geometry._cached_geometry.cache_clear()  # a point rendered before keeps its reply on its cached geometry
     monkeypatch.setattr(geometry._Geometry, "table", table)
     code, out, err = run_cli(capsys, "tables", "--t", "1", "--u", "0.3", "--v", "1.2", "--w", "0.8", "--format", "json")
     assert (code, out, err) == (2, "", "numerical failure: a non-finite number has no JSON form\n")
@@ -1637,6 +1638,104 @@ def test_every_stdout_byte_is_pinned(capsys, tmp_path, command, fmt):
         code, out, _ = run_cli(capsys, *argv)
         digest.update(f"{code}\n{out}\0".encode())
     assert digest.hexdigest() == _PINNED[command, fmt]
+
+
+# ----------------------------------------------------------------------
+# point replies, kept on the cached geometry
+# ----------------------------------------------------------------------
+
+_POINT_COMMANDS = ("tables", "ricci", "check-nr", "isometries", "ledger")
+
+
+def _point_argv(command: str, point, fmt: str, tol: str = "1e-9") -> list[str]:
+    t, u, v, w = point
+    return [command, "--t", repr(t), "--u", repr(u), "--v", repr(v), "--w", repr(w), "--format", fmt, "--tol", tol]
+
+
+def _kept(point) -> dict:
+    """The replies kept on the point's cached geometry, by (command function, as_json)."""
+    return vars(geometry._cached_geometry(metric.MetricParams(*point))).get("_replies", {})
+
+
+def test_a_kept_reply_is_the_fresh_one_byte_for_byte(capsys):
+    points = _pinned_points()
+    assert any(u == 0.0 for _, u, _, _ in points)
+    argvs = [_point_argv(command, point, fmt, tol) for tol in ("1e-9", "0.5") for point in points
+             for command in _POINT_COMMANDS for fmt in ("text", "json")]
+    fresh = []
+    for argv in argvs:
+        geometry._cached_geometry.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert {code for code, _, _ in fresh} == {0}
+    geometry._cached_geometry.cache_clear()
+    for argv, expected in zip(argvs, fresh):
+        assert run_cli(capsys, *argv) == expected  # rendered
+        assert run_cli(capsys, *argv) == expected  # kept
+    # each reply is held, at the last tol, and printed as it was held
+    for point in points:
+        kept = _kept(point)
+        assert len(kept) == 10 and {tol for tol, _ in kept.values()} == {0.5}
+    assert [run_cli(capsys, *argv) for argv in argvs] == fresh
+
+
+@pytest.mark.parametrize("command", _POINT_COMMANDS)
+def test_the_json_head_is_written_on_every_call(capsys, command):
+    # u = 0.0 and -0.0 are one point of the geometry cache, but each is printed as given
+    geometry._cached_geometry.cache_clear()
+    positive = run_cli(capsys, *_point_argv(command, (1.0, 0.0, 1.0, 2.0), "json"))
+    negative = run_cli(capsys, *_point_argv(command, (1.0, -0.0, 1.0, 2.0), "json"))
+    assert geometry._cached_geometry.cache_info().currsize == 1
+    assert '"u": 0.0,' in positive[1] and '"u": -0.0,' in negative[1]
+    assert negative == (0, positive[1].replace('"u": 0.0,', '"u": -0.0,'), "")
+    assert str(json.loads(negative[1])["params"]["u"]) == "-0.0"
+
+
+def test_a_new_tol_renders_again_and_replaces_the_kept_text(capsys, monkeypatch):
+    point = (1.0, 0.3, 1.2, 0.8)
+    counting_table, calls = _counting(geometry._Geometry.table)
+    monkeypatch.setattr(geometry._Geometry, "table", counting_table)
+    geometry._cached_geometry.cache_clear()
+    outs = [run_cli(capsys, *_point_argv("tables", point, "text", tol)) for tol in ("1e-9", "1e-9", "0.5", "0.5", "1e-9")]
+    assert len(calls) == 2 * 3  # a render reads both tables; a kept reply reads none
+    assert outs[0] == outs[1] == outs[4] != outs[2] == outs[3]  # 0.5 hides the entries below half the largest
+    (tol, text), = _kept(point).values()
+    assert tol == 1e-9 and outs[4][1] == text + "\n"
+    for command in _POINT_COMMANDS:
+        for fmt in ("text", "json"):
+            for tol in ("1e-9", "0.5", "1e-12"):
+                assert run_cli(capsys, *_point_argv(command, point, fmt, tol))[0] == 0
+    kept = _kept(point)
+    assert len(kept) == 10 and {tol for tol, _ in kept.values()} == {1e-12}
+
+
+def test_a_render_that_raises_keeps_nothing(capsys):
+    geometry._cached_geometry.cache_clear()
+    for command in _POINT_COMMANDS:
+        for fmt in ("text", "json"):
+            # the guard refuses u = 2t^2 (K = 0) before any geometry is kept
+            assert run_cli(capsys, *_point_argv(command, (1.0, 2.0, 1.0, 1.0), fmt))[0] == 2
+    assert geometry._cached_geometry.cache_info().currsize == 0
+    # x3 = 1e200 overflows the reduced Ledger system, not the geometry: ledger fails on every call and keeps nothing
+    point = (1.0, 0.0, 1e100, 1.0)
+    for _ in range(2):
+        for fmt in ("text", "json"):
+            assert run_cli(capsys, *_point_argv("ledger", point, fmt))[0] == 2
+            assert run_cli(capsys, *_point_argv("tables", point, fmt))[0] == 0
+    assert list(_kept(point)) == [(cli.cmd_tables, False), (cli.cmd_tables, True)]
+
+
+def test_the_replies_leave_the_cache_with_their_point(capsys):
+    geometry._cached_geometry.cache_clear()
+    first = (1.0, 0.3, 1.2, 0.8)
+    expected = [run_cli(capsys, *_point_argv(command, first, "json")) for command in _POINT_COMMANDS]
+    geo = weakref.ref(geometry._cached_geometry(metric.MetricParams(*first)))
+    assert len(_kept(first)) == 5
+    for n in range(256):  # 256 more points: the first is the least recently used
+        assert run_cli(capsys, *_point_argv("ledger", (1.0, 0.3, 1.2, 1.0 + n / 1024), "json"))[0] == 0
+    assert geometry._cached_geometry.cache_info().currsize == 256
+    gc.collect()
+    assert geo() is None  # the geometry and the texts it held are gone
+    assert [run_cli(capsys, *_point_argv(command, first, "json")) for command in _POINT_COMMANDS] == expected
 
 
 # ----------------------------------------------------------------------

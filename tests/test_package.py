@@ -44,8 +44,7 @@ def test_the_package_exports_the_union_of_the_module_lists():
     for name in zksym.__all__:
         assert getattr(zksym, name) is getattr(next(m for m in _MODULES if name in m.__all__), name)
     # public, but reached through their modules only
-    for module, name in ((so5, "basis_matrix"), (so5, "validate_so5"), (so5, "LABELS"), (metric, "K_GUARD_EPS"),
-                         (analysis, "S_MAX_UNONZERO")):
+    for module, name in ((so5, "basis_matrix"), (so5, "LABELS"), (metric, "K_GUARD_EPS"), (analysis, "S_MAX_UNONZERO")):
         assert hasattr(module, name) and name not in zksym.__all__
 
 

@@ -49,6 +49,10 @@ K kept as the symbol k bound by 4 t^2 k^2 = 4 t^4 - u^2.
   each over x3 + x4, and the oracle's terms are x_k dD_a/dx_k: the
   backward error eta_a = |D_a| / sum_k |x_k dD_a/dx_k| that the Ledger
   verdict reads.
+* At u = 0 (x1 = x2) the space is a generalized Wallach space (F19): F1's
+  r is Nikonorov's three-module Ricci formula at y = x/6 and a = (1/6, 1/3,
+  1/3), and its collinearity determinant is (x_B - x_C) times the quadratic
+  that gives the P of ``analysis.solve_ledger_u0``.
 * On a solution family the four reduced equations vanish if each
   numerator lies in the family's ideal, saturated by t v w k (the
   auxiliary y with y t v w k = 1 removes the components where a
@@ -465,3 +469,48 @@ def test_the_backward_error_terms_are_the_partials_of_the_determinant():
         got = geometry._partials(xa, xb, x3, x4, x3 + x4 - xa, q)
         assert [sp.cancel(a - b / (x3 + x4)) for a, b in zip(got, [d, *partials])] == [0] * 5
         assert sp.cancel(sum(partials)) == 0  # D_a is of degree 0 in x
+
+
+# ----------------------------------------------------------------------
+# the u = 0 slice as a generalized Wallach space (F19)
+# ----------------------------------------------------------------------
+
+_WALLACH_X = sp.symbols("x_A x_B x_C", positive=True)
+
+
+def _wallach_ricci() -> list:
+    """Nikonorov's Ricci eigenvalues of a generalized Wallach space (Geom. Dedicata 2016; Lomshakov, Nikonorov and
+    Firsov 2003), r_i = 1/(2y_i) + (a_i/2)(y_i/(y_j y_k) - y_j/(y_i y_k) - y_k/(y_i y_j)), at y = x/6 and
+    (a_A, a_B, a_C) = (1/6, 1/3, 1/3)."""
+    y = [x / 6 for x in _WALLACH_X]
+    a = (sp.Rational(1, 6), sp.Rational(1, 3), sp.Rational(1, 3))
+    r = []
+    for i in range(3):
+        j, l = (m for m in range(3) if m != i)
+        r.append(1 / (2 * y[i]) + a[i] / 2 * (y[i] / (y[j] * y[l]) - y[j] / (y[i] * y[l]) - y[l] / (y[i] * y[j])))
+    return r
+
+
+def test_the_u_zero_ricci_eigenvalues_are_those_of_a_generalized_wallach_space():
+    # at u = 0 the modules A (d = 4), B and C (d = 2 each) have [m_i, m_i] in h and [m_i, m_j] in m_k, and a_i d_i =
+    # 2/3 for each: SO(5)/SO(2)xSO(2)xSO(1) is SO(k+l+m)/SO(k)xSO(l)xSO(m) at (k, l, m) = (2, 2, 1)
+    xa, xb, xc = _WALLACH_X
+    r_a, r_b, r_c = _wallach_ricci()
+    got = expected_root_ricci(xa, xa, xb, xc)
+    assert [sp.cancel(g - e) for g, e in zip(got, (r_a, r_a, r_b, r_c))] == [0] * 4
+
+
+def test_the_u_zero_collinearity_is_a_plane_times_the_quadratic_of_the_u0_solver():
+    # D = (x_B - x_A) r_C + (x_C - x_B) r_A + (x_A - x_C) r_B, F2's D_alpha at x1 = x2 = x_A, is (x_B - x_C) times
+    # 9 x_A^2 - 10 x_A S + S^2 + 8P in S = x_B + x_C, P = x_B x_C, which at x_A = 1 is 8P - (S - 1)(9 - S): the P of
+    # solve_ledger_u0
+    xa, xb, xc = _WALLACH_X
+    r_a, r_b, r_c = _wallach_ricci()
+    det = (xb - xa) * r_c + (xc - xb) * r_a + (xa - xc) * r_b
+    big_s, big_p = xb + xc, xb * xc
+    quadratic = 9 * xa**2 - 10 * xa * big_s + big_s**2 + 8 * big_p
+    assert sp.cancel(det + (xb - xc) * quadratic / (2 * xa * xb * xc)) == 0
+    assert len(sp.factor_list(sp.expand(quadratic))[1]) == 1  # irreducible: the cone is a plane and a quadric
+    assert sp.expand(quadratic.subs(xa, 1) - (8 * big_p - (big_s - 1) * (9 - big_s))) == 0
+    for sol in solve_ledger_u0(1.5, 5.0, 8.9):
+        assert 8 * sol.V * sol.W == pytest.approx((sol.S - 1) * (9 - sol.S), rel=1e-13)
