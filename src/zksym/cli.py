@@ -42,9 +42,6 @@ _JSON_ENCODER = json.JSONEncoder(allow_nan=False)  # json.dumps(..., allow_nan=F
 _SOLUTION = ('{"branch": "%s", "S": %r, "V": %r, "W": %r, "Usq": %r, "params": {"t": %r, "u": %r, "v": %r, "w": %r}, '
              '"residuals": {"ledger": %r, "star": %r, "gram": %r}, "naturally_reductive": %s}')
 
-# pretty names for the Z_2^2 labels of the built-in instance
-_LABEL_NAMES = {"00": "e", "10": "a", "01": "b", "11": "c"}
-
 
 class _UsageError(Exception):
     pass
@@ -159,28 +156,34 @@ def _grid(table, names, threshold: float) -> str:
 
 # --- commands ---
 
+# The reply memo of every query command, strings only (a point command's text, inspect's text and failure line), by
+# (command, source, tol, format): the source is the point's MetricParams, the --algebra file's bytes or None for the
+# built-in so(5).  2816 = 256 points x 10 replies + 256 inspect replies, the capacity of the two memos it replaced.
+# A render that raises keeps nothing; a fresh process gains nothing.
+_reply = functools.lru_cache(maxsize=2816)(lambda command, source, tol, as_json: command(source, tol, as_json))
+
+
 def cmd_inspect(args) -> None:
     """Print the report of the built-in so(5), validated exactly, or of the --algebra file at tol.
 
-    The file is read on every call and its bytes key the reply memo (_inspection: 256 entries, strings only),
-    so an edited file is validated again and a repeated one is not; a fresh process gains nothing from it.
+    The file is read on every call and its bytes key the reply memo (_reply), so an edited file is validated again
+    and a repeated one is not.
     """
     tol = _resolve_tol(args, relative=False)  # absolute: Jacobi, antisymmetry and grading residuals
     try:
         document = Path(args.algebra).read_bytes() if args.algebra else None
     except OSError as exc:
         raise InvalidParamsError(f"cannot read algebra file: {exc}") from exc
-    reply, failure = _inspection(document, tol if args.algebra else 0.0, args.format == "json")
+    reply, failure = _reply(_inspection, document, tol if args.algebra else 0.0, args.format == "json")
     print(reply)
     if failure:
         raise DegenerateMetricError(f"algebra {failure}")
 
 
-@functools.lru_cache(maxsize=256)
 def _inspection(document: bytes | None, tol: float, as_json: bool) -> tuple[str, str | None]:
-    """One inspect reply, its stdout text and a failed validation's summary; a malformed document raises, unmemoized."""
+    """One inspect reply, its stdout text and a failed validation's summary; a malformed document raises."""
     from .algebra import algebra_from_dict, algebra_to_dict  # loaded only here, with numpy
-    from .so5 import build_so5
+    from .so5 import LABELS, build_so5
     if document is None:
         alg = build_so5()
     else:
@@ -193,7 +196,8 @@ def _inspection(document: bytes | None, tol: float, as_json: bool) -> tuple[str,
         except ValueError as exc:
             raise InvalidParamsError(str(exc)) from exc
     report = alg.validate(tol)
-    names = _LABEL_NAMES if alg.k == 2 else {}  # a Counter keeps first appearance, the order of alg.labels
+    # so(5)'s block names for any Z_2^2 grading; a Counter keeps first appearance, the order of alg.labels
+    names = {str(label): name for name, label in LABELS.items()} if alg.k == 2 else {}
     blocks = {names.get(label, label): n for label, n in collections.Counter(map(str, alg.grading)).items()}
     if as_json:
         violations = {k: [list(t) for t in getattr(report, k)] for k in ("antisymmetry", "jacobi", "grading")}
@@ -267,23 +271,19 @@ _HEAD = '"params": {"t": %r, "u": %r, "v": %r, "w": %r}, "tol": %r'
 
 
 def _point(command, frame: bool):
-    """Runner of a point command: parameters, then tolerance, then the reply kept on the point's cached geometry.
+    """Runner of a point command: parameters, then tolerance, then the reply from the memo (_reply).
 
-    Per (command, format) the geometry keeps in _replies the text of the last tol, as table() keeps its tuples: a
-    repeated query formats no number, and the texts leave the 256-entry cache with their point.  A render that
-    raises keeps nothing; a fresh process gains nothing.  The JSON head is written on every call: u = -0.0 and 0.0
-    share a geometry, not a head.
+    The JSON head is written on every call: u = -0.0 and 0.0 are one key, not one head.
     """
     head = ('{"frame": ' + _JSON_ENCODER.encode(FRAME_NAMES) + ", " if frame else "{") + _HEAD
 
     def run(args) -> None:
         p = _resolve_params(args)
         tol = _resolve_tol(args)
-        as_json, replies = args.format == "json", vars(_cached_geometry(p)).setdefault("_replies", {})
-        kept = replies.get(key := (command, as_json))
-        if kept is None or kept[0] != tol:
-            kept = replies[key] = tol, command(p, tol, as_json)
-        print(f"{head % (p.t, p.u, p.v, p.w, tol)}{kept[1]}}}" if as_json else kept[1])
+        _cached_geometry(p)  # looked up on every query, hit or not: bench/run.py --trace 1 reports its hit ratio
+        as_json = args.format == "json"
+        text = _reply(command, p, tol, as_json)
+        print(f"{head % (p.t, p.u, p.v, p.w, tol)}{text}}}" if as_json else text)
 
     return run
 

@@ -185,7 +185,8 @@ def _dense(values, slots=_INDEX) -> np.ndarray:
 class _Geometry:
     """The geometry of one parameter point in the root frame: at once, its e and y and what :func:`_program`
     forms, in Python floats; the support values and the frames when asked for, the presented tables and the
-    Ledger readouts once, so only it and :mod:`zksym.metric` know the unit scale e, and only it D_alpha and eta."""
+    Ledger readouts once, so only it and :mod:`zksym.metric` know the unit scale e, and only it D_alpha and eta.
+    It holds numbers only: the CLI keeps its rendered replies in its own memo, ``zksym.cli._reply``."""
 
     def __init__(self, p: MetricParams):
         p.K  # the guard, which like an overflow in the program raises before anything is kept

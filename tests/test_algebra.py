@@ -106,7 +106,7 @@ def test_bracket_grading_homogeneous():
         for j in range(10):
             out = alg.bracket(eye[i], eye[j])
             target = alg.grading[i] * alg.grading[j]
-            assert np.array_equal(alg.project(out, [target]), out)
+            assert all(alg.grading[k] == target for k in np.flatnonzero(out))
 
 
 def test_h_bracket_m_stays_in_m():
@@ -115,7 +115,7 @@ def test_h_bracket_m_stays_in_m():
     for h in alg.h_indices:
         for m in alg.m_indices:
             out = alg.bracket(eye[h], eye[m])
-            assert np.array_equal(alg.project_m(out), out)
+            assert set(np.flatnonzero(out)) <= set(alg.m_indices)
 
 
 # ----------------------------------------------------------------------
@@ -292,50 +292,6 @@ def test_validate_peak_memory_stays_within_the_dense_oracle():
         finally:
             tracemalloc.stop()
     assert peaks[0] <= 1.1 * peaks[1], peaks
-
-
-# ----------------------------------------------------------------------
-# projection
-# ----------------------------------------------------------------------
-
-def test_project_masks_coordinates():
-    alg = build_so5()
-    from zksym.so5 import LABELS
-
-    x = alg.basis_vector("X1") + alg.basis_vector("A1")
-    out = alg.project(x, [LABELS["a"], LABELS["b"], LABELS["c"]])
-    assert np.array_equal(out, alg.basis_vector("A1"))
-
-
-def test_project_all_labels_is_identity():
-    alg = build_so5()
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal(10)
-    assert np.array_equal(alg.project(x, alg.labels), x)
-
-
-def test_project_idempotent():
-    alg = build_so5()
-    from zksym.so5 import LABELS
-
-    rng = np.random.default_rng(8)
-    x = rng.standard_normal(10)
-    once = alg.project(x, [LABELS["a"], LABELS["c"]])
-    assert np.array_equal(alg.project(once, [LABELS["a"], LABELS["c"]]), once)
-
-
-def test_project_bracket_b1_c2_onto_identity_block_is_zero():
-    # [g_b, g_c] lies in g_a, so the e-projection vanishes
-    alg = build_so5()
-    out = alg.bracket(alg.basis_vector("B1"), alg.basis_vector("C2"))
-    assert np.array_equal(alg.project(out, [alg.identity_label]), np.zeros(10))
-    assert np.any(out != 0)
-
-
-def test_project_rejects_unknown_labels():
-    alg = build_so5()
-    with pytest.raises(ValueError):
-        alg.project(np.zeros(10), [GradingLabel((True, True, True))])
 
 
 # ----------------------------------------------------------------------

@@ -208,14 +208,41 @@ def test_inspect_malformed_algebra_exits_1(tmp_path, capsys, case, fmt):
 
 
 def test_inspect_of_a_dimension_too_large_to_allocate_exits_1(tmp_path, capsys):
-    # dim 10^5 asks np.zeros for 10^15 float64s, 7.11 PiB, beyond the address space: refused at once
+    # dim 10^5 would ask np.zeros for 10^15 float64s, 7.11 PiB, beyond the address space: refused at once
     n = 10**5
     path = tmp_path / "doc.json"
     path.write_text(json.dumps({"dim": n, "names": [f"e{i}" for i in range(n)], "grading": [[False]] * n, "structure": []}))
     for fmt in ("text", "json"):
         code, out, err = run_cli(capsys, "inspect", "--algebra", str(path), "--format", fmt)
         assert (code, out) == (1, "")
-        assert err == f"error: dim {n} is too large: its structure array cannot be allocated\n"
+        assert err == f"error: dim {n} is too large: a document holds at most 64 basis elements\n"
+
+
+@pytest.mark.parametrize("n", [65, 200])
+def test_inspect_of_a_dimension_above_the_ceiling_exits_1_before_it_allocates(tmp_path, capsys, n):
+    # a 2-row dim-200 document fits in memory, but its validation's n^4 Jacobi array needs 11.9 GiB: the ceiling
+    # refuses it while the parsed document is all there is
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"dim": n, "names": [f"e{i}" for i in range(n)], "grading": [[i > 0] for i in range(n)],
+                                "structure": [[0, 1, 1, 1], [1, 0, 1, -1]]}))
+    tracemalloc.start()
+    try:
+        for fmt in ("text", "json"):
+            code, out, err = run_cli(capsys, "inspect", "--algebra", str(path), "--format", fmt)
+            assert (code, out) == (1, "")
+            assert err == f"error: dim {n} is too large: a document holds at most 64 basis elements\n"
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_inspect_of_a_dimension_at_the_ceiling_is_validated(tmp_path, capsys):
+    n = 64
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"dim": n, "names": [f"e{i}" for i in range(n)], "grading": [[i > 0] for i in range(n)],
+                                "structure": [[0, 1, 1, 1], [1, 0, 1, -1]]}))
+    assert run_cli(capsys, "inspect", "--algebra", str(path)) == (0, f"dimension: 64\ngrading blocks: 0=1 1=63\n"
+                                                                       "validation: valid\n", "")
 
 
 # ----------------------------------------------------------------------
@@ -368,7 +395,7 @@ def test_tables_json_with_a_non_finite_entry_exits_2(capsys, monkeypatch, bad):
         return tuple(values)
 
     original = geometry._Geometry.table
-    geometry._cached_geometry.cache_clear()  # a point rendered before keeps its reply on its cached geometry
+    cli._reply.cache_clear()  # a point rendered before has its reply in the memo
     monkeypatch.setattr(geometry._Geometry, "table", table)
     code, out, err = run_cli(capsys, "tables", "--t", "1", "--u", "0.3", "--v", "1.2", "--w", "0.8", "--format", "json")
     assert (code, out, err) == (2, "", "numerical failure: a non-finite number has no JSON form\n")
@@ -1151,6 +1178,7 @@ def test_a_cached_ledger_query_forms_its_reduced_system_once(capsys, monkeypatch
     reduced_system.__set_name__(geometry._Geometry, "reduced_system")
     monkeypatch.setattr(geometry._Geometry, "reduced_system", reduced_system)
     geometry._cached_geometry.cache_clear()
+    cli._reply.cache_clear()
     first = run_cli(capsys, "ledger", *_POINT, "--format", "json")
     assert first[0] == 0 and run_cli(capsys, "ledger", *_POINT, "--format", "json") == first
     assert run_cli(capsys, "ledger", *_POINT)[0] == 0
@@ -1383,7 +1411,7 @@ def _count_calls(monkeypatch, fn) -> list:
 def test_inspect_validates_the_built_in_algebra_once_per_process(capsys, monkeypatch, tmp_path):
     counting_validate, calls = _counting(GradedLieAlgebra.validate)
     monkeypatch.setattr(GradedLieAlgebra, "validate", counting_validate)
-    cli._inspection.cache_clear()
+    cli._reply.cache_clear()
     first = run_cli(capsys, "inspect")
     assert run_cli(capsys, "inspect") == first
     assert len(calls) == 1
@@ -1397,7 +1425,7 @@ def test_inspect_validates_the_built_in_algebra_once_per_process(capsys, monkeyp
 
 def test_inspect_json_forms_the_built_in_document_once_per_process(capsys, monkeypatch, tmp_path):
     calls = _count_calls(monkeypatch, zksym.algebra_to_dict)
-    cli._inspection.cache_clear()
+    cli._reply.cache_clear()
     first = run_cli(capsys, "inspect", "--format", "json")
     assert run_cli(capsys, "inspect", "--format", "json") == first
     assert json.loads(first[1])["algebra"] == algebra_to_dict(build_so5())
@@ -1425,7 +1453,7 @@ def _count_inspect_stages(monkeypatch) -> dict[str, list]:
 def test_inspect_answers_a_document_once_per_process(capsys, monkeypatch, tmp_path, fmt):
     path = tmp_path / "so5.json"
     path.write_text(json.dumps(algebra_to_dict(build_so5())))
-    cli._inspection.cache_clear()
+    cli._reply.cache_clear()
     calls = _count_inspect_stages(monkeypatch)
     first = run_cli(capsys, "inspect", "--algebra", str(path), "--format", fmt)
     assert first[0] == 0 and run_cli(capsys, "inspect", "--algebra", str(path), "--format", fmt) == first
@@ -1434,7 +1462,7 @@ def test_inspect_answers_a_document_once_per_process(capsys, monkeypatch, tmp_pa
                                                            "to_dict": int(fmt == "json")}
     # another tol is another entry, validated again
     assert run_cli(capsys, "inspect", "--algebra", str(path), "--format", fmt, "--tol", "1e-12")[0] == 0
-    assert len(calls["validate"]) == 2 and cli._inspection.cache_info().currsize == 2
+    assert len(calls["validate"]) == 2 and cli._reply.cache_info().currsize == 2
 
 
 def test_inspect_sees_an_edited_file_at_once(capsys, tmp_path):
@@ -1458,11 +1486,11 @@ def test_inspect_sees_an_edited_file_at_once(capsys, tmp_path):
 def test_a_malformed_document_errors_on_every_call_and_leaves_no_entry(capsys, tmp_path, case):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(_algebra_doc(case)))
-    size = cli._inspection.cache_info().currsize
+    size = cli._reply.cache_info().currsize
     for fmt in ("text", "json", "text"):
         expected = (1, "", f"error: {_MALFORMED[case]}\n")
         assert run_cli(capsys, "inspect", "--algebra", str(path), "--format", fmt) == expected
-        assert cli._inspection.cache_info().currsize == size
+        assert cli._reply.cache_info().currsize == size
 
 
 def test_the_inspect_memo_keeps_strings_only(capsys, monkeypatch, tmp_path):
@@ -1476,7 +1504,7 @@ def test_the_inspect_memo_keeps_strings_only(capsys, monkeypatch, tmp_path):
         return wrapped
 
     monkeypatch.setattr(zksym.algebra, "algebra_from_dict", keep_refs(zksym.algebra.algebra_from_dict))
-    cli._inspection.cache_clear()
+    cli._reply.cache_clear()
     path, doc = tmp_path / "so5.json", algebra_to_dict(build_so5())
     doc["structure"][0][3] += 0.25
     path.write_text(json.dumps(doc))
@@ -1486,10 +1514,12 @@ def test_the_inspect_memo_keeps_strings_only(capsys, monkeypatch, tmp_path):
     assert len(refs) == 4
     gc.collect()
     assert all(ref() is None for ref in refs)  # neither the algebra nor its array outlives its reply
+    hits = cli._reply.cache_info().hits
     for document in (path.read_bytes(), None):
         for as_json in (False, True):
-            reply, failure = cli._inspection(document, 1e-9 if document else 0.0, as_json)
+            reply, failure = cli._reply(cli._inspection, document, 1e-9 if document else 0.0, as_json)
             assert type(reply) is str and (failure is None if document is None else type(failure) is str)
+    assert cli._reply.cache_info().hits == hits + 4  # the kept replies, not new ones
 
 
 def _inspect_corpus(tmp_path) -> list[Path]:
@@ -1516,7 +1546,7 @@ def test_inspect_replies_are_the_same_cold_and_warm(capsys, tmp_path):
              for algebra in ([], *(["--algebra", str(path)] for path in _inspect_corpus(tmp_path)))]
     cold = []
     for argv in argvs:
-        cli._inspection.cache_clear()
+        cli._reply.cache_clear()
         cold.append(run_cli(capsys, *argv))
     assert {code for code, _, _ in cold} == {0, 2}
     assert [run_cli(capsys, *argv) for argv in argvs] == cold
@@ -1641,7 +1671,7 @@ def test_every_stdout_byte_is_pinned(capsys, tmp_path, command, fmt):
 
 
 # ----------------------------------------------------------------------
-# point replies, kept on the cached geometry
+# point replies, kept in the reply memo
 # ----------------------------------------------------------------------
 
 _POINT_COMMANDS = ("tables", "ricci", "check-nr", "isometries", "ledger")
@@ -1652,9 +1682,10 @@ def _point_argv(command: str, point, fmt: str, tol: str = "1e-9") -> list[str]:
     return [command, "--t", repr(t), "--u", repr(u), "--v", repr(v), "--w", repr(w), "--format", fmt, "--tol", tol]
 
 
-def _kept(point) -> dict:
-    """The replies kept on the point's cached geometry, by (command function, as_json)."""
-    return vars(geometry._cached_geometry(metric.MetricParams(*point))).get("_replies", {})
+def _cold() -> None:
+    """Empty the reply memo and the geometry cache: the next query renders from a new geometry."""
+    cli._reply.cache_clear()
+    geometry._cached_geometry.cache_clear()
 
 
 def test_a_kept_reply_is_the_fresh_one_byte_for_byte(capsys):
@@ -1664,78 +1695,98 @@ def test_a_kept_reply_is_the_fresh_one_byte_for_byte(capsys):
              for command in _POINT_COMMANDS for fmt in ("text", "json")]
     fresh = []
     for argv in argvs:
-        geometry._cached_geometry.cache_clear()
+        _cold()
         fresh.append(run_cli(capsys, *argv))
     assert {code for code, _, _ in fresh} == {0}
-    geometry._cached_geometry.cache_clear()
+    _cold()
     for argv, expected in zip(argvs, fresh):
         assert run_cli(capsys, *argv) == expected  # rendered
         assert run_cli(capsys, *argv) == expected  # kept
-    # each reply is held, at the last tol, and printed as it was held
-    for point in points:
-        kept = _kept(point)
-        assert len(kept) == 10 and {tol for tol, _ in kept.values()} == {0.5}
+    # each reply is held, at each tol, and printed as it was held
+    info = cli._reply.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (len(argvs), len(argvs), len(argvs))
     assert [run_cli(capsys, *argv) for argv in argvs] == fresh
+    assert cli._reply.cache_info().hits == 2 * len(argvs)
 
 
 @pytest.mark.parametrize("command", _POINT_COMMANDS)
 def test_the_json_head_is_written_on_every_call(capsys, command):
-    # u = 0.0 and -0.0 are one point of the geometry cache, but each is printed as given
-    geometry._cached_geometry.cache_clear()
+    # u = 0.0 and -0.0 are one key of the memo and one point of the geometry cache, but each is printed as given
+    _cold()
     positive = run_cli(capsys, *_point_argv(command, (1.0, 0.0, 1.0, 2.0), "json"))
     negative = run_cli(capsys, *_point_argv(command, (1.0, -0.0, 1.0, 2.0), "json"))
-    assert geometry._cached_geometry.cache_info().currsize == 1
+    assert cli._reply.cache_info().currsize == geometry._cached_geometry.cache_info().currsize == 1
     assert '"u": 0.0,' in positive[1] and '"u": -0.0,' in negative[1]
     assert negative == (0, positive[1].replace('"u": 0.0,', '"u": -0.0,'), "")
     assert str(json.loads(negative[1])["params"]["u"]) == "-0.0"
 
 
-def test_a_new_tol_renders_again_and_replaces_the_kept_text(capsys, monkeypatch):
+def test_a_new_tol_renders_again_and_keeps_its_own_text(capsys, monkeypatch):
     point = (1.0, 0.3, 1.2, 0.8)
     counting_table, calls = _counting(geometry._Geometry.table)
     monkeypatch.setattr(geometry._Geometry, "table", counting_table)
-    geometry._cached_geometry.cache_clear()
+    _cold()
     outs = [run_cli(capsys, *_point_argv("tables", point, "text", tol)) for tol in ("1e-9", "1e-9", "0.5", "0.5", "1e-9")]
-    assert len(calls) == 2 * 3  # a render reads both tables; a kept reply reads none
+    assert len(calls) == 2 * 2  # a render reads both tables; a kept reply reads none
     assert outs[0] == outs[1] == outs[4] != outs[2] == outs[3]  # 0.5 hides the entries below half the largest
-    (tol, text), = _kept(point).values()
-    assert tol == 1e-9 and outs[4][1] == text + "\n"
+    assert cli._reply.cache_info().currsize == 2
     for command in _POINT_COMMANDS:
         for fmt in ("text", "json"):
             for tol in ("1e-9", "0.5", "1e-12"):
                 assert run_cli(capsys, *_point_argv(command, point, fmt, tol))[0] == 0
-    kept = _kept(point)
-    assert len(kept) == 10 and {tol for tol, _ in kept.values()} == {1e-12}
+    assert cli._reply.cache_info().currsize == 5 * 2 * 3
+
+
+def test_alternating_tols_render_each_tol_once(capsys, monkeypatch):
+    # six tables --format json calls alternating two tols read the tables twice per tol, at the first call of each
+    point = (1.0, 0.3, 1.2, 0.8)
+    counting_table, calls = _counting(geometry._Geometry.table)
+    monkeypatch.setattr(geometry._Geometry, "table", counting_table)
+    _cold()
+    outs = [run_cli(capsys, *_point_argv("tables", point, "json", tol)) for tol in ("1e-9", "0.5") * 3]
+    assert len(calls) == 4
+    assert outs[::2] == [outs[0]] * 3 and outs[1::2] == [outs[1]] * 3
+    assert outs[0][1].replace('"tol": 1e-09', '"tol": 0.5') == outs[1][1]  # JSON tables do not read the tol
 
 
 def test_a_render_that_raises_keeps_nothing(capsys):
-    geometry._cached_geometry.cache_clear()
+    _cold()
     for command in _POINT_COMMANDS:
         for fmt in ("text", "json"):
             # the guard refuses u = 2t^2 (K = 0) before any geometry is kept
             assert run_cli(capsys, *_point_argv(command, (1.0, 2.0, 1.0, 1.0), fmt))[0] == 2
-    assert geometry._cached_geometry.cache_info().currsize == 0
+    assert cli._reply.cache_info().currsize == geometry._cached_geometry.cache_info().currsize == 0
     # x3 = 1e200 overflows the reduced Ledger system, not the geometry: ledger fails on every call and keeps nothing
     point = (1.0, 0.0, 1e100, 1.0)
     for _ in range(2):
         for fmt in ("text", "json"):
             assert run_cli(capsys, *_point_argv("ledger", point, fmt))[0] == 2
             assert run_cli(capsys, *_point_argv("tables", point, fmt))[0] == 0
-    assert list(_kept(point)) == [(cli.cmd_tables, False), (cli.cmd_tables, True)]
+    info = cli._reply.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (2, 6, 2)  # the two tables replies; four ledger misses
 
 
-def test_the_replies_leave_the_cache_with_their_point(capsys):
-    geometry._cached_geometry.cache_clear()
+def test_the_memo_keeps_the_newest_replies_and_no_geometry(capsys):
+    _cold()
     first = (1.0, 0.3, 1.2, 0.8)
     expected = [run_cli(capsys, *_point_argv(command, first, "json")) for command in _POINT_COMMANDS]
     geo = weakref.ref(geometry._cached_geometry(metric.MetricParams(*first)))
-    assert len(_kept(first)) == 5
-    for n in range(256):  # 256 more points: the first is the least recently used
-        assert run_cli(capsys, *_point_argv("ledger", (1.0, 0.3, 1.2, 1.0 + n / 1024), "json"))[0] == 0
-    assert geometry._cached_geometry.cache_info().currsize == 256
+    geometry._cached_geometry.cache_clear()
     gc.collect()
-    assert geo() is None  # the geometry and the texts it held are gone
-    assert [run_cli(capsys, *_point_argv(command, first, "json")) for command in _POINT_COMMANDS] == expected
+    assert geo() is None  # the replies of a point outlive its geometry, and hold none of it
+    bound = cli._reply.cache_info().maxsize
+    assert bound == 256 * 10 + 256
+    for n in range(bound - 5):  # fill the memo: the first point's five replies are the least recently used
+        assert run_cli(capsys, *_point_argv("check-nr", (1.0, 0.3, 1.2, 1.0 + n / 4096), "json"))[0] == 0
+    assert cli._reply.cache_info().currsize == bound
+    misses = cli._reply.cache_info().misses
+    assert [run_cli(capsys, *argv) for argv in (_point_argv(c, first, "json") for c in _POINT_COMMANDS)] == expected
+    assert cli._reply.cache_info().misses == misses
+    # one more reply evicts the least recently used one, here the first check-nr reply
+    assert run_cli(capsys, *_point_argv("check-nr", (1.0, 0.3, 1.2, 2.0), "json"))[0] == 0
+    assert cli._reply.cache_info().currsize == bound
+    assert run_cli(capsys, *_point_argv("check-nr", (1.0, 0.3, 1.2, 1.0), "json"))[0] == 0
+    assert cli._reply.cache_info().misses == misses + 2
 
 
 # ----------------------------------------------------------------------

@@ -55,7 +55,7 @@ def test_a_block_brackets_land_in_isotropy():
     for i in ("A1", "A2", "A3", "A4"):
         for j in ("A1", "A2", "A3", "A4"):
             out = alg.bracket(alg.basis_vector(i), alg.basis_vector(j))
-            assert np.array_equal(alg.project(out, [e]), out)
+            assert all(alg.grading[k] == e for k in np.flatnonzero(out))
     # [A1, A4] vanishes outright
     assert np.array_equal(
         alg.bracket(alg.basis_vector("A1"), alg.basis_vector("A4")), np.zeros(10)
