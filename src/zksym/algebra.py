@@ -143,11 +143,6 @@ class GradedLieAlgebra:
     def identity_label(self) -> GradingLabel:
         return GradingLabel.identity(self.k)
 
-    @property
-    def labels(self) -> tuple[GradingLabel, ...]:
-        """Distinct labels in order of first appearance."""
-        return tuple(dict.fromkeys(self.grading))
-
     def index(self, name: str) -> int:
         return self.names.index(name)
 
@@ -280,25 +275,18 @@ def algebra_from_dict(data: dict) -> GradedLieAlgebra:
         names = data["names"]
         if type(names) is not list or len(set(_json_typed(names, (str,), "names must be strings"))) != len(names):
             raise ValueError(f"names must be a list of distinct strings, got {names!r}")
-        labels: dict[tuple, GradingLabel] = {}  # one label per distinct bit tuple
-        grading = []
-        for bits in data["grading"]:
-            bits = _json_typed(bits, (bool,), "grading bits must be booleans")
-            if bits not in labels:
-                labels[bits] = GradingLabel(bits)
-            grading.append(labels[bits])
+        grading = [GradingLabel(_json_typed(bits, (bool,), "grading bits must be booleans"))
+                   for bits in data["grading"]]
         if len(names) != n:
             raise ValueError("names length disagrees with dim")
         c = np.zeros((n, n, n))
-        values = {}  # by flat index, so a repeated (i, j, k) keeps its last value
-        for row in data["structure"]:
+        for row in data["structure"]:  # a repeated (i, j, k) keeps its last value
             i, j, k, value = row if type(row) is list and len(row) == 4 else (None,) * 4  # fails the check below
             if not (type(i) is type(j) is type(k) is int and type(value) in (int, float)):  # as in _json_typed
                 raise ValueError(f"structure rows must hold three integers and a number, got {row!r}")
             if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
                 raise ValueError(f"structure index out of range: {(i, j, k)}")
-            values[(i * n + j) * n + k] = float(value)
-        c.reshape(-1)[list(values)] = list(values.values())
+            c[i, j, k] = float(value)
     except (KeyError, TypeError, OverflowError) as exc:  # float() of an int beyond the floats overflows
         raise ValueError(f"malformed algebra document: {exc}") from exc
     return GradedLieAlgebra(names, c, grading)

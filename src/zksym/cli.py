@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import collections
 import functools
-import itertools
 import json
 import math
 import os
@@ -37,7 +36,6 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_NUMERICAL = 2
 
-_JSON_ENCODER = json.JSONEncoder(allow_nan=False)  # json.dumps(..., allow_nan=False) builds one per call
 # LedgerSolution.to_dict() as json.dumps writes it, from its branch, 11 finite floats (%r, as the encoder) and NR
 _SOLUTION = ('{"branch": "%s", "S": %r, "V": %r, "W": %r, "Usq": %r, "params": {"t": %r, "u": %r, "v": %r, "w": %r}, '
              '"residuals": {"ledger": %r, "star": %r, "gram": %r}, "naturally_reductive": %s}')
@@ -125,16 +123,16 @@ def _fmt(x: float) -> str:
 
 def _json_text(value) -> str:
     try:
-        return _JSON_ENCODER.encode(value)
+        return json.dumps(value, allow_nan=False)
     except ValueError as exc:  # NaN and Infinity have no JSON form
         raise DegenerateMetricError("a non-finite number has no JSON form") from exc
 
 
-@functools.cache
-def _table_template() -> str:  # a table's JSON text as json.dumps writes its (8, 8, 8) lists, %s on the support
-    slots = set(_SUPPORT)
-    return _JSON_ENCODER.encode([[[None if 64 * i + 8 * j + k in slots else 0.0 for k in range(8)] for j in range(8)]
-                                 for i in range(8)]).replace("null", "%s")
+def _lists(table) -> list:  # a table's (8, 8, 8) lists: its support values on their slots, 0.0 elsewhere
+    flat = [0.0] * 512
+    for index, x in zip(_SUPPORT, table):
+        flat[index] = x
+    return [[flat[j:j + 8] for j in range(i, i + 64, 8)] for i in range(0, 512, 64)]
 
 
 def _term(c: float, name: str) -> str:
@@ -196,7 +194,7 @@ def _inspection(document: bytes | None, tol: float, as_json: bool) -> tuple[str,
         except ValueError as exc:
             raise InvalidParamsError(str(exc)) from exc
     report = alg.validate(tol)
-    # so(5)'s block names for any Z_2^2 grading; a Counter keeps first appearance, the order of alg.labels
+    # so(5)'s block names for any Z_2^2 grading; a Counter keeps the order of first appearance
     names = {str(label): name for name, label in LABELS.items()} if alg.k == 2 else {}
     blocks = {names.get(label, label): n for label, n in collections.Counter(map(str, alg.grading)).items()}
     if as_json:
@@ -218,10 +216,8 @@ def _fields(**fields) -> str:
 
 def cmd_tables(p: MetricParams, tol: float, as_json: bool) -> str:
     bt, ut = (_cached_geometry(p).table(name) for name in ("c", "u"))
-    if as_json:  # the (8, 8, 8) lists as JSON text, each distinct value formatted once
-        texts = dict(zip(distinct := list(set(bt + ut)), _json_text(distinct)[1:-1].split(", ")))
-        return "".join(f', "{key}": ' + _table_template() % tuple(map(texts.__getitem__, t))
-                       for key, t in (("bracket", bt), ("u", ut)))
+    if as_json:
+        return _fields(bracket=_lists(bt), u=_lists(ut))
     # entries at or below tol * max|bracket table| show as absent; check-nr judges x, not these entries
     threshold = tol * max(max(bt), -min(bt))
     return (f"projected brackets [Ei, Ej]_m in the orthonormal frame:\n{_grid(bt, FRAME_NAMES, threshold)}\n\n"
@@ -275,7 +271,7 @@ def _point(command, frame: bool):
 
     The JSON head is written on every call: u = -0.0 and 0.0 are one key, not one head.
     """
-    head = ('{"frame": ' + _JSON_ENCODER.encode(FRAME_NAMES) + ", " if frame else "{") + _HEAD
+    head = ('{"frame": ' + json.dumps(FRAME_NAMES) + ", " if frame else "{") + _HEAD
 
     def run(args) -> None:
         p = _resolve_params(args)
@@ -291,11 +287,9 @@ def _point(command, frame: bool):
 def _solutions(branch: str, grid, tol: float, as_json: bool) -> None:
     """Print every solution of the branch at each S of the grid; after the last, raise if any fails verification."""
     solve = solve_ledger_u0 if branch == "u0" else solve_ledger_unonzero
-    failed, worst, count, grid = 0, None, 0, iter(grid)
-    # 32 S to a solve: its <= 128 points fit the 256-entry geometry cache, so each verification is a cache hit,
-    # and the solutions held do not grow with the grid (one solve per S ran sweeps 15 % slower)
-    while chunk := list(itertools.islice(grid, 32)):
-        for sol in solve(*chunk):
+    failed, worst, count = 0, None, 0
+    for s in grid:  # one S to a solve, each solution verified at once: it reads the geometry its solve built
+        for sol in solve(s):
             p, r, nr = sol.params, sol.residuals, "true" if sol.naturally_reductive else "false"
             if as_json:
                 numbers = (sol.S, sol.V, sol.W, sol.Usq, p.t, p.u, p.v, p.w, r["ledger"], r["star"], r["gram"])

@@ -103,12 +103,8 @@ def vector_of(m, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def build_so5() -> GradedLieAlgebra:
-    """Construct the graded so(5) instance from matrix commutators."""
-    mats = _basis_tensor()
-    c = np.zeros((10, 10, 10))
-    for i in range(10):
-        for j in range(10):
-            comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-            c[i, j] = vector_of(comm, tol=0.0)
-    return GradedLieAlgebra(SO5_NAMES, c, _GRADING)
+    """Construct the graded so(5) instance from matrix commutators, read at the +1 entry of each basis matrix."""
+    products = _basis_tensor()[:, None] @ _basis_tensor()[None]
+    rows, cols = zip(*_POSITIONS)
+    return GradedLieAlgebra(SO5_NAMES, (products - products.transpose(1, 0, 2, 3))[:, :, rows, cols], _GRADING)
 

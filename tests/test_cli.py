@@ -1217,7 +1217,7 @@ def test_a_solve_larger_than_the_cache_still_verifies_every_solution(monkeypatch
 
 
 def test_sweep_streams_the_records_of_one_solve_per_s(capsys, monkeypatch):
-    # 70 S values go through solves of 32, 32 and 6 S, yet print exactly
+    # 70 S values go through 70 solves of one S each and print exactly
     # what 70 single solves print, in grid order
     solve, sizes = analysis.solve_ledger_unonzero, []
 
@@ -1228,13 +1228,29 @@ def test_sweep_streams_the_records_of_one_solve_per_s(capsys, monkeypatch):
     monkeypatch.setattr(cli, "solve_ledger_unonzero", counting_solve)
     code, swept, _ = run_cli(capsys, "sweep", "--branch", "u1", "--S-min", "0.34", "--S-max", "1.43", "--S-steps", "70")
     assert code == 0
-    assert sizes == [32, 32, 6]
+    assert sizes == [1] * 70
     solved = ""
     for s in np.linspace(0.34, 1.43, 70).tolist():
         code, out, _ = run_cli(capsys, "solve", "--branch", "u1", "--S", repr(s), "--format", "json")
         assert code == 0
         solved += out
     assert swept == solved
+
+
+def test_each_sweep_verification_reads_the_geometry_its_solve_built(capsys, monkeypatch):
+    # with a geometry cache of 4 points, the 4 solutions of one S still fit: each verification is a cache hit,
+    # so 40 S print 160 records from 160 geometries, not 320 (a solve of many S overflows the cache first)
+    builds = []
+
+    class CountingGeometry(geometry._Geometry):
+        def __init__(self, p):
+            builds.append(p)
+            super().__init__(p)
+
+    monkeypatch.setattr(geometry, "_cached_geometry", functools.lru_cache(maxsize=4)(CountingGeometry))
+    code, out, _ = run_cli(capsys, "sweep", "--branch", "u1", "--S-min", "0.34", "--S-max", "1.43", "--S-steps", "40")
+    assert code == 0
+    assert len(out.splitlines()) == 160 and len(builds) == 160
 
 
 def test_the_sweep_grid_is_that_of_np_linspace(capsys, monkeypatch):
@@ -1279,7 +1295,7 @@ def _kept_sweep_peak_bytes(monkeypatch, steps: int, failing: bool = False) -> tu
 
 
 def test_sweep_memory_does_not_grow_with_the_grid(monkeypatch):
-    # beyond the records its reader keeps, 1200 steps hold what 200 do: 32 S are solved at a time, so the
+    # beyond the records its reader keeps, 1200 steps hold what 200 do: one S is solved at a time, so the
     # solutions held do not grow with the grid (2400 solutions at once hold 1.5 MB more than the records)
     _kept_sweep_peak_bytes(monkeypatch, 10)  # what the first sweep of a process allocates once
     (small, kept_small), (large, kept_large) = (_kept_sweep_peak_bytes(monkeypatch, n) for n in (200, 1200))
