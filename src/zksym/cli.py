@@ -52,10 +52,10 @@ _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 # --- input plumbing ---
 
-def _load_params_file(path: str) -> dict:
+def _load_params_file(path: str, files: dict) -> dict:
     p = Path(path)
     try:
-        raw = p.read_bytes()
+        raw = files[path] if path in files else p.read_bytes()  # the bytes _key read, else read now
     except OSError as exc:
         raise InvalidParamsError(f"cannot read parameter file {path}: {exc}") from exc
     try:
@@ -71,10 +71,10 @@ def _load_params_file(path: str) -> dict:
     return data
 
 
-def _resolve_params(args) -> MetricParams:
+def _resolve_params(args, files: dict) -> MetricParams:
     values: dict[str, float] = {}
     if args.params:
-        data = _load_params_file(args.params)
+        data = _load_params_file(args.params, files)
         for key in ("t", "u", "v", "w"):
             if key in data:
                 value = data[key]
@@ -154,36 +154,17 @@ def _grid(table, names, threshold: float) -> str:
 
 # --- commands ---
 
-# The reply memo of every query command, strings only (a point command's text, inspect's text and failure line), by
-# (command, source, tol, format): the source is the point's MetricParams, the --algebra file's bytes or None for the
-# built-in so(5).  2816 = 256 points x 10 replies + 256 inspect replies, the capacity of the two memos it replaced.
-# A render that raises keeps nothing; a fresh process gains nothing.
-_reply = functools.lru_cache(maxsize=2816)(lambda command, source, tol, as_json: command(source, tol, as_json))
-
-
-def cmd_inspect(args) -> None:
-    """Print the report of the built-in so(5), validated exactly, or of the --algebra file at tol.
-
-    The file is read on every call and its bytes key the reply memo (_reply), so an edited file is validated again
-    and a repeated one is not.
-    """
-    tol = _resolve_tol(args, relative=False)  # absolute: Jacobi, antisymmetry and grading residuals
+def cmd_inspect(args, files: dict) -> tuple[str, str | None, None]:
+    """The report of the built-in so(5), validated exactly, or of the --algebra file at tol; a malformed file raises."""
+    tol, path = _resolve_tol(args, relative=False), args.algebra  # absolute: Jacobi, antisymmetry and grading residuals
     try:
-        document = Path(args.algebra).read_bytes() if args.algebra else None
+        document = (files[path] if path in files else Path(path).read_bytes()) if path else None
     except OSError as exc:
         raise InvalidParamsError(f"cannot read algebra file: {exc}") from exc
-    reply, failure = _reply(_inspection, document, tol if args.algebra else 0.0, args.format == "json")
-    print(reply)
-    if failure:
-        raise DegenerateMetricError(f"algebra {failure}")
-
-
-def _inspection(document: bytes | None, tol: float, as_json: bool) -> tuple[str, str | None]:
-    """One inspect reply, its stdout text and a failed validation's summary; a malformed document raises."""
     from .algebra import algebra_from_dict, algebra_to_dict  # loaded only here, with numpy
     from .so5 import LABELS, build_so5
     if document is None:
-        alg = build_so5()
+        alg, tol = build_so5(), 0.0
     else:
         try:  # UTF-8 whatever the locale, newlines as Path.read_text reads them: the same error positions
             data = json.loads(document.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
@@ -197,14 +178,14 @@ def _inspection(document: bytes | None, tol: float, as_json: bool) -> tuple[str,
     # so(5)'s block names for any Z_2^2 grading; a Counter keeps the order of first appearance
     names = {str(label): name for name, label in LABELS.items()} if alg.k == 2 else {}
     blocks = {names.get(label, label): n for label, n in collections.Counter(map(str, alg.grading)).items()}
-    if as_json:
+    if args.format == "json":
         violations = {k: [list(t) for t in getattr(report, k)] for k in ("antisymmetry", "jacobi", "grading")}
         reply = _json_text({"dim": alg.dim, "blocks": blocks, "valid": report.ok, "violations": violations,
                             "algebra": algebra_to_dict(alg)})
     else:
         reply = (f"dimension: {alg.dim}\ngrading blocks: {' '.join(f'{k}={v}' for k, v in blocks.items())}\n"
                  f"validation: {report.summary()}")
-    return reply, None if report.ok else report.summary()
+    return reply, None if report.ok else f"algebra {report.summary()}", None
 
 
 # The point commands below take admissible parameters and the tolerance and return their reply: with as_json
@@ -267,19 +248,15 @@ _HEAD = '"params": {"t": %r, "u": %r, "v": %r, "w": %r}, "tol": %r'
 
 
 def _point(command, frame: bool):
-    """Runner of a point command: parameters, then tolerance, then the reply from the memo (_reply).
-
-    The JSON head is written on every call: u = -0.0 and 0.0 are one key, not one head.
-    """
+    """Handler of a point command: parameters, then tolerance, then the reply, its JSON head written in once."""
     head = ('{"frame": ' + json.dumps(FRAME_NAMES) + ", " if frame else "{") + _HEAD
 
-    def run(args) -> None:
-        p = _resolve_params(args)
+    def run(args, files: dict) -> tuple[str, None, MetricParams]:
+        p = _resolve_params(args, files)
         tol = _resolve_tol(args)
-        _cached_geometry(p)  # looked up on every query, hit or not: bench/run.py --trace 1 reports its hit ratio
-        as_json = args.format == "json"
-        text = _reply(command, p, tol, as_json)
-        print(f"{head % (p.t, p.u, p.v, p.w, tol)}{text}}}" if as_json else text)
+        kept = _cached_geometry(p).params  # the cache's own key, which a kept reply's lookup meets by identity
+        text = command(p, tol, args.format == "json")
+        return (f"{head % (p.t, p.u, p.v, p.w, tol)}{text}}}" if args.format == "json" else text), None, kept
 
     return run
 
@@ -308,14 +285,14 @@ def _solutions(branch: str, grid, tol: float, as_json: bool) -> None:
         raise DegenerateMetricError(f"{failed} of {count} solutions fail verification, worst: {worst.summary()}")
 
 
-def cmd_solve(args) -> None:
+def cmd_solve(args, files: dict) -> None:
     tol = _resolve_tol(args)
     if args.S is None:
         raise InvalidParamsError("solve needs --S")
     _solutions(args.branch, [args.S], tol, args.format == "json")
 
 
-def cmd_sweep(args) -> None:
+def cmd_sweep(args, files: dict) -> None:
     tol = _resolve_tol(args)
     lo, hi = S_INTERVAL_U0 if args.branch == "u0" else S_INTERVAL_UNONZERO
     if not (lo < args.S_min <= args.S_max < hi):
@@ -340,7 +317,8 @@ _BRANCH = ("--branch", "branch", None, ("u0", "u1"), None, True, None)
 _POINT_OPTIONS = (_TOL, _FORMAT, *((f"--{key}", key, float, None, None, False, None) for key in "tuvw"),
                   ("--params", "params", None, None, None, False, "JSON or TOML file with keys t, u, v, w"))
 
-# name: (help, handler, options), in the order of the help text
+# name: (help, handler, options), in the order of the help text.  A handler takes the namespace and the files _key
+# read; a query's returns its reply: stdout, the failure line after it or None, its point's MetricParams or None.
 _COMMANDS = {
     "inspect": ("report the built-in graded so(5) or a serialized algebra", cmd_inspect,
                 (_TOL, _FORMAT, ("--algebra", "algebra", None, None, None, False,
@@ -393,6 +371,30 @@ def _read_argv(argv: list[str]) -> types.SimpleNamespace | None:
     return types.SimpleNamespace(**namespace, func=handler)
 
 
+def _key(argv) -> tuple | None:
+    """The reply memo's key of a query the option table reads: argv, ZKSYM_TOL and each --params or --algebra file's
+    (path, bytes), read once.  None for solve, sweep, argparse's argv and an unreadable file, which go unmemoized."""
+    if len(argv) % 2 == 0 or argv[0] not in _FLAGS or argv[0] in ("solve", "sweep"):
+        return None
+    flags, files = _FLAGS[argv[0]], []
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        if flag not in flags or value[:1] == "-" and not _NEGATIVE_NUMBER.match(value):
+            return None
+        if flag in ("--params", "--algebra"):
+            try:
+                files.append((value, Path(value).read_bytes()))
+            except OSError:
+                return None
+    return tuple(argv), os.environ.get("ZKSYM_TOL"), tuple(files)
+
+
+@functools.lru_cache(maxsize=2816)  # 256 points x 10 replies + 256 inspect replies; a fresh process gains nothing
+def _reply(argv, env_tol: str | None, files: tuple):
+    """A query's reply by its _key, kept unless the render raises; env_tol only keys it, as _resolve_tol reads it."""
+    args = _read_argv(argv) or _parser().parse_args(argv)
+    return args.func(args, dict(files))
+
+
 def _usage_error(message: str):
     raise _UsageError(message)
 
@@ -422,9 +424,16 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _read_argv(sys.argv[1:] if argv is None else argv) or _parser().parse_args(argv)
-        args.func(args)
+        reply = _reply(*key) if (key := _key(argv)) else _reply.__wrapped__(argv, None, ())
+        if reply:  # a query's; solve and sweep print as they go
+            text, failure, p = reply
+            if p is not None:  # looked up on every query, hit or not: bench/run.py --trace 1 reports its hit ratio
+                _cached_geometry(p)
+            print(text)
+            if failure:
+                raise DegenerateMetricError(failure)
     except (_UsageError, InvalidParamsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -211,7 +211,8 @@ class _Geometry:
     def evaluation(self) -> tuple[float, float, float, float, bool]:
         """A solution record's ||L|| at the point's scale, max|D_alpha|, Gram defect, larger eta_alpha and round-point
         verdict at DEFAULT_TOL, kept as :meth:`table` keeps its tuples (a cached_property locks on Python 3.11); raises
-        where a D_alpha is not finite, or where a partial x_k dD_alpha/dx_k overflows (eta_alpha is NaN there)."""
+        where a D_alpha is not finite, or where a partial x_k dD_alpha/dx_k overflows (eta_alpha is NaN there).  Its
+        repr is the same under each sign flip of t, u, v or w (the +-u pairs of a solve), not under the swap v <-> w."""
         point = vars(self).get("_evaluation")
         if point is None:
             if not all(map(math.isfinite, self.det)):

@@ -984,8 +984,9 @@ def _outcome(argv) -> tuple[object, str, str]:
 
 
 def _argparse_outcome(argv) -> tuple[object, str, str]:
-    """_outcome with the option table reader declining every argv, so argparse parses it."""
-    with mock.patch.object(cli, "_read_argv", lambda argv: None):
+    """_outcome with the option table reader and the memo key declining every argv, so argparse parses it and no
+    kept reply answers it."""
+    with mock.patch.object(cli, "_read_argv", lambda argv: None), mock.patch.object(cli, "_key", lambda argv: None):
         return _outcome(argv)
 
 
@@ -1531,10 +1532,10 @@ def test_the_inspect_memo_keeps_strings_only(capsys, monkeypatch, tmp_path):
     gc.collect()
     assert all(ref() is None for ref in refs)  # neither the algebra nor its array outlives its reply
     hits = cli._reply.cache_info().hits
-    for document in (path.read_bytes(), None):
-        for as_json in (False, True):
-            reply, failure = cli._reply(cli._inspection, document, 1e-9 if document else 0.0, as_json)
-            assert type(reply) is str and (failure is None if document is None else type(failure) is str)
+    for algebra in (["--algebra", str(path)], []):
+        for fmt in ("text", "json"):
+            reply, failure, point = cli._reply(*cli._key(["inspect", *algebra, "--format", fmt]))
+            assert type(reply) is str and (failure is None if not algebra else type(failure) is str) and point is None
     assert cli._reply.cache_info().hits == hits + 4  # the kept replies, not new ones
 
 
@@ -1727,11 +1728,13 @@ def test_a_kept_reply_is_the_fresh_one_byte_for_byte(capsys):
 
 @pytest.mark.parametrize("command", _POINT_COMMANDS)
 def test_the_json_head_is_written_on_every_call(capsys, command):
-    # u = 0.0 and -0.0 are one key of the memo and one point of the geometry cache, but each is printed as given
+    # u = 0.0 and -0.0 are two command lines, so two kept replies, but one point of the geometry cache; each head
+    # prints u as given, on the render and on the kept reply
     _cold()
-    positive = run_cli(capsys, *_point_argv(command, (1.0, 0.0, 1.0, 2.0), "json"))
-    negative = run_cli(capsys, *_point_argv(command, (1.0, -0.0, 1.0, 2.0), "json"))
-    assert cli._reply.cache_info().currsize == geometry._cached_geometry.cache_info().currsize == 1
+    for _ in range(2):
+        positive = run_cli(capsys, *_point_argv(command, (1.0, 0.0, 1.0, 2.0), "json"))
+        negative = run_cli(capsys, *_point_argv(command, (1.0, -0.0, 1.0, 2.0), "json"))
+    assert (cli._reply.cache_info().currsize, geometry._cached_geometry.cache_info().currsize) == (2, 1)
     assert '"u": 0.0,' in positive[1] and '"u": -0.0,' in negative[1]
     assert negative == (0, positive[1].replace('"u": 0.0,', '"u": -0.0,'), "")
     assert str(json.loads(negative[1])["params"]["u"]) == "-0.0"
@@ -1779,7 +1782,8 @@ def test_a_render_that_raises_keeps_nothing(capsys):
             assert run_cli(capsys, *_point_argv("ledger", point, fmt))[0] == 2
             assert run_cli(capsys, *_point_argv("tables", point, fmt))[0] == 0
     info = cli._reply.cache_info()
-    assert (info.currsize, info.misses, info.hits) == (2, 6, 2)  # the two tables replies; four ledger misses
+    # the two tables replies; ten guard misses and four ledger misses, each rendered and kept nowhere
+    assert (info.currsize, info.misses, info.hits) == (2, 16, 2)
 
 
 def test_the_memo_keeps_the_newest_replies_and_no_geometry(capsys):
@@ -1803,6 +1807,123 @@ def test_the_memo_keeps_the_newest_replies_and_no_geometry(capsys):
     assert cli._reply.cache_info().currsize == bound
     assert run_cli(capsys, *_point_argv("check-nr", (1.0, 0.3, 1.2, 1.0), "json"))[0] == 0
     assert cli._reply.cache_info().misses == misses + 2
+
+
+# ----------------------------------------------------------------------
+# the memo key: the command line, ZKSYM_TOL and the bytes of each named file
+# ----------------------------------------------------------------------
+
+def _fresh(capsys, *argv):
+    """What a new process would print: the reply with the memo and the geometry cache cleared first."""
+    _cold()
+    return run_cli(capsys, *argv)
+
+
+def test_a_kept_reply_reads_no_argv_params_or_tol(capsys, monkeypatch):
+    argv = _point_argv("ledger", (1.0, 0.3, 1.2, 0.8), "json")
+    expected = _fresh(capsys, *argv)
+    calls = {name: _count_calls(monkeypatch, getattr(cli, name))
+             for name in ("_read_argv", "_resolve_params", "_resolve_tol")}
+    hits = cli._reply.cache_info().hits
+    assert [run_cli(capsys, *argv) for _ in range(3)] == [expected] * 3
+    assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 0)
+    assert cli._reply.cache_info().hits == hits + 3
+
+
+@pytest.mark.parametrize("command,fmt", [("tables", "text"), ("check-nr", "json"), ("ledger", "text"),
+                                         ("inspect", "text")])
+def test_one_argv_under_two_zksym_tols_is_two_replies(capsys, monkeypatch, command, fmt):
+    # tables text hides entries below tol times the largest, a JSON head prints the tol, ledger's verdict reads it
+    # (eta is 3.0e-8 at its point); inspect's built-in so(5) is validated exactly, whatever the tol
+    point = (1.0, 0.0, 1.0, 1.00000003) if command == "ledger" else (1.0, 0.3, 1.2, 0.8)
+    argv = ["inspect", "--format", fmt] if command == "inspect" else _point_argv(command, point, fmt)[:-2]  # no --tol
+    outs = []
+    for tol in ("1e-9", "0.5", "1e-9", "0.5"):
+        monkeypatch.setenv("ZKSYM_TOL", tol)
+        outs.append(run_cli(capsys, *argv))
+        assert outs[-1] == _fresh(capsys, *argv)
+    assert outs[0] == outs[2] and outs[1] == outs[3]
+    assert (outs[0] == outs[1]) is (command == "inspect")
+    monkeypatch.setenv("ZKSYM_TOL", "-1")  # refused on every call, and kept nowhere
+    size = cli._reply.cache_info().currsize
+    for _ in range(2):
+        assert run_cli(capsys, *argv) == (1, "", "error: tolerance must be positive, got -1\n")
+    assert cli._reply.cache_info().currsize == size
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", _POINT_COMMANDS)
+def test_a_rewritten_params_file_is_a_new_reply(capsys, tmp_path, command, fmt):
+    path = tmp_path / "point.json"
+    argv = [command, "--params", str(path), "--v", "1.2", "--format", fmt]  # a flag overrides the file
+    outs = []
+    for text in ('{"t": 1, "u": 0.3, "v": 9, "w": 0.8}', '{"t": 1, "u": 0.3, "v": 9, "w": 1.2}') * 2:  # v = w
+        path.write_text(text)
+        outs.append(run_cli(capsys, *argv))
+        assert outs[-1] == _fresh(capsys, *argv)
+    assert outs[0] == outs[2] != outs[1] == outs[3]
+    path.write_text('{"t": 1, "u": 0.3, "v": 9, "w": "x"}')  # malformed: refused on every call
+    for _ in range(2):
+        assert run_cli(capsys, *argv) == (1, "", "error: parameter w in file is not a real number\n")
+    path.unlink()  # unreadable: reported as without the memo
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "") and err.startswith(f"error: cannot read parameter file {path}: ")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_rewritten_algebra_file_is_a_new_reply(capsys, tmp_path, fmt):
+    path, doc = tmp_path / "so5.json", algebra_to_dict(build_so5())
+    valid = json.dumps(doc)
+    doc["structure"][0][3] += 0.25
+    argv = ["inspect", "--algebra", str(path), "--format", fmt]
+    outs = []
+    for text in (valid, json.dumps(doc), valid, json.dumps(_SMALL_ALGEBRA)):
+        path.write_text(text)
+        outs.append(run_cli(capsys, *argv))
+        assert outs[-1] == _fresh(capsys, *argv)
+    assert [code for code, _, _ in outs] == [0, 2, 0, 0]
+    assert outs[0] == outs[2] and len({out for _, out, _ in outs}) == 3
+    path.unlink()
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "") and err.startswith("error: cannot read algebra file: ")
+
+
+def test_each_named_file_is_read_once_per_call(capsys, monkeypatch, tmp_path):
+    point, algebra = tmp_path / "point.toml", tmp_path / "so5.json"
+    point.write_text("t = 1\nu = 0.3\nv = 1.2\nw = 0.8\n")
+    algebra.write_text(json.dumps(algebra_to_dict(build_so5())))
+    read_bytes, reads = Path.read_bytes, []
+
+    def counting_read_bytes(self):
+        reads.append(str(self))
+        return read_bytes(self)
+
+    monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
+    _cold()
+    argvs = [[command, "--params", str(point), "--format", fmt] for command in _POINT_COMMANDS
+             for fmt in ("text", "json")] + [["inspect", "--algebra", str(algebra), "--format", fmt]
+                                              for fmt in ("text", "json")]
+    for argv in argvs:
+        for call in range(3):  # a render, then two kept replies
+            reads.clear()
+            assert run_cli(capsys, *argv)[0] == 0
+            assert reads == [argv[2]], (argv, call)
+    assert cli._reply.cache_info().currsize == len(argvs)
+
+
+@pytest.mark.parametrize("spelling", [["--par", "{}"], ["--params={}"]])
+def test_an_argv_that_argparse_reads_sees_an_edited_file(capsys, tmp_path, spelling):
+    # an abbreviated flag or --flag=value goes to argparse and is answered on every call: no reply is kept
+    path = tmp_path / "point.json"
+    argv = ["tables", *(token.format(path) for token in spelling), "--format", "json"]
+    outs = []
+    for w in (0.8, 2.5, 0.8):
+        path.write_text(json.dumps({"t": 1, "u": 0.3, "v": 1.2, "w": w}))
+        outs.append(_fresh(capsys, *argv))
+        assert outs[-1][0] == 0 and cli._reply.cache_info().currsize == 0
+        assert run_cli(capsys, *argv) == outs[-1]
+        assert outs[-1] == run_cli(capsys, "tables", "--params", str(path), "--format", "json")
+    assert outs[0] == outs[2] != outs[1]
 
 
 # ----------------------------------------------------------------------
