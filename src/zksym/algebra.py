@@ -219,12 +219,14 @@ class GradedLieAlgebra:
 
         # jac[i, j, l, :] = [[e_i,e_j],e_l] + [[e_j,e_l],e_i] + [[e_l,e_i],e_j], added in this order,
         # from t[a, b, d, :] = [[e_a,e_b],e_d] = sum_m c[a, b, m] c[m, d, :]
-        t = (c.reshape(n * n, n) @ c.reshape(n, n * n)).reshape(n, n, n, n)
-        jac = t + t.transpose(2, 0, 1, 3)
-        jac += t.transpose(1, 2, 0, 3)
+        # a product that overflows sums to inf or NaN (inf - inf), and "not <= tol" counts either as a violation
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = (c.reshape(n * n, n) @ c.reshape(n, n * n)).reshape(n, n, n, n)
+            jac = t + t.transpose(2, 0, 1, 3)
+            jac += t.transpose(1, 2, 0, 3)
         max_jac = float(np.abs(jac, out=jac).max())
         lt = idx[:, None] < idx
-        jac_bad = () if max_jac <= tol else _triples((jac.max(axis=3) > tol) & lt[:, :, None] & lt[None])  # i < j < l
+        jac_bad = () if max_jac <= tol else _triples(~(jac.max(axis=3) <= tol) & lt[:, :, None] & lt[None])  # i < j < l
 
         # labels as integers, so the group law is XOR
         code = np.array([sum(int(b) << pos for pos, b in enumerate(lab.bits)) for lab in self.grading])

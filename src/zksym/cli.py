@@ -52,14 +52,17 @@ _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 # --- input plumbing ---
 
-def _load_params_file(path: str, files: dict) -> dict:
-    p = Path(path)
+def _read(path: str, files: dict, what: str) -> bytes:
     try:
-        raw = files[path] if path in files else p.read_bytes()  # the bytes _key read, else read now
+        return files[path] if path in files else Path(path).read_bytes()  # the bytes _key read, else read now
     except OSError as exc:
-        raise InvalidParamsError(f"cannot read parameter file {path}: {exc}") from exc
+        raise InvalidParamsError(f"cannot read {what}: {exc}") from exc
+
+
+def _load_params_file(path: str, files: dict) -> dict:
+    raw = _read(path, files, f"parameter file {path}")
     try:
-        if p.suffix.lower() == ".toml":
+        if Path(path).suffix.lower() == ".toml":
             import tomllib  # loaded only for TOML parameter files
             data = tomllib.loads(raw.decode("utf-8"))
         else:
@@ -95,10 +98,9 @@ def _resolve_params(args, files: dict) -> MetricParams:
     return MetricParams(values["t"], values["u"], values["v"], values["w"])
 
 
-def _resolve_tol(args, relative: bool = True) -> float:
+def _resolve_tol(args, env: str | None, relative: bool = True) -> float:
     tol = args.tol
     if tol is None:
-        env = os.environ.get("ZKSYM_TOL")
         if env is not None:
             try:
                 tol = float(env)
@@ -154,13 +156,10 @@ def _grid(table, names, threshold: float) -> str:
 
 # --- commands ---
 
-def cmd_inspect(args, files: dict) -> tuple[str, str | None, None]:
+def cmd_inspect(args, env_tol: str | None, files: dict) -> tuple[str, str | None, None]:
     """The report of the built-in so(5), validated exactly, or of the --algebra file at tol; a malformed file raises."""
-    tol, path = _resolve_tol(args, relative=False), args.algebra  # absolute: Jacobi, antisymmetry and grading residuals
-    try:
-        document = (files[path] if path in files else Path(path).read_bytes()) if path else None
-    except OSError as exc:
-        raise InvalidParamsError(f"cannot read algebra file: {exc}") from exc
+    tol = _resolve_tol(args, env_tol, relative=False)  # absolute: Jacobi, antisymmetry and grading residuals
+    document = _read(args.algebra, files, "algebra file") if args.algebra else None
     from .algebra import algebra_from_dict, algebra_to_dict  # loaded only here, with numpy
     from .so5 import LABELS, build_so5
     if document is None:
@@ -189,76 +188,66 @@ def cmd_inspect(args, files: dict) -> tuple[str, str | None, None]:
 
 
 # The point commands below take admissible parameters and the tolerance and return their reply: with as_json
-# the JSON fields after the shared head (see _point) as JSON text, ', "key": value', otherwise their text.
+# the JSON fields that follow the shared head (see _point) as a dict, otherwise their text.
 
-def _fields(**fields) -> str:
-    return ", " + _json_text(fields)[1:-1]
-
-
-def cmd_tables(p: MetricParams, tol: float, as_json: bool) -> str:
+def cmd_tables(p: MetricParams, tol: float, as_json: bool) -> str | dict:
     bt, ut = (_cached_geometry(p).table(name) for name in ("c", "u"))
     if as_json:
-        return _fields(bracket=_lists(bt), u=_lists(ut))
+        return {"bracket": _lists(bt), "u": _lists(ut)}
     # entries at or below tol * max|bracket table| show as absent; check-nr judges x, not these entries
     threshold = tol * max(max(bt), -min(bt))
     return (f"projected brackets [Ei, Ej]_m in the orthonormal frame:\n{_grid(bt, FRAME_NAMES, threshold)}\n\n"
             f"symmetric map U(Ei, Ej) in the orthonormal frame:\n{_grid(ut, FRAME_NAMES, threshold)}")
 
 
-def cmd_ricci(p: MetricParams, tol: float, as_json: bool) -> str:
+def cmd_ricci(p: MetricParams, tol: float, as_json: bool) -> str | dict:
     rho = _cached_geometry(p).ricci
     if as_json:
-        return _fields(matrix=rho)
+        return {"matrix": rho}
     cells = [[_fmt(x) for x in row] for row in rho]
     width = max(len(cell) for row in cells for cell in row)
     return "\n".join(["Ricci matrix in the orthonormal frame:", *("  ".join(cell.rjust(width) for cell in row)
                                                                  for row in cells)])
 
 
-def cmd_isometries(p: MetricParams, tol: float, as_json: bool) -> str:
+def cmd_isometries(p: MetricParams, tol: float, as_json: bool) -> str | dict:
     basis = _cached_geometry(p).isometries(tol)
     if as_json:
-        return _fields(dimension=len(basis), basis=basis)
+        return {"dimension": len(basis), "basis": basis}
     return "\n".join([f"dimension: {len(basis)}", *("  " + " ".join(_term(c, n) for c, n in zip(vec, FRAME_NAMES) if c)
                                                     for vec in basis)])
 
 
-def cmd_check_nr(p: MetricParams, tol: float, as_json: bool) -> str:
+def cmd_check_nr(p: MetricParams, tol: float, as_json: bool) -> str | dict:
     report = is_naturally_reductive(p, tol)
     if as_json:
-        return _fields(naturally_reductive=report.naturally_reductive, max_u_coefficient=report.max_coefficient,
-                       witness=list(report.witness) if report.witness else None)
+        return {"naturally_reductive": report.naturally_reductive, "max_u_coefficient": report.max_coefficient,
+                "witness": list(report.witness) if report.witness else None}
     if report.naturally_reductive:
         return "true"
     x, y, z = report.witness
     return f"false\nwitness: |<U({x}, {y}), {z}>| = {_fmt(report.max_coefficient)}"
 
 
-def cmd_ledger(p: MetricParams, tol: float, as_json: bool) -> str:
+def cmd_ledger(p: MetricParams, tol: float, as_json: bool) -> str | dict:
     star = _cached_geometry(p).reduced_system
     max_l, satisfied = first_ledger_verdict(p, tol)
     if as_json:
-        return _fields(max_ledger_residual=max_l, star_residuals=star, satisfied=satisfied)
+        return {"max_ledger_residual": max_l, "star_residuals": star, "satisfied": satisfied}
     return (f"max |L| over frame triples: {_fmt(max_l)}\nreduced-system residuals: {' '.join(map(_fmt, star))}\n"
             f"first Ledger condition {'satisfied' if satisfied else 'violated'}")
 
 
-# a point reply's JSON head after its frame, as json.dumps writes it from the finite t, u, v, w and tol (%r)
-_HEAD = '"params": {"t": %r, "u": %r, "v": %r, "w": %r}, "tol": %r'
-
-
-def _point(command, frame: bool):
-    """Handler of a point command: parameters, then tolerance, then the reply, its JSON head written in once."""
-    head = ('{"frame": ' + json.dumps(FRAME_NAMES) + ", " if frame else "{") + _HEAD
-
-    def run(args, files: dict) -> tuple[str, None, MetricParams]:
-        p = _resolve_params(args, files)
-        tol = _resolve_tol(args)
-        kept = _cached_geometry(p).params  # the cache's own key, which a kept reply's lookup meets by identity
-        text = command(p, tol, args.format == "json")
-        return (f"{head % (p.t, p.u, p.v, p.w, tol)}{text}}}" if args.format == "json" else text), None, kept
-
-    return run
+def _point(command, frame: bool, args, env_tol: str | None, files: dict) -> tuple[str, None, MetricParams]:
+    """A point command's reply: parameters, then tolerance, then its text or one JSON dict, frame and head first."""
+    p = _resolve_params(args, files)
+    tol = _resolve_tol(args, env_tol)
+    kept = _cached_geometry(p).params  # the cache's own key, which a kept reply's lookup meets by identity
+    if args.format != "json":
+        return command(p, tol, False), None, kept
+    head = {"frame": FRAME_NAMES} if frame else {}
+    return _json_text({**head, "params": {"t": p.t, "u": p.u, "v": p.v, "w": p.w}, "tol": tol,
+                       **command(p, tol, True)}), None, kept
 
 
 def _solutions(branch: str, grid, tol: float, as_json: bool) -> None:
@@ -285,15 +274,15 @@ def _solutions(branch: str, grid, tol: float, as_json: bool) -> None:
         raise DegenerateMetricError(f"{failed} of {count} solutions fail verification, worst: {worst.summary()}")
 
 
-def cmd_solve(args, files: dict) -> None:
-    tol = _resolve_tol(args)
+def cmd_solve(args, env_tol: str | None, files: dict) -> None:
+    tol = _resolve_tol(args, env_tol)
     if args.S is None:
         raise InvalidParamsError("solve needs --S")
     _solutions(args.branch, [args.S], tol, args.format == "json")
 
 
-def cmd_sweep(args, files: dict) -> None:
-    tol = _resolve_tol(args)
+def cmd_sweep(args, env_tol: str | None, files: dict) -> None:
+    tol = _resolve_tol(args, env_tol)
     lo, hi = S_INTERVAL_U0 if args.branch == "u0" else S_INTERVAL_UNONZERO
     if not (lo < args.S_min <= args.S_max < hi):
         raise InvalidParamsError(
@@ -317,18 +306,20 @@ _BRANCH = ("--branch", "branch", None, ("u0", "u1"), None, True, None)
 _POINT_OPTIONS = (_TOL, _FORMAT, *((f"--{key}", key, float, None, None, False, None) for key in "tuvw"),
                   ("--params", "params", None, None, None, False, "JSON or TOML file with keys t, u, v, w"))
 
-# name: (help, handler, options), in the order of the help text.  A handler takes the namespace and the files _key
-# read; a query's returns its reply: stdout, the failure line after it or None, its point's MetricParams or None.
+# name: (help, handler, options), in the order of the help text.  A handler takes the namespace, ZKSYM_TOL and the
+# files _key read; a query's returns its reply: stdout, the failure line after it or None, its MetricParams or None.
 _COMMANDS = {
     "inspect": ("report the built-in graded so(5) or a serialized algebra", cmd_inspect,
                 (_TOL, _FORMAT, ("--algebra", "algebra", None, None, None, False,
                                  "JSON file holding a serialized algebra"))),
-    "tables": ("bracket and U tables in the orthonormal frame", _point(cmd_tables, frame=True), _POINT_OPTIONS),
-    "ricci": ("Ricci matrix in the orthonormal frame", _point(cmd_ricci, frame=True), _POINT_OPTIONS),
-    "isometries": ("basis of infinitesimal isometries contained in m", _point(cmd_isometries, frame=True),
+    "tables": ("bracket and U tables in the orthonormal frame", functools.partial(_point, cmd_tables, True),
+               _POINT_OPTIONS),
+    "ricci": ("Ricci matrix in the orthonormal frame", functools.partial(_point, cmd_ricci, True), _POINT_OPTIONS),
+    "isometries": ("basis of infinitesimal isometries contained in m", functools.partial(_point, cmd_isometries, True),
                    _POINT_OPTIONS),
-    "check-nr": ("test natural reductivity", _point(cmd_check_nr, frame=False), _POINT_OPTIONS),
-    "ledger": ("residuals of the first Ledger condition", _point(cmd_ledger, frame=False), _POINT_OPTIONS),
+    "check-nr": ("test natural reductivity", functools.partial(_point, cmd_check_nr, False), _POINT_OPTIONS),
+    "ledger": ("residuals of the first Ledger condition", functools.partial(_point, cmd_ledger, False),
+               _POINT_OPTIONS),
     "solve": ("solution families of the first Ledger condition at one S", cmd_solve,
               (_TOL, _FORMAT, _BRANCH, ("--S", "S", float, None, None, False, None))),
     "sweep": ("stream solution records over an S grid (one JSON per line)", cmd_sweep,
@@ -390,9 +381,9 @@ def _key(argv) -> tuple | None:
 
 @functools.lru_cache(maxsize=2816)  # 256 points x 10 replies + 256 inspect replies; a fresh process gains nothing
 def _reply(argv, env_tol: str | None, files: tuple):
-    """A query's reply by its _key, kept unless the render raises; env_tol only keys it, as _resolve_tol reads it."""
+    """A query's reply by its _key, kept unless the render raises: the handler resolves the tol from env_tol."""
     args = _read_argv(argv) or _parser().parse_args(argv)
-    return args.func(args, dict(files))
+    return args.func(args, env_tol, dict(files))
 
 
 def _usage_error(message: str):
@@ -426,7 +417,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        reply = _reply(*key) if (key := _key(argv)) else _reply.__wrapped__(argv, None, ())
+        # ZKSYM_TOL is read once a call: by _key, else here for what is never kept
+        reply = _reply(*key) if (key := _key(argv)) else _reply.__wrapped__(argv, os.environ.get("ZKSYM_TOL"), ())
         if reply:  # a query's; solve and sweep print as they go
             text, failure, p = reply
             if p is not None:  # looked up on every query, hit or not: bench/run.py --trace 1 reports its hit ratio

@@ -387,7 +387,7 @@ def dense_validate(structure, grading, tol: float) -> tuple:
 
     return (
         triples((np.abs(anti) > tol) & upper),
-        triples((np.max(np.abs(jac), axis=3) > tol) & increasing),
+        triples(~(np.max(np.abs(jac), axis=3) <= tol) & increasing),  # an inf or NaN residual is a violation
         triples((np.abs(c) > tol) & off_target),
         float(np.max(np.abs(anti))),
         float(np.max(np.abs(jac))),

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -145,6 +146,27 @@ def test_validate_reports_jacobi_violation():
         (0, 2, 9), (0, 6, 8), (2, 3, 5), (2, 6, 7),
     )
     assert report.grading == ()
+
+
+def _three_rows_doc(scale: float) -> dict:
+    """e2 acting on e0, e1, e2 with constants +-scale: antisymmetric, and its Jacobi sum along e2 is not 0."""
+    rows = [[0, 2, 2, 1.0], [1, 2, 0, 1.0], [1, 2, 2, 1.0], [2, 0, 2, -1.0], [2, 1, 0, -1.0], [2, 1, 2, -1.0]]
+    return {"dim": 3, "names": ["e0", "e1", "e2"], "grading": [[False]] * 3,
+            "structure": [[i, j, k, scale * value] for i, j, k, value in rows]}
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200])
+def test_validate_reports_a_jacobi_sum_that_overflows(scale):
+    # at 1e200 the products overflow and inf - inf leaves a NaN row: a violation, as the same rows at 1 are,
+    # and no numpy warning is raised
+    alg = algebra_from_dict(_three_rows_doc(scale))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = [alg.validate(tol) for tol in (0.0, 1e-9, 0.3)]
+    for report in reports:
+        assert (report.antisymmetry, report.jacobi, report.grading) == ((), ((0, 1, 2),), ())
+        assert report.summary() == "invalid: 1 Jacobi violation(s)"
+        assert math.isnan(report.max_jacobi_residual) is (scale > 1.0)
 
 
 def test_validate_reports_antisymmetry_violation():

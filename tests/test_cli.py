@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import dataclasses
 import functools
@@ -11,6 +12,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -71,6 +73,25 @@ def test_inspect_corrupted_algebra_exits_2(tmp_path, capsys):
     assert code == 2
     assert json.loads(out)["valid"] is False
     assert len(err.splitlines()) == 1 and err.startswith("numerical failure: algebra invalid")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_inspect_of_an_algebra_whose_jacobi_sums_overflow_exits_2(tmp_path, capsys, fmt):
+    # the products overflow to +-inf and their sum along e2 is NaN: a violation, reported as the same rows at +-1
+    # are, with one stderr line and no numpy warning
+    path = tmp_path / "j.json"
+    path.write_text('{"dim": 3, "names": ["e0", "e1", "e2"], "grading": [[false], [false], [false]], "structure": '
+                    '[[0, 2, 2, 1e200], [1, 2, 0, 1e200], [1, 2, 2, 1e200], [2, 0, 2, -1e200], [2, 1, 0, -1e200], '
+                    '[2, 1, 2, -1e200]]}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "inspect", "--algebra", str(path), "--format", fmt)
+    assert (code, err) == (2, "numerical failure: algebra invalid: 1 Jacobi violation(s)\n")
+    if fmt == "json":
+        doc = json.loads(out)
+        assert doc["valid"] is False and doc["violations"] == {"antisymmetry": [], "jacobi": [[0, 1, 2]], "grading": []}
+    else:
+        assert out.splitlines()[-1] == "validation: invalid: 1 Jacobi violation(s)"
 
 
 def test_inspect_unparseable_algebra_exits_1(tmp_path, capsys):
@@ -358,31 +379,56 @@ def test_tables_json_round_trip(capsys):
     assert bracket[0, 4, 6] == pytest.approx(-2.0)
 
 
-def test_tables_json_is_json_dumps_of_the_library_tables(capsys):
-    # the record written from its support values is byte for byte the one json.dumps writes from the dense
-    # (8, 8, 8) arrays, over |t| from 1e-150 to 1e150, K/|t| down to 1e-8, u = 0 and v = w included
+def _library_reply(command: str, p, tol: float) -> dict:
+    """A point command's JSON reply as one dict of the public library's values, in the order the CLI writes it."""
+    head = {"params": {"t": p.t, "u": p.u, "v": p.v, "w": p.w}, "tol": tol}
+    if command == "tables":
+        return {"frame": list(zksym.FRAME_NAMES), **head, "bracket": zksym.bracket_table(p).tolist(),
+                "u": zksym.u_table(p).tolist()}
+    if command == "ricci":
+        return {"frame": list(zksym.FRAME_NAMES), **head, "matrix": zksym.ricci(zksym.build_form(p)).tolist()}
+    if command == "isometries":
+        basis = zksym.infinitesimal_isometries(p, tol).T.tolist()
+        return {"frame": list(zksym.FRAME_NAMES), **head, "dimension": len(basis), "basis": basis}
+    if command == "check-nr":
+        report = zksym.is_naturally_reductive(p, tol)
+        return {**head, "naturally_reductive": report.naturally_reductive, "max_u_coefficient": report.max_coefficient,
+                "witness": list(report.witness) if report.witness else None}
+    max_l, satisfied = zksym.first_ledger_verdict(p, tol)
+    return {**head, "max_ledger_residual": max_l, "star_residuals": zksym.ledger_system_residuals(p).tolist(),
+            "satisfied": satisfied}
+
+
+def test_each_point_json_reply_is_json_dumps_of_the_library(capsys):
+    # each point command's JSON reply is byte for byte json.dumps of one dict of the library's values, over |t|
+    # from 1e-150 to 1e150, K/|t| down to 1e-8, u = 0.0 and -0.0 and v = w included, at two tols
     rng = random.Random(25)
-    points = [(1.0, 0.3, 1.2, 0.8), (1.0, 0.0, 1.0, 2.0), (1.0, 0.0, 1.0, 1.0)]
+    points = [(1.0, 0.3, 1.2, 0.8), (1.0, 0.0, 1.0, 2.0), (1.0, -0.0, 1.0, 2.0), (1.0, 0.0, 1.0, 1.0),
+              (1.0, -0.0, 1.0, 1.0)]
     while len(points) < 120:
         t = 10.0 ** rng.uniform(-150.0, 150.0) * rng.choice([-1.0, 1.0])
         k = 10.0 ** rng.uniform(-8.0, 0.0) if rng.random() < 0.5 else rng.uniform(0.1, 1.0)  # K / |t|
-        u = 0.0 if rng.random() < 0.2 else 2.0 * t * t * math.sqrt(1.0 - k * k) * rng.choice([-1.0, 1.0])
+        u = 2.0 * t * t * math.sqrt(1.0 - k * k) * rng.choice([-1.0, 1.0])
+        u = rng.choice([0.0, -0.0]) if rng.random() < 0.2 else u
         v, w = (t * 10.0 ** rng.uniform(-2.0, 2.0) * rng.choice([-1.0, 1.0]) for _ in range(2))
         points.append((t, u, v, -v if rng.random() < 0.2 else w))
-    written = 0
-    for t, u, v, w in points:
-        argv = ["tables", "--t", repr(t), "--u", repr(u), "--v", repr(v), "--w", repr(w), "--format", "json"]
-        code, out, err = run_cli(capsys, *argv)
-        if code == 2:  # refused by the K guard or an overflow, as the library refuses it
-            with pytest.raises(zksym.DegenerateMetricError):
-                zksym.bracket_table(zksym.MetricParams(t, u, v, w))
-            continue
-        p = zksym.MetricParams(t, u, v, w)
-        record = {"frame": list(zksym.FRAME_NAMES), "params": {"t": p.t, "u": p.u, "v": p.v, "w": p.w}, "tol": 1e-9,
-                  "bracket": zksym.bracket_table(p).tolist(), "u": zksym.u_table(p).tolist()}
-        assert (code, out, err) == (0, json.dumps(record) + "\n", ""), argv
-        written += 1
-    assert written >= 100
+    assert {math.copysign(1.0, u) for _, u, _, _ in points if u == 0.0} == {1.0, -1.0}
+    written = collections.Counter()
+    for command in _POINT_COMMANDS:
+        for tol in ("1e-9", "0.5"):
+            for t, u, v, w in points:
+                argv = [command, "--t", repr(t), "--u", repr(u), "--v", repr(v), "--w", repr(w), "--format", "json",
+                        "--tol", tol]
+                code, out, err = run_cli(capsys, *argv)
+                try:  # refused by the K guard or an overflow as the library refuses it, or a non-finite value
+                    record = json.dumps(_library_reply(command, zksym.MetricParams(t, u, v, w), float(tol)),
+                                        allow_nan=False)
+                except (zksym.DegenerateMetricError, ValueError):
+                    assert (code, out) == (2, "") and err.startswith("numerical failure: "), argv
+                    continue
+                assert (code, out, err) == (0, record + "\n", ""), argv
+                written[command] += 1
+    assert min(written.values()) >= 200 and len(written) == 5
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -1828,6 +1874,43 @@ def test_a_kept_reply_reads_no_argv_params_or_tol(capsys, monkeypatch):
     assert [run_cli(capsys, *argv) for _ in range(3)] == [expected] * 3
     assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 0)
     assert cli._reply.cache_info().hits == hits + 3
+
+
+class _CountingEnviron(dict):
+    """A copy of the environment that counts the reads of ZKSYM_TOL."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        self.reads += key == "ZKSYM_TOL"
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.reads += key == "ZKSYM_TOL"
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.reads += key == "ZKSYM_TOL"
+        return super().__contains__(key)
+
+
+def test_zksym_tol_is_read_once_per_call(capsys, monkeypatch, tmp_path):
+    environ = _CountingEnviron(os.environ, ZKSYM_TOL="0.5")
+    monkeypatch.setattr(os, "environ", environ)
+    _cold()
+    point = ["--t", "1.3", "--u", "0.3", "--v", "1.2", "--w", "0.8", "--format", "json"]
+    calls = [("keyed miss", ["tables", *point]), ("kept hit", ["tables", *point]),
+             ("inspect miss", ["inspect", "--format", "json"]), ("inspect hit", ["inspect", "--format", "json"]),
+             ("argparse argv", ["tables", "--t=1.3", *point[2:]]),
+             ("unreadable file", ["tables", "--params", str(tmp_path / "none.json"), *point]),
+             ("solve", ["solve", "--branch", "u0", "--S", "5", "--format", "json"])]
+    for name, argv in calls:
+        environ.reads = 0
+        code, out, _ = run_cli(capsys, *argv)
+        assert environ.reads == 1, name
+        if code == 0 and argv[0] == "tables":  # the value read is the one the reply's tol comes from
+            assert json.loads(out)["tol"] == 0.5, name
+    assert [run_cli(capsys, *argv)[0] for _, argv in calls] == [0, 0, 0, 0, 0, 1, 0]
 
 
 @pytest.mark.parametrize("command,fmt", [("tables", "text"), ("check-nr", "json"), ("ledger", "text"),
