@@ -7,10 +7,13 @@ P = V W (and U = u/t^2 when u != 0) they admit closed-form solution
 families, one branch with u = 0 and one with u != 0.  The solvers below
 return the families normalized at t = 1 with their residuals; each point's
 cached geometry forms those and every other Ledger readout, and this module
-judges them and assembles records.  Two more sets satisfy L = 0 and no
-solver returns them: the metrics with v = w, of which only the round point
-u = 0, v^2 = w^2 = t^2 is naturally reductive, and a second u != 0 arc,
-S in (4, (7 + sqrt(17))/2) (:func:`solve_ledger_unonzero`).
+judges them and assembles records.  A +-u pair of solutions, the same point
+up to the Weyl reflection e2 -> -e2, reads one geometry, and the CLI judges
+each record by the eta_alpha its solve formed (:func:`_rows`).  Two more
+sets satisfy L = 0 and no solver returns them: the metrics with v = w, of
+which only the round point u = 0, v^2 = w^2 = t^2 is naturally reductive,
+and a second u != 0 arc, S in (4, (7 + sqrt(17))/2)
+(:func:`solve_ledger_unonzero`).
 
 Every point verdict is a relative backward error in x = (t^2 + u/2,
 t^2 - u/2, v^2, w^2), frame-free and scale-free: eps_J to an equality of
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
 from . import geometry
 from .metric import DEFAULT_TOL, FRAME_NAMES, InvalidParamsError, MetricParams
@@ -185,28 +188,56 @@ class LedgerSolution:
 def _evaluate(p: MetricParams) -> tuple[dict[str, float], float, bool]:
     """A record's absolute residuals, reported, not judged: ||L|| in Frobenius norm ("ledger"), the larger |D_alpha|
     ("star") and the root frame's orthonormality defect for the Gram matrix of :func:`build_form` ("gram"); then the
-    larger eta_alpha, which ``ledger`` and verification judge, and naturally reductive.  The point's cached geometry
-    forms them once (:meth:`zksym.geometry._Geometry.evaluation`), so the solver and each verification at the same
-    params, whoever built the solution, read the same values; each call makes a new dict."""
+    larger eta_alpha, which ``ledger`` and verification judge, and naturally reductive.  They are read at (t, |u|, v,
+    w): u -> -u swaps x1 and x2, the Weyl reflection e2 -> -e2, which leaves the evaluation bit for bit, so a +-u pair
+    has one cached geometry, which forms them once (:meth:`zksym.geometry._Geometry.evaluation`), and the solver and
+    each verification of either sign, whoever built the solution, read the same values; each call makes a new dict."""
+    if p.u < 0.0:
+        p = MetricParams(p.t, -p.u, p.v, p.w)
     norm_ledger, star, gram, eta, nr = geometry._cached_geometry(p).evaluation()
     return {"ledger": norm_ledger, "star": star, "gram": gram}, eta, nr
 
 
-def _solve(branch: str, interval: tuple[float, float], roots: Callable[[float], Iterable[tuple[float, float, float]]],
-           grid: tuple[float, ...]) -> list[LedgerSolution]:
-    """The solutions at t = 1 from the (V, W, u) rows of ``roots(S)`` at each S of the grid, in order, each with
-    the residuals of its point's :func:`_evaluate`; raises before evaluating any point if an S leaves the interval."""
-    lo, hi = interval
+def _u0_roots(s: float) -> tuple[tuple[float, float, float], ...]:
+    disc = (3.0 * s * s - 10.0 * s + 9.0) / 2.0
+    x2 = (s + math.sqrt(disc)) / 2.0
+    x1 = (s - 1.0) * (9.0 - s) / 8.0 / x2
+    return (x1, x2, 0.0), (x2, x1, 0.0)
+
+
+def _unonzero_roots(s: float) -> list[tuple[float, float, float]]:
+    delta = s * (-3.0 * s * s + 3.0 * s + 4.0) / (2.0 * (8.0 - 3.0 * s))
+    big = (s + math.sqrt(delta)) / 2.0
+    # 3S - 1 rounds to 0 at the first float above 1/3, where it is the Fast2Sum error of 2S + S
+    small = s * (4.0 - s) * (3.0 * s - 1.0 or (2.0 * s - 3.0 * s) + s) / (8.0 * (8.0 - 3.0 * s)) / big
+    u = math.sqrt(4.0 * (8.0 - 7.0 * s + s * s) / (8.0 - 3.0 * s))
+    return [(vv, ww, sign * u) for (vv, ww) in ((big, small), (small, big)) for sign in (1.0, -1.0)]
+
+
+# the CLI's --branch: the record's branch, the open S interval and the (V, W, u) rows at an S
+_BRANCHES = {"u0": ("u-zero", S_INTERVAL_U0, _u0_roots), "u1": ("u-nonzero", S_INTERVAL_UNONZERO, _unonzero_roots)}
+
+
+def _quoting(values: Iterable[float], bounds: tuple[float, float]) -> Callable[[float], str]:
+    """%g, or repr where %g prints one of the values as it prints a bound and does not show the two equal."""
+    g = "{:g}".format
+    return repr if any(g(s) == g(b) and not float(g(s)) == s == b for s in values for b in bounds) else g
+
+
+def _rows(branch: str, grid: Iterable[float]) -> Iterator[tuple[LedgerSolution, float]]:
+    """The solutions of ``branch`` ("u0" or "u1") at t = 1 at each S of the grid, in order, each with the residuals
+    of its point's :func:`_evaluate` and the larger eta_alpha that :func:`verify_solution` compares, drawn one S at
+    a time; raises on an S outside the interval when it reaches it.  A -u row follows its +u twin and equals it but
+    in u's sign."""
+    name, (lo, hi), roots = _BRANCHES[branch]
     for s in grid:
         if not (lo < s < hi):
-            raise InvalidParamsError(f"S must lie in the open interval ({lo:g}, {hi:g}), got {s:g}")
-    solutions = []
-    for s in grid:
+            q = _quoting([s], (lo, hi))
+            raise InvalidParamsError(f"S must lie in the open interval ({q(lo)}, {q(hi)}), got {q(s)}")
         for vv, ww, u in roots(s):
             p = MetricParams(1.0, u, math.sqrt(vv), math.sqrt(ww))
-            residuals, _, nr = _evaluate(p)
-            solutions.append(LedgerSolution(branch, s, vv, ww, u * u, p, residuals, nr))
-    return solutions
+            residuals, eta, nr = _evaluate(p)
+            yield LedgerSolution(name, s, vv, ww, u * u, p, residuals, nr), eta
 
 
 def solve_ledger_u0(*grid: float) -> list[LedgerSolution]:
@@ -217,12 +248,7 @@ def solve_ledger_u0(*grid: float) -> list[LedgerSolution]:
     (X1, X2) t^2 and (X2, X1) t^2.  The small root is taken as X1 = P/X2,
     which keeps full precision where P -> 0 at either end of the interval.
     """
-    def roots(s):
-        disc = (3.0 * s * s - 10.0 * s + 9.0) / 2.0
-        x2 = (s + math.sqrt(disc)) / 2.0
-        x1 = (s - 1.0) * (9.0 - s) / 8.0 / x2
-        return (x1, x2, 0.0), (x2, x1, 0.0)
-    return _solve("u-zero", S_INTERVAL_U0, roots, grid)
+    return [sol for sol, _ in _rows("u0", grid)]
 
 
 def solve_ledger_unonzero(*grid: float) -> list[LedgerSolution]:
@@ -233,18 +259,12 @@ def solve_ledger_unonzero(*grid: float) -> list[LedgerSolution]:
     V, W = (S +- sqrt(Delta))/2 are two positive roots, and
     u^2 = 4 (8 - 7S + S^2) / (8 - 3S) t^4 falls from 208/63 t^4 at S = 1/3
     to 0 at the upper end, inside the positive-definite bound 4 t^4.  Four
-    solutions per S: both root orderings times both signs of u.  The small
-    root is taken as P/big, exact to rounding as S -> 1/3.  The same formulas
-    give a second arc, S in (4, (7 + sqrt(17))/2), which no solver returns.
+    solutions per S: both root orderings times both signs of u, each sign
+    pair with one geometry.  The small root is taken as P/big, exact to
+    rounding as S -> 1/3.  The same formulas give a second arc, S in
+    (4, (7 + sqrt(17))/2), which no solver returns.
     """
-    def roots(s):
-        delta = s * (-3.0 * s * s + 3.0 * s + 4.0) / (2.0 * (8.0 - 3.0 * s))
-        big = (s + math.sqrt(delta)) / 2.0
-        # 3S - 1 rounds to 0 at the first float above 1/3, where it is the Fast2Sum error of 2S + S
-        small = s * (4.0 - s) * (3.0 * s - 1.0 or (2.0 * s - 3.0 * s) + s) / (8.0 * (8.0 - 3.0 * s)) / big
-        u = math.sqrt(4.0 * (8.0 - 7.0 * s + s * s) / (8.0 - 3.0 * s))
-        return [(vv, ww, sign * u) for (vv, ww) in ((big, small), (small, big)) for sign in (1.0, -1.0)]
-    return _solve("u-nonzero", S_INTERVAL_UNONZERO, roots, grid)
+    return [sol for sol, _ in _rows("u1", grid)]
 
 
 # ----------------------------------------------------------------------
@@ -282,8 +302,9 @@ def verify_solution(sol: LedgerSolution, tol: float = DEFAULT_TOL) -> Verificati
     ``ledger`` reads satisfied at ``sol.params``, whoever built it.  The
     absolute residuals, "gram" among them, and the naturally-reductive
     status (the ``check-nr`` verdict at DEFAULT_TOL) are reported, not
-    judged.  For a solver's output the point's geometry is usually still
-    cached with its evaluation, and nothing is recomputed.
+    judged.  The evaluation is read at (t, |u|, v, w), so a -u solution
+    reads its +u twin's geometry; for a solver's output that is usually
+    still cached with its evaluation, and nothing is recomputed.
     """
     residuals, eta, nr = _evaluate(sol.params)
     return VerificationReport(

@@ -27,8 +27,7 @@ import sys
 import types
 from pathlib import Path
 
-from .analysis import (S_INTERVAL_U0, S_INTERVAL_UNONZERO, first_ledger_verdict, is_naturally_reductive,
-                       solve_ledger_u0, solve_ledger_unonzero, verify_solution)
+from .analysis import _BRANCHES, _quoting, _rows, first_ledger_verdict, is_naturally_reductive, verify_solution
 from .geometry import _SUPPORT, _cached_geometry
 from .metric import DEFAULT_TOL, FRAME_NAMES, DegenerateMetricError, InvalidParamsError, MetricParams
 
@@ -251,27 +250,29 @@ def _point(command, frame: bool, args, env_tol: str | None, files: dict) -> tupl
 
 
 def _solutions(branch: str, grid, tol: float, as_json: bool) -> None:
-    """Print every solution of the branch at each S of the grid; after the last, raise if any fails verification."""
-    solve = solve_ledger_u0 if branch == "u0" else solve_ledger_unonzero
-    failed, worst, count = 0, None, 0
-    for s in grid:  # one S to a solve, each solution verified at once: it reads the geometry its solve built
-        for sol in solve(s):
-            p, r, nr = sol.params, sol.residuals, "true" if sol.naturally_reductive else "false"
-            if as_json:
-                numbers = (sol.S, sol.V, sol.W, sol.Usq, p.t, p.u, p.v, p.w, r["ledger"], r["star"], r["gram"])
-                if not all(map(math.isfinite, numbers)):
-                    raise DegenerateMetricError("a non-finite number has no JSON form")
-                print(_SOLUTION % (sol.branch, *numbers, nr))
-            else:
-                print(f"branch={sol.branch} S={_fmt(sol.S)} V={_fmt(sol.V)} W={_fmt(sol.W)} u={_fmt(p.u)} "
-                      f"v={_fmt(p.v)} w={_fmt(p.w)} ledger={r['ledger']:.3g} star={r['star']:.3g} NR={nr}")
-            count += 1
-            report = verify_solution(sol, tol)
-            if not report.passed:  # the count and the first worst report, not every failed one
-                failed += 1
-                worst = max(worst or report, report, key=lambda r: max(r.relative_residuals.values()))
+    """Print every solution of the branch at each S of the grid, one S at a time; after the last, raise if any fails
+    verification.  Each is judged by the eta_alpha its solve formed, the float verify_solution compares, and
+    verify_solution runs once, on the first worst failure, for its summary."""
+    failed, count, worst, line = 0, 0, (None, -1.0), ""
+    for sol, eta in _rows(branch, grid):
+        p, r, nr = sol.params, sol.residuals, "true" if sol.naturally_reductive else "false"
+        if p.u < 0.0:  # the -u twin of the record before: its line but in u's sign, as repr(-x) == "-" + repr(x)
+            line = line.replace(*(('"u": ', '"u": -') if as_json else (" u=", " u=-")), 1)
+        elif as_json:
+            numbers = (sol.S, sol.V, sol.W, sol.Usq, p.t, p.u, p.v, p.w, r["ledger"], r["star"], r["gram"])
+            if not all(map(math.isfinite, numbers)):
+                raise DegenerateMetricError("a non-finite number has no JSON form")
+            line = _SOLUTION % (sol.branch, *numbers, nr)
+        else:
+            line = (f"branch={sol.branch} S={_fmt(sol.S)} V={_fmt(sol.V)} W={_fmt(sol.W)} u={_fmt(p.u)} "
+                    f"v={_fmt(p.v)} w={_fmt(p.w)} ledger={r['ledger']:.3g} star={r['star']:.3g} NR={nr}")
+        print(line)
+        count += 1
+        if not eta <= tol:  # the count and the first worst failure, not every failed one
+            failed, worst = failed + 1, max(worst, (sol, eta), key=lambda w: w[1])
     if failed:
-        raise DegenerateMetricError(f"{failed} of {count} solutions fail verification, worst: {worst.summary()}")
+        summary = verify_solution(worst[0], tol).summary()
+        raise DegenerateMetricError(f"{failed} of {count} solutions fail verification, worst: {summary}")
 
 
 def cmd_solve(args, env_tol: str | None, files: dict) -> None:
@@ -283,11 +284,10 @@ def cmd_solve(args, env_tol: str | None, files: dict) -> None:
 
 def cmd_sweep(args, env_tol: str | None, files: dict) -> None:
     tol = _resolve_tol(args, env_tol)
-    lo, hi = S_INTERVAL_U0 if args.branch == "u0" else S_INTERVAL_UNONZERO
+    lo, hi = _BRANCHES[args.branch][1]
     if not (lo < args.S_min <= args.S_max < hi):
-        raise InvalidParamsError(
-            f"sweep range must satisfy {lo:g} < S-min <= S-max < {hi:g}"
-        )
+        q = _quoting([args.S_min, args.S_max], (lo, hi))
+        raise InvalidParamsError(f"sweep range must satisfy {q(lo)} < S-min <= S-max < {q(hi)}")
     if args.S_steps < 1:
         raise InvalidParamsError("S-steps must be at least 1")
     if args.S_steps > sys.float_info.max:  # its step would overflow; no sweep that long could finish

@@ -117,9 +117,10 @@ def _program(e: int, y) -> tuple:
         # which keeps the digits that the terms (x_i - x_j) r_k of D_alpha lose where they cancel (u = 0, w = t)
         d3, d4 = xa - x3, xa - x4
         s = x3 - d4 if abs(d4) <= abs(d3) else x4 - d3  # x3 + x4 - x_alpha, by the nearer difference
-        q = (s / x3) * (s / x4) / xb + 8.0 * (d3 / x3) * (d4 / x4) / xa - ((xa - xb) / x3) * ((xa + xb) / x4) / xb
+        c = ((xa - xb) / x3) * ((xa + xb) / x4) / xb
+        q = (s / x3) * (s / x4) / xb + 8.0 * (d3 / x3) * (d4 / x4) / xa - c
         d = 0.5 * (x4 - x3) * q
-        n, t1, t2, t3, t4 = _partials(xa, xb, x3, x4, s, q)
+        n, t1, t2, t3, t4 = _partials(xa, xb, x3, x4, d3, d4, s, q, c)
         total = abs(t1) + abs(t2) + abs(t3) + abs(t4)
         # eta_alpha = |n| / total: 0 where D_alpha = 0, +inf where its partials vanish but it does not, and nan
         # where a partial overflows, which ``ledger`` refuses
@@ -142,13 +143,15 @@ def _program(e: int, y) -> tuple:
     return ratios, r, lam, [d1, d2], [eta1, eta2], norm_ledger
 
 
-def _partials(xa: float, xb: float, x3: float, x4: float, s: float, q: float) -> tuple[float, ...]:
-    """D_alpha and x_k dD_alpha/dx_k for k = alpha, beta, 3, 4, each over x3 + x4, from the s and q of :func:`_program`:
-    rho q and rho x_k dq/dx_k, in q's ratio style, with rho = (x4 - x3) / (2 (x3 + x4)), then -x3 q / (2 (x3 + x4))
-    added for k = 3 and +x4 q / (2 (x3 + x4)) for k = 4.  Each is at most |q| / 2 or |x_k dq/dx_k| / 2, whose terms
-    are of the size of q's, however small x4 - x3 is; the four partials sum to 0."""
-    d3, d4, half = xa - x3, xa - x4, 0.5 * x3 + 0.5 * x4  # (x3 + x4) / 2, which does not overflow
-    rho, g4, c = 0.25 * (x4 - x3) / half, 2.0 * (half / x4), ((xa - xb) / x3) * ((xa + xb) / x4) / xb
+def _partials(xa: float, xb: float, x3: float, x4: float, d3: float, d4: float, s: float, q: float,
+              c: float) -> tuple[float, ...]:
+    """D_alpha and x_k dD_alpha/dx_k for k = alpha, beta, 3, 4, each over x3 + x4, from the d3 = x_alpha - x3,
+    d4 = x_alpha - x4, s, q and q's last term c of :func:`_program`: rho q and rho x_k dq/dx_k, in q's ratio style,
+    with rho = (x4 - x3) / (2 (x3 + x4)), then -x3 q / (2 (x3 + x4)) added for k = 3 and +x4 q / (2 (x3 + x4)) for
+    k = 4.  Each is at most |q| / 2 or |x_k dq/dx_k| / 2, whose terms are of the size of q's, however small x4 - x3
+    is; the four partials sum to 0."""
+    half = 0.5 * x3 + 0.5 * x4  # (x3 + x4) / 2, which does not overflow
+    rho, g4 = 0.25 * (x4 - x3) / half, 2.0 * (half / x4)
     return (rho * q, rho * (8.0 * (xa / x3 / x4 - 1.0 / xa) - 2.0 * (xa / x3) * g4 / xb),
             rho * (((d3 + d4) / x3) * g4 / xb + xb / x3 / x4),
             rho * ((s / x3) * ((x3 + d4) / x4) / xb + c - 8.0 * (d4 / x3) / x4) - 0.25 * x3 / half * q,
@@ -212,7 +215,8 @@ class _Geometry:
         """A solution record's ||L|| at the point's scale, max|D_alpha|, Gram defect, larger eta_alpha and round-point
         verdict at DEFAULT_TOL, kept as :meth:`table` keeps its tuples (a cached_property locks on Python 3.11); raises
         where a D_alpha is not finite, or where a partial x_k dD_alpha/dx_k overflows (eta_alpha is NaN there).  Its
-        repr is the same under each sign flip of t, u, v or w (the +-u pairs of a solve), not under the swap v <-> w."""
+        repr is the same under each sign flip of t, u, v or w, not under the swap v <-> w, so the solver and
+        verification read a +-u pair from the one geometry at (t, |u|, v, w) (:func:`zksym.analysis._evaluate`)."""
         point = vars(self).get("_evaluation")
         if point is None:
             if not all(map(math.isfinite, self.det)):

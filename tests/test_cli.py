@@ -557,6 +557,30 @@ def test_solve_u1_outside_interval_exits_1(capsys):
     assert "open interval" in err
 
 
+_U1 = "(0.3333333333333333, 1.4384471871911697)"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("solve", "--branch", "u1", "--S", "0.3333333333333333"), f"S must lie in the open interval {_U1}, got "
+                                                               "0.3333333333333333"),
+    (("solve", "--branch", "u1", "--S", "1.43845"), f"S must lie in the open interval {_U1}, got 1.43845"),
+    (("solve", "--branch", "u0", "--S", "9.000000000000002"),
+     "S must lie in the open interval (1.0, 9.0), got 9.000000000000002"),
+    (("solve", "--branch", "u0", "--S", "9"), "S must lie in the open interval (1, 9), got 9"),
+    (("solve", "--branch", "u1", "--S", "2"), "S must lie in the open interval (0.333333, 1.43845), got 2"),
+    (("sweep", "--branch", "u1", "--S-min", "0.3333333333333333", "--S-max", "1"),
+     "sweep range must satisfy 0.3333333333333333 < S-min <= S-max < 1.4384471871911697"),
+    (("sweep", "--branch", "u0", "--S-min", "2", "--S-max", "9.000000000000002"),
+     "sweep range must satisfy 1.0 < S-min <= S-max < 9.0"),
+    (("sweep", "--branch", "u0", "--S-min", "1", "--S-max", "2"), "sweep range must satisfy 1 < S-min <= S-max < 9"),
+    (("sweep", "--branch", "u0", "--S-min", "5", "--S-max", "4"), "sweep range must satisfy 1 < S-min <= S-max < 9"),
+])
+def test_an_s_that_g_prints_as_a_bound_is_quoted_by_repr(capsys, argv, message):
+    # the refusal quotes S and the bounds by %g where it tells S from each bound or prints the two equal
+    # exactly (S = 9 is the bound 9), else by repr: at S = 1/3 %g wrote "(0.333333, 1.43845), got 0.333333"
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("branch,s", [("u0", "1"), ("u0", "9"), ("u1", str(1 / 3))])
 def test_solve_interval_endpoints_exit_1(capsys, branch, s):
     code, _, err = run_cli(capsys, "solve", "--branch", branch, "--S", s)
@@ -895,7 +919,13 @@ def test_json_key_order(capsys, argv, keys):
         assert list(rec) == keys
 
 
-@pytest.mark.parametrize("branch,s", [("u0", 5.0), ("u1", 1.0)])
+def _interval_ends():
+    """The first and last float inside each branch's interval."""
+    for branch, (lo, hi) in (("u0", analysis.S_INTERVAL_U0), ("u1", analysis.S_INTERVAL_UNONZERO)):
+        yield from ((branch, math.nextafter(lo, hi)), (branch, math.nextafter(hi, lo)))
+
+
+@pytest.mark.parametrize("branch,s", [("u0", 5.0), ("u1", 1.0), *_interval_ends()])
 def test_solve_and_sweep_print_the_same_records(capsys, branch, s):
     sweep = ("sweep", "--branch", branch, "--S-min", repr(s), "--S-max", repr(s), "--S-steps", "1")
     code, swept, _ = run_cli(capsys, *sweep)
@@ -910,10 +940,18 @@ def test_solve_and_sweep_print_the_same_records(capsys, branch, s):
     assert len(lines) == len(records)
     for line, rec in zip(lines, records):
         fields = dict(item.split("=") for item in line.split())
+        assert fields["branch"] == rec["branch"]
         assert fields["S"] == f"{rec['S']:.6g}"
         assert fields["V"] == f"{rec['V']:.6g}" and fields["W"] == f"{rec['W']:.6g}"
-        assert fields["u"] == f"{rec['params']['u']:.6g}"
+        assert [fields[k] for k in "uvw"] == [f"{rec['params'][k]:.6g}" for k in "uvw"]
+        assert fields["ledger"] == f"{rec['residuals']['ledger']:.3g}"
+        assert fields["star"] == f"{rec['residuals']['star']:.3g}"
         assert fields["NR"] == ("true" if rec["naturally_reductive"] else "false")
+    if branch == "u1":  # each -u line is its +u twin's but in u's sign, in text as in JSON
+        assert [rec["params"]["u"] for rec in records] == [u for rec in records[::2] for u in (rec["params"]["u"],
+                                                                                              -rec["params"]["u"])]
+        for lines in (text.splitlines(), swept.splitlines()):
+            assert lines[1::2] == [line.replace(" u=", " u=-").replace('"u": ', '"u": -') for line in lines[::2]]
 
 
 _BRANCHES = {"u0": (analysis.solve_ledger_u0, analysis.S_INTERVAL_U0),
@@ -938,28 +976,59 @@ def test_solve_and_sweep_records_are_json_dumps_of_to_dict(capsys, branch):
         assert (code, out, err) == (0, _records(solve(*np.linspace(first, last, n).tolist())), ""), argv
 
 
+@pytest.mark.parametrize("tol", [1e-9, 5e-16, 1e-300])
+@pytest.mark.parametrize("branch", list(_BRANCHES))
+def test_the_cli_verdict_is_verify_solutions(capsys, branch, tol):
+    # the CLI judges each record by the eta its solve formed: its exit code and stderr line are what verify_solution
+    # over the library's solutions gives, the failure count and the first worst report, at seeded S, at the first
+    # and last float of the interval and over a sweep that spans it
+    solve, (lo, hi) = _BRANCHES[branch]
+    first, last = math.nextafter(lo, hi), math.nextafter(hi, lo)
+    grids = [[s] for s in [first, last, *np.random.default_rng(41).uniform(lo, hi, 12).tolist()]]
+    grids.append(np.linspace(first, last, 60).tolist())
+    verdicts = set()
+    for grid in grids:
+        reports = [analysis.verify_solution(sol, tol) for sol in solve(*grid)]
+        failed = [report for report in reports if not report.passed]
+        want = (0, "")
+        if failed:  # max keeps the first of equal reports
+            worst = max(failed, key=lambda report: max(report.relative_residuals.values()))
+            want = (2, f"numerical failure: {len(failed)} of {len(reports)} solutions fail verification, worst: "
+                       f"{worst.summary()}\n")
+        verdicts.add(want[0])
+        if len(grid) == 1:
+            argvs = [("solve", "--branch", branch, "--S", repr(grid[0]), "--format", fmt) for fmt in ("text", "json")]
+        else:
+            argvs = [("sweep", "--branch", branch, "--S-min", repr(first), "--S-max", repr(last), "--S-steps", "60")]
+        for argv in argvs:
+            code, _, err = run_cli(capsys, *argv, "--tol", repr(tol))
+            assert (code, err) == want, argv
+    if tol == 1e-9:
+        assert verdicts == {0}  # every record verifies at the default tol
+    elif tol == 1e-300:
+        assert 2 in verdicts
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("key", ["S", "V", "W", "Usq", "ledger", "star", "gram"])
 @pytest.mark.parametrize("argv,planted", [
     (("solve", "--branch", "u1", "--S", "1", "--format", "json"), 2),
-    (("sweep", "--branch", "u0", "--S-min", "2", "--S-max", "8", "--S-steps", "40"), 70),  # in the second solve
+    (("sweep", "--branch", "u0", "--S-min", "2", "--S-max", "8", "--S-steps", "40"), 70),  # at the 36th S
 ], ids=["solve", "sweep"])
 def test_a_non_finite_solution_record_exits_2(capsys, monkeypatch, argv, planted, key, bad):
     # the solvers' numbers are finite wherever they return, so one is planted: the records before it print,
     # then the one JSON message, exit 2
-    name = "solve_ledger_u0" if argv[2] == "u0" else "solve_ledger_unonzero"
-    original, returned = getattr(analysis, name), []
+    original, returned = cli._rows, []
 
-    def solve(*grid):
-        solutions = original(*grid)
-        if 0 <= planted - len(returned) < len(solutions):
-            sol = solutions[planted - len(returned)]
-            changed = {"residuals": {**sol.residuals, key: bad}} if key in sol.residuals else {key: bad}
-            solutions[planted - len(returned)] = dataclasses.replace(sol, **changed)
-        returned.extend(solutions)
-        return solutions
+    def rows(branch, grid):
+        for sol, eta in original(branch, grid):
+            if len(returned) == planted:
+                changed = {"residuals": {**sol.residuals, key: bad}} if key in sol.residuals else {key: bad}
+                sol = dataclasses.replace(sol, **changed)
+            returned.append(sol)
+            yield sol, eta
 
-    monkeypatch.setattr(cli, name, solve)
+    monkeypatch.setattr(cli, "_rows", rows)
     code, out, err = run_cli(capsys, *argv)
     message = "numerical failure: a non-finite number has no JSON form\n"
     assert (code, out, err) == (2, _records(returned[:planted]), message)
@@ -1173,12 +1242,18 @@ def _counting_geometries(monkeypatch):
     return builds, evaluations
 
 
+def _unsigned(p):
+    """The point whose geometry a solution's evaluation reads: (t, |u|, v, w)."""
+    return dataclasses.replace(p, u=abs(p.u))
+
+
 @pytest.mark.parametrize("branch,s,n", [("u1", "1.1", 4), ("u0", "5", 2)])
 def test_solve_builds_one_geometry_per_solution(capsys, monkeypatch, branch, s, n):
-    # the solver evaluates each of its N = 2 or 4 solutions, then verification
-    # evaluates each again from the cache: one geometry per point, built
-    # through the cache, no Gram factorization, no form (the Gram defect is a
-    # closed form), and the reductivity query never runs
+    # the solver evaluates each of its N = 2 or 4 solutions once, a +-u pair
+    # at one point, and the CLI judges each by the eta its solve formed: two
+    # geometries, built through the cache, no Gram factorization, no form
+    # (the Gram defect is a closed form), and the reductivity query never
+    # runs
     builds, evaluations = _counting_geometries(monkeypatch)
     forms = _count_calls(monkeypatch, metric.build_form)
     nr_tests = _count_calls(monkeypatch, analysis.is_naturally_reductive)
@@ -1188,18 +1263,18 @@ def test_solve_builds_one_geometry_per_solution(capsys, monkeypatch, branch, s, 
     code, out, _ = run_cli(capsys, "solve", "--branch", branch, "--S", s)
     assert code == 0
     assert len(out.splitlines()) == n
-    assert len(builds) == n and evaluations == builds + builds
+    assert len(builds) == 2 and len(evaluations) == n and list(dict.fromkeys(map(_unsigned, evaluations))) == builds
     assert (len(forms), len(nr_tests), len(factorizations)) == (0, 0, 0)
     # each point's geometry went into the cache, computed nowhere else
     info = geometry._cached_geometry.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (n, n, n)
+    assert (info.misses, info.hits, info.currsize) == (2, n - 2, 2)
 
 
 @pytest.mark.parametrize("branch,s,n", [("u1", "1.1", 4), ("u0", "5", 2)])
 def test_solve_and_its_verifications_evaluate_each_point_once(capsys, monkeypatch, branch, s, n):
-    # the solver's evaluation is kept on each point's geometry and each verification reads it there, that of a
-    # hand-built solution at the same params too: the evaluation (eta, the Gram defect and the round-point verdict)
-    # is formed once per point
+    # the solver's evaluation is kept on the geometry of each +-u pair and each verification reads it there, that of
+    # a hand-built solution at the same params too: the evaluation (eta, the Gram defect and the round-point verdict)
+    # is formed once per pair
     formed = _count_calls(monkeypatch, geometry._gram_defect)
     counting_equal, equals = _counting(geometry._Geometry.equal)
     monkeypatch.setattr(geometry._Geometry, "equal", counting_equal)
@@ -1207,15 +1282,15 @@ def test_solve_and_its_verifications_evaluate_each_point_once(capsys, monkeypatc
     geometry._cached_geometry.cache_clear()
     code, out, _ = run_cli(capsys, "solve", "--branch", branch, "--S", s, "--format", "json")
     assert code == 0 and len(out.splitlines()) == n
-    assert len(builds) == n and evaluations == builds + builds
-    assert len(formed) == len(equals) == n
+    assert len(builds) == 2 and len(evaluations) == n and list(dict.fromkeys(map(_unsigned, evaluations))) == builds
+    assert len(formed) == len(equals) == 2
     for record in map(json.loads, out.splitlines()):
         p = metric.MetricParams(**record["params"])
         hand_built = analysis.LedgerSolution(record["branch"], record["S"], record["V"], record["W"], record["Usq"],
                                              p, {}, False)
         report = analysis.verify_solution(hand_built)
         assert report.passed and report.residuals == record["residuals"]
-    assert len(builds) == len(formed) == len(equals) == n
+    assert len(builds) == len(formed) == len(equals) == 2
 
 
 def test_a_cached_ledger_query_forms_its_reduced_system_once(capsys, monkeypatch):
@@ -1247,35 +1322,43 @@ def test_verifying_a_solves_cached_outputs_builds_no_geometry(monkeypatch):
     builds, evaluations = _counting_geometries(monkeypatch)
     geometry._cached_geometry.cache_clear()
     sols = analysis.solve_ledger_unonzero(1.1) + analysis.solve_ledger_u0(5.0)
-    assert len(builds) == len(evaluations) == 6
+    assert len(builds) == 4 and len(evaluations) == 6  # a +-u pair reads one geometry
     assert all(analysis.verify_solution(sol).passed for sol in sols)
-    assert len(builds) == 6 and evaluations == builds + builds
+    assert len(builds) == 4 and evaluations == [sol.params for sol in sols] * 2
 
 
 def test_a_solve_larger_than_the_cache_still_verifies_every_solution(monkeypatch):
-    # the geometry cache keeps the newest 256 of the 400 points, and a pass
-    # over all 400 in order then misses at each: every point is built again
+    # 600 solutions read 300 geometries, one per +-u pair; the cache keeps
+    # the newest 256, and a pass over all 600 in order then misses at the
+    # +u solution of each pair and hits at its -u twin: every point is built
+    # again, once
     builds, _ = _counting_geometries(monkeypatch)
     geometry._cached_geometry.cache_clear()
-    sols = analysis.solve_ledger_unonzero(*np.linspace(0.4, 1.4, 100).tolist())
-    assert len(builds) == 400 and geometry._cached_geometry.cache_info().currsize == 256
+    sols = analysis.solve_ledger_unonzero(*np.linspace(0.4, 1.4, 150).tolist())
+    assert len(sols) == 600 and len(builds) == 300 and geometry._cached_geometry.cache_info().currsize == 256
     assert all(analysis.verify_solution(sol).passed for sol in sols)
-    assert len(builds) == 800
+    assert len(builds) == 600 and builds[300:] == builds[:300]
 
 
 def test_sweep_streams_the_records_of_one_solve_per_s(capsys, monkeypatch):
-    # 70 S values go through 70 solves of one S each and print exactly
-    # what 70 single solves print, in grid order
-    solve, sizes = analysis.solve_ledger_unonzero, []
+    # 70 S values are drawn one at a time, each after the 4 records of the
+    # one before have printed, and print exactly what 70 single solves
+    # print, in grid order
+    rows, printed = cli._rows, []
 
-    def counting_solve(*grid):
-        sizes.append(len(grid))
-        return solve(*grid)
+    def counting_rows(branch, grid):
+        def drawn():
+            for s in grid:
+                printed.append(capsys.readouterr().out)
+                yield s
+        return rows(branch, drawn())
 
-    monkeypatch.setattr(cli, "solve_ledger_unonzero", counting_solve)
-    code, swept, _ = run_cli(capsys, "sweep", "--branch", "u1", "--S-min", "0.34", "--S-max", "1.43", "--S-steps", "70")
+    monkeypatch.setattr(cli, "_rows", counting_rows)
+    capsys.readouterr()
+    code = main(["sweep", "--branch", "u1", "--S-min", "0.34", "--S-max", "1.43", "--S-steps", "70"])
+    swept = "".join(printed) + capsys.readouterr().out
     assert code == 0
-    assert sizes == [1] * 70
+    assert [out.count("\n") for out in printed] == [0] + [4] * 69
     solved = ""
     for s in np.linspace(0.34, 1.43, 70).tolist():
         code, out, _ = run_cli(capsys, "solve", "--branch", "u1", "--S", repr(s), "--format", "json")
@@ -1285,8 +1368,9 @@ def test_sweep_streams_the_records_of_one_solve_per_s(capsys, monkeypatch):
 
 
 def test_each_sweep_verification_reads_the_geometry_its_solve_built(capsys, monkeypatch):
-    # with a geometry cache of 4 points, the 4 solutions of one S still fit: each verification is a cache hit,
-    # so 40 S print 160 records from 160 geometries, not 320 (a solve of many S overflows the cache first)
+    # with a geometry cache of 4 points, the 2 geometries of one S still fit: the -u solution of each +-u pair
+    # reads the geometry of its +u twin, and each record is judged by the eta its solve formed, so 40 S print 160
+    # records from 80 geometries, not 160 or 320
     builds = []
 
     class CountingGeometry(geometry._Geometry):
@@ -1297,13 +1381,13 @@ def test_each_sweep_verification_reads_the_geometry_its_solve_built(capsys, monk
     monkeypatch.setattr(geometry, "_cached_geometry", functools.lru_cache(maxsize=4)(CountingGeometry))
     code, out, _ = run_cli(capsys, "sweep", "--branch", "u1", "--S-min", "0.34", "--S-max", "1.43", "--S-steps", "40")
     assert code == 0
-    assert len(out.splitlines()) == 160 and len(builds) == 160
+    assert len(out.splitlines()) == 160 and len(builds) == 80
 
 
 def test_the_sweep_grid_is_that_of_np_linspace(capsys, monkeypatch):
     # S-min + i step in floats, the last S S-max: np.linspace's arithmetic, bit for bit
     grids = []
-    monkeypatch.setattr(cli, "solve_ledger_u0", lambda *grid: grids.extend(grid) or [])
+    monkeypatch.setattr(cli, "_rows", lambda branch, grid: grids.extend(grid) or [])
     rng = np.random.default_rng(19)
     cases = [(1.000001, 8.999999, 1000), (1.5, 8.5, 1), (2.0, 2.0, 7), (1.5, 8.5, 2)]
     for _ in range(200):

@@ -70,6 +70,9 @@ def _argv() -> list[tuple[str, ...]]:
         ("solve", "--branch", "u0"),
         ("solve", "--branch", "u1", "--S", "2"),
         ("sweep", "--branch", "u0", "--S-min", "5", "--S-max", "4"),
+        # an S that %g prints as it prints the bound 1/3: S and the bounds are quoted by repr
+        ("solve", "--branch", "u1", "--S", "0.3333333333333333"),
+        ("sweep", "--branch", "u1", "--S-min", "0.3333333333333333", "--S-max", "1"),
         # a step count beyond the floats, whose step division overflowed with a traceback
         ("sweep", "--branch", "u0", "--S-min", "2", "--S-max", "3", "--S-steps", "9" * 401),
         ("sweep", "--branch", "u0", "--S-min", "2", "--S-max", "3", "--S-steps", "9" * 401, "--format", "json"),

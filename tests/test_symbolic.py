@@ -457,7 +457,7 @@ def test_the_real_positive_einstein_metrics_are_the_two_on_the_solver_families()
 
 def test_the_backward_error_terms_are_the_partials_of_the_determinant():
     # D_a = (x4 - x3) q / 2 with q = Q_a / (x1 x2 x3 x4); the program's D_a and x_k dD_a/dx_k over x3 + x4 from
-    # its s = x3 + x4 - x_a and q, and the oracle's x_k dD_a/dx_k, for k = a, b, 3, 4
+    # its x_a - x3, x_a - x4, s = x3 + x4 - x_a, q and q's last term, and the oracle's x_k dD_a/dx_k, for k = a, b, 3, 4
     x1, x2, x3, x4 = _X
     oracle = ledger_determinants(x1, x2, x3, x4)
     for (xa, xb), (d_oracle, terms) in zip(((x1, x2), (x2, x1)), oracle):
@@ -466,7 +466,8 @@ def test_the_backward_error_terms_are_the_partials_of_the_determinant():
         assert sp.cancel(d_oracle - d) == 0
         partials = [x * sp.diff(d, x) for x in (xa, xb, x3, x4)]
         assert [sp.cancel(a - b) for a, b in zip(terms, partials)] == [0] * 4
-        got = geometry._partials(xa, xb, x3, x4, x3 + x4 - xa, q)
+        got = geometry._partials(xa, xb, x3, x4, xa - x3, xa - x4, x3 + x4 - xa, q,
+                                 ((xa - xb) / x3) * ((xa + xb) / x4) / xb)
         assert [sp.cancel(a - b / (x3 + x4)) for a, b in zip(got, [d, *partials])] == [0] * 5
         assert sp.cancel(sum(partials)) == 0  # D_a is of degree 0 in x
 
