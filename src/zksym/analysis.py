@@ -145,7 +145,7 @@ def ledger_system_residuals(p: MetricParams) -> np.ndarray:
 # solution families of the first Ledger condition
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class LedgerSolution:
     """Admissible parameter tuple solving the first Ledger condition.
 
@@ -166,11 +166,6 @@ class LedgerSolution:
     params: MetricParams
     residuals: Mapping[str, float]
     naturally_reductive: bool
-
-    def __init__(self, branch: str, S: float, V: float, W: float, Usq: float, params: MetricParams,
-                 residuals: Mapping[str, float], naturally_reductive: bool):
-        self.__dict__.update(branch=branch, S=S, V=V, W=W, Usq=Usq, params=params, residuals=residuals,
-                             naturally_reductive=naturally_reductive)
 
     def to_dict(self) -> dict:
         return {
@@ -224,11 +219,11 @@ def _quoting(values: Iterable[float], bounds: tuple[float, float]) -> Callable[[
     return repr if any(g(s) == g(b) and not float(g(s)) == s == b for s in values for b in bounds) else g
 
 
-def _rows(branch: str, grid: Iterable[float]) -> Iterator[tuple[LedgerSolution, float]]:
-    """The solutions of ``branch`` ("u0" or "u1") at t = 1 at each S of the grid, in order, each with the residuals
-    of its point's :func:`_evaluate` and the larger eta_alpha that :func:`verify_solution` compares, drawn one S at
-    a time; raises on an S outside the interval when it reaches it.  A -u row follows its +u twin and equals it but
-    in u's sign."""
+def _rows(branch: str, grid: Iterable[float]) -> Iterator[tuple[tuple, float]]:
+    """The solutions of ``branch`` ("u0" or "u1") at t = 1 at each S of the grid, in order, each as the tuple of its
+    LedgerSolution fields, with the residuals of its point's :func:`_evaluate`, and the larger eta_alpha that
+    :func:`verify_solution` compares, drawn one S at a time; raises on an S outside the interval when it reaches it.
+    A -u row follows its +u twin and equals it but in u's sign."""
     name, (lo, hi), roots = _BRANCHES[branch]
     for s in grid:
         if not (lo < s < hi):
@@ -237,7 +232,7 @@ def _rows(branch: str, grid: Iterable[float]) -> Iterator[tuple[LedgerSolution, 
         for vv, ww, u in roots(s):
             p = MetricParams(1.0, u, math.sqrt(vv), math.sqrt(ww))
             residuals, eta, nr = _evaluate(p)
-            yield LedgerSolution(name, s, vv, ww, u * u, p, residuals, nr), eta
+            yield (name, s, vv, ww, u * u, p, residuals, nr), eta
 
 
 def solve_ledger_u0(*grid: float) -> list[LedgerSolution]:
@@ -248,7 +243,7 @@ def solve_ledger_u0(*grid: float) -> list[LedgerSolution]:
     (X1, X2) t^2 and (X2, X1) t^2.  The small root is taken as X1 = P/X2,
     which keeps full precision where P -> 0 at either end of the interval.
     """
-    return [sol for sol, _ in _rows("u0", grid)]
+    return [LedgerSolution(*row) for row, _ in _rows("u0", grid)]
 
 
 def solve_ledger_unonzero(*grid: float) -> list[LedgerSolution]:
@@ -264,14 +259,14 @@ def solve_ledger_unonzero(*grid: float) -> list[LedgerSolution]:
     rounding as S -> 1/3.  The same formulas give a second arc, S in
     (4, (7 + sqrt(17))/2), which no solver returns.
     """
-    return [sol for sol, _ in _rows("u1", grid)]
+    return [LedgerSolution(*row) for row, _ in _rows("u1", grid)]
 
 
 # ----------------------------------------------------------------------
 # end-to-end verification
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class VerificationReport:
     """Recomputed residuals and reductivity status of a LedgerSolution.
 
@@ -283,11 +278,6 @@ class VerificationReport:
     residuals: Mapping[str, float]
     naturally_reductive: bool
     relative_residuals: Mapping[str, float]
-
-    def __init__(self, passed: bool, residuals: Mapping[str, float], naturally_reductive: bool,
-                 relative_residuals: Mapping[str, float]):
-        self.__dict__.update(passed=passed, residuals=residuals, naturally_reductive=naturally_reductive,
-                             relative_residuals=relative_residuals)
 
     def summary(self) -> str:
         worst = max(self.relative_residuals.values())

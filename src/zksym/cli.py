@@ -27,7 +27,8 @@ import sys
 import types
 from pathlib import Path
 
-from .analysis import _BRANCHES, _quoting, _rows, first_ledger_verdict, is_naturally_reductive, verify_solution
+from .analysis import (_BRANCHES, LedgerSolution, _quoting, _rows, first_ledger_verdict, is_naturally_reductive,
+                       verify_solution)
 from .geometry import _SUPPORT, _cached_geometry
 from .metric import DEFAULT_TOL, FRAME_NAMES, DegenerateMetricError, InvalidParamsError, MetricParams
 
@@ -249,29 +250,30 @@ def _point(command, frame: bool, args, env_tol: str | None, files: dict) -> tupl
                        **command(p, tol, True)}), None, kept
 
 
-def _solutions(branch: str, grid, tol: float, as_json: bool) -> None:
-    """Print every solution of the branch at each S of the grid, one S at a time; after the last, raise if any fails
-    verification.  Each is judged by the eta_alpha its solve formed, the float verify_solution compares, and
-    verify_solution runs once, on the first worst failure, for its summary."""
-    failed, count, worst, line = 0, 0, (None, -1.0), ""
-    for sol, eta in _rows(branch, grid):
-        p, r, nr = sol.params, sol.residuals, "true" if sol.naturally_reductive else "false"
+def _solutions(args, grid, tol: float) -> None:
+    """Print every solution of args.branch at each S of the grid in args.format, one S at a time; after the last,
+    raise if any fails verification.  Each is judged by the eta_alpha its solve formed, the float verify_solution
+    compares, which runs once, on a LedgerSolution of the first worst failure's row, for its summary."""
+    failed, count, worst, line, as_json = 0, 0, (None, -1.0), "", args.format == "json"
+    for row, eta in _rows(args.branch, grid):
+        name, s, vv, ww, usq, p, r, nr = row
+        nr = "true" if nr else "false"
         if p.u < 0.0:  # the -u twin of the record before: its line but in u's sign, as repr(-x) == "-" + repr(x)
             line = line.replace(*(('"u": ', '"u": -') if as_json else (" u=", " u=-")), 1)
         elif as_json:
-            numbers = (sol.S, sol.V, sol.W, sol.Usq, p.t, p.u, p.v, p.w, r["ledger"], r["star"], r["gram"])
+            numbers = (s, vv, ww, usq, p.t, p.u, p.v, p.w, r["ledger"], r["star"], r["gram"])
             if not all(map(math.isfinite, numbers)):
                 raise DegenerateMetricError("a non-finite number has no JSON form")
-            line = _SOLUTION % (sol.branch, *numbers, nr)
+            line = _SOLUTION % (name, *numbers, nr)
         else:
-            line = (f"branch={sol.branch} S={_fmt(sol.S)} V={_fmt(sol.V)} W={_fmt(sol.W)} u={_fmt(p.u)} "
+            line = (f"branch={name} S={_fmt(s)} V={_fmt(vv)} W={_fmt(ww)} u={_fmt(p.u)} "
                     f"v={_fmt(p.v)} w={_fmt(p.w)} ledger={r['ledger']:.3g} star={r['star']:.3g} NR={nr}")
         print(line)
         count += 1
         if not eta <= tol:  # the count and the first worst failure, not every failed one
-            failed, worst = failed + 1, max(worst, (sol, eta), key=lambda w: w[1])
+            failed, worst = failed + 1, max(worst, (row, eta), key=lambda w: w[1])
     if failed:
-        summary = verify_solution(worst[0], tol).summary()
+        summary = verify_solution(LedgerSolution(*worst[0]), tol).summary()
         raise DegenerateMetricError(f"{failed} of {count} solutions fail verification, worst: {summary}")
 
 
@@ -279,7 +281,7 @@ def cmd_solve(args, env_tol: str | None, files: dict) -> None:
     tol = _resolve_tol(args, env_tol)
     if args.S is None:
         raise InvalidParamsError("solve needs --S")
-    _solutions(args.branch, [args.S], tol, args.format == "json")
+    _solutions(args, [args.S], tol)
 
 
 def cmd_sweep(args, env_tol: str | None, files: dict) -> None:
@@ -294,7 +296,7 @@ def cmd_sweep(args, env_tol: str | None, files: dict) -> None:
         raise InvalidParamsError(f"S-steps must be at most {sys.float_info.max:.3g}")
     first, last, n = args.S_min, args.S_max, args.S_steps
     step = (last - first) / max(n - 1, 1)  # np.linspace's floats, S-max last, one at a time: memory stays flat in n
-    _solutions(args.branch, (last if i == n - 1 > 0 else first + i * step for i in range(n)), tol, as_json=True)
+    _solutions(args, (last if i == n - 1 > 0 else first + i * step for i in range(n)), tol)
 
 
 # --- parser ---
@@ -323,8 +325,8 @@ _COMMANDS = {
     "solve": ("solution families of the first Ledger condition at one S", cmd_solve,
               (_TOL, _FORMAT, _BRANCH, ("--S", "S", float, None, None, False, None))),
     "sweep": ("stream solution records over an S grid (one JSON per line)", cmd_sweep,
-              (_TOL, _FORMAT, _BRANCH, ("--S-min", "S_min", float, None, None, True, None),
-               ("--S-max", "S_max", float, None, None, True, None),
+              (_TOL, ("--format", "format", None, ("text", "json"), "json", False, None), _BRANCH,
+               ("--S-min", "S_min", float, None, None, True, None), ("--S-max", "S_max", float, None, None, True, None),
                ("--S-steps", "S_steps", int, None, 50, False, None))),
 }
 _FLAGS = {name: {option[0]: option for option in options} for name, (_, _, options) in _COMMANDS.items()}

@@ -187,9 +187,9 @@ def _dense(values, slots=_INDEX) -> np.ndarray:
 
 class _Geometry:
     """The geometry of one parameter point in the root frame: at once, its e and y and what :func:`_program`
-    forms, in Python floats; the support values and the frames when asked for, the presented tables and the
-    Ledger readouts once, so only it and :mod:`zksym.metric` know the unit scale e, and only it D_alpha and eta.
-    It holds numbers only: the CLI keeps its rendered replies in its own memo, ``zksym.cli._reply``."""
+    forms; the support values when asked for, the presented tables and the Ledger readouts once, so only it and
+    :mod:`zksym.metric` know the unit scale e, and only it D_alpha and eta.  It holds Python floats only, no array
+    (:func:`_apply` forms the frames per call) and no reply: the CLI keeps those in its memo, ``zksym.cli._reply``."""
 
     def __init__(self, p: MetricParams):
         p.K  # the guard, which like an overflow in the program raises before anything is kept
@@ -265,16 +265,6 @@ class _Geometry:
         signs = [1.0] * 4 + [math.copysign(1.0, self.params.v)] * 2 + [math.copysign(1.0, self.params.w)] * 2
         return [[sign if i == a else 0.0 for i in range(8)] for a, (sign, keep) in enumerate(zip(signs, kept)) if keep]
 
-    @cached_property
-    def frame(self) -> np.ndarray:
-        """E = P diag(x)^(-1/2): column i is root frame vector i in raw m-coordinates."""
-        return _P * np.ldexp(1.0 / np.sqrt(self.y), -self.e)[_MODULE]
-
-    @cached_property
-    def coframe(self) -> np.ndarray:
-        """E^-1 = diag(sqrt x) P^T."""
-        return np.ldexp(np.sqrt(self.y), self.e)[_MODULE, None] * _P.T
-
     @property
     def _cos_sin(self) -> tuple[float, float]:
         """c = sqrt(x1 / 2t^2) and s = sqrt(x2 / 2t^2)."""
@@ -337,10 +327,12 @@ def _geometry(form: AdaptedForm) -> _Geometry:
 
 
 def _apply(geo: _Geometry, tensor: np.ndarray, *vectors):
-    """A root-frame tensor of one point on raw vectors, its first indices each; a vector result in raw coordinates."""
+    """A root-frame tensor of one point on raw vectors, its first indices each, which enter the root frame by E^-1 =
+    diag(sqrt x) P^T; a vector result leaves it by E = P diag(x)^(-1/2), column i root frame vector i."""
+    coframe = np.ldexp(np.sqrt(geo.y), geo.e)[_MODULE, None] * _P.T
     for x in vectors:
-        tensor = np.tensordot(geo.coframe @ _as_m_vector(x), tensor, (0, 0))
-    return tensor if tensor.ndim == 0 else geo.frame @ tensor
+        tensor = np.tensordot(coframe @ _as_m_vector(x), tensor, (0, 0))
+    return tensor if tensor.ndim == 0 else (_P * np.ldexp(1.0 / np.sqrt(geo.y), -geo.e)[_MODULE]) @ tensor
 
 
 def _as_m_vector(x) -> np.ndarray:

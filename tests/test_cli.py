@@ -157,6 +157,8 @@ def _algebra_doc(case):
         doc["structure"].append([0, -1, 1, 1.0])
     elif case in _COERCED:
         doc = {**_SMALL_ALGEBRA, **_COERCED[case]}
+    elif case in _SHAPES:
+        doc = {**_SMALL_ALGEBRA, **_SHAPES[case]}
     return doc
 
 
@@ -178,6 +180,28 @@ _COERCED = {
     "names string": {"names": "hm"},
     "names duplicate": {"names": ["m", "m"]},
 }
+# well-typed documents whose shapes disagree, which the algebra refuses
+_SHAPES = {
+    "dim 0": {"dim": 0, "names": [], "grading": [], "structure": []},
+    "names short": {"names": ["h"]},
+    "grading short": {"grading": [[False]]},
+    "grading widths": {"grading": [[False], [True, False]]},
+}
+
+
+def test_inspect_of_a_grading_closure_violation_exits_2(tmp_path, capsys):
+    # [h, m] = h: two structure constants land in the wrong block, a report, then one line, exit 2
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({**_SMALL_ALGEBRA, "structure": [[0, 1, 0, 1], [1, 0, 0, -1]]}))
+    message = "numerical failure: algebra invalid: 2 grading-closure violation(s)\n"
+    code, out, err = run_cli(capsys, "inspect", "--algebra", str(path))
+    assert (code, err) == (2, message)
+    assert "validation: invalid: 2 grading-closure violation(s)" in out.splitlines()
+    code, out, err = run_cli(capsys, "inspect", "--algebra", str(path), "--format", "json")
+    assert (code, err) == (2, message)
+    doc = json.loads(out)
+    assert doc["valid"] is False
+    assert doc["violations"] == {"antisymmetry": [], "jacobi": [], "grading": [[0, 1, 0], [1, 0, 0]]}
 
 
 def test_inspect_small_algebra(tmp_path, capsys):
@@ -212,12 +236,16 @@ _MALFORMED = {
     "names null and int": "names must be strings, got [None, 3]",
     "names string": "names must be a list of distinct strings, got 'hm'",
     "names duplicate": "names must be a list of distinct strings, got ['m', 'm']",
+    "dim 0": "algebra needs a positive dimension",
+    "names short": "names length disagrees with dim",
+    "grading short": "need exactly one grading label per basis element",
+    "grading widths": "grading labels must share the same group Z_2^k",
 }
 
 
 @pytest.mark.parametrize("case", ["null value", "null structure", "bare number row", "NaN value", "string bits", *_COERCED,
                                   "null grading", "empty bits before string bits", "short row", "index out of range",
-                                  "negative index"])
+                                  "negative index", *_SHAPES])
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_inspect_malformed_algebra_exits_1(tmp_path, capsys, case, fmt):
     path = tmp_path / "doc.json"
@@ -602,6 +630,22 @@ def test_sweep_streams_deterministic_records(capsys):
     assert len(records) == 8  # 4 grid points x 2 root orderings
     s_values = sorted({rec["S"] for rec in records})
     assert s_values == [2.0, 4.0, 6.0, 8.0]
+
+
+@pytest.mark.parametrize("branch,first,last,n", [("u0", 1.5, 8.5, 7), ("u1", 0.34, 1.43, 5)])
+def test_sweep_in_text_prints_the_lines_of_solve_at_each_s(capsys, branch, first, last, n):
+    # --format text prints, S by S, what solve --format text prints there; the default stays JSON, and a failed
+    # verification ends either format with the same stderr line
+    argv = ("sweep", "--branch", branch, "--S-min", repr(first), "--S-max", repr(last), "--S-steps", str(n))
+    solved = "".join(run_cli(capsys, "solve", "--branch", branch, "--S", repr(s))[1]
+                     for s in np.linspace(first, last, n).tolist())
+    assert len(solved.splitlines()) == n * (2 if branch == "u0" else 4)
+    for spelling in (("--format", "text"), ("--format=text",), ("--form", "text")):  # the table and argparse
+        assert run_cli(capsys, *argv, *spelling) == (0, solved, "")
+    default = run_cli(capsys, *argv)
+    assert default == run_cli(capsys, *argv, "--format", "json") == run_cli(capsys, *argv, "--format=json")
+    code, out, err = run_cli(capsys, *argv, "--format", "text", "--tol", "1e-300")
+    assert (code, out) == (2, solved) and (code, err) == run_cli(capsys, *argv, "--tol", "1e-300")[::2]
 
 
 @pytest.mark.parametrize(
@@ -1021,12 +1065,13 @@ def test_a_non_finite_solution_record_exits_2(capsys, monkeypatch, argv, planted
     original, returned = cli._rows, []
 
     def rows(branch, grid):
-        for sol, eta in original(branch, grid):
+        for row, eta in original(branch, grid):  # each row the tuple of its LedgerSolution's fields, in field order
+            sol = analysis.LedgerSolution(*row)
             if len(returned) == planted:
                 changed = {"residuals": {**sol.residuals, key: bad}} if key in sol.residuals else {key: bad}
                 sol = dataclasses.replace(sol, **changed)
             returned.append(sol)
-            yield sol, eta
+            yield tuple(getattr(sol, field.name) for field in dataclasses.fields(sol)), eta
 
     monkeypatch.setattr(cli, "_rows", rows)
     code, out, err = run_cli(capsys, *argv)

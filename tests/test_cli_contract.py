@@ -60,6 +60,7 @@ def _argv() -> list[tuple[str, ...]]:
         ("solve", "--branch", "u0", "--S", "1.0000000001", "--format", "json"),
         ("solve", "--branch", "u1", "--S", "1.4384471871911", "--format", "json"),
         ("sweep", "--branch", "u1", "--S-min", "0.34", "--S-max", "1.43", "--S-steps", "3"),
+        ("sweep", "--branch", "u1", "--S-min", "0.34", "--S-max", "1.43", "--S-steps", "3", "--format", "text"),
         # bad inputs: exit 1
         ("ricci", "--t", "1", "--u", "0", "--v", "1"),
         ("ricci", *_point(1.0, 4.0, 1.0, 1.0)),
@@ -99,7 +100,8 @@ def _contract(argv, capsys) -> dict:
     code = main(list(argv))
     out, err = capsys.readouterr()
     record = {"exit": code, "stderr": err.strip()}
-    if "--format" in argv and argv[argv.index("--format") + 1] == "json" or argv[0] == "sweep":
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json" if argv[0] == "sweep" else "text"
+    if fmt == "json":
         docs = [json.loads(line) for line in out.splitlines()]
         record["keys"] = [list(doc) for doc in docs]
         record["verdicts"] = [{k: doc[k] for k in _VERDICT_KEYS if k in doc} for doc in docs]
@@ -107,7 +109,7 @@ def _contract(argv, capsys) -> dict:
         record["verdicts"] = out.splitlines()[:1]
     elif argv[0] in ("ledger", "inspect"):
         record["verdicts"] = [line for line in out.splitlines() if "condition" in line or "validation" in line]
-    elif argv[0] == "solve":
+    elif argv[0] in ("solve", "sweep"):
         record["verdicts"] = [line.rsplit(" ", 1)[-1] for line in out.splitlines()]
     return record
 

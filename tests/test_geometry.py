@@ -1082,3 +1082,31 @@ def test_an_evaluation_is_bit_identical_under_each_sign_flip_but_not_under_v_w()
         assert minus.params.u == -plus.params.u
         assert evaluation(*dataclasses.astuple(minus.params)) == evaluation(*dataclasses.astuple(plus.params))
     assert swapped > len(points) // 4
+
+
+def test_a_points_geometry_holds_python_numbers_only():
+    # the raw-vector functions form the frames E and E^-1 on each call: after every public geometry and analysis
+    # function has run at one point, through build_form and through a bare Gram matrix, its cached geometry holds
+    # no numpy array, only Python numbers and its MetricParams
+    sol = solve_ledger_unonzero(1.0)[0]
+    p = sol.params
+    x, y, z = np.random.default_rng(42).standard_normal((3, 8))
+    m_bracket(x, y)
+    for form in (build_form(p), AdaptedForm(gram=np.array(build_form(p).gram))):
+        u_map(x, y, form), nabla(x, y, form), curvature(x, y, z, form), ledger(x, y, z, form), ricci(form)
+    for table in (bracket_table, u_table, nomizu_table, ledger_table):
+        table(p)
+    for check in (analysis.first_ledger_verdict, analysis.infinitesimal_isometries, analysis.is_naturally_reductive,
+                  analysis.ledger_system_residuals):
+        check(p)
+    solve_ledger_u0(5.0), analysis.verify_solution(sol)
+    geo = geometry._cached_geometry(p)
+    assert {"ratios", "_tables", "_evaluation", "ricci", "u_max", "reduced_system", "ledger_max"} <= set(vars(geo))
+
+    def leaves(value):
+        if isinstance(value, (list, tuple)):
+            return [leaf for item in value for leaf in leaves(item)]
+        return leaves(list(value.values())) if isinstance(value, dict) else [value]
+
+    assert not any(isinstance(value, np.ndarray) for value in vars(geo).values())
+    assert {type(leaf) for leaf in leaves(list(vars(geo).values()))} <= {float, int, bool, MetricParams}

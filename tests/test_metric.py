@@ -14,6 +14,8 @@ import pytest
 from zksym import (
     AdaptedForm,
     DegenerateMetricError,
+    GradedLieAlgebra,
+    GradingLabel,
     InvalidParamsError,
     MetricParams,
     build_form,
@@ -239,6 +241,9 @@ def test_adh_invariance_of_built_forms(params):
     assert report.ok()
     # all residuals tie at zero: the last h element wins, at its first m pair
     assert report.worst == ("X2", "A1", "A1")
+    # an 8-dimensional algebra with h = 0 has no isotropy to check
+    odd = GradedLieAlgebra([f"m{i}" for i in range(8)], np.zeros((8, 8, 8)), [GradingLabel((True,))] * 8)
+    assert check_adh_invariance(odd, build_form(MetricParams(*params))) == metric.InvarianceReport(0.0, ("", "", ""))
 
 
 def test_adh_invariance_detects_tampering():
@@ -254,6 +259,10 @@ def test_adh_invariance_detects_tampering():
 def test_adh_invariance_rejects_wrong_shape():
     with pytest.raises(ValueError):
         AdaptedForm(gram=np.eye(7))
+    # an algebra whose m is 1-dimensional against so(5)'s 8 x 8 form
+    h_m = GradedLieAlgebra(["h", "m"], np.zeros((2, 2, 2)), [GradingLabel((False,)), GradingLabel((True,))])
+    with pytest.raises(ValueError, match="^form dimension does not match the reductive complement$"):
+        check_adh_invariance(h_m, build_form(MetricParams(1, 0, 1, 2)))
 
 
 # ----------------------------------------------------------------------
