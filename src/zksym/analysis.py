@@ -134,8 +134,8 @@ def ledger_system_residuals(p: MetricParams) -> np.ndarray:
     Written out over the Ricci entries (r11, r33, r55, r77, r14), they have
     rank at most 3, as v w eq3 = u/(2tK) eq4 - K eq2, and 3 off u = 0 and
     v^2 = w^2 (``tests/test_symbolic.py`` proves all of this).  The point's
-    cached geometry forms them once, from D_alpha at the unit scale.  Raises
-    DegenerateMetricError when one overflows.
+    cached geometry forms them on each call, from D_alpha at the unit scale.
+    Raises DegenerateMetricError when one overflows.
     """
     import numpy as np  # loaded only where an array is formed: ``ledger`` prints the geometry's floats
     return np.array(geometry._cached_geometry(p).reduced_system)

@@ -324,7 +324,7 @@ _COMMANDS = {
                _POINT_OPTIONS),
     "solve": ("solution families of the first Ledger condition at one S", cmd_solve,
               (_TOL, _FORMAT, _BRANCH, ("--S", "S", float, None, None, False, None))),
-    "sweep": ("stream solution records over an S grid (one JSON per line)", cmd_sweep,
+    "sweep": ("stream solution records over an S grid (one per line)", cmd_sweep,
               (_TOL, ("--format", "format", None, ("text", "json"), "json", False, None), _BRANCH,
                ("--S-min", "S_min", float, None, None, True, None), ("--S-max", "S_max", float, None, None, True, None),
                ("--S-steps", "S_steps", int, None, 50, False, None))),

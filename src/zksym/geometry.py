@@ -24,17 +24,17 @@ presentation only: A~1 = sgn t (c E1 + s E3), A~2 = sgn t (c E2 + s E4),
 A~3 = c E4 - s E2, A~4 = s E1 - c E3, B~i = sgn v E_{4+i}, C~i = sgn w E_{6+i}
 with c, s = sqrt(x1, x2 / 2t^2): a rotation of each A root pair (a, a + 2) and the signs
 of v and w, so each entry of its tables (48 slots) is a rotated pair of root entries (one
-A index each).  These, their maxima and its Ricci matrix (8, 8) are floats, built on first
-use.  A bare Gram matrix g, finite, symmetric, of positive diagonal and ad(h)-invariant,
-is P diag(x) P^T, read with no factorization as (sqrt g00, 2 g30, sqrt g44, sqrt g66);
-numpy forms only the library's arrays and raw m-vectors (basis A1..C2), which enter the
-root frame by diag(sqrt x) P^T.
+A index each).  These, their maxima and its Ricci matrix (8, 8) are floats, formed by
+each call that reads them.  A bare Gram matrix g, finite, symmetric, of positive diagonal
+and ad(h)-invariant, is P diag(x) P^T, read with no factorization as (sqrt g00, 2 g30,
+sqrt g44, sqrt g66); numpy forms only the library's arrays and raw m-vectors (basis
+A1..C2), which enter the root frame by diag(sqrt x) P^T, formed once per call.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cache, cached_property, lru_cache
+from functools import cache, lru_cache
 from itertools import permutations
 from operator import itemgetter
 
@@ -186,10 +186,10 @@ def _dense(values, slots=_INDEX) -> np.ndarray:
 
 
 class _Geometry:
-    """The geometry of one parameter point in the root frame: at once, its e and y and what :func:`_program`
-    forms; the support values when asked for, the presented tables and the Ledger readouts once, so only it and
-    :mod:`zksym.metric` know the unit scale e, and only it D_alpha and eta.  It holds Python floats only, no array
-    (:func:`_apply` forms the frames per call) and no reply: the CLI keeps those in its memo, ``zksym.cli._reply``."""
+    """The geometry of one parameter point in the root frame: it keeps e, y, what :func:`_program` forms and, once
+    read, its :meth:`evaluation`, and each call forms the rest it reads, so only it and :mod:`zksym.metric` know the
+    unit scale e, and only it D_alpha and eta.  It holds Python floats only, no array (:func:`_operator` forms the
+    frames per call) and no reply: the CLI keeps those in its memo, ``zksym.cli._reply``."""
 
     def __init__(self, p: MetricParams):
         p.K  # the guard, which like an overflow in the program raises before anything is kept
@@ -203,20 +203,16 @@ class _Geometry:
     u = property(lambda self: [c0 * (0.5 * (self.ratios[j] - self.ratios[i])) for c0, i, j in zip(_C0, _RI, _RJ)])
     n = property(lambda self: [u + 0.5 * c for u, c in zip(self.u, self.c)])
 
-    # L on the support, +-lam_alpha on the triples of alpha
+    # L on the support, +-lam_alpha on the triples of alpha, and max |L| over the adapted frame triples
     ledger = property(lambda self: [sign * self.lam[alpha] for sign, alpha in zip(_L_SIGN, _TRIPLE)])
-
-    @cached_property
-    def ledger_max(self) -> float:
-        """max |L| over the adapted frame triples."""
-        return max(map(abs, self.table("ledger")))
+    ledger_max = property(lambda self: max(map(abs, self.table("ledger"))))
 
     def evaluation(self) -> tuple[float, float, float, float, bool]:
         """A solution record's ||L|| at the point's scale, max|D_alpha|, Gram defect, larger eta_alpha and round-point
-        verdict at DEFAULT_TOL, kept as :meth:`table` keeps its tuples (a cached_property locks on Python 3.11); raises
-        where a D_alpha is not finite, or where a partial x_k dD_alpha/dx_k overflows (eta_alpha is NaN there).  Its
-        repr is the same under each sign flip of t, u, v or w, not under the swap v <-> w, so the solver and
-        verification read a +-u pair from the one geometry at (t, |u|, v, w) (:func:`zksym.analysis._evaluate`)."""
+        verdict at DEFAULT_TOL, kept once read (by hand: a cached_property locks on Python 3.11 and slowed ledger-sweep
+        by 4 %); raises where a D_alpha is not finite, or where a partial x_k dD_alpha/dx_k overflows (eta_alpha is NaN
+        there).  Its repr is the same under each sign flip of t, u, v or w, not under the swap v <-> w, so the solver
+        and verification read a +-u pair from the one geometry at (t, |u|, v, w) (:func:`zksym.analysis._evaluate`)."""
         point = vars(self).get("_evaluation")
         if point is None:
             if not all(map(math.isfinite, self.det)):
@@ -227,7 +223,7 @@ class _Geometry:
                                         _gram_defect(self.params), max(self.eta), self.equal("1234", DEFAULT_TOL))
         return point
 
-    @cached_property
+    @property
     def reduced_system(self) -> tuple[float, float, float, float]:
         """The four reduced Ledger equations of :func:`zksym.analysis.ledger_system_residuals`, formed from D_alpha
         at the unit scale and scaled as t^0, t^-1, t^-2, t^0 after; raises where one overflows."""
@@ -241,7 +237,7 @@ class _Geometry:
             raise DegenerateMetricError(f"reduced Ledger system residuals are not finite: {star}")
         return tuple(star)
 
-    @cached_property
+    @property
     def u_max(self) -> tuple[float, tuple[int, int, int]]:
         """max |U| over the adapted frame triples and the first (i, j, k), in C order, that attains it."""
         table = list(map(abs, self.table("u")))
@@ -272,18 +268,15 @@ class _Geometry:
         return math.sqrt(y1 / (y1 + y2)), math.sqrt(y2 / (y1 + y2))
 
     def table(self, name: str) -> tuple[float, ...]:
-        """The support values ``name`` presented in the adapted frame, on the slots _SUPPORT, built once.  Q turns each
-        A pair (a, a ^ 2) through c, s and signs B, C by sgn v, sgn w: a slot is sgn v sgn w (q x_i + q' x_j), each
-        product rounded once, as Q's rows summed in any order would give, and + 0.0 leaves no -0.0."""
-        tables = vars(self).setdefault("_tables", {})
-        if name not in tables:
-            x, (c, s), p = getattr(self, name), self._cos_sin, self.params
-            ct, st, sign = math.copysign(c, p.t), math.copysign(s, p.t), math.copysign(1.0, p.v * p.w)
-            q, q2 = (ct, ct, -s, s), (st, st, c, -c)  # Q[a, b] and Q[a ^ 2, b] for the adapted A column b
-            tables[name] = tuple((x[i] * q[b] + x[j] * q2[b]) * sign + 0.0 for i, j, b in _PAIRS)
-        return tables[name]
+        """The support values ``name`` presented in the adapted frame, on the slots _SUPPORT.  Q turns each A pair
+        (a, a ^ 2) through c, s and signs B, C by sgn v, sgn w: a slot is sgn v sgn w (q x_i + q' x_j), each product
+        rounded once, as Q's rows summed in any order would give, and + 0.0 leaves no -0.0."""
+        x, (c, s), p = getattr(self, name), self._cos_sin, self.params
+        ct, st, sign = math.copysign(c, p.t), math.copysign(s, p.t), math.copysign(1.0, p.v * p.w)
+        q, q2 = (ct, ct, -s, s), (st, st, c, -c)  # Q[a, b] and Q[a ^ 2, b] for the adapted A column b
+        return tuple((x[i] * q[b] + x[j] * q2[b]) * sign + 0.0 for i, j, b in _PAIRS)
 
-    @cached_property
+    @property
     def ricci(self) -> tuple[tuple[float, ...], ...]:
         """Q^T diag(r) Q entry by entry, its 8 rows: r1 = r2 (u = 0) leaves rho(A~1, A~4) = 0 exactly."""
         (c, s), (r1, r2, r3, r4) = self._cos_sin, self.r
@@ -326,13 +319,20 @@ def _geometry(form: AdaptedForm) -> _Geometry:
     return _cached_geometry(p)
 
 
-def _apply(geo: _Geometry, tensor: np.ndarray, *vectors):
-    """A root-frame tensor of one point on raw vectors, its first indices each, which enter the root frame by E^-1 =
-    diag(sqrt x) P^T; a vector result leaves it by E = P diag(x)^(-1/2), column i root frame vector i."""
-    coframe = np.ldexp(np.sqrt(geo.y), geo.e)[_MODULE, None] * _P.T
-    for x in vectors:
-        tensor = np.tensordot(coframe @ _as_m_vector(x), tensor, (0, 0))
-    return tensor if tensor.ndim == 0 else (_P * np.ldexp(1.0 / np.sqrt(geo.y), -geo.e)[_MODULE]) @ tensor
+def _operator(form: AdaptedForm, name: str):
+    """The root-frame tensor ``name`` (u, n or ledger) of the form's point on raw vectors, its first indices each,
+    which enter the root frame by E^-1 = diag(sqrt x) P^T; a vector result (u, n) leaves it by E = P diag(x)^(-1/2),
+    column i root frame vector i.  Each frame is formed once, for all the applications of one call."""
+    geo = _geometry(form)
+    tensor, coframe = _dense(getattr(geo, name)), np.ldexp(np.sqrt(geo.y), geo.e)[_MODULE, None] * _P.T
+    frame = None if name == "ledger" else _P * np.ldexp(1.0 / np.sqrt(geo.y), -geo.e)[_MODULE]
+
+    def apply(*vectors):
+        out = tensor
+        for x in vectors:
+            out = np.tensordot(coframe @ _as_m_vector(x), out, (0, 0))
+        return out if frame is None else frame @ out
+    return apply
 
 
 def _as_m_vector(x) -> np.ndarray:
@@ -359,14 +359,12 @@ def u_map(x, y, form: AdaptedForm) -> np.ndarray:
     all Z in m, for the positive-definite Gram matrix of ``form``.  Inputs
     and output are raw m-coordinates.
     """
-    geo = _geometry(form)
-    return _apply(geo, _dense(geo.u), x, y)
+    return _operator(form, "u")(x, y)
 
 
 def nabla(x, y, form: AdaptedForm) -> np.ndarray:
     """Connection operator nabla_x y = U(x,y) + [x,y]_m / 2 (raw m-coordinates)."""
-    geo = _geometry(form)
-    return _apply(geo, _dense(geo.n), x, y)
+    return _operator(form, "n")(x, y)
 
 
 def curvature(x, y, z, form: AdaptedForm) -> np.ndarray:
@@ -375,11 +373,9 @@ def curvature(x, y, z, form: AdaptedForm) -> np.ndarray:
     Antisymmetric in (x, y) and skew-adjoint with respect to the form,
     which must be positive-definite and ad(h)-invariant.
     """
-    geo = _geometry(form)
-    n = _dense(geo.n)
+    n = _operator(form, "n")
     h = np.einsum("i,j,ija->a", _as_m_vector(x), _as_m_vector(y), _CH)  # [x, y]_h, which acts on z by _ADH
-    return (_apply(geo, n, x, _apply(geo, n, y, z)) - _apply(geo, n, y, _apply(geo, n, x, z))
-            - _apply(geo, n, m_bracket(x, y), z) - np.einsum("a,alk,k->l", h, _ADH, z))
+    return n(x, n(y, z)) - n(y, n(x, z)) - n(m_bracket(x, y), z) - np.einsum("a,alk,k->l", h, _ADH, z)
 
 
 def ricci(form: AdaptedForm) -> np.ndarray:
@@ -400,8 +396,7 @@ def ledger(x, y, z, form: AdaptedForm) -> float:
     Inputs are raw m-coordinates; the form may be any positive-definite,
     ad(h)-invariant Gram matrix, with or without parameters.
     """
-    geo = _geometry(form)
-    return float(_apply(geo, _dense(geo.ledger), x, y, z))
+    return float(_operator(form, "ledger")(x, y, z))
 
 
 def bracket_table(p: MetricParams) -> np.ndarray:

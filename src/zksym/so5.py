@@ -89,12 +89,14 @@ def matrix_of(x) -> np.ndarray:
 def vector_of(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Coordinates of a skew-symmetric 5x5 matrix in the canonical basis.
 
-    Inverse of :func:`matrix_of`.  Raises ValueError if the input fails
-    skew-symmetry by more than ``tol``.
+    Inverse of :func:`matrix_of`.  Raises ValueError if the input is not
+    finite or fails skew-symmetry by more than ``tol``.
     """
     m = np.asarray(m, dtype=float)
     if m.shape != (5, 5):
         raise ValueError(f"expected a 5x5 matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():  # NaN passes the skew check, and m + m.T of a +-inf pair is NaN
+        raise ValueError("matrix is not finite")
     skew_defect = float(np.max(np.abs(m + m.T)))
     if skew_defect > tol:
         raise ValueError(f"matrix is not skew-symmetric (defect {skew_defect:.3g} > tol {tol:.3g})")

@@ -85,6 +85,13 @@ def test_bracket_b1_c1_lands_in_a_block():
     assert LABELS["b"] * LABELS["c"] == LABELS["a"]
 
 
+def test_a_structure_tensor_of_another_shape_is_refused():
+    so5 = build_so5()
+    with pytest.raises(ValueError) as refusal:
+        GradedLieAlgebra(so5.names, np.zeros((10, 10, 9)), so5.grading)
+    assert str(refusal.value) == "structure tensor must have shape (10, 10, 10), got (10, 10, 9)"
+
+
 def test_bracket_dimension_mismatch():
     alg = build_so5()
     with pytest.raises(ValueError):

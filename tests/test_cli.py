@@ -335,6 +335,13 @@ def test_params_file_takes_only_numbers(tmp_path, capsys, name, text, key):
     assert err == f"error: parameter {key} in file is not a real number\n"
 
 
+def test_a_params_file_that_is_not_a_table_exits_1(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text("[1, 0, 1, 1]")
+    assert run_cli(capsys, "check-nr", "--params", str(path)) == (
+        1, "", f"error: parameter file {path} must hold a table of t, u, v, w\n")
+
+
 def test_missing_params_exit_1(capsys):
     code, _, err = run_cli(capsys, "ricci", "--t", "1", "--u", "0")
     assert code == 1
@@ -607,6 +614,12 @@ def test_an_s_that_g_prints_as_a_bound_is_quoted_by_repr(capsys, argv, message):
     # the refusal quotes S and the bounds by %g where it tells S from each bound or prints the two equal
     # exactly (S = 9 is the bound 9), else by repr: at S = 1/3 %g wrote "(0.333333, 1.43845), got 0.333333"
     assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_a_sweep_of_fewer_than_one_step_exits_1(capsys, steps):
+    argv = ("sweep", "--branch", "u0", "--S-min", "2", "--S-max", "3", "--S-steps", steps)
+    assert run_cli(capsys, *argv) == (1, "", "error: S-steps must be at least 1\n")
 
 
 @pytest.mark.parametrize("branch,s", [("u0", "1"), ("u0", "9"), ("u1", str(1 / 3))])
@@ -1200,7 +1213,7 @@ def test_the_option_table_reads_argv_as_argparse_does(argv):
 # sha256 over the exit code, stdout and stderr at 80 columns, recorded under Python 3.11 when
 # argparse parsed every argv: help, usage errors and the spellings only argparse reads
 _HELP_AND_USAGE = {
-    ("-h",): "95871f2c2793b06b0bb7ebcce31f13642b505aaad1b5ecdb847aa4463d1f7692",
+    ("-h",): "5434de3a2d45aba2e5fd4dd1d1d5bd6c29eb789693eebe57b74e85bcbdee4912",
     ("inspect", "-h"): "5cd6b68c9677a6f1c3410ae0a1ef335bde1e3b584c9fefb868c375afc51be178",
     ("tables", "-h"): "9147d1241d3304dd235db65841afa09f6859318a46f1b542c41243cc26186640",
     ("ricci", "-h"): "2a3d21514549ee728c832aaa77297145b81c3f40d5a1be9e6c959b3bab06f692",
@@ -1339,17 +1352,17 @@ def test_solve_and_its_verifications_evaluate_each_point_once(capsys, monkeypatc
 
 
 def test_a_cached_ledger_query_forms_its_reduced_system_once(capsys, monkeypatch):
-    # ledger reads the reduced system off the point's cached geometry, as tables and ricci read theirs
-    counting, formed = _counting(geometry._Geometry.reduced_system.func)
-    reduced_system = functools.cached_property(counting)
-    reduced_system.__set_name__(geometry._Geometry, "reduced_system")
-    monkeypatch.setattr(geometry._Geometry, "reduced_system", reduced_system)
+    # the reply memo answers a repeated ledger query, so its reduced system is formed once; the point's geometry
+    # keeps no reduced system, so the text reply at the same point forms it again
+    counting, formed = _counting(geometry._Geometry.reduced_system.fget)
+    monkeypatch.setattr(geometry._Geometry, "reduced_system", property(counting))
     geometry._cached_geometry.cache_clear()
     cli._reply.cache_clear()
     first = run_cli(capsys, "ledger", *_POINT, "--format", "json")
     assert first[0] == 0 and run_cli(capsys, "ledger", *_POINT, "--format", "json") == first
+    assert len(formed) == 1
     assert run_cli(capsys, "ledger", *_POINT)[0] == 0
-    assert len(formed) == 1 and geometry._cached_geometry.cache_info().currsize == 1
+    assert len(formed) == 2 and geometry._cached_geometry.cache_info().currsize == 1
 
 
 def test_a_solution_its_copy_and_a_hand_built_one_verify_alike():

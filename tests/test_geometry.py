@@ -1085,9 +1085,10 @@ def test_an_evaluation_is_bit_identical_under_each_sign_flip_but_not_under_v_w()
 
 
 def test_a_points_geometry_holds_python_numbers_only():
-    # the raw-vector functions form the frames E and E^-1 on each call: after every public geometry and analysis
-    # function has run at one point, through build_form and through a bare Gram matrix, its cached geometry holds
-    # no numpy array, only Python numbers and its MetricParams
+    # the raw-vector functions form the frames E and E^-1 on each call, and every other call forms the tables,
+    # maxima, Ricci matrix or reduced system it reads: after every public geometry and analysis function has run at
+    # one point, through build_form and through a bare Gram matrix (whose parameters are the same point), its cached
+    # geometry holds its params, e, y, the outputs of _program and its evaluation, as Python numbers only
     sol = solve_ledger_unonzero(1.0)[0]
     p = sol.params
     x, y, z = np.random.default_rng(42).standard_normal((3, 8))
@@ -1101,12 +1102,48 @@ def test_a_points_geometry_holds_python_numbers_only():
         check(p)
     solve_ledger_u0(5.0), analysis.verify_solution(sol)
     geo = geometry._cached_geometry(p)
-    assert {"ratios", "_tables", "_evaluation", "ricci", "u_max", "reduced_system", "ledger_max"} <= set(vars(geo))
+    assert geometry._geometry(AdaptedForm(gram=np.array(build_form(p).gram))) is geo
+    assert set(vars(geo)) == {"params", "e", "y", "ratios", "r", "lam", "det", "eta", "norm_ledger", "_evaluation"}
 
     def leaves(value):
-        if isinstance(value, (list, tuple)):
-            return [leaf for item in value for leaf in leaves(item)]
-        return leaves(list(value.values())) if isinstance(value, dict) else [value]
+        return [leaf for item in value for leaf in leaves(item)] if isinstance(value, (list, tuple)) else [value]
 
-    assert not any(isinstance(value, np.ndarray) for value in vars(geo).values())
     assert {type(leaf) for leaf in leaves(list(vars(geo).values()))} <= {float, int, bool, MetricParams}
+
+
+def test_a_raw_vector_call_forms_each_frame_once(monkeypatch):
+    # E^-1 and E are each formed from np.sqrt of the point's unit-scale x: once each per call, however often
+    # curvature applies nabla, and ledger, whose result is a number, forms E^-1 only
+    p = MetricParams(1.2, 0.9, 0.7, 1.5)
+    x, y, z = np.random.default_rng(7).standard_normal((3, 8))
+    sqrt, calls = np.sqrt, []
+
+    def counting(a, *args, **kwargs):
+        calls.append(a is unit_x)
+        return sqrt(a, *args, **kwargs)
+
+    for form in (build_form(p), AdaptedForm(gram=np.array(build_form(p).gram))):
+        unit_x = geometry._geometry(form).y
+        for call, frames in ((lambda: curvature(x, y, z, form), 2), (lambda: ledger(x, y, z, form), 1),
+                             (lambda: u_map(x, y, form), 2), (lambda: nabla(x, y, form), 2)):
+            expected = call()
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "sqrt", counting)
+                assert np.array_equal(call(), expected)
+            assert sum(calls) == frames
+
+
+_X = np.arange(8.0)
+
+
+@pytest.mark.parametrize("call,shape", [
+    (lambda form: u_map(np.zeros(7), _X, form), (7,)),
+    (lambda form: m_bracket(_X, np.zeros((8, 1))), (8, 1)),
+    (lambda form: curvature(_X, _X, np.zeros(9), form), (9,)),
+    (lambda form: ledger(_X, _X, [1, 2], form), (2,)),
+], ids=["u_map", "m_bracket", "curvature", "ledger"])
+def test_a_raw_vector_of_another_shape_is_refused(call, shape):
+    with pytest.raises(ValueError) as refusal:
+        call(build_form(NR_PARAMS))
+    assert str(refusal.value) == f"m-vector must have shape (8,), got {shape}"

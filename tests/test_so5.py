@@ -87,6 +87,12 @@ def test_vector_of_rejects_non_skew():
     with pytest.raises(ValueError):
         vector_of(m, tol=1e-9)
     assert vector_of(m, tol=1e-3)[0] == 1.0
+    # a NaN entry compares False with tol, and m + m^T of an antisymmetric +-inf pair is NaN with a RuntimeWarning
+    for value, mirror in ((np.nan, 0.0), (np.inf, -np.inf)):
+        bad = np.zeros((5, 5))
+        bad[0, 1], bad[1, 0] = value, mirror
+        with pytest.raises(ValueError, match="^matrix is not finite$"):
+            vector_of(bad)
 
 
 def test_matrix_of_rejects_wrong_shape():
