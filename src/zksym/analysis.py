@@ -28,7 +28,7 @@ of D1, D2 (:func:`ledger_system_residuals`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
 from . import geometry
@@ -102,7 +102,7 @@ def first_ledger_verdict(p: MetricParams, tol: float = DEFAULT_TOL) -> tuple[flo
     partials is not finite.
     """
     geo = geometry._cached_geometry(p)
-    return geo.ledger_max, geo.evaluation()[3] <= tol  # the larger eta_alpha, formed once per geometry
+    return geo.ledger_max, geo.evaluation()[3] <= tol  # the larger eta_alpha
 
 
 def infinitesimal_isometries(p: MetricParams, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -164,20 +164,11 @@ class LedgerSolution:
     W: float
     Usq: float
     params: MetricParams
-    residuals: Mapping[str, float]
+    residuals: dict[str, float]  # a dict: asdict copies a dict, and deep-copies any other mapping or fails
     naturally_reductive: bool
 
     def to_dict(self) -> dict:
-        return {
-            "branch": self.branch,
-            "S": self.S,
-            "V": self.V,
-            "W": self.W,
-            "Usq": self.Usq,
-            "params": {"t": self.params.t, "u": self.params.u, "v": self.params.v, "w": self.params.w},
-            "residuals": dict(self.residuals),
-            "naturally_reductive": self.naturally_reductive,
-        }
+        return asdict(self)
 
 
 def _evaluate(p: MetricParams) -> tuple[dict[str, float], float, bool]:
@@ -185,8 +176,8 @@ def _evaluate(p: MetricParams) -> tuple[dict[str, float], float, bool]:
     ("star") and the root frame's orthonormality defect for the Gram matrix of :func:`build_form` ("gram"); then the
     larger eta_alpha, which ``ledger`` and verification judge, and naturally reductive.  They are read at (t, |u|, v,
     w): u -> -u swaps x1 and x2, the Weyl reflection e2 -> -e2, which leaves the evaluation bit for bit, so a +-u pair
-    has one cached geometry, which forms them once (:meth:`zksym.geometry._Geometry.evaluation`), and the solver and
-    each verification of either sign, whoever built the solution, read the same values; each call makes a new dict."""
+    has one cached geometry, which forms them on each call (:meth:`zksym.geometry._Geometry.evaluation`), and the
+    solver and each verification of either sign, whoever built the solution, read the same values in a new dict."""
     if p.u < 0.0:
         p = MetricParams(p.t, -p.u, p.v, p.w)
     norm_ledger, star, gram, eta, nr = geometry._cached_geometry(p).evaluation()
@@ -294,7 +285,7 @@ def verify_solution(sol: LedgerSolution, tol: float = DEFAULT_TOL) -> Verificati
     status (the ``check-nr`` verdict at DEFAULT_TOL) are reported, not
     judged.  The evaluation is read at (t, |u|, v, w), so a -u solution
     reads its +u twin's geometry; for a solver's output that is usually
-    still cached with its evaluation, and nothing is recomputed.
+    still cached, and only the evaluation is formed again.
     """
     residuals, eta, nr = _evaluate(sol.params)
     return VerificationReport(

@@ -25,10 +25,10 @@ A~3 = c E4 - s E2, A~4 = s E1 - c E3, B~i = sgn v E_{4+i}, C~i = sgn w E_{6+i}
 with c, s = sqrt(x1, x2 / 2t^2): a rotation of each A root pair (a, a + 2) and the signs
 of v and w, so each entry of its tables (48 slots) is a rotated pair of root entries (one
 A index each).  These, their maxima and its Ricci matrix (8, 8) are floats, formed by
-each call that reads them.  A bare Gram matrix g, finite, symmetric, of positive diagonal
-and ad(h)-invariant, is P diag(x) P^T, read with no factorization as (sqrt g00, 2 g30,
-sqrt g44, sqrt g66); numpy forms only the library's arrays and raw m-vectors (basis
-A1..C2), which enter the root frame by diag(sqrt x) P^T, formed once per call.
+each call that reads them.  A bare Gram matrix g, finite, of positive diagonal and within
+1e-9 max|g| of the adapted pattern P diag(x) P^T at (g00, g30, g44, g66), is read with no
+factorization as (sqrt g00, 2 g30, sqrt g44, sqrt g66); numpy forms only the library's arrays
+and raw m-vectors (basis A1..C2), which enter the root frame by diag(sqrt x) P^T, formed once per call.
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ from functools import cache, lru_cache
 from itertools import permutations
 from operator import itemgetter
 
-from .metric import (DEFAULT_TOL, AdaptedForm, DegenerateMetricError, InvalidParamsError, MetricParams,
-                     check_adh_invariance)
+from .metric import DEFAULT_TOL, AdaptedForm, DegenerateMetricError, InvalidParamsError, MetricParams, _gram
 
 __all__ = [
     "bracket_table",
@@ -186,10 +185,10 @@ def _dense(values, slots=_INDEX) -> np.ndarray:
 
 
 class _Geometry:
-    """The geometry of one parameter point in the root frame: it keeps e, y, what :func:`_program` forms and, once
-    read, its :meth:`evaluation`, and each call forms the rest it reads, so only it and :mod:`zksym.metric` know the
-    unit scale e, and only it D_alpha and eta.  It holds Python floats only, no array (:func:`_operator` forms the
-    frames per call) and no reply: the CLI keeps those in its memo, ``zksym.cli._reply``."""
+    """The geometry of one parameter point in the root frame: it keeps its params, e, y and what :func:`_program`
+    forms, nothing more, and each call forms the rest it reads, its :meth:`evaluation` too, so only it and
+    :mod:`zksym.metric` know the unit scale e, and only it D_alpha and eta.  It holds Python floats only, no array
+    (:func:`_operator` forms the frames per call) and no reply: the CLI keeps those in its memo, ``cli._reply``."""
 
     def __init__(self, p: MetricParams):
         p.K  # the guard, which like an overflow in the program raises before anything is kept
@@ -209,19 +208,15 @@ class _Geometry:
 
     def evaluation(self) -> tuple[float, float, float, float, bool]:
         """A solution record's ||L|| at the point's scale, max|D_alpha|, Gram defect, larger eta_alpha and round-point
-        verdict at DEFAULT_TOL, kept once read (by hand: a cached_property locks on Python 3.11 and slowed ledger-sweep
-        by 4 %); raises where a D_alpha is not finite, or where a partial x_k dD_alpha/dx_k overflows (eta_alpha is NaN
-        there).  Its repr is the same under each sign flip of t, u, v or w, not under the swap v <-> w, so the solver
-        and verification read a +-u pair from the one geometry at (t, |u|, v, w) (:func:`zksym.analysis._evaluate`)."""
-        point = vars(self).get("_evaluation")
-        if point is None:
-            if not all(map(math.isfinite, self.det)):
-                raise DegenerateMetricError(f"the Ledger determinants are not finite: {self.det}")
-            if any(map(math.isnan, self.eta)):
-                raise DegenerateMetricError(f"the partials of the Ledger determinants overflow: D = {self.det}")
-            point = self._evaluation = (_ldexp(self.norm_ledger, -3 * self.e), max(map(abs, self.det)),
-                                        _gram_defect(self.params), max(self.eta), self.equal("1234", DEFAULT_TOL))
-        return point
+        verdict at DEFAULT_TOL, formed on each read; raises where a D_alpha is not finite, or where a partial x_k
+        dD_alpha/dx_k overflows (eta_alpha is NaN there).  Its repr is the same under each sign flip of t, u, v or w,
+        not under v <-> w, so a +-u pair reads the one geometry at (t, |u|, v, w) (:func:`zksym.analysis._evaluate`)."""
+        if not all(map(math.isfinite, self.det)):
+            raise DegenerateMetricError(f"the Ledger determinants are not finite: {self.det}")
+        if any(map(math.isnan, self.eta)):
+            raise DegenerateMetricError(f"the partials of the Ledger determinants overflow: D = {self.det}")
+        return (_ldexp(self.norm_ledger, -3 * self.e), max(map(abs, self.det)), _gram_defect(self.params),
+                max(self.eta), self.equal("1234", DEFAULT_TOL))
 
     @property
     def reduced_system(self) -> tuple[float, float, float, float]:
@@ -298,18 +293,13 @@ def _geometry(form: AdaptedForm) -> _Geometry:
     g = form.gram
     if not np.isfinite(g).all():
         raise DegenerateMetricError("Gram matrix is not finite")
-    if (skew := float(np.max(np.abs(g - g.T)))) > (bound := DEFAULT_TOL * float(np.max(np.abs(g)))):
-        raise InvalidParamsError(f"Gram matrix is not symmetric: max |g - g^T| = {skew:.3g}")
     if not g.diagonal().min() > 0.0:
         raise DegenerateMetricError(f"Gram matrix is not positive-definite: its diagonal has {g.diagonal().min():.3g}")
-    # the invariant-connection formulas hold only for ad(h)-invariant forms
-    from .so5 import build_so5  # loaded only for a bare Gram matrix
-    report = check_adh_invariance(build_so5(), form)
-    if not report.ok(bound):
-        z, x, y = report.worst
-        raise InvalidParamsError(
-            f"Gram matrix is not ad(h)-invariant: B([{z},{x}],{y}) + B({x},[{z},{y}]) = {report.max_residual:.3g}"
-        )
+    # the ad(h)-invariant forms, for which alone the invariant-connection formulas hold, are exactly the adapted ones
+    defect = np.abs(g - _gram(g[0, 0], g[3, 0], g[4, 4], g[6, 6]))
+    if (worst := float(defect.max())) > DEFAULT_TOL * float(np.max(np.abs(g))):
+        i, j = ("A1 A2 A3 A4 B1 B2 C1 C2".split()[k] for k in divmod(int(defect.argmax()), 8))
+        raise InvalidParamsError(f"Gram matrix is not adapted: g[{i}, {j}] is {worst:.3g} off its adapted value")
     try:  # the positive-definite guard, x1, x2 > 0, of the invariant g = P diag(x) P^T: g00 = t^2, g30 = u/2
         p = MetricParams(math.sqrt(g[0, 0]), 2.0 * float(g[3, 0]), math.sqrt(g[4, 4]), math.sqrt(g[6, 6]))
     except InvalidParamsError as exc:  # only u = 2 g30 can fail: it overflows, or it lies past |u| = 2 g00

@@ -185,22 +185,19 @@ def build_form(p: MetricParams) -> AdaptedForm:
     C-blocks are v^2 and w^2 multiples of the identity, and distinct
     grading blocks are orthogonal.
     """
-    import numpy as np
     p.K  # positive-definiteness guard
-    t2 = p.t * p.t
-    half_u = 0.5 * p.u
-    g = np.zeros((8, 8))
-    g[:4, :4] = [
-        [t2, 0.0, 0.0, half_u],
-        [0.0, t2, -half_u, 0.0],
-        [0.0, -half_u, t2, 0.0],
-        [half_u, 0.0, 0.0, t2],
-    ]
-    g[4, 4] = g[5, 5] = p.v * p.v
-    g[6, 6] = g[7, 7] = p.w * p.w
-    form = AdaptedForm(gram=g)
+    form = AdaptedForm(gram=_gram(p.t * p.t, 0.5 * p.u, p.v * p.v, p.w * p.w))
     object.__setattr__(form, "params", p)
     return form
+
+
+def _gram(t2: float, half_u: float, v2: float, w2: float) -> np.ndarray:
+    """The adapted Gram pattern: diag(t2, t2, t2, t2, v2, v2, w2, w2), with g03 = half_u and g12 = -half_u."""
+    import numpy as np
+    g = np.diag([t2] * 4 + [v2] * 2 + [w2] * 2)
+    g[0, 3] = g[3, 0] = half_u
+    g[1, 2] = g[2, 1] = -half_u
+    return g
 
 
 def orthonormal_frame(p: MetricParams) -> OrthonormalFrame:

@@ -845,6 +845,29 @@ def test_ledger_where_max_l_is_not_finite_exits_2_in_both_formats(capsys, fmt):
     assert err == "numerical failure: the curvature tensors overflow at this scale\n"
 
 
+_NORM_OVERFLOW = ("--t", "4.19437676302152e-103", "--u", "-2.549485577789607e-205", "--v", "2.798135523751015e-103",
+                  "--w", "3.7156504862124026e-103")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_ledger_where_the_norm_of_l_overflows_reads_a_verdict(capsys, monkeypatch, fmt):
+    # max|L| = 7.5e307 is finite here, but ||L|| at the point's scale is not: the evaluation scales it by
+    # geometry._ldexp, which gives +inf where math.ldexp raises OverflowError, so ledger prints its verdict, exit 0
+    code, out, err = run_cli(capsys, "ledger", *_NORM_OVERFLOW, "--format", fmt)
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        record = json.loads(out)
+        assert (record["max_ledger_residual"], record["satisfied"]) == (7.487666550072132e+307, False)
+    else:
+        assert "max |L| over frame triples: 7.48767e+307\n" in out and out.endswith("first Ledger condition violated\n")
+    p = metric.MetricParams(*map(float, _NORM_OVERFLOW[1::2]))
+    assert geometry._cached_geometry(p).evaluation()[0] == math.inf
+    monkeypatch.setattr(geometry, "_ldexp", math.ldexp)
+    with pytest.raises(OverflowError):
+        analysis.first_ledger_verdict(p)
+
+
 @pytest.mark.parametrize("u", ["-5.8e-05", "-1E-3"])
 def test_negative_exponent_values_parse(capsys, u):
     code, out, _ = run_cli(capsys, "ricci", "--t", "1", "--u", u, "--v", "1", "--w", "1", "--format", "json")
@@ -1330,9 +1353,9 @@ def test_solve_builds_one_geometry_per_solution(capsys, monkeypatch, branch, s, 
 
 @pytest.mark.parametrize("branch,s,n", [("u1", "1.1", 4), ("u0", "5", 2)])
 def test_solve_and_its_verifications_evaluate_each_point_once(capsys, monkeypatch, branch, s, n):
-    # the solver's evaluation is kept on the geometry of each +-u pair and each verification reads it there, that of
-    # a hand-built solution at the same params too: the evaluation (eta, the Gram defect and the round-point verdict)
-    # is formed once per pair
+    # the solver evaluates each record's point once, and so does each verification, that of a hand-built solution at
+    # the same params too: a +-u pair reads the one geometry its solve built, which keeps no evaluation, so the
+    # evaluation (eta, the Gram defect and the round-point verdict) is formed on each read and nothing else is
     formed = _count_calls(monkeypatch, geometry._gram_defect)
     counting_equal, equals = _counting(geometry._Geometry.equal)
     monkeypatch.setattr(geometry._Geometry, "equal", counting_equal)
@@ -1341,14 +1364,14 @@ def test_solve_and_its_verifications_evaluate_each_point_once(capsys, monkeypatc
     code, out, _ = run_cli(capsys, "solve", "--branch", branch, "--S", s, "--format", "json")
     assert code == 0 and len(out.splitlines()) == n
     assert len(builds) == 2 and len(evaluations) == n and list(dict.fromkeys(map(_unsigned, evaluations))) == builds
-    assert len(formed) == len(equals) == 2
+    assert len(formed) == len(equals) == n
     for record in map(json.loads, out.splitlines()):
         p = metric.MetricParams(**record["params"])
         hand_built = analysis.LedgerSolution(record["branch"], record["S"], record["V"], record["W"], record["Usq"],
                                              p, {}, False)
         report = analysis.verify_solution(hand_built)
         assert report.passed and report.residuals == record["residuals"]
-    assert len(builds) == len(formed) == len(equals) == 2
+    assert len(builds) == 2 and len(formed) == len(equals) == 2 * n
 
 
 def test_a_cached_ledger_query_forms_its_reduced_system_once(capsys, monkeypatch):

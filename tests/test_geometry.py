@@ -913,7 +913,7 @@ def test_bare_gram_that_is_not_finite_is_degenerate(g00):
 
 
 def test_bare_gram_must_be_adh_invariant():
-    # positive-definite but not ad(h)-invariant: the invariant-connection
+    # positive-definite but not ad(h)-invariant, so not of the adapted pattern: the invariant-connection
     # formulas do not hold for it, so every operation refuses it
     rng = np.random.default_rng(37)
     a = rng.standard_normal((8, 8))
@@ -927,7 +927,7 @@ def test_bare_gram_must_be_adh_invariant():
         lambda: ledger(x, y, z, bad),
     )
     for call in calls:
-        with pytest.raises(InvalidParamsError, match=r"not ad\(h\)-invariant"):
+        with pytest.raises(InvalidParamsError, match=r"^Gram matrix is not adapted: g\[A3, A3\] is 9.94 off"):
             call()
     # the Gram matrices of build_form pass at every sign of t, v and w
     for st, sv, sw in itertools.product((1.0, -1.0), repeat=3):
@@ -936,6 +936,26 @@ def test_bare_gram_must_be_adh_invariant():
         for op, args in ((u_map, (x, y)), (curvature, (x, y, z))):
             ref = op(*args, form)
             assert np.max(np.abs(op(*args, bare) - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+
+
+def test_bare_gram_is_read_within_the_tolerance_of_its_pattern():
+    # every entry but the four it is read from (g00, g30, g44, g66) moved by 1e-13 max|g|: admitted, and read as the
+    # point of build_form, bit for bit; moved by 1e-6 max|g|, any entry is refused, the others by their own name
+    form = build_form(MetricParams(1.3, 0.9, 0.8, 1.6))
+    x, y, z = np.random.default_rng(44).standard_normal((3, 8))
+    ref = _form_results(form, x, y, z)
+    names = "A1 A2 A3 A4 B1 B2 C1 C2".split()
+    for i, j in itertools.product(range(8), repeat=2):
+        for step in (1e-13, 1e-6):
+            g = form.gram.copy()
+            g[i, j] += step * np.max(np.abs(g))
+            if step == 1e-6:
+                with pytest.raises(InvalidParamsError, match="^Gram matrix is not adapted: ") as refused:
+                    ricci(AdaptedForm(gram=g))
+                assert (i, j) in ((0, 0), (3, 0), (4, 4), (6, 6)) or f"g[{names[i]}, {names[j]}]" in str(refused.value)
+            elif (i, j) not in ((0, 0), (3, 0), (4, 4), (6, 6)):
+                for a, b in zip(_form_results(AdaptedForm(gram=g), x, y, z), ref):
+                    assert np.array_equal(a, b), (i, j)
 
 
 def _invariant_gram(g00: float, g30: float) -> np.ndarray:
@@ -1005,14 +1025,16 @@ def test_every_bare_gram_operation_answers_without_lapack(no_lapack):
      "Gram matrix is not positive-definite: its diagonal has -1"),
     (np.diag([1.0, 1, 1, 1, 1, 1, 0, 0]), DegenerateMetricError,
      "Gram matrix is not positive-definite: its diagonal has 0"),
-    # an antisymmetric part that commutes with ad(h) passes the invariance check; it is refused first
+    # an antisymmetric part that commutes with ad(h) would pass an invariance check; it is off the adapted pattern
     (np.eye(8) + np.diag([0, 0, 0, 0, 5.0, 0, 0], k=1) - np.diag([0, 0, 0, 0, 5.0, 0, 0], k=-1), InvalidParamsError,
-     "Gram matrix is not symmetric: max |g - g^T| = 10"),
+     "Gram matrix is not adapted: g[B1, B2] is 5 off its adapted value"),
     (_with(np.eye(8), g04=0.1), InvalidParamsError,
-     "Gram matrix is not ad(h)-invariant: B([X2,A2],B1) + B(A2,[X2,B1]) = 0.1"),
-    # indefinite, of positive diagonal and not invariant: the invariance check refuses it
-    (_with(np.eye(8), g01=2.0), InvalidParamsError,
-     "Gram matrix is not ad(h)-invariant: B([X2,A1],A1) + B(A1,[X2,A1]) = 4"),
+     "Gram matrix is not adapted: g[A1, B1] is 0.1 off its adapted value"),
+    # indefinite, of positive diagonal and not invariant: the pattern test refuses it
+    (_with(np.eye(8), g01=2.0), InvalidParamsError, "Gram matrix is not adapted: g[A1, A2] is 2 off its adapted value"),
+    # neither symmetric nor of positive diagonal: the diagonal is tested first
+    (np.diag([1.0, 1, 1, 1, 1, 1, 1, -1]) + np.diag([0, 0, 0, 0, 5.0, 0, 0], k=1), DegenerateMetricError,
+     "Gram matrix is not positive-definite: its diagonal has -1"),
     (build_form(MetricParams(1.0, 1.8, 1.0, 1.0)).gram * 1e308, DegenerateMetricError,
      "u = 2 g30 = 2 * 9e+307 overflows"),
     # invariant within tolerance, as g33 = g00 (1 + 1e-10), and read past |u| = 2 g00
@@ -1026,7 +1048,8 @@ def test_every_bare_gram_operation_answers_without_lapack(no_lapack):
     (_invariant_gram(1.0, -1.0), DegenerateMetricError,
      "K^2 = 0 below guard 1e-16: |u| too close to the degenerate boundary"),
 ], ids=["inf", "nan", "negative diagonal", "zero diagonal", "not symmetric", "not invariant",
-        "indefinite, not invariant", "u overflows", "past the boundary", "invariant indefinite", "invariant singular"])
+        "indefinite, not invariant", "not symmetric, negative diagonal", "u overflows", "past the boundary",
+        "invariant indefinite", "invariant singular"])
 def test_each_bare_gram_refusal_names_its_reason(no_lapack, gram, error, message):
     x, y, z = np.eye(8)[:3]
     for call in (lambda f: u_map(x, y, f), lambda f: nabla(x, y, f), lambda f: curvature(x, y, z, f), ricci,
@@ -1084,11 +1107,12 @@ def test_an_evaluation_is_bit_identical_under_each_sign_flip_but_not_under_v_w()
     assert swapped > len(points) // 4
 
 
-def test_a_points_geometry_holds_python_numbers_only():
+def test_a_points_geometry_holds_python_numbers_only(monkeypatch):
     # the raw-vector functions form the frames E and E^-1 on each call, and every other call forms the tables,
     # maxima, Ricci matrix or reduced system it reads: after every public geometry and analysis function has run at
     # one point, through build_form and through a bare Gram matrix (whose parameters are the same point), its cached
-    # geometry holds its params, e, y, the outputs of _program and its evaluation, as Python numbers only
+    # geometry holds exactly its params, e, y and the six outputs of _program, as Python numbers only: each read of
+    # its evaluation forms it anew
     sol = solve_ledger_unonzero(1.0)[0]
     p = sol.params
     x, y, z = np.random.default_rng(42).standard_normal((3, 8))
@@ -1103,7 +1127,10 @@ def test_a_points_geometry_holds_python_numbers_only():
     solve_ledger_u0(5.0), analysis.verify_solution(sol)
     geo = geometry._cached_geometry(p)
     assert geometry._geometry(AdaptedForm(gram=np.array(build_form(p).gram))) is geo
-    assert set(vars(geo)) == {"params", "e", "y", "ratios", "r", "lam", "det", "eta", "norm_ledger", "_evaluation"}
+    assert set(vars(geo)) == {"params", "e", "y", "ratios", "r", "lam", "det", "eta", "norm_ledger"}
+    formed = []
+    monkeypatch.setattr(geometry, "_gram_defect", lambda p: formed.append(p) or 0.0)
+    assert geo.evaluation() == geo.evaluation() and formed == [p, p]
 
     def leaves(value):
         return [leaf for item in value for leaf in leaves(item)] if isinstance(value, (list, tuple)) else [value]
