@@ -19,7 +19,7 @@ _NAMES = {
     "geometry": "bracket_table curvature ledger ledger_table m_bracket nabla nomizu_table ricci u_map u_table",
     "metric": "AdaptedForm DEFAULT_TOL DegenerateMetricError FRAME_NAMES InvalidParamsError InvarianceReport "
               "MetricParams OrthonormalFrame build_form check_adh_invariance orthonormal_frame",
-    "so5": "M_INDICES M_NAMES SO5_NAMES build_so5 matrix_of vector_of",
+    "so5": "SO5_NAMES build_so5 matrix_of vector_of",
 }
 _MODULE_OF = {name: module for module, names in _NAMES.items() for name in names.split()}
 __all__ = list(_MODULE_OF)

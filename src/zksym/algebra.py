@@ -52,10 +52,6 @@ class GradingLabel:
     def k(self) -> int:
         return len(self.bits)
 
-    @property
-    def is_identity(self) -> bool:
-        return not any(self.bits)
-
     def __mul__(self, other: "GradingLabel") -> "GradingLabel":
         if self.k != other.k:
             raise ValueError("labels belong to different groups")
@@ -139,10 +135,6 @@ class GradedLieAlgebra:
     def k(self) -> int:
         return self.grading[0].k
 
-    @property
-    def identity_label(self) -> GradingLabel:
-        return GradingLabel.identity(self.k)
-
     def index(self, name: str) -> int:
         return self.names.index(name)
 
@@ -157,26 +149,18 @@ class GradedLieAlgebra:
     @property
     def h_indices(self) -> tuple[int, ...]:
         """Indices spanning the isotropy subalgebra (identity label)."""
-        return self.label_indices(self.identity_label)
+        return self.label_indices(GradingLabel.identity(self.k))
 
     @property
     def m_indices(self) -> tuple[int, ...]:
         """Indices spanning the reductive complement."""
-        e = self.identity_label
+        e = GradingLabel.identity(self.k)
         return tuple(i for i, lab in enumerate(self.grading) if lab != e)
 
     # --- operations ---
-    def _check_vector(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"vector must have shape ({self.dim},), got {x.shape}")
-        return x
-
     def bracket(self, x, y) -> np.ndarray:
         """Lie bracket [x, y] of two coordinate vectors."""
-        x = self._check_vector(x)
-        y = self._check_vector(y)
-        return np.einsum("i,j,ijk->k", x, y, self.structure)
+        return np.einsum("i,j,ijk->k", _vector(x, self.dim), _vector(y, self.dim), self.structure)
 
     def m_structure(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Split the structure constants along h + m.
@@ -240,6 +224,14 @@ class GradedLieAlgebra:
             max_antisymmetry_residual=max_anti,
             max_jacobi_residual=max_jac,
         )
+
+
+def _vector(x, n: int, what: str = "vector") -> np.ndarray:
+    """x as a float array of shape (n,), the one admission of a coordinate vector: an algebra's, so(5)'s, m's."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"{what} must have shape ({n},), got {x.shape}")
+    return x
 
 
 def _triples(mask: np.ndarray) -> tuple[tuple[int, int, int], ...]:

@@ -6,8 +6,8 @@ D_alpha = 0.  After the substitution V = v^2/t^2, W = w^2/t^2, S = V + W,
 P = V W (and U = u/t^2 when u != 0) they admit closed-form solution
 families, one branch with u = 0 and one with u != 0.  The solvers below
 return the families normalized at t = 1 with their residuals; each point's
-cached geometry forms those and every other Ledger readout, and this module
-judges them and assembles records.  A +-u pair of solutions, the same point
+cached geometry forms the Ledger readouts and ``metric`` the Gram defect;
+this module judges them and assembles records.  A +-u pair, the same point
 up to the Weyl reflection e2 -> -e2, reads one geometry, and the CLI judges
 each record by the eta_alpha its solve formed (:func:`_rows`).  Two more
 sets satisfy L = 0 and no solver returns them: the metrics with v = w, of
@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
 from . import geometry
-from .metric import DEFAULT_TOL, FRAME_NAMES, InvalidParamsError, MetricParams
+from .metric import DEFAULT_TOL, FRAME_NAMES, InvalidParamsError, MetricParams, _gram_defect
 
 if TYPE_CHECKING:
     import numpy as np
@@ -102,7 +102,7 @@ def first_ledger_verdict(p: MetricParams, tol: float = DEFAULT_TOL) -> tuple[flo
     partials is not finite.
     """
     geo = geometry._cached_geometry(p)
-    return geo.ledger_max, geo.evaluation()[3] <= tol  # the larger eta_alpha
+    return geo.ledger_max, geo.evaluation()[2] <= tol  # the larger eta_alpha
 
 
 def infinitesimal_isometries(p: MetricParams, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -173,15 +173,15 @@ class LedgerSolution:
 
 def _evaluate(p: MetricParams) -> tuple[dict[str, float], float, bool]:
     """A record's absolute residuals, reported, not judged: ||L|| in Frobenius norm ("ledger"), the larger |D_alpha|
-    ("star") and the root frame's orthonormality defect for the Gram matrix of :func:`build_form` ("gram"); then the
-    larger eta_alpha, which ``ledger`` and verification judge, and naturally reductive.  They are read at (t, |u|, v,
-    w): u -> -u swaps x1 and x2, the Weyl reflection e2 -> -e2, which leaves the evaluation bit for bit, so a +-u pair
-    has one cached geometry, which forms them on each call (:meth:`zksym.geometry._Geometry.evaluation`), and the
+    ("star") and the root frame's orthonormality defect for the Gram matrix of :func:`build_form` ("gram", formed
+    here from p); then the larger eta_alpha, which ``ledger`` and verification judge, and naturally reductive.  All
+    are read at (t, |u|, v, w): u -> -u swaps x1 and x2, the Weyl reflection e2 -> -e2, which leaves them bit for
+    bit, so a +-u pair has one cached geometry, which forms the rest on each call (its ``evaluation``), and the
     solver and each verification of either sign, whoever built the solution, read the same values in a new dict."""
     if p.u < 0.0:
         p = MetricParams(p.t, -p.u, p.v, p.w)
-    norm_ledger, star, gram, eta, nr = geometry._cached_geometry(p).evaluation()
-    return {"ledger": norm_ledger, "star": star, "gram": gram}, eta, nr
+    norm_ledger, star, eta, nr = geometry._cached_geometry(p).evaluation()
+    return {"ledger": norm_ledger, "star": star, "gram": _gram_defect(p)}, eta, nr
 
 
 def _u0_roots(s: float) -> tuple[tuple[float, float, float], ...]:

@@ -75,10 +75,11 @@ _SETS = {name: itemgetter(*(int(k) - 1 for k in name)) for name in ("1234", "34"
 
 @cache
 def _arrays() -> None:
-    """Bind numpy and so(5)'s arrays as module globals, once, for raw vectors, a bare Gram matrix and the arrays
-    the library returns; what the CLI prints needs none of it, so only ``inspect`` among the commands loads numpy."""
-    global np, _CM, _CH, _ADH, _P, _MODULE
+    """Bind numpy, algebra._vector and so(5)'s arrays as globals, once, for raw vectors, a bare Gram matrix and the
+    arrays the library returns; the CLI prints none of them, so only ``inspect`` among the commands loads numpy."""
+    global np, _vector, _CM, _CH, _ADH, _P, _MODULE
     import numpy as np
+    from .algebra import _vector
     from .so5 import build_so5
 
     # the root basis P: column i in raw coordinates, in the module _MODULE[i]
@@ -86,6 +87,11 @@ def _arrays() -> None:
     p[:4, :4] = np.sqrt(0.5) * np.array([[1, 0, 1, 0], [0, 1, 0, 1], [0, -1, 0, 1], [1, 0, -1, 0]])
     # bound when built, so a concurrent first call rebinds only finished arrays; CM, CH, ADH: see m_structure
     (_CM, _CH, _ADH), _P, _MODULE = build_so5().m_structure(), p, np.repeat(np.arange(4), 2)
+
+
+def _m_vector(x) -> np.ndarray:
+    """A raw m-vector, admitted by algebra._vector once :func:`_arrays` has bound it."""
+    return _vector(x, 8, "m-vector")
 
 
 def _program(e: int, y) -> tuple:
@@ -165,17 +171,6 @@ def _ldexp(x: float, n: int) -> float:
         return math.copysign(math.inf, x)
 
 
-def _gram_defect(p: MetricParams) -> float:
-    """max |E^T G E - I| for the Gram matrix G of :func:`zksym.metric.build_form`, which holds fl(t^2) where the
-    frame has t^2: (fl(t^2) - t^2) / x_k on the A modules, 0 on B and C, rounded once from the exact rationals."""
-    n = p.t.as_integer_ratio()[0]
-    if (n // (n & -n)) ** 2 < 2**53:  # t's odd part squares within 53 bits: t^2 is a float
-        return 0.0
-    from fractions import Fraction  # loaded only where t^2 is not a float
-    t = Fraction(p.t)
-    return float(abs(Fraction(p.t * p.t) - t * t) / (t * t - abs(Fraction(p.u)) / 2))
-
-
 def _dense(values, slots=_INDEX) -> np.ndarray:
     """A new (8, 8, 8) array of the values on their slots: the root frame support or the adapted one, _SUPPORT."""
     _arrays()
@@ -206,17 +201,17 @@ class _Geometry:
     ledger = property(lambda self: [sign * self.lam[alpha] for sign, alpha in zip(_L_SIGN, _TRIPLE)])
     ledger_max = property(lambda self: max(map(abs, self.table("ledger"))))
 
-    def evaluation(self) -> tuple[float, float, float, float, bool]:
-        """A solution record's ||L|| at the point's scale, max|D_alpha|, Gram defect, larger eta_alpha and round-point
-        verdict at DEFAULT_TOL, formed on each read; raises where a D_alpha is not finite, or where a partial x_k
+    def evaluation(self) -> tuple[float, float, float, bool]:
+        """A solution record's ||L|| at the point's scale, max|D_alpha|, larger eta_alpha and round-point verdict at
+        DEFAULT_TOL, formed on each read; raises where a D_alpha is not finite, or where a partial x_k
         dD_alpha/dx_k overflows (eta_alpha is NaN there).  Its repr is the same under each sign flip of t, u, v or w,
         not under v <-> w, so a +-u pair reads the one geometry at (t, |u|, v, w) (:func:`zksym.analysis._evaluate`)."""
         if not all(map(math.isfinite, self.det)):
             raise DegenerateMetricError(f"the Ledger determinants are not finite: {self.det}")
         if any(map(math.isnan, self.eta)):
             raise DegenerateMetricError(f"the partials of the Ledger determinants overflow: D = {self.det}")
-        return (_ldexp(self.norm_ledger, -3 * self.e), max(map(abs, self.det)), _gram_defect(self.params),
-                max(self.eta), self.equal("1234", DEFAULT_TOL))
+        return (_ldexp(self.norm_ledger, -3 * self.e), max(map(abs, self.det)), max(self.eta),
+                self.equal("1234", DEFAULT_TOL))
 
     @property
     def reduced_system(self) -> tuple[float, float, float, float]:
@@ -320,16 +315,9 @@ def _operator(form: AdaptedForm, name: str):
     def apply(*vectors):
         out = tensor
         for x in vectors:
-            out = np.tensordot(coframe @ _as_m_vector(x), out, (0, 0))
+            out = np.tensordot(coframe @ _m_vector(x), out, (0, 0))
         return out if frame is None else frame @ out
     return apply
-
-
-def _as_m_vector(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (8,):
-        raise ValueError(f"m-vector must have shape (8,), got {x.shape}")
-    return x
 
 
 # ----------------------------------------------------------------------
@@ -339,7 +327,7 @@ def _as_m_vector(x) -> np.ndarray:
 def m_bracket(x, y) -> np.ndarray:
     """m-projection of the bracket of two raw m-vectors."""
     _arrays()
-    return np.einsum("i,j,ijk->k", _as_m_vector(x), _as_m_vector(y), _CM)
+    return np.einsum("i,j,ijk->k", _m_vector(x), _m_vector(y), _CM)
 
 
 def u_map(x, y, form: AdaptedForm) -> np.ndarray:
@@ -364,7 +352,7 @@ def curvature(x, y, z, form: AdaptedForm) -> np.ndarray:
     which must be positive-definite and ad(h)-invariant.
     """
     n = _operator(form, "n")
-    h = np.einsum("i,j,ija->a", _as_m_vector(x), _as_m_vector(y), _CH)  # [x, y]_h, which acts on z by _ADH
+    h = np.einsum("i,j,ija->a", _m_vector(x), _m_vector(y), _CH)  # [x, y]_h, acting by _ADH
     return n(x, n(y, z)) - n(y, n(x, z)) - n(m_bracket(x, y), z) - np.einsum("a,alk,k->l", h, _ADH, z)
 
 

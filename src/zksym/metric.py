@@ -200,6 +200,17 @@ def _gram(t2: float, half_u: float, v2: float, w2: float) -> np.ndarray:
     return g
 
 
+def _gram_defect(p: MetricParams) -> float:
+    """max |E^T G E - I| for the Gram matrix G of :func:`build_form`, which holds fl(t^2) where the orthonormal root
+    frame E has t^2: (fl(t^2) - t^2) / x_k on the A modules, 0 on B and C, rounded once from the exact rationals."""
+    n = p.t.as_integer_ratio()[0]
+    if (n // (n & -n)) ** 2 < 2**53:  # t's odd part squares within 53 bits: t^2 is a float
+        return 0.0
+    from fractions import Fraction  # loaded only where t^2 is not a float
+    t = Fraction(p.t)
+    return float(abs(Fraction(p.t * p.t) - t * t) / (t * t - abs(Fraction(p.u)) / 2))
+
+
 def orthonormal_frame(p: MetricParams) -> OrthonormalFrame:
     """Frame dual to the adapted coframe; orthonormal for build_form(p)."""
     import numpy as np

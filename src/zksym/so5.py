@@ -21,12 +21,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import GradedLieAlgebra, GradingLabel
+from .algebra import GradedLieAlgebra, GradingLabel, _vector
 from .metric import DEFAULT_TOL
 
 __all__ = [
-    "M_INDICES",
-    "M_NAMES",
     "SO5_NAMES",
     "build_so5",
     "matrix_of",
@@ -48,6 +46,7 @@ _POSITIONS = (
     (2, 4),  # C1
     (3, 4),  # C2
 )
+_ROWS, _COLS = map(np.array, zip(*_POSITIONS))
 
 LABELS = {
     "e": GradingLabel((False, False)),
@@ -58,32 +57,18 @@ LABELS = {
 
 _GRADING = tuple(LABELS[s] for s in "eeaaaabbcc")
 
-M_INDICES = (2, 3, 4, 5, 6, 7, 8, 9)
-M_NAMES = SO5_NAMES[2:]
-
 
 def basis_matrix(name: str) -> np.ndarray:
     """5x5 matrix of a named basis element."""
-    row, col = _POSITIONS[SO5_NAMES.index(name)]
-    m = np.zeros((5, 5))
-    m[row, col] = 1.0
-    m[col, row] = -1.0
-    return m
-
-
-@lru_cache(maxsize=1)
-def _basis_tensor() -> np.ndarray:
-    mats = np.stack([basis_matrix(n) for n in SO5_NAMES])
-    mats.setflags(write=False)
-    return mats
+    return matrix_of(np.eye(10)[SO5_NAMES.index(name)])
 
 
 def matrix_of(x) -> np.ndarray:
-    """Linear map from a 10-coordinate vector to its 5x5 skew matrix."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (10,):
-        raise ValueError(f"so(5) vector must have shape (10,), got {x.shape}")
-    return np.einsum("i,ijk->jk", x, _basis_tensor())
+    """Linear map from a 10-coordinate vector to its 5x5 skew matrix: x_i at its +1 entry, -x_i at its -1 entry."""
+    x = _vector(x, 10, "so(5) vector")
+    m = np.zeros((5, 5))
+    m[_ROWS, _COLS], m[_COLS, _ROWS] = x, 0.0 - x  # not -x: a zero coordinate gives +0.0 below, as above
+    return m
 
 
 def vector_of(m, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -100,13 +85,13 @@ def vector_of(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     skew_defect = float(np.max(np.abs(m + m.T)))
     if skew_defect > tol:
         raise ValueError(f"matrix is not skew-symmetric (defect {skew_defect:.3g} > tol {tol:.3g})")
-    return np.array([m[row, col] for row, col in _POSITIONS])
+    return m[_ROWS, _COLS]
 
 
 @lru_cache(maxsize=1)
 def build_so5() -> GradedLieAlgebra:
     """Construct the graded so(5) instance from matrix commutators, read at the +1 entry of each basis matrix."""
-    products = _basis_tensor()[:, None] @ _basis_tensor()[None]
-    rows, cols = zip(*_POSITIONS)
-    return GradedLieAlgebra(SO5_NAMES, (products - products.transpose(1, 0, 2, 3))[:, :, rows, cols], _GRADING)
+    mats = np.stack([basis_matrix(n) for n in SO5_NAMES])
+    products = mats[:, None] @ mats[None]
+    return GradedLieAlgebra(SO5_NAMES, (products - products.transpose(1, 0, 2, 3))[:, :, _ROWS, _COLS], _GRADING)
 

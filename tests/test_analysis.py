@@ -32,6 +32,7 @@ from zksym import (
     u_map,
     build_form,
     geometry,
+    metric,
     VerificationReport,
     verify_solution,
 )
@@ -553,7 +554,7 @@ def test_verification_and_ledger_agree_on_hand_built_solutions():
         v = abs(t) * 10.0 ** rng.uniform(-1.0, 1.0)
         w = v * (1.0 + rng.choice([0.0, 10.0 ** rng.uniform(-16.0, -8.0)]))
         p = MetricParams(t, 2.0 * t * t * math.sqrt(1.0 - k * k) * rng.choice([-1.0, 1.0]), v, w)
-        if k_squared(p) >= (1e-8 * t) ** 2 and geometry._gram_defect(p) > 0.0:
+        if k_squared(p) >= (1e-8 * t) ** 2 and metric._gram_defect(p) > 0.0:
             points.append(p)
     seen = set()
     for p in points:
@@ -601,7 +602,7 @@ def test_the_gram_residual_is_the_rounding_of_t_squared_over_x():
     for p in points:
         t, u = Fraction(p.t), Fraction(p.u)
         exact = abs(Fraction(p.t * p.t) - t * t) / min(t * t + u / 2, t * t - u / 2)
-        assert abs(Fraction(geometry._gram_defect(p)) - exact) <= math.ulp(float(exact)), p
+        assert abs(Fraction(metric._gram_defect(p)) - exact) <= math.ulp(float(exact)), p
     near_guard = verify_solution(LedgerSolution("u-zero", 2.0, 1.0, 1.0, 0.0, points[0], {}, False))
     assert f"{near_guard.residuals['gram']:.3g}" == "0.0985"
     grid = (1.0 + 1e-6, 1.5, 5.0, 9.0 - 1e-6), (1.0 / 3.0 + 1e-6, 0.7, 1.3, S_INTERVAL_UNONZERO[1] - 1e-6)

@@ -1355,8 +1355,9 @@ def test_solve_builds_one_geometry_per_solution(capsys, monkeypatch, branch, s, 
 def test_solve_and_its_verifications_evaluate_each_point_once(capsys, monkeypatch, branch, s, n):
     # the solver evaluates each record's point once, and so does each verification, that of a hand-built solution at
     # the same params too: a +-u pair reads the one geometry its solve built, which keeps no evaluation, so the
-    # evaluation (eta, the Gram defect and the round-point verdict) is formed on each read and nothing else is
-    formed = _count_calls(monkeypatch, geometry._gram_defect)
+    # evaluation (eta and the round-point verdict, with the Gram defect that _evaluate forms from the params) is
+    # formed on each read and nothing else is
+    formed = _count_calls(monkeypatch, metric._gram_defect)
     counting_equal, equals = _counting(geometry._Geometry.equal)
     monkeypatch.setattr(geometry._Geometry, "equal", counting_equal)
     builds, evaluations = _counting_geometries(monkeypatch)

@@ -795,7 +795,7 @@ def test_homothety_sign_and_swap_maps_preserve_the_geometry(p, log_lam):
     geo = geometry._Geometry(p)
     spectrum = np.linalg.eigvalsh(geo.ricci)
     max_c, max_u, max_l, max_n, max_rho = (np.abs(a).max() for a in (geo.c, geo.u, geo.ledger, geo.n, geo.r))
-    verdicts = geo.equal("1234", DEFAULT_TOL), len(geo.isometries(DEFAULT_TOL)), geo.evaluation()[3] <= DEFAULT_TOL
+    verdicts = geo.equal("1234", DEFAULT_TOL), len(geo.isometries(DEFAULT_TOL)), geo.evaluation()[2] <= DEFAULT_TOL
     for q, lam in images:
         image = geometry._Geometry(q)
         got = np.linalg.eigvalsh(image.ricci) * lam**2
@@ -804,7 +804,7 @@ def test_homothety_sign_and_swap_maps_preserve_the_geometry(p, log_lam):
         assert abs(np.abs(image.u).max() * lam - max_u) <= 1e-12 * max_c
         assert abs(np.abs(image.ledger).max() * lam**3 - max_l) <= 1e-12 * max_n * max_rho
         assert (image.equal("1234", DEFAULT_TOL), len(image.isometries(DEFAULT_TOL)),
-                image.evaluation()[3] <= DEFAULT_TOL) == verdicts
+                image.evaluation()[2] <= DEFAULT_TOL) == verdicts
 
 
 # ----------------------------------------------------------------------
@@ -1112,7 +1112,7 @@ def test_a_points_geometry_holds_python_numbers_only(monkeypatch):
     # maxima, Ricci matrix or reduced system it reads: after every public geometry and analysis function has run at
     # one point, through build_form and through a bare Gram matrix (whose parameters are the same point), its cached
     # geometry holds exactly its params, e, y and the six outputs of _program, as Python numbers only: each read of
-    # its evaluation forms it anew
+    # its evaluation forms it anew, with no Gram defect, which only a record's residuals report
     sol = solve_ledger_unonzero(1.0)[0]
     p = sol.params
     x, y, z = np.random.default_rng(42).standard_normal((3, 8))
@@ -1129,8 +1129,9 @@ def test_a_points_geometry_holds_python_numbers_only(monkeypatch):
     assert geometry._geometry(AdaptedForm(gram=np.array(build_form(p).gram))) is geo
     assert set(vars(geo)) == {"params", "e", "y", "ratios", "r", "lam", "det", "eta", "norm_ledger"}
     formed = []
-    monkeypatch.setattr(geometry, "_gram_defect", lambda p: formed.append(p) or 0.0)
-    assert geo.evaluation() == geo.evaluation() and formed == [p, p]
+    monkeypatch.setattr(geometry, "_ldexp", lambda x, n: formed.append(x) or math.ldexp(x, n))
+    assert geo.evaluation() == geo.evaluation() and formed == [geo.norm_ledger] * 2
+    assert len(geo.evaluation()) == 4 and not hasattr(geometry, "_gram_defect")
 
     def leaves(value):
         return [leaf for item in value for leaf in leaves(item)] if isinstance(value, (list, tuple)) else [value]
@@ -1164,13 +1165,17 @@ def test_a_raw_vector_call_forms_each_frame_once(monkeypatch):
 _X = np.arange(8.0)
 
 
-@pytest.mark.parametrize("call,shape", [
-    (lambda form: u_map(np.zeros(7), _X, form), (7,)),
-    (lambda form: m_bracket(_X, np.zeros((8, 1))), (8, 1)),
-    (lambda form: curvature(_X, _X, np.zeros(9), form), (9,)),
-    (lambda form: ledger(_X, _X, [1, 2], form), (2,)),
-], ids=["u_map", "m_bracket", "curvature", "ledger"])
-def test_a_raw_vector_of_another_shape_is_refused(call, shape):
+@pytest.mark.parametrize("call,message", [
+    (lambda form: u_map(np.zeros(7), _X, form), "m-vector must have shape (8,), got (7,)"),
+    (lambda form: m_bracket(_X, np.zeros((8, 1))), "m-vector must have shape (8,), got (8, 1)"),
+    (lambda form: curvature(_X, _X, np.zeros(9), form), "m-vector must have shape (8,), got (9,)"),
+    (lambda form: ledger(_X, _X, [1, 2], form), "m-vector must have shape (8,), got (2,)"),
+    # every coordinate vector is admitted by one function, algebra._vector, with the message of its kind
+    (lambda form: curvature(_X, np.zeros(10), _X, form), "m-vector must have shape (8,), got (10,)"),
+    (lambda form: build_so5().bracket(np.zeros(10), np.zeros(8)), "vector must have shape (10,), got (8,)"),
+    (lambda form: zksym.matrix_of(np.zeros((2, 5))), "so(5) vector must have shape (10,), got (2, 5)"),
+], ids=["u_map", "m_bracket", "curvature", "ledger", "curvature h", "bracket", "matrix_of"])
+def test_a_raw_vector_of_another_shape_is_refused(call, message):
     with pytest.raises(ValueError) as refusal:
         call(build_form(NR_PARAMS))
-    assert str(refusal.value) == f"m-vector must have shape (8,), got {shape}"
+    assert str(refusal.value) == message

@@ -14,7 +14,7 @@ from zksym import algebra, analysis, geometry, metric, so5
 # the public interface of the package, each name declared once, in its module's __all__
 _EXPORTED = {
     "AdaptedForm", "DEFAULT_TOL", "DegenerateMetricError", "FRAME_NAMES", "GradedLieAlgebra", "GradingLabel",
-    "InvalidParamsError", "InvarianceReport", "LedgerSolution", "M_INDICES", "M_NAMES", "MetricParams",
+    "InvalidParamsError", "InvarianceReport", "LedgerSolution", "MetricParams",
     "OrthonormalFrame", "ReductivityReport", "S_INTERVAL_U0", "S_INTERVAL_UNONZERO", "SO5_NAMES",
     "ValidationReport", "VerificationReport", "algebra_from_dict", "algebra_to_dict", "bracket_table",
     "build_form", "build_so5", "check_adh_invariance", "curvature", "first_ledger_verdict",
@@ -38,7 +38,7 @@ def test_each_module_exports_only_names_it_defines(module):
 
 
 def test_the_package_exports_the_union_of_the_module_lists():
-    assert len(zksym.__all__) == len(_EXPORTED) == 44
+    assert len(zksym.__all__) == len(_EXPORTED) == 42
     assert set(zksym.__all__) == _EXPORTED
     assert set(zksym.__all__) == set().union(*(m.__all__ for m in _MODULES))
     for name in zksym.__all__:
@@ -106,6 +106,13 @@ def test_the_verdict_path_imports_no_numpy(statement):
 def test_a_well_formed_command_line_imports_no_argparse(statement):
     # argparse is loaded only for help and for argv the option table does not read
     assert _fresh(statement, "argparse")[1] is False
+
+
+def test_a_ledger_verdict_forms_no_gram_defect():
+    # only a solution record reports the Gram defect; at t = 1.1, whose square is not a float, forming it would load
+    # fractions (and decimal) for a value that ``ledger`` does not print
+    statement = _main("ledger", "--t", "1.1", *_POINT[2:])
+    assert _fresh(statement, "fractions")[1] is False
 
 
 @pytest.mark.parametrize("argv", [("tables", *_POINT), ("ricci", *_POINT), ("isometries", *_POINT, "--format", "json"),

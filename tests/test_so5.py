@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from zksym import build_so5, matrix_of, vector_of
-from zksym.so5 import LABELS, M_INDICES, SO5_NAMES
+from zksym.algebra import GradingLabel
+from zksym.so5 import LABELS, SO5_NAMES, basis_matrix
 
-from oracles import SO5_ORDER, commutator, coords_from_matrix, skew_unit
+from oracles import SO5_LAYOUT, SO5_ORDER, commutator, coords_from_matrix, skew_unit
 
 
 def test_dimension_and_names():
@@ -26,7 +27,19 @@ def test_matrix_of_b1():
     expected = np.zeros((5, 5))
     expected[0, 4] = 1.0
     expected[4, 0] = -1.0
-    assert np.array_equal(m, expected)
+    assert np.array_equal(m, expected) and np.array_equal(basis_matrix("B1"), expected)
+    assert not np.signbit(m[m == 0.0]).any()  # each zero coordinate is +0.0 at both of its entries
+
+
+def test_matrix_of_places_an_infinite_coordinate_at_its_two_entries():
+    # each coordinate sits at its +1 entry and, negated, at its -1 entry: no product 0 * inf = NaN elsewhere
+    for k, name in enumerate(SO5_NAMES):
+        for value in (np.inf, -np.inf):
+            x = np.zeros(10)
+            x[k] = value
+            (row, col), expected = SO5_LAYOUT[name], np.zeros((5, 5))
+            expected[row, col], expected[col, row] = value, -value
+            assert np.array_equal(matrix_of(x), expected), (name, value)
 
 
 def test_matrix_vector_round_trip():
@@ -51,7 +64,7 @@ def test_bracket_equals_matrix_commutator_on_all_pairs():
 
 def test_a_block_brackets_land_in_isotropy():
     alg = build_so5()
-    e = alg.identity_label
+    e = GradingLabel.identity(alg.k)
     for i in ("A1", "A2", "A3", "A4"):
         for j in ("A1", "A2", "A3", "A4"):
             out = alg.bracket(alg.basis_vector(i), alg.basis_vector(j))
@@ -74,7 +87,7 @@ def test_grading_closure_holds():
 
 def test_m_indices_are_the_non_identity_block():
     alg = build_so5()
-    assert alg.m_indices == M_INDICES
+    assert alg.m_indices == (2, 3, 4, 5, 6, 7, 8, 9)
     assert alg.h_indices == (0, 1)
 
 
