@@ -176,10 +176,9 @@ def _evaluate(p: MetricParams) -> tuple[dict[str, float], float, bool]:
     ("star") and the root frame's orthonormality defect for the Gram matrix of :func:`build_form` ("gram", formed
     here from p); then the larger eta_alpha, which ``ledger`` and verification judge, and naturally reductive.  All
     are read at (t, |u|, v, w): u -> -u swaps x1 and x2, the Weyl reflection e2 -> -e2, which leaves them bit for
-    bit, so a +-u pair has one cached geometry, which forms the rest on each call (its ``evaluation``), and the
-    solver and each verification of either sign, whoever built the solution, read the same values in a new dict."""
-    if p.u < 0.0:
-        p = MetricParams(p.t, -p.u, p.v, p.w)
+    bit, so a +-u pair has one cached geometry, which forms the rest on each call (its ``evaluation``): a solve forms
+    them once per pair (:func:`_rows`), each verification of either sign once, and each reads them in a new dict."""
+    p = MetricParams(p.t, -p.u, p.v, p.w) if p.u < 0.0 else p
     norm_ledger, star, eta, nr = geometry._cached_geometry(p).evaluation()
     return {"ledger": norm_ledger, "star": star, "gram": _gram_defect(p)}, eta, nr
 
@@ -214,7 +213,7 @@ def _rows(branch: str, grid: Iterable[float]) -> Iterator[tuple[tuple, float]]:
     """The solutions of ``branch`` ("u0" or "u1") at t = 1 at each S of the grid, in order, each as the tuple of its
     LedgerSolution fields, with the residuals of its point's :func:`_evaluate`, and the larger eta_alpha that
     :func:`verify_solution` compares, drawn one S at a time; raises on an S outside the interval when it reaches it.
-    A -u row follows its +u twin and equals it but in u's sign."""
+    A -u row follows its +u twin, equal but in u's sign, and takes its evaluation, the residuals in a new dict."""
     name, (lo, hi), roots = _BRANCHES[branch]
     for s in grid:
         if not (lo < s < hi):
@@ -222,7 +221,7 @@ def _rows(branch: str, grid: Iterable[float]) -> Iterator[tuple[tuple, float]]:
             raise InvalidParamsError(f"S must lie in the open interval ({q(lo)}, {q(hi)}), got {q(s)}")
         for vv, ww, u in roots(s):
             p = MetricParams(1.0, u, math.sqrt(vv), math.sqrt(ww))
-            residuals, eta, nr = _evaluate(p)
+            residuals, eta, nr = (dict(residuals), eta, nr) if u < 0.0 else _evaluate(p)
             yield (name, s, vv, ww, u * u, p, residuals, nr), eta
 
 
@@ -283,9 +282,9 @@ def verify_solution(sol: LedgerSolution, tol: float = DEFAULT_TOL) -> Verificati
     ``ledger`` reads satisfied at ``sol.params``, whoever built it.  The
     absolute residuals, "gram" among them, and the naturally-reductive
     status (the ``check-nr`` verdict at DEFAULT_TOL) are reported, not
-    judged.  The evaluation is read at (t, |u|, v, w), so a -u solution
-    reads its +u twin's geometry; for a solver's output that is usually
-    still cached, and only the evaluation is formed again.
+    judged.  Each call evaluates at (t, |u|, v, w), so a -u solution reads
+    its +u twin's geometry, for a solver's output usually still cached,
+    and forms the evaluation that its solve formed once per +-u pair.
     """
     residuals, eta, nr = _evaluate(sol.params)
     return VerificationReport(

@@ -36,9 +36,9 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_NUMERICAL = 2
 
-# LedgerSolution.to_dict() as json.dumps writes it, from its branch, 11 finite floats (%r, as the encoder) and NR
-_SOLUTION = ('{"branch": "%s", "S": %r, "V": %r, "W": %r, "Usq": %r, "params": {"t": %r, "u": %r, "v": %r, "w": %r}, '
-             '"residuals": {"ledger": %r, "star": %r, "gram": %r}, "naturally_reductive": %s}')
+# LedgerSolution.to_dict() as json.dumps writes it, from its branch, the reprs of 11 finite floats and NR
+_SOLUTION = ('{"branch": "%s", "S": %s, "V": %s, "W": %s, "Usq": %s, "params": {"t": %s, "u": %s, "v": %s, "w": %s}, '
+             '"residuals": {"ledger": %s, "star": %s, "gram": %s}, "naturally_reductive": %s}')
 
 
 class _UsageError(Exception):
@@ -255,16 +255,20 @@ def _solutions(args, grid, tol: float) -> None:
     raise if any fails verification.  Each is judged by the eta_alpha its solve formed, the float verify_solution
     compares, which runs once, on a LedgerSolution of the first worst failure's row, for its summary."""
     failed, count, worst, line, as_json = 0, 0, (None, -1.0), "", args.format == "json"
-    for row, eta in _rows(args.branch, grid):
+    pair = 2 if args.branch == "u1" else 1  # the rows of one S: each (V, W) row (+u, -u on u1), then its (W, V) twin
+    for i, (row, eta) in enumerate(_rows(args.branch, grid)):
         name, s, vv, ww, usq, p, r, nr = row
         nr = "true" if nr else "false"
-        if p.u < 0.0:  # the -u twin of the record before: its line but in u's sign, as repr(-x) == "-" + repr(x)
+        if i % pair:  # the -u twin of the record before: its line but in u's sign, as repr(-x) == "-" + repr(x)
             line = line.replace(*(('"u": ', '"u": -') if as_json else (" u=", " u=-")), 1)
         elif as_json:
             numbers = (s, vv, ww, usq, p.t, p.u, p.v, p.w, r["ledger"], r["star"], r["gram"])
             if not all(map(math.isfinite, numbers)):
                 raise DegenerateMetricError("a non-finite number has no JSON form")
-            line = _SOLUTION % (name, *numbers, nr)
+            # the (W, V) twin takes its (V, W) row's reprs, V, W and v, w swapped, and formats only ledger and star
+            reprs = ([reprs[k] for k in (0, 2, 1, 3, 4, 5, 7, 6)] + [*map(repr, numbers[8:10]), reprs[10]]
+                     if i % (2 * pair) else list(map(repr, numbers)))
+            line = _SOLUTION % (name, *reprs, nr)
         else:
             line = (f"branch={name} S={_fmt(s)} V={_fmt(vv)} W={_fmt(ww)} u={_fmt(p.u)} "
                     f"v={_fmt(p.v)} w={_fmt(p.w)} ledger={r['ledger']:.3g} star={r['star']:.3g} NR={nr}")

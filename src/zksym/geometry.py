@@ -10,14 +10,13 @@ C[k, i, j]) / 2, nabla = U + C/2, rho = diag(r) (Besse, Einstein Manifolds,
 Cor. 7.38, summed per triple as by Wang and Ziller) and L = -2 sum_cyc
 rho(U(X,Y), Z) = -c0 D_alpha / sqrt(x_alpha x3 x4), where D_alpha =
 (x3 - x_alpha) r4 + (x4 - x3) r_alpha + (x_alpha - x4) r3 is zero iff
-(x_alpha, r_alpha), (x3, r3), (x4, r4) are collinear.  So a point's
-geometry is a few scalars: one program in Python floats, :func:`_program`,
-forms them from the x / 4^e of :attr:`zksym.metric.MetricParams.unit_scalars`
-(the exact homothety to 1 <= |t| < 2) with each x_k - x_j formed before a
-quotient, so nothing loses digits near the K guard.  It forms D_alpha once,
-as (x4 - x3) Q_alpha / (2 x1 x2 x3 x4), which L and the reduced system read,
-and its backward error eta_alpha = |D_alpha| / sum_k |x_k dD_alpha/dx_k|, a
-relative distance in x as each other point verdict is (:meth:`_Geometry.equal`).
+(x_alpha, r_alpha), (x3, r3), (x4, r4) are collinear.  So a point's geometry is a few
+scalars, formed in Python floats from the x / 4^e of :attr:`zksym.metric.MetricParams.unit_scalars`
+(the exact homothety to 1 <= |t| < 2) with each x_k - x_j formed before a quotient, so nothing
+loses digits near the K guard, in two stages.  The evaluation stage, :func:`_program`, runs when
+a point is built and forms what a solve record reads: D_alpha once, as (x4 - x3) Q_alpha /
+(2 x1 x2 x3 x4), its backward error eta_alpha = |D_alpha| / sum_k |x_k dD_alpha/dx_k| (a relative
+distance in x, as each point verdict), lam_alpha and ||L||; :func:`_presentation` forms C and r.
 
 The adapted frame of :func:`zksym.metric.orthonormal_frame` is for
 presentation only: A~1 = sgn t (c E1 + s E3), A~2 = sgn t (c E2 + s E4),
@@ -95,28 +94,21 @@ def _m_vector(x) -> np.ndarray:
 
 
 def _program(e: int, y) -> tuple:
-    """From a point's unit-scale (e, y): the six ratios (the magnitudes of C), r and lam_alpha = D_alpha /
-    sqrt(x_alpha x3 x4) at its scale, then at the unit scale D_alpha, eta_alpha (see :func:`_partials`) and the
-    Frobenius norm of L.  The triple of alpha has the slots (k, i, j) = (alpha, e1, e2),
-    (e1, alpha, e2), (e2, alpha, e1), summed in that order.  Its row is a function of (x_alpha, x_beta) alone,
-    so where y1 == y2 (u = 0, or |u| below half an ulp of t^2) alpha = 2 reuses alpha = 1's, bit for bit."""
-    if not 0.0 < min(y) <= max(y) < math.inf:  # an x that under- or overflows at this scale
+    """The evaluation stage, from a point's unit-scale (e, y): lam_alpha = D_alpha / sqrt(x_alpha x3 x4) at its scale,
+    then at the unit scale D_alpha, eta_alpha (see :func:`_partials`) and the Frobenius norm of L, all that a solve
+    record reads; it refuses a point where either stage overflows.  Its row is a function of (x_alpha, x_beta)
+    alone, so where y1 == y2 (u = 0, or |u| below half an ulp of t^2) alpha = 2 reuses alpha = 1's, bit for bit."""
+    if not 0.0 < (lo := min(y)) <= (hi := max(y)) < math.inf:  # an x that under- or overflows at this scale
         raise DegenerateMetricError("the curvature tensors overflow at this scale")
+    if not (abs(e) <= 64 and 2.0**-100 <= lo and hi <= 2.0**100):  # only outside this box can the presentation
+        _presentation(e, y)  # overflow: formed once here, it refuses such a point when it is built
     x1, x2, x3, x4 = y
-    k1, k2, k3, k4 = _HALF_KILLING
-    i3, i4 = 1.0 / x3, 1.0 / x4
     h = 0.5 * ((x4 - x3) / math.sqrt(x3) / math.sqrt(x4))
-    r1, r2, r3, r4 = k1 * (1.0 / x1), k2 * (1.0 / x2), k3 * i3, k4 * i4
     rows = []
     for xa, xb in ((x1, x2), (x2, x1)):
         if rows and xa == xb:  # y1 == y2: the row of alpha = 2 is that of alpha = 1
             rows.append(rows[0])
             break
-        # the squared ratios of the slots and per slot (x_k^2 - x_i^2 - x_j^2) / (x_i x_j x_k), with
-        # x_k^2 - x_j^2 exact where x_k = x_j
-        s0, s1, s2 = xa / x3 / x4, x3 / xa / x4, x4 / xa / x3
-        terms = ((xa - x4) * (1.0 / xa + i4) / x3 - s1,
-                 (x3 - x4) * (i3 + i4) / xa - s0, (x4 - x3) * (i4 + i3) / xa - s0)
         # D_alpha = (x4 - x3) q / 2, q = Q_alpha / (x1 x2 x3 x4) with beta the other of 1, 2 and Q_alpha =
         # x_alpha (x3 + x4 - x_alpha)^2 + 8 x_beta (x_alpha - x3)(x_alpha - x4) - x_alpha (x_alpha^2 - x_beta^2),
         # which keeps the digits that the terms (x_i - x_j) r_k of D_alpha lose where they cancel (u = 0, w = t)
@@ -124,28 +116,46 @@ def _program(e: int, y) -> tuple:
         s = x3 - d4 if abs(d4) <= abs(d3) else x4 - d3  # x3 + x4 - x_alpha, by the nearer difference
         c = ((xa - xb) / x3) * ((xa + xb) / x4) / xb
         q = (s / x3) * (s / x4) / xb + 8.0 * (d3 / x3) * (d4 / x4) / xa - c
-        d = 0.5 * (x4 - x3) * q
         n, t1, t2, t3, t4 = _partials(xa, xb, x3, x4, d3, d4, s, q, c)
         total = abs(t1) + abs(t2) + abs(t3) + abs(t4)
         # eta_alpha = |n| / total: 0 where D_alpha = 0, +inf where its partials vanish but it does not, and nan
         # where a partial overflows, which ``ledger`` refuses
         eta = math.nan if not total < math.inf else abs(n) / total if total else math.inf if n else 0.0
-        rows.append((math.sqrt(s0), math.sqrt(s1), math.sqrt(s2), *terms, d, eta, h / math.sqrt(xa) * q))
-    (c0, c1, c2, a0, a1, a2, d1, eta1, l1), (c3, c4, c5, b0, b1, b2, d2, eta2, l2) = rows
-    r1, r2, r3, r4 = r1 + 0.5 * a0, r2 + 0.5 * b0, r3 + (0.5 * a1 + 0.5 * b1), r4 + (0.5 * a2 + 0.5 * b2)
+        rows.append((0.5 * (x4 - x3) * q, eta, h / math.sqrt(xa) * q))
+    (d1, eta1, l1), (d2, eta2, l2) = rows
+    lam = [_ldexp(l1, -3 * e), _ldexp(l2, -3 * e)]  # at the point's scale, where |lam1| + |lam2| bounds max|L| too
+    if not math.isfinite(abs(lam[0]) + abs(lam[1])):
+        raise DegenerateMetricError("the curvature tensors overflow at this scale")
     # ||L||^2 = 12 ||lam||^2, as L is +-lam_alpha / sqrt 2 on the 24 entries of the triples of alpha
-    norm_ledger = math.sqrt((l1 * l1 + l2 * l2) * 12.0)
-    e2, e3, ldexp = 2 * e, 3 * e, math.ldexp
-    try:  # the ratios slot-major, r and lam at the point's scale, where |lam1| + |lam2| bounds max|L| too
+    return lam, [d1, d2], [eta1, eta2], math.sqrt((l1 * l1 + l2 * l2) * 12.0)
+
+
+def _presentation(e: int, y) -> tuple[list[float], list[float]]:
+    """The presentation stage: the six ratios (the magnitudes of C) and r, with the slots (k, i, j) = (alpha, e1, e2),
+    (e1, alpha, e2), (e2, alpha, e1) of alpha's triple summed in that order.  Where |e| <= 64 and 2^-100 <= y_k <=
+    2^100 no s_k exceeds 2^300 and no term 2^302, with no 0 or inf operand, so none overflows or is NaN: no raise."""
+    x1, x2, x3, x4 = y
+    k1, k2, k3, k4 = _HALF_KILLING
+    i3, i4 = 1.0 / x3, 1.0 / x4
+    rows = []
+    for xa in (x1, x2):
+        # the squared ratios of the slots and per slot (x_k^2 - x_i^2 - x_j^2) / (x_i x_j x_k), with
+        # x_k^2 - x_j^2 exact where x_k = x_j
+        s0, s1, s2 = xa / x3 / x4, x3 / xa / x4, x4 / xa / x3
+        rows.append((math.sqrt(s0), math.sqrt(s1), math.sqrt(s2), (xa - x4) * (1.0 / xa + i4) / x3 - s1,
+                     (x3 - x4) * (i3 + i4) / xa - s0, (x4 - x3) * (i4 + i3) / xa - s0))
+    (c0, c1, c2, a0, a1, a2), (c3, c4, c5, b0, b1, b2) = rows
+    e2, ldexp = 2 * e, math.ldexp
+    try:  # the ratios slot-major and r at the point's scale
         ratios = [ldexp(c0, -e), ldexp(c3, -e), ldexp(c1, -e), ldexp(c4, -e), ldexp(c2, -e), ldexp(c5, -e)]
-        r = [ldexp(r1, -e2), ldexp(r2, -e2), ldexp(r3, -e2), ldexp(r4, -e2)]
-        lam = [ldexp(l1, -e3), ldexp(l2, -e3)]
-        finite = all(map(math.isfinite, ratios + r + [abs(lam[0]) + abs(lam[1])]))
+        r = [ldexp(k1 * (1.0 / x1) + 0.5 * a0, -e2), ldexp(k2 * (1.0 / x2) + 0.5 * b0, -e2),
+             ldexp(k3 * i3 + (0.5 * a1 + 0.5 * b1), -e2), ldexp(k4 * i4 + (0.5 * a2 + 0.5 * b2), -e2)]
+        finite = all(map(math.isfinite, ratios + r))
     except OverflowError:
         finite = False
     if not finite:
         raise DegenerateMetricError("the curvature tensors overflow at this scale")
-    return ratios, r, lam, [d1, d2], [eta1, eta2], norm_ledger
+    return ratios, r
 
 
 def _partials(xa: float, xb: float, x3: float, x4: float, d3: float, d4: float, s: float, q: float,
@@ -180,22 +190,24 @@ def _dense(values, slots=_INDEX) -> np.ndarray:
 
 
 class _Geometry:
-    """The geometry of one parameter point in the root frame: it keeps its params, e, y and what :func:`_program`
-    forms, nothing more, and each call forms the rest it reads, its :meth:`evaluation` too, so only it and
-    :mod:`zksym.metric` know the unit scale e, and only it D_alpha and eta.  It holds Python floats only, no array
-    (:func:`_operator` forms the frames per call) and no reply: the CLI keeps those in its memo, ``cli._reply``."""
+    """One parameter point in the root frame, built only where both stages of its program are finite: it keeps its
+    params, e, y and what :func:`_program` forms, and each call forms the rest it reads, the presentation at most once
+    and its :meth:`evaluation` too.  It holds Python floats only, no array (:func:`_operator` forms the frames per
+    call) and no reply: the CLI keeps those in its memo, ``cli._reply``."""
 
     def __init__(self, p: MetricParams):
         p.K  # the guard, which like an overflow in the program raises before anything is kept
         self.params = p
         self.e, self.y = p.unit_scalars
-        self.ratios, self.r, self.lam, self.det, self.eta, self.norm_ledger = _program(self.e, self.y)
+        self.lam, self.det, self.eta, self.norm_ledger = _program(self.e, self.y)
 
-    # the support values of C, U, nabla (and L below), in the order of _INDEX
-    c = property(lambda self: [c0 * self.ratios[k] for c0, k in zip(_C0, _RK)])
-    # (C[k,j,i] + C[k,i,j]) / 2
-    u = property(lambda self: [c0 * (0.5 * (self.ratios[j] - self.ratios[i])) for c0, i, j in zip(_C0, _RI, _RJ)])
-    n = property(lambda self: [u + 0.5 * c for u, c in zip(self.u, self.c)])
+    ratios = property(lambda self: _presentation(self.e, self.y)[0])
+    r = property(lambda self: _presentation(self.e, self.y)[1])
+    # the support values of C, U, nabla (and L below), in the order of _INDEX, each from one read of the ratios
+    c = property(lambda self: [c0 * x[k] for x in [self.ratios] for c0, k in zip(_C0, _RK)])
+    u = property(lambda self: [c0 * (0.5 * (x[j] - x[i])) for x in [self.ratios] for c0, i, j in zip(_C0, _RI, _RJ)])
+    n = property(lambda self: [c0 * (0.5 * (x[j] - x[i])) + 0.5 * (c0 * x[k]) for x in [self.ratios]
+                               for c0, k, i, j in zip(_C0, _RK, _RI, _RJ)])
 
     # L on the support, +-lam_alpha on the triples of alpha, and max |L| over the adapted frame triples
     ledger = property(lambda self: [sign * self.lam[alpha] for sign, alpha in zip(_L_SIGN, _TRIPLE)])

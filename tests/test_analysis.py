@@ -716,6 +716,24 @@ def test_the_ledger_verdict_refuses_a_max_l_that_is_not_finite():
         first_ledger_verdict(_OVERFLOWING_LEDGER)
 
 
+# v = w far below |t|: D_alpha = 0, so lam = 0 and the evaluation stage is finite, but at the unit scale (e = -216)
+# y3 = y4 = 2.8e-124 lies outside the box where the presentation cannot overflow, and r does overflow at the point's
+# scale: the geometry refuses the point when built, so each point command exits 2, whether or not it reads r
+_OVERFLOWING_RICCI = ("--t", "-1.3932093653883701e-65", "--u", "0", "--v", "-1.5898027112581439e-127",
+                      "--w", "-1.5898027112581439e-127")
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_point_whose_presentation_overflows_is_refused_by_every_point_command(capsys):
+    from zksym.cli import main
+    with pytest.raises(DegenerateMetricError, match=r"^the curvature tensors overflow at this scale$"):
+        geometry._Geometry(MetricParams(*map(float, _OVERFLOWING_RICCI[1::2])))
+    geometry._cached_geometry.cache_clear()
+    for command in ("ledger", "check-nr", "isometries"):
+        assert main([command, *_OVERFLOWING_RICCI]) == 2
+        assert capsys.readouterr() == ("", "numerical failure: the curvature tensors overflow at this scale\n")
+
+
 # ----------------------------------------------------------------------
 # verification catches broken solutions
 # ----------------------------------------------------------------------

@@ -1330,8 +1330,9 @@ def _unsigned(p):
 
 @pytest.mark.parametrize("branch,s,n", [("u1", "1.1", 4), ("u0", "5", 2)])
 def test_solve_builds_one_geometry_per_solution(capsys, monkeypatch, branch, s, n):
-    # the solver evaluates each of its N = 2 or 4 solutions once, a +-u pair
-    # at one point, and the CLI judges each by the eta its solve formed: two
+    # the solver evaluates each of its two points once, a +-u pair at one
+    # point whose -u row takes its +u twin's evaluation, and the CLI judges
+    # each of its N = 2 or 4 solutions by the eta its solve formed: two
     # geometries, built through the cache, no Gram factorization, no form
     # (the Gram defect is a closed form), and the reductivity query never
     # runs
@@ -1344,19 +1345,20 @@ def test_solve_builds_one_geometry_per_solution(capsys, monkeypatch, branch, s, 
     code, out, _ = run_cli(capsys, "solve", "--branch", branch, "--S", s)
     assert code == 0
     assert len(out.splitlines()) == n
-    assert len(builds) == 2 and len(evaluations) == n and list(dict.fromkeys(map(_unsigned, evaluations))) == builds
+    assert len(builds) == len(evaluations) == 2 and list(map(_unsigned, evaluations)) == builds
+    assert all(p.u >= 0.0 for p in evaluations)
     assert (len(forms), len(nr_tests), len(factorizations)) == (0, 0, 0)
     # each point's geometry went into the cache, computed nowhere else
     info = geometry._cached_geometry.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (2, n - 2, 2)
+    assert (info.misses, info.hits, info.currsize) == (2, 0, 2)
 
 
 @pytest.mark.parametrize("branch,s,n", [("u1", "1.1", 4), ("u0", "5", 2)])
 def test_solve_and_its_verifications_evaluate_each_point_once(capsys, monkeypatch, branch, s, n):
-    # the solver evaluates each record's point once, and so does each verification, that of a hand-built solution at
-    # the same params too: a +-u pair reads the one geometry its solve built, which keeps no evaluation, so the
-    # evaluation (eta and the round-point verdict, with the Gram defect that _evaluate forms from the params) is
-    # formed on each read and nothing else is
+    # the solver evaluates each +-u pair once, its -u row taking the +u row's evaluation, and each verification
+    # evaluates its solution's point, that of a hand-built solution at the same params too: a +-u pair reads the one
+    # geometry its solve built, which keeps no evaluation, so the evaluation (eta and the round-point verdict, with
+    # the Gram defect that _evaluate forms from the params) is formed on each read and nothing else is
     formed = _count_calls(monkeypatch, metric._gram_defect)
     counting_equal, equals = _counting(geometry._Geometry.equal)
     monkeypatch.setattr(geometry._Geometry, "equal", counting_equal)
@@ -1364,15 +1366,15 @@ def test_solve_and_its_verifications_evaluate_each_point_once(capsys, monkeypatc
     geometry._cached_geometry.cache_clear()
     code, out, _ = run_cli(capsys, "solve", "--branch", branch, "--S", s, "--format", "json")
     assert code == 0 and len(out.splitlines()) == n
-    assert len(builds) == 2 and len(evaluations) == n and list(dict.fromkeys(map(_unsigned, evaluations))) == builds
-    assert len(formed) == len(equals) == n
+    assert len(builds) == len(evaluations) == 2 and list(map(_unsigned, evaluations)) == builds
+    assert len(formed) == len(equals) == 2
     for record in map(json.loads, out.splitlines()):
         p = metric.MetricParams(**record["params"])
         hand_built = analysis.LedgerSolution(record["branch"], record["S"], record["V"], record["W"], record["Usq"],
                                              p, {}, False)
         report = analysis.verify_solution(hand_built)
         assert report.passed and report.residuals == record["residuals"]
-    assert len(builds) == 2 and len(formed) == len(equals) == 2 * n
+    assert len(builds) == 2 and len(formed) == len(equals) == 2 + n
 
 
 def test_a_cached_ledger_query_forms_its_reduced_system_once(capsys, monkeypatch):
@@ -1404,9 +1406,10 @@ def test_verifying_a_solves_cached_outputs_builds_no_geometry(monkeypatch):
     builds, evaluations = _counting_geometries(monkeypatch)
     geometry._cached_geometry.cache_clear()
     sols = analysis.solve_ledger_unonzero(1.1) + analysis.solve_ledger_u0(5.0)
-    assert len(builds) == 4 and len(evaluations) == 6  # a +-u pair reads one geometry
+    # a +-u pair reads one geometry, and its solve evaluates it once: the -u row takes the +u row's evaluation
+    assert len(builds) == len(evaluations) == 4 and evaluations == [sol.params for sol in sols if sol.params.u >= 0.0]
     assert all(analysis.verify_solution(sol).passed for sol in sols)
-    assert len(builds) == 4 and evaluations == [sol.params for sol in sols] * 2
+    assert len(builds) == 4 and evaluations[4:] == [sol.params for sol in sols]
 
 
 def test_a_solve_larger_than_the_cache_still_verifies_every_solution(monkeypatch):

@@ -612,17 +612,19 @@ def _swap_points() -> list[MetricParams]:
 
 
 def _program_or_refusal(p: MetricParams):
+    """Both stages of the program at p, the evaluation's four values then the presentation's two, or None where
+    either refuses."""
     try:
-        return geometry._program(*p.unit_scalars)
+        return geometry._program(*p.unit_scalars) + geometry._presentation(*p.unit_scalars)
     except DegenerateMetricError:
         return None
 
 
 def test_negating_u_swaps_the_two_ledger_triples_bit_for_bit(monkeypatch):
-    # u -> -u swaps y1 and y2 exactly, so the program at (t, -u, v, w) is the one at (t, u, v, w) with alpha = 1
-    # and 2 swapped, bit for bit: each row is a function of (x_alpha, x_beta) alone, the two r_alpha share their
-    # constant, and ||L|| sums the rows in either order.  So where y1 == y2 the row of alpha = 2 is that of
-    # alpha = 1, which the program forms once
+    # u -> -u swaps y1 and y2 exactly, so both stages of the program at (t, -u, v, w) are those at (t, u, v, w)
+    # with alpha = 1 and 2 swapped, bit for bit: each row is a function of (x_alpha, x_beta) alone, the two r_alpha
+    # share their constant, and ||L|| sums the rows in either order.  So where y1 == y2 the row of alpha = 2 is that
+    # of alpha = 1, which the evaluation stage forms once
     assert geometry._HALF_KILLING[0] == geometry._HALF_KILLING[1]
     calls = []
     partials = geometry._partials
@@ -639,8 +641,8 @@ def test_negating_u_swaps_the_two_ledger_triples_bit_for_bit(monkeypatch):
             assert _program_or_refusal(q) is None, p
             continue
         assert len(calls) == (1 if y[0] == y[1] else 2), p
-        ratios, r, lam, det, eta, norm = got
-        ratios2, r2, lam2, det2, eta2, norm2 = geometry._program(*q.unit_scalars)
+        lam, det, eta, norm, ratios, r = got
+        lam2, det2, eta2, norm2, ratios2, r2 = _program_or_refusal(q)
         assert hexes(ratios2) == hexes([ratios[i ^ 1] for i in range(6)]), p  # slot-major: alpha = 1, 2 per slot
         assert hexes(r2) == hexes([r[1], r[0], r[2], r[3]]), p
         assert (hexes(lam2), hexes(det2), hexes(eta2)) == (hexes(lam[::-1]), hexes(det[::-1]), hexes(eta[::-1])), p
@@ -651,6 +653,32 @@ def test_negating_u_swaps_the_two_ledger_triples_bit_for_bit(monkeypatch):
             equal_rows += 1
             tiny_u += p.u != 0.0
     assert equal_rows >= 1600 and tiny_u >= 450
+
+
+def test_each_read_forms_the_presentation_at_most_once(monkeypatch):
+    # a support, its table, the Ricci matrix and max|U| each form the presentation once, whatever they read of it per
+    # element; L, its table and maximum, the reduced system and the evaluation read the evaluation stage alone
+    geo, presentation, formed = geometry._Geometry(MetricParams(1.0, 0.3, 1.2, 0.8)), geometry._presentation, []
+    monkeypatch.setattr(geometry, "_presentation", lambda e, y: formed.append(e) or presentation(e, y))
+    reads = [(name, read, name != "ledger") for name in ("c", "u", "n", "ledger")
+             for read in (lambda name=name: getattr(geo, name), lambda name=name: geo.table(name))]
+    reads += [(name, lambda name=name: getattr(geo, name), count)
+              for name, count in (("ricci", 1), ("u_max", 1), ("ledger_max", 0), ("reduced_system", 0))]
+    for name, read, count in reads + [("evaluation", geo.evaluation, 0)]:
+        formed.clear()
+        read()
+        assert len(formed) == count, name
+
+
+def test_the_presentation_is_finite_in_the_box_where_the_constructor_skips_it():
+    # where |e| <= 64 and 2^-100 <= y_k <= 2^100 a geometry is built without forming its presentation, as no ratio
+    # or r_k can overflow or be NaN there: at the box's 32 corners and at seeded points inside it each is finite
+    rng = np.random.default_rng(46)
+    corners = [(e, y) for e in (-64, 64) for y in itertools.product((2.0**-100, 2.0**100), repeat=4)]
+    inside = [(int(rng.integers(-64, 65)), tuple(2.0 ** rng.uniform(-100.0, 100.0, 4))) for _ in range(2000)]
+    for e, y in corners + inside:
+        ratios, r = geometry._presentation(e, y)
+        assert all(map(math.isfinite, ratios + r)), (e, y)
 
 
 def test_the_determinants_and_the_ledger_norm_are_the_q_form_to_rounding():
@@ -1111,8 +1139,9 @@ def test_a_points_geometry_holds_python_numbers_only(monkeypatch):
     # the raw-vector functions form the frames E and E^-1 on each call, and every other call forms the tables,
     # maxima, Ricci matrix or reduced system it reads: after every public geometry and analysis function has run at
     # one point, through build_form and through a bare Gram matrix (whose parameters are the same point), its cached
-    # geometry holds exactly its params, e, y and the six outputs of _program, as Python numbers only: each read of
-    # its evaluation forms it anew, with no Gram defect, which only a record's residuals report
+    # geometry holds exactly its params, e, y and the four outputs of _program, its evaluation stage, as Python
+    # numbers only: each read of its evaluation forms it anew, with no Gram defect, which only a record's residuals
+    # report, and each read of its presentation stage, the ratios and r, forms that anew
     sol = solve_ledger_unonzero(1.0)[0]
     p = sol.params
     x, y, z = np.random.default_rng(42).standard_normal((3, 8))
@@ -1125,9 +1154,12 @@ def test_a_points_geometry_holds_python_numbers_only(monkeypatch):
                   analysis.ledger_system_residuals):
         check(p)
     solve_ledger_u0(5.0), analysis.verify_solution(sol)
-    geo = geometry._cached_geometry(p)
+    geo, presentation = geometry._cached_geometry(p), geometry._presentation
     assert geometry._geometry(AdaptedForm(gram=np.array(build_form(p).gram))) is geo
-    assert set(vars(geo)) == {"params", "e", "y", "ratios", "r", "lam", "det", "eta", "norm_ledger"}
+    assert set(vars(geo)) == {"params", "e", "y", "lam", "det", "eta", "norm_ledger"}
+    presented = []
+    monkeypatch.setattr(geometry, "_presentation", lambda e, y: presented.append(e) or presentation(e, y))
+    assert (geo.ratios, geo.r) == presentation(geo.e, geo.y) and presented == [geo.e] * 2
     formed = []
     monkeypatch.setattr(geometry, "_ldexp", lambda x, n: formed.append(x) or math.ldexp(x, n))
     assert geo.evaluation() == geo.evaluation() and formed == [geo.norm_ledger] * 2
