@@ -7,9 +7,9 @@ P = V W (and U = u/t^2 when u != 0) they admit closed-form solution
 families, one branch with u = 0 and one with u != 0.  The solvers below
 return the families normalized at t = 1 with their residuals; each point's
 cached geometry forms the Ledger readouts and ``metric`` the Gram defect;
-this module judges them and assembles records.  A +-u pair, the same point
-up to the Weyl reflection e2 -> -e2, reads one geometry, and the CLI judges
-each record by the eta_alpha its solve formed (:func:`_rows`).  Two more
+this module judges them and assembles records.  The records of one S are
+one Weyl orbit, which reads one geometry (:func:`_evaluate`), and the CLI
+judges each record by the eta_alpha its solve formed (:func:`_rows`).  Two more
 sets satisfy L = 0 and no solver returns them: the metrics with v = w, of
 which only the round point u = 0, v^2 = w^2 = t^2 is naturally reductive,
 and a second u != 0 arc, S in (4, (7 + sqrt(17))/2)
@@ -175,10 +175,10 @@ def _evaluate(p: MetricParams) -> tuple[dict[str, float], float, bool]:
     """A record's absolute residuals, reported, not judged: ||L|| in Frobenius norm ("ledger"), the larger |D_alpha|
     ("star") and the root frame's orthonormality defect for the Gram matrix of :func:`build_form` ("gram", formed
     here from p); then the larger eta_alpha, which ``ledger`` and verification judge, and naturally reductive.  All
-    are read at (t, |u|, v, w): u -> -u swaps x1 and x2, the Weyl reflection e2 -> -e2, which leaves them bit for
-    bit, so a +-u pair has one cached geometry, which forms the rest on each call (its ``evaluation``): a solve forms
-    them once per pair (:func:`_rows`), each verification of either sign once, and each reads them in a new dict."""
-    p = MetricParams(p.t, -p.u, p.v, p.w) if p.u < 0.0 else p
+    are read at the point (t, |u|, and v, w ordered by |.|) of p's Weyl orbit, which leaves each bit for bit (u -> -u
+    swaps x1, x2 and v <-> w x3, x4: :func:`geometry._program`), so one cached geometry forms them on each call (its
+    ``evaluation``), once per S in a solve (:func:`_rows`) and once per verification, each read into a new dict."""
+    p = MetricParams(p.t, abs(p.u), *sorted((p.v, p.w), key=abs)) if p.u < 0.0 or abs(p.v) > abs(p.w) else p
     norm_ledger, star, eta, nr = geometry._cached_geometry(p).evaluation()
     return {"ledger": norm_ledger, "star": star, "gram": _gram_defect(p)}, eta, nr
 
@@ -213,15 +213,15 @@ def _rows(branch: str, grid: Iterable[float]) -> Iterator[tuple[tuple, float]]:
     """The solutions of ``branch`` ("u0" or "u1") at t = 1 at each S of the grid, in order, each as the tuple of its
     LedgerSolution fields, with the residuals of its point's :func:`_evaluate`, and the larger eta_alpha that
     :func:`verify_solution` compares, drawn one S at a time; raises on an S outside the interval when it reaches it.
-    A -u row follows its +u twin, equal but in u's sign, and takes its evaluation, the residuals in a new dict."""
+    The rows of one S, a Weyl orbit (u -> -u, V <-> W), share the first row's evaluation, the residuals in new dicts."""
     name, (lo, hi), roots = _BRANCHES[branch]
     for s in grid:
         if not (lo < s < hi):
             q = _quoting([s], (lo, hi))
             raise InvalidParamsError(f"S must lie in the open interval ({q(lo)}, {q(hi)}), got {q(s)}")
-        for vv, ww, u in roots(s):
+        for i, (vv, ww, u) in enumerate(roots(s)):
             p = MetricParams(1.0, u, math.sqrt(vv), math.sqrt(ww))
-            residuals, eta, nr = (dict(residuals), eta, nr) if u < 0.0 else _evaluate(p)
+            residuals, eta, nr = (dict(residuals), eta, nr) if i else _evaluate(p)
             yield (name, s, vv, ww, u * u, p, residuals, nr), eta
 
 
@@ -244,8 +244,8 @@ def solve_ledger_unonzero(*grid: float) -> list[LedgerSolution]:
     V, W = (S +- sqrt(Delta))/2 are two positive roots, and
     u^2 = 4 (8 - 7S + S^2) / (8 - 3S) t^4 falls from 208/63 t^4 at S = 1/3
     to 0 at the upper end, inside the positive-definite bound 4 t^4.  Four
-    solutions per S: both root orderings times both signs of u, each sign
-    pair with one geometry.  The small root is taken as P/big, exact to
+    solutions per S: both root orderings times both signs of u, one Weyl
+    orbit with one geometry.  The small root is taken as P/big, exact to
     rounding as S -> 1/3.  The same formulas give a second arc, S in
     (4, (7 + sqrt(17))/2), which no solver returns.
     """
@@ -282,9 +282,8 @@ def verify_solution(sol: LedgerSolution, tol: float = DEFAULT_TOL) -> Verificati
     ``ledger`` reads satisfied at ``sol.params``, whoever built it.  The
     absolute residuals, "gram" among them, and the naturally-reductive
     status (the ``check-nr`` verdict at DEFAULT_TOL) are reported, not
-    judged.  Each call evaluates at (t, |u|, v, w), so a -u solution reads
-    its +u twin's geometry, for a solver's output usually still cached,
-    and forms the evaluation that its solve formed once per +-u pair.
+    judged.  Each call evaluates at its Weyl orbit's point, whose geometry
+    a solver's output finds cached while the solve's last S are kept.
     """
     residuals, eta, nr = _evaluate(sol.params)
     return VerificationReport(

@@ -191,7 +191,7 @@ def cmd_inspect(args, env_tol: str | None, files: dict) -> tuple[str, str | None
 # the JSON fields that follow the shared head (see _point) as a dict, otherwise their text.
 
 def cmd_tables(p: MetricParams, tol: float, as_json: bool) -> str | dict:
-    bt, ut = (_cached_geometry(p).table(name) for name in ("c", "u"))
+    bt, ut = (geo.table(name, x) for geo in [_cached_geometry(p)] for x in [geo.ratios] for name in ("c", "u"))
     if as_json:
         return {"bracket": _lists(bt), "u": _lists(ut)}
     # entries at or below tol * max|bracket table| show as absent; check-nr judges x, not these entries
@@ -255,7 +255,7 @@ def _solutions(args, grid, tol: float) -> None:
     raise if any fails verification.  Each is judged by the eta_alpha its solve formed, the float verify_solution
     compares, which runs once, on a LedgerSolution of the first worst failure's row, for its summary."""
     failed, count, worst, line, as_json = 0, 0, (None, -1.0), "", args.format == "json"
-    pair = 2 if args.branch == "u1" else 1  # the rows of one S: each (V, W) row (+u, -u on u1), then its (W, V) twin
+    pair = 2 if args.branch == "u1" else 1  # the rows of one S, a Weyl orbit: (V, W) (+u, -u on u1), then (W, V)
     for i, (row, eta) in enumerate(_rows(args.branch, grid)):
         name, s, vv, ww, usq, p, r, nr = row
         nr = "true" if nr else "false"
@@ -265,9 +265,8 @@ def _solutions(args, grid, tol: float) -> None:
             numbers = (s, vv, ww, usq, p.t, p.u, p.v, p.w, r["ledger"], r["star"], r["gram"])
             if not all(map(math.isfinite, numbers)):
                 raise DegenerateMetricError("a non-finite number has no JSON form")
-            # the (W, V) twin takes its (V, W) row's reprs, V, W and v, w swapped, and formats only ledger and star
-            reprs = ([reprs[k] for k in (0, 2, 1, 3, 4, 5, 7, 6)] + [*map(repr, numbers[8:10]), reprs[10]]
-                     if i % (2 * pair) else list(map(repr, numbers)))
+            # the (W, V) row, of the same orbit and evaluation, takes its (V, W) row's reprs, V, W and v, w swapped
+            reprs = [reprs[k] for k in (0, 2, 1, 3, 4, 5, 7, 6, 8, 9, 10)] if i % (2 * pair) else [*map(repr, numbers)]
             line = _SOLUTION % (name, *reprs, nr)
         else:
             line = (f"branch={name} S={_fmt(s)} V={_fmt(vv)} W={_fmt(ww)} u={_fmt(p.u)} "

@@ -68,6 +68,10 @@ _INDEX, _C0, _RK, _RI, _RJ, _L_SIGN, _TRIPLE = zip(*sorted(
 _SUPPORT, _PAIRS = zip(*sorted(
     (index + ((b - a) << 3 * n), (_INDEX.index(index), _INDEX.index(index + (2 << 3 * n)), b))
     for index in _INDEX for n in range(3) if (a := index >> 3 * n & 7) < 2 for b in (a, a ^ 3)))
+# the support values of C, U and nabla (and L, in _Geometry), in the order of _INDEX, from the ratios x
+_SUPPORTS = {"c": lambda x: [c0 * x[k] for c0, k in zip(_C0, _RK)],
+             "u": lambda x: [c0 * (0.5 * (x[j] - x[i])) for c0, i, j in zip(_C0, _RI, _RJ)],
+             "n": lambda x: [c0 * (0.5 * (x[j] - x[i])) + 0.5 * (c0 * x[k]) for c0, k, i, j in zip(_C0, _RK, _RI, _RJ)]}
 # the sets J of modules whose x_k the point verdicts compare, each with the getter of its y_k
 _SETS = {name: itemgetter(*(int(k) - 1 for k in name)) for name in ("1234", "34", "124", "123")}
 
@@ -96,13 +100,15 @@ def _m_vector(x) -> np.ndarray:
 def _program(e: int, y) -> tuple:
     """The evaluation stage, from a point's unit-scale (e, y): lam_alpha = D_alpha / sqrt(x_alpha x3 x4) at its scale,
     then at the unit scale D_alpha, eta_alpha (see :func:`_partials`) and the Frobenius norm of L, all that a solve
-    record reads; it refuses a point where either stage overflows.  Its row is a function of (x_alpha, x_beta)
-    alone, so where y1 == y2 (u = 0, or |u| below half an ulp of t^2) alpha = 2 reuses alpha = 1's, bit for bit."""
+    record reads; it refuses a point where either stage overflows.  A row is a function of (x_alpha, x_beta), so
+    where y1 == y2 (u = 0, or |u| below half an ulp of t^2) alpha = 2 reuses alpha = 1's; where y3 > y4 it is the
+    program at (y1, y2, y4, y3), D_alpha and lam_alpha negated (D_alpha is x4 - x3 times a form symmetric in x3, x4)."""
     if not 0.0 < (lo := min(y)) <= (hi := max(y)) < math.inf:  # an x that under- or overflows at this scale
         raise DegenerateMetricError("the curvature tensors overflow at this scale")
     if not (abs(e) <= 64 and 2.0**-100 <= lo and hi <= 2.0**100):  # only outside this box can the presentation
         _presentation(e, y)  # overflow: formed once here, it refuses such a point when it is built
     x1, x2, x3, x4 = y
+    x3, x4, sign = (x4, x3, -1.0) if x3 > x4 else (x3, x4, 1.0)
     h = 0.5 * ((x4 - x3) / math.sqrt(x3) / math.sqrt(x4))
     rows = []
     for xa, xb in ((x1, x2), (x2, x1)):
@@ -121,7 +127,7 @@ def _program(e: int, y) -> tuple:
         # eta_alpha = |n| / total: 0 where D_alpha = 0, +inf where its partials vanish but it does not, and nan
         # where a partial overflows, which ``ledger`` refuses
         eta = math.nan if not total < math.inf else abs(n) / total if total else math.inf if n else 0.0
-        rows.append((0.5 * (x4 - x3) * q, eta, h / math.sqrt(xa) * q))
+        rows.append((sign * (0.5 * (x4 - x3) * q), eta, sign * (h / math.sqrt(xa) * q)))
     (d1, eta1, l1), (d2, eta2, l2) = rows
     lam = [_ldexp(l1, -3 * e), _ldexp(l2, -3 * e)]  # at the point's scale, where |lam1| + |lam2| bounds max|L| too
     if not math.isfinite(abs(lam[0]) + abs(lam[1])):
@@ -203,11 +209,7 @@ class _Geometry:
 
     ratios = property(lambda self: _presentation(self.e, self.y)[0])
     r = property(lambda self: _presentation(self.e, self.y)[1])
-    # the support values of C, U, nabla (and L below), in the order of _INDEX, each from one read of the ratios
-    c = property(lambda self: [c0 * x[k] for x in [self.ratios] for c0, k in zip(_C0, _RK)])
-    u = property(lambda self: [c0 * (0.5 * (x[j] - x[i])) for x in [self.ratios] for c0, i, j in zip(_C0, _RI, _RJ)])
-    n = property(lambda self: [c0 * (0.5 * (x[j] - x[i])) + 0.5 * (c0 * x[k]) for x in [self.ratios]
-                               for c0, k, i, j in zip(_C0, _RK, _RI, _RJ)])
+    c, u, n = (property(lambda self, f=_SUPPORTS[name]: f(self.ratios)) for name in "cun")  # each from one read
 
     # L on the support, +-lam_alpha on the triples of alpha, and max |L| over the adapted frame triples
     ledger = property(lambda self: [sign * self.lam[alpha] for sign, alpha in zip(_L_SIGN, _TRIPLE)])
@@ -216,8 +218,8 @@ class _Geometry:
     def evaluation(self) -> tuple[float, float, float, bool]:
         """A solution record's ||L|| at the point's scale, max|D_alpha|, larger eta_alpha and round-point verdict at
         DEFAULT_TOL, formed on each read; raises where a D_alpha is not finite, or where a partial x_k
-        dD_alpha/dx_k overflows (eta_alpha is NaN there).  Its repr is the same under each sign flip of t, u, v or w,
-        not under v <-> w, so a +-u pair reads the one geometry at (t, |u|, v, w) (:func:`zksym.analysis._evaluate`)."""
+        dD_alpha/dx_k overflows (eta_alpha is NaN there).  Its repr is the same under each sign flip of t, u, v or w
+        and under v <-> w, so a Weyl orbit reads one geometry (:func:`zksym.analysis._evaluate`)."""
         if not all(map(math.isfinite, self.det)):
             raise DegenerateMetricError(f"the Ledger determinants are not finite: {self.det}")
         if any(map(math.isnan, self.eta)):
@@ -269,11 +271,11 @@ class _Geometry:
         y1, y2 = self.y[:2]
         return math.sqrt(y1 / (y1 + y2)), math.sqrt(y2 / (y1 + y2))
 
-    def table(self, name: str) -> tuple[float, ...]:
-        """The support values ``name`` presented in the adapted frame, on the slots _SUPPORT.  Q turns each A pair
-        (a, a ^ 2) through c, s and signs B, C by sgn v, sgn w: a slot is sgn v sgn w (q x_i + q' x_j), each product
-        rounded once, as Q's rows summed in any order would give, and + 0.0 leaves no -0.0."""
-        x, (c, s), p = getattr(self, name), self._cos_sin, self.params
+    def table(self, name: str, ratios: list[float] | None = None) -> tuple[float, ...]:
+        """The support values ``name`` presented in the adapted frame, on the slots _SUPPORT, from ``ratios`` if given.
+        Q turns each A pair (a, a ^ 2) through c, s and signs B, C by sgn v, sgn w: a slot is sgn v sgn w (q x_i +
+        q' x_j), each product rounded once, as Q's rows summed in any order would give, and + 0.0 leaves no -0.0."""
+        x, (c, s), p = getattr(self, name) if ratios is None else _SUPPORTS[name](ratios), self._cos_sin, self.params
         ct, st, sign = math.copysign(c, p.t), math.copysign(s, p.t), math.copysign(1.0, p.v * p.w)
         q, q2 = (ct, ct, -s, s), (st, st, c, -c)  # Q[a, b] and Q[a ^ 2, b] for the adapted A column b
         return tuple((x[i] * q[b] + x[j] * q2[b]) * sign + 0.0 for i, j, b in _PAIRS)

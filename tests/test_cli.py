@@ -470,8 +470,8 @@ def test_each_point_json_reply_is_json_dumps_of_the_library(capsys):
 def test_tables_json_with_a_non_finite_entry_exits_2(capsys, monkeypatch, bad):
     # a table entry is at most sqrt 2 times the largest ratio, which the program keeps finite, and no admissible
     # point found overflows one, so the entry is planted: the record is refused whole, with the one JSON message
-    def table(geo, name):
-        values = list(original(geo, name))
+    def table(geo, name, *ratios):
+        values = list(original(geo, name, *ratios))
         values[17] = bad
         return tuple(values)
 
@@ -1323,19 +1323,20 @@ def _counting_geometries(monkeypatch):
     return builds, evaluations
 
 
-def _unsigned(p):
-    """The point whose geometry a solution's evaluation reads: (t, |u|, v, w)."""
-    return dataclasses.replace(p, u=abs(p.u))
+def _orbit_point(p):
+    """The point whose geometry a solution's evaluation reads: (t, |u|, and v, w ordered by |.|)."""
+    v, w = sorted((p.v, p.w), key=abs)
+    return dataclasses.replace(p, u=abs(p.u), v=v, w=w)
 
 
 @pytest.mark.parametrize("branch,s,n", [("u1", "1.1", 4), ("u0", "5", 2)])
 def test_solve_builds_one_geometry_per_solution(capsys, monkeypatch, branch, s, n):
-    # the solver evaluates each of its two points once, a +-u pair at one
-    # point whose -u row takes its +u twin's evaluation, and the CLI judges
-    # each of its N = 2 or 4 solutions by the eta its solve formed: two
-    # geometries, built through the cache, no Gram factorization, no form
-    # (the Gram defect is a closed form), and the reductivity query never
-    # runs
+    # the N = 2 or 4 solutions of one S are one Weyl orbit (u -> -u, v <-> w):
+    # the solver evaluates its first row once, at the orbit's point, every
+    # other row takes that evaluation, and the CLI judges each solution by
+    # the eta its solve formed: one geometry, built through the cache, no
+    # Gram factorization, no form (the Gram defect is a closed form), and
+    # the reductivity query never runs
     builds, evaluations = _counting_geometries(monkeypatch)
     forms = _count_calls(monkeypatch, metric.build_form)
     nr_tests = _count_calls(monkeypatch, analysis.is_naturally_reductive)
@@ -1345,20 +1346,21 @@ def test_solve_builds_one_geometry_per_solution(capsys, monkeypatch, branch, s, 
     code, out, _ = run_cli(capsys, "solve", "--branch", branch, "--S", s)
     assert code == 0
     assert len(out.splitlines()) == n
-    assert len(builds) == len(evaluations) == 2 and list(map(_unsigned, evaluations)) == builds
-    assert all(p.u >= 0.0 for p in evaluations)
+    assert len(builds) == len(evaluations) == 1 and list(map(_orbit_point, evaluations)) == builds
+    assert builds[0].u >= 0.0 and abs(builds[0].v) <= abs(builds[0].w)
     assert (len(forms), len(nr_tests), len(factorizations)) == (0, 0, 0)
-    # each point's geometry went into the cache, computed nowhere else
+    # the orbit's geometry went into the cache, computed nowhere else
     info = geometry._cached_geometry.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (2, 0, 2)
+    assert (info.misses, info.hits, info.currsize) == (1, 0, 1)
 
 
 @pytest.mark.parametrize("branch,s,n", [("u1", "1.1", 4), ("u0", "5", 2)])
 def test_solve_and_its_verifications_evaluate_each_point_once(capsys, monkeypatch, branch, s, n):
-    # the solver evaluates each +-u pair once, its -u row taking the +u row's evaluation, and each verification
-    # evaluates its solution's point, that of a hand-built solution at the same params too: a +-u pair reads the one
-    # geometry its solve built, which keeps no evaluation, so the evaluation (eta and the round-point verdict, with
-    # the Gram defect that _evaluate forms from the params) is formed on each read and nothing else is
+    # the solver evaluates each S once, every other row of its Weyl orbit taking the first row's evaluation, and each
+    # verification evaluates its solution's point, that of a hand-built solution at the same params too: every record
+    # of the orbit reads the one geometry its solve built, which keeps no evaluation, so the evaluation (eta and the
+    # round-point verdict, with the Gram defect that _evaluate forms from the params) is formed on each read and
+    # nothing else is
     formed = _count_calls(monkeypatch, metric._gram_defect)
     counting_equal, equals = _counting(geometry._Geometry.equal)
     monkeypatch.setattr(geometry._Geometry, "equal", counting_equal)
@@ -1366,15 +1368,15 @@ def test_solve_and_its_verifications_evaluate_each_point_once(capsys, monkeypatc
     geometry._cached_geometry.cache_clear()
     code, out, _ = run_cli(capsys, "solve", "--branch", branch, "--S", s, "--format", "json")
     assert code == 0 and len(out.splitlines()) == n
-    assert len(builds) == len(evaluations) == 2 and list(map(_unsigned, evaluations)) == builds
-    assert len(formed) == len(equals) == 2
+    assert len(builds) == len(evaluations) == 1 and list(map(_orbit_point, evaluations)) == builds
+    assert len(formed) == len(equals) == 1
     for record in map(json.loads, out.splitlines()):
         p = metric.MetricParams(**record["params"])
         hand_built = analysis.LedgerSolution(record["branch"], record["S"], record["V"], record["W"], record["Usq"],
                                              p, {}, False)
         report = analysis.verify_solution(hand_built)
         assert report.passed and report.residuals == record["residuals"]
-    assert len(builds) == 2 and len(formed) == len(equals) == 2 + n
+    assert len(builds) == 1 and len(formed) == len(equals) == 1 + n
 
 
 def test_a_cached_ledger_query_forms_its_reduced_system_once(capsys, monkeypatch):
@@ -1406,21 +1408,23 @@ def test_verifying_a_solves_cached_outputs_builds_no_geometry(monkeypatch):
     builds, evaluations = _counting_geometries(monkeypatch)
     geometry._cached_geometry.cache_clear()
     sols = analysis.solve_ledger_unonzero(1.1) + analysis.solve_ledger_u0(5.0)
-    # a +-u pair reads one geometry, and its solve evaluates it once: the -u row takes the +u row's evaluation
-    assert len(builds) == len(evaluations) == 4 and evaluations == [sol.params for sol in sols if sol.params.u >= 0.0]
+    # the solutions of one S, a Weyl orbit, read one geometry, and their solve evaluates it once: every row after the
+    # first takes the first row's evaluation
+    assert len(builds) == len(evaluations) == 2 and evaluations == [sols[0].params, sols[4].params]
+    assert builds == [_orbit_point(sols[0].params), sols[4].params]
     assert all(analysis.verify_solution(sol).passed for sol in sols)
-    assert len(builds) == 4 and evaluations[4:] == [sol.params for sol in sols]
+    assert len(builds) == 2 and evaluations[2:] == [sol.params for sol in sols]
 
 
 def test_a_solve_larger_than_the_cache_still_verifies_every_solution(monkeypatch):
-    # 600 solutions read 300 geometries, one per +-u pair; the cache keeps
-    # the newest 256, and a pass over all 600 in order then misses at the
-    # +u solution of each pair and hits at its -u twin: every point is built
-    # again, once
+    # 1200 solutions read 300 geometries, one per S (a Weyl orbit of four);
+    # the cache keeps the newest 256, and a pass over all 1200 in order then
+    # misses at the first solution of each S and hits at the other three:
+    # every point is built again, once
     builds, _ = _counting_geometries(monkeypatch)
     geometry._cached_geometry.cache_clear()
-    sols = analysis.solve_ledger_unonzero(*np.linspace(0.4, 1.4, 150).tolist())
-    assert len(sols) == 600 and len(builds) == 300 and geometry._cached_geometry.cache_info().currsize == 256
+    sols = analysis.solve_ledger_unonzero(*np.linspace(0.4, 1.4, 300).tolist())
+    assert len(sols) == 1200 and len(builds) == 300 and geometry._cached_geometry.cache_info().currsize == 256
     assert all(analysis.verify_solution(sol).passed for sol in sols)
     assert len(builds) == 600 and builds[300:] == builds[:300]
 
@@ -1453,9 +1457,9 @@ def test_sweep_streams_the_records_of_one_solve_per_s(capsys, monkeypatch):
 
 
 def test_each_sweep_verification_reads_the_geometry_its_solve_built(capsys, monkeypatch):
-    # with a geometry cache of 4 points, the 2 geometries of one S still fit: the -u solution of each +-u pair
-    # reads the geometry of its +u twin, and each record is judged by the eta its solve formed, so 40 S print 160
-    # records from 80 geometries, not 160 or 320
+    # with a geometry cache of 1 point, the one geometry of each S still fits: every solution of one S, a Weyl orbit,
+    # reads the geometry its first row built, and each record is judged by the eta its solve formed, so 40 S print
+    # 160 records from 40 geometries, not 80, 160 or 320
     builds = []
 
     class CountingGeometry(geometry._Geometry):
@@ -1463,10 +1467,10 @@ def test_each_sweep_verification_reads_the_geometry_its_solve_built(capsys, monk
             builds.append(p)
             super().__init__(p)
 
-    monkeypatch.setattr(geometry, "_cached_geometry", functools.lru_cache(maxsize=4)(CountingGeometry))
+    monkeypatch.setattr(geometry, "_cached_geometry", functools.lru_cache(maxsize=1)(CountingGeometry))
     code, out, _ = run_cli(capsys, "sweep", "--branch", "u1", "--S-min", "0.34", "--S-max", "1.43", "--S-steps", "40")
     assert code == 0
-    assert len(out.splitlines()) == 160 and len(builds) == 80
+    assert len(out.splitlines()) == 160 and len(builds) == 40
 
 
 def test_the_sweep_grid_is_that_of_np_linspace(capsys, monkeypatch):
@@ -1882,14 +1886,14 @@ _PINNED = {
     ("isometries", "json"): "57b7ba61b1121fa50cdda8bcc00f98bab7e89e168021accfbec74646d89f0460",
     ("check-nr", "text"): "a4597ebda36854e62ccb761d2635a8c3f9603c386d1475d214ad4967f2af8a29",
     ("check-nr", "json"): "c01b221259e14491ac5910d63982c6bd2c3276aa81f1cd6da51902168004656a",
-    ("ledger", "text"): "8c1134ed9b39e8d0e315f2ec8ca24c43626bd2f76037e4e80612e0d2ed9cd2ef",
-    ("ledger", "json"): "e05bbe0910aee1296d3d399d6fba679f3a67fc5a9df757e5ddff2c229f56ce5d",
+    ("ledger", "text"): "561e644b466b46ff62ccee765f4a57dfa2160acaa29d7ef51c9c21a217ce4aa2",
+    ("ledger", "json"): "5182612e8ca218b5ab6680864dc544877e540ef841463dce99157394f3b69caf",
     ("inspect", "text"): "93a7aefb3221ba5fa983e60b91717b1c1734defa3790fd0d12c91dce6aa8c35a",
     ("inspect", "json"): "973cf70193359d803bf11f0a2372107782aacd9b3f641a88c5a95bb1c656e7a1",
     # every record of both solvers, ||L|| and max|D| of each solution among them
-    ("solve", "json"): "74e39262ae8728d281b7cdee3095bd2bf3ffb7cce6a26ebcde43bb3c6abd5440",
-    ("solve", "text"): "59a5ad6d19bf12181a3b7ebb86c6b55ab6ac27fc8f9f65d90df50c2a813bb390",
-    ("sweep", "json"): "48634f8a2379cd405ab0711a1186860acc728054a15890b7deeb7680ea450f84",
+    ("solve", "json"): "ca5ab8164c87b2ef6d59c90b0b55f6d2bb31d9fe96e466bdf1250e26497a071e",
+    ("solve", "text"): "2d2260907286a375d657e1174ee01f2144db0ca1cfeaca7b58b484f2de8f8c15",
+    ("sweep", "json"): "af2891190ee2e140160852a224948315e3cfd2df47d6f71dcc5fcf09cbdf1809",
 }
 
 

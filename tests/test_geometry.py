@@ -24,6 +24,7 @@ from zksym import (
     bracket_table,
     build_form,
     build_so5,
+    cli,
     curvature,
     geometry,
     ledger,
@@ -624,13 +625,16 @@ def test_negating_u_swaps_the_two_ledger_triples_bit_for_bit(monkeypatch):
     # u -> -u swaps y1 and y2 exactly, so both stages of the program at (t, -u, v, w) are those at (t, u, v, w)
     # with alpha = 1 and 2 swapped, bit for bit: each row is a function of (x_alpha, x_beta) alone, the two r_alpha
     # share their constant, and ||L|| sums the rows in either order.  So where y1 == y2 the row of alpha = 2 is that
-    # of alpha = 1, which the evaluation stage forms once
+    # of alpha = 1, which the evaluation stage forms once.  v <-> w swaps y3 and y4 exactly, and the evaluation stage
+    # at (t, u, w, v) is that at (t, u, v, w) with lam_alpha and D_alpha negated and eta_alpha and ||L|| equal, bit
+    # for bit, where y3 != y4 (where y3 == y4 the swap is the identity, D_alpha = +-0); the presentation stage is
+    # formed at its own y as before, its ratios equal under the swap of the slots e1, e2 to rounding
     assert geometry._HALF_KILLING[0] == geometry._HALF_KILLING[1]
     calls = []
     partials = geometry._partials
     monkeypatch.setattr(geometry, "_partials", lambda *args: calls.append(args) or partials(*args))
     hexes = lambda values: [float.hex(x) for x in values]
-    equal_rows = tiny_u = 0
+    equal_rows = tiny_u = swapped = 0
     for p in _swap_points():
         q = dataclasses.replace(p, u=-p.u)
         e, y = p.unit_scalars
@@ -638,7 +642,7 @@ def test_negating_u_swaps_the_two_ledger_triples_bit_for_bit(monkeypatch):
         calls.clear()
         got = _program_or_refusal(p)
         if got is None:
-            assert _program_or_refusal(q) is None, p
+            assert _program_or_refusal(q) is _program_or_refusal(dataclasses.replace(p, v=p.w, w=p.v)) is None, p
             continue
         assert len(calls) == (1 if y[0] == y[1] else 2), p
         lam, det, eta, norm, ratios, r = got
@@ -647,17 +651,26 @@ def test_negating_u_swaps_the_two_ledger_triples_bit_for_bit(monkeypatch):
         assert hexes(r2) == hexes([r[1], r[0], r[2], r[3]]), p
         assert (hexes(lam2), hexes(det2), hexes(eta2)) == (hexes(lam[::-1]), hexes(det[::-1]), hexes(eta[::-1])), p
         assert norm2.hex() == norm.hex(), p
+        s = dataclasses.replace(p, v=p.w, w=p.v)
+        assert s.unit_scalars == (e, (y[0], y[1], y[3], y[2])), p
+        lam3, det3, eta3, norm3, ratios3, r3 = _program_or_refusal(s)
+        negated = (lambda values: values) if y[2] == y[3] else (lambda values: [-x for x in values])
+        assert (hexes(lam3), hexes(det3), hexes(eta3)) == (hexes(negated(lam)), hexes(negated(det)), hexes(eta)), p
+        assert norm3.hex() == norm.hex() and (ratios3, r3) == geometry._presentation(e, s.unit_scalars[1]), p
+        assert all(abs(a - b) <= 2.0**-52 * b for a, b in zip([ratios3[i] for i in (0, 1, 4, 5, 2, 3)], ratios)), p
+        swapped += y[2] != y[3]
         if y[0] == y[1]:
             assert hexes(ratios[::2]) == hexes(ratios[1::2]) and r[0].hex() == r[1].hex(), p
             assert (hexes(lam[:1]), hexes(det[:1]), hexes(eta[:1])) == (hexes(lam[1:]), hexes(det[1:]), hexes(eta[1:]))
             equal_rows += 1
             tiny_u += p.u != 0.0
-    assert equal_rows >= 1600 and tiny_u >= 450
+    assert equal_rows >= 1600 and tiny_u >= 450 and swapped >= 3000
 
 
-def test_each_read_forms_the_presentation_at_most_once(monkeypatch):
+def test_each_read_forms_the_presentation_at_most_once(monkeypatch, capsys):
     # a support, its table, the Ricci matrix and max|U| each form the presentation once, whatever they read of it per
-    # element; L, its table and maximum, the reduced system and the evaluation read the evaluation stage alone
+    # element, and so does a ``tables`` render, which presents two tables from one read of the ratios; L, its table
+    # and maximum, the reduced system and the evaluation read the evaluation stage alone
     geo, presentation, formed = geometry._Geometry(MetricParams(1.0, 0.3, 1.2, 0.8)), geometry._presentation, []
     monkeypatch.setattr(geometry, "_presentation", lambda e, y: formed.append(e) or presentation(e, y))
     reads = [(name, read, name != "ledger") for name in ("c", "u", "n", "ledger")
@@ -668,6 +681,12 @@ def test_each_read_forms_the_presentation_at_most_once(monkeypatch):
         formed.clear()
         read()
         assert len(formed) == count, name
+    argv = ["tables", "--t", "1", "--u", "0.3", "--v", "1.2", "--w", "0.8"]
+    for fmt in ("text", "json"):
+        cli._reply.cache_clear()  # a reply kept in the memo forms nothing
+        formed.clear()
+        assert cli.main([*argv, "--format", fmt]) == 0 and capsys.readouterr().out
+        assert len(formed) == 1, fmt
 
 
 def test_the_presentation_is_finite_in_the_box_where_the_constructor_skips_it():
@@ -1106,11 +1125,12 @@ def test_import_loads_neither_scipy_nor_sympy():
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
-def test_an_evaluation_is_bit_identical_under_each_sign_flip_but_not_under_v_w():
-    # (t, u, v, w) -> (-t, u, v, w), (t, -u, v, w), (t, u, -v, w) or (t, u, v, -w): the same repr of the evaluation.
-    # -t, -v and -w leave y = x / 4^e unchanged; -u swaps y1 and y2, and every formula reads them symmetrically, so
-    # the ± u pairs of solve_ledger_unonzero evaluate alike.  The swap v <-> w (y3 <-> y4) is not bit-symmetric:
-    # it moves the last bits of the evaluation at about half the points (10560 of 20000 generic points here).
+def test_an_evaluation_is_bit_identical_under_each_sign_flip_and_under_v_w():
+    # (t, u, v, w) -> (-t, u, v, w), (t, -u, v, w), (t, u, -v, w), (t, u, v, -w) or (t, u, w, v): the same repr of
+    # the evaluation.  -t, -v and -w leave y = x / 4^e unchanged; -u swaps y1 and y2, and every formula reads them
+    # symmetrically; v <-> w swaps y3 and y4, and the program evaluates at y3 <= y4 and negates D_alpha, whose
+    # magnitude alone the evaluation reads.  So the four solutions of solve_ledger_unonzero at one S, a Weyl orbit,
+    # evaluate alike.
     def evaluation(t, u, v, w):
         return repr(geometry._Geometry(MetricParams(t, u, v, w)).evaluation())
 
@@ -1129,10 +1149,11 @@ def test_an_evaluation_is_bit_identical_under_each_sign_flip_but_not_under_v_w()
             assert evaluation(*flipped) == expected, (point, k)
         t, u, v, w = point
         swapped += evaluation(t, u, w, v) != expected
-    for plus, minus in zip(sols[::2], sols[1::2]):  # the solver's ± u pairs
-        assert minus.params.u == -plus.params.u
-        assert evaluation(*dataclasses.astuple(minus.params)) == evaluation(*dataclasses.astuple(plus.params))
-    assert swapped > len(points) // 4
+    for orbit in zip(*(sols[k::4] for k in range(4))):  # the solver's orbits: (V, W) at +-u, then (W, V)
+        params = [dataclasses.astuple(sol.params) for sol in orbit]
+        assert [(t, abs(u), *sorted((v, w))) for t, u, v, w in params] == [params[2]] * 4
+        assert {evaluation(*point) for point in params} == {evaluation(*params[0])}
+    assert swapped == 0
 
 
 def test_a_points_geometry_holds_python_numbers_only(monkeypatch):

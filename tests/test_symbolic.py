@@ -472,6 +472,25 @@ def test_the_backward_error_terms_are_the_partials_of_the_determinant():
         assert sp.cancel(sum(partials)) == 0  # D_a is of degree 0 in x
 
 
+def test_the_weyl_group_permutes_the_determinants_and_keeps_their_backward_errors():
+    # the premise of one evaluation per Weyl orbit.  e1 <-> e2 swaps x3 and x4: each D_a is negated, and its terms
+    # x_k dD_a/dx_k for k = a, b, 3, 4 become minus those for k = a, b, 4, 3, so sum_k |x_k dD_a/dx_k| is the same
+    # sum of terms and eta_a = |D_a| / that sum is unchanged, as is ||L||^2 = 12 sum_a D_a^2 / (x_a x3 x4).
+    # e2 -> -e2 swaps x1 and x2, which swaps D_1 and D_2 with their terms
+    x1, x2, x3, x4 = _X
+    oracle = ledger_determinants(x1, x2, x3, x4)
+    for (d, terms), (d_swapped, terms_swapped) in zip(oracle, ledger_determinants(x1, x2, x4, x3)):
+        assert sp.cancel(d_swapped + d) == 0
+        assert [sp.cancel(a + b) for a, b in zip(terms_swapped, [terms[k] for k in (0, 1, 3, 2)])] == [0] * 4
+    def norm_squared(x3, x4):  # ||L||^2 / 12
+        return sum(d**2 / (xa * x3 * x4) for (d, _), xa in zip(ledger_determinants(x1, x2, x3, x4), (x1, x2)))
+
+    assert sp.cancel(norm_squared(x4, x3) - norm_squared(x3, x4)) == 0
+    swapped = ledger_determinants(x2, x1, x3, x4)  # alpha = 1 at (x2, x1, ...) is alpha = 2 at (x1, x2, ...)
+    for (d, terms), (d_swapped, terms_swapped) in zip(oracle, swapped[::-1]):
+        assert [sp.cancel(a - b) for a, b in zip([d_swapped, *terms_swapped], [d, *terms])] == [0] * 5
+
+
 # ----------------------------------------------------------------------
 # the u = 0 slice as a generalized Wallach space (F19)
 # ----------------------------------------------------------------------
