@@ -8,12 +8,11 @@ families, one branch with u = 0 and one with u != 0.  The solvers below
 return the families normalized at t = 1 with their residuals; each point's
 cached geometry forms the Ledger readouts and ``metric`` the Gram defect;
 this module judges them and assembles records.  The records of one S are
-one Weyl orbit, which reads one geometry (:func:`_evaluate`), and the CLI
-judges each record by the eta_alpha its solve formed (:func:`_rows`).  Two more
-sets satisfy L = 0 and no solver returns them: the metrics with v = w, of
-which only the round point u = 0, v^2 = w^2 = t^2 is naturally reductive,
-and a second u != 0 arc, S in (4, (7 + sqrt(17))/2)
-(:func:`solve_ledger_unonzero`).
+one Weyl orbit, which reads one geometry (:func:`_evaluate`); a solve and
+the CLI take one orbit, and its eta_alpha, at a time (:func:`_orbits`).  Two
+more sets satisfy L = 0 and no solver returns them: the metrics with v = w, of
+which only the round point u = 0, v^2 = w^2 = t^2 is naturally reductive, and
+a second u != 0 arc, S in (4, (7 + sqrt(17))/2) (:func:`solve_ledger_unonzero`).
 
 Every point verdict is a relative backward error in x = (t^2 + u/2,
 t^2 - u/2, v^2, w^2), frame-free and scale-free: eps_J to an equality of
@@ -177,7 +176,7 @@ def _evaluate(p: MetricParams) -> tuple[dict[str, float], float, bool]:
     here from p); then the larger eta_alpha, which ``ledger`` and verification judge, and naturally reductive.  All
     are read at the point (t, |u|, and v, w ordered by |.|) of p's Weyl orbit, which leaves each bit for bit (u -> -u
     swaps x1, x2 and v <-> w x3, x4: :func:`geometry._program`), so one cached geometry forms them on each call (its
-    ``evaluation``), once per S in a solve (:func:`_rows`) and once per verification, each read into a new dict."""
+    ``evaluation``), once per S in a solve, at the point :func:`_orbits` admits, and once per verification."""
     p = MetricParams(p.t, abs(p.u), *sorted((p.v, p.w), key=abs)) if p.u < 0.0 or abs(p.v) > abs(p.w) else p
     norm_ledger, star, eta, nr = geometry._cached_geometry(p).evaluation()
     return {"ledger": norm_ledger, "star": star, "gram": _gram_defect(p)}, eta, nr
@@ -209,20 +208,25 @@ def _quoting(values: Iterable[float], bounds: tuple[float, float]) -> Callable[[
     return repr if any(g(s) == g(b) and not float(g(s)) == s == b for s in values for b in bounds) else g
 
 
-def _rows(branch: str, grid: Iterable[float]) -> Iterator[tuple[tuple, float]]:
-    """The solutions of ``branch`` ("u0" or "u1") at t = 1 at each S of the grid, in order, each as the tuple of its
-    LedgerSolution fields, with the residuals of its point's :func:`_evaluate`, and the larger eta_alpha that
-    :func:`verify_solution` compares, drawn one S at a time; raises on an S outside the interval when it reaches it.
-    The rows of one S, a Weyl orbit (u -> -u, V <-> W), share the first row's evaluation, the residuals in new dicts."""
+def _orbits(branch: str, grid: Iterable[float]) -> Iterator[tuple]:
+    """The solutions of ``branch`` ("u0" or "u1") at t = 1 at each S of the grid, in order, drawn one S at a time, one
+    Weyl orbit (u -> -u, V <-> W) each: the branch name, S, the (V, W, u) rows, and the orbit's point (t = 1, the first
+    row's u >= 0, v <= w) with its :func:`_evaluate`.  Raises on an S outside the interval when it reaches it."""
     name, (lo, hi), roots = _BRANCHES[branch]
     for s in grid:
         if not (lo < s < hi):
             q = _quoting([s], (lo, hi))
             raise InvalidParamsError(f"S must lie in the open interval ({q(lo)}, {q(hi)}), got {q(s)}")
-        for i, (vv, ww, u) in enumerate(roots(s)):
-            p = MetricParams(1.0, u, math.sqrt(vv), math.sqrt(ww))
-            residuals, eta, nr = (dict(residuals), eta, nr) if i else _evaluate(p)
-            yield (name, s, vv, ww, u * u, p, residuals, nr), eta
+        rows = roots(s)
+        vv, ww, u = rows[0]
+        p = MetricParams(1.0, u, math.sqrt(min(vv, ww)), math.sqrt(max(vv, ww)))
+        yield name, s, rows, p, _evaluate(p)
+
+
+def _solution(name: str, s: float, row: tuple[float, float, float], r: dict, nr: bool) -> LedgerSolution:
+    """The solution of one (V, W, u) row of an orbit of :func:`_orbits`: its own params, its orbit's residuals."""
+    vv, ww, u = row
+    return LedgerSolution(name, s, vv, ww, u * u, MetricParams(1.0, u, math.sqrt(vv), math.sqrt(ww)), dict(r), nr)
 
 
 def solve_ledger_u0(*grid: float) -> list[LedgerSolution]:
@@ -233,7 +237,7 @@ def solve_ledger_u0(*grid: float) -> list[LedgerSolution]:
     (X1, X2) t^2 and (X2, X1) t^2.  The small root is taken as X1 = P/X2,
     which keeps full precision where P -> 0 at either end of the interval.
     """
-    return [LedgerSolution(*row) for row, _ in _rows("u0", grid)]
+    return [_solution(name, s, row, r, nr) for name, s, rows, _, (r, _, nr) in _orbits("u0", grid) for row in rows]
 
 
 def solve_ledger_unonzero(*grid: float) -> list[LedgerSolution]:
@@ -249,7 +253,7 @@ def solve_ledger_unonzero(*grid: float) -> list[LedgerSolution]:
     rounding as S -> 1/3.  The same formulas give a second arc, S in
     (4, (7 + sqrt(17))/2), which no solver returns.
     """
-    return [LedgerSolution(*row) for row, _ in _rows("u1", grid)]
+    return [_solution(name, s, row, r, nr) for name, s, rows, _, (r, _, nr) in _orbits("u1", grid) for row in rows]
 
 
 # ----------------------------------------------------------------------

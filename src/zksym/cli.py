@@ -27,7 +27,7 @@ import sys
 import types
 from pathlib import Path
 
-from .analysis import (_BRANCHES, LedgerSolution, _quoting, _rows, first_ledger_verdict, is_naturally_reductive,
+from .analysis import (_BRANCHES, _orbits, _quoting, _solution, first_ledger_verdict, is_naturally_reductive,
                        verify_solution)
 from .geometry import _SUPPORT, _cached_geometry
 from .metric import DEFAULT_TOL, FRAME_NAMES, DegenerateMetricError, InvalidParamsError, MetricParams
@@ -39,6 +39,7 @@ EXIT_NUMERICAL = 2
 # LedgerSolution.to_dict() as json.dumps writes it, from its branch, the reprs of 11 finite floats and NR
 _SOLUTION = ('{"branch": "%s", "S": %s, "V": %s, "W": %s, "Usq": %s, "params": {"t": %s, "u": %s, "v": %s, "w": %s}, '
              '"residuals": {"ledger": %s, "star": %s, "gram": %s}, "naturally_reductive": %s}')
+_TEXT = "branch=%s S=%.6g V=%.6g W=%.6g u=%.6g v=%.6g w=%.6g ledger=%.3g star=%.3g NR=%s"  # the same in --format text
 
 
 class _UsageError(Exception):
@@ -88,10 +89,7 @@ def _resolve_params(args, files: dict) -> MetricParams:
                     values[key] = float(value)  # OverflowError for an int beyond the floats
                 except (TypeError, OverflowError) as exc:
                     raise InvalidParamsError(f"parameter {key} in file is not a real number") from exc
-    for key in ("t", "u", "v", "w"):
-        flag = getattr(args, key)
-        if flag is not None:
-            values[key] = flag
+    values.update((key, getattr(args, key)) for key in ("t", "u", "v", "w") if getattr(args, key) is not None)
     missing = [k for k in ("t", "u", "v", "w") if k not in values]
     if missing:
         raise InvalidParamsError(f"missing metric parameter(s): {', '.join(missing)}")
@@ -251,32 +249,30 @@ def _point(command, frame: bool, args, env_tol: str | None, files: dict) -> tupl
 
 
 def _solutions(args, grid, tol: float) -> None:
-    """Print every solution of args.branch at each S of the grid in args.format, one S at a time; after the last,
-    raise if any fails verification.  Each is judged by the eta_alpha its solve formed, the float verify_solution
-    compares, which runs once, on a LedgerSolution of the first worst failure's row, for its summary."""
-    failed, count, worst, line, as_json = 0, 0, (None, -1.0), "", args.format == "json"
-    pair = 2 if args.branch == "u1" else 1  # the rows of one S, a Weyl orbit: (V, W) (+u, -u on u1), then (W, V)
-    for i, (row, eta) in enumerate(_rows(args.branch, grid)):
-        name, s, vv, ww, usq, p, r, nr = row
-        nr = "true" if nr else "false"
-        if i % pair:  # the -u twin of the record before: its line but in u's sign, as repr(-x) == "-" + repr(x)
-            line = line.replace(*(('"u": ', '"u": -') if as_json else (" u=", " u=-")), 1)
-        elif as_json:
-            numbers = (s, vv, ww, usq, p.t, p.u, p.v, p.w, r["ledger"], r["star"], r["gram"])
+    """Write the solutions of args.branch at each S of the grid in args.format, one Weyl orbit and one write per S,
+    then raise if one fails verification by its orbit's eta_alpha; verify_solution runs once, on the first worst failed
+    orbit's first row, for the summary.  Two % formats write the (V, W) and (W, V) rows, a sign their -u twins on u1."""
+    failed, count, worst, write = 0, 0, (None, -1.0), sys.stdout.write
+    as_json, sign = args.format == "json", ('"u": ', '"u": -') if args.format == "json" else (" u=", " u=-")
+    for name, s, rows, p, (r, eta, nr) in _orbits(args.branch, grid):
+        count += len(rows)
+        if not eta <= tol:  # the count and the first worst failed orbit, not every failed one
+            failed, worst = failed + len(rows), (((name, s, rows[0], r, nr), eta) if eta > worst[1] else worst)
+        (vv, ww, u), nr = rows[0], "true" if nr else "false"
+        v, w = (p.v, p.w) if vv <= ww else (p.w, p.v)  # sqrt V and sqrt W: the orbit's point has v <= w
+        if as_json:
+            numbers = (s, vv, ww, u * u, p.t, u, v, w, r["ledger"], r["star"], r["gram"])
             if not all(map(math.isfinite, numbers)):
                 raise DegenerateMetricError("a non-finite number has no JSON form")
-            # the (W, V) row, of the same orbit and evaluation, takes its (V, W) row's reprs, V, W and v, w swapped
-            reprs = [reprs[k] for k in (0, 2, 1, 3, 4, 5, 7, 6, 8, 9, 10)] if i % (2 * pair) else [*map(repr, numbers)]
-            line = _SOLUTION % (name, *reprs, nr)
+            s, vv, ww, usq, t, u, v, w, ledger, star, gram = map(repr, numbers)
+            a = _SOLUTION % (name, s, vv, ww, usq, t, u, v, w, ledger, star, gram, nr)
+            b = _SOLUTION % (name, s, ww, vv, usq, t, u, w, v, ledger, star, gram, nr)
         else:
-            line = (f"branch={name} S={_fmt(s)} V={_fmt(vv)} W={_fmt(ww)} u={_fmt(p.u)} "
-                    f"v={_fmt(p.v)} w={_fmt(p.w)} ledger={r['ledger']:.3g} star={r['star']:.3g} NR={nr}")
-        print(line)
-        count += 1
-        if not eta <= tol:  # the count and the first worst failure, not every failed one
-            failed, worst = failed + 1, max(worst, (row, eta), key=lambda w: w[1])
+            a = _TEXT % (name, s, vv, ww, u, v, w, r["ledger"], r["star"], nr)
+            b = _TEXT % (name, s, ww, vv, u, w, v, r["ledger"], r["star"], nr)
+        write(f"{a}\n{b}\n" if len(rows) == 2 else f"{a}\n{a.replace(*sign, 1)}\n{b}\n{b.replace(*sign, 1)}\n")
     if failed:
-        summary = verify_solution(LedgerSolution(*worst[0]), tol).summary()
+        summary = verify_solution(_solution(*worst[0]), tol).summary()
         raise DegenerateMetricError(f"{failed} of {count} solutions fail verification, worst: {summary}")
 
 

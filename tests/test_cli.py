@@ -1056,6 +1056,26 @@ def test_solve_and_sweep_records_are_json_dumps_of_to_dict(capsys, branch):
         assert (code, out, err) == (0, _records(solve(*np.linspace(first, last, n).tolist())), ""), argv
 
 
+def _text_records(solutions) -> str:
+    return "".join(f"branch={sol.branch} S={sol.S:.6g} V={sol.V:.6g} W={sol.W:.6g} u={sol.params.u:.6g} "
+                   f"v={sol.params.v:.6g} w={sol.params.w:.6g} ledger={sol.residuals['ledger']:.3g} "
+                   f"star={sol.residuals['star']:.3g} NR={'true' if sol.naturally_reductive else 'false'}\n"
+                   for sol in solutions)
+
+
+@pytest.mark.parametrize("branch", list(_BRANCHES))
+def test_solve_and_sweep_text_records_are_the_library_solutions(capsys, branch):
+    # each text line is formatted from its orbit's first row, permuted and signed: it reads the fields of the
+    # library's LedgerSolution, %.6g and the residuals .3g
+    solve, (lo, hi) = _BRANCHES[branch]
+    for s in [lo + 10.0 ** -k for k in range(1, 11)] + [hi - 10.0 ** -k for k in range(1, 11)]:
+        assert run_cli(capsys, "solve", "--branch", branch, "--S", repr(s)) == (0, _text_records(solve(s)), ""), s
+    for first, last, n in ((lo + 1e-10, hi - 1e-10, 301), (lo + 1e-10, lo + 1e-6, 64), (hi - 1e-6, hi - 1e-10, 64)):
+        argv = ("sweep", "--branch", branch, "--S-min", repr(first), "--S-max", repr(last), "--S-steps", str(n))
+        code, out, err = run_cli(capsys, *argv, "--format", "text")
+        assert (code, out, err) == (0, _text_records(solve(*np.linspace(first, last, n).tolist())), ""), argv
+
+
 @pytest.mark.parametrize("tol", [1e-9, 5e-16, 1e-300])
 @pytest.mark.parametrize("branch", list(_BRANCHES))
 def test_the_cli_verdict_is_verify_solutions(capsys, branch, tol):
@@ -1091,28 +1111,30 @@ def test_the_cli_verdict_is_verify_solutions(capsys, branch, tol):
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("key", ["S", "V", "W", "Usq", "ledger", "star", "gram"])
-@pytest.mark.parametrize("argv,planted", [
-    (("solve", "--branch", "u1", "--S", "1", "--format", "json"), 2),
-    (("sweep", "--branch", "u0", "--S-min", "2", "--S-max", "8", "--S-steps", "40"), 70),  # at the 36th S
+@pytest.mark.parametrize("argv,grid,planted", [
+    (("solve", "--branch", "u1", "--S", "1", "--format", "json"), [1.0], 0),  # its only S
+    (("sweep", "--branch", "u0", "--S-min", "2", "--S-max", "8", "--S-steps", "40"),
+     np.linspace(2, 8, 40).tolist(), 35),  # its 36th S
 ], ids=["solve", "sweep"])
-def test_a_non_finite_solution_record_exits_2(capsys, monkeypatch, argv, planted, key, bad):
-    # the solvers' numbers are finite wherever they return, so one is planted: the records before it print,
-    # then the one JSON message, exit 2
-    original, returned = cli._rows, []
+def test_a_non_finite_solution_record_exits_2(capsys, monkeypatch, argv, grid, planted, key, bad):
+    # the solvers' numbers are finite wherever they return, so one is planted into one S, a Weyl orbit, whose records
+    # are written at once: the records of the S before it print (none on solve, 70 on sweep), then the one JSON
+    # message, exit 2
+    original = cli._orbits
 
-    def rows(branch, grid):
-        for row, eta in original(branch, grid):  # each row the tuple of its LedgerSolution's fields, in field order
-            sol = analysis.LedgerSolution(*row)
-            if len(returned) == planted:
-                changed = {"residuals": {**sol.residuals, key: bad}} if key in sol.residuals else {key: bad}
-                sol = dataclasses.replace(sol, **changed)
-            returned.append(sol)
-            yield tuple(getattr(sol, field.name) for field in dataclasses.fields(sol)), eta
+    def orbits(branch, grid):
+        for i, (name, s, rows, p, (r, eta, nr)) in enumerate(original(branch, grid)):
+            if i == planted:  # into the first row, whose numbers every record of the orbit is written from
+                (vv, ww, u), rest = rows[0], rows[1:]
+                row = {"V": (bad, ww, u), "W": (vv, bad, u), "Usq": (vv, ww, bad)}.get(key, (vv, ww, u))
+                s, rows, r = bad if key == "S" else s, [row, *rest], {**r, key: bad} if key in r else r
+            yield name, s, rows, p, (r, eta, nr)
 
-    monkeypatch.setattr(cli, "_rows", rows)
+    monkeypatch.setattr(cli, "_orbits", orbits)
     code, out, err = run_cli(capsys, *argv)
+    solve = _BRANCHES[argv[2]][0]
     message = "numerical failure: a non-finite number has no JSON form\n"
-    assert (code, out, err) == (2, _records(returned[:planted]), message)
+    assert (code, out, err) == (2, _records(solve(*grid[:planted])), message)
 
 
 def test_solve_flags_natural_reductivity_at_the_default_tol_whatever_tol_is(capsys):
@@ -1408,9 +1430,9 @@ def test_verifying_a_solves_cached_outputs_builds_no_geometry(monkeypatch):
     builds, evaluations = _counting_geometries(monkeypatch)
     geometry._cached_geometry.cache_clear()
     sols = analysis.solve_ledger_unonzero(1.1) + analysis.solve_ledger_u0(5.0)
-    # the solutions of one S, a Weyl orbit, read one geometry, and their solve evaluates it once: every row after the
-    # first takes the first row's evaluation
-    assert len(builds) == len(evaluations) == 2 and evaluations == [sols[0].params, sols[4].params]
+    # the solutions of one S, a Weyl orbit, read one geometry, and their solve evaluates it once, at the orbit's point
+    # (t, |u|, and v, w ordered by |.|), whose evaluation every solution of the orbit takes
+    assert len(builds) == len(evaluations) == 2 and evaluations == builds
     assert builds == [_orbit_point(sols[0].params), sols[4].params]
     assert all(analysis.verify_solution(sol).passed for sol in sols)
     assert len(builds) == 2 and evaluations[2:] == [sol.params for sol in sols]
@@ -1433,16 +1455,16 @@ def test_sweep_streams_the_records_of_one_solve_per_s(capsys, monkeypatch):
     # 70 S values are drawn one at a time, each after the 4 records of the
     # one before have printed, and print exactly what 70 single solves
     # print, in grid order
-    rows, printed = cli._rows, []
+    orbits, printed = cli._orbits, []
 
-    def counting_rows(branch, grid):
+    def counting_orbits(branch, grid):
         def drawn():
             for s in grid:
                 printed.append(capsys.readouterr().out)
                 yield s
-        return rows(branch, drawn())
+        return orbits(branch, drawn())
 
-    monkeypatch.setattr(cli, "_rows", counting_rows)
+    monkeypatch.setattr(cli, "_orbits", counting_orbits)
     capsys.readouterr()
     code = main(["sweep", "--branch", "u1", "--S-min", "0.34", "--S-max", "1.43", "--S-steps", "70"])
     swept = "".join(printed) + capsys.readouterr().out
@@ -1476,7 +1498,7 @@ def test_each_sweep_verification_reads_the_geometry_its_solve_built(capsys, monk
 def test_the_sweep_grid_is_that_of_np_linspace(capsys, monkeypatch):
     # S-min + i step in floats, the last S S-max: np.linspace's arithmetic, bit for bit
     grids = []
-    monkeypatch.setattr(cli, "_rows", lambda branch, grid: grids.extend(grid) or [])
+    monkeypatch.setattr(cli, "_orbits", lambda branch, grid: grids.extend(grid) or [])
     rng = np.random.default_rng(19)
     cases = [(1.000001, 8.999999, 1000), (1.5, 8.5, 1), (2.0, 2.0, 7), (1.5, 8.5, 2)]
     for _ in range(200):
@@ -1498,6 +1520,32 @@ class _KeptStdout(io.TextIOBase):
     def write(self, text):
         self.records.append(text)
         return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("branch,first,last", [("u0", "1.5", "8.5"), ("u1", "0.34", "1.43")])
+def test_a_solve_admits_one_point_and_writes_once_per_s(monkeypatch, branch, first, last, fmt):
+    # the records of one S are one Weyl orbit: a passing solve or sweep admits one MetricParams per S, its orbit's
+    # point, builds no LedgerSolution and writes the S's records, each line with its newline, in one write; a failing
+    # sweep builds one LedgerSolution, and admits its params, for the failure line
+    admit, admissions = _counting(metric.MetricParams.__init__)
+    build, solutions = _counting(analysis.LedgerSolution.__init__)
+    monkeypatch.setattr(metric.MetricParams, "__init__", admit)
+    monkeypatch.setattr(analysis.LedgerSolution, "__init__", build)
+    n = 2 if branch == "u0" else 4
+    sweep = ["sweep", "--branch", branch, "--S-min", first, "--S-max", last, "--S-steps", "40", "--format", fmt]
+    for argv, steps in ((["solve", "--branch", branch, "--S", first, "--format", fmt], 1), (sweep, 40)):
+        monkeypatch.setattr(sys, "stdout", _KeptStdout())
+        admissions.clear()
+        assert main(argv) == 0
+        writes = sys.stdout.records
+        assert len(admissions) == len(writes) == steps and solutions == []
+        assert all(text.count("\n") == n and text.endswith("\n") for text in writes), argv
+    monkeypatch.setattr(sys, "stdout", _KeptStdout())
+    admissions.clear()
+    assert main(sweep + ["--tol", "1e-300"]) == 2
+    # verify_solution admits the orbit's point again where the first row has v > w, as on u1
+    assert len(sys.stdout.records) == 40 and len(solutions) == 1 and len(admissions) == 40 + 1 + (branch == "u1")
 
 
 def _kept_sweep_peak_bytes(monkeypatch, steps: int, failing: bool = False) -> tuple[int, int]:
