@@ -25,6 +25,11 @@ _MODULE_OF = {name: module for module, names in _NAMES.items() for name in names
 __all__ = list(_MODULE_OF)
 
 
+def _exports(module: str) -> list[str]:
+    """A module's ``__all__``, from its ``__name__``: the names the table lists for it, in order."""
+    return _NAMES[module.rpartition(".")[2]].split()
+
+
 def __getattr__(name):
     if name in _NAMES:  # a module, by its own name
         return _import_module(f"{__name__}.{name}")

@@ -19,13 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = [
-    "GradedLieAlgebra",
-    "GradingLabel",
-    "ValidationReport",
-    "algebra_from_dict",
-    "algebra_to_dict",
-]
+from . import _exports
+
+__all__ = _exports(__name__)
 
 
 @dataclass(frozen=True)
@@ -190,7 +186,7 @@ class GradedLieAlgebra:
         each check scans for its index triples only when its largest residual
         exceeds ``tol``, so a valid algebra forms no triple list.
         """
-        if tol < 0:
+        if not tol >= 0:  # a NaN tol as well
             raise ValueError("tol must be nonnegative")
         c = self.structure
         n = self.dim

@@ -30,26 +30,13 @@ import math
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
-from . import geometry
+from . import _exports, geometry
 from .metric import DEFAULT_TOL, FRAME_NAMES, InvalidParamsError, MetricParams, _gram_defect
 
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = [
-    "LedgerSolution",
-    "ReductivityReport",
-    "S_INTERVAL_U0",
-    "S_INTERVAL_UNONZERO",
-    "VerificationReport",
-    "first_ledger_verdict",
-    "infinitesimal_isometries",
-    "is_naturally_reductive",
-    "ledger_system_residuals",
-    "solve_ledger_u0",
-    "solve_ledger_unonzero",
-    "verify_solution",
-]
+__all__ = _exports(__name__)
 
 S_INTERVAL_U0 = (1.0, 9.0)
 S_MAX_UNONZERO = (7.0 - math.sqrt(17.0)) / 2.0

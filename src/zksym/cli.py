@@ -303,7 +303,7 @@ def cmd_sweep(args, env_tol: str | None, files: dict) -> None:
 # One option of a command: flag, dest, type (None keeps the string), choices, default, required, help.
 _TOL = ("--tol", "tol", float, None, None, False, "tolerance (default: ZKSYM_TOL or 1e-9)")
 _FORMAT = ("--format", "format", None, ("text", "json"), "text", False, None)
-_BRANCH = ("--branch", "branch", None, ("u0", "u1"), None, True, None)
+_BRANCH = ("--branch", "branch", None, tuple(_BRANCHES), None, True, None)
 _POINT_OPTIONS = (_TOL, _FORMAT, *((f"--{key}", key, float, None, None, False, None) for key in "tuvw"),
                   ("--params", "params", None, None, None, False, "JSON or TOML file with keys t, u, v, w"))
 

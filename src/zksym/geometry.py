@@ -37,20 +37,10 @@ from functools import cache, lru_cache
 from itertools import permutations
 from operator import itemgetter
 
+from . import _exports
 from .metric import DEFAULT_TOL, AdaptedForm, DegenerateMetricError, InvalidParamsError, MetricParams, _gram
 
-__all__ = [
-    "bracket_table",
-    "curvature",
-    "ledger",
-    "ledger_table",
-    "m_bracket",
-    "nabla",
-    "nomizu_table",
-    "ricci",
-    "u_map",
-    "u_table",
-]
+__all__ = _exports(__name__)
 
 # -B(P_i, P_i) / 2 per module, B the Killing form (-6 I on m), as numpy derives it from P: 3 + 1 ulp on A
 _HALF_KILLING = [3.0000000000000004, 3.0000000000000004, 3.0, 3.0]
@@ -78,18 +68,19 @@ _SETS = {name: itemgetter(*(int(k) - 1 for k in name)) for name in ("1234", "34"
 
 @cache
 def _arrays() -> None:
-    """Bind numpy, algebra._vector and so(5)'s arrays as globals, once, for raw vectors, a bare Gram matrix and the
-    arrays the library returns; the CLI prints none of them, so only ``inspect`` among the commands loads numpy."""
-    global np, _vector, _CM, _CH, _ADH, _P, _MODULE
+    """Bind numpy, algebra._vector and so(5)'s arrays and names as globals, once, for raw vectors, a bare Gram matrix
+    and the arrays the library returns; the CLI prints none of them, so of the commands only ``inspect`` loads numpy."""
+    global np, _vector, _CM, _CH, _ADH, _P, _MODULE, _M_NAMES
     import numpy as np
     from .algebra import _vector
-    from .so5 import build_so5
+    from .so5 import SO5_NAMES, build_so5
 
     # the root basis P: column i in raw coordinates, in the module _MODULE[i]
     p = np.eye(8)
     p[:4, :4] = np.sqrt(0.5) * np.array([[1, 0, 1, 0], [0, 1, 0, 1], [0, -1, 0, 1], [1, 0, -1, 0]])
     # bound when built, so a concurrent first call rebinds only finished arrays; CM, CH, ADH: see m_structure
     (_CM, _CH, _ADH), _P, _MODULE = build_so5().m_structure(), p, np.repeat(np.arange(4), 2)
+    _M_NAMES = SO5_NAMES[2:]  # the raw m-basis, A1..C2
 
 
 def _m_vector(x) -> np.ndarray:
@@ -151,15 +142,12 @@ def _presentation(e: int, y) -> tuple[list[float], list[float]]:
         rows.append((math.sqrt(s0), math.sqrt(s1), math.sqrt(s2), (xa - x4) * (1.0 / xa + i4) / x3 - s1,
                      (x3 - x4) * (i3 + i4) / xa - s0, (x4 - x3) * (i4 + i3) / xa - s0))
     (c0, c1, c2, a0, a1, a2), (c3, c4, c5, b0, b1, b2) = rows
-    e2, ldexp = 2 * e, math.ldexp
-    try:  # the ratios slot-major and r at the point's scale
-        ratios = [ldexp(c0, -e), ldexp(c3, -e), ldexp(c1, -e), ldexp(c4, -e), ldexp(c2, -e), ldexp(c5, -e)]
-        r = [ldexp(k1 * (1.0 / x1) + 0.5 * a0, -e2), ldexp(k2 * (1.0 / x2) + 0.5 * b0, -e2),
-             ldexp(k3 * i3 + (0.5 * a1 + 0.5 * b1), -e2), ldexp(k4 * i4 + (0.5 * a2 + 0.5 * b2), -e2)]
-        finite = all(map(math.isfinite, ratios + r))
-    except OverflowError:
-        finite = False
-    if not finite:
+    e2 = 2 * e
+    # the ratios slot-major and r at the point's scale
+    ratios = [_ldexp(c0, -e), _ldexp(c3, -e), _ldexp(c1, -e), _ldexp(c4, -e), _ldexp(c2, -e), _ldexp(c5, -e)]
+    r = [_ldexp(k1 * (1.0 / x1) + 0.5 * a0, -e2), _ldexp(k2 * (1.0 / x2) + 0.5 * b0, -e2),
+         _ldexp(k3 * i3 + (0.5 * a1 + 0.5 * b1), -e2), _ldexp(k4 * i4 + (0.5 * a2 + 0.5 * b2), -e2)]
+    if not all(map(math.isfinite, ratios + r)):
         raise DegenerateMetricError("the curvature tensors overflow at this scale")
     return ratios, r
 
@@ -307,7 +295,7 @@ def _geometry(form: AdaptedForm) -> _Geometry:
     # the ad(h)-invariant forms, for which alone the invariant-connection formulas hold, are exactly the adapted ones
     defect = np.abs(g - _gram(g[0, 0], g[3, 0], g[4, 4], g[6, 6]))
     if (worst := float(defect.max())) > DEFAULT_TOL * float(np.max(np.abs(g))):
-        i, j = ("A1 A2 A3 A4 B1 B2 C1 C2".split()[k] for k in divmod(int(defect.argmax()), 8))
+        i, j = (_M_NAMES[k] for k in divmod(int(defect.argmax()), 8))
         raise InvalidParamsError(f"Gram matrix is not adapted: g[{i}, {j}] is {worst:.3g} off its adapted value")
     try:  # the positive-definite guard, x1, x2 > 0, of the invariant g = P diag(x) P^T: g00 = t^2, g30 = u/2
         p = MetricParams(math.sqrt(g[0, 0]), 2.0 * float(g[3, 0]), math.sqrt(g[4, 4]), math.sqrt(g[6, 6]))

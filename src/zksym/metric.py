@@ -38,23 +38,13 @@ import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from . import _exports
+
 if TYPE_CHECKING:
     import numpy as np
     from .algebra import GradedLieAlgebra
 
-__all__ = [
-    "AdaptedForm",
-    "DEFAULT_TOL",
-    "DegenerateMetricError",
-    "FRAME_NAMES",
-    "InvalidParamsError",
-    "InvarianceReport",
-    "MetricParams",
-    "OrthonormalFrame",
-    "build_form",
-    "check_adh_invariance",
-    "orthonormal_frame",
-]
+__all__ = _exports(__name__)
 
 DEFAULT_TOL = 1e-9
 K_GUARD_EPS = 1e-8

@@ -21,15 +21,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _exports
 from .algebra import GradedLieAlgebra, GradingLabel, _vector
 from .metric import DEFAULT_TOL
 
-__all__ = [
-    "SO5_NAMES",
-    "build_so5",
-    "matrix_of",
-    "vector_of",
-]
+__all__ = _exports(__name__)
 
 SO5_NAMES = ("X1", "X2", "A1", "A2", "A3", "A4", "B1", "B2", "C1", "C2")
 
@@ -83,7 +79,7 @@ def vector_of(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     if not np.isfinite(m).all():  # NaN passes the skew check, and m + m.T of a +-inf pair is NaN
         raise ValueError("matrix is not finite")
     skew_defect = float(np.max(np.abs(m + m.T)))
-    if skew_defect > tol:
+    if not skew_defect <= tol:  # a NaN tol as well
         raise ValueError(f"matrix is not skew-symmetric (defect {skew_defect:.3g} > tol {tol:.3g})")
     return m[_ROWS, _COLS]
 

@@ -136,8 +136,9 @@ def test_validate_so5_clean_exact():
     assert report.max_jacobi_residual == 0.0
     assert report.max_antisymmetry_residual == 0.0
     assert report.summary() == "valid"
-    with pytest.raises(ValueError, match="^tol must be nonnegative$"):
-        build_so5().validate(-1.0)
+    for tol in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="^tol must be nonnegative$"):
+            build_so5().validate(tol)
 
 
 def test_validate_reports_jacobi_violation():

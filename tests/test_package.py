@@ -11,7 +11,8 @@ import zksym
 from zksym.cli import main
 from zksym import algebra, analysis, geometry, metric, so5
 
-# the public interface of the package, each name declared once, in its module's __all__
+# the public interface of the package, each name declared once, in the package table zksym._NAMES, which each
+# module's __all__ reads
 _EXPORTED = {
     "AdaptedForm", "DEFAULT_TOL", "DegenerateMetricError", "FRAME_NAMES", "GradedLieAlgebra", "GradingLabel",
     "InvalidParamsError", "InvarianceReport", "LedgerSolution", "MetricParams",
@@ -52,6 +53,15 @@ def test_the_package_table_names_each_module_with_its_own_list():
     for module in _MODULES:
         short = module.__name__.rsplit(".", 1)[1]
         assert {name for name, owner in zksym._MODULE_OF.items() if owner == short} == set(module.__all__)
+
+
+@pytest.mark.parametrize("module", _MODULES, ids=lambda m: m.__name__)
+def test_each_module_reads_its_list_from_the_package_table(module):
+    short = module.__name__.rsplit(".", 1)[1]
+    assert module.__all__ == zksym._NAMES[short].split()
+    namespace = {}
+    exec(f"from zksym.{short} import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(zksym._NAMES[short].split())
 
 
 def test_dir_and_star_import_give_the_exported_names():

@@ -100,6 +100,10 @@ def test_vector_of_rejects_non_skew():
     with pytest.raises(ValueError):
         vector_of(m, tol=1e-9)
     assert vector_of(m, tol=1e-3)[0] == 1.0
+    # a NaN tol bounds no defect, not even that of a skew matrix within 1e-6
+    for matrix in (m, np.ones((5, 5))):
+        with pytest.raises(ValueError, match="^matrix is not skew-symmetric"):
+            vector_of(matrix, tol=float("nan"))
     # a NaN entry compares False with tol, and m + m^T of an antisymmetric +-inf pair is NaN with a RuntimeWarning
     for value, mirror in ((np.nan, 0.0), (np.inf, -np.inf)):
         bad = np.zeros((5, 5))
