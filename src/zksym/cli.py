@@ -300,18 +300,18 @@ def cmd_sweep(args, env_tol: str | None, files: dict) -> None:
 
 # --- parser ---
 
-# One option of a command: flag, dest, type (None keeps the string), choices, default, required, help.
+# One option of a command: flag, dest, type (str keeps the string), choices, default, required, help.
 _TOL = ("--tol", "tol", float, None, None, False, "tolerance (default: ZKSYM_TOL or 1e-9)")
-_FORMAT = ("--format", "format", None, ("text", "json"), "text", False, None)
-_BRANCH = ("--branch", "branch", None, tuple(_BRANCHES), None, True, None)
+_FORMAT = ("--format", "format", str, ("text", "json"), "text", False, None)
+_BRANCH = ("--branch", "branch", str, tuple(_BRANCHES), None, True, None)
 _POINT_OPTIONS = (_TOL, _FORMAT, *((f"--{key}", key, float, None, None, False, None) for key in "tuvw"),
-                  ("--params", "params", None, None, None, False, "JSON or TOML file with keys t, u, v, w"))
+                  ("--params", "params", str, None, None, False, "JSON or TOML file with keys t, u, v, w"))
 
 # name: (help, handler, options), in the order of the help text.  A handler takes the namespace, ZKSYM_TOL and the
 # files _key read; a query's returns its reply: stdout, the failure line after it or None, its MetricParams or None.
 _COMMANDS = {
     "inspect": ("report the built-in graded so(5) or a serialized algebra", cmd_inspect,
-                (_TOL, _FORMAT, ("--algebra", "algebra", None, None, None, False,
+                (_TOL, _FORMAT, ("--algebra", "algebra", str, None, None, False,
                                  "JSON file holding a serialized algebra"))),
     "tables": ("bracket and U tables in the orthonormal frame", functools.partial(_point, cmd_tables, True),
                _POINT_OPTIONS),
@@ -324,15 +324,18 @@ _COMMANDS = {
     "solve": ("solution families of the first Ledger condition at one S", cmd_solve,
               (_TOL, _FORMAT, _BRANCH, ("--S", "S", float, None, None, False, None))),
     "sweep": ("stream solution records over an S grid (one per line)", cmd_sweep,
-              (_TOL, ("--format", "format", None, ("text", "json"), "json", False, None), _BRANCH,
+              (_TOL, ("--format", "format", str, ("text", "json"), "json", False, None), _BRANCH,
                ("--S-min", "S_min", float, None, None, True, None), ("--S-max", "S_max", float, None, None, True, None),
                ("--S-steps", "S_steps", int, None, 50, False, None))),
 }
 _FLAGS = {name: {option[0]: option for option in options} for name, (_, _, options) in _COMMANDS.items()}
+# per command: its namespace before any flag is read, and the dests its command line must give
+_START = {name: ({"command": name, **{option[1]: option[4] for option in options}, "func": handler},
+                 {option[1] for option in options if option[5]}) for name, (_, handler, options) in _COMMANDS.items()}
 
 
 def _read_argv(argv: list[str]) -> types.SimpleNamespace | None:
-    """The namespace build_parser() gives for a command name followed by exact --flag value pairs.
+    """build_parser()'s namespace for a command and exact --flag value pairs: its _START namespace updated by them.
 
     None for any other argv (help, abbreviated flags, --flag=value, --, a value that does not
     convert or is not a choice, a missing required flag): argparse then decides, as the reference.
@@ -346,21 +349,15 @@ def _read_argv(argv: list[str]) -> types.SimpleNamespace | None:
         if option is None or value[:1] == "-" and not _NEGATIVE_NUMBER.match(value):
             return None
         _, dest, kind, choices, _, _, _ = option
-        if kind is not None:
-            try:
-                value = kind(value)
-            except ValueError:
-                return None
+        try:
+            value = kind(value)
+        except ValueError:
+            return None
         if choices is not None and value not in choices:
             return None
         values[dest] = value  # a repeated flag keeps its last value
-    _, handler, options = _COMMANDS[argv[0]]
-    namespace = {"command": argv[0]}
-    for _, dest, _, _, default, required, _ in options:
-        if dest not in values and required:
-            return None
-        namespace[dest] = values.get(dest, default)
-    return types.SimpleNamespace(**namespace, func=handler)
+    namespace, required = _START[argv[0]]
+    return types.SimpleNamespace(**(namespace | values)) if required <= values.keys() else None
 
 
 def _key(argv) -> tuple | None:

@@ -70,9 +70,11 @@ def matrix_of(x) -> np.ndarray:
 def vector_of(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Coordinates of a skew-symmetric 5x5 matrix in the canonical basis.
 
-    Inverse of :func:`matrix_of`.  Raises ValueError if the input is not
-    finite or fails skew-symmetry by more than ``tol``.
+    Inverse of :func:`matrix_of`.  Raises ValueError for a negative ``tol``, or if
+    the input is not finite or fails skew-symmetry by more than ``tol``.
     """
+    if tol < 0:  # a NaN tol passes here and fails the skew check, which bounds no defect by it
+        raise ValueError("tol must be nonnegative")
     m = np.asarray(m, dtype=float)
     if m.shape != (5, 5):
         raise ValueError(f"expected a 5x5 matrix, got shape {m.shape}")

@@ -1234,6 +1234,11 @@ def _command_lines(draw) -> list[str]:
 
 @settings(max_examples=300, deadline=None)
 @given(_command_lines())
+# each command with only its required options: its defaults, on every run
+@example(["inspect"])
+@example(["tables", *_POINT])
+@example(["solve", "--branch", "u0"])
+@example(["sweep", "--branch", "u1", "--S-min", "0.4", "--S-max", "1.4"])
 @example(["ricci", *_POINT, "--u", "-5.8e-05", "--tol", "-1E-3"])
 @example(["ricci", *_POINT, "--t", "-inf"])
 @example(["check-nr", *_POINT, "--v", "nan", "--w", "1_0", "--t", " 5"])

@@ -414,6 +414,39 @@ def test_ledger_function_agrees_with_table():
         )
 
 
+def _ricci_derivative(p: MetricParams) -> np.ndarray:
+    """D_ijk = (nabla_{E_i} rho)(E_j, E_k) = -sum_l (N_ijl rho_lk + N_ikl rho_jl), from the public tables."""
+    n, rho = nomizu_table(p), ricci(build_form(p))
+    return -(np.einsum("ijl,lk->ijk", n, rho) + np.einsum("ikl,jl->ijk", n, rho))
+
+
+def test_the_ricci_derivative_sums_cyclically_to_the_ledger_table_and_gives_grays_b_norm():
+    # Gray's classes: A asks the cyclic sum of D = nabla rho to vanish (the first Ledger condition), B asks
+    # B_ijk = D_ijk - D_jik to vanish (Codazzi).  t in [e^-1, e], v and w in [e^-1.5, e^1.5], |u| <= 1.8 t^2,
+    # all positive but u; measured 1.7e-13 and 4.1e-15 at worst
+    rng = np.random.default_rng(2101)
+    for _ in range(300):
+        t = math.exp(rng.uniform(-1.0, 1.0))
+        v, w = np.exp(rng.uniform(-1.5, 1.5, 2))
+        p = MetricParams(t, rng.uniform(-1.8 * t * t, 1.8 * t * t), v, w)
+        d, table = _ricci_derivative(p), ledger_table(p)
+        cyclic = d + d.transpose(1, 2, 0) + d.transpose(2, 0, 1)
+        assert np.max(np.abs(cyclic - table)) <= 1e-12 * max(1.0, np.max(np.abs(table))), p
+        b = d - d.transpose(1, 0, 2)
+        assert np.sum(b * b) == pytest.approx(3 * np.sum(d * d) - np.sum(table * table) / 3, rel=1e-12), p
+
+
+@pytest.mark.parametrize("t, u, v, w", [
+    (math.sqrt(3), 2.0, math.sqrt(3), 1.0),
+    (math.sqrt(3), -2.0, math.sqrt(3), 1.0),
+    (1.0, 0.0, math.sqrt(0.75 + math.sqrt(6) / 8), math.sqrt(0.75 - math.sqrt(6) / 8)),
+])
+def test_the_ricci_derivative_vanishes_at_the_einstein_points(t, u, v, w):
+    # rho = lambda I makes D_ijk = -lambda (N_ijk + N_ikj), 0 as N is skew in its last two slots; measured
+    # 3.3e-16 at the Kaehler-Einstein points and 2.2e-15 at the u = 0 one
+    assert np.max(np.abs(_ricci_derivative(MetricParams(t, u, v, w)))) <= 1e-14
+
+
 def test_ledger_without_params_matches_table():
     # a bare Gram matrix is read as its parameters, so it gives the table's values
     p = MetricParams(1.3, -0.7, 0.8, 1.6)

@@ -104,6 +104,10 @@ def test_vector_of_rejects_non_skew():
     for matrix in (m, np.ones((5, 5))):
         with pytest.raises(ValueError, match="^matrix is not skew-symmetric"):
             vector_of(matrix, tol=float("nan"))
+    # a negative tol is refused as validate refuses it, before the matrix is read: skew or not
+    for matrix in (matrix_of(np.arange(10.0)), m):
+        with pytest.raises(ValueError, match="^tol must be nonnegative$"):
+            vector_of(matrix, tol=-1.0)
     # a NaN entry compares False with tol, and m + m^T of an antisymmetric +-inf pair is NaN with a RuntimeWarning
     for value, mirror in ((np.nan, 0.0), (np.inf, -np.inf)):
         bad = np.zeros((5, 5))
