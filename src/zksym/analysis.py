@@ -210,10 +210,10 @@ def _orbits(branch: str, grid: Iterable[float]) -> Iterator[tuple]:
         yield name, s, rows, p, _evaluate(p)
 
 
-def _solution(name: str, s: float, row: tuple[float, float, float], r: dict, nr: bool) -> LedgerSolution:
-    """The solution of one (V, W, u) row of an orbit of :func:`_orbits`: its own params, its orbit's residuals."""
-    vv, ww, u = row
-    return LedgerSolution(name, s, vv, ww, u * u, MetricParams(1.0, u, math.sqrt(vv), math.sqrt(ww)), dict(r), nr)
+def _records(branch: str, grid: Iterable[float]) -> list[LedgerSolution]:
+    """Each (V, W, u) row of each orbit of :func:`_orbits`, in order: its own params, its orbit's residuals."""
+    return [LedgerSolution(name, s, vv, ww, u * u, MetricParams(1.0, u, math.sqrt(vv), math.sqrt(ww)), dict(r), nr)
+            for name, s, rows, _, (r, _, nr) in _orbits(branch, grid) for vv, ww, u in rows]
 
 
 def solve_ledger_u0(*grid: float) -> list[LedgerSolution]:
@@ -224,7 +224,7 @@ def solve_ledger_u0(*grid: float) -> list[LedgerSolution]:
     (X1, X2) t^2 and (X2, X1) t^2.  The small root is taken as X1 = P/X2,
     which keeps full precision where P -> 0 at either end of the interval.
     """
-    return [_solution(name, s, row, r, nr) for name, s, rows, _, (r, _, nr) in _orbits("u0", grid) for row in rows]
+    return _records("u0", grid)
 
 
 def solve_ledger_unonzero(*grid: float) -> list[LedgerSolution]:
@@ -240,7 +240,7 @@ def solve_ledger_unonzero(*grid: float) -> list[LedgerSolution]:
     rounding as S -> 1/3.  The same formulas give a second arc, S in
     (4, (7 + sqrt(17))/2), which no solver returns.
     """
-    return [_solution(name, s, row, r, nr) for name, s, rows, _, (r, _, nr) in _orbits("u1", grid) for row in rows]
+    return _records("u1", grid)
 
 
 # ----------------------------------------------------------------------
@@ -266,6 +266,11 @@ class VerificationReport:
         return f"{status} (max relative residual {worst:.3g}, naturally reductive: {self.naturally_reductive})"
 
 
+def _report(residuals: Mapping[str, float], eta: float, nr: bool, tol: float) -> VerificationReport:
+    """The report of an evaluation (residuals, eta, nr) of :func:`_evaluate`: it passes iff eta is at most tol."""
+    return VerificationReport(eta <= tol, residuals, nr, {"star": eta})
+
+
 def verify_solution(sol: LedgerSolution, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Judge a solution by the larger eta_alpha :func:`_evaluate` recomputes at its params.
 
@@ -273,13 +278,7 @@ def verify_solution(sol: LedgerSolution, tol: float = DEFAULT_TOL) -> Verificati
     ``ledger`` reads satisfied at ``sol.params``, whoever built it.  The
     absolute residuals, "gram" among them, and the naturally-reductive
     status (the ``check-nr`` verdict at DEFAULT_TOL) are reported, not
-    judged.  Each call evaluates at its Weyl orbit's point, whose geometry
-    a solver's output finds cached while the solve's last S are kept.
+    judged.  The report is :func:`_report` of the evaluation at the Weyl
+    orbit's point, as ``solve`` and ``sweep`` form it from their own.
     """
-    residuals, eta, nr = _evaluate(sol.params)
-    return VerificationReport(
-        passed=eta <= tol,
-        residuals=residuals,
-        naturally_reductive=nr,
-        relative_residuals={"star": eta},
-    )
+    return _report(*_evaluate(sol.params), tol)

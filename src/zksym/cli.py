@@ -27,8 +27,7 @@ import sys
 import types
 from pathlib import Path
 
-from .analysis import (_BRANCHES, _orbits, _quoting, _solution, first_ledger_verdict, is_naturally_reductive,
-                       verify_solution)
+from .analysis import _BRANCHES, _orbits, _quoting, _report, first_ledger_verdict, is_naturally_reductive
 from .geometry import _SUPPORT, _cached_geometry
 from .metric import DEFAULT_TOL, FRAME_NAMES, DegenerateMetricError, InvalidParamsError, MetricParams
 
@@ -250,14 +249,14 @@ def _point(command, frame: bool, args, env_tol: str | None, files: dict) -> tupl
 
 def _solutions(args, grid, tol: float) -> None:
     """Write the solutions of args.branch at each S of the grid in args.format, one Weyl orbit and one write per S,
-    then raise if one fails verification by its orbit's eta_alpha; verify_solution runs once, on the first worst failed
-    orbit's first row, for the summary.  Two % formats write the (V, W) and (W, V) rows, a sign their -u twins on u1."""
-    failed, count, worst, write = 0, 0, (None, -1.0), sys.stdout.write
+    then raise if one fails verification by its orbit's eta_alpha, summarized by the report of the first worst failed
+    orbit's own evaluation.  Two % formats write the (V, W) and (W, V) rows, a sign their -u twins on u1."""
+    failed, count, worst, write = 0, 0, (None, -1.0, None), sys.stdout.write
     as_json, sign = args.format == "json", ('"u": ', '"u": -') if args.format == "json" else (" u=", " u=-")
     for name, s, rows, p, (r, eta, nr) in _orbits(args.branch, grid):
         count += len(rows)
         if not eta <= tol:  # the count and the first worst failed orbit, not every failed one
-            failed, worst = failed + len(rows), (((name, s, rows[0], r, nr), eta) if eta > worst[1] else worst)
+            failed, worst = failed + len(rows), ((r, eta, nr) if eta > worst[1] else worst)
         (vv, ww, u), nr = rows[0], "true" if nr else "false"
         v, w = (p.v, p.w) if vv <= ww else (p.w, p.v)  # sqrt V and sqrt W: the orbit's point has v <= w
         if as_json:
@@ -272,8 +271,8 @@ def _solutions(args, grid, tol: float) -> None:
             b = _TEXT % (name, s, ww, vv, u, w, v, r["ledger"], r["star"], nr)
         write(f"{a}\n{b}\n" if len(rows) == 2 else f"{a}\n{a.replace(*sign, 1)}\n{b}\n{b.replace(*sign, 1)}\n")
     if failed:
-        summary = verify_solution(_solution(*worst[0]), tol).summary()
-        raise DegenerateMetricError(f"{failed} of {count} solutions fail verification, worst: {summary}")
+        raise DegenerateMetricError(f"{failed} of {count} solutions fail verification, worst: "
+                                    f"{_report(*worst, tol).summary()}")
 
 
 def cmd_solve(args, env_tol: str | None, files: dict) -> None:

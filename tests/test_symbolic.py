@@ -53,6 +53,14 @@ K kept as the symbol k bound by 4 t^2 k^2 = 4 t^4 - u^2.
   r is Nikonorov's three-module Ricci formula at y = x/6 and a = (1/6, 1/3,
   1/3), and its collinearity determinant is (x_B - x_C) times the quadratic
   that gives the P of ``analysis.solve_ledger_u0``.
+* Along the Ricci flow dx_k/dt = -2 x_k r_k, with F1's r, the planes x3 = x4
+  and x1 = x2 are invariant, since r3 = r4 on the first and r1 = r2 on the
+  second; of the three Ledger components only x3 = x4 is (F25).  A point of
+  {x1 = x2, Q1 = 0} where Q1 moves, and one of {Q1 = R = 0} where R moves,
+  decide the other two.  Q1 and R are homogeneous, of degrees 3 and 2, so
+  the volume-normalized flow, whose extra radial term c x adds c deg(f) f
+  to df/dt, a multiple of each generator f on the set, gives the same
+  verdicts.  The Kaehler-Einstein x = (2, 4, 3, 1) has r = (1, 1, 1, 1).
 * On a solution family the four reduced equations vanish if each
   numerator lies in the family's ideal, saturated by t v w k (the
   auxiliary y with y t v w k = 1 removes the components where a
@@ -534,3 +542,49 @@ def test_the_u_zero_collinearity_is_a_plane_times_the_quadratic_of_the_u0_solver
     assert sp.expand(quadratic.subs(xa, 1) - (8 * big_p - (big_s - 1) * (9 - big_s))) == 0
     for sol in solve_ledger_u0(1.5, 5.0, 8.9):
         assert 8 * sol.V * sol.W == pytest.approx((sol.S - 1) * (9 - sol.S), rel=1e-13)
+
+
+# ----------------------------------------------------------------------
+# the Ricci flow on the adapted metrics (F25)
+# ----------------------------------------------------------------------
+
+def _flow_derivative(f) -> sp.Expr:
+    """df/dt along the Ricci flow dx_k/dt = -2 x_k r_k, with F1's r."""
+    return sum(sp.diff(f, x) * -2 * x * r for x, r in zip(_X, expected_root_ricci(*_X)))
+
+
+def test_the_ricci_flow_keeps_x3_equal_x4_and_x1_equal_x2():
+    # d(x3 - x4)/dt = -2 (x3 r3 - x4 r4), which is -2 x3 (r3 - r4) on x3 = x4, and r3 - r4 vanishes there; the same
+    # for x1 = x2 with r1 - r2.  So x3 = x4, a whole Ledger component, is invariant
+    x1, x2, x3, x4 = _X
+    r1, r2, r3, r4 = expected_root_ricci(*_X)
+    assert sp.cancel((r3 - r4).subs(x4, x3)) == 0
+    assert sp.cancel((r1 - r2).subs(x2, x1)) == 0
+    assert sp.cancel(_flow_derivative(x3 - x4).subs(x4, x3)) == 0
+    assert sp.cancel(_flow_derivative(x1 - x2).subs(x2, x1)) == 0
+
+
+def test_the_ricci_flow_leaves_the_two_other_ledger_components():
+    # one point of a component where one of its generators moves decides it: no Groebner reduction is needed
+    x1, x2, x3, x4 = _X
+    q1, r = _q_form(x1, x2, x3, x4), 7 * x1 * x2 - 2 * (x1 + x2) * (x3 + x4) + x3**2 - 6 * x3 * x4 + x4**2
+    for f, degree in ((q1, 3), (r, 2), (x3 - x4, 1), (x1 - x2, 1)):  # Euler: the radial term c x adds c deg(f) f
+        assert sp.expand(sum(x * sp.diff(f, x) for x in _X) - degree * f) == 0
+    # {x1 = x2, Q1 = 0}: at x = (1, 1, 1/2, 5/2 - sqrt 2), dQ1/dt = (888 sqrt 2 - 1248)/17, about 0.460
+    point = dict(zip(_X, (1, 1, sp.Rational(1, 2), sp.Rational(5, 2) - sp.sqrt(2))))
+    assert sp.expand(q1.subs(point)) == 0
+    moved = sp.radsimp(_flow_derivative(q1).subs(point))
+    assert sp.expand(moved - (888 * sp.sqrt(2) - 1248) / 17) == 0 and float(moved) == pytest.approx(0.460, abs=1e-3)
+    # {Q1 = R = 0}: the u != 0 solution at S = 1, x = (1 + s, 1 - s, (1 + s)/2, (1 - s)/2) with s = sqrt(2/5),
+    # where dR/dt = -8/9
+    s = sp.sqrt(sp.Rational(2, 5))
+    point = dict(zip(_X, (1 + s, 1 - s, (1 + s) / 2, (1 - s) / 2)))
+    assert sp.expand(q1.subs(point)) == sp.expand(r.subs(point)) == 0
+    assert sp.simplify(_flow_derivative(r).subs(point)) == sp.Rational(-8, 9)
+    sol = solve_ledger_unonzero(1.0)[0]  # the solver's (V, W, u) at S = 1, t = 1
+    assert (sol.V, sol.W, sol.Usq) == pytest.approx((float((1 + s) / 2), float((1 - s) / 2), float(4 * s * s)))
+
+
+def test_the_kaehler_einstein_metric_has_unit_ricci_eigenvalues():
+    # F5's x = (2, 4, 3, 1) gives r = (1, 1, 1, 1): rho = g, a fixed point of the volume-normalized flow
+    assert expected_root_ricci(*map(sp.Integer, (2, 4, 3, 1))) == (1, 1, 1, 1)
