@@ -254,23 +254,28 @@ def algebra_to_dict(alg: GradedLieAlgebra) -> dict:
 
 # validate forms two n^4 float arrays (the Jacobi products, their sum): a 275 MB peak at dim 64, 2 x 11.9 GiB at 200
 _MAX_DIM = 64
+_JSON = {dict: "object", list: "array", str: "string", bool: "boolean", int: "number", float: "number", type(None): "null"}
 
 
 def algebra_from_dict(data: dict) -> GradedLieAlgebra:
     """Inverse of :func:`algebra_to_dict`; a malformed document raises ValueError."""
+    def json_kind(value, kind: type, what: str):  # value, which the document must hold as a JSON object or array
+        if type(value) is not kind:
+            raise ValueError(f"{what} must be a JSON {_JSON[kind]}, got {_JSON.get(type(value), type(value).__name__)}")
+        return value
     try:
-        (n,) = _json_typed([data["dim"]], (int,), "dim must be an integer")
+        (n,) = _json_typed([json_kind(data, dict, "an algebra document")["dim"]], (int,), "dim must be an integer")
         if n > _MAX_DIM:
             raise ValueError(f"dim {n} is too large: a document holds at most {_MAX_DIM} basis elements")
         names = data["names"]
         if type(names) is not list or len(set(_json_typed(names, (str,), "names must be strings"))) != len(names):
             raise ValueError(f"names must be a list of distinct strings, got {names!r}")
         grading = [GradingLabel(_json_typed(bits, (bool,), "grading bits must be booleans"))
-                   for bits in data["grading"]]
+                   for bits in json_kind(data["grading"], list, "grading")]
         if len(names) != n:
             raise ValueError("names length disagrees with dim")
         c = np.zeros((n, n, n))
-        for row in data["structure"]:  # a repeated (i, j, k) keeps its last value
+        for row in json_kind(data["structure"], list, "structure"):  # a repeated (i, j, k) keeps its last value
             i, j, k, value = row if type(row) is list and len(row) == 4 else (None,) * 4  # fails the check below
             if not (type(i) is type(j) is type(k) is int and type(value) in (int, float)):  # as in _json_typed
                 raise ValueError(f"structure rows must hold three integers and a number, got {row!r}")

@@ -28,7 +28,7 @@ import types
 from pathlib import Path
 
 from .analysis import _BRANCHES, _orbits, _quoting, _report, first_ledger_verdict, is_naturally_reductive
-from .geometry import _SUPPORT, _cached_geometry
+from .geometry import _SUPPORT, _Geometry, _cached_geometry
 from .metric import DEFAULT_TOL, FRAME_NAMES, DegenerateMetricError, InvalidParamsError, MetricParams
 
 EXIT_OK = 0
@@ -184,11 +184,11 @@ def cmd_inspect(args, env_tol: str | None, files: dict) -> tuple[str, str | None
     return reply, None if report.ok else f"algebra {report.summary()}", None
 
 
-# The point commands below take admissible parameters and the tolerance and return their reply: with as_json
-# the JSON fields that follow the shared head (see _point) as a dict, otherwise their text.
+# The point commands below take the geometry that _point looked up and the tolerance and return their reply: with
+# as_json the JSON fields that follow the shared head (see _point) as a dict, otherwise their text.
 
-def cmd_tables(p: MetricParams, tol: float, as_json: bool) -> str | dict:
-    bt, ut = (geo.table(name, x) for geo in [_cached_geometry(p)] for x in [geo.ratios] for name in ("c", "u"))
+def cmd_tables(geo: _Geometry, tol: float, as_json: bool) -> str | dict:
+    bt, ut = (geo.table(name, x) for x in [geo.ratios] for name in ("c", "u"))
     if as_json:
         return {"bracket": _lists(bt), "u": _lists(ut)}
     # entries at or below tol * max|bracket table| show as absent; check-nr judges x, not these entries
@@ -197,8 +197,8 @@ def cmd_tables(p: MetricParams, tol: float, as_json: bool) -> str | dict:
             f"symmetric map U(Ei, Ej) in the orthonormal frame:\n{_grid(ut, FRAME_NAMES, threshold)}")
 
 
-def cmd_ricci(p: MetricParams, tol: float, as_json: bool) -> str | dict:
-    rho = _cached_geometry(p).ricci
+def cmd_ricci(geo: _Geometry, tol: float, as_json: bool) -> str | dict:
+    rho = geo.ricci
     if as_json:
         return {"matrix": rho}
     cells = [[_fmt(x) for x in row] for row in rho]
@@ -207,16 +207,16 @@ def cmd_ricci(p: MetricParams, tol: float, as_json: bool) -> str | dict:
                                                                  for row in cells)])
 
 
-def cmd_isometries(p: MetricParams, tol: float, as_json: bool) -> str | dict:
-    basis = _cached_geometry(p).isometries(tol)
+def cmd_isometries(geo: _Geometry, tol: float, as_json: bool) -> str | dict:
+    basis = geo.isometries(tol)
     if as_json:
         return {"dimension": len(basis), "basis": basis}
     return "\n".join([f"dimension: {len(basis)}", *("  " + " ".join(_term(c, n) for c, n in zip(vec, FRAME_NAMES) if c)
                                                     for vec in basis)])
 
 
-def cmd_check_nr(p: MetricParams, tol: float, as_json: bool) -> str | dict:
-    report = is_naturally_reductive(p, tol)
+def cmd_check_nr(geo: _Geometry, tol: float, as_json: bool) -> str | dict:
+    report = is_naturally_reductive(geo.params, tol)
     if as_json:
         return {"naturally_reductive": report.naturally_reductive, "max_u_coefficient": report.max_coefficient,
                 "witness": list(report.witness) if report.witness else None}
@@ -226,9 +226,9 @@ def cmd_check_nr(p: MetricParams, tol: float, as_json: bool) -> str | dict:
     return f"false\nwitness: |<U({x}, {y}), {z}>| = {_fmt(report.max_coefficient)}"
 
 
-def cmd_ledger(p: MetricParams, tol: float, as_json: bool) -> str | dict:
-    star = _cached_geometry(p).reduced_system
-    max_l, satisfied = first_ledger_verdict(p, tol)
+def cmd_ledger(geo: _Geometry, tol: float, as_json: bool) -> str | dict:
+    star = geo.reduced_system
+    max_l, satisfied = first_ledger_verdict(geo.params, tol)
     if as_json:
         return {"max_ledger_residual": max_l, "star_residuals": star, "satisfied": satisfied}
     return (f"max |L| over frame triples: {_fmt(max_l)}\nreduced-system residuals: {' '.join(map(_fmt, star))}\n"
@@ -236,15 +236,14 @@ def cmd_ledger(p: MetricParams, tol: float, as_json: bool) -> str | dict:
 
 
 def _point(command, frame: bool, args, env_tol: str | None, files: dict) -> tuple[str, None, MetricParams]:
-    """A point command's reply: parameters, then tolerance, then its text or one JSON dict, frame and head first."""
-    p = _resolve_params(args, files)
-    tol = _resolve_tol(args, env_tol)
-    kept = _cached_geometry(p).params  # the cache's own key, which a kept reply's lookup meets by identity
+    """A point command's reply: parameters, tolerance, one geometry lookup, then its text or JSON dict, head first."""
+    p, tol = _resolve_params(args, files), _resolve_tol(args, env_tol)
+    geo = _cached_geometry(p)  # what the render reads; geo.params, the cache's own key, is main's on a kept reply
     if args.format != "json":
-        return command(p, tol, False), None, kept
+        return command(geo, tol, False), None, geo.params
     head = {"frame": FRAME_NAMES} if frame else {}
     return _json_text({**head, "params": {"t": p.t, "u": p.u, "v": p.v, "w": p.w}, "tol": tol,
-                       **command(p, tol, True)}), None, kept
+                       **command(geo, tol, True)}), None, geo.params
 
 
 def _solutions(args, grid, tol: float) -> None:

@@ -159,6 +159,8 @@ def _algebra_doc(case):
         doc = {**_SMALL_ALGEBRA, **_COERCED[case]}
     elif case in _SHAPES:
         doc = {**_SMALL_ALGEBRA, **_SHAPES[case]}
+    elif case in _CONTAINERS:
+        doc = _CONTAINERS[case]
     return doc
 
 
@@ -186,6 +188,12 @@ _SHAPES = {
     "names short": {"names": ["h"]},
     "grading short": {"grading": [[False]]},
     "grading widths": {"grading": [[False], [True, False]]},
+}
+# a document or a field of the wrong JSON container type; iterated unchecked, the {} and "" structures read no row
+_CONTAINERS = {
+    "object structure": {"dim": 1, "names": ["a"], "grading": [[False]], "structure": {}},
+    "string structure": {"dim": 1, "names": ["a"], "grading": [[False]], "structure": ""},
+    "array document": [_SMALL_ALGEBRA],
 }
 
 
@@ -215,11 +223,11 @@ def test_inspect_small_algebra(tmp_path, capsys):
 # the one stderr line of each malformed document, after "error: "
 _MALFORMED = {
     "null value": "structure rows must hold three integers and a number, got [0, 2, 4, None]",
-    "null structure": "malformed algebra document: 'NoneType' object is not iterable",
+    "null structure": "structure must be a JSON array, got null",
     "bare number row": "structure rows must hold three integers and a number, got 5",
     "NaN value": "structure constants must be finite",
     "string bits": "grading bits must be booleans, got ['0', '0']",
-    "null grading": "malformed algebra document: 'NoneType' object is not iterable",
+    "null grading": "grading must be a JSON array, got null",
     "empty bits before string bits": "grading label needs at least one bit",
     "short row": "structure rows must hold three integers and a number, got [0, 1, 1]",
     "index out of range": "structure index out of range: (0, 10, 1)",
@@ -240,12 +248,15 @@ _MALFORMED = {
     "names short": "names length disagrees with dim",
     "grading short": "need exactly one grading label per basis element",
     "grading widths": "grading labels must share the same group Z_2^k",
+    "object structure": "structure must be a JSON array, got object",
+    "string structure": "structure must be a JSON array, got string",
+    "array document": "an algebra document must be a JSON object, got array",
 }
 
 
 @pytest.mark.parametrize("case", ["null value", "null structure", "bare number row", "NaN value", "string bits", *_COERCED,
                                   "null grading", "empty bits before string bits", "short row", "index out of range",
-                                  "negative index", *_SHAPES])
+                                  "negative index", *_SHAPES, *_CONTAINERS])
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_inspect_malformed_algebra_exits_1(tmp_path, capsys, case, fmt):
     path = tmp_path / "doc.json"
@@ -1997,6 +2008,18 @@ def test_a_kept_reply_is_the_fresh_one_byte_for_byte(capsys):
     assert (info.currsize, info.misses, info.hits) == (len(argvs), len(argvs), len(argvs))
     assert [run_cli(capsys, *argv) for argv in argvs] == fresh
     assert cli._reply.cache_info().hits == 2 * len(argvs)
+
+
+@pytest.mark.parametrize("command, hits", [("tables", 1), ("ricci", 1), ("isometries", 1), ("check-nr", 2),
+                                           ("ledger", 2)])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_first_render_looks_its_point_up_once(capsys, command, hits, fmt):
+    # _point's lookup builds the geometry and hands it to the renderer; main looks the kept key up once more (a hit),
+    # and check-nr and ledger once more through their analysis predicate, which meets the same key
+    _cold()
+    assert run_cli(capsys, *_point_argv(command, (1.0, 0.3, 1.2, 0.8), fmt))[0] == 0
+    info = geometry._cached_geometry.cache_info()
+    assert (info.misses, info.hits) == (1, hits)
 
 
 @pytest.mark.parametrize("command", _POINT_COMMANDS)

@@ -61,6 +61,13 @@ K kept as the symbol k bound by 4 t^2 k^2 = 4 t^4 - u^2.
   the volume-normalized flow, whose extra radial term c x adds c deg(f) f
   to df/dt, a multiple of each generator f on the set, gives the same
   verdicts.  The Kaehler-Einstein x = (2, 4, 3, 1) has r = (1, 1, 1, 1).
+* Every module has dimension 2, so the volume-normalized flow is
+  F_k = -2 x_k (r_k - mean r).  F has degree 0, so its Jacobian at an
+  Einstein point sends x to 0, and the other three eigenvalues count the
+  unstable directions on the unit-volume slice: 2 and -5/2 +- sqrt(129)/6
+  (one unstable) at the Kaehler-Einstein metric, 16/5, 16/15 and -8 (two)
+  at the other.  On F10's SU(3)/T^2 the control reads (1, 1, 1) with 1/3,
+  1/3 and the permutations of (1, 1, 2) with 2/3, -1/3.
 * On a solution family the four reduced equations vanish if each
   numerator lies in the family's ideal, saturated by t v w k (the
   auxiliary y with y t v w k = 1 removes the components where a
@@ -588,3 +595,47 @@ def test_the_ricci_flow_leaves_the_two_other_ledger_components():
 def test_the_kaehler_einstein_metric_has_unit_ricci_eigenvalues():
     # F5's x = (2, 4, 3, 1) gives r = (1, 1, 1, 1): rho = g, a fixed point of the volume-normalized flow
     assert expected_root_ricci(*map(sp.Integer, (2, 4, 3, 1))) == (1, 1, 1, 1)
+
+
+def _normalized_flow(xs, r) -> list:
+    """The volume-normalized Ricci flow dx_k/dt = -2 x_k (r_k - mean r), where every module has dimension 2."""
+    return [-2 * x * (rk - sum(r) / len(r)) for x, rk in zip(xs, r)]
+
+
+def _unstable_directions(field, xs, point, eigenvalues) -> int:
+    """Check that the field's Jacobian at a fixed point has these eigenvalues, 0 on x itself, and count the positive."""
+    at = dict(zip(xs, point))
+    # each entry a + b sqrt(n), so that the characteristic polynomial expands to rationals
+    jacobian = sp.Matrix([[sp.expand(sp.radsimp(sp.expand(sp.diff(f, x).subs(at)))) for x in xs] for f in field])
+    lam = sp.Symbol("lam")
+    assert all(sp.expand(f.subs(at)) == 0 for f in field)
+    assert sp.expand(jacobian * sp.Matrix(point)) == sp.zeros(len(xs), 1)  # F has degree 0: the radial direction
+    assert sp.expand(jacobian.charpoly(lam).as_expr() - sp.prod([lam - e for e in eigenvalues])) == 0
+    return sum(float(e) > 0 for e in eigenvalues)
+
+
+@pytest.mark.parametrize("point, eigenvalues, unstable", [
+    ((2, 4, 3, 1), (0, 2, -sp.Rational(5, 2) + sp.sqrt(129) / 6, -sp.Rational(5, 2) - sp.sqrt(129) / 6), 1),
+    ((1, 1, sp.Rational(3, 4) + sp.sqrt(6) / 8, sp.Rational(3, 4) - sp.sqrt(6) / 8),
+     (0, sp.Rational(16, 5), sp.Rational(16, 15), -8), 2),
+], ids=["kaehler-einstein", "not-kaehler"])
+def test_the_unstable_directions_of_each_einstein_metric(point, eigenvalues, unstable):
+    # F5's two Einstein classes (r = (1, 1, 1, 1) and r_k = 8/3): past the radial 0, the Kaehler-Einstein metric has
+    # one unstable and two stable directions on the unit-volume slice, the other one two unstable and one stable
+    assert _unstable_directions(_normalized_flow(_X, expected_root_ricci(*_X)), _X, point, eigenvalues) == unstable
+
+
+def test_the_su3_control_has_four_einstein_classes_and_their_unstable_directions():
+    # F10's SU(3)/T^2, Park-Sakane's r_k = 1/(2x_k) + ([123]/4)(x_k/(x_i x_j) - x_i/(x_j x_k) - x_j/(x_i x_k)) at
+    # [123] = 1/3: up to scale the positive Einstein metrics are (1, 1, 1) and the permutations of (1, 1, 2)
+    xs = sp.symbols("y1:4", positive=True)
+    r = [1 / (2 * xk) + sp.Rational(1, 12) * (xk / (xi * xj) - xi / (xj * xk) - xj / (xi * xk))
+         for xk, xi, xj in ((xs[0], xs[1], xs[2]), (xs[1], xs[0], xs[2]), (xs[2], xs[0], xs[1]))]
+    unit = {xs[2]: 1}
+    einstein = sp.solve([sp.numer(sp.together((r[0] - r[k]).subs(unit))) for k in (1, 2)], xs[:2], dict=True)
+    # at x3 = 1, (1/2, 1/2) is (1, 1, 2) scaled
+    assert sorted((s[xs[0]], s[xs[1]]) for s in einstein) == [(sp.Rational(1, 2),) * 2, (1, 1), (1, 2), (2, 1)]
+    field = _normalized_flow(xs, r)
+    assert _unstable_directions(field, xs, (1, 1, 1), (0, sp.Rational(1, 3), sp.Rational(1, 3))) == 2
+    for point in sorted(set(itertools.permutations((1, 1, 2)))):
+        assert _unstable_directions(field, xs, point, (0, sp.Rational(2, 3), -sp.Rational(1, 3))) == 1
