@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _exports
+from .metric import _array
 
 __all__ = _exports(__name__)
 
@@ -104,20 +105,17 @@ class GradedLieAlgebra:
 
     def __init__(self, names: Sequence[str], structure, grading: Sequence[GradingLabel]):
         names = tuple(str(n) for n in names)
-        c = np.array(structure, dtype=float)
         grading = tuple(grading)
         n = len(names)
         if n == 0:
             raise ValueError("algebra needs a positive dimension")
-        if c.shape != (n, n, n):
-            raise ValueError(f"structure tensor must have shape {(n, n, n)}, got {c.shape}")
+        c = _array(structure, (n, n, n), "structure tensor", keep=True)
         if len(grading) != n:
             raise ValueError("need exactly one grading label per basis element")
         if len({lab.k for lab in grading}) != 1:
             raise ValueError("grading labels must share the same group Z_2^k")
         if not np.all(np.isfinite(c)):
             raise ValueError("structure constants must be finite")
-        c.setflags(write=False)
         self.names = names
         self.structure = c
         self.grading = grading
@@ -156,7 +154,7 @@ class GradedLieAlgebra:
     # --- operations ---
     def bracket(self, x, y) -> np.ndarray:
         """Lie bracket [x, y] of two coordinate vectors."""
-        return np.einsum("i,j,ijk->k", _vector(x, self.dim), _vector(y, self.dim), self.structure)
+        return np.einsum("i,j,ijk->k", _array(x, (self.dim,), "vector"), _array(y, (self.dim,), "vector"), self.structure)
 
     def m_structure(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Split the structure constants along h + m.
@@ -222,14 +220,6 @@ class GradedLieAlgebra:
         )
 
 
-def _vector(x, n: int, what: str = "vector") -> np.ndarray:
-    """x as a float array of shape (n,), the one admission of a coordinate vector: an algebra's, so(5)'s, m's."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (n,):
-        raise ValueError(f"{what} must have shape ({n},), got {x.shape}")
-    return x
-
-
 def _triples(mask: np.ndarray) -> tuple[tuple[int, int, int], ...]:
     return tuple(map(tuple, np.argwhere(mask).tolist()))
 
@@ -270,8 +260,9 @@ def algebra_from_dict(data: dict) -> GradedLieAlgebra:
         names = data["names"]
         if type(names) is not list or len(set(_json_typed(names, (str,), "names must be strings"))) != len(names):
             raise ValueError(f"names must be a list of distinct strings, got {names!r}")
-        grading = [GradingLabel(_json_typed(bits, (bool,), "grading bits must be booleans"))
-                   for bits in json_kind(data["grading"], list, "grading")]
+        grading = [GradingLabel(_json_typed(json_kind(bits, list, f"grading row {i}"), (bool,),
+                                            "grading bits must be booleans"))
+                   for i, bits in enumerate(json_kind(data["grading"], list, "grading"))]
         if len(names) != n:
             raise ValueError("names length disagrees with dim")
         c = np.zeros((n, n, n))

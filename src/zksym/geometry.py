@@ -38,7 +38,7 @@ from itertools import permutations
 from operator import itemgetter
 
 from . import _exports
-from .metric import DEFAULT_TOL, AdaptedForm, DegenerateMetricError, InvalidParamsError, MetricParams, _gram
+from .metric import DEFAULT_TOL, AdaptedForm, DegenerateMetricError, InvalidParamsError, MetricParams, _array, _gram
 
 __all__ = _exports(__name__)
 
@@ -68,11 +68,10 @@ _SETS = {name: itemgetter(*(int(k) - 1 for k in name)) for name in ("1234", "34"
 
 @cache
 def _arrays() -> None:
-    """Bind numpy, algebra._vector and so(5)'s arrays and names as globals, once, for raw vectors, a bare Gram matrix
-    and the arrays the library returns; the CLI prints none of them, so of the commands only ``inspect`` loads numpy."""
-    global np, _vector, _CM, _CH, _ADH, _P, _MODULE, _M_NAMES
+    """Bind numpy and so(5)'s arrays and names as globals, once, for a bare Gram matrix and the arrays the library
+    returns; the CLI prints none of them, so of the commands only ``inspect`` loads numpy."""
+    global np, _CM, _CH, _ADH, _P, _MODULE, _M_NAMES
     import numpy as np
-    from .algebra import _vector
     from .so5 import SO5_NAMES, build_so5
 
     # the root basis P: column i in raw coordinates, in the module _MODULE[i]
@@ -84,8 +83,7 @@ def _arrays() -> None:
 
 
 def _m_vector(x) -> np.ndarray:
-    """A raw m-vector, admitted by algebra._vector once :func:`_arrays` has bound it."""
-    return _vector(x, 8, "m-vector")
+    return _array(x, (8,), "m-vector")  # a raw m-vector, basis A1..C2
 
 
 def _program(e: int, y) -> tuple:

@@ -27,8 +27,8 @@ which the geometry presents its tables, is dual to the coframe, h = u/(2t),
 
 so that tables computed in it carry definite signs.
 
-DEFAULT_TOL lives here, beside MetricParams, the errors and FRAME_NAMES: this
-module loads numpy only where it forms an array.
+DEFAULT_TOL lives here, beside MetricParams, the errors, FRAME_NAMES and _array,
+which admits every array the library takes; numpy loads only where one is formed.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ from . import _exports
 if TYPE_CHECKING:
     import numpy as np
     from .algebra import GradedLieAlgebra
+else:
+    np = None  # loaded only where an array is formed
 
 __all__ = _exports(__name__)
 
@@ -72,6 +74,19 @@ class InvalidParamsError(ValueError):
 
 class DegenerateMetricError(ArithmeticError):
     """Parameters too close to the degenerate boundary (K below the guard)."""
+
+
+def _array(x, shape: tuple[int, ...], what: str, keep: bool = False) -> np.ndarray:
+    """x as a float array of ``shape``, else a ValueError naming ``what``; a record ``keep``s a read-only copy."""
+    global np
+    if np is None:  # the first array admitted binds numpy, for every later one
+        import numpy as np
+    x = np.array(x, dtype=float) if keep else np.asarray(x, dtype=float)
+    if x.shape != shape:
+        raise ValueError(f"{what} must have shape {shape}, got {x.shape}")
+    if keep:
+        x.setflags(write=False)
+    return x
 
 
 def _finite(name: str, value) -> float:
@@ -143,12 +158,7 @@ class AdaptedForm:
     params: MetricParams | None = field(default=None, init=False)
 
     def __post_init__(self):
-        import numpy as np  # loaded only where an array is formed, here and below
-        g = np.array(self.gram, dtype=float)
-        if g.shape != (8, 8):
-            raise ValueError(f"gram matrix must be 8x8, got {g.shape}")
-        g.setflags(write=False)
-        object.__setattr__(self, "gram", g)
+        object.__setattr__(self, "gram", _array(self.gram, (8, 8), "gram matrix", keep=True))
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,10 +168,7 @@ class OrthonormalFrame:
     matrix: np.ndarray
 
     def __post_init__(self):
-        import numpy as np
-        m = np.array(self.matrix, dtype=float)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _array(self.matrix, (8, 8), "frame matrix", keep=True))
 
     def vector(self, name: str) -> np.ndarray:
         """Frame vector by name, in raw m-coordinates."""

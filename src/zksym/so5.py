@@ -22,8 +22,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import _exports
-from .algebra import GradedLieAlgebra, GradingLabel, _vector
-from .metric import DEFAULT_TOL
+from .algebra import GradedLieAlgebra, GradingLabel
+from .metric import DEFAULT_TOL, _array
 
 __all__ = _exports(__name__)
 
@@ -61,7 +61,7 @@ def basis_matrix(name: str) -> np.ndarray:
 
 def matrix_of(x) -> np.ndarray:
     """Linear map from a 10-coordinate vector to its 5x5 skew matrix: x_i at its +1 entry, -x_i at its -1 entry."""
-    x = _vector(x, 10, "so(5) vector")
+    x = _array(x, (10,), "so(5) vector")
     m = np.zeros((5, 5))
     m[_ROWS, _COLS], m[_COLS, _ROWS] = x, 0.0 - x  # not -x: a zero coordinate gives +0.0 below, as above
     return m
@@ -75,9 +75,7 @@ def vector_of(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     """
     if tol < 0:  # a NaN tol passes here and fails the skew check, which bounds no defect by it
         raise ValueError("tol must be nonnegative")
-    m = np.asarray(m, dtype=float)
-    if m.shape != (5, 5):
-        raise ValueError(f"expected a 5x5 matrix, got shape {m.shape}")
+    m = _array(m, (5, 5), "so(5) matrix")
     if not np.isfinite(m).all():  # NaN passes the skew check, and m + m.T of a +-inf pair is NaN
         raise ValueError("matrix is not finite")
     skew_defect = float(np.max(np.abs(m + m.T)))

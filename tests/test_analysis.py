@@ -253,15 +253,14 @@ def test_reduced_system_zero_at_round_point():
 
 
 def test_reduced_system_zero_whenever_v_equals_w():
+    # K / |t| log-uniform down to the guard, as in the test below: each D_alpha carries the factor x4 - x3 = 0, so
+    # the residuals are exact zeros however near the degenerate boundary
     rng = np.random.default_rng(42)
-    for _ in range(10):
-        while True:
-            t, v = rng.uniform(0.5, 2.0, 2)
-            u = rng.uniform(-1.9, 1.9) * t * t
-            p = MetricParams(t, u, v, v)
-            if k_squared(p) >= 0.01:
-                break
-        assert np.max(np.abs(ledger_system_residuals(p))) < 1e-10
+    for _ in range(300):
+        t, v = rng.uniform(0.5, 2.0, 2) * rng.choice([-1.0, 1.0], 2)
+        k_ratio = 10.0 ** rng.uniform(-7.9, 0.0)
+        p = MetricParams(t, 2.0 * t * t * np.sqrt(1.0 - k_ratio**2) * rng.choice([-1.0, 1.0]), v, v)
+        assert np.max(np.abs(ledger_system_residuals(p))) == 0.0, (p, k_ratio)
 
 
 def test_reduced_system_matches_the_equations_written_out():

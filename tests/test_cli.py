@@ -189,11 +189,16 @@ _SHAPES = {
     "grading short": {"grading": [[False]]},
     "grading widths": {"grading": [[False], [True, False]]},
 }
-# a document or a field of the wrong JSON container type; iterated unchecked, the {} and "" structures read no row
+# a document, a field or a grading row of the wrong JSON type; iterated unchecked, the {} and "" structures read no
+# row, and a grading row was read by its keys or characters, or raised Python's own "not iterable"
 _CONTAINERS = {
     "object structure": {"dim": 1, "names": ["a"], "grading": [[False]], "structure": {}},
     "string structure": {"dim": 1, "names": ["a"], "grading": [[False]], "structure": ""},
     "array document": [_SMALL_ALGEBRA],
+    "number grading row": {"dim": 1, "names": ["a"], "grading": [5], "structure": []},
+    "null grading row": {"dim": 1, "names": ["a"], "grading": [None], "structure": []},
+    "object grading row": {"dim": 1, "names": ["a"], "grading": [{"x": 1}], "structure": []},
+    "string grading row": {"dim": 1, "names": ["a"], "grading": ["ab"], "structure": []},
 }
 
 
@@ -251,6 +256,10 @@ _MALFORMED = {
     "object structure": "structure must be a JSON array, got object",
     "string structure": "structure must be a JSON array, got string",
     "array document": "an algebra document must be a JSON object, got array",
+    "number grading row": "grading row 0 must be a JSON array, got number",
+    "null grading row": "grading row 0 must be a JSON array, got null",
+    "object grading row": "grading row 0 must be a JSON array, got object",
+    "string grading row": "grading row 0 must be a JSON array, got string",
 }
 
 

@@ -1256,12 +1256,33 @@ _X = np.arange(8.0)
     (lambda form: m_bracket(_X, np.zeros((8, 1))), "m-vector must have shape (8,), got (8, 1)"),
     (lambda form: curvature(_X, _X, np.zeros(9), form), "m-vector must have shape (8,), got (9,)"),
     (lambda form: ledger(_X, _X, [1, 2], form), "m-vector must have shape (8,), got (2,)"),
-    # every coordinate vector is admitted by one function, algebra._vector, with the message of its kind
+    # every array the library takes is admitted by one function, metric._array, with the message of its kind
     (lambda form: curvature(_X, np.zeros(10), _X, form), "m-vector must have shape (8,), got (10,)"),
     (lambda form: build_so5().bracket(np.zeros(10), np.zeros(8)), "vector must have shape (10,), got (8,)"),
     (lambda form: zksym.matrix_of(np.zeros((2, 5))), "so(5) vector must have shape (10,), got (2, 5)"),
-], ids=["u_map", "m_bracket", "curvature", "ledger", "curvature h", "bracket", "matrix_of"])
+    (lambda form: zksym.vector_of(np.zeros((3, 3))), "so(5) matrix must have shape (5, 5), got (3, 3)"),
+    (lambda form: AdaptedForm(np.zeros((3, 3))), "gram matrix must have shape (8, 8), got (3, 3)"),
+    (lambda form: zksym.OrthonormalFrame(np.zeros((3, 3))), "frame matrix must have shape (8, 8), got (3, 3)"),
+    (lambda form: zksym.GradedLieAlgebra("hm", np.zeros((2, 2)), [zksym.GradingLabel((b,)) for b in (False, True)]),
+     "structure tensor must have shape (2, 2, 2), got (2, 2)"),
+], ids=["u_map", "m_bracket", "curvature", "ledger", "curvature h", "bracket", "matrix_of", "vector_of",
+        "AdaptedForm", "OrthonormalFrame", "GradedLieAlgebra"])
 def test_a_raw_vector_of_another_shape_is_refused(call, message):
     with pytest.raises(ValueError) as refusal:
         call(build_form(NR_PARAMS))
     assert str(refusal.value) == message
+
+
+def test_a_record_keeps_a_read_only_copy_of_its_array():
+    # a form, a frame and an algebra keep their own array: the caller's, mutated after, changes none of them
+    gram, frame, structure = np.array(build_form(NR_PARAMS).gram), np.eye(8), np.array(build_so5().structure)
+    kept = [AdaptedForm(gram).gram, zksym.OrthonormalFrame(frame).matrix,
+            zksym.GradedLieAlgebra(build_so5().names, structure, build_so5().grading).structure]
+    expected = [a.copy() for a in kept]
+    for given in (gram, frame, structure):
+        given[(0,) * given.ndim] = 7.0
+    for array, before in zip(kept, expected):
+        assert not array.flags.writeable
+        assert np.array_equal(array, before)
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 7.0

@@ -85,8 +85,8 @@ import sympy as sp
 
 from oracles import (expected_reduced_terms, expected_ricci_entries, expected_root_ricci, ledger_determinants,
                      ledger_rows, structure_constants)
-from zksym import (MetricParams, first_ledger_verdict, geometry, is_naturally_reductive, solve_ledger_u0,
-                   solve_ledger_unonzero)
+from zksym import (MetricParams, build_form, first_ledger_verdict, geometry, is_naturally_reductive, nomizu_table,
+                   ricci, solve_ledger_u0, solve_ledger_unonzero)
 
 t, u, v, w, k, y = sp.symbols("t u v w k y")
 _K_DEFINITION = 4 * t**2 * k**2 - 4 * t**4 + u**2
@@ -468,6 +468,53 @@ def test_the_real_positive_einstein_metrics_are_the_two_on_the_solver_families()
     other = {(0, sp.Rational(3, 4) + sign * root6, sp.Rational(3, 4) - sign * root6) for sign in (1, -1)}
     assert found == kaehler | other
     assert {vv + ww for _, vv, ww in found} == {sp.Rational(4, 3), sp.Rational(3, 2)}
+
+
+def test_the_ricci_tensor_is_parallel_only_at_the_einstein_metrics():
+    # F27's open case.  In the root frame N = U + C/2 is, on the module triples alone, N_ijk = c0 (x_j + x_k - x_i) /
+    # (2 sqrt(x_i x_j x_k)) with x_i the x of i's module, as geometry._SUPPORTS["n"] forms it from the ratios, and
+    # for any rho = diag(r) the derivative D_ijk = -sum_l (N_ijl rho_lk + N_ikl rho_jl) is N_ijk (r_j - r_k).  So on
+    # the triple of alpha D = 0 is (x3 + x4 - x_a)(r3 - r4) = (x_a + x4 - x3)(r_a - r4) = (x_a + x3 - x4)(r_a - r3) = 0.
+    # Where r3 != r4, x1 = x2 = x3 + x4, which makes the other two x factors 2 x4 and 2 x3, so r_a = r4 = r3: a
+    # contradiction.  Where r3 = r4, r_a != r3 asks both of its x factors to vanish, and they sum to 2 x_a > 0.  So
+    # D = 0 on the open cone iff r1 = r2 = r3 = r4: the Einstein metrics, F5's two by the test above
+    c0, c = _root_brackets()
+    s_, r = [_ROOT_S[i // 2] for i in range(8)], sp.symbols("r1:5")
+    x_ = [a * a for a in s_]
+    n = [[[(c[m][j][i] + c[m][i][j]) / 2 + c[i][j][m] / 2 for m in range(8)] for j in range(8)] for i in range(8)]
+    support = [(i, j, m) for i, j, m in itertools.product(range(8), repeat=3) if c0[i][j][m]]
+    assert [64 * i + 8 * j + m for i, j, m in support] == list(geometry._INDEX)
+    x1, x2, x3, x4 = _ROOT_X
+    # the ratios x_k / sqrt(x_a x3 x4), slot-major: k = alpha, 3, 4, each for alpha = 1, 2
+    root = [sa * _ROOT_S[2] * _ROOT_S[3] for sa in _ROOT_S[:2]]
+    ratios = [xk / q for slot in ((x1, x2), (x3, x3), (x4, x4)) for xk, q in zip(slot, root)]
+    factors = set()
+    for (i, j, m), library in zip(support, geometry._SUPPORTS["n"](ratios)):
+        closed = (x_[j] + x_[m] - x_[i]) / (2 * s_[i] * s_[j] * s_[m])
+        assert sp.cancel(n[i][j][m] - c0[i][j][m] * closed) == 0, (i, j, m)
+        assert sp.expand(library - float(c0[i][j][m]) * closed) == 0, (i, j, m)  # c0 = +-sqrt(1/2) as a float
+        a, b = sorted((j // 2, m // 2))
+        factors.add((x_[j] + x_[m] - x_[i], r[a] - r[b]))
+    for i, j, m in itertools.product(range(8), repeat=3):
+        d = -(n[i][j][m] * r[m // 2] + n[i][m][j] * r[j // 2])  # rho = diag(r): l = m, then l = j
+        assert sp.cancel(d - n[i][j][m] * (r[j // 2] - r[m // 2])) == 0, (i, j, m)
+    assert factors == {f for a, xa in enumerate((x1, x2))
+                       for f in ((x3 + x4 - xa, r[2] - r[3]), (xa + x4 - x3, r[a] - r[3]), (xa + x3 - x4, r[a] - r[2]))}
+    for xa in (x1, x2):
+        assert [sp.expand(f.subs(xa, x3 + x4)) for f in (xa + x4 - x3, xa + x3 - x4)] == [2 * x4, 2 * x3]
+        assert sp.expand((xa + x4 - x3) + (xa + x3 - x4)) == 2 * xa and xa.is_positive
+    # the library's tables agree off the Einstein metrics: at (t, u, v, w) = (1, 0, 1, 1), the round point, and
+    # (1, 0, 3/5, 4/5), where sqrt x = (1, 1, v, w), sum D_ijk^2 is frame-invariant and the adapted frame's max|D| is
+    # 1/4 and 13/4
+    for (v_, w_), largest in (((1, 1), 0.25), ((sp.Rational(3, 5), sp.Rational(4, 5)), 3.25)):
+        point = dict(zip(_ROOT_S, (1, 1, v_, w_)))
+        rk = expected_root_ricci(*(x.subs(point) for x in _ROOT_X))
+        exact = sum((n[i][j][m].subs(point) * (rk[j // 2] - rk[m // 2])) ** 2 for i, j, m in support)
+        p = MetricParams(1.0, 0.0, float(v_), float(w_))
+        table, rho = nomizu_table(p), ricci(build_form(p))
+        d = -(np.einsum("ijl,lk->ijk", table, rho) + np.einsum("ikl,jl->ijk", table, rho))
+        assert np.sum(d * d) == pytest.approx(float(exact), rel=1e-12)
+        assert np.max(np.abs(d)) == pytest.approx(largest, rel=1e-12)
 
 
 def test_the_backward_error_terms_are_the_partials_of_the_determinant():
